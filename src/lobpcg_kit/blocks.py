@@ -51,12 +51,21 @@ class RitzSet:
 
 @dataclass
 class OpCounters:
-    """Exact operation tallies a solver maintains for benchmarking."""
+    """Exact operation tallies a solver maintains for benchmarking.
 
-    matvecs: int = 0
+    ``a_matvecs`` and ``b_matvecs`` count the columns A and B were applied
+    to; ``matvecs`` is their sum.
+    """
+
+    a_matvecs: int = 0
+    b_matvecs: int = 0
     precond_applies: int = 0
     rayleigh_ritz_calls: int = 0
     orthonormalizations: int = 0
+
+    @property
+    def matvecs(self) -> int:
+        return self.a_matvecs + self.b_matvecs
 
 
 def _as_block(block: np.ndarray) -> np.ndarray:
@@ -113,18 +122,14 @@ def _svqb_attribution(gram_vectors: np.ndarray, dropped: np.ndarray) -> list[int
     return [k for k in range(m) if k not in dropped_cols]
 
 
-def _orthonormalize_pass(block: np.ndarray, b_op: LinearOperator):
-    """One Cholesky-else-SVQB cleanup pass.
+def gram_transform(gram: np.ndarray):
+    """Cholesky-else-SVQB transform of a symmetric Gram matrix G.
 
-    Returns (out, kept, transform) with out = block @ transform.
+    Returns ``(transform, kept)`` with ``transform^T G transform = I`` over
+    the numerically independent directions; ``kept`` lists the Gram
+    columns judged independent.  Raises ZeroRankError when none are.
     """
-    m = block.shape[1]
-    scale = np.linalg.norm(block, axis=0)
-    scale = np.where(scale > 0, scale, 1.0)
-    scaled = block / scale[None, :]
-    b_scaled = op_apply(b_op, scaled)
-    gram = scaled.T @ b_scaled
-    gram = 0.5 * (gram + gram.T)
+    m = gram.shape[0]
     try:
         lower = cholesky(gram)
         transform = np.linalg.solve(lower, np.eye(m)).T  # inv(L).T, upper triangular
@@ -137,17 +142,35 @@ def _orthonormalize_pass(block: np.ndarray, b_op: LinearOperator):
             raise ZeroRankError("all columns are numerically dependent") from None
         transform = eig.vectors[:, keep_mask] / np.sqrt(eig.values[keep_mask])[None, :]
         kept = _svqb_attribution(eig.vectors, ~keep_mask)
+    return transform, kept
+
+
+def _orthonormalize_pass(block: np.ndarray, b_op: LinearOperator):
+    """One Cholesky-else-SVQB cleanup pass.
+
+    Returns (out, kept, transform) with out = block @ transform.
+    """
+    scale = np.linalg.norm(block, axis=0)
+    scale = np.where(scale > 0, scale, 1.0)
+    scaled = block / scale[None, :]
+    b_scaled = op_apply(b_op, scaled)
+    gram = scaled.T @ b_scaled
+    gram = 0.5 * (gram + gram.T)
+    transform, kept = gram_transform(gram)
     transform = transform / scale[:, None]
     return block @ transform, kept, transform
 
 
-def _orthonormality_defect(block: np.ndarray, b_op: LinearOperator) -> float:
-    gram = block.T @ op_apply(b_op, block)
-    return float(np.max(np.abs(gram - np.eye(block.shape[1]))))
+def _orthonormality_defect(block: np.ndarray, b_op: LinearOperator):
+    """max|V^T B V - I| and the product B V it was measured with."""
+    b_block = op_apply(b_op, block)
+    gram = block.T @ b_block
+    return float(np.max(np.abs(gram - np.eye(block.shape[1])))), b_block
 
 
 def b_orthonormalize_full(block: np.ndarray, b_op: LinearOperator,
-                          counters: OpCounters | None = None):
+                          counters: OpCounters | None = None, *,
+                          with_product: bool = False):
     """B-orthonormalize and also return the column transform.
 
     Returns ``(out, kept, transform)`` with ``out = block @ transform`` and
@@ -155,22 +178,27 @@ def b_orthonormalize_full(block: np.ndarray, b_op: LinearOperator,
     dependent content is dropped; ``kept`` lists the input columns judged
     independent.  Raises ZeroRankError when nothing survives and
     OrthonormalizationError when the post-check fails even after a retry.
+    With ``with_product`` a fourth item is returned: ``B @ out`` as the
+    final post-check computed it.
     """
     block = _as_block(block)
     out, kept, transform = _orthonormalize_pass(block, b_op)
     if counters is not None:
         counters.orthonormalizations += 1
-    if _orthonormality_defect(out, b_op) > ORTHO_POST_TOL:
+    defect, b_out = _orthonormality_defect(out, b_op)
+    if defect > ORTHO_POST_TOL:
         out, kept2, transform2 = _orthonormalize_pass(out, b_op)
         if counters is not None:
             counters.orthonormalizations += 1
         kept = [kept[i] for i in kept2]
         transform = transform @ transform2
-        defect = _orthonormality_defect(out, b_op)
+        defect, b_out = _orthonormality_defect(out, b_op)
         if defect > ORTHO_POST_TOL:
             raise OrthonormalizationError(
                 f"orthonormality defect {defect:.3e} persists after retry"
             )
+    if with_product:
+        return out, kept, transform, b_out
     return out, kept, transform
 
 

@@ -288,7 +288,8 @@ def _parse_grid(spec: str) -> list[dict]:
 _BENCH_COLUMNS = (
     "format_version", "variant", "block_size", "rr_period", "precond", "nev",
     "seed", "iterations", "matvec_count", "precond_count", "rr_count",
-    "orthonormalize_count", "wall_time_seconds", "converged",
+    "orthonormalize_count", "wall_time_seconds", "converged", "a_matvec_count",
+    "b_matvec_count",
 )
 
 
@@ -329,6 +330,8 @@ def cmd_bench(args, flags: list[str]) -> int:
             "orthonormalize_count": result.counters.orthonormalizations,
             "wall_time_seconds": f"{wall:.17g}",
             "converged": "true" if result.status == STATUS_CONVERGED else "false",
+            "a_matvec_count": result.counters.a_matvecs,
+            "b_matvec_count": result.counters.b_matvecs,
         })
 
     with open(args.out, "w", encoding="utf-8", newline="") as handle:

@@ -245,11 +245,17 @@ def identity_precond(dim: int) -> Preconditioner:
 def jacobi_precond(matrix) -> Preconditioner:
     """Inverse-diagonal preconditioner with a unit fallback.
 
-    Entries with diagonal <= 1e-300 (zero or negative) get reciprocal 1 and
-    set the ``nonpositive_diagonal`` warning flag on the result.
+    ``matrix`` is an operator with a ``diagonal()`` method or the 1-d
+    diagonal itself.  Entries with diagonal <= 1e-300 (zero or negative)
+    get reciprocal 1 and set the ``nonpositive_diagonal`` warning flag on
+    the result.
     """
-    diag = matrix.diagonal() if hasattr(matrix, "diagonal") else np.asarray(matrix, dtype=float)
-    diag = np.asarray(diag, dtype=float)
+    if isinstance(matrix, LinearOperator):
+        diag = np.asarray(matrix.diagonal(), dtype=float)
+    else:
+        diag = np.asarray(matrix, dtype=float)
+        if diag.ndim != 1:
+            raise DimensionMismatchError(f"expected a 1-d diagonal, got shape {diag.shape}")
     usable = diag > 1e-300
     recip = np.where(usable, 1.0 / np.where(usable, diag, 1.0), 1.0)
     pre = Preconditioner(

@@ -4,6 +4,13 @@ The iteration keeps a B-orthonormal block of Ritz vectors, augments it
 with preconditioned residuals and an implicitly recurred previous-direction
 block, and re-extracts the smallest Ritz pairs each step.  A steepest
 descent variant (no previous-direction block) is provided as a baseline.
+
+The products A X, B X, A P and B P are carried alongside X and P and
+updated with the same Ritz coefficients (Hetmaniuk & Lehoucq, "Basis
+selection in LOBPCG", J. Comput. Phys. 218, 2006), so a step applies A
+only to the new direction block.  A X and B X are recomputed explicitly
+before a convergence claim is accepted, before returning, and every
+:data:`REFRESH_PERIOD` steps.
 """
 
 from __future__ import annotations
@@ -15,12 +22,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .blocks import (
+    ORTHO_POST_TOL,
     OpCounters,
     b_orthonormalize_full,
     b_project_out,
-    rayleigh_ritz,
-    residual_block,
+    fix_signs,
+    gram_transform,
 )
+# Unused by the engine; bound here because perfbench/tracer.py looks these
+# names up in this module.
+from .blocks import rayleigh_ritz, residual_block  # noqa: F401
 from .dense import sym_eig
 from .errors import (
     DimensionMismatchError,
@@ -40,6 +51,11 @@ from .operators import (
 STATUS_CONVERGED = "converged"
 STATUS_MAX_ITER = "max_iter"
 STATUS_BREAKDOWN = "breakdown"
+
+#: Steps between explicit recomputations of A X and B X.  In between, the
+#: carried products are only updated with the Ritz coefficients, and their
+#: rounding drift grows with the number of updates.
+REFRESH_PERIOD = 50
 
 
 @dataclass
@@ -115,16 +131,19 @@ class SolveResult:
 
 
 class _CountingOperator(LinearOperator):
-    """Transparent wrapper tallying column applications."""
+    """Transparent wrapper adding the columns it is applied to onto one
+    :class:`OpCounters` field (``a_matvecs`` or ``b_matvecs``)."""
 
-    def __init__(self, inner: LinearOperator, counters: OpCounters):
+    def __init__(self, inner: LinearOperator, counters: OpCounters, tally: str):
         super().__init__(inner.dim)
         self.kind = inner.kind
         self._inner = inner
         self._counters = counters
+        self._tally = tally
 
     def apply(self, block: np.ndarray) -> np.ndarray:
-        self._counters.matvecs += block.shape[1] if block.ndim == 2 else 1
+        cols = block.shape[1] if block.ndim == 2 else 1
+        setattr(self._counters, self._tally, getattr(self._counters, self._tally) + cols)
         return self._inner.apply(block)
 
 
@@ -166,7 +185,87 @@ def norm_estimates(op: LinearOperator) -> float:
 
 
 class _Breakdown(Exception):
-    """Internal signal: no usable search directions remain."""
+    """Internal signal: no usable search directions remain, or an operator
+    returned non-finite values."""
+
+
+def _require_finite(*blocks: np.ndarray) -> None:
+    if not all(np.isfinite(block).all() for block in blocks):
+        raise _Breakdown
+
+
+def _sym(gram: np.ndarray) -> np.ndarray:
+    return 0.5 * (gram + gram.T)
+
+
+def _defect(gram: np.ndarray) -> float:
+    return float(np.max(np.abs(gram - np.eye(gram.shape[0]))))
+
+
+def _gram_basis(gram_b: np.ndarray) -> np.ndarray:
+    """Transform T with T^T G T = I over the independent directions of a
+    basis whose B-Gram matrix is G, found after scaling the columns to unit
+    B-norm.  Raises InsufficientRankError when no direction is independent.
+    """
+    scale = np.sqrt(np.diag(gram_b))
+    scale = np.where(scale > 0, scale, 1.0)
+    try:
+        transform, _ = gram_transform(gram_b / np.outer(scale, scale))
+    except ZeroRankError:
+        raise InsufficientRankError("all basis columns are numerically dependent") from None
+    return transform / scale[:, None]
+
+
+def _b_orthonormalize_carried(block: np.ndarray, a_block: np.ndarray, b_block: np.ndarray):
+    """B-orthonormalize a block through its Gram matrix, no operator applies.
+
+    The products are mapped with the same transform.  As in
+    :func:`~lobpcg_kit.blocks.b_orthonormalize_full`, the result is
+    post-checked (here from the mapped B-product) with one retry, and
+    OrthonormalizationError is raised when the defect persists.
+    """
+    for _ in range(2):
+        transform = _gram_basis(_sym(block.T @ b_block))
+        block, a_block, b_block = block @ transform, a_block @ transform, b_block @ transform
+        defect = _defect(block.T @ b_block)
+        if defect <= ORTHO_POST_TOL:
+            return block, a_block, b_block
+    raise OrthonormalizationError(f"orthonormality defect {defect:.3e} persists after retry")
+
+
+def _rayleigh_ritz(basis: np.ndarray, a_basis: np.ndarray, b_basis: np.ndarray, want: int,
+                   gram_a: np.ndarray | None = None, gram_b: np.ndarray | None = None):
+    """Smallest ``want`` Ritz pairs over span(basis) from carried products.
+
+    Returns ``(values, vectors, a_vectors, b_vectors, coefficients)`` with
+    ``vectors = basis @ coefficients`` and the products mapped alike; no
+    operator is applied.  The Ritz block's B-orthonormality is post-checked
+    from the mapped product; when it exceeds :data:`ORTHO_POST_TOL` one more
+    pass is made over the Ritz block, and OrthonormalizationError raised
+    when that does not mend it.  Signs follow :func:`fix_signs`.
+    """
+    if gram_a is None:
+        gram_a, gram_b = _sym(basis.T @ a_basis), _sym(basis.T @ b_basis)
+    coeff = None
+    for _ in range(2):
+        transform = _gram_basis(gram_b)
+        if want > transform.shape[1]:
+            raise InsufficientRankError(
+                f"basis rank {transform.shape[1]} is below the {want} requested pairs"
+            )
+        eig = sym_eig(_sym(transform.T @ gram_a @ transform))
+        values, step_coeff = eig.values[:want].copy(), transform @ eig.vectors[:, :want]
+        basis = basis @ step_coeff
+        fix_signs(basis, step_coeff)
+        a_basis, b_basis = a_basis @ step_coeff, b_basis @ step_coeff
+        coeff = step_coeff if coeff is None else coeff @ step_coeff
+        gram_b = basis.T @ b_basis
+        if _defect(gram_b) <= ORTHO_POST_TOL:
+            return values, basis, a_basis, b_basis, coeff
+        gram_a, gram_b = _sym(basis.T @ a_basis), _sym(gram_b)
+    raise OrthonormalizationError(
+        f"Ritz block orthonormality defect {_defect(gram_b):.3e} persists after retry"
+    )
 
 
 class LobpcgEngine:
@@ -175,6 +274,9 @@ class LobpcgEngine:
     Exposed so tests can drive individual update steps and compare a
     three-block step against a steepest-descent step from an identical
     state.  Regular callers should use the solve functions.
+
+    ``AX``/``BX`` and ``AP``/``BP`` hold the carried operator products of
+    the iterate block ``X`` and the previous-direction block ``P``.
     """
 
     def __init__(self, a_op: LinearOperator, cfg: SolverConfig, *,
@@ -195,8 +297,8 @@ class LobpcgEngine:
         self.counters = OpCounters()
         self.norm_a = norm_estimates(a_op)
         self.norm_b = norm_estimates(b_op)
-        self.a_op = _CountingOperator(a_op, self.counters)
-        self.b_op = _CountingOperator(b_op, self.counters)
+        self.a_op = _CountingOperator(a_op, self.counters, "a_matvecs")
+        self.b_op = _CountingOperator(b_op, self.counters, "b_matvecs")
         raw_precond = precond if precond is not None else identity_precond(a_op.dim)
         if raw_precond.dim != a_op.dim:
             raise DimensionMismatchError(
@@ -210,13 +312,15 @@ class LobpcgEngine:
             constraints = np.asarray(constraints, dtype=float)
             if constraints.ndim == 1:
                 constraints = constraints[:, None]
-            self.constraints, _, _ = b_orthonormalize_full(
-                constraints, self.b_op, self.counters
+            self.constraints, _, _, self.b_constraints = b_orthonormalize_full(
+                constraints, self.b_op, self.counters, with_product=True
             )
-            self.b_constraints = op_apply(self.b_op, self.constraints)
+            # deflating the carried P must update A P as well
+            self.a_constraints = op_apply(self.a_op, self.constraints)
         else:
             self.constraints = None
             self.b_constraints = None
+            self.a_constraints = None
 
         if x0 is not None:
             x0 = np.asarray(x0, dtype=float)
@@ -229,17 +333,22 @@ class LobpcgEngine:
             start = x0.copy()
         else:
             start = self._rng.standard_normal((self.dim, self.block_size))
-        start = self._full_rank_start(start)
+        start, b_start = self._full_rank_start(start)
 
-        first = rayleigh_ritz(start, self.a_op, self.b_op, self.block_size, self.counters)
-        self.X = first.vectors
-        self.ritz_values = first.values
+        self.counters.rayleigh_ritz_calls += 1
+        self.ritz_values, self.X, self.AX, self.BX, _ = _rayleigh_ritz(
+            start, op_apply(self.a_op, start), b_start, self.block_size
+        )
         self.P: np.ndarray | None = None
+        self.AP: np.ndarray | None = None
+        self.BP: np.ndarray | None = None
         self.iterations = 0
         self.n_locked = 0
         self.history: list[IterationRecord] = []
         self._last_basis_cols = self.block_size
-        self._refresh_residuals()
+        #: True while AX and BX derive from explicit applies to the current X.
+        self._fresh = True
+        self._update_residuals()
 
     # -- setup helpers -------------------------------------------------
 
@@ -248,16 +357,21 @@ class LobpcgEngine:
             return block
         return b_project_out(block, self.constraints, self.b_constraints)
 
-    def _full_rank_start(self, start: np.ndarray) -> np.ndarray:
-        """Deflate, orthonormalize, and pad a start block up to full rank."""
+    def _full_rank_start(self, start: np.ndarray):
+        """Deflate, orthonormalize, and pad a start block up to full rank.
+
+        Returns the block and its B-product.
+        """
         for _ in range(3):
             candidate = self._deflate(start)
             try:
-                ortho, _, _ = b_orthonormalize_full(candidate, self.b_op, self.counters)
+                ortho, _, _, b_ortho = b_orthonormalize_full(
+                    candidate, self.b_op, self.counters, with_product=True
+                )
             except ZeroRankError:
                 ortho = np.zeros((self.dim, 0))
             if ortho.shape[1] >= self.block_size:
-                return ortho
+                return ortho, b_ortho
             pad = self._rng.standard_normal((self.dim, self.block_size - ortho.shape[1]))
             start = np.hstack([ortho, pad])
         raise InsufficientRankError(
@@ -266,9 +380,27 @@ class LobpcgEngine:
 
     # -- state inspection ----------------------------------------------
 
-    def _refresh_residuals(self) -> None:
-        self.R = residual_block(self.a_op, self.b_op, self.X, self.ritz_values)
+    def _update_residuals(self) -> None:
+        self.R = self.AX - self.BX * self.ritz_values[None, :]
         self.residual_norms = np.linalg.norm(self.R, axis=0)
+
+    def _refresh_products(self) -> None:
+        """Recompute A X and B X explicitly, and the residuals from them.
+
+        When max|X^T B X - I| exceeds :data:`ORTHO_POST_TOL`, X is replaced
+        by the Ritz vectors of its own span.  Raises the internal breakdown
+        signal, leaving the state untouched, when a product is not finite.
+        """
+        a_x = op_apply(self.a_op, self.X)
+        b_x = op_apply(self.b_op, self.X)
+        _require_finite(a_x, b_x)
+        x, values = self.X, self.ritz_values
+        if _defect(x.T @ b_x) > ORTHO_POST_TOL:
+            self.counters.orthonormalizations += 1
+            values, x, a_x, b_x, _ = _rayleigh_ritz(x, a_x, b_x, self.block_size)
+        self.X, self.AX, self.BX, self.ritz_values = x, a_x, b_x, values
+        self._fresh = True
+        self._update_residuals()
 
     def convergence_thresholds(self) -> np.ndarray:
         scale = self.norm_a + np.abs(self.ritz_values) * self.norm_b
@@ -297,8 +429,10 @@ class LobpcgEngine:
         """One locally optimal update of the iterate block.
 
         ``use_previous`` overrides the engine's direction mode for this
-        single step (the steepest-descent comparison hook).  Raises the
-        internal breakdown signal when no search directions survive.
+        single step (the steepest-descent comparison hook).  A is applied
+        to the new direction block only, B to it by its orthonormalization
+        and post-check.  Raises the internal breakdown signal when no
+        search directions survive or a product is not finite.
         """
         include_p = self.use_history_direction if use_previous is None else use_previous
         conv = self.converged_mask()
@@ -309,66 +443,82 @@ class LobpcgEngine:
         if active.size == 0:
             active = np.arange(self.block_size)
 
-        b_x = op_apply(self.b_op, self.X)
         directions = self.precond.apply(self.R[:, active])
         directions = self._deflate(directions)
-        directions = b_project_out(directions, self.X, b_x)
+        directions = b_project_out(directions, self.X, self.BX)
         try:
-            w_block, _, _ = b_orthonormalize_full(directions, self.b_op, self.counters)
+            w_block, _, _, b_w = b_orthonormalize_full(
+                directions, self.b_op, self.counters, with_product=True
+            )
         except ZeroRankError:
             raise _Breakdown from None
+        a_w = op_apply(self.a_op, w_block)
+        _require_finite(w_block, a_w, b_w)
 
-        p_block = None
-        if include_p and self.P is not None:
-            carried = b_project_out(self._deflate(self.P), self.X, b_x)
-            try:
-                p_block, _, _ = b_orthonormalize_full(carried, self.b_op, self.counters)
-            except ZeroRankError:
-                p_block = None
-
-        basis = self._assemble_basis(w_block, p_block)
-        try:
-            ritz = rayleigh_ritz(basis, self.a_op, self.b_op, self.block_size,
-                                 self.counters)
-        except InsufficientRankError:
-            if p_block is None:
-                raise _Breakdown from None
-            basis = self._assemble_basis(w_block, None)
-            try:
-                ritz = rayleigh_ritz(basis, self.a_op, self.b_op, self.block_size,
-                                     self.counters)
-            except InsufficientRankError:
-                raise _Breakdown from None
-
-        tail = basis[:, self.block_size:]
-        tail_coeff = ritz.coefficients[self.block_size:, :]
-        new_p = None
-        if include_p and tail.shape[1]:
-            try:
-                new_p, _, _ = b_orthonormalize_full(tail @ tail_coeff, self.b_op,
-                                                    self.counters)
-            except ZeroRankError:
-                new_p = None
-
-        self.X = ritz.vectors
-        self.ritz_values = ritz.values
-        self.P = new_p
-        self.iterations += 1
-        self._last_basis_cols = basis.shape[1]
-        self._refresh_residuals()
-
-    def _assemble_basis(self, w_block: np.ndarray, p_block: np.ndarray | None) -> np.ndarray:
-        if p_block is None:
-            return np.hstack([self.X, w_block])
-        basis = np.hstack([self.X, w_block, p_block])
+        parts = [(self.X, self.AX, self.BX), (w_block, a_w, b_w)]
+        carried = self._carried_direction() if include_p else None
+        if carried is not None:
+            parts.append(carried)
+        basis, a_basis, b_basis = (np.hstack(blocks) for blocks in zip(*parts))
+        gram_a = _sym(basis.T @ a_basis)
+        gram_b = _sym(basis.T @ b_basis)
         # Condition guard on the joint Gram matrix: drop the carried
-        # directions for this step when the basis degenerates.
-        gram = basis.T @ op_apply(self.b_op, basis)
-        eigvals = sym_eig(0.5 * (gram + gram.T)).values
+        # directions for this step when the basis degenerates, or when the
+        # projection with them falls short of rank.
+        widths = [self.block_size + w_block.shape[1]]
+        if carried is not None and self._well_conditioned(gram_b):
+            widths.insert(0, basis.shape[1])
+        for width in widths:
+            self.counters.rayleigh_ritz_calls += 1
+            try:
+                values, x, a_x, b_x, coeff = _rayleigh_ritz(
+                    basis[:, :width], a_basis[:, :width], b_basis[:, :width],
+                    self.block_size, gram_a[:width, :width], gram_b[:width, :width],
+                )
+                break
+            except InsufficientRankError:
+                continue
+        else:
+            raise _Breakdown
+
+        new_p = (None, None, None)
+        if include_p:
+            tail = slice(self.block_size, width)
+            tail_coeff = coeff[tail]
+            new_p = (basis[:, tail] @ tail_coeff, a_basis[:, tail] @ tail_coeff,
+                     b_basis[:, tail] @ tail_coeff)
+
+        self.X, self.AX, self.BX, self.ritz_values = x, a_x, b_x, values
+        self.P, self.AP, self.BP = new_p
+        self.iterations += 1
+        self._last_basis_cols = width
+        self._fresh = False
+        self._update_residuals()
+
+    def _carried_direction(self):
+        """P deflated, B-orthogonalized against X and B-orthonormalized, with
+        its products mapped alike; None when nothing usable remains."""
+        if self.P is None:
+            return None
+        p, a_p, b_p = self.P, self.AP, self.BP
+        against = [(self.X, self.AX, self.BX)]
+        if self.constraints is not None:
+            against.insert(0, (self.constraints, self.a_constraints, self.b_constraints))
+        for basis, a_basis, b_basis in against:
+            overlaps = b_basis.T @ p
+            p = p - basis @ overlaps
+            a_p = a_p - a_basis @ overlaps
+            b_p = b_p - b_basis @ overlaps
+        self.counters.orthonormalizations += 1
+        try:
+            return _b_orthonormalize_carried(p, a_p, b_p)
+        except (InsufficientRankError, OrthonormalizationError):
+            return None
+
+    def _well_conditioned(self, gram: np.ndarray) -> bool:
+        eigvals = sym_eig(gram).values
         lam_min, lam_max = float(eigvals[0]), float(eigvals[-1])
-        if lam_min <= 0.0 or lam_max / lam_min > self.cfg.restart_cond_limit:
-            return np.hstack([self.X, w_block])
-        return basis
+        return lam_min > 0.0 and lam_max / lam_min <= self.cfg.restart_cond_limit
 
     # -- driver ----------------------------------------------------------
 
@@ -376,24 +526,34 @@ class LobpcgEngine:
         nev = self.cfg.nev
         status = None
         while status is None:
-            conv = self.converged_mask()
-            if self.cfg.locking == "soft":
-                prefix = 0
-                while prefix < self.block_size and conv[prefix]:
-                    prefix += 1
-                self.n_locked = max(self.n_locked, prefix)
-            self._record()
-            if np.all(conv[:nev]):
-                status = STATUS_CONVERGED
-            elif self.iterations >= self.cfg.max_iter:
-                status = STATUS_MAX_ITER
-            else:
-                try:
+            try:
+                # refresh periodically, and accept a convergence claim on
+                # explicit products only
+                if not self._fresh and (self.iterations % REFRESH_PERIOD == 0
+                                        or np.all(self.converged_mask()[:nev])):
+                    self._refresh_products()
+                conv = self.converged_mask()
+                if self.cfg.locking == "soft":
+                    prefix = 0
+                    while prefix < self.block_size and conv[prefix]:
+                        prefix += 1
+                    self.n_locked = max(self.n_locked, prefix)
+                self._record()
+                if np.all(conv[:nev]):
+                    status = STATUS_CONVERGED
+                elif self.iterations >= self.cfg.max_iter:
+                    status = STATUS_MAX_ITER
+                else:
                     self.step()
-                except (_Breakdown, OrthonormalizationError):
-                    # the step mutates state only once fully assembled, so
-                    # the best-so-far pairs are intact here
-                    status = STATUS_BREAKDOWN
+            except (_Breakdown, OrthonormalizationError):
+                # the state is mutated only once fully assembled and
+                # finite, so the best-so-far pairs are intact here
+                status = STATUS_BREAKDOWN
+        if not self._fresh:
+            try:
+                self._refresh_products()
+            except (_Breakdown, OrthonormalizationError):
+                status = STATUS_BREAKDOWN
         return SolveResult(
             values=self.ritz_values[:nev].copy(),
             vectors=self.X[:, :nev].copy(),

@@ -116,8 +116,8 @@ def lobpcg2_solve(a_op: LinearOperator, cfg: Lobpcg2Config, *,
     counters = OpCounters()
     norm_a = norm_estimates(a_op)
     norm_b = norm_estimates(b_raw)
-    a_cnt = _CountingOperator(a_op, counters)
-    b_cnt = _CountingOperator(b_raw, counters)
+    a_cnt = _CountingOperator(a_op, counters, "a_matvecs")
+    b_cnt = _CountingOperator(b_raw, counters, "b_matvecs")
     precond_raw = precond if precond is not None else identity_precond(a_op.dim)
     t_cnt = _CountingPrecond(precond_raw, counters)
 

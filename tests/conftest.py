@@ -40,6 +40,15 @@ def laplacian_1d_eigenvalues(n: int, count: int) -> np.ndarray:
     return 4.0 * np.sin(k * np.pi / (2.0 * (n + 1))) ** 2
 
 
+def fe_matrices_1d(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Dense 1-d Q1 stiffness and mass matrices on m interior nodes of (0, 1)."""
+    h = 1.0 / (m + 1)
+    off = np.diag(np.ones(m - 1), 1) + np.diag(np.ones(m - 1), -1)
+    stiffness = (2.0 * np.eye(m) - off) / h
+    mass = (4.0 * np.eye(m) + off) * (h / 6.0)
+    return stiffness, mass
+
+
 def random_orthogonal(rng: np.random.Generator, n: int) -> np.ndarray:
     q, r = np.linalg.qr(rng.standard_normal((n, n)))
     return q * np.sign(np.diag(r))[None, :]

@@ -167,6 +167,9 @@ class TestBench:
         assert by_precond["none"]["converged"] == "true"
         for row in rows:
             assert int(row["matvec_count"]) > 0
+            assert int(row["a_matvec_count"]) > 0
+            assert (int(row["a_matvec_count"]) + int(row["b_matvec_count"])
+                    == int(row["matvec_count"]))
             assert int(row["rr_count"]) > 0
             assert int(row["orthonormalize_count"]) > 0
             assert row["format_version"] == "1"
@@ -192,6 +195,13 @@ class TestBench:
         assert code == 0
         lines = out.read_text().strip().splitlines()
         assert len(lines) == 3
+        header = lines[0].split(",")
+        for line in lines[1:]:
+            row = dict(zip(header, line.split(",")))
+            assert int(row["a_matvec_count"]) > 0
+            assert int(row["b_matvec_count"]) > 0
+            assert (int(row["a_matvec_count"]) + int(row["b_matvec_count"])
+                    == int(row["matvec_count"]))
 
     def test_unknown_dimension_rejected(self, lap50, tmp_path):
         code = main(["bench", "--matrix", lap50, "--nev", "2",

@@ -134,6 +134,13 @@ class TestJacobiPrecond:
         assert pre.diagonal_reciprocals[0] == 1.0
         assert pre.nonpositive_diagonal
 
+    def test_one_d_diagonal_array(self):
+        pre = jacobi_precond(np.array([2.0, 4.0, 0.0, 1.0, 8.0]))
+        np.testing.assert_allclose(pre.diagonal_reciprocals, [0.5, 0.25, 1.0, 1.0, 0.125])
+        assert pre.nonpositive_diagonal
+        with pytest.raises(DimensionMismatchError):
+            jacobi_precond(np.eye(3))
+
     def test_uniform_laplacian_diagonal(self):
         pre = jacobi_precond(laplacian_1d(10))
         np.testing.assert_allclose(pre.diagonal_reciprocals, 0.5)

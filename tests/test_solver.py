@@ -6,6 +6,7 @@ import pytest
 from conftest import (
     dense_to_csr,
     easy_spd_problem,
+    fe_matrices_1d,
     laplacian_1d,
     laplacian_1d_eigenvalues,
     random_spd_metric,
@@ -30,6 +31,7 @@ from lobpcg_kit import (
     op_apply,
     psd_solve,
 )
+from lobpcg_kit.solver import REFRESH_PERIOD
 
 
 def diag_operator(n):
@@ -223,8 +225,87 @@ class TestInvariants:
     def test_counters_track_update_steps(self):
         res = lobpcg_solve(diag_operator(10), SolverConfig(nev=2))
         assert res.counters.rayleigh_ritz_calls == res.iterations + 1
-        assert res.counters.matvecs > 0
+        assert res.counters.a_matvecs > 0
+        assert res.counters.b_matvecs > 0
+        assert res.counters.matvecs == res.counters.a_matvecs + res.counters.b_matvecs
         assert res.counters.orthonormalizations >= res.iterations
+
+
+class TestCarriedProducts:
+    def test_each_step_applies_a_once_per_active_column(self):
+        a = laplacian_1d(200)
+        engine = LobpcgEngine(a, SolverConfig(nev=3, block_size=5, seed=0))
+        counters = engine.counters
+        for _ in range(40):
+            active = np.count_nonzero(~engine.converged_mask()) or engine.block_size
+            a_before, b_before = counters.a_matvecs, counters.b_matvecs
+            engine.step()
+            assert counters.a_matvecs - a_before == active
+            # B only orthonormalizes the new directions and post-checks them
+            assert counters.b_matvecs - b_before <= 2 * active
+
+    def test_solve_adds_only_the_documented_refreshes(self):
+        # A is applied to the start block, to every preconditioned direction,
+        # and to X at each periodic refresh and convergence claim
+        a = laplacian_1d(200)
+        res = lobpcg_solve(a, SolverConfig(nev=3, block_size=5, seed=0))
+        assert res.status == "converged"
+        assert res.iterations > 2 * REFRESH_PERIOD
+        refreshes = 1 + res.iterations // REFRESH_PERIOD + 1
+        assert res.counters.a_matvecs <= res.counters.precond_applies + 5 * refreshes
+
+    def test_long_run_returns_explicit_products(self):
+        # 600 steps with an unreachable tolerance: the carried products must
+        # not leak drift into the returned pairs
+        k1, m1 = fe_matrices_1d(15)
+        k2, m2 = fe_matrices_1d(16)
+        a = dense_to_csr(np.kron(k1, m2) + np.kron(m1, k2))
+        b = dense_to_csr(np.kron(m1, m2))
+        res = lobpcg_solve(a, SolverConfig(nev=4, tol=1e-300, max_iter=600, seed=1),
+                           b_op=b, precond=jacobi_precond(a))
+        assert res.status == "max_iter"
+        assert res.iterations == 600
+        assert b_defect(res.vectors, b) <= 1e-8
+        fresh = op_apply(a, res.vectors) - op_apply(b, res.vectors) * res.values[None, :]
+        np.testing.assert_allclose(res.residual_norms, np.linalg.norm(fresh, axis=0),
+                                   rtol=1e-6)
+
+
+def poisoned_operator(dim, func, bad_value):
+    """Callable operator that returns ``bad_value`` everywhere once armed."""
+    state = {"armed": False}
+
+    def apply(block):
+        out = func(block)
+        return np.full_like(out, bad_value) if state["armed"] else out
+
+    return CallableOperator(dim, apply), state
+
+
+@pytest.mark.parametrize("bad_value", [np.nan, np.inf])
+@pytest.mark.parametrize("poisoned", ["a", "b"])
+# a non-finite B product passes through the orthonormalization before the
+# solver rejects it, and numpy warns there
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_non_finite_operator_ends_in_breakdown(poisoned, bad_value):
+    n = 40
+    spectrum = np.arange(1.0, n + 1)
+    op, state = poisoned_operator(
+        n, (lambda block: spectrum[:, None] * block) if poisoned == "a" else np.copy,
+        bad_value)
+    a_op = op if poisoned == "a" else DiagonalOperator(spectrum)
+    b_op = op if poisoned == "b" else None
+    engine = LobpcgEngine(a_op, SolverConfig(nev=2), b_op=b_op)
+    for _ in range(2):
+        engine.step()
+    last_values = engine.ritz_values[:2].copy()
+    state["armed"] = True
+    res = engine.run()
+    assert res.status == "breakdown"
+    np.testing.assert_array_equal(res.values, last_values)
+    assert np.all(np.isfinite(res.vectors))
+    assert np.all(np.isfinite(res.residual_norms))
+    assert b_defect(res.vectors, IdentityOperator(n)) <= 1e-8
 
 
 class TestExactInverse:
