@@ -145,6 +145,13 @@ def gram_transform(gram: np.ndarray):
     return transform, kept
 
 
+def _finite_gram(gram: np.ndarray) -> np.ndarray:
+    """The Gram matrix itself; OrthonormalizationError when it is not finite."""
+    if not np.all(np.isfinite(gram)):
+        raise OrthonormalizationError("B-Gram matrix is not finite")
+    return gram
+
+
 def _orthonormalize_pass(block: np.ndarray, b_op: LinearOperator):
     """One Cholesky-else-SVQB cleanup pass.
 
@@ -154,7 +161,7 @@ def _orthonormalize_pass(block: np.ndarray, b_op: LinearOperator):
     scale = np.where(scale > 0, scale, 1.0)
     scaled = block / scale[None, :]
     b_scaled = op_apply(b_op, scaled)
-    gram = scaled.T @ b_scaled
+    gram = _finite_gram(scaled.T @ b_scaled)
     gram = 0.5 * (gram + gram.T)
     transform, kept = gram_transform(gram)
     transform = transform / scale[:, None]
@@ -164,7 +171,7 @@ def _orthonormalize_pass(block: np.ndarray, b_op: LinearOperator):
 def _orthonormality_defect(block: np.ndarray, b_op: LinearOperator):
     """max|V^T B V - I| and the product B V it was measured with."""
     b_block = op_apply(b_op, block)
-    gram = block.T @ b_block
+    gram = _finite_gram(block.T @ b_block)
     return float(np.max(np.abs(gram - np.eye(block.shape[1])))), b_block
 
 
@@ -177,7 +184,8 @@ def b_orthonormalize_full(block: np.ndarray, b_op: LinearOperator,
     ``out^T B out = I`` within :data:`ORTHO_POST_TOL`.  Numerically
     dependent content is dropped; ``kept`` lists the input columns judged
     independent.  Raises ZeroRankError when nothing survives and
-    OrthonormalizationError when the post-check fails even after a retry.
+    OrthonormalizationError when a B-Gram matrix is not finite or the
+    post-check fails even after a retry.
     With ``with_product`` a fourth item is returned: ``B @ out`` as the
     final post-check computed it.
     """

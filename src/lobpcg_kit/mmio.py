@@ -19,7 +19,13 @@ from .errors import (
     NonSymmetricDataError,
     UnsupportedFieldError,
 )
-from .operators import SparseSymMatrix, csr_from_coo
+from .operators import (
+    SparseSymMatrix,
+    _coo_columns,
+    _merge_duplicates,
+    _mirrors_disagree,
+    csr_from_coo,
+)
 
 _COORD_BANNER = "%%matrixmarket"
 
@@ -88,13 +94,11 @@ def parse_matrix_market(path: str | os.PathLike) -> SparseSymMatrix:
     if rows < 1 or nnz < 0:
         raise MatrixMarketParseError("non-positive dimensions", size_line_no)
 
-    accum: dict[tuple[int, int], float] = {}
-    count = 0
+    entries: list[tuple[int, int, float]] = []
     last_line_no = size_line_no
     for line_no, text in lines:
         last_line_no = line_no
-        count += 1
-        if count > nnz:
+        if len(entries) == nnz:
             raise MatrixMarketParseError(f"more than the declared {nnz} entries", line_no)
         parts = text.split()
         if len(parts) != 3:
@@ -105,25 +109,22 @@ def parse_matrix_market(path: str | os.PathLike) -> SparseSymMatrix:
             raise MatrixMarketParseError(f"cannot parse entry {text!r}", line_no) from None
         if not (1 <= i <= rows and 1 <= j <= cols):
             raise MatrixMarketParseError(f"index ({i}, {j}) outside 1..{rows}", line_no)
-        key = (i - 1, j - 1)
-        accum[key] = accum.get(key, 0.0) + value
-    if count != nnz:
+        entries.append((i - 1, j - 1, value))
+    if len(entries) != nnz:
         raise MatrixMarketParseError(
-            f"declared {nnz} entries but found {count}", last_line_no
+            f"declared {nnz} entries but found {len(entries)}", last_line_no
         )
 
     if sym == "general":
-        for (i, j), value in accum.items():
-            if i == j:
-                continue
-            mirror = accum.get((j, i))
-            if mirror is None or abs(value - mirror) > GENERAL_SYM_RTOL * max(
-                abs(value), abs(mirror)
-            ):
-                raise NonSymmetricDataError(
-                    f"general file is not numerically symmetric at ({i + 1}, {j + 1})"
-                )
-    return csr_from_coo(rows, [(i, j, v) for (i, j), v in accum.items()])
+        i, j, v = _coo_columns(entries)
+        _, inverse, sums, mirror_sums, paired = _merge_duplicates(rows, i, j, v)
+        bad = ~paired | _mirrors_disagree(sums, mirror_sums, GENERAL_SYM_RTOL)
+        if bad.any():
+            k = int(np.argmax(bad[inverse]))
+            raise NonSymmetricDataError(
+                f"general file is not numerically symmetric at ({i[k] + 1}, {j[k] + 1})"
+            )
+    return csr_from_coo(rows, entries)
 
 
 def write_matrix_market_symmetric(path: str | os.PathLike, matrix: SparseSymMatrix) -> None:

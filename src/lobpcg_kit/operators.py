@@ -98,6 +98,10 @@ class SparseSymMatrix(LinearOperator):
     ``row_offsets`` has ``dim + 1`` entries; ``col_indices`` are strictly
     increasing within each row; the pattern and values are symmetric.
     Construct through :func:`csr_from_coo`.
+
+    ``apply`` runs on a jagged-diagonal copy of the entries built here:
+    the rows sorted by descending length, and slot k holding the k-th entry
+    of every row longer than k (those rows form a prefix of the order).
     """
 
     kind = "sparse_sym"
@@ -108,6 +112,17 @@ class SparseSymMatrix(LinearOperator):
         self.row_offsets = np.asarray(row_offsets, dtype=np.int64)
         self.col_indices = np.asarray(col_indices, dtype=np.int64)
         self.values = np.asarray(values, dtype=float)
+        lengths = np.diff(self.row_offsets)
+        self._row_order = np.argsort(-lengths, kind="stable")
+        # rows longer than k, for each slot k
+        counts = self.dim - np.cumsum(np.bincount(lengths))[:-1]
+        slot_ptr = np.concatenate(([0], np.cumsum(counts)))
+        slot = np.repeat(np.arange(counts.size), counts)
+        rank = np.arange(self.nnz) - slot_ptr[slot]
+        at = self.row_offsets[self._row_order][rank] + slot
+        jd_cols, jd_vals = self.col_indices[at], self.values[at, None]
+        self._slots = [(int(hi - lo), jd_vals[lo:hi], jd_cols[lo:hi])
+                       for lo, hi in zip(slot_ptr[:-1], slot_ptr[1:])]
 
     @property
     def nnz(self) -> int:
@@ -118,22 +133,24 @@ class SparseSymMatrix(LinearOperator):
         single = block.ndim == 1
         if single:
             block = block[:, None]
-        out = np.zeros((self.dim, block.shape[1]))
-        if self.nnz:
-            products = self.values[:, None] * block[self.col_indices, :]
-            counts = np.diff(self.row_offsets)
-            nonempty = np.flatnonzero(counts)
-            starts = self.row_offsets[:-1][nonempty]
-            out[nonempty] = np.add.reduceat(products, starts, axis=0)
+        acc = np.zeros((self.dim, block.shape[1]))
+        for count, vals, cols in self._slots:
+            # in place through a view: `acc[:count] +=` would copy it back
+            head = acc[:count]
+            head += vals * block.take(cols, axis=0)
+        out = np.empty_like(acc)
+        out[self._row_order] = acc
         return out[:, 0] if single else out
 
+    def row_indices(self) -> np.ndarray:
+        """Row of every stored entry, aligned with ``col_indices``."""
+        return np.repeat(np.arange(self.dim), np.diff(self.row_offsets))
+
     def diagonal(self) -> np.ndarray:
+        rows = self.row_indices()
+        on_diag = rows == self.col_indices
         diag = np.zeros(self.dim)
-        for i in range(self.dim):
-            lo, hi = self.row_offsets[i], self.row_offsets[i + 1]
-            hits = np.searchsorted(self.col_indices[lo:hi], i)
-            if hits < hi - lo and self.col_indices[lo + hits] == i:
-                diag[i] = self.values[lo + hits]
+        diag[rows[on_diag]] = self.values[on_diag]
         return diag
 
     def max_row_l1(self) -> float:
@@ -147,53 +164,79 @@ class SparseSymMatrix(LinearOperator):
 
     def entries(self) -> Iterable[tuple[int, int, float]]:
         """Yield (row, col, value) over the stored full pattern."""
-        for i in range(self.dim):
-            for k in range(self.row_offsets[i], self.row_offsets[i + 1]):
-                yield i, int(self.col_indices[k]), float(self.values[k])
+        yield from zip(self.row_indices().tolist(), self.col_indices.tolist(),
+                       self.values.tolist())
+
+
+#: One (i, j, value) record of coordinate input.
+_TRIPLET = np.dtype([("i", np.int64), ("j", np.int64), ("v", float)])
+
+
+def _coo_columns(records: Iterable) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Row, column and value arrays of (i, j, value) records."""
+    data = np.fromiter(map(tuple, records), _TRIPLET)
+    return data["i"], data["j"], data["v"]
+
+
+def _merge_duplicates(n: int, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray):
+    """Sum duplicate entries and pair every distinct entry with its mirror.
+
+    Returns ``(keys, inverse, sums, mirror_sums, paired)``: the distinct keys
+    ``i * n + j`` ascending (so in CSR order), each input entry's position
+    among them, their values summed in input order, the summed value at the
+    mirrored key and whether that key was supplied.  A diagonal key is its
+    own mirror.
+    """
+    keys, inverse = np.unique(rows * n + cols, return_inverse=True)
+    sums = np.bincount(inverse, weights=vals, minlength=keys.size)
+    mirror = (keys % n) * n + keys // n
+    at = np.minimum(np.searchsorted(keys, mirror), keys.size - 1)
+    paired = keys[at] == mirror
+    return keys, inverse, sums, sums[at], paired
+
+
+def _mirrors_disagree(sums: np.ndarray, mirror_sums: np.ndarray, rtol: float) -> np.ndarray:
+    """Where two mirrored values differ by more than ``rtol`` relative."""
+    return np.abs(sums - mirror_sums) > rtol * np.maximum(np.abs(sums), np.abs(mirror_sums))
+
+
+def _assemble(n: int, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray) -> SparseSymMatrix:
+    """The array core of :func:`csr_from_coo` (see there)."""
+    if n < 1:
+        raise IndexOutOfRangeError(f"matrix dimension must be >= 1, got {n}")
+    outside = (rows < 0) | (rows >= n) | (cols < 0) | (cols >= n)
+    if outside.any():
+        k = int(np.argmax(outside))
+        raise IndexOutOfRangeError(f"entry ({rows[k]}, {cols[k]}) outside [0, {n})")
+    keys, inverse, sums, mirror_sums, paired = _merge_duplicates(n, rows, cols, vals)
+    two_sided = paired & (keys % n != keys // n)
+    clash = two_sided & _mirrors_disagree(sums, mirror_sums, MIRROR_RTOL)
+    if clash.any():
+        k = inverse[np.argmax(clash[inverse])]
+        raise AsymmetricValuesError(
+            f"entries ({keys[k] // n},{keys[k] % n})={float(sums[k])!r} and "
+            f"({keys[k] % n},{keys[k] // n})={float(mirror_sums[k])!r} disagree"
+        )
+    values = np.where(two_sided, 0.5 * (sums + mirror_sums), sums)
+    # an entry supplied on one side only is copied across
+    mirrored = keys[~paired]
+    keys = np.concatenate([keys, (mirrored % n) * n + mirrored // n])
+    values = np.concatenate([values, sums[~paired]])
+    order = np.argsort(keys)
+    rows, cols = np.divmod(keys[order], n)
+    return SparseSymMatrix(n, np.searchsorted(rows, np.arange(n + 1)), cols, values[order])
 
 
 def csr_from_coo(n: int, triplets: Iterable[tuple[int, int, float]]) -> SparseSymMatrix:
     """Assemble a symmetric CSR matrix from (i, j, value) triplets.
 
-    Duplicates are summed.  When only one of (i, j) / (j, i) is supplied
-    the entry is mirrored; when both are supplied their (duplicate-summed)
-    values must agree to 1e-12 relative or AsymmetricValuesError is raised.
+    Duplicates are summed in input order.  When only one of (i, j) / (j, i)
+    is supplied the entry is mirrored; when both are supplied their
+    (duplicate-summed) values must agree to 1e-12 relative or
+    AsymmetricValuesError is raised, and are averaged.  Errors name the
+    first offending entry in input order.
     """
-    if n < 1:
-        raise IndexOutOfRangeError(f"matrix dimension must be >= 1, got {n}")
-    accum: dict[tuple[int, int], float] = {}
-    for i, j, v in triplets:
-        i, j = int(i), int(j)
-        if not (0 <= i < n and 0 <= j < n):
-            raise IndexOutOfRangeError(f"entry ({i}, {j}) outside [0, {n})")
-        accum[(i, j)] = accum.get((i, j), 0.0) + float(v)
-
-    sym: dict[tuple[int, int], float] = {}
-    for (i, j), v in accum.items():
-        if i == j:
-            sym[(i, j)] = v
-            continue
-        mirrored = accum.get((j, i))
-        if mirrored is None:
-            sym[(i, j)] = v
-            sym[(j, i)] = v
-        else:
-            if abs(v - mirrored) > MIRROR_RTOL * max(abs(v), abs(mirrored)):
-                raise AsymmetricValuesError(
-                    f"entries ({i},{j})={v!r} and ({j},{i})={mirrored!r} disagree"
-                )
-            avg = 0.5 * (v + mirrored)
-            sym[(i, j)] = avg
-            sym[(j, i)] = avg
-
-    keys = sorted(sym)
-    rows = np.array([k[0] for k in keys], dtype=np.int64)
-    cols = np.array([k[1] for k in keys], dtype=np.int64)
-    vals = np.array([sym[k] for k in keys], dtype=float)
-    offsets = np.zeros(n + 1, dtype=np.int64)
-    np.add.at(offsets, rows + 1, 1)
-    offsets = np.cumsum(offsets)
-    return SparseSymMatrix(n, offsets, cols, vals)
+    return _assemble(n, *_coo_columns(triplets))
 
 
 def op_apply(op: LinearOperator, block: np.ndarray) -> np.ndarray:
@@ -287,19 +330,24 @@ def laplacian_from_edges(n: int, edges: Iterable[tuple[int, int, float]]) -> Spa
     """Weighted graph Laplacian L = D - W from an undirected edge list.
 
     Parallel edges are summed.  L is symmetric positive semidefinite and
-    annihilates the constant vector.
+    annihilates the constant vector.  Errors name the first bad edge in
+    input order.
     """
-    triplets: list[tuple[int, int, float]] = []
-    for u, v, w in edges:
-        u, v, w = int(u), int(v), float(w)
-        if u == v:
-            raise SelfLoopError(f"self loop at vertex {u}")
-        if not (0 <= u < n and 0 <= v < n):
-            raise IndexOutOfRangeError(f"edge ({u}, {v}) outside [0, {n})")
-        if w < 0:
-            raise NegativeWeightError(f"edge ({u}, {v}) has negative weight {w}")
-        triplets += [(u, v, -w), (v, u, -w), (u, u, w), (v, v, w)]
-    if not triplets:
+    u, v, w = _coo_columns(edges)
+    bad = (u == v) | (u < 0) | (u >= n) | (v < 0) | (v >= n) | (w < 0)
+    if bad.any():
+        k = int(np.argmax(bad))
+        uk, vk, wk = int(u[k]), int(v[k]), float(w[k])
+        if uk == vk:
+            raise SelfLoopError(f"self loop at vertex {uk}")
+        if not (0 <= uk < n and 0 <= vk < n):
+            raise IndexOutOfRangeError(f"edge ({uk}, {vk}) outside [0, {n})")
+        raise NegativeWeightError(f"edge ({uk}, {vk}) has negative weight {wk}")
+    if not u.size:
         # Edgeless graph: the all-zero Laplacian.
-        triplets = [(0, 0, 0.0)]
-    return csr_from_coo(n, triplets)
+        return _assemble(n, np.zeros(1, np.int64), np.zeros(1, np.int64), np.zeros(1))
+    # Per edge, in this order: (u, v, -w), (v, u, -w), (u, u, w), (v, v, w).
+    rows = np.column_stack([u, v, u, v]).ravel()
+    cols = np.column_stack([v, u, u, v]).ravel()
+    vals = np.column_stack([-w, -w, w, w]).ravel()
+    return _assemble(n, rows, cols, vals)

@@ -37,11 +37,10 @@ class PartitionResult:
 
 
 def _cut_weight(laplacian: SparseSymMatrix, labels: np.ndarray) -> float:
-    total = 0.0
-    for i, j, value in laplacian.entries():
-        if i < j and labels[i] != labels[j]:
-            total -= value  # off-diagonal Laplacian entries are -weight
-    return total
+    rows, cols = laplacian.row_indices(), laplacian.col_indices
+    crossing = (rows < cols) & (labels[rows] != labels[cols])
+    # off-diagonal Laplacian entries are -weight
+    return float(np.sum(-laplacian.values[crossing]))
 
 
 def partition_graph(n: int, edges, *, tol: float = 1e-8, seed: int = 0,

@@ -7,10 +7,12 @@ import pytest
 from conftest import dense_to_csr, subspace_gap
 
 from lobpcg_kit import (
+    CallableOperator,
     DiagonalOperator,
     DimensionMismatchError,
     IdentityOperator,
     InsufficientRankError,
+    OrthonormalizationError,
     ZeroRankError,
     ZeroVectorError,
     b_orthonormalize,
@@ -20,6 +22,7 @@ from lobpcg_kit import (
     rayleigh_ritz,
     residual_block,
 )
+from lobpcg_kit.blocks import b_orthonormalize_full
 
 
 def spd_operator(rng, n, shift=None):
@@ -134,6 +137,22 @@ class TestBOrthonormalize:
         assert out.shape[1] == 2
         gram = out.T @ out
         assert np.max(np.abs(gram - np.eye(2))) <= 1e-8
+
+    @pytest.mark.parametrize("bad_value", [np.nan, np.inf])
+    @pytest.mark.parametrize("bad_from", [1, 2])
+    # numpy warns while forming a Gram matrix from an infinite product
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_gram_raises(self, rng, bad_value, bad_from):
+        # B turns non-finite in the first pass or only in its post-check
+        calls = []
+
+        def apply(block):
+            calls.append(block.shape[1])
+            return np.full_like(block, bad_value) if len(calls) >= bad_from else block.copy()
+
+        with pytest.raises(OrthonormalizationError):
+            b_orthonormalize_full(rng.standard_normal((10, 3)), CallableOperator(10, apply))
+        assert len(calls) == bad_from
 
 
 class TestRayleighRitz:

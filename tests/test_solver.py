@@ -284,8 +284,7 @@ def poisoned_operator(dim, func, bad_value):
 
 @pytest.mark.parametrize("bad_value", [np.nan, np.inf])
 @pytest.mark.parametrize("poisoned", ["a", "b"])
-# a non-finite B product passes through the orthonormalization before the
-# solver rejects it, and numpy warns there
+# numpy warns while a Gram matrix is formed from a non-finite product
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_non_finite_operator_ends_in_breakdown(poisoned, bad_value):
     n = 40
