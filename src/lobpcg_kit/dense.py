@@ -1,4 +1,4 @@
-"""Small dense kernels: symmetric eigendecomposition, Cholesky, products.
+"""Small dense kernels: symmetric eigendecomposition and Cholesky.
 
 These back the Rayleigh-Ritz projection step and the dense verification
 oracle.  Matrices are plain float64 ``numpy.ndarray`` objects of shape
@@ -87,36 +87,24 @@ def sym_eig(m: np.ndarray) -> SymEigResult:
 def cholesky(m: np.ndarray) -> np.ndarray:
     """Lower-triangular L with L L^T = M and strictly positive diagonal.
 
-    Raises NotPositiveDefiniteError when a pivot falls at or below
-    ``n * 1e-14 * max|M|``; callers treat that as a rank-deficiency signal
-    and switch to their eigendecomposition-based fallback.
+    Raises NotPositiveDefiniteError at the first pivot L_jj^2 at or below
+    ``n * 1e-14 * max|M|``, or when LAPACK finds M not positive definite;
+    callers treat that as a rank-deficiency signal and switch to their
+    eigendecomposition-based fallback.
     """
     m = require_symmetric(m)
     n = m.shape[0]
     if n > DENSE_CAP:
         raise DenseCapExceededError(f"dimension {n} exceeds dense cap {DENSE_CAP}")
     pivot_floor = n * PIVOT_RTOL * float(np.max(np.abs(m)))
-    lower = np.zeros_like(m)
-    for j in range(n):
-        pivot = m[j, j] - lower[j, :j] @ lower[j, :j]
-        if pivot <= pivot_floor:
-            raise NotPositiveDefiniteError(
-                f"pivot {pivot:.3e} at column {j} is below threshold {pivot_floor:.3e}"
-            )
-        diag = np.sqrt(pivot)
-        lower[j, j] = diag
-        if j + 1 < n:
-            lower[j + 1 :, j] = (m[j + 1 :, j] - lower[j + 1 :, :j] @ lower[j, :j]) / diag
-    return lower
-
-
-def matmul(a: np.ndarray, b: np.ndarray, *, transpose_a: bool = False) -> np.ndarray:
-    """Matrix product (optionally A^T B), accumulated in double precision."""
-    a = _as_matrix(a)
-    b = _as_matrix(b)
-    left = a.T if transpose_a else a
-    if left.shape[1] != b.shape[0]:
-        raise DimensionMismatchError(
-            f"inner dimensions disagree: {left.shape} x {b.shape}"
+    try:
+        lower = np.linalg.cholesky(m)
+    except np.linalg.LinAlgError as exc:
+        raise NotPositiveDefiniteError(f"matrix is not positive definite: {exc}") from None
+    low = np.flatnonzero(np.diag(lower) ** 2 <= pivot_floor)
+    if low.size:
+        j = low[0]
+        raise NotPositiveDefiniteError(
+            f"pivot {lower[j, j] ** 2:.3e} at column {j} is below threshold {pivot_floor:.3e}"
         )
-    return left @ b
+    return lower

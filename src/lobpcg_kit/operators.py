@@ -1,5 +1,9 @@
 """Symmetric linear operators: sparse matrices, metrics, preconditioners.
 
+Preconditioners are operators too: :func:`jacobi_precond` returns a
+:class:`DiagonalOperator`, :func:`exact_inverse_precond` a
+:class:`CallableOperator`.
+
 Everything the solvers touch is a :class:`LinearOperator`: a symmetric map
 of fixed dimension applied to an ``(n, m)`` block of column vectors.
 Operators are immutable after construction and safe to share across
@@ -256,42 +260,14 @@ def op_apply(op: LinearOperator, block: np.ndarray) -> np.ndarray:
     return out[:, 0] if single else out
 
 
-class Preconditioner:
-    """SPD operator applied to residual blocks to speed convergence.
-
-    Kinds: ``none`` (identity), ``jacobi`` (reciprocal diagonal) and
-    ``exact_inverse`` (dense Cholesky solve, test scale only).
-    """
-
-    def __init__(self, dim: int, kind: str, apply_func: Callable[[np.ndarray], np.ndarray],
-                 nonpositive_diagonal: bool = False):
-        self.dim = int(dim)
-        self.kind = kind
-        self._apply = apply_func
-        #: Warning flag: the source diagonal had zero/negative entries and
-        #: the unit fallback was used for them.
-        self.nonpositive_diagonal = nonpositive_diagonal
-
-    def apply(self, block: np.ndarray) -> np.ndarray:
-        block = np.asarray(block, dtype=float)
-        if block.shape[0] != self.dim:
-            raise DimensionMismatchError(
-                f"preconditioner dimension {self.dim} does not match block rows {block.shape[0]}"
-            )
-        return self._apply(block)
-
-
-def identity_precond(dim: int) -> Preconditioner:
-    return Preconditioner(dim, "none", lambda block: np.array(block, copy=True))
-
-
-def jacobi_precond(matrix) -> Preconditioner:
+def jacobi_precond(matrix) -> DiagonalOperator:
     """Inverse-diagonal preconditioner with a unit fallback.
 
     ``matrix`` is an operator with a ``diagonal()`` method or the 1-d
     diagonal itself.  Entries with diagonal <= 1e-300 (zero or negative)
     get reciprocal 1 and set the ``nonpositive_diagonal`` warning flag on
-    the result.
+    the result.  The reciprocals are its ``diagonal_values``, also bound as
+    ``diagonal_reciprocals``.
     """
     if isinstance(matrix, LinearOperator):
         diag = np.asarray(matrix.diagonal(), dtype=float)
@@ -300,18 +276,13 @@ def jacobi_precond(matrix) -> Preconditioner:
         if diag.ndim != 1:
             raise DimensionMismatchError(f"expected a 1-d diagonal, got shape {diag.shape}")
     usable = diag > 1e-300
-    recip = np.where(usable, 1.0 / np.where(usable, diag, 1.0), 1.0)
-    pre = Preconditioner(
-        diag.shape[0],
-        "jacobi",
-        lambda block: recip[:, None] * block,
-        nonpositive_diagonal=bool(np.any(~usable)),
-    )
-    pre.diagonal_reciprocals = recip
+    pre = DiagonalOperator(np.where(usable, 1.0 / np.where(usable, diag, 1.0), 1.0))
+    pre.nonpositive_diagonal = bool(np.any(~usable))
+    pre.diagonal_reciprocals = pre.diagonal_values
     return pre
 
 
-def exact_inverse_precond(op: LinearOperator) -> Preconditioner:
+def exact_inverse_precond(op: LinearOperator) -> CallableOperator:
     """Dense A^{-1} via Cholesky; only valid up to the dense cap.
 
     Meant for tests and acceptance runs as the "ideal" preconditioner.
@@ -323,7 +294,7 @@ def exact_inverse_precond(op: LinearOperator) -> Preconditioner:
         halfway = np.linalg.solve(lower, block)
         return np.linalg.solve(lower.T, halfway)
 
-    return Preconditioner(op.dim, "exact_inverse", solve)
+    return CallableOperator(op.dim, solve)
 
 
 def laplacian_from_edges(n: int, edges: Iterable[tuple[int, int, float]]) -> SparseSymMatrix:

@@ -40,13 +40,7 @@ from .errors import (
     OrthonormalizationError,
     ZeroRankError,
 )
-from .operators import (
-    IdentityOperator,
-    LinearOperator,
-    Preconditioner,
-    identity_precond,
-    op_apply,
-)
+from .operators import CallableOperator, IdentityOperator, LinearOperator, op_apply
 
 STATUS_CONVERGED = "converged"
 STATUS_MAX_ITER = "max_iter"
@@ -132,7 +126,8 @@ class SolveResult:
 
 class _CountingOperator(LinearOperator):
     """Transparent wrapper adding the columns it is applied to onto one
-    :class:`OpCounters` field (``a_matvecs`` or ``b_matvecs``)."""
+    :class:`OpCounters` field (``a_matvecs``, ``b_matvecs`` or
+    ``precond_applies``)."""
 
     def __init__(self, inner: LinearOperator, counters: OpCounters, tally: str):
         super().__init__(inner.dim)
@@ -144,18 +139,6 @@ class _CountingOperator(LinearOperator):
     def apply(self, block: np.ndarray) -> np.ndarray:
         cols = block.shape[1] if block.ndim == 2 else 1
         setattr(self._counters, self._tally, getattr(self._counters, self._tally) + cols)
-        return self._inner.apply(block)
-
-
-class _CountingPrecond:
-    def __init__(self, inner: Preconditioner, counters: OpCounters):
-        self.dim = inner.dim
-        self.kind = inner.kind
-        self._inner = inner
-        self._counters = counters
-
-    def apply(self, block: np.ndarray) -> np.ndarray:
-        self._counters.precond_applies += block.shape[1] if block.ndim == 2 else 1
         return self._inner.apply(block)
 
 
@@ -233,11 +216,35 @@ def _b_orthonormalize_carried(block: np.ndarray, a_block: np.ndarray, b_block: n
     raise OrthonormalizationError(f"orthonormality defect {defect:.3e} persists after retry")
 
 
-def _rayleigh_ritz(basis: np.ndarray, a_basis: np.ndarray, b_basis: np.ndarray, want: int,
-                   gram_a: np.ndarray | None = None, gram_b: np.ndarray | None = None):
-    """Smallest ``want`` Ritz pairs over span(basis) from carried products.
+def _combine(blocks, coeff: np.ndarray) -> np.ndarray:
+    """``[blocks[0] | blocks[1] | ...] @ coeff`` without stacking the blocks."""
+    out, row = None, 0
+    for block in blocks:
+        piece = block @ coeff[row:row + block.shape[1]]
+        row += block.shape[1]
+        if out is None:
+            out = piece
+        else:
+            out += piece
+    return out
 
-    Returns ``(values, vectors, a_vectors, b_vectors, coefficients)`` with
+
+def _grams(parts):
+    """Projected A- and B-Gram matrices of a basis held as ``(V, A V, B V)``
+    parts, built block by block."""
+    gram_a = np.block([[u.T @ a_v for _, a_v, _ in parts] for u, _, _ in parts])
+    gram_b = np.block([[u.T @ b_v for _, _, b_v in parts] for u, _, _ in parts])
+    return _sym(gram_a), _sym(gram_b)
+
+
+def _rayleigh_ritz(parts, want: int, gram_a: np.ndarray | None = None,
+                   gram_b: np.ndarray | None = None):
+    """Smallest ``want`` Ritz pairs over the span of a basis from carried
+    products.
+
+    The basis is the column concatenation of ``parts``, a list of
+    ``(V, A V, B V)`` triples; it is never stacked.  Returns
+    ``(values, vectors, a_vectors, b_vectors, coefficients)`` with
     ``vectors = basis @ coefficients`` and the products mapped alike; no
     operator is applied.  The Ritz block's B-orthonormality is post-checked
     from the mapped product; when it exceeds :data:`ORTHO_POST_TOL` one more
@@ -245,7 +252,7 @@ def _rayleigh_ritz(basis: np.ndarray, a_basis: np.ndarray, b_basis: np.ndarray, 
     when that does not mend it.  Signs follow :func:`fix_signs`.
     """
     if gram_a is None:
-        gram_a, gram_b = _sym(basis.T @ a_basis), _sym(basis.T @ b_basis)
+        gram_a, gram_b = _grams(parts)
     coeff = None
     for _ in range(2):
         transform = _gram_basis(gram_b)
@@ -255,21 +262,22 @@ def _rayleigh_ritz(basis: np.ndarray, a_basis: np.ndarray, b_basis: np.ndarray, 
             )
         eig = sym_eig(_sym(transform.T @ gram_a @ transform))
         values, step_coeff = eig.values[:want].copy(), transform @ eig.vectors[:, :want]
-        basis = basis @ step_coeff
-        fix_signs(basis, step_coeff)
-        a_basis, b_basis = a_basis @ step_coeff, b_basis @ step_coeff
+        x, a_x, b_x = (_combine(blocks, step_coeff) for blocks in zip(*parts))
+        fix_signs(x, step_coeff, a_x, b_x)
         coeff = step_coeff if coeff is None else coeff @ step_coeff
-        gram_b = basis.T @ b_basis
+        gram_b = x.T @ b_x
         if _defect(gram_b) <= ORTHO_POST_TOL:
-            return values, basis, a_basis, b_basis, coeff
-        gram_a, gram_b = _sym(basis.T @ a_basis), _sym(gram_b)
+            return values, x, a_x, b_x, coeff
+        parts = [(x, a_x, b_x)]
+        gram_a, gram_b = _sym(x.T @ a_x), _sym(gram_b)
     raise OrthonormalizationError(
         f"Ritz block orthonormality defect {_defect(gram_b):.3e} persists after retry"
     )
 
 
 class LobpcgEngine:
-    """Stepping core shared by :func:`lobpcg_solve` and :func:`psd_solve`.
+    """Stepping core shared by :func:`lobpcg_solve`, :func:`psd_solve` and
+    :func:`~lobpcg_kit.solver2.lobpcg2_solve`.
 
     Exposed so tests can drive individual update steps and compare a
     three-block step against a steepest-descent step from an identical
@@ -277,11 +285,15 @@ class LobpcgEngine:
 
     ``AX``/``BX`` and ``AP``/``BP`` hold the carried operator products of
     the iterate block ``X`` and the previous-direction block ``P``.
+
+    When A is not finite on the start block, the engine keeps the
+    B-orthonormal start block with NaN Ritz values, and its first step
+    reports breakdown.
     """
 
     def __init__(self, a_op: LinearOperator, cfg: SolverConfig, *,
                  b_op: LinearOperator | None = None,
-                 precond: Preconditioner | None = None,
+                 precond: LinearOperator | None = None,
                  x0: np.ndarray | None = None,
                  constraints: np.ndarray | None = None,
                  use_history_direction: bool = True):
@@ -299,12 +311,14 @@ class LobpcgEngine:
         self.norm_b = norm_estimates(b_op)
         self.a_op = _CountingOperator(a_op, self.counters, "a_matvecs")
         self.b_op = _CountingOperator(b_op, self.counters, "b_matvecs")
-        raw_precond = precond if precond is not None else identity_precond(a_op.dim)
+        # the no-op default is not an IdentityOperator: that name stands for
+        # the identity metric
+        raw_precond = precond if precond is not None else CallableOperator(a_op.dim, np.copy)
         if raw_precond.dim != a_op.dim:
             raise DimensionMismatchError(
                 f"preconditioner dimension {raw_precond.dim} does not match {a_op.dim}"
             )
-        self.precond = _CountingPrecond(raw_precond, self.counters)
+        self.precond = _CountingOperator(raw_precond, self.counters, "precond_applies")
         self.use_history_direction = use_history_direction
 
         self._rng = np.random.default_rng(cfg.seed)
@@ -334,21 +348,17 @@ class LobpcgEngine:
         else:
             start = self._rng.standard_normal((self.dim, self.block_size))
         start, b_start = self._full_rank_start(start)
+        a_start = op_apply(self.a_op, start)
 
-        self.counters.rayleigh_ritz_calls += 1
-        self.ritz_values, self.X, self.AX, self.BX, _ = _rayleigh_ritz(
-            start, op_apply(self.a_op, start), b_start, self.block_size
-        )
-        self.P: np.ndarray | None = None
-        self.AP: np.ndarray | None = None
-        self.BP: np.ndarray | None = None
         self.iterations = 0
         self.n_locked = 0
         self.history: list[IterationRecord] = []
         self._last_basis_cols = self.block_size
-        #: True while AX and BX derive from explicit applies to the current X.
-        self._fresh = True
-        self._update_residuals()
+        if np.isfinite(a_start).all():
+            self.counters.rayleigh_ritz_calls += 1
+            self._adopt(*_rayleigh_ritz([(start, a_start, b_start)], self.block_size)[:4])
+        else:
+            self._adopt(np.full(self.block_size, np.nan), start, a_start, b_start)
 
     # -- setup helpers -------------------------------------------------
 
@@ -380,6 +390,16 @@ class LobpcgEngine:
 
     # -- state inspection ----------------------------------------------
 
+    def _adopt(self, values: np.ndarray, x: np.ndarray, a_x: np.ndarray,
+               b_x: np.ndarray) -> None:
+        """Take ``x`` as the iterate block with its Ritz values and explicit
+        products, dropping the carried directions."""
+        self.ritz_values, self.X, self.AX, self.BX = values, x, a_x, b_x
+        self.P = self.AP = self.BP = None
+        #: True while AX and BX derive from explicit applies to the current X.
+        self._fresh = True
+        self._update_residuals()
+
     def _update_residuals(self) -> None:
         self.R = self.AX - self.BX * self.ritz_values[None, :]
         self.residual_norms = np.linalg.norm(self.R, axis=0)
@@ -397,7 +417,7 @@ class LobpcgEngine:
         x, values = self.X, self.ritz_values
         if _defect(x.T @ b_x) > ORTHO_POST_TOL:
             self.counters.orthonormalizations += 1
-            values, x, a_x, b_x, _ = _rayleigh_ritz(x, a_x, b_x, self.block_size)
+            values, x, a_x, b_x, _ = _rayleigh_ritz([(x, a_x, b_x)], self.block_size)
         self.X, self.AX, self.BX, self.ritz_values = x, a_x, b_x, values
         self._fresh = True
         self._update_residuals()
@@ -425,14 +445,18 @@ class LobpcgEngine:
 
     # -- the update step -------------------------------------------------
 
-    def step(self, use_previous: bool | None = None) -> None:
+    def step(self, use_previous: bool | None = None,
+             extra_deflation: tuple[np.ndarray, np.ndarray] | None = None) -> None:
         """One locally optimal update of the iterate block.
 
         ``use_previous`` overrides the engine's direction mode for this
-        single step (the steepest-descent comparison hook).  A is applied
-        to the new direction block only, B to it by its orthonormalization
-        and post-check.  Raises the internal breakdown signal when no
-        search directions survive or a product is not finite.
+        single step (the steepest-descent comparison hook).
+        ``extra_deflation`` is a ``(V, B V)`` pair, not necessarily
+        B-orthonormal, that the active residuals are B-projected off before
+        preconditioning.  A is applied to the new direction block only, B to
+        it by its orthonormalization and post-check.  Raises the internal
+        breakdown signal when the residuals are not finite, no search
+        directions survive or a product is not finite.
         """
         include_p = self.use_history_direction if use_previous is None else use_previous
         conv = self.converged_mask()
@@ -443,7 +467,11 @@ class LobpcgEngine:
         if active.size == 0:
             active = np.arange(self.block_size)
 
-        directions = self.precond.apply(self.R[:, active])
+        residuals = self.R[:, active]
+        _require_finite(residuals)
+        if extra_deflation is not None:
+            residuals = b_project_out(residuals, *extra_deflation, assume_orthonormal=False)
+        directions = self.precond.apply(residuals)
         directions = self._deflate(directions)
         directions = b_project_out(directions, self.X, self.BX)
         try:
@@ -459,21 +487,19 @@ class LobpcgEngine:
         carried = self._carried_direction() if include_p else None
         if carried is not None:
             parts.append(carried)
-        basis, a_basis, b_basis = (np.hstack(blocks) for blocks in zip(*parts))
-        gram_a = _sym(basis.T @ a_basis)
-        gram_b = _sym(basis.T @ b_basis)
+        gram_a, gram_b = _grams(parts)
         # Condition guard on the joint Gram matrix: drop the carried
         # directions for this step when the basis degenerates, or when the
         # projection with them falls short of rank.
-        widths = [self.block_size + w_block.shape[1]]
+        trials = [parts[:2]]
         if carried is not None and self._well_conditioned(gram_b):
-            widths.insert(0, basis.shape[1])
-        for width in widths:
+            trials.insert(0, parts)
+        for trial in trials:
+            width = sum(block.shape[1] for block, _, _ in trial)
             self.counters.rayleigh_ritz_calls += 1
             try:
                 values, x, a_x, b_x, coeff = _rayleigh_ritz(
-                    basis[:, :width], a_basis[:, :width], b_basis[:, :width],
-                    self.block_size, gram_a[:width, :width], gram_b[:width, :width],
+                    trial, self.block_size, gram_a[:width, :width], gram_b[:width, :width]
                 )
                 break
             except InsufficientRankError:
@@ -483,10 +509,8 @@ class LobpcgEngine:
 
         new_p = (None, None, None)
         if include_p:
-            tail = slice(self.block_size, width)
-            tail_coeff = coeff[tail]
-            new_p = (basis[:, tail] @ tail_coeff, a_basis[:, tail] @ tail_coeff,
-                     b_basis[:, tail] @ tail_coeff)
+            tail_coeff = coeff[self.block_size:]
+            new_p = tuple(_combine(blocks, tail_coeff) for blocks in zip(*trial[1:]))
 
         self.X, self.AX, self.BX, self.ritz_values = x, a_x, b_x, values
         self.P, self.AP, self.BP = new_p
@@ -567,7 +591,7 @@ class LobpcgEngine:
 
 def lobpcg_solve(a_op: LinearOperator, cfg: SolverConfig, *,
                  b_op: LinearOperator | None = None,
-                 precond: Preconditioner | None = None,
+                 precond: LinearOperator | None = None,
                  x0: np.ndarray | None = None,
                  constraints: np.ndarray | None = None) -> SolveResult:
     """Smallest ``cfg.nev`` eigenpairs of A x = lambda B x.
@@ -584,7 +608,7 @@ def lobpcg_solve(a_op: LinearOperator, cfg: SolverConfig, *,
 
 def psd_solve(a_op: LinearOperator, cfg: SolverConfig, *,
               b_op: LinearOperator | None = None,
-              precond: Preconditioner | None = None,
+              precond: LinearOperator | None = None,
               x0: np.ndarray | None = None,
               constraints: np.ndarray | None = None) -> SolveResult:
     """Preconditioned steepest descent baseline: trial basis [X | W] only."""

@@ -2,46 +2,44 @@
 Rayleigh-Ritz coupling step.
 
 For ``nev`` requested pairs and a sub-block width ``nb``, ``nev / nb``
-independent width-``nb`` locally optimal recurrences advance in parallel;
-their residuals are B-orthogonalized against the aggregate iterate block
-before preconditioning so the sub-solvers do not collapse onto the same
-eigenvectors.  Every ``rr_period`` rounds one shared Rayleigh-Ritz over the
-aggregate span redistributes the Ritz vectors in ascending order and resets
-the carried directions.  The shared step can thus be omitted on most
+width-``nb`` :class:`~lobpcg_kit.solver.LobpcgEngine` recurrences advance
+side by side.  Each step B-projects an engine's active residuals off the
+aggregate iterate block before preconditioning, so the recurrences do not
+collapse onto the same eigenvectors.  Every ``rr_period`` rounds one shared
+Rayleigh-Ritz over the aggregate span, on explicit A X and B X, hands every
+engine a slice of the Ritz vectors in ascending order and drops the carried
+directions.  It is the engines' explicit refresh and the only place a
+convergence claim is accepted.  The shared step can thus be omitted on most
 rounds, trading coupling frequency against per-round cost.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .blocks import (
-    OpCounters,
-    b_orthonormalize_full,
-    b_project_out,
-    rayleigh_ritz,
-    residual_block,
-)
-from .errors import (
-    DimensionMismatchError,
-    InsufficientRankError,
-    InvalidConfigError,
-    OrthonormalizationError,
-    ZeroRankError,
-)
-from .operators import IdentityOperator, LinearOperator, Preconditioner, identity_precond, op_apply
+from .blocks import b_orthonormalize_full
+# Unused here; bound because perfbench/tracer.py looks these names up in
+# this module.
+from .blocks import b_project_out, rayleigh_ritz, residual_block  # noqa: F401
+from .errors import InsufficientRankError, InvalidConfigError, OrthonormalizationError
+from .operators import IdentityOperator, LinearOperator, op_apply  # noqa: F401
 from .solver import (
+    REFRESH_PERIOD,
     STATUS_BREAKDOWN,
     STATUS_CONVERGED,
     STATUS_MAX_ITER,
     IterationRecord,
+    LobpcgEngine,
     SolveResult,
-    _CountingOperator,
-    _CountingPrecond,
-    norm_estimates,
+    SolverConfig,
+    _Breakdown,
+    _rayleigh_ritz,
+    _require_finite,
+    norm_estimates,  # noqa: F401
 )
 
 
@@ -84,213 +82,138 @@ class Lobpcg2Config:
             raise InvalidConfigError(f"max_iter must be >= 1, got {self.max_iter}")
 
 
-class _SubSolver:
-    """State of one narrow recurrence: iterate block, values, carried block."""
-
-    __slots__ = ("X", "values", "P", "R", "residual_norms")
-
-    def __init__(self, X: np.ndarray, values: np.ndarray):
-        self.X = X
-        self.values = values
-        self.P: np.ndarray | None = None
-        self.R: np.ndarray | None = None
-        self.residual_norms: np.ndarray | None = None
-
-
 def lobpcg2_solve(a_op: LinearOperator, cfg: Lobpcg2Config, *,
                   b_op: LinearOperator | None = None,
-                  precond: Preconditioner | None = None) -> SolveResult:
+                  precond: LinearOperator | None = None) -> SolveResult:
     """Smallest ``cfg.nev`` eigenpairs via parallel narrow recurrences.
 
     Result contract matches :func:`~lobpcg_kit.solver.lobpcg_solve`; the
     reported vectors always pass through one terminal shared Rayleigh-Ritz,
     so they are jointly optimal and B-orthonormal regardless of status.
+    When A is not finite on the start block, the B-orthonormal start
+    columns are returned with NaN values and ``breakdown``.
     """
-    b_raw = b_op if b_op is not None else IdentityOperator(a_op.dim)
-    if a_op.dim != b_raw.dim:
-        raise DimensionMismatchError(
-            f"operator dimensions disagree: {a_op.dim} vs {b_raw.dim}"
-        )
     cfg.validate(a_op.dim)
-
-    counters = OpCounters()
-    norm_a = norm_estimates(a_op)
-    norm_b = norm_estimates(b_raw)
-    a_cnt = _CountingOperator(a_op, counters, "a_matvecs")
-    b_cnt = _CountingOperator(b_raw, counters, "b_matvecs")
-    precond_raw = precond if precond is not None else identity_precond(a_op.dim)
-    t_cnt = _CountingPrecond(precond_raw, counters)
-
-    dim = a_op.dim
-    nev = cfg.nev
-    nb = cfg.sub_block
-    padded = cfg.padded_nev()
-    n_sub = padded // nb
+    dim, nev, nb, padded = a_op.dim, cfg.nev, cfg.sub_block, cfg.padded_nev()
+    slices = [slice(lo, lo + nb) for lo in range(0, padded, nb)]
     rng = np.random.default_rng(cfg.seed)
+    start = rng.standard_normal((dim, padded))
+    lead = LobpcgEngine(a_op, SolverConfig(nev=nb, tol=cfg.tol, max_iter=cfg.max_iter,
+                                           seed=cfg.seed),
+                        b_op=b_op, precond=precond, x0=start[:, slices[0]])
+    # the other engines share the lead's operators, counters and norm
+    # estimates; the first coupling replaces every iterate block, the
+    # lead's own start included
+    engines = [lead] + [copy.copy(lead) for _ in slices[1:]]
+    counters = lead.counters
 
-    def shared_rr(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Aggregate Rayleigh-Ritz with graceful rank fallbacks."""
-        for want in (padded, nev):
-            try:
-                ritz = rayleigh_ritz(block, a_cnt, b_cnt, want, counters)
-                break
-            except (InsufficientRankError, ZeroRankError):
-                ritz = None
-        if ritz is None or ritz.values.shape[0] < padded:
-            width = padded - (0 if ritz is None else ritz.values.shape[0])
-            refill = np.hstack(
-                ([ritz.vectors] if ritz is not None else [])
-                + [rng.standard_normal((dim, width))]
-            )
-            ritz = rayleigh_ritz(refill, a_cnt, b_cnt, padded, counters)
-        return ritz.values, ritz.vectors
+    def stack(name: str) -> np.ndarray:
+        return np.hstack([getattr(engine, name) for engine in engines])
 
-    values, vectors = shared_rr(rng.standard_normal((dim, padded)))
-    subs = [
-        _SubSolver(vectors[:, j * nb:(j + 1) * nb].copy(),
-                   values[j * nb:(j + 1) * nb].copy())
-        for j in range(n_sub)
-    ]
+    def explicit():
+        x = stack("X")
+        return x, op_apply(lead.a_op, x), op_apply(lead.b_op, x)
 
-    def refresh(sub: _SubSolver) -> None:
-        sub.R = residual_block(a_cnt, b_cnt, sub.X, sub.values)
-        sub.residual_norms = np.linalg.norm(sub.R, axis=0)
+    def couple(x: np.ndarray, a_x: np.ndarray, b_x: np.ndarray) -> None:
+        """Shared Rayleigh-Ritz; every engine takes a copied slice."""
+        _require_finite(a_x, b_x)
+        counters.rayleigh_ritz_calls += 1
+        parts = [(x, a_x, b_x)]
+        try:
+            values, x, a_x, b_x, _ = _rayleigh_ritz(parts, padded)
+        except InsufficientRankError:
+            # recurrences collapsed: widen the span with random columns
+            fill = rng.standard_normal((dim, padded))
+            parts.append((fill, op_apply(lead.a_op, fill), op_apply(lead.b_op, fill)))
+            _require_finite(*parts[1])
+            values, x, a_x, b_x, _ = _rayleigh_ritz(parts, padded)
+        for engine, cols in zip(engines, slices):
+            engine._adopt(values[cols].copy(), x[:, cols].copy(), a_x[:, cols].copy(),
+                          b_x[:, cols].copy())
 
-    for sub in subs:
-        refresh(sub)
-
-    def aggregate_x() -> np.ndarray:
-        return np.hstack([sub.X for sub in subs])
-
-    def slot_conv() -> np.ndarray:
-        """Per-aggregate-slot convergence flags in sub-solver order."""
-        flags = []
-        for sub in subs:
-            scale = norm_a + np.abs(sub.values) * norm_b
-            thresholds = cfg.tol * scale * np.linalg.norm(sub.X, axis=0)
-            flags.append(sub.residual_norms <= thresholds)
-        return np.concatenate(flags)
+    x, _, _, b_x = b_orthonormalize_full(start, lead.b_op, counters, with_product=True)
+    a_x = op_apply(lead.a_op, x)
+    if not np.isfinite(a_x).all():
+        nan = np.full(nev, np.nan)
+        return SolveResult(values=nan, vectors=x[:, :nev].copy(), status=STATUS_BREAKDOWN,
+                           iterations=0, residual_norms=nan.copy(), counters=counters)
+    couple(x, a_x, b_x)
+    del start, x, a_x, b_x  # the engines hold copies
 
     history: list[IterationRecord] = []
-    n_locked = 0
-    iterations = 0
+    n_locked = iterations = 0
     last_basis_cols = padded
-    forced_rr_last_round = False
+    #: True while the engines hold the output of a shared Rayleigh-Ritz.
+    coupled = True
     status = None
-
-    def record() -> None:
-        if not cfg.record_history:
-            return
-        all_values = np.concatenate([sub.values for sub in subs])
-        all_norms = np.concatenate([sub.residual_norms for sub in subs])
-        order = np.argsort(all_values, kind="stable")
-        history.append(IterationRecord(
-            iteration=iterations,
-            ritz_values=all_values[order],
-            residual_norms=all_norms[order],
-            locked_count=n_locked,
-            basis_cols=last_basis_cols,
-        ))
-
-    def do_shared_rr() -> None:
-        nonlocal last_basis_cols
-        new_values, new_vectors = shared_rr(aggregate_x())
-        for j, sub in enumerate(subs):
-            sub.X = new_vectors[:, j * nb:(j + 1) * nb].copy()
-            sub.values = new_values[j * nb:(j + 1) * nb].copy()
-            sub.P = None
-            refresh(sub)
-        last_basis_cols = padded
-
-    while status is None:
-        conv = slot_conv()
-        prefix = 0
-        while prefix < padded and conv[prefix]:
-            prefix += 1
-        n_locked = max(n_locked, prefix)
-        record()
-
-        if np.all(conv[:nev]):
-            do_shared_rr()
-            if np.all(slot_conv()[:nev]):
+    try:
+        while status is None:
+            conv = np.concatenate([engine.converged_mask() for engine in engines])
+            if not coupled and (np.all(conv[:nev]) or iterations >= cfg.max_iter):
+                # claim convergence, or stop, on explicit products only
+                couple(*explicit())
+                coupled, last_basis_cols = True, padded
+                conv = np.concatenate([engine.converged_mask() for engine in engines])
+            n_locked = max(n_locked, int(np.cumprod(conv).sum()))  # leading converged
+            if cfg.record_history:
+                values, norms = stack("ritz_values"), stack("residual_norms")
+                order = np.argsort(values, kind="stable")
+                history.append(IterationRecord(
+                    iteration=iterations, ritz_values=values[order],
+                    residual_norms=norms[order], locked_count=n_locked,
+                    basis_cols=last_basis_cols,
+                ))
+            if np.all(conv[:nev]):
                 status = STATUS_CONVERGED
-            continue
-        if iterations >= cfg.max_iter:
-            do_shared_rr()
-            status = STATUS_MAX_ITER
-            continue
-
-        iterations += 1
-        snapshot = aggregate_x()
-        b_snapshot = op_apply(b_cnt, snapshot)
-        round_cols = 0
-        stalled = 0
-        active_subs = 0
-        for j, sub in enumerate(subs):
-            active = np.flatnonzero(~conv[j * nb:(j + 1) * nb])
-            if active.size == 0:
-                continue  # fully converged sub-solver idles
-            active_subs += 1
-            residuals = b_project_out(sub.R[:, active], snapshot, b_snapshot,
-                                      assume_orthonormal=False)
-            directions = t_cnt.apply(residuals)
-            b_x = op_apply(b_cnt, sub.X)
-            directions = b_project_out(directions, sub.X, b_x)
-            try:
-                w_block, _, _ = b_orthonormalize_full(directions, b_cnt, counters)
-            except (ZeroRankError, OrthonormalizationError):
-                stalled += 1
                 continue
-            parts = [sub.X, w_block]
-            if sub.P is not None:
-                carried = b_project_out(sub.P, sub.X, b_x)
+            if iterations >= cfg.max_iter:
+                status = STATUS_MAX_ITER
+                continue
+
+            iterations += 1
+            deflation = (stack("X"), stack("BX"))
+            moved = round_cols = 0
+            for engine, done in zip(engines, np.split(conv, len(engines))):
+                if done.all():
+                    continue  # a fully converged recurrence idles
                 try:
-                    p_block, _, _ = b_orthonormalize_full(carried, b_cnt, counters)
-                    parts.append(p_block)
-                except (ZeroRankError, OrthonormalizationError):
-                    pass
-            basis = np.hstack(parts)
-            try:
-                ritz = rayleigh_ritz(basis, a_cnt, b_cnt, nb, counters)
-            except (InsufficientRankError, OrthonormalizationError):
-                stalled += 1
+                    engine.step(extra_deflation=deflation)
+                except (_Breakdown, OrthonormalizationError):
+                    continue
+                moved += 1
+                round_cols += engine._last_basis_cols
+            del deflation
+            if not moved:
+                # nothing moved from a coupled state: give up; otherwise
+                # couple, which drops every carried block, and retry
+                if coupled:
+                    status = STATUS_BREAKDOWN
+                else:
+                    couple(*explicit())
+                    coupled, last_basis_cols = True, padded
                 continue
-            round_cols += basis.shape[1]
-            tail = basis[:, nb:]
-            tail_coeff = ritz.coefficients[nb:, :]
+            coupled, last_basis_cols = False, round_cols
+            if iterations % cfg.rr_period == 0:
+                couple(*explicit())
+                coupled, last_basis_cols = True, round_cols + padded
+            elif cfg.rr_period > REFRESH_PERIOD and iterations % REFRESH_PERIOD == 0:
+                for engine in engines:
+                    engine._refresh_products()
+    except (_Breakdown, OrthonormalizationError):
+        status = STATUS_BREAKDOWN
+        if not coupled:
+            # an explicit product is not finite: couple on the carried ones
             try:
-                sub.P, _, _ = b_orthonormalize_full(tail @ tail_coeff, b_cnt, counters)
-            except (ZeroRankError, OrthonormalizationError):
-                sub.P = None
-            sub.X = ritz.vectors
-            sub.values = ritz.values
-            refresh(sub)
-        last_basis_cols = round_cols if round_cols else padded
+                couple(stack("X"), stack("AX"), stack("BX"))
+            except (_Breakdown, InsufficientRankError, OrthonormalizationError):
+                pass
 
-        if stalled == active_subs and active_subs > 0:
-            if forced_rr_last_round:
-                do_shared_rr()
-                status = STATUS_BREAKDOWN
-                continue
-            do_shared_rr()
-            forced_rr_last_round = True
-            continue
-        forced_rr_last_round = False
-
-        if iterations % cfg.rr_period == 0:
-            cols_this_round = last_basis_cols
-            do_shared_rr()
-            last_basis_cols = cols_this_round + padded
-
-    final_values = np.concatenate([sub.values for sub in subs])[:nev]
-    final_vectors = np.hstack([sub.X for sub in subs])[:, :nev]
-    final_norms = np.concatenate([sub.residual_norms for sub in subs])[:nev]
     return SolveResult(
-        values=final_values.copy(),
-        vectors=final_vectors.copy(),
+        values=stack("ritz_values")[:nev],
+        vectors=stack("X")[:, :nev].copy(),
         status=status,
         iterations=iterations,
-        residual_norms=final_norms.copy(),
+        residual_norms=stack("residual_norms")[:nev],
         history=history,
         counters=counters,
     )

@@ -1,4 +1,4 @@
-"""Dense kernel contracts: eigendecomposition, Cholesky, products."""
+"""Dense kernel contracts: eigendecomposition and Cholesky."""
 
 import math
 
@@ -7,28 +7,11 @@ import pytest
 
 from lobpcg_kit import (
     DenseCapExceededError,
-    DimensionMismatchError,
     NonSymmetricError,
     NotPositiveDefiniteError,
     cholesky,
-    matmul,
     sym_eig,
 )
-
-
-def naive_matmul(a, b):
-    """Triple-loop reference product (independent oracle)."""
-    n, k = a.shape
-    k2, m = b.shape
-    assert k == k2
-    out = np.zeros((n, m))
-    for i in range(n):
-        for j in range(m):
-            acc = 0.0
-            for t in range(k):
-                acc += a[i, t] * b[t, j]
-            out[i, j] = acc
-    return out
 
 
 class TestSymEig:
@@ -116,33 +99,6 @@ class TestCholesky:
     def test_rejects_nonsymmetric(self):
         with pytest.raises(NonSymmetricError):
             cholesky(np.array([[1.0, 0.5], [0.1, 1.0]]))
-
-
-class TestMatmul:
-    def test_identity(self):
-        m = np.array([[1.0, 2.0], [3.0, 4.0]])
-        np.testing.assert_array_equal(matmul(np.eye(2), m), m)
-
-    def test_hand_computed(self):
-        out = matmul(np.array([[1.0, 2.0], [3.0, 4.0]]), np.array([[1.0], [1.0]]))
-        np.testing.assert_array_equal(out, [[3.0], [7.0]])
-
-    def test_against_naive_reference(self):
-        rng = np.random.default_rng(57)
-        a = rng.standard_normal((5, 7))
-        b = rng.standard_normal((7, 3))
-        np.testing.assert_allclose(matmul(a, b), naive_matmul(a, b), atol=1e-13)
-
-    def test_transposed(self):
-        rng = np.random.default_rng(58)
-        a = rng.standard_normal((7, 5))
-        b = rng.standard_normal((7, 3))
-        np.testing.assert_allclose(matmul(a, b, transpose_a=True),
-                                   naive_matmul(a.T.copy(), b), atol=1e-13)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatchError):
-            matmul(np.eye(2), np.eye(3))
 
 
 def test_sym_eig_deterministic_for_fixed_input():

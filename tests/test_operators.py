@@ -19,7 +19,6 @@ from lobpcg_kit import (
     exact_inverse_precond,
     jacobi_precond,
     laplacian_from_edges,
-    matmul,
     op_apply,
 )
 
@@ -78,7 +77,7 @@ class TestOpApply:
         matrix = dense_to_csr(dense)
         block = rng.standard_normal((20, 4))
         np.testing.assert_allclose(op_apply(matrix, block),
-                                   matmul(densify(matrix), block), atol=1e-12)
+                                   densify(matrix) @ block, atol=1e-12)
 
     def test_block_equals_columnwise(self, rng):
         dense = rng.standard_normal((15, 15))

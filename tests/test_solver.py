@@ -19,13 +19,15 @@ from lobpcg_kit import (
     DimensionMismatchError,
     IdentityOperator,
     InvalidConfigError,
+    Lobpcg2Config,
     LobpcgEngine,
-    Preconditioner,
+    OrthonormalizationError,
     SolverConfig,
     csr_from_coo,
     dense_oracle,
     exact_inverse_precond,
     jacobi_precond,
+    lobpcg2_solve,
     lobpcg_solve,
     norm_estimates,
     op_apply,
@@ -181,7 +183,7 @@ class TestInvariants:
     def test_breakdown_reports_best_so_far(self):
         # a hostile zero preconditioner kills every search direction
         a = diag_operator(12)
-        broken = Preconditioner(12, "none", lambda block: np.zeros_like(block))
+        broken = CallableOperator(12, np.zeros_like)
         res = lobpcg_solve(a, SolverConfig(nev=2), precond=broken)
         assert res.status == "breakdown"
         assert res.values.shape == (2,)
@@ -282,11 +284,21 @@ def poisoned_operator(dim, func, bad_value):
     return CallableOperator(dim, apply), state
 
 
-@pytest.mark.parametrize("bad_value", [np.nan, np.inf])
-@pytest.mark.parametrize("poisoned", ["a", "b"])
+def _non_finite_case(solver, poisoned, bad_value):
+    # the engine cases keep their original ids
+    parts = ([] if solver == "engine" else [solver]) + [poisoned, str(bad_value)]
+    return pytest.param(solver, poisoned, bad_value, id="-".join(parts))
+
+
+@pytest.mark.parametrize("solver,poisoned,bad_value", [
+    _non_finite_case(solver, poisoned, bad_value)
+    for solver in ("engine", "lobpcg_solve", "lobpcg2_solve")
+    for poisoned in ("a", "b")
+    for bad_value in (np.inf, np.nan)
+])
 # numpy warns while a Gram matrix is formed from a non-finite product
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_non_finite_operator_ends_in_breakdown(poisoned, bad_value):
+def test_non_finite_operator_ends_in_breakdown(solver, poisoned, bad_value):
     n = 40
     spectrum = np.arange(1.0, n + 1)
     op, state = poisoned_operator(
@@ -294,16 +306,40 @@ def test_non_finite_operator_ends_in_breakdown(poisoned, bad_value):
         bad_value)
     a_op = op if poisoned == "a" else DiagonalOperator(spectrum)
     b_op = op if poisoned == "b" else None
-    engine = LobpcgEngine(a_op, SolverConfig(nev=2), b_op=b_op)
-    for _ in range(2):
-        engine.step()
-    last_values = engine.ritz_values[:2].copy()
+    if solver == "engine":
+        # turns non-finite after the engine is built
+        engine = LobpcgEngine(a_op, SolverConfig(nev=2), b_op=b_op)
+        for _ in range(2):
+            engine.step()
+        last_values = engine.ritz_values[:2].copy()
+        state["armed"] = True
+        res = engine.run()
+        assert res.status == "breakdown"
+        np.testing.assert_array_equal(res.values, last_values)
+        assert np.all(np.isfinite(res.vectors))
+        assert np.all(np.isfinite(res.residual_norms))
+        assert b_defect(res.vectors, IdentityOperator(n)) <= 1e-8
+        return
+
+    # non-finite from the first apply, on the start block
     state["armed"] = True
-    res = engine.run()
+    if solver == "lobpcg_solve":
+        def solve():
+            return lobpcg_solve(a_op, SolverConfig(nev=2), b_op=b_op)
+    else:
+        def solve():
+            return lobpcg2_solve(a_op, Lobpcg2Config(nev=3, sub_block=2), b_op=b_op)
+    if poisoned == "b":
+        # no B-orthonormal block exists to return
+        with pytest.raises(OrthonormalizationError):
+            solve()
+        return
+    res = solve()
     assert res.status == "breakdown"
-    np.testing.assert_array_equal(res.values, last_values)
+    assert res.iterations == 0
+    assert np.all(np.isnan(res.values))
+    assert np.all(np.isnan(res.residual_norms))
     assert np.all(np.isfinite(res.vectors))
-    assert np.all(np.isfinite(res.residual_norms))
     assert b_defect(res.vectors, IdentityOperator(n)) <= 1e-8
 
 

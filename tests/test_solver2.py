@@ -4,9 +4,11 @@ coupling-period behavior, aggregate invariants."""
 import numpy as np
 import pytest
 
-from conftest import easy_spd_problem, random_spd_metric
+from conftest import dense_to_csr, easy_spd_problem, fe_matrices_1d, random_spd_metric
 
 from lobpcg_kit import (
+    CallableOperator,
+    DiagonalOperator,
     IdentityOperator,
     InvalidConfigError,
     Lobpcg2Config,
@@ -19,6 +21,7 @@ from lobpcg_kit import (
     norm_estimates,
     op_apply,
 )
+from lobpcg_kit.solver import REFRESH_PERIOD
 
 
 def diag_operator(n):
@@ -28,6 +31,26 @@ def diag_operator(n):
 def b_defect(vectors, b_op):
     gram = vectors.T @ op_apply(b_op, vectors)
     return np.max(np.abs(gram - np.eye(vectors.shape[1])))
+
+
+def fe_pencil(mx, my):
+    """Q1 finite-element pencil on an mx x my grid: A = K(x)M + M(x)K, B = M(x)M."""
+    kx, mass_x = fe_matrices_1d(mx)
+    ky, mass_y = fe_matrices_1d(my)
+    return (dense_to_csr(np.kron(kx, mass_y) + np.kron(mass_x, ky)),
+            dense_to_csr(np.kron(mass_x, mass_y)))
+
+
+class CountingDiagonal(DiagonalOperator):
+    """Diagonal operator that counts the columns it is applied to."""
+
+    def __init__(self, diagonal):
+        super().__init__(diagonal)
+        self.columns = 0
+
+    def apply(self, block):
+        self.columns += block.shape[1]
+        return super().apply(block)
 
 
 class TestExamples:
@@ -132,6 +155,74 @@ class TestAggregateInvariants:
         relaxed = 10 * cfg.tol * (norm_a + np.abs(res.values)) \
             * np.linalg.norm(res.vectors, axis=0)
         assert np.all(fresh_norms <= relaxed)
+
+
+class TestOnEngine:
+    def test_a_applied_to_new_directions_and_couplings_only(self):
+        a, b = fe_pencil(12, 14)
+        cfg = Lobpcg2Config(nev=6, sub_block=2, rr_period=5, seed=3)
+        res = lobpcg2_solve(a, cfg, b_op=b, precond=jacobi_precond(a))
+        assert res.status == "converged"
+        counters = res.counters
+        # start: the lead engine's own block and the aggregate; then every
+        # shared Rayleigh-Ritz, the terminal one included
+        couplings = 2 + res.iterations // cfg.rr_period
+        budget = cfg.sub_block + cfg.padded_nev() * couplings
+        assert counters.a_matvecs <= counters.precond_applies + budget
+        # B orthonormalizes and post-checks the new directions
+        assert counters.b_matvecs <= 2 * counters.precond_applies + 2 * budget
+
+    def test_counters_include_every_recurrence(self):
+        n = 60
+        a = CountingDiagonal(np.linspace(1.0, 30.0, n))
+        b = CountingDiagonal(np.linspace(1.0, 2.0, n))
+        precond = CountingDiagonal(1.0 / np.linspace(1.0, 30.0, n))
+        res = lobpcg2_solve(a, Lobpcg2Config(nev=6, sub_block=2, rr_period=3),
+                            b_op=b, precond=precond)
+        assert res.status == "converged"
+        assert res.counters.a_matvecs == a.columns
+        assert res.counters.b_matvecs == b.columns
+        assert res.counters.precond_applies == precond.columns > res.iterations
+
+    def test_long_period_run_returns_explicit_products(self):
+        # couplings further apart than the engines' refresh period
+        a, b = fe_pencil(10, 12)
+        cfg = Lobpcg2Config(nev=4, sub_block=2, rr_period=60, tol=1e-300,
+                            max_iter=REFRESH_PERIOD + 80, seed=1)
+        assert cfg.rr_period > REFRESH_PERIOD
+        res = lobpcg2_solve(a, cfg, b_op=b, precond=jacobi_precond(a))
+        assert res.status == "max_iter"
+        assert res.iterations == cfg.max_iter
+        assert b_defect(res.vectors, b) <= 1e-8
+        fresh = op_apply(a, res.vectors) - op_apply(b, res.vectors) * res.values[None, :]
+        # the pairs converge to rounding level, so compare against that floor
+        np.testing.assert_allclose(res.residual_norms, np.linalg.norm(fresh, axis=0),
+                                   rtol=1e-6, atol=1e-12 * norm_estimates(a))
+
+    @pytest.mark.parametrize("poisoned", ["a", "b"])
+    # numpy warns while a Gram matrix is formed from a non-finite product
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_mid_run_ends_in_breakdown(self, poisoned):
+        n = 40
+        spectrum = np.arange(1.0, n + 1)
+        calls = {"count": 0}
+
+        def apply(block):
+            calls["count"] += 1
+            out = spectrum[:, None] * block if poisoned == "a" else block.copy()
+            # finite through the start and a few rounds
+            return np.full_like(out, np.nan) if calls["count"] > 30 else out
+
+        op = CallableOperator(n, apply)
+        a_op = op if poisoned == "a" else DiagonalOperator(spectrum)
+        b_op = op if poisoned == "b" else None
+        res = lobpcg2_solve(a_op, Lobpcg2Config(nev=4, sub_block=2, rr_period=3),
+                            b_op=b_op)
+        assert res.status == "breakdown"
+        assert res.iterations > 0
+        assert np.all(np.isfinite(res.values))
+        assert np.all(np.isfinite(res.residual_norms))
+        assert b_defect(res.vectors, IdentityOperator(n)) <= 1e-8
 
 
 class TestValidation:
