@@ -1,13 +1,11 @@
 """Symmetric linear operators: sparse matrices, metrics, preconditioners.
 
-Preconditioners are operators too: :func:`jacobi_precond` returns a
-:class:`DiagonalOperator`, :func:`exact_inverse_precond` a
-:class:`CallableOperator`.
-
 Everything the solvers touch is a :class:`LinearOperator`: a symmetric map
 of fixed dimension applied to an ``(n, m)`` block of column vectors.
 Operators are immutable after construction and safe to share across
-threads.
+threads.  Preconditioners are operators too: :func:`jacobi_precond`
+returns a :class:`DiagonalOperator`, :func:`exact_inverse_precond` a
+:class:`CallableOperator`.
 """
 
 from __future__ import annotations
