@@ -152,15 +152,20 @@ def _finite_gram(gram: np.ndarray) -> np.ndarray:
     return gram
 
 
-def _orthonormalize_pass(block: np.ndarray, b_op: LinearOperator):
+def b_apply(b_op: LinearOperator | None, block: np.ndarray) -> np.ndarray:
+    """``B @ block``, or ``block`` itself for the identity metric (``None``)."""
+    return block if b_op is None else op_apply(b_op, block)
+
+
+def _orthonormalize_pass(block: np.ndarray, b_op: LinearOperator | None):
     """One Cholesky-else-SVQB cleanup pass.
 
     Returns (out, kept, transform) with out = block @ transform.
     """
-    scale = np.linalg.norm(block, axis=0)
+    scale = np.sqrt(np.einsum("ij,ij->j", block, block))
     scale = np.where(scale > 0, scale, 1.0)
     scaled = block / scale[None, :]
-    b_scaled = op_apply(b_op, scaled)
+    b_scaled = b_apply(b_op, scaled)
     gram = _finite_gram(scaled.T @ b_scaled)
     gram = 0.5 * (gram + gram.T)
     transform, kept = gram_transform(gram)
@@ -168,14 +173,7 @@ def _orthonormalize_pass(block: np.ndarray, b_op: LinearOperator):
     return block @ transform, kept, transform
 
 
-def _orthonormality_defect(block: np.ndarray, b_op: LinearOperator):
-    """max|V^T B V - I| and the product B V it was measured with."""
-    b_block = op_apply(b_op, block)
-    gram = _finite_gram(block.T @ b_block)
-    return float(np.max(np.abs(gram - np.eye(block.shape[1])))), b_block
-
-
-def b_orthonormalize_full(block: np.ndarray, b_op: LinearOperator,
+def b_orthonormalize_full(block: np.ndarray, b_op: LinearOperator | None,
                           counters: OpCounters | None = None, *,
                           with_product: bool = False):
     """B-orthonormalize and also return the column transform.
@@ -187,27 +185,23 @@ def b_orthonormalize_full(block: np.ndarray, b_op: LinearOperator,
     OrthonormalizationError when a B-Gram matrix is not finite or the
     post-check fails even after a retry.
     With ``with_product`` a fourth item is returned: ``B @ out`` as the
-    final post-check computed it.
+    final post-check computed it.  ``b_op=None`` is the identity metric:
+    B is not applied, and the fourth item is ``out`` itself.
     """
-    block = _as_block(block)
-    out, kept, transform = _orthonormalize_pass(block, b_op)
-    if counters is not None:
-        counters.orthonormalizations += 1
-    defect, b_out = _orthonormality_defect(out, b_op)
-    if defect > ORTHO_POST_TOL:
-        out, kept2, transform2 = _orthonormalize_pass(out, b_op)
+    out = _as_block(block)
+    kept, transform = list(range(out.shape[1])), None
+    for _ in range(2):
+        out, kept_pass, transform_pass = _orthonormalize_pass(out, b_op)
         if counters is not None:
             counters.orthonormalizations += 1
-        kept = [kept[i] for i in kept2]
-        transform = transform @ transform2
-        defect, b_out = _orthonormality_defect(out, b_op)
-        if defect > ORTHO_POST_TOL:
-            raise OrthonormalizationError(
-                f"orthonormality defect {defect:.3e} persists after retry"
-            )
-    if with_product:
-        return out, kept, transform, b_out
-    return out, kept, transform
+        kept = [kept[i] for i in kept_pass]
+        transform = transform_pass if transform is None else transform @ transform_pass
+        b_out = b_apply(b_op, out)
+        gram = _finite_gram(out.T @ b_out)
+        defect = float(np.max(np.abs(gram - np.eye(out.shape[1]))))
+        if defect <= ORTHO_POST_TOL:
+            return (out, kept, transform, b_out) if with_product else (out, kept, transform)
+    raise OrthonormalizationError(f"orthonormality defect {defect:.3e} persists after retry")
 
 
 def b_orthonormalize(block: np.ndarray, b_op: LinearOperator):
@@ -221,20 +215,21 @@ def b_orthonormalize(block: np.ndarray, b_op: LinearOperator):
 
 
 def fix_signs(vectors: np.ndarray, *companions: np.ndarray) -> None:
-    """Flip columns in place so the first significant entry is positive.
+    """Flip columns in place so the first entry above 1e-12 times the
+    column's largest magnitude is positive; zero columns stay as they are.
 
-    Companion matrices (e.g. coefficient columns) are flipped alongside.
+    Companion matrices (e.g. coefficient columns) are flipped alongside; an
+    array passed twice, such as a product that is the block itself, once.
     """
-    for c in range(vectors.shape[1]):
-        col = vectors[:, c]
-        peak = np.max(np.abs(col))
-        if peak == 0.0:
-            continue
-        lead = np.flatnonzero(np.abs(col) > 1e-12 * peak)[0]
-        if col[lead] < 0:
-            vectors[:, c] = -col
-            for other in companions:
-                other[:, c] = -other[:, c]
+    # a contiguous row per column: the reductions run along rows
+    magnitudes = np.array(vectors.T, order="C")
+    np.abs(magnitudes, out=magnitudes)
+    lead = np.argmax(magnitudes > 1e-12 * magnitudes.max(axis=1)[:, None], axis=1)
+    flip = vectors[lead, np.arange(vectors.shape[1])] < 0
+    if flip.any():
+        sign = np.where(flip, -1.0, 1.0)
+        for array in {id(array): array for array in (vectors, *companions)}.values():
+            array *= sign
 
 
 def rayleigh_ritz(basis: np.ndarray, a_op: LinearOperator, b_op: LinearOperator,
@@ -271,28 +266,24 @@ def rayleigh_ritz(basis: np.ndarray, a_op: LinearOperator, b_op: LinearOperator,
     )
 
 
-def b_project_out(block: np.ndarray, basis: np.ndarray, b_basis: np.ndarray,
-                  *, assume_orthonormal: bool = True) -> np.ndarray:
+def b_dual_basis(basis: np.ndarray, b_basis: np.ndarray) -> np.ndarray:
+    """``B V G^+`` for a basis V that need not be B-orthonormal, with
+    ``b_basis = B V``, ``G = V^T B V`` and ``G^+ = T T^T`` for the
+    :func:`gram_transform` T of G (zero when no direction is independent),
+    so that ``b_project_out(block, basis, b_dual_basis(basis, b_basis))``
+    removes the B-projection onto span(basis)."""
+    gram = basis.T @ b_basis
+    try:
+        transform, _ = gram_transform(0.5 * (gram + gram.T))
+    except ZeroRankError:
+        return np.zeros_like(b_basis)
+    return b_basis @ (transform @ transform.T)
+
+
+def b_project_out(block: np.ndarray, basis: np.ndarray, b_basis: np.ndarray) -> np.ndarray:
     """Remove the B-projection onto span(basis) from every column.
 
-    ``b_basis`` is the precomputed ``B @ basis``.  With
-    ``assume_orthonormal=False`` the small Gram system is solved instead
-    (eigendecomposition fallback when it is singular), which tolerates a
-    drifted, non-orthonormal basis.
+    ``b_basis`` is the precomputed ``B @ basis`` of a B-orthonormal basis,
+    or :func:`b_dual_basis` of any basis.
     """
-    overlaps = b_basis.T @ block
-    if assume_orthonormal:
-        return block - basis @ overlaps
-    gram = basis.T @ b_basis
-    gram = 0.5 * (gram + gram.T)
-    try:
-        lower = cholesky(gram)
-        solved = np.linalg.solve(lower.T, np.linalg.solve(lower, overlaps))
-    except NotPositiveDefiniteError:
-        eig = sym_eig(gram)
-        good = eig.values > gram.shape[0] * RANK_DROP_RTOL * max(float(eig.values[-1]), 0.0)
-        if not np.any(good):
-            return np.array(block, copy=True)
-        basis_coeff = eig.vectors[:, good]
-        solved = basis_coeff @ ((basis_coeff.T @ overlaps) / eig.values[good][:, None])
-    return block - basis @ solved
+    return block - basis @ (b_basis.T @ block)

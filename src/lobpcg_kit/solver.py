@@ -10,7 +10,12 @@ updated with the same Ritz coefficients (Hetmaniuk & Lehoucq, "Basis
 selection in LOBPCG", J. Comput. Phys. 218, 2006), so a step applies A
 only to the new direction block.  A X and B X are recomputed explicitly
 before a convergence claim is accepted, before returning, and every
-:data:`REFRESH_PERIOD` steps.
+:data:`REFRESH_PERIOD` steps.  Without a metric, B X, B W and B P are X,
+W and P themselves.  P is B-orthogonalized against X in coefficient space
+and B-normalized from its mapped products.  The Gram blocks known by
+construction (X^T A X = diag(theta), X^T B X = W^T B W = P^T B P = I) are
+formed only once the residuals fall below :data:`EXPLICIT_GRAM_RTOL`
+(scipy's ``explicitGramFlag``).
 """
 
 from __future__ import annotations
@@ -24,6 +29,7 @@ import numpy as np
 from .blocks import (
     ORTHO_POST_TOL,
     OpCounters,
+    b_apply,
     b_orthonormalize_full,
     b_project_out,
     fix_signs,
@@ -32,6 +38,7 @@ from .blocks import (
 # Unused by the engine; bound here because perfbench/tracer.py looks these
 # names up in this module.
 from .blocks import rayleigh_ritz, residual_block  # noqa: F401
+from .operators import IdentityOperator  # noqa: F401
 from .dense import sym_eig
 from .errors import (
     DimensionMismatchError,
@@ -40,7 +47,7 @@ from .errors import (
     OrthonormalizationError,
     ZeroRankError,
 )
-from .operators import CallableOperator, IdentityOperator, LinearOperator, op_apply
+from .operators import CallableOperator, LinearOperator, op_apply
 
 STATUS_CONVERGED = "converged"
 STATUS_MAX_ITER = "max_iter"
@@ -50,6 +57,10 @@ STATUS_BREAKDOWN = "breakdown"
 #: carried products are only updated with the Ritz coefficients, and their
 #: rounding drift grows with the number of updates.
 REFRESH_PERIOD = 50
+
+#: Residual norms at or below their convergence thresholds at this tol make
+#: the engine form every Gram block explicitly from then on.
+EXPLICIT_GRAM_RTOL = math.sqrt(np.finfo(float).eps)
 
 
 @dataclass
@@ -199,41 +210,43 @@ def _gram_basis(gram_b: np.ndarray) -> np.ndarray:
     return transform / scale[:, None]
 
 
-def _b_orthonormalize_carried(block: np.ndarray, a_block: np.ndarray, b_block: np.ndarray):
-    """B-orthonormalize a block through its Gram matrix, no operator applies.
-
-    The products are mapped with the same transform.  As in
-    :func:`~lobpcg_kit.blocks.b_orthonormalize_full`, the result is
-    post-checked (here from the mapped B-product) with one retry, and
-    OrthonormalizationError is raised when the defect persists.
-    """
-    for _ in range(2):
-        transform = _gram_basis(_sym(block.T @ b_block))
-        block, a_block, b_block = block @ transform, a_block @ transform, b_block @ transform
-        defect = _defect(block.T @ b_block)
-        if defect <= ORTHO_POST_TOL:
-            return block, a_block, b_block
-    raise OrthonormalizationError(f"orthonormality defect {defect:.3e} persists after retry")
-
-
-def _combine(blocks, coeff: np.ndarray) -> np.ndarray:
-    """``[blocks[0] | blocks[1] | ...] @ coeff`` without stacking the blocks."""
+def _combine_parts(parts, coeff: np.ndarray):
+    """``(S C, A S C, B S C)`` for a basis S held as ``(V, A V, B V)`` parts,
+    without stacking them; B S C is S C itself when every part's B-product
+    is the part."""
+    aliased = all(b_v is v for v, _, b_v in parts)
     out, row = None, 0
-    for block in blocks:
-        piece = block @ coeff[row:row + block.shape[1]]
-        row += block.shape[1]
+    for part in parts:
+        rows = coeff[row:row + part[0].shape[1]]
+        row += rows.shape[0]
+        pieces = [block @ rows for block in part[:2 if aliased else 3]]
         if out is None:
-            out = piece
+            out = pieces
         else:
-            out += piece
-    return out
+            for total, piece in zip(out, pieces):
+                total += piece
+    return out[0], out[1], out[0] if aliased else out[2]
 
 
-def _grams(parts):
+def _grams(parts, ritz_values: np.ndarray | None = None):
     """Projected A- and B-Gram matrices of a basis held as ``(V, A V, B V)``
-    parts, built block by block."""
-    gram_a = np.block([[u.T @ a_v for _, a_v, _ in parts] for u, _, _ in parts])
-    gram_b = np.block([[u.T @ b_v for _, _, b_v in parts] for u, _, _ in parts])
+    parts, formed over the upper block triangle.  With ``ritz_values``, every
+    part is taken to be B-orthonormal and the first to be the Ritz block of
+    those values, so diag(ritz_values) and the diagonal B-blocks I are not
+    formed.  Off-diagonal B-blocks use the earlier part's B-product: the
+    carried B P of the last part, whose drift compounds, never enters.
+    """
+    edges = np.cumsum([0] + [v.shape[1] for v, _, _ in parts])
+    gram_a, gram_b = np.zeros((edges[-1], edges[-1])), np.eye(edges[-1])
+    for i, (u, _, b_u) in enumerate(parts):
+        for j in range(i, len(parts)):
+            v, a_v, b_v = parts[j]
+            rows, cols = slice(edges[i], edges[i + 1]), slice(edges[j], edges[j + 1])
+            if i == j and ritz_values is not None:
+                gram_a[rows, cols] = np.diag(ritz_values) if i == 0 else u.T @ a_v
+                continue
+            gram_a[rows, cols], gram_b[rows, cols] = u.T @ a_v, b_u.T @ v
+            gram_a[cols, rows], gram_b[cols, rows] = gram_a[rows, cols].T, gram_b[rows, cols].T
     return _sym(gram_a), _sym(gram_b)
 
 
@@ -262,17 +275,41 @@ def _rayleigh_ritz(parts, want: int, gram_a: np.ndarray | None = None,
             )
         eig = sym_eig(_sym(transform.T @ gram_a @ transform))
         values, step_coeff = eig.values[:want].copy(), transform @ eig.vectors[:, :want]
-        x, a_x, b_x = (_combine(blocks, step_coeff) for blocks in zip(*parts))
+        x, a_x, b_x = _combine_parts(parts, step_coeff)
         fix_signs(x, step_coeff, a_x, b_x)
         coeff = step_coeff if coeff is None else coeff @ step_coeff
         gram_b = x.T @ b_x
-        if _defect(gram_b) <= ORTHO_POST_TOL:
+        defect = _defect(gram_b)
+        if defect <= ORTHO_POST_TOL:
             return values, x, a_x, b_x, coeff
         parts = [(x, a_x, b_x)]
         gram_a, gram_b = _sym(x.T @ a_x), _sym(gram_b)
     raise OrthonormalizationError(
-        f"Ritz block orthonormality defect {_defect(gram_b):.3e} persists after retry"
+        f"Ritz block orthonormality defect {defect:.3e} persists after retry"
     )
+
+
+def _next_direction(parts, coeff: np.ndarray, gram_b: np.ndarray):
+    """Previous-direction block ``(P, A P, B P)`` for the next step, or None.
+
+    Its coefficients are the Ritz coefficients ``coeff`` with the rows of
+    the iterate block ``parts[0]`` zeroed, B-orthogonalized against
+    ``coeff`` through the basis' B-Gram matrix ``gram_b``; P is then
+    B-orthonormalized from its mapped products, post-checked, one retry.
+    """
+    tail = coeff.copy()
+    tail[:parts[0][0].shape[1]] = 0.0
+    tail -= coeff @ (coeff.T @ gram_b @ tail)
+    direction = _combine_parts(parts, tail)
+    for _ in range(2):
+        try:
+            transform = _gram_basis(_sym(direction[0].T @ direction[2]))
+        except InsufficientRankError:
+            return None
+        direction = _combine_parts([direction], transform)
+        if _defect(direction[0].T @ direction[2]) <= ORTHO_POST_TOL:
+            return direction
+    return None
 
 
 class LobpcgEngine:
@@ -284,7 +321,8 @@ class LobpcgEngine:
     state.  Regular callers should use the solve functions.
 
     ``AX``/``BX`` and ``AP``/``BP`` hold the carried operator products of
-    the iterate block ``X`` and the previous-direction block ``P``.
+    the iterate block ``X`` and the previous-direction block ``P``; with
+    ``b_op=None`` the engine holds no B and they are ``X``/``P`` themselves.
 
     When A is not finite on the start block, the engine keeps the
     B-orthonormal start block with NaN Ritz values, and its first step
@@ -297,8 +335,7 @@ class LobpcgEngine:
                  x0: np.ndarray | None = None,
                  constraints: np.ndarray | None = None,
                  use_history_direction: bool = True):
-        b_op = b_op if b_op is not None else IdentityOperator(a_op.dim)
-        if a_op.dim != b_op.dim:
+        if b_op is not None and a_op.dim != b_op.dim:
             raise DimensionMismatchError(
                 f"operator dimensions disagree: {a_op.dim} vs {b_op.dim}"
             )
@@ -308,11 +345,9 @@ class LobpcgEngine:
         self.block_size = cfg.resolved_block_size()
         self.counters = OpCounters()
         self.norm_a = norm_estimates(a_op)
-        self.norm_b = norm_estimates(b_op)
+        self.norm_b = 1.0 if b_op is None else norm_estimates(b_op)
         self.a_op = _CountingOperator(a_op, self.counters, "a_matvecs")
-        self.b_op = _CountingOperator(b_op, self.counters, "b_matvecs")
-        # the no-op default is not an IdentityOperator: that name stands for
-        # the identity metric
+        self.b_op = None if b_op is None else _CountingOperator(b_op, self.counters, "b_matvecs")
         raw_precond = precond if precond is not None else CallableOperator(a_op.dim, np.copy)
         if raw_precond.dim != a_op.dim:
             raise DimensionMismatchError(
@@ -329,12 +364,8 @@ class LobpcgEngine:
             self.constraints, _, _, self.b_constraints = b_orthonormalize_full(
                 constraints, self.b_op, self.counters, with_product=True
             )
-            # deflating the carried P must update A P as well
-            self.a_constraints = op_apply(self.a_op, self.constraints)
         else:
-            self.constraints = None
-            self.b_constraints = None
-            self.a_constraints = None
+            self.constraints = self.b_constraints = None
 
         if x0 is not None:
             x0 = np.asarray(x0, dtype=float)
@@ -354,6 +385,7 @@ class LobpcgEngine:
         self.n_locked = 0
         self.history: list[IterationRecord] = []
         self._last_basis_cols = self.block_size
+        self._explicit_grams = False  # see EXPLICIT_GRAM_RTOL
         if np.isfinite(a_start).all():
             self.counters.rayleigh_ritz_calls += 1
             self._adopt(*_rayleigh_ritz([(start, a_start, b_start)], self.block_size)[:4])
@@ -401,8 +433,10 @@ class LobpcgEngine:
         self._update_residuals()
 
     def _update_residuals(self) -> None:
+        """Residuals and their norms, and X's column norms, of a new state."""
         self.R = self.AX - self.BX * self.ritz_values[None, :]
-        self.residual_norms = np.linalg.norm(self.R, axis=0)
+        self.residual_norms = np.sqrt(np.einsum("ij,ij->j", self.R, self.R))
+        self._x_norms = np.sqrt(np.einsum("ij,ij->j", self.X, self.X))
 
     def _refresh_products(self) -> None:
         """Recompute A X and B X explicitly, and the residuals from them.
@@ -412,7 +446,7 @@ class LobpcgEngine:
         signal, leaving the state untouched, when a product is not finite.
         """
         a_x = op_apply(self.a_op, self.X)
-        b_x = op_apply(self.b_op, self.X)
+        b_x = b_apply(self.b_op, self.X)
         _require_finite(a_x, b_x)
         x, values = self.X, self.ritz_values
         if _defect(x.T @ b_x) > ORTHO_POST_TOL:
@@ -422,9 +456,10 @@ class LobpcgEngine:
         self._fresh = True
         self._update_residuals()
 
-    def convergence_thresholds(self) -> np.ndarray:
+    def convergence_thresholds(self, tol: float | None = None) -> np.ndarray:
+        """Each column's residual threshold at ``tol``, ``cfg.tol`` by default."""
         scale = self.norm_a + np.abs(self.ritz_values) * self.norm_b
-        return self.cfg.tol * scale * np.linalg.norm(self.X, axis=0)
+        return (self.cfg.tol if tol is None else tol) * scale * self._x_norms
 
     def converged_mask(self) -> np.ndarray:
         return self.residual_norms <= self.convergence_thresholds()
@@ -451,26 +486,24 @@ class LobpcgEngine:
 
         ``use_previous`` overrides the engine's direction mode for this
         single step (the steepest-descent comparison hook).
-        ``extra_deflation`` is a ``(V, B V)`` pair, not necessarily
-        B-orthonormal, that the active residuals are B-projected off before
-        preconditioning.  A is applied to the new direction block only, B to
-        it by its orthonormalization and post-check.  Raises the internal
-        breakdown signal when the residuals are not finite, no search
-        directions survive or a product is not finite.
+        ``extra_deflation`` is a ``(V, b_dual_basis(V, B V))`` pair that the
+        active residuals are B-projected off before preconditioning.  A is
+        applied to the new direction block only, B to it by its
+        orthonormalization and post-check.  Raises the internal breakdown
+        signal when the residuals or the projected Gram matrices are not
+        finite, or no search directions survive.
         """
         include_p = self.use_history_direction if use_previous is None else use_previous
-        conv = self.converged_mask()
-        if self.cfg.locking == "soft":
-            active = np.flatnonzero(~conv)
-        else:
-            active = np.arange(self.block_size)
-        if active.size == 0:
+        active = np.flatnonzero(~self.converged_mask())
+        if self.cfg.locking != "soft" or active.size == 0:
             active = np.arange(self.block_size)
 
+        _require_finite(self.residual_norms[active])
+        self._explicit_grams = self._explicit_grams or bool(np.all(
+            self.residual_norms <= self.convergence_thresholds(EXPLICIT_GRAM_RTOL)))
         residuals = self.R[:, active]
-        _require_finite(residuals)
         if extra_deflation is not None:
-            residuals = b_project_out(residuals, *extra_deflation, assume_orthonormal=False)
+            residuals = b_project_out(residuals, *extra_deflation)
         directions = self.precond.apply(residuals)
         directions = self._deflate(directions)
         directions = b_project_out(directions, self.X, self.BX)
@@ -481,18 +514,17 @@ class LobpcgEngine:
         except ZeroRankError:
             raise _Breakdown from None
         a_w = op_apply(self.a_op, w_block)
-        _require_finite(w_block, a_w, b_w)
 
         parts = [(self.X, self.AX, self.BX), (w_block, a_w, b_w)]
-        carried = self._carried_direction() if include_p else None
-        if carried is not None:
-            parts.append(carried)
-        gram_a, gram_b = _grams(parts)
+        if include_p and self.P is not None:
+            parts.append((self.P, self.AP, self.BP))
+        gram_a, gram_b = _grams(parts, None if self._explicit_grams else self.ritz_values)
+        _require_finite(gram_a, gram_b)
         # Condition guard on the joint Gram matrix: drop the carried
         # directions for this step when the basis degenerates, or when the
         # projection with them falls short of rank.
         trials = [parts[:2]]
-        if carried is not None and self._well_conditioned(gram_b):
+        if len(parts) == 3 and self._well_conditioned(gram_b):
             trials.insert(0, parts)
         for trial in trials:
             width = sum(block.shape[1] for block, _, _ in trial)
@@ -507,37 +539,15 @@ class LobpcgEngine:
         else:
             raise _Breakdown
 
-        new_p = (None, None, None)
-        if include_p:
-            tail_coeff = coeff[self.block_size:]
-            new_p = tuple(_combine(blocks, tail_coeff) for blocks in zip(*trial[1:]))
+        new_p = _next_direction(trial, coeff, gram_b[:width, :width]) if include_p else None
+        self.counters.orthonormalizations += int(include_p)
 
         self.X, self.AX, self.BX, self.ritz_values = x, a_x, b_x, values
-        self.P, self.AP, self.BP = new_p
+        self.P, self.AP, self.BP = new_p or (None, None, None)
         self.iterations += 1
         self._last_basis_cols = width
         self._fresh = False
         self._update_residuals()
-
-    def _carried_direction(self):
-        """P deflated, B-orthogonalized against X and B-orthonormalized, with
-        its products mapped alike; None when nothing usable remains."""
-        if self.P is None:
-            return None
-        p, a_p, b_p = self.P, self.AP, self.BP
-        against = [(self.X, self.AX, self.BX)]
-        if self.constraints is not None:
-            against.insert(0, (self.constraints, self.a_constraints, self.b_constraints))
-        for basis, a_basis, b_basis in against:
-            overlaps = b_basis.T @ p
-            p = p - basis @ overlaps
-            a_p = a_p - a_basis @ overlaps
-            b_p = b_p - b_basis @ overlaps
-        self.counters.orthonormalizations += 1
-        try:
-            return _b_orthonormalize_carried(p, a_p, b_p)
-        except (InsufficientRankError, OrthonormalizationError):
-            return None
 
     def _well_conditioned(self, gram: np.ndarray) -> bool:
         eigvals = sym_eig(gram).values
@@ -557,11 +567,8 @@ class LobpcgEngine:
                                         or np.all(self.converged_mask()[:nev])):
                     self._refresh_products()
                 conv = self.converged_mask()
-                if self.cfg.locking == "soft":
-                    prefix = 0
-                    while prefix < self.block_size and conv[prefix]:
-                        prefix += 1
-                    self.n_locked = max(self.n_locked, prefix)
+                if self.cfg.locking == "soft":  # the leading converged columns
+                    self.n_locked = max(self.n_locked, int(np.cumprod(conv).sum()))
                 self._record()
                 if np.all(conv[:nev]):
                     status = STATUS_CONVERGED

@@ -5,10 +5,10 @@ For ``nev`` requested pairs and a sub-block width ``nb``, ``nev / nb``
 width-``nb`` :class:`~lobpcg_kit.solver.LobpcgEngine` recurrences advance
 side by side.  Each step B-projects an engine's active residuals off the
 aggregate iterate block before preconditioning, so the recurrences do not
-collapse onto the same eigenvectors.  Every ``rr_period`` rounds one shared
-Rayleigh-Ritz over the aggregate span, on explicit A X and B X, hands every
-engine a slice of the Ritz vectors in ascending order and drops the carried
-directions.  It is the engines' explicit refresh and the only place a
+collapse onto the same eigenvectors (its B-dual basis is formed once per
+round).  Every ``rr_period`` rounds one shared Rayleigh-Ritz over the
+aggregate span, on explicit A X and B X, hands every engine a slice of the
+Ritz vectors in ascending order and drops the carried directions.  It is the engines' explicit refresh and the only place a
 convergence claim is accepted.  The shared step can thus be omitted on most
 rounds, trading coupling frequency against per-round cost.
 """
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blocks import b_orthonormalize_full
+from .blocks import b_apply, b_dual_basis, b_orthonormalize_full
 # Unused here; bound because perfbench/tracer.py looks these names up in
 # this module.
 from .blocks import b_project_out, rayleigh_ritz, residual_block  # noqa: F401
@@ -112,7 +112,7 @@ def lobpcg2_solve(a_op: LinearOperator, cfg: Lobpcg2Config, *,
 
     def explicit():
         x = stack("X")
-        return x, op_apply(lead.a_op, x), op_apply(lead.b_op, x)
+        return x, op_apply(lead.a_op, x), b_apply(lead.b_op, x)
 
     def couple(x: np.ndarray, a_x: np.ndarray, b_x: np.ndarray) -> None:
         """Shared Rayleigh-Ritz; every engine takes a copied slice."""
@@ -124,12 +124,13 @@ def lobpcg2_solve(a_op: LinearOperator, cfg: Lobpcg2Config, *,
         except InsufficientRankError:
             # recurrences collapsed: widen the span with random columns
             fill = rng.standard_normal((dim, padded))
-            parts.append((fill, op_apply(lead.a_op, fill), op_apply(lead.b_op, fill)))
+            parts.append((fill, op_apply(lead.a_op, fill), b_apply(lead.b_op, fill)))
             _require_finite(*parts[1])
             values, x, a_x, b_x, _ = _rayleigh_ritz(parts, padded)
         for engine, cols in zip(engines, slices):
-            engine._adopt(values[cols].copy(), x[:, cols].copy(), a_x[:, cols].copy(),
-                          b_x[:, cols].copy())
+            x_cols = x[:, cols].copy()
+            engine._adopt(values[cols].copy(), x_cols, a_x[:, cols].copy(),
+                          x_cols if b_x is x else b_x[:, cols].copy())
 
     x, _, _, b_x = b_orthonormalize_full(start, lead.b_op, counters, with_product=True)
     a_x = op_apply(lead.a_op, x)
@@ -171,7 +172,8 @@ def lobpcg2_solve(a_op: LinearOperator, cfg: Lobpcg2Config, *,
                 continue
 
             iterations += 1
-            deflation = (stack("X"), stack("BX"))
+            x_agg = stack("X")
+            deflation = (x_agg, b_dual_basis(x_agg, x_agg if lead.b_op is None else stack("BX")))
             moved = round_cols = 0
             for engine, done in zip(engines, np.split(conv, len(engines))):
                 if done.all():
@@ -182,7 +184,7 @@ def lobpcg2_solve(a_op: LinearOperator, cfg: Lobpcg2Config, *,
                     continue
                 moved += 1
                 round_cols += engine._last_basis_cols
-            del deflation
+            del x_agg, deflation
             if not moved:
                 # nothing moved from a coupled state: give up; otherwise
                 # couple, which drops every carried block, and retry

@@ -3,6 +3,8 @@ Rayleigh-Ritz extraction."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import dense_to_csr, subspace_gap
 
@@ -22,7 +24,7 @@ from lobpcg_kit import (
     rayleigh_ritz,
     residual_block,
 )
-from lobpcg_kit.blocks import b_orthonormalize_full
+from lobpcg_kit.blocks import b_orthonormalize_full, fix_signs
 
 
 def spd_operator(rng, n, shift=None):
@@ -233,3 +235,58 @@ def test_rayleigh_ritz_zero_rank_propagates():
     with pytest.raises(ZeroRankError):
         rayleigh_ritz(np.zeros((8, 2)), IdentityOperator(8), IdentityOperator(8),
                       want=1)
+
+
+def loop_fix_signs(vectors, *companions):
+    """The column loop ``fix_signs`` replaced, kept as the reference."""
+    for c in range(vectors.shape[1]):
+        col = vectors[:, c]
+        peak = np.max(np.abs(col))
+        if peak == 0.0:
+            continue
+        lead = np.flatnonzero(np.abs(col) > 1e-12 * peak)[0]
+        if col[lead] < 0:
+            vectors[:, c] = -col
+            for other in companions:
+                other[:, c] = -other[:, c]
+
+
+@st.composite
+def sign_blocks(draw):
+    """Blocks with zero columns, columns whose leading entries all fall at
+    or below the 1e-12 relative cut, and exact zeros of either sign."""
+    rows, cols = draw(st.integers(1, 7)), draw(st.integers(1, 5))
+    entries = st.one_of(st.floats(-1e3, 1e3, allow_subnormal=False),
+                        st.sampled_from([0.0, -0.0, 1e-13, -1e-13, 1e-300]))
+    block = np.array(draw(st.lists(entries, min_size=rows * cols, max_size=rows * cols)),
+                     dtype=float).reshape(rows, cols)
+    for c in draw(st.sets(st.integers(0, cols - 1))):
+        kind = draw(st.sampled_from(["zero", "below_cut"]))
+        block[:, c] = 0.0
+        if kind == "below_cut":
+            # every entry above the peak is at or below the cut, so the
+            # peak leads
+            peak = draw(st.integers(0, rows - 1))
+            block[:peak, c] = draw(st.sampled_from([1e-12, -1e-12, 1e-14, -1e-14, -0.0]))
+            block[peak, c] = draw(st.sampled_from([1.0, -1.0]))
+    return block
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(sign_blocks(), st.integers(1, 6))
+def test_fix_signs_matches_the_column_loop(block, coeff_rows):
+    coeff = np.arange(1.0, coeff_rows * block.shape[1] + 1).reshape(coeff_rows, -1)
+    expected, expected_coeff = block.copy(), coeff.copy()
+    loop_fix_signs(expected, expected_coeff)
+
+    vectors, companion = block.copy(), coeff.copy()
+    fix_signs(vectors, companion)
+    np.testing.assert_array_equal(vectors, expected)
+    np.testing.assert_array_equal(np.signbit(vectors), np.signbit(expected))
+    np.testing.assert_array_equal(companion, expected_coeff)
+
+    # an aliased companion (a product that is the block itself) flips once
+    vectors, companion = block.copy(), coeff.copy()
+    fix_signs(vectors, companion, vectors, companion)
+    np.testing.assert_array_equal(vectors, expected)
+    np.testing.assert_array_equal(companion, expected_coeff)

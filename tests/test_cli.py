@@ -187,21 +187,35 @@ class TestBench:
         lines = out.read_text().strip().splitlines()
         assert len(lines) == 2  # header + one data row
 
-    def test_variant_grid_includes_lobpcg2(self, lap50, tmp_path):
+    @staticmethod
+    def variant_rows(lap50, tmp_path, *extra):
         out = tmp_path / "var.csv"
         code = main(["bench", "--matrix", lap50, "--nev", "2",
                      "--grid", "variant=lobpcg,lobpcg2;block-size=2",
-                     "--out", str(out)])
+                     "--out", str(out), *extra])
         assert code == 0
         lines = out.read_text().strip().splitlines()
         assert len(lines) == 3
         header = lines[0].split(",")
-        for line in lines[1:]:
-            row = dict(zip(header, line.split(",")))
+        rows = [dict(zip(header, line.split(","))) for line in lines[1:]]
+        for row in rows:
             assert int(row["a_matvec_count"]) > 0
-            assert int(row["b_matvec_count"]) > 0
             assert (int(row["a_matvec_count"]) + int(row["b_matvec_count"])
                     == int(row["matvec_count"]))
+        return rows
+
+    def test_variant_grid_includes_lobpcg2(self, lap50, tmp_path):
+        for row in self.variant_rows(lap50, tmp_path):
+            # the standard problem applies no metric
+            assert int(row["b_matvec_count"]) == 0
+
+    def test_variant_grid_counts_the_metric_of_a_pencil(self, lap50, tmp_path):
+        from lobpcg_kit import csr_from_coo
+        b_path = tmp_path / "metric.mtx"
+        write_matrix_market_symmetric(
+            b_path, csr_from_coo(50, [(i, i, 1.0 + i / 50.0) for i in range(50)]))
+        for row in self.variant_rows(lap50, tmp_path, "--metric", str(b_path)):
+            assert int(row["b_matvec_count"]) > 0
 
     def test_unknown_dimension_rejected(self, lap50, tmp_path):
         code = main(["bench", "--matrix", lap50, "--nev", "2",

@@ -1,5 +1,7 @@
 """Blocked solver behavior: convergence, locking, monotonicity, baselines."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -33,7 +35,9 @@ from lobpcg_kit import (
     op_apply,
     psd_solve,
 )
-from lobpcg_kit.solver import REFRESH_PERIOD
+from lobpcg_kit import solver
+from lobpcg_kit.blocks import b_orthonormalize_full, b_project_out
+from lobpcg_kit.solver import ORTHO_POST_TOL, REFRESH_PERIOD
 
 
 def diag_operator(n):
@@ -228,9 +232,18 @@ class TestInvariants:
         res = lobpcg_solve(diag_operator(10), SolverConfig(nev=2))
         assert res.counters.rayleigh_ritz_calls == res.iterations + 1
         assert res.counters.a_matvecs > 0
-        assert res.counters.b_matvecs > 0
+        # the standard problem applies no metric
+        assert res.counters.b_matvecs == 0
         assert res.counters.matvecs == res.counters.a_matvecs + res.counters.b_matvecs
         assert res.counters.orthonormalizations >= res.iterations
+
+    def test_counters_track_the_metric_of_a_pencil(self):
+        res = lobpcg_solve(diag_operator(10), SolverConfig(nev=2),
+                           b_op=DiagonalOperator(np.linspace(1.0, 2.0, 10)))
+        assert res.status == "converged"
+        assert res.counters.a_matvecs > 0
+        assert res.counters.b_matvecs > 0
+        assert res.counters.matvecs == res.counters.a_matvecs + res.counters.b_matvecs
 
 
 class TestCarriedProducts:
@@ -271,6 +284,87 @@ class TestCarriedProducts:
         fresh = op_apply(a, res.vectors) - op_apply(b, res.vectors) * res.values[None, :]
         np.testing.assert_allclose(res.residual_norms, np.linalg.norm(fresh, axis=0),
                                    rtol=1e-6)
+
+
+def fe_pencil():
+    """240-dof Q1 finite-element pencil (stiffness, mass)."""
+    k1, m1 = fe_matrices_1d(15)
+    k2, m2 = fe_matrices_1d(16)
+    return dense_to_csr(np.kron(k1, m2) + np.kron(m1, k2)), dense_to_csr(np.kron(m1, m2))
+
+
+class TestStepConstruction:
+    def test_carried_direction_invariants_hold_after_every_step(self):
+        # 600 steps, most of them with residuals at rounding level
+        a, b = fe_pencil()
+        engine = LobpcgEngine(a, SolverConfig(nev=4, tol=1e-300, max_iter=600, seed=1),
+                              b_op=b, precond=jacobi_precond(a))
+        step, worst = engine.step, []
+
+        def checked_step(*args, **kwargs):
+            step(*args, **kwargs)
+            if engine.P is not None:
+                eye = np.eye(engine.P.shape[1])
+                worst.append((np.max(np.abs(engine.X.T @ op_apply(b, engine.P))),
+                              np.max(np.abs(engine.P.T @ engine.BP - eye))))
+
+        engine.step = checked_step
+        assert engine.run().iterations == 600
+        assert len(worst) >= 550
+        # X^T B P with B applied explicitly; P^T B P from the carried B P,
+        # which the step takes to be I
+        assert np.max(worst, axis=0).tolist() <= [1e-8, 1e-8]
+
+    def test_standard_problem_applies_no_metric(self):
+        a = laplacian_1d(200)
+        engine = LobpcgEngine(a, SolverConfig(nev=3, block_size=5, seed=0),
+                              precond=jacobi_precond(a), constraints=np.ones(200))
+        assert engine.b_op is None and engine.b_constraints is engine.constraints
+        for _ in range(5):
+            engine.step()
+            assert engine.BX is engine.X and engine.BP is engine.P
+        res = engine.run()
+        assert res.status == "converged"
+        assert engine.BX is engine.X
+        assert res.counters.b_matvecs == 0
+
+    def test_known_gram_blocks_match_explicit_ones(self):
+        a, b = fe_pencil()
+        engine = LobpcgEngine(a, SolverConfig(nev=4, seed=1), b_op=b,
+                              precond=jacobi_precond(a))
+        for _ in range(5):
+            engine.step()
+        assert np.max(engine.residual_norms / engine.convergence_thresholds(1.0)) > 1e-3
+        assert not engine._explicit_grams and engine.P is not None
+        # a direction block as the step forms one
+        directions = b_project_out(engine.precond.apply(engine.R), engine.X, engine.BX)
+        w, _, _, b_w = b_orthonormalize_full(directions, engine.b_op, with_product=True)
+        parts = [(engine.X, engine.AX, engine.BX), (w, op_apply(a, w), b_w),
+                 (engine.P, engine.AP, engine.BP)]
+        for known, explicit in zip(solver._grams(parts, engine.ritz_values),
+                                   solver._grams(parts)):
+            np.testing.assert_allclose(known, explicit, rtol=0, atol=1e-8)
+
+    def test_grams_turn_explicit_once_residuals_cross_sqrt_eps(self, monkeypatch):
+        grams, explicit = solver._grams, []
+
+        def recording_grams(parts, ritz_values=None):
+            explicit.append(ritz_values is None)
+            return grams(parts, ritz_values)
+
+        a = laplacian_1d(200)
+        engine = LobpcgEngine(a, SolverConfig(nev=3, block_size=5, seed=0),
+                              precond=jacobi_precond(a))
+        monkeypatch.setattr(solver, "_grams", recording_grams)
+        crossed = []
+        while crossed.count(True) < 10:
+            ratios = engine.residual_norms / engine.convergence_thresholds(1.0)
+            crossed.append(bool(np.all(ratios <= solver.EXPLICIT_GRAM_RTOL)))
+            engine.step()
+        first = crossed.index(True)
+        assert first > 50
+        # every step from the first crossing on
+        assert explicit == [False] * first + [True] * (len(crossed) - first)
 
 
 def poisoned_operator(dim, func, bad_value):
@@ -444,3 +538,16 @@ class TestHardSpectra:
         assert res.status == "converged"
         assert np.max(np.abs(res.values - oracle.values[:3])) <= 1e-8
         assert b_defect(res.vectors, b) <= 1e-8
+
+
+def test_ritz_block_error_reports_the_defect_that_failed():
+    # B V = V (I + K) with K antisymmetric: the symmetrized Gram matrix is I,
+    # the post-checked one is not
+    v, _ = np.linalg.qr(np.random.default_rng(4).standard_normal((30, 3)))
+    skew = np.array([[0.0, 1e-6, 0.0], [-1e-6, 0.0, 2e-6], [0.0, -2e-6, 0.0]])
+    parts = [(v, v * [1.0, 2.0, 3.0], v @ (np.eye(3) + skew))]
+    with pytest.raises(OrthonormalizationError) as info:
+        solver._rayleigh_ritz(parts, 2)
+    reported = float(re.search(r"defect (\S+) persists", str(info.value)).group(1))
+    assert reported > ORTHO_POST_TOL
+    assert reported == pytest.approx(1e-6, rel=1e-3)
