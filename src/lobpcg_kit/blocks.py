@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dense import cholesky, sym_eig
+from .dense import cholesky_kernel as cholesky, sym_eig_kernel as sym_eig
 from .errors import (
     DimensionMismatchError,
     InsufficientRankError,

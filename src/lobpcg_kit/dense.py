@@ -1,9 +1,10 @@
 """Small dense kernels: symmetric eigendecomposition and Cholesky.
 
 These back the Rayleigh-Ritz projection step and the dense verification
-oracle.  Matrices are plain float64 ``numpy.ndarray`` objects of shape
-``(rows, cols)``; only indexing semantics matter, storage order is numpy's
-business.
+oracle; the solvers call the unvalidated ``*_kernel`` forms on Gram
+matrices they symmetrize themselves.  Matrices are plain float64
+``numpy.ndarray`` objects of shape ``(rows, cols)``; only indexing
+semantics matter, storage order is numpy's business.
 """
 
 from __future__ import annotations
@@ -70,13 +71,14 @@ def sym_eig(m: np.ndarray) -> SymEigResult:
     Ties keep the kernel's internal ordering (no secondary sort key).
     Deterministic for a fixed input.
     """
-    m = require_symmetric(m)
-    n = m.shape[0]
-    if n > DENSE_CAP:
-        raise DenseCapExceededError(f"dimension {n} exceeds dense cap {DENSE_CAP}")
+    m = _capped(require_symmetric(m))
     # Work on the exactly symmetrized matrix so the decomposition is
     # independent of which triangle LAPACK reads.
-    sym = 0.5 * (m + m.T)
+    return sym_eig_kernel(0.5 * (m + m.T))
+
+
+def sym_eig_kernel(sym: np.ndarray) -> SymEigResult:
+    """:func:`sym_eig` of an exactly symmetric matrix, unvalidated."""
     try:
         values, vectors = np.linalg.eigh(sym)
     except np.linalg.LinAlgError as exc:  # defect signal, see module tests
@@ -92,11 +94,13 @@ def cholesky(m: np.ndarray) -> np.ndarray:
     callers treat that as a rank-deficiency signal and switch to their
     eigendecomposition-based fallback.
     """
-    m = require_symmetric(m)
-    n = m.shape[0]
-    if n > DENSE_CAP:
-        raise DenseCapExceededError(f"dimension {n} exceeds dense cap {DENSE_CAP}")
-    pivot_floor = n * PIVOT_RTOL * float(np.max(np.abs(m)))
+    return cholesky_kernel(_capped(require_symmetric(m)))
+
+
+def cholesky_kernel(m: np.ndarray) -> np.ndarray:
+    """:func:`cholesky` of a symmetric matrix, unvalidated; the pivot rule
+    still applies."""
+    pivot_floor = m.shape[0] * PIVOT_RTOL * float(np.max(np.abs(m)))
     try:
         lower = np.linalg.cholesky(m)
     except np.linalg.LinAlgError as exc:
@@ -108,3 +112,9 @@ def cholesky(m: np.ndarray) -> np.ndarray:
             f"pivot {lower[j, j] ** 2:.3e} at column {j} is below threshold {pivot_floor:.3e}"
         )
     return lower
+
+
+def _capped(m: np.ndarray) -> np.ndarray:
+    if m.shape[0] > DENSE_CAP:
+        raise DenseCapExceededError(f"dimension {m.shape[0]} exceeds dense cap {DENSE_CAP}")
+    return m

@@ -39,7 +39,7 @@ from .blocks import (
 # names up in this module.
 from .blocks import rayleigh_ritz, residual_block  # noqa: F401
 from .operators import IdentityOperator  # noqa: F401
-from .dense import sym_eig
+from .dense import sym_eig_kernel as sym_eig
 from .errors import (
     DimensionMismatchError,
     InsufficientRankError,
@@ -290,17 +290,19 @@ def _rayleigh_ritz(parts, want: int, gram_a: np.ndarray | None = None,
 
 
 def _next_direction(parts, coeff: np.ndarray, gram_b: np.ndarray):
-    """Previous-direction block ``(P, A P, B P)`` for the next step, or None.
-
-    Its coefficients are the Ritz coefficients ``coeff`` with the rows of
-    the iterate block ``parts[0]`` zeroed, B-orthogonalized against
-    ``coeff`` through the basis' B-Gram matrix ``gram_b``; P is then
-    B-orthonormalized from its mapped products, post-checked, one retry.
-    """
+    """Previous-direction block ``(P, A P, B P)`` for the next step, or None:
+    the Ritz coefficients ``coeff`` with the rows of the iterate block
+    ``parts[0]`` zeroed, B-orthogonalized against ``coeff`` through the
+    basis' B-Gram matrix ``gram_b``, then :func:`_b_normalized`."""
     tail = coeff.copy()
     tail[:parts[0][0].shape[1]] = 0.0
     tail -= coeff @ (coeff.T @ gram_b @ tail)
-    direction = _combine_parts(parts, tail)
+    return _b_normalized(_combine_parts(parts, tail))
+
+
+def _b_normalized(direction):
+    """``(V, A V, B V)`` B-orthonormalized from its products, post-checked,
+    one retry; None when that fails."""
     for _ in range(2):
         try:
             transform = _gram_basis(_sym(direction[0].T @ direction[2]))
@@ -423,11 +425,11 @@ class LobpcgEngine:
     # -- state inspection ----------------------------------------------
 
     def _adopt(self, values: np.ndarray, x: np.ndarray, a_x: np.ndarray,
-               b_x: np.ndarray) -> None:
+               b_x: np.ndarray, direction=None) -> None:
         """Take ``x`` as the iterate block with its Ritz values and explicit
-        products, dropping the carried directions."""
+        products, and ``direction``, a ``(P, A P, B P)`` or None, as P."""
         self.ritz_values, self.X, self.AX, self.BX = values, x, a_x, b_x
-        self.P = self.AP = self.BP = None
+        self.P, self.AP, self.BP = direction or (None, None, None)
         #: True while AX and BX derive from explicit applies to the current X.
         self._fresh = True
         self._update_residuals()

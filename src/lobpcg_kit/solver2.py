@@ -8,9 +8,12 @@ aggregate iterate block before preconditioning, so the recurrences do not
 collapse onto the same eigenvectors (its B-dual basis is formed once per
 round).  Every ``rr_period`` rounds one shared Rayleigh-Ritz over the
 aggregate span, on explicit A X and B X, hands every engine a slice of the
-Ritz vectors in ascending order and drops the carried directions.  It is the engines' explicit refresh and the only place a
-convergence claim is accepted.  The shared step can thus be omitted on most
-rounds, trading coupling frequency against per-round cost.
+Ritz vectors in ascending order, and its carried directions B-projected off
+them, so every recurrence stays LOBPCG across couplings (a retry after a
+round in which nothing moved drops them).  It is the engines' explicit
+refresh and the only place a convergence claim is accepted.  The shared
+step can thus be omitted on most rounds, trading coupling frequency
+against per-round cost.
 """
 
 from __future__ import annotations
@@ -37,6 +40,8 @@ from .solver import (
     SolveResult,
     SolverConfig,
     _Breakdown,
+    _b_normalized,
+    _combine_parts,
     _rayleigh_ritz,
     _require_finite,
     norm_estimates,  # noqa: F401
@@ -114,8 +119,8 @@ def lobpcg2_solve(a_op: LinearOperator, cfg: Lobpcg2Config, *,
         x = stack("X")
         return x, op_apply(lead.a_op, x), b_apply(lead.b_op, x)
 
-    def couple(x: np.ndarray, a_x: np.ndarray, b_x: np.ndarray) -> None:
-        """Shared Rayleigh-Ritz; every engine takes a copied slice."""
+    def couple(x: np.ndarray, a_x: np.ndarray, b_x: np.ndarray, keep: bool = True) -> None:
+        """Shared Rayleigh-Ritz; every engine takes a copied slice, and its P if ``keep``."""
         _require_finite(a_x, b_x)
         counters.rayleigh_ritz_calls += 1
         parts = [(x, a_x, b_x)]
@@ -128,9 +133,14 @@ def lobpcg2_solve(a_op: LinearOperator, cfg: Lobpcg2Config, *,
             _require_finite(*parts[1])
             values, x, a_x, b_x, _ = _rayleigh_ritz(parts, padded)
         for engine, cols in zip(engines, slices):
+            direction = None
+            if keep and engine.P is not None:  # P -= X (B X)^T P, one engine at a time
+                direction = _b_normalized(_combine_parts(
+                    [(engine.P, engine.AP, engine.BP), (x, a_x, b_x)],
+                    np.vstack([np.eye(nb), -(b_x.T @ engine.P)])))
             x_cols = x[:, cols].copy()
             engine._adopt(values[cols].copy(), x_cols, a_x[:, cols].copy(),
-                          x_cols if b_x is x else b_x[:, cols].copy())
+                          x_cols if b_x is x else b_x[:, cols].copy(), direction)
 
     x, _, _, b_x = b_orthonormalize_full(start, lead.b_op, counters, with_product=True)
     a_x = op_apply(lead.a_op, x)
@@ -186,12 +196,12 @@ def lobpcg2_solve(a_op: LinearOperator, cfg: Lobpcg2Config, *,
                 round_cols += engine._last_basis_cols
             del x_agg, deflation
             if not moved:
-                # nothing moved from a coupled state: give up; otherwise
-                # couple, which drops every carried block, and retry
+                # nothing moved from a coupled state: give up; otherwise couple
+                # without P, so that a stall does not repeat with it, and retry
                 if coupled:
                     status = STATUS_BREAKDOWN
                 else:
-                    couple(*explicit())
+                    couple(*explicit(), keep=False)
                     coupled, last_basis_cols = True, padded
                 continue
             coupled, last_basis_cols = False, round_cols
@@ -206,7 +216,7 @@ def lobpcg2_solve(a_op: LinearOperator, cfg: Lobpcg2Config, *,
         if not coupled:
             # an explicit product is not finite: couple on the carried ones
             try:
-                couple(stack("X"), stack("AX"), stack("BX"))
+                couple(stack("X"), stack("AX"), stack("BX"), keep=False)
             except (_Breakdown, InsufficientRankError, OrthonormalizationError):
                 pass
 

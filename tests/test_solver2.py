@@ -21,7 +21,8 @@ from lobpcg_kit import (
     norm_estimates,
     op_apply,
 )
-from lobpcg_kit.solver import REFRESH_PERIOD
+from lobpcg_kit import solver2
+from lobpcg_kit.solver import REFRESH_PERIOD, LobpcgEngine, _Breakdown
 
 
 def diag_operator(n):
@@ -39,6 +40,49 @@ def fe_pencil(mx, my):
     ky, mass_y = fe_matrices_1d(my)
     return (dense_to_csr(np.kron(kx, mass_y) + np.kron(mass_x, ky)),
             dense_to_csr(np.kron(mass_x, mass_y)))
+
+
+def event_log(monkeypatch):
+    """Log of a lobpcg2 run's events, in order: ``("step", tally)`` after an
+    engine step, ``("rr", tally)`` as a shared Rayleigh-Ritz starts, and
+    ``("adopt", tally, x, direction)`` as an engine adopts its slice and
+    carried directions (copies).  ``tally`` is the engines' shared
+    ``(a_matvecs, b_matvecs)`` at that point."""
+    log, counters = [], []  # the engines share the lead's OpCounters
+
+    def tally(engine=None):
+        if engine is not None:
+            counters[:] = [engine.counters]
+        return counters[0].a_matvecs, counters[0].b_matvecs
+
+    adopt, step, shared_rr = LobpcgEngine._adopt, LobpcgEngine.step, solver2._rayleigh_ritz
+
+    def logged_adopt(engine, values, x, a_x, b_x, direction=None):
+        kept = None if direction is None else [block.copy() for block in direction]
+        log.append(("adopt", tally(engine), x.copy(), kept))
+        adopt(engine, values, x, a_x, b_x, direction)
+
+    def logged_step(engine, *args, **kwargs):
+        step(engine, *args, **kwargs)
+        log.append(("step", tally(engine)))
+
+    def logged_rr(*args, **kwargs):
+        log.append(("rr", tally()))
+        return shared_rr(*args, **kwargs)
+
+    monkeypatch.setattr(LobpcgEngine, "_adopt", logged_adopt)
+    monkeypatch.setattr(LobpcgEngine, "step", logged_step)
+    monkeypatch.setattr(solver2, "_rayleigh_ritz", logged_rr)
+    return log
+
+
+def couplings(log, n_engines):
+    """``(k, adopts)`` for every shared Rayleigh-Ritz in an event log: the
+    index of its ``rr`` entry and the engines' adopts that follow it."""
+    starts = [k for k, entry in enumerate(log) if entry[0] == "rr"]
+    groups = [(k, log[k + 1:k + 1 + n_engines]) for k in starts]
+    assert all(entry[0] == "adopt" for _, adopts in groups for entry in adopts)
+    return groups
 
 
 class CountingDiagonal(DiagonalOperator):
@@ -100,6 +144,21 @@ class TestCrossVariantAgreement:
             slack = 1e-6 * (1 + np.abs(oracle.values[:nev]))
             assert np.all(np.abs(narrow.values - full.values) <= slack)
             assert np.all(np.abs(narrow.values - oracle.values[:nev]) <= slack)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_one_sub_block_is_block_lobpcg(self, seed):
+        # at sub_block = nev and rr_period = 1 the coupling keeps the
+        # engine's P, so lobpcg2 takes the block LOBPCG step from the same start
+        a, b = fe_pencil(10, 12)
+        nev = 4
+        full = lobpcg_solve(a, SolverConfig(nev=nev, seed=seed), b_op=b,
+                            precond=jacobi_precond(a))
+        narrow = lobpcg2_solve(a, Lobpcg2Config(nev=nev, sub_block=nev, rr_period=1,
+                                                seed=seed),
+                               b_op=b, precond=jacobi_precond(a))
+        assert full.status == narrow.status == "converged"
+        assert abs(narrow.iterations - full.iterations) <= 3
+        np.testing.assert_allclose(narrow.values, full.values, rtol=1e-7)
 
     def test_generalized_metric_and_preconditioner(self):
         n = 60
@@ -171,6 +230,72 @@ class TestOnEngine:
         assert counters.a_matvecs <= counters.precond_applies + budget
         # B orthonormalizes and post-checks the new directions
         assert counters.b_matvecs <= 2 * counters.precond_applies + 2 * budget
+
+    def test_coupling_applies_padded_columns_and_keeps_p_without_apply(self, monkeypatch):
+        a, b = fe_pencil(12, 14)
+        cfg = Lobpcg2Config(nev=6, sub_block=2, rr_period=5, seed=3)
+        n_engines = cfg.padded_nev() // cfg.sub_block
+        log = event_log(monkeypatch)
+        res = lobpcg2_solve(a, cfg, b_op=b, precond=jacobi_precond(a))
+        assert res.status == "converged"
+        checked = kept = 0
+        for k, adopts in couplings(log, n_engines):
+            if log[k - 1][0] != "step":
+                continue  # the start coupling
+            before, during = np.array(log[k - 1][1]), np.array(log[k][1])
+            # A and B once each to the padded aggregate, through explicit()
+            assert np.all(during - before == cfg.padded_nev())
+            # and keeping every engine's P applies nothing more
+            assert all(entry[1] == log[k][1] for entry in adopts)
+            kept += sum(entry[3] is not None for entry in adopts)
+            checked += 1
+        assert checked >= 2
+        assert kept == checked * n_engines
+
+    def test_kept_p_is_b_orthonormal_and_b_orthogonal_to_the_aggregate(self, monkeypatch):
+        a, b = fe_pencil(12, 14)
+        for rr_period in (1, 25):
+            cfg = Lobpcg2Config(nev=6, sub_block=2, rr_period=rr_period, seed=1)
+            log = event_log(monkeypatch)
+            res = lobpcg2_solve(a, cfg, b_op=b, precond=jacobi_precond(a))
+            assert res.status == "converged"
+            kept = 0
+            for _, adopts in couplings(log, cfg.padded_nev() // cfg.sub_block):
+                x_agg = np.hstack([entry[2] for entry in adopts])
+                for entry in adopts:
+                    if entry[3] is None:
+                        continue
+                    p = entry[3][0]
+                    b_p = op_apply(b, p)  # B applied explicitly
+                    assert np.max(np.abs(x_agg.T @ b_p)) <= 1e-8
+                    assert np.max(np.abs(p.T @ b_p - np.eye(p.shape[1]))) <= 1e-8
+                    kept += 1
+            assert kept >= 3
+            monkeypatch.undo()
+
+    def test_round_in_which_nothing_moved_retries_without_p(self, monkeypatch):
+        a, b = fe_pencil(12, 14)
+        cfg = Lobpcg2Config(nev=4, sub_block=2, rr_period=5, seed=3)
+        log = event_log(monkeypatch)
+        logged_step, carried = LobpcgEngine.step, []
+
+        def stalling_step(engine, *args, **kwargs):
+            carried.append(engine.P is not None)
+            if len(carried) in (5, 6):  # both engines of round 3
+                raise _Breakdown
+            logged_step(engine, *args, **kwargs)
+
+        monkeypatch.setattr(LobpcgEngine, "step", stalling_step)
+        res = lobpcg2_solve(a, cfg, b_op=b, precond=jacobi_precond(a))
+        assert res.status == "converged"
+        assert carried[4] and carried[5]  # the stalled round had a P to drop
+        groups = couplings(log, 2)
+        # the start, then the retry after the four steps of rounds 1 and 2
+        retry_index, retry = groups[1]
+        assert [entry[0] for entry in log[:retry_index]].count("step") == 4
+        assert all(entry[3] is None for entry in retry)
+        # the next coupling, after rounds 4 and 5, keeps P again
+        assert all(entry[3] is not None for entry in groups[2][1])
 
     def test_counters_include_every_recurrence(self):
         n = 60
