@@ -25,8 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .blocks import b_apply, b_dual_basis, b_orthonormalize_full
-# Unused here; bound because perfbench/tracer.py looks these names up in
-# this module.
+# Unused here; bound because perfbench/tracer.py looks them up in this module.
 from .blocks import b_project_out, rayleigh_ritz, residual_block  # noqa: F401
 from .errors import InsufficientRankError, InvalidConfigError, OrthonormalizationError
 from .operators import IdentityOperator, LinearOperator, op_apply  # noqa: F401
@@ -135,9 +134,10 @@ def lobpcg2_solve(a_op: LinearOperator, cfg: Lobpcg2Config, *,
         for engine, cols in zip(engines, slices):
             direction = None
             if keep and engine.P is not None:  # P -= X (B X)^T P, one engine at a time
-                direction = _b_normalized(_combine_parts(
+                counters.orthonormalizations += 1
+                direction = _b_normalized(_combine_parts(  # P may hold fewer than nb columns
                     [(engine.P, engine.AP, engine.BP), (x, a_x, b_x)],
-                    np.vstack([np.eye(nb), -(b_x.T @ engine.P)])))
+                    np.vstack([np.eye(engine.P.shape[1]), -(b_x.T @ engine.P)])))
             x_cols = x[:, cols].copy()
             engine._adopt(values[cols].copy(), x_cols, a_x[:, cols].copy(),
                           x_cols if b_x is x else b_x[:, cols].copy(), direction)
@@ -196,9 +196,9 @@ def lobpcg2_solve(a_op: LinearOperator, cfg: Lobpcg2Config, *,
                 round_cols += engine._last_basis_cols
             del x_agg, deflation
             if not moved:
-                # nothing moved from a coupled state: give up; otherwise couple
+                # nothing moved: give up when no engine holds P; otherwise couple
                 # without P, so that a stall does not repeat with it, and retry
-                if coupled:
+                if coupled and all(engine.P is None for engine in engines):
                     status = STATUS_BREAKDOWN
                 else:
                     couple(*explicit(), keep=False)

@@ -297,6 +297,50 @@ class TestOnEngine:
         # the next coupling, after rounds 4 and 5, keeps P again
         assert all(entry[3] is not None for entry in groups[2][1])
 
+    def test_round_stalled_after_a_coupling_that_kept_p_retries_without_p(self, monkeypatch):
+        a, b = fe_pencil(12, 14)
+        cfg = Lobpcg2Config(nev=4, sub_block=2, rr_period=1, seed=3)
+        log = event_log(monkeypatch)
+        logged_step, carried = LobpcgEngine.step, []
+
+        def stalling_step(engine, *args, **kwargs):
+            carried.append(engine.P is not None)
+            if len(carried) in (5, 6):  # both engines of round 3
+                raise _Breakdown
+            logged_step(engine, *args, **kwargs)
+
+        monkeypatch.setattr(LobpcgEngine, "step", stalling_step)
+        res = lobpcg2_solve(a, cfg, b_op=b, precond=jacobi_precond(a))
+        assert res.status == "converged"
+        assert carried[4] and carried[5]  # round 2's coupling kept P
+        groups = couplings(log, 2)
+        # the start, the couplings after rounds 1 and 2, then the retry
+        retry_index, retry = groups[3]
+        assert [entry[0] for entry in log[:retry_index]].count("step") == 4
+        assert all(entry[3] is None for entry in retry)
+        assert not carried[6] and not carried[7]  # round 4 steps without P
+        assert all(entry[3] is not None for entry in groups[4][1])
+
+    def test_coupling_keeps_a_p_narrower_than_the_sub_block(self, monkeypatch):
+        a, b = fe_pencil(12, 14)
+        cfg = Lobpcg2Config(nev=4, sub_block=2, rr_period=1, seed=3)
+        log = event_log(monkeypatch)
+        logged_step = LobpcgEngine.step
+
+        def narrowing_step(engine, *args, **kwargs):
+            logged_step(engine, *args, **kwargs)
+            if engine.P is not None:  # as when dependent columns are dropped
+                engine.P, engine.AP, engine.BP = (block[:, :1] for block in
+                                                  (engine.P, engine.AP, engine.BP))
+
+        monkeypatch.setattr(LobpcgEngine, "step", narrowing_step)
+        res = lobpcg2_solve(a, cfg, b_op=b, precond=jacobi_precond(a))
+        assert res.status in ("converged", "max_iter")
+        assert b_defect(res.vectors, b) <= 1e-8
+        kept = [entry[3] for _, adopts in couplings(log, 2) for entry in adopts
+                if entry[3] is not None]
+        assert kept and all(direction[0].shape[1] == 1 for direction in kept)
+
     def test_counters_include_every_recurrence(self):
         n = 60
         a = CountingDiagonal(np.linspace(1.0, 30.0, n))
