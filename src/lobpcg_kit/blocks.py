@@ -3,12 +3,15 @@
 Rayleigh quotients, residual blocks, B-orthonormalization with rank
 handling, and the Rayleigh-Ritz projection.  A block vector is a float64
 ``(n, m)`` array whose columns are the vectors; the metric B is any SPD
-:class:`~lobpcg_kit.operators.LinearOperator`.
+:class:`~lobpcg_kit.operators.LinearOperator`.  The solvers hold a basis
+as ``(V, A V, B V)`` parts, and the one Rayleigh-Ritz here works on such
+parts without applying an operator (Hetmaniuk & Lehoucq, "Basis selection
+in LOBPCG", J. Comput. Phys. 218, 2006).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,10 +46,6 @@ class RitzSet:
     values: np.ndarray
     vectors: np.ndarray
     coefficients: np.ndarray
-    #: Rank of the trial basis after dropping dependent columns.
-    basis_rank: int
-    #: Indices of input columns judged independent by the cleanup.
-    basis_kept: list[int] = field(default_factory=list)
 
 
 @dataclass
@@ -102,6 +101,14 @@ def residual_block(a_op: LinearOperator, b_op: LinearOperator, block: np.ndarray
     return op_apply(a_op, block) - op_apply(b_op, block) * ritz_values[None, :]
 
 
+def sym(gram: np.ndarray) -> np.ndarray:
+    return 0.5 * (gram + gram.T)
+
+
+def ortho_defect(gram: np.ndarray) -> float:
+    return float(np.max(np.abs(gram - np.eye(gram.shape[0]))))
+
+
 def _svqb_attribution(gram_vectors: np.ndarray, dropped: np.ndarray) -> list[int]:
     """Attribute dropped Gram eigendirections to input columns.
 
@@ -145,6 +152,17 @@ def gram_transform(gram: np.ndarray):
     return transform, kept
 
 
+def gram_basis(gram_b: np.ndarray) -> np.ndarray:
+    """Transform T with T^T G T = I over the independent directions of a
+    basis whose B-Gram matrix is G, found after scaling the columns to unit
+    B-norm.  Raises ZeroRankError when no direction is independent.
+    """
+    scale = np.sqrt(np.diag(gram_b))
+    scale = np.where(scale > 0, scale, 1.0)
+    transform, _ = gram_transform(gram_b / np.outer(scale, scale))
+    return transform / scale[:, None]
+
+
 def _finite_gram(gram: np.ndarray) -> np.ndarray:
     """The Gram matrix itself; OrthonormalizationError when it is not finite."""
     if not np.all(np.isfinite(gram)):
@@ -157,50 +175,36 @@ def b_apply(b_op: LinearOperator | None, block: np.ndarray) -> np.ndarray:
     return block if b_op is None else op_apply(b_op, block)
 
 
-def _orthonormalize_pass(block: np.ndarray, b_op: LinearOperator | None):
-    """One Cholesky-else-SVQB cleanup pass.
-
-    Returns (out, kept, transform) with out = block @ transform.
-    """
-    scale = np.sqrt(np.einsum("ij,ij->j", block, block))
-    scale = np.where(scale > 0, scale, 1.0)
-    scaled = block / scale[None, :]
-    b_scaled = b_apply(b_op, scaled)
-    gram = _finite_gram(scaled.T @ b_scaled)
-    gram = 0.5 * (gram + gram.T)
-    transform, kept = gram_transform(gram)
-    transform = transform / scale[:, None]
-    return block @ transform, kept, transform
-
-
 def b_orthonormalize_full(block: np.ndarray, b_op: LinearOperator | None,
-                          counters: OpCounters | None = None, *,
-                          with_product: bool = False):
-    """B-orthonormalize and also return the column transform.
+                          counters: OpCounters | None = None):
+    """B-orthonormalize and also return the column transform and product.
 
-    Returns ``(out, kept, transform)`` with ``out = block @ transform`` and
-    ``out^T B out = I`` within :data:`ORTHO_POST_TOL`.  Numerically
-    dependent content is dropped; ``kept`` lists the input columns judged
-    independent.  Raises ZeroRankError when nothing survives and
-    OrthonormalizationError when a B-Gram matrix is not finite or the
-    post-check fails even after a retry.
-    With ``with_product`` a fourth item is returned: ``B @ out`` as the
-    final post-check computed it.  ``b_op=None`` is the identity metric:
-    B is not applied, and the fourth item is ``out`` itself.
+    Returns ``(out, kept, transform, b_out)`` with ``out = block @ transform``,
+    ``out^T B out = I`` within :data:`ORTHO_POST_TOL` and ``b_out = B @ out``
+    as the post-check computed it.  Numerically dependent content is
+    dropped; ``kept`` lists the input columns judged independent.  Raises
+    ZeroRankError when nothing survives and OrthonormalizationError when a
+    B-Gram matrix is not finite or the post-check fails even after a retry.
+    ``b_op=None`` is the identity metric: B is not applied, ``b_out is out``.
     """
     out = _as_block(block)
     kept, transform = list(range(out.shape[1])), None
     for _ in range(2):
-        out, kept_pass, transform_pass = _orthonormalize_pass(out, b_op)
+        scale = np.sqrt(np.einsum("ij,ij->j", out, out))
+        scale = np.where(scale > 0, scale, 1.0)
+        scaled = out / scale[None, :]
+        gram = _finite_gram(scaled.T @ b_apply(b_op, scaled))
+        pass_transform, pass_kept = gram_transform(sym(gram))
+        pass_transform = pass_transform / scale[:, None]
+        out = out @ pass_transform
         if counters is not None:
             counters.orthonormalizations += 1
-        kept = [kept[i] for i in kept_pass]
-        transform = transform_pass if transform is None else transform @ transform_pass
+        kept = [kept[i] for i in pass_kept]
+        transform = pass_transform if transform is None else transform @ pass_transform
         b_out = b_apply(b_op, out)
-        gram = _finite_gram(out.T @ b_out)
-        defect = float(np.max(np.abs(gram - np.eye(out.shape[1]))))
+        defect = ortho_defect(_finite_gram(out.T @ b_out))
         if defect <= ORTHO_POST_TOL:
-            return (out, kept, transform, b_out) if with_product else (out, kept, transform)
+            return out, kept, transform, b_out
     raise OrthonormalizationError(f"orthonormality defect {defect:.3e} persists after retry")
 
 
@@ -210,8 +214,7 @@ def b_orthonormalize(block: np.ndarray, b_op: LinearOperator):
     Returns ``(out, kept)``: an n x r block with ``out^T B out = I`` within
     1e-8 and the indices of the input columns judged independent.
     """
-    out, kept, _ = b_orthonormalize_full(block, b_op)
-    return out, kept
+    return b_orthonormalize_full(block, b_op)[:2]
 
 
 def fix_signs(vectors: np.ndarray, *companions: np.ndarray) -> None:
@@ -232,38 +235,118 @@ def fix_signs(vectors: np.ndarray, *companions: np.ndarray) -> None:
             array *= sign
 
 
+def combine_parts(parts, coeff: np.ndarray):
+    """``(S C, A S C, B S C)`` for a basis S held as ``(V, A V, B V)`` parts,
+    without stacking them; B S C is S C itself when every part's B-product
+    is the part."""
+    aliased = all(b_v is v for v, _, b_v in parts)
+    out, row = None, 0
+    for part in parts:
+        rows = coeff[row:row + part[0].shape[1]]
+        row += rows.shape[0]
+        pieces = [block @ rows for block in part[:2 if aliased else 3]]
+        if out is None:
+            out = pieces
+        else:
+            for total, piece in zip(out, pieces):
+                total += piece
+    return out[0], out[1], out[0] if aliased else out[2]
+
+
+def part_grams(parts, ritz_values: np.ndarray | None = None):
+    """Projected A- and B-Gram matrices of a basis held as ``(V, A V, B V)``
+    parts, formed over the upper block triangle.  With ``ritz_values``, every
+    part is taken to be B-orthonormal and the first to be the Ritz block of
+    those values, so diag(ritz_values) and the diagonal B-blocks I are not
+    formed.  Off-diagonal B-blocks use the earlier part's B-product: the
+    carried B P of the last part, whose drift compounds, never enters.
+    """
+    edges = np.cumsum([0] + [v.shape[1] for v, _, _ in parts])
+    gram_a, gram_b = np.zeros((edges[-1], edges[-1])), np.eye(edges[-1])
+    for i, (u, _, b_u) in enumerate(parts):
+        for j in range(i, len(parts)):
+            v, a_v, b_v = parts[j]
+            rows, cols = slice(edges[i], edges[i + 1]), slice(edges[j], edges[j + 1])
+            if i == j and ritz_values is not None:
+                gram_a[rows, cols] = np.diag(ritz_values) if i == 0 else u.T @ a_v
+                continue
+            gram_a[rows, cols], gram_b[rows, cols] = u.T @ a_v, b_u.T @ v
+            gram_a[cols, rows], gram_b[cols, rows] = gram_a[rows, cols].T, gram_b[rows, cols].T
+    return sym(gram_a), sym(gram_b)
+
+
+def carried_rayleigh_ritz(parts, want: int, gram_a: np.ndarray | None = None,
+                          gram_b: np.ndarray | None = None):
+    """Smallest ``want`` Ritz pairs over the span of a basis from carried
+    products.
+
+    The basis is the column concatenation of ``parts``, a list of
+    ``(V, A V, B V)`` triples, with :func:`part_grams` ``gram_a``/``gram_b``;
+    it is never stacked.  Returns ``(values, vectors, a_vectors, b_vectors,
+    coefficients)`` with ``vectors = basis @ coefficients`` and the products
+    mapped alike; no operator is applied.  The Ritz block's
+    B-orthonormality is post-checked from the mapped product; when it
+    exceeds :data:`ORTHO_POST_TOL` one more pass is made over the Ritz
+    block, and OrthonormalizationError raised when that does not mend it.
+    Signs follow :func:`fix_signs`.
+    """
+    if gram_a is None:
+        gram_a, gram_b = part_grams(parts)
+    coeff = None
+    for _ in range(2):
+        transform = gram_basis(gram_b)
+        if want > transform.shape[1]:
+            raise InsufficientRankError(
+                f"basis rank {transform.shape[1]} is below the {want} requested pairs"
+            )
+        eig = sym_eig(sym(transform.T @ gram_a @ transform))
+        values, step_coeff = eig.values[:want].copy(), transform @ eig.vectors[:, :want]
+        x, a_x, b_x = combine_parts(parts, step_coeff)
+        fix_signs(x, step_coeff, a_x, b_x)
+        coeff = step_coeff if coeff is None else coeff @ step_coeff
+        gram_b = x.T @ b_x
+        defect = ortho_defect(gram_b)
+        if defect <= ORTHO_POST_TOL:
+            return values, x, a_x, b_x, coeff
+        parts = [(x, a_x, b_x)]
+        gram_a, gram_b = sym(x.T @ a_x), sym(gram_b)
+    raise OrthonormalizationError(
+        f"Ritz block orthonormality defect {defect:.3e} persists after retry"
+    )
+
+
+def b_normalized(direction):
+    """``(V, A V, B V)`` B-orthonormalized from its products, post-checked,
+    one retry; None when that fails."""
+    for _ in range(2):
+        try:
+            transform = gram_basis(sym(direction[0].T @ direction[2]))
+        except InsufficientRankError:
+            return None
+        direction = combine_parts([direction], transform)
+        if ortho_defect(direction[0].T @ direction[2]) <= ORTHO_POST_TOL:
+            return direction
+    return None
+
+
 def rayleigh_ritz(basis: np.ndarray, a_op: LinearOperator, b_op: LinearOperator,
                   want: int, counters: OpCounters | None = None) -> RitzSet:
     """Smallest ``want`` Ritz pairs of (A, B) over the span of ``basis``.
 
-    The basis is B-orthonormalized internally (callers are not trusted),
-    the projected matrix is diagonalized, and the pairs are mapped back.
-    Ritz vectors are B-normalized with their first significant component
+    The basis is B-orthonormalized (callers are not trusted), A applied to
+    the result, and :func:`carried_rayleigh_ritz` extracts the pairs.  Ritz
+    vectors are B-normalized with their first significant component
     positive, making the output deterministic.
     """
     basis = _as_block(basis)
     if counters is not None:
         counters.rayleigh_ritz_calls += 1
-    ortho, kept, transform = b_orthonormalize_full(basis, b_op, counters)
-    rank = ortho.shape[1]
-    if want > rank:
-        raise InsufficientRankError(
-            f"basis rank {rank} is below the {want} requested pairs"
-        )
-    a_ortho = op_apply(a_op, ortho)
-    projected = ortho.T @ a_ortho
-    projected = 0.5 * (projected + projected.T)
-    eig = sym_eig(projected)
-    coeff = transform @ eig.vectors[:, :want]
+    ortho, _, transform, b_ortho = b_orthonormalize_full(basis, b_op, counters)
+    values, _, _, _, coeff = carried_rayleigh_ritz([(ortho, op_apply(a_op, ortho), b_ortho)], want)
+    coeff = transform @ coeff
     vectors = basis @ coeff
     fix_signs(vectors, coeff)
-    return RitzSet(
-        values=eig.values[:want].copy(),
-        vectors=vectors,
-        coefficients=coeff,
-        basis_rank=rank,
-        basis_kept=kept,
-    )
+    return RitzSet(values=values, vectors=vectors, coefficients=coeff)
 
 
 def b_dual_basis(basis: np.ndarray, b_basis: np.ndarray) -> np.ndarray:
@@ -272,9 +355,8 @@ def b_dual_basis(basis: np.ndarray, b_basis: np.ndarray) -> np.ndarray:
     :func:`gram_transform` T of G (zero when no direction is independent),
     so that ``b_project_out(block, basis, b_dual_basis(basis, b_basis))``
     removes the B-projection onto span(basis)."""
-    gram = basis.T @ b_basis
     try:
-        transform, _ = gram_transform(0.5 * (gram + gram.T))
+        transform, _ = gram_transform(sym(basis.T @ b_basis))
     except ZeroRankError:
         return np.zeros_like(b_basis)
     return b_basis @ (transform @ transform.T)

@@ -45,12 +45,12 @@ class ZeroVectorError(LobpcgKitError):
     """A vector with (numerically) zero B-norm where a nonzero one is required."""
 
 
-class ZeroRankError(LobpcgKitError):
-    """Every column of a block was numerically dependent and got dropped."""
-
-
 class InsufficientRankError(LobpcgKitError):
     """A basis has fewer independent columns than requested eigenpairs."""
+
+
+class ZeroRankError(InsufficientRankError):
+    """Every column of a block was numerically dependent and got dropped."""
 
 
 class OrthonormalizationError(LobpcgKitError):

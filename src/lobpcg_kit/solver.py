@@ -6,16 +6,17 @@ block, and re-extracts the smallest Ritz pairs each step.  A steepest
 descent variant (no previous-direction block) is provided as a baseline.
 
 The products A X, B X, A P and B P are carried alongside X and P and
-updated with the same Ritz coefficients (Hetmaniuk & Lehoucq, "Basis
-selection in LOBPCG", J. Comput. Phys. 218, 2006), so a step applies A
-only to the new direction block.  A X and B X are recomputed explicitly
-before a convergence claim is accepted, before returning, and every
-:data:`REFRESH_PERIOD` steps.  Without a metric, B X, B W and B P are X,
-W and P themselves.  P is B-orthogonalized against X in coefficient space
-and B-normalized from its mapped products.  The Gram blocks known by
-construction (X^T A X = diag(theta), X^T B X = W^T B W = P^T B P = I) are
-formed only once the residuals fall below :data:`EXPLICIT_GRAM_RTOL`
-(scipy's ``explicitGramFlag``).
+updated with the same Ritz coefficients, so a step applies A only to the
+new direction block; the carried-product algebra (Gram matrices, the
+Rayleigh-Ritz projection, B-normalization from products) lives in
+:mod:`lobpcg_kit.blocks`, and this module keeps the iteration.  A X and
+B X are recomputed explicitly before a convergence claim is accepted,
+before returning, and every :data:`REFRESH_PERIOD` steps.  Without a
+metric, B X, B W and B P are X, W and P themselves.  P is B-orthogonalized
+against X in coefficient space and B-normalized from its mapped products.
+The Gram blocks known by construction (X^T A X = diag(theta),
+X^T B X = W^T B W = P^T B P = I) are formed only once the residuals fall
+below :data:`EXPLICIT_GRAM_RTOL` (scipy's ``explicitGramFlag``).
 """
 
 from __future__ import annotations
@@ -30,15 +31,16 @@ from .blocks import (
     ORTHO_POST_TOL,
     OpCounters,
     b_apply,
+    b_normalized,
     b_orthonormalize_full,
     b_project_out,
-    fix_signs,
-    gram_transform,
+    carried_rayleigh_ritz,
+    combine_parts,
+    ortho_defect,
+    part_grams,
 )
-# Unused by the engine; bound here because perfbench/tracer.py looks these
-# names up in this module.
+# Unused here; bound because perfbench/tracer.py looks them up in this module.
 from .blocks import rayleigh_ritz, residual_block  # noqa: F401
-from .operators import IdentityOperator  # noqa: F401
 from .dense import sym_eig_kernel as sym_eig
 from .errors import (
     DimensionMismatchError,
@@ -188,130 +190,16 @@ def _require_finite(*blocks: np.ndarray) -> None:
         raise _Breakdown
 
 
-def _sym(gram: np.ndarray) -> np.ndarray:
-    return 0.5 * (gram + gram.T)
-
-
-def _defect(gram: np.ndarray) -> float:
-    return float(np.max(np.abs(gram - np.eye(gram.shape[0]))))
-
-
-def _gram_basis(gram_b: np.ndarray) -> np.ndarray:
-    """Transform T with T^T G T = I over the independent directions of a
-    basis whose B-Gram matrix is G, found after scaling the columns to unit
-    B-norm.  Raises InsufficientRankError when no direction is independent.
-    """
-    scale = np.sqrt(np.diag(gram_b))
-    scale = np.where(scale > 0, scale, 1.0)
-    try:
-        transform, _ = gram_transform(gram_b / np.outer(scale, scale))
-    except ZeroRankError:
-        raise InsufficientRankError("all basis columns are numerically dependent") from None
-    return transform / scale[:, None]
-
-
-def _combine_parts(parts, coeff: np.ndarray):
-    """``(S C, A S C, B S C)`` for a basis S held as ``(V, A V, B V)`` parts,
-    without stacking them; B S C is S C itself when every part's B-product
-    is the part."""
-    aliased = all(b_v is v for v, _, b_v in parts)
-    out, row = None, 0
-    for part in parts:
-        rows = coeff[row:row + part[0].shape[1]]
-        row += rows.shape[0]
-        pieces = [block @ rows for block in part[:2 if aliased else 3]]
-        if out is None:
-            out = pieces
-        else:
-            for total, piece in zip(out, pieces):
-                total += piece
-    return out[0], out[1], out[0] if aliased else out[2]
-
-
-def _grams(parts, ritz_values: np.ndarray | None = None):
-    """Projected A- and B-Gram matrices of a basis held as ``(V, A V, B V)``
-    parts, formed over the upper block triangle.  With ``ritz_values``, every
-    part is taken to be B-orthonormal and the first to be the Ritz block of
-    those values, so diag(ritz_values) and the diagonal B-blocks I are not
-    formed.  Off-diagonal B-blocks use the earlier part's B-product: the
-    carried B P of the last part, whose drift compounds, never enters.
-    """
-    edges = np.cumsum([0] + [v.shape[1] for v, _, _ in parts])
-    gram_a, gram_b = np.zeros((edges[-1], edges[-1])), np.eye(edges[-1])
-    for i, (u, _, b_u) in enumerate(parts):
-        for j in range(i, len(parts)):
-            v, a_v, b_v = parts[j]
-            rows, cols = slice(edges[i], edges[i + 1]), slice(edges[j], edges[j + 1])
-            if i == j and ritz_values is not None:
-                gram_a[rows, cols] = np.diag(ritz_values) if i == 0 else u.T @ a_v
-                continue
-            gram_a[rows, cols], gram_b[rows, cols] = u.T @ a_v, b_u.T @ v
-            gram_a[cols, rows], gram_b[cols, rows] = gram_a[rows, cols].T, gram_b[rows, cols].T
-    return _sym(gram_a), _sym(gram_b)
-
-
-def _rayleigh_ritz(parts, want: int, gram_a: np.ndarray | None = None,
-                   gram_b: np.ndarray | None = None):
-    """Smallest ``want`` Ritz pairs over the span of a basis from carried
-    products.
-
-    The basis is the column concatenation of ``parts``, a list of
-    ``(V, A V, B V)`` triples; it is never stacked.  Returns
-    ``(values, vectors, a_vectors, b_vectors, coefficients)`` with
-    ``vectors = basis @ coefficients`` and the products mapped alike; no
-    operator is applied.  The Ritz block's B-orthonormality is post-checked
-    from the mapped product; when it exceeds :data:`ORTHO_POST_TOL` one more
-    pass is made over the Ritz block, and OrthonormalizationError raised
-    when that does not mend it.  Signs follow :func:`fix_signs`.
-    """
-    if gram_a is None:
-        gram_a, gram_b = _grams(parts)
-    coeff = None
-    for _ in range(2):
-        transform = _gram_basis(gram_b)
-        if want > transform.shape[1]:
-            raise InsufficientRankError(
-                f"basis rank {transform.shape[1]} is below the {want} requested pairs"
-            )
-        eig = sym_eig(_sym(transform.T @ gram_a @ transform))
-        values, step_coeff = eig.values[:want].copy(), transform @ eig.vectors[:, :want]
-        x, a_x, b_x = _combine_parts(parts, step_coeff)
-        fix_signs(x, step_coeff, a_x, b_x)
-        coeff = step_coeff if coeff is None else coeff @ step_coeff
-        gram_b = x.T @ b_x
-        defect = _defect(gram_b)
-        if defect <= ORTHO_POST_TOL:
-            return values, x, a_x, b_x, coeff
-        parts = [(x, a_x, b_x)]
-        gram_a, gram_b = _sym(x.T @ a_x), _sym(gram_b)
-    raise OrthonormalizationError(
-        f"Ritz block orthonormality defect {defect:.3e} persists after retry"
-    )
-
-
 def _next_direction(parts, coeff: np.ndarray, gram_b: np.ndarray):
     """Previous-direction block ``(P, A P, B P)`` for the next step, or None:
     the Ritz coefficients ``coeff`` with the rows of the iterate block
     ``parts[0]`` zeroed, B-orthogonalized against ``coeff`` through the
-    basis' B-Gram matrix ``gram_b``, then :func:`_b_normalized`."""
+    basis' B-Gram matrix ``gram_b``, then
+    :func:`~lobpcg_kit.blocks.b_normalized`."""
     tail = coeff.copy()
     tail[:parts[0][0].shape[1]] = 0.0
     tail -= coeff @ (coeff.T @ gram_b @ tail)
-    return _b_normalized(_combine_parts(parts, tail))
-
-
-def _b_normalized(direction):
-    """``(V, A V, B V)`` B-orthonormalized from its products, post-checked,
-    one retry; None when that fails."""
-    for _ in range(2):
-        try:
-            transform = _gram_basis(_sym(direction[0].T @ direction[2]))
-        except InsufficientRankError:
-            return None
-        direction = _combine_parts([direction], transform)
-        if _defect(direction[0].T @ direction[2]) <= ORTHO_POST_TOL:
-            return direction
-    return None
+    return b_normalized(combine_parts(parts, tail))
 
 
 class LobpcgEngine:
@@ -364,8 +252,7 @@ class LobpcgEngine:
             if constraints.ndim == 1:
                 constraints = constraints[:, None]
             self.constraints, _, _, self.b_constraints = b_orthonormalize_full(
-                constraints, self.b_op, self.counters, with_product=True
-            )
+                constraints, self.b_op, self.counters)
         else:
             self.constraints = self.b_constraints = None
 
@@ -390,7 +277,7 @@ class LobpcgEngine:
         self._explicit_grams = False  # see EXPLICIT_GRAM_RTOL
         if np.isfinite(a_start).all():
             self.counters.rayleigh_ritz_calls += 1
-            self._adopt(*_rayleigh_ritz([(start, a_start, b_start)], self.block_size)[:4])
+            self._adopt(*carried_rayleigh_ritz([(start, a_start, b_start)], self.block_size)[:4])
         else:
             self._adopt(np.full(self.block_size, np.nan), start, a_start, b_start)
 
@@ -409,9 +296,7 @@ class LobpcgEngine:
         for _ in range(3):
             candidate = self._deflate(start)
             try:
-                ortho, _, _, b_ortho = b_orthonormalize_full(
-                    candidate, self.b_op, self.counters, with_product=True
-                )
+                ortho, _, _, b_ortho = b_orthonormalize_full(candidate, self.b_op, self.counters)
             except ZeroRankError:
                 ortho = np.zeros((self.dim, 0))
             if ortho.shape[1] >= self.block_size:
@@ -451,9 +336,9 @@ class LobpcgEngine:
         b_x = b_apply(self.b_op, self.X)
         _require_finite(a_x, b_x)
         x, values = self.X, self.ritz_values
-        if _defect(x.T @ b_x) > ORTHO_POST_TOL:
+        if ortho_defect(x.T @ b_x) > ORTHO_POST_TOL:
             self.counters.orthonormalizations += 1
-            values, x, a_x, b_x, _ = _rayleigh_ritz([(x, a_x, b_x)], self.block_size)
+            values, x, a_x, b_x, _ = carried_rayleigh_ritz([(x, a_x, b_x)], self.block_size)
         self.X, self.AX, self.BX, self.ritz_values = x, a_x, b_x, values
         self._fresh = True
         self._update_residuals()
@@ -493,7 +378,7 @@ class LobpcgEngine:
         applied to the new direction block only, B to it by its
         orthonormalization and post-check.  Raises the internal breakdown
         signal when the residuals or the projected Gram matrices are not
-        finite, or no search directions survive.
+        finite, no search directions survive, or the trial without P fails.
         """
         include_p = self.use_history_direction if use_previous is None else use_previous
         active = np.flatnonzero(~self.converged_mask())
@@ -510,9 +395,7 @@ class LobpcgEngine:
         directions = self._deflate(directions)
         directions = b_project_out(directions, self.X, self.BX)
         try:
-            w_block, _, _, b_w = b_orthonormalize_full(
-                directions, self.b_op, self.counters, with_product=True
-            )
+            w_block, _, _, b_w = b_orthonormalize_full(directions, self.b_op, self.counters)
         except ZeroRankError:
             raise _Breakdown from None
         a_w = op_apply(self.a_op, w_block)
@@ -520,11 +403,11 @@ class LobpcgEngine:
         parts = [(self.X, self.AX, self.BX), (w_block, a_w, b_w)]
         if include_p and self.P is not None:
             parts.append((self.P, self.AP, self.BP))
-        gram_a, gram_b = _grams(parts, None if self._explicit_grams else self.ritz_values)
+        gram_a, gram_b = part_grams(parts, None if self._explicit_grams else self.ritz_values)
         _require_finite(gram_a, gram_b)
         # Condition guard on the joint Gram matrix: drop the carried
         # directions for this step when the basis degenerates, or when the
-        # projection with them falls short of rank.
+        # projection with them falls short of rank or fails its post-check.
         trials = [parts[:2]]
         if len(parts) == 3 and self._well_conditioned(gram_b):
             trials.insert(0, parts)
@@ -532,11 +415,11 @@ class LobpcgEngine:
             width = sum(block.shape[1] for block, _, _ in trial)
             self.counters.rayleigh_ritz_calls += 1
             try:
-                values, x, a_x, b_x, coeff = _rayleigh_ritz(
+                values, x, a_x, b_x, coeff = carried_rayleigh_ritz(
                     trial, self.block_size, gram_a[:width, :width], gram_b[:width, :width]
                 )
                 break
-            except InsufficientRankError:
+            except (InsufficientRankError, OrthonormalizationError):
                 continue
         else:
             raise _Breakdown

@@ -13,7 +13,8 @@ them, so every recurrence stays LOBPCG across couplings (a retry after a
 round in which nothing moved drops them).  It is the engines' explicit
 refresh and the only place a convergence claim is accepted.  The shared
 step can thus be omitted on most rounds, trading coupling frequency
-against per-round cost.
+against per-round cost.  The coupling's Rayleigh-Ritz and B-normalization
+are those of :mod:`lobpcg_kit.blocks`; this module keeps only the coupling.
 """
 
 from __future__ import annotations
@@ -24,11 +25,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blocks import b_apply, b_dual_basis, b_orthonormalize_full
+from .blocks import (
+    b_apply,
+    b_dual_basis,
+    b_normalized,
+    b_orthonormalize_full,
+    carried_rayleigh_ritz,
+    combine_parts,
+)
 # Unused here; bound because perfbench/tracer.py looks them up in this module.
 from .blocks import b_project_out, rayleigh_ritz, residual_block  # noqa: F401
 from .errors import InsufficientRankError, InvalidConfigError, OrthonormalizationError
-from .operators import IdentityOperator, LinearOperator, op_apply  # noqa: F401
+from .operators import LinearOperator, op_apply
 from .solver import (
     REFRESH_PERIOD,
     STATUS_BREAKDOWN,
@@ -39,9 +47,6 @@ from .solver import (
     SolveResult,
     SolverConfig,
     _Breakdown,
-    _b_normalized,
-    _combine_parts,
-    _rayleigh_ritz,
     _require_finite,
     norm_estimates,  # noqa: F401
 )
@@ -124,25 +129,25 @@ def lobpcg2_solve(a_op: LinearOperator, cfg: Lobpcg2Config, *,
         counters.rayleigh_ritz_calls += 1
         parts = [(x, a_x, b_x)]
         try:
-            values, x, a_x, b_x, _ = _rayleigh_ritz(parts, padded)
+            values, x, a_x, b_x, _ = carried_rayleigh_ritz(parts, padded)
         except InsufficientRankError:
             # recurrences collapsed: widen the span with random columns
             fill = rng.standard_normal((dim, padded))
             parts.append((fill, op_apply(lead.a_op, fill), b_apply(lead.b_op, fill)))
             _require_finite(*parts[1])
-            values, x, a_x, b_x, _ = _rayleigh_ritz(parts, padded)
+            values, x, a_x, b_x, _ = carried_rayleigh_ritz(parts, padded)
         for engine, cols in zip(engines, slices):
             direction = None
             if keep and engine.P is not None:  # P -= X (B X)^T P, one engine at a time
                 counters.orthonormalizations += 1
-                direction = _b_normalized(_combine_parts(  # P may hold fewer than nb columns
+                direction = b_normalized(combine_parts(  # P may hold fewer than nb columns
                     [(engine.P, engine.AP, engine.BP), (x, a_x, b_x)],
                     np.vstack([np.eye(engine.P.shape[1]), -(b_x.T @ engine.P)])))
             x_cols = x[:, cols].copy()
             engine._adopt(values[cols].copy(), x_cols, a_x[:, cols].copy(),
                           x_cols if b_x is x else b_x[:, cols].copy(), direction)
 
-    x, _, _, b_x = b_orthonormalize_full(start, lead.b_op, counters, with_product=True)
+    x, _, _, b_x = b_orthonormalize_full(start, lead.b_op, counters)
     a_x = op_apply(lead.a_op, x)
     if not np.isfinite(a_x).all():
         nan = np.full(nev, np.nan)

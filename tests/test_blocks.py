@@ -212,6 +212,21 @@ class TestRayleighRitz:
         gram = ritz.vectors.T @ op_apply(b, ritz.vectors)
         assert np.max(np.abs(gram - np.eye(5))) <= 1e-8
 
+    @pytest.mark.parametrize("rel", [3e-7, 1e-6])
+    def test_near_dependent_pair_keeps_the_galerkin_condition(self, rel):
+        # the copy is kept as an independent direction, so the B-Gram
+        # matrix of the basis has condition about 1 / rel^2
+        rng = np.random.default_rng(7)
+        n = 12
+        a = spd_operator(rng, n)
+        b = DiagonalOperator(np.linspace(1.0, 4.0, n))
+        v, u = rng.standard_normal(n), rng.standard_normal(n)
+        basis = np.column_stack([v, v + rel * np.linalg.norm(v) * u / np.linalg.norm(u)])
+        ritz = rayleigh_ritz(basis, a, b, want=1)
+        residual = op_apply(a, ritz.vectors) - op_apply(b, ritz.vectors) * ritz.values
+        norm_a = np.linalg.norm(a.to_dense(), 2)
+        assert np.max(np.abs(basis.T @ residual)) <= 1e-9 * norm_a * np.linalg.norm(basis, 2)
+
     def test_insufficient_rank(self, rng):
         v = rng.standard_normal((10, 1))
         basis = np.hstack([v, v, v])
@@ -235,6 +250,61 @@ def test_rayleigh_ritz_zero_rank_propagates():
     with pytest.raises(ZeroRankError):
         rayleigh_ritz(np.zeros((8, 2)), IdentityOperator(8), IdentityOperator(8),
                       want=1)
+
+
+@st.composite
+def ritz_problems(draw):
+    """An SPD pencil (A, B) of dimension 6-14, B diagonal or with a dense
+    pattern, and a basis of ``rank`` random columns plus duplicated, scaled
+    and near-dependent copies of them in shuffled order; returns
+    ``(a, b, basis, want, delta)`` with ``want <= rank`` and ``delta`` the
+    largest relative perturbation of a near-dependent copy (0 if none)."""
+    n = draw(st.integers(6, 14))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = spd_operator(rng, n)
+    if draw(st.booleans()):
+        b = DiagonalOperator(rng.uniform(0.5, 4.0, n))
+    else:
+        b = spd_operator(rng, n)
+    rank = draw(st.integers(1, n // 2))
+    base = rng.standard_normal((n, rank))
+    columns = list(base.T)
+    # a factor of 1 duplicates the column
+    for k, factor in draw(st.lists(st.tuples(st.integers(0, rank - 1),
+                                             st.sampled_from([1.0, -1e3, 1e-3, 7.0])),
+                                   max_size=3)):
+        columns.append(factor * base[:, k])
+    # near copies stop at 3e-7: from about 1e-6 on, several of them may be
+    # kept as independent, and basis @ coefficients, formed with coefficients
+    # that large, misses the 1e-8 B-orthonormality
+    near = draw(st.lists(st.tuples(st.integers(0, rank - 1),
+                                   st.sampled_from([1e-14, 1e-11, 1e-9, 1e-8, 1e-7, 3e-7])),
+                         max_size=3))
+    for k, rel in near:
+        noise = rng.standard_normal(n)
+        noise *= rel * np.linalg.norm(base[:, k]) / np.linalg.norm(noise)
+        columns.append(base[:, k] + noise)
+    delta = max([rel for _, rel in near], default=0.0)
+    order = draw(st.permutations(range(len(columns))))
+    basis = np.column_stack([columns[k] for k in order])
+    return a, b, basis, draw(st.integers(1, rank)), delta
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(ritz_problems())
+def test_rayleigh_ritz_property(problem):
+    a, b, basis, want, delta = problem
+    ritz = rayleigh_ritz(basis, a, b, want)
+    x = ritz.vectors
+    # Galerkin condition over the whole basis; a near-dependent column whose
+    # difference is dropped as dependent leaves that difference's share of
+    # the residual unprojected, so the bound grows by its relative size
+    residual = op_apply(a, x) - op_apply(b, x) * ritz.values[None, :]
+    norm_a = np.linalg.norm(a.to_dense(), 2)
+    bound = (1e-9 + delta) * norm_a * np.linalg.norm(basis, 2)
+    assert np.max(np.abs(basis.T @ residual)) <= bound
+    assert np.max(np.abs(x.T @ op_apply(b, x) - np.eye(want))) <= 1e-8
+    np.testing.assert_array_equal(x, basis @ ritz.coefficients)
 
 
 def loop_fix_signs(vectors, *companions):

@@ -338,15 +338,15 @@ class TestStepConstruction:
         assert not engine._explicit_grams and engine.P is not None
         # a direction block as the step forms one
         directions = b_project_out(engine.precond.apply(engine.R), engine.X, engine.BX)
-        w, _, _, b_w = b_orthonormalize_full(directions, engine.b_op, with_product=True)
+        w, _, _, b_w = b_orthonormalize_full(directions, engine.b_op)
         parts = [(engine.X, engine.AX, engine.BX), (w, op_apply(a, w), b_w),
                  (engine.P, engine.AP, engine.BP)]
-        for known, explicit in zip(solver._grams(parts, engine.ritz_values),
-                                   solver._grams(parts)):
+        for known, explicit in zip(solver.part_grams(parts, engine.ritz_values),
+                                   solver.part_grams(parts)):
             np.testing.assert_allclose(known, explicit, rtol=0, atol=1e-8)
 
     def test_grams_turn_explicit_once_residuals_cross_sqrt_eps(self, monkeypatch):
-        grams, explicit = solver._grams, []
+        grams, explicit = solver.part_grams, []
 
         def recording_grams(parts, ritz_values=None):
             explicit.append(ritz_values is None)
@@ -355,7 +355,7 @@ class TestStepConstruction:
         a = laplacian_1d(200)
         engine = LobpcgEngine(a, SolverConfig(nev=3, block_size=5, seed=0),
                               precond=jacobi_precond(a))
-        monkeypatch.setattr(solver, "_grams", recording_grams)
+        monkeypatch.setattr(solver, "part_grams", recording_grams)
         crossed = []
         while crossed.count(True) < 10:
             ratios = engine.residual_norms / engine.convergence_thresholds(1.0)
@@ -366,6 +366,30 @@ class TestStepConstruction:
         # every step from the first crossing on
         assert explicit == [False] * first + [True] * (len(crossed) - first)
 
+    def test_trial_with_p_failing_its_post_check_falls_back_to_x_and_w(self, monkeypatch):
+        carried, widths = solver.carried_rayleigh_ritz, []
+
+        def failing_once(parts, *args, **kwargs):
+            # the first trial that includes P fails the Ritz block's post-check
+            if len(parts) == 3 and not widths:
+                widths.extend(v.shape[1] for v, _, _ in parts)
+                raise OrthonormalizationError("Ritz block orthonormality defect persists")
+            return carried(parts, *args, **kwargs)
+
+        a = laplacian_1d(200)
+        cfg = SolverConfig(nev=3, block_size=5, seed=0)
+        engine = LobpcgEngine(a, cfg, precond=jacobi_precond(a))
+        engine.step()
+        assert engine.P is not None
+        monkeypatch.setattr(solver, "carried_rayleigh_ritz", failing_once)
+        engine.step()
+        assert widths and engine.iterations == 2
+        assert engine._last_basis_cols == widths[0] + widths[1]
+        assert engine.run().status == "converged"
+
+        widths.clear()
+        res = lobpcg_solve(a, cfg, precond=jacobi_precond(a))
+        assert widths and res.status == "converged"
 
 def poisoned_operator(dim, func, bad_value):
     """Callable operator that returns ``bad_value`` everywhere once armed."""
@@ -547,7 +571,7 @@ def test_ritz_block_error_reports_the_defect_that_failed():
     skew = np.array([[0.0, 1e-6, 0.0], [-1e-6, 0.0, 2e-6], [0.0, -2e-6, 0.0]])
     parts = [(v, v * [1.0, 2.0, 3.0], v @ (np.eye(3) + skew))]
     with pytest.raises(OrthonormalizationError) as info:
-        solver._rayleigh_ritz(parts, 2)
+        solver.carried_rayleigh_ritz(parts, 2)
     reported = float(re.search(r"defect (\S+) persists", str(info.value)).group(1))
     assert reported > ORTHO_POST_TOL
     assert reported == pytest.approx(1e-6, rel=1e-3)

@@ -55,7 +55,7 @@ def event_log(monkeypatch):
             counters[:] = [engine.counters]
         return counters[0].a_matvecs, counters[0].b_matvecs
 
-    adopt, step, shared_rr = LobpcgEngine._adopt, LobpcgEngine.step, solver2._rayleigh_ritz
+    adopt, step, shared_rr = LobpcgEngine._adopt, LobpcgEngine.step, solver2.carried_rayleigh_ritz
 
     def logged_adopt(engine, values, x, a_x, b_x, direction=None):
         kept = None if direction is None else [block.copy() for block in direction]
@@ -72,7 +72,7 @@ def event_log(monkeypatch):
 
     monkeypatch.setattr(LobpcgEngine, "_adopt", logged_adopt)
     monkeypatch.setattr(LobpcgEngine, "step", logged_step)
-    monkeypatch.setattr(solver2, "_rayleigh_ritz", logged_rr)
+    monkeypatch.setattr(solver2, "carried_rayleigh_ritz", logged_rr)
     return log
 
 

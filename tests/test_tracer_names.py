@@ -3,15 +3,18 @@
 ``perfbench/tracer.py`` records per-layer spans by replacing names that the
 library's callers look up in a module or class.  A refactor that unbinds
 one of them would otherwise only fail in the benchmark's smoke test or in a
-traced run.
+traced run.  Conversely, an import the library keeps only for the tracer
+(marked ``# noqa: F401``) must still be one the tracer looks up.
 """
 
+import ast
 import importlib.util
 from pathlib import Path
 
 import pytest
 
 TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "lobpcg_kit"
 
 
 def load_tracer():
@@ -46,3 +49,22 @@ def test_install_and_restore_round_trip():
     finally:
         traced.restore()
     assert [vars(owner)[attr] for owner, attr in LOOKED_UP] == before
+
+
+def imports_marked_unused():
+    """``(module, name)`` of every name imported on a line of the package
+    marked ``# noqa: F401``, inside parenthesized imports as well."""
+    marked = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        lines = path.read_text().splitlines()
+        for node in ast.walk(ast.parse("\n".join(lines))):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                marked += [(f"lobpcg_kit.{path.stem}", alias.asname or alias.name)
+                           for alias in node.names
+                           if "# noqa: F401" in lines[alias.lineno - 1]]
+    return marked
+
+
+def test_imports_kept_for_the_tracer_are_looked_up():
+    looked_up = {(owner.__name__, attr) for owner, attr in LOOKED_UP}
+    assert [pair for pair in imports_marked_unused() if pair not in looked_up] == []
