@@ -9,9 +9,9 @@ cap reached, 3 breakdown.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import itertools
 import math
-import os
 import sys
 import time
 from datetime import datetime, timezone
@@ -96,7 +96,6 @@ def _manifest(command: str, flags: list[str], problem_paths: dict, variant: str 
         "tool_version": __version__,
         "timestamp_utc": datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ"),
         "flags": flags,
-        "thread_cap": os.environ.get("LOBPCG_KIT_THREADS"),
     }
 
 
@@ -155,32 +154,24 @@ def _build_parser() -> _Parser:
 
 # -- solve ----------------------------------------------------------------
 
-def _config_echo(cfg) -> dict:
-    if isinstance(cfg, Lobpcg2Config):
-        return {
-            "nev": cfg.nev, "sub_block": cfg.sub_block, "rr_period": cfg.rr_period,
-            "tol": cfg.tol, "max_iter": cfg.max_iter, "seed": cfg.seed,
-            "record_history": cfg.record_history,
-        }
-    return {
-        "nev": cfg.nev, "block_size": cfg.resolved_block_size(), "tol": cfg.tol,
-        "max_iter": cfg.max_iter, "seed": cfg.seed, "locking": cfg.locking,
-        "restart_cond_limit": cfg.restart_cond_limit,
-        "record_history": cfg.record_history,
-    }
-
-
-def _history_docs(history) -> list[dict]:
-    return [
-        {
-            "iteration": rec.iteration,
-            "ritz_values": list(rec.ritz_values),
-            "residual_norms": list(rec.residual_norms),
-            "locked_count": rec.locked_count,
-            "basis_cols": rec.basis_cols,
-        }
-        for rec in history
-    ]
+def _run_variant(variant: str, args, matrix, metric, precond, *, block: int | None,
+                 rr_period: int, history: bool = False, x0: np.ndarray | None = None):
+    """Build ``variant``'s config, its block width resolved, and time its
+    solve.  Returns ``(cfg, result, wall_seconds)``."""
+    if variant == "lobpcg2":
+        cfg = Lobpcg2Config(nev=args.nev, sub_block=block or 1, rr_period=rr_period,
+                            tol=args.tol, max_iter=args.max_iter, seed=args.seed,
+                            record_history=history)
+        solve, start_block = lobpcg2_solve, {}
+    else:
+        cfg = SolverConfig(nev=args.nev, block_size=args.nev if block is None else block,
+                           tol=args.tol, max_iter=args.max_iter, seed=args.seed,
+                           record_history=history)
+        solve = lobpcg_solve if variant == "lobpcg" else psd_solve
+        start_block = {"x0": x0}
+    start = time.perf_counter()
+    result = solve(matrix, cfg, b_op=metric, precond=precond, **start_block)
+    return cfg, result, time.perf_counter() - start
 
 
 def cmd_solve(args, flags: list[str]) -> int:
@@ -193,35 +184,22 @@ def cmd_solve(args, flags: list[str]) -> int:
             raise InvalidConfigError("--x0 is not supported with --variant lobpcg2")
         if args.block_size is not None:
             raise InvalidConfigError("use --sub-block, not --block-size, with lobpcg2")
-        cfg = Lobpcg2Config(
-            nev=args.nev, sub_block=args.sub_block or 1, rr_period=args.rr_period or 1,
-            tol=args.tol, max_iter=args.max_iter, seed=args.seed,
-            record_history=args.history,
-        )
-        start = time.perf_counter()
-        result = lobpcg2_solve(matrix, cfg, b_op=metric, precond=precond)
-        wall = time.perf_counter() - start
+        block = args.sub_block
+    elif args.sub_block is not None or args.rr_period is not None:
+        raise InvalidConfigError("--sub-block/--rr-period only apply to --variant lobpcg2")
     else:
-        if args.sub_block is not None or args.rr_period is not None:
-            raise InvalidConfigError(
-                "--sub-block/--rr-period only apply to --variant lobpcg2"
-            )
-        cfg = SolverConfig(
-            nev=args.nev, block_size=args.block_size, tol=args.tol,
-            max_iter=args.max_iter, seed=args.seed, record_history=args.history,
-        )
-        x0 = read_dense_matrix_market(args.x0) if args.x0 else None
-        solve = lobpcg_solve if args.variant == "lobpcg" else psd_solve
-        start = time.perf_counter()
-        result = solve(matrix, cfg, b_op=metric, precond=precond, x0=x0)
-        wall = time.perf_counter() - start
+        block = args.block_size
+    x0 = read_dense_matrix_market(args.x0) if args.x0 else None
+    cfg, result, wall = _run_variant(args.variant, args, matrix, metric, precond,
+                                     block=block, rr_period=args.rr_period or 1,
+                                     history=args.history, x0=x0)
 
     document = {
         "format_version": FORMAT_VERSION,
         "manifest": _manifest(
             "solve", flags,
             {"matrix": args.matrix, "metric": args.metric, "x0": args.x0},
-            args.variant, args.seed, _config_echo(cfg),
+            args.variant, args.seed, dataclasses.asdict(cfg),
         ),
         "status": result.status,
         "eigenvalues": list(result.values),
@@ -229,7 +207,7 @@ def cmd_solve(args, flags: list[str]) -> int:
         "residual_norms_final": list(result.residual_norms),
     }
     if args.history:
-        document["history"] = _history_docs(result.history)
+        document["history"] = [dataclasses.asdict(rec) for rec in result.history]
     document["wall_time_seconds"] = wall
 
     with open(args.out, "w", encoding="utf-8") as handle:
@@ -301,24 +279,13 @@ def cmd_bench(args, flags: list[str]) -> int:
     rows = []
     for cell in cells:
         precond = jacobi_precond(matrix) if cell["precond"] == "jacobi" else None
-        start = time.perf_counter()
-        if cell["variant"] == "lobpcg2":
-            cfg = Lobpcg2Config(nev=args.nev, sub_block=cell["block_size"] or 1,
-                                rr_period=cell["rr_period"], tol=args.tol,
-                                max_iter=args.max_iter, seed=args.seed)
-            result = lobpcg2_solve(matrix, cfg, b_op=metric, precond=precond)
-            block_used = cfg.sub_block
-        else:
-            cfg = SolverConfig(nev=args.nev, block_size=cell["block_size"],
-                               tol=args.tol, max_iter=args.max_iter, seed=args.seed)
-            solve = lobpcg_solve if cell["variant"] == "lobpcg" else psd_solve
-            result = solve(matrix, cfg, b_op=metric, precond=precond)
-            block_used = cfg.resolved_block_size()
-        wall = time.perf_counter() - start
+        cfg, result, wall = _run_variant(cell["variant"], args, matrix, metric, precond,
+                                         block=cell["block_size"],
+                                         rr_period=cell["rr_period"])
         rows.append({
             "format_version": FORMAT_VERSION,
             "variant": cell["variant"],
-            "block_size": block_used,
+            "block_size": cfg.sub_block if isinstance(cfg, Lobpcg2Config) else cfg.block_size,
             "rr_period": cell["rr_period"],
             "precond": cell["precond"],
             "nev": args.nev,

@@ -66,6 +66,25 @@ def _parse_header(path: str | os.PathLike) -> tuple[str, str]:
     return fmt, sym
 
 
+def _size_line(lines, fields: str) -> tuple[int, list[int]]:
+    """Line number and integers of the size line, which holds ``fields``:
+    the dimensions, at least 1, then any counts, at least 0."""
+    try:
+        line_no, text = next(lines)
+    except StopIteration:
+        raise MatrixMarketParseError("missing size line") from None
+    parts = text.split()
+    if len(parts) != len(fields.split()):
+        raise MatrixMarketParseError(f"size line needs '{fields}'", line_no)
+    try:
+        sizes = [int(part) for part in parts]
+    except ValueError:
+        raise MatrixMarketParseError("size line is not integral", line_no) from None
+    if min(sizes[:2]) < 1 or min(sizes) < 0:
+        raise MatrixMarketParseError("non-positive dimensions", line_no)
+    return line_no, sizes
+
+
 def parse_matrix_market(path: str | os.PathLike) -> SparseSymMatrix:
     """Read a ``coordinate real symmetric`` (or numerically symmetric
     ``general``) file into a full-pattern symmetric CSR matrix.
@@ -78,21 +97,9 @@ def parse_matrix_market(path: str | os.PathLike) -> SparseSymMatrix:
         raise UnsupportedFieldError(f"format {fmt!r} is not supported here (coordinate only)")
 
     lines = _data_lines(path)
-    try:
-        size_line_no, size_text = next(lines)
-    except StopIteration:
-        raise MatrixMarketParseError("missing size line") from None
-    parts = size_text.split()
-    if len(parts) != 3:
-        raise MatrixMarketParseError("size line needs 'rows cols nnz'", size_line_no)
-    try:
-        rows, cols, nnz = int(parts[0]), int(parts[1]), int(parts[2])
-    except ValueError:
-        raise MatrixMarketParseError("size line is not integral", size_line_no) from None
+    size_line_no, (rows, cols, nnz) = _size_line(lines, "rows cols nnz")
     if rows != cols:
         raise MatrixMarketParseError(f"matrix is {rows}x{cols}, not square", size_line_no)
-    if rows < 1 or nnz < 0:
-        raise MatrixMarketParseError("non-positive dimensions", size_line_no)
 
     entries: list[tuple[int, int, float]] = []
     last_line_no = size_line_no
@@ -145,14 +152,7 @@ def read_dense_matrix_market(path: str | os.PathLike) -> np.ndarray:
     if sym != "general":
         raise UnsupportedFieldError("array files must be general")
     lines = _data_lines(path)
-    try:
-        size_line_no, size_text = next(lines)
-    except StopIteration:
-        raise MatrixMarketParseError("missing size line") from None
-    parts = size_text.split()
-    if len(parts) != 2:
-        raise MatrixMarketParseError("size line needs 'rows cols'", size_line_no)
-    rows, cols = int(parts[0]), int(parts[1])
+    _, (rows, cols) = _size_line(lines, "rows cols")
     values = []
     for line_no, text in lines:
         try:

@@ -31,11 +31,9 @@ MIRROR_RTOL = 1e-12
 class LinearOperator:
     """Symmetric operator contract: ``apply`` maps (n, m) blocks to (n, m).
 
-    ``kind`` is one of ``identity``, ``diagonal``, ``sparse_sym`` or
-    ``composite`` and steers norm estimation and densification shortcuts.
+    A subclass defines ``apply``; :func:`norm_estimates` estimates the
+    identity, diagonal and sparse classes without applying them.
     """
-
-    kind = "composite"
 
     def __init__(self, dim: int):
         if dim < 1:
@@ -55,15 +53,11 @@ class LinearOperator:
 
 
 class IdentityOperator(LinearOperator):
-    kind = "identity"
-
     def apply(self, block: np.ndarray) -> np.ndarray:
         return np.array(block, dtype=float, copy=True)
 
 
 class DiagonalOperator(LinearOperator):
-    kind = "diagonal"
-
     def __init__(self, diagonal: Sequence[float]):
         diagonal = np.asarray(diagonal, dtype=float)
         super().__init__(diagonal.shape[0])
@@ -78,8 +72,6 @@ class DiagonalOperator(LinearOperator):
 
 class CallableOperator(LinearOperator):
     """Matrix-free operator wrapping a user callable on (n, m) blocks."""
-
-    kind = "composite"
 
     def __init__(self, dim: int, func: Callable[[np.ndarray], np.ndarray]):
         super().__init__(dim)
@@ -105,8 +97,6 @@ class SparseSymMatrix(LinearOperator):
     the rows sorted by descending length, and slot k holding the k-th entry
     of every row longer than k (those rows form a prefix of the order).
     """
-
-    kind = "sparse_sym"
 
     def __init__(self, dim: int, row_offsets: np.ndarray, col_indices: np.ndarray,
                  values: np.ndarray):
@@ -258,14 +248,39 @@ def op_apply(op: LinearOperator, block: np.ndarray) -> np.ndarray:
     return out[:, 0] if single else out
 
 
+def norm_estimates(op: LinearOperator) -> float:
+    """Cheap 2-norm estimate by operator class: 1 for the identity, the
+    largest magnitude of a diagonal, the max row 1-norm of a sparse matrix,
+    and a short deterministic power iteration for any other operator.
+
+    Guaranteed within a factor of the dimension of the true 2-norm.
+    """
+    if isinstance(op, IdentityOperator):
+        return 1.0
+    if isinstance(op, DiagonalOperator):
+        return float(np.max(np.abs(op.diagonal_values)))
+    if isinstance(op, SparseSymMatrix):
+        return op.max_row_l1()
+    rng = np.random.default_rng(1905)
+    vec = rng.standard_normal((op.dim, 1))
+    vec /= np.linalg.norm(vec)
+    estimate = 0.0
+    for _ in range(10):
+        nxt = op.apply(vec)
+        estimate = float(np.linalg.norm(nxt))
+        if estimate == 0.0:
+            return 0.0
+        vec = nxt / estimate
+    return estimate
+
+
 def jacobi_precond(matrix) -> DiagonalOperator:
     """Inverse-diagonal preconditioner with a unit fallback.
 
     ``matrix`` is an operator with a ``diagonal()`` method or the 1-d
     diagonal itself.  Entries with diagonal <= 1e-300 (zero or negative)
     get reciprocal 1 and set the ``nonpositive_diagonal`` warning flag on
-    the result.  The reciprocals are its ``diagonal_values``, also bound as
-    ``diagonal_reciprocals``.
+    the result.  The reciprocals are its ``diagonal_values``.
     """
     if isinstance(matrix, LinearOperator):
         diag = np.asarray(matrix.diagonal(), dtype=float)
@@ -276,7 +291,6 @@ def jacobi_precond(matrix) -> DiagonalOperator:
     usable = diag > 1e-300
     pre = DiagonalOperator(np.where(usable, 1.0 / np.where(usable, diag, 1.0), 1.0))
     pre.nonpositive_diagonal = bool(np.any(~usable))
-    pre.diagonal_reciprocals = pre.diagonal_values
     return pre
 
 

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DisconnectedGraphError, InvalidConfigError, NoConvergenceError
-from .operators import SparseSymMatrix, jacobi_precond, laplacian_from_edges
-from .solver import SolverConfig, lobpcg_solve, norm_estimates
+from .operators import SparseSymMatrix, jacobi_precond, laplacian_from_edges, norm_estimates
+from .solver import SolverConfig, lobpcg_solve
 
 #: Algebraic connectivity below CONNECTIVITY_RTOL * ||L|| means disconnected.
 CONNECTIVITY_RTOL = 1e-10

@@ -46,10 +46,18 @@ from .errors import (
     DimensionMismatchError,
     InsufficientRankError,
     InvalidConfigError,
+    NotPositiveDefiniteError,
     OrthonormalizationError,
     ZeroRankError,
 )
-from .operators import CallableOperator, LinearOperator, op_apply
+from .operators import (
+    CallableOperator,
+    DiagonalOperator,
+    LinearOperator,
+    SparseSymMatrix,
+    norm_estimates,
+    op_apply,
+)
 
 STATUS_CONVERGED = "converged"
 STATUS_MAX_ITER = "max_iter"
@@ -59,6 +67,10 @@ STATUS_BREAKDOWN = "breakdown"
 #: carried products are only updated with the Ritz coefficients, and their
 #: rounding drift grows with the number of updates.
 REFRESH_PERIOD = 50
+
+#: The restart guard: a step drops the previous-direction block when the
+#: joint B-Gram matrix of [X, W, P] has a condition number above this.
+RESTART_COND_LIMIT = 1e12
 
 #: Residual norms at or below their convergence thresholds at this tol make
 #: the engine form every Gram block explicitly from then on.
@@ -71,8 +83,8 @@ class SolverConfig:
 
     ``block_size`` defaults to ``nev``; it may not exceed ceil(dim / 4) so
     the three-block trial basis keeps a plausible rank (violations raise,
-    they are never clamped).  ``locking`` is ``soft`` (converged columns
-    stay in the basis but stop generating search directions) or ``none``.
+    they are never clamped).  Locking is always soft: converged columns
+    stay in the basis but stop generating search directions.
     """
 
     nev: int
@@ -80,8 +92,6 @@ class SolverConfig:
     tol: float = 1e-8
     max_iter: int = 500
     seed: int = 0
-    locking: str = "soft"
-    restart_cond_limit: float = 1e12
     record_history: bool = False
 
     def resolved_block_size(self) -> int:
@@ -99,10 +109,6 @@ class SolverConfig:
             raise InvalidConfigError(f"tol must be positive, got {self.tol}")
         if self.max_iter < 1:
             raise InvalidConfigError(f"max_iter must be >= 1, got {self.max_iter}")
-        if self.locking not in ("soft", "none"):
-            raise InvalidConfigError(f"unknown locking policy {self.locking!r}")
-        if not self.restart_cond_limit > 0:
-            raise InvalidConfigError("restart_cond_limit must be positive")
 
 
 @dataclass
@@ -144,7 +150,6 @@ class _CountingOperator(LinearOperator):
 
     def __init__(self, inner: LinearOperator, counters: OpCounters, tally: str):
         super().__init__(inner.dim)
-        self.kind = inner.kind
         self._inner = inner
         self._counters = counters
         self._tally = tally
@@ -153,31 +158,6 @@ class _CountingOperator(LinearOperator):
         cols = block.shape[1] if block.ndim == 2 else 1
         setattr(self._counters, self._tally, getattr(self._counters, self._tally) + cols)
         return self._inner.apply(block)
-
-
-def norm_estimates(op: LinearOperator) -> float:
-    """Cheap 2-norm estimate: max row 1-norm for sparse kinds, a short
-    deterministic power iteration for matrix-free ones.
-
-    Guaranteed within a factor of the dimension of the true 2-norm.
-    """
-    if op.kind == "identity":
-        return 1.0
-    if op.kind == "diagonal":
-        return float(np.max(np.abs(op.diagonal_values)))
-    if op.kind == "sparse_sym":
-        return op.max_row_l1()
-    rng = np.random.default_rng(1905)
-    vec = rng.standard_normal((op.dim, 1))
-    vec /= np.linalg.norm(vec)
-    estimate = 0.0
-    for _ in range(10):
-        nxt = op.apply(vec)
-        estimate = float(np.linalg.norm(nxt))
-        if estimate == 0.0:
-            return 0.0
-        vec = nxt / estimate
-    return estimate
 
 
 class _Breakdown(Exception):
@@ -214,9 +194,11 @@ class LobpcgEngine:
     the iterate block ``X`` and the previous-direction block ``P``; with
     ``b_op=None`` the engine holds no B and they are ``X``/``P`` themselves.
 
-    When A is not finite on the start block, the engine keeps the
-    B-orthonormal start block with NaN Ritz values, and its first step
-    reports breakdown.
+    A diagonal or sparse ``b_op`` with a diagonal entry <= 0 is not
+    positive definite and raises :class:`NotPositiveDefiniteError` before
+    any operator is applied.  When A is not finite on the start block, the
+    engine keeps the B-orthonormal start block with NaN Ritz values, and
+    its first step reports breakdown.
     """
 
     def __init__(self, a_op: LinearOperator, cfg: SolverConfig, *,
@@ -230,6 +212,11 @@ class LobpcgEngine:
                 f"operator dimensions disagree: {a_op.dim} vs {b_op.dim}"
             )
         cfg.validate(a_op.dim)
+        if isinstance(b_op, (DiagonalOperator, SparseSymMatrix)):
+            # a positive definite B has a positive diagonal
+            bad = np.flatnonzero(b_op.diagonal() <= 0)
+            if bad.size:
+                raise NotPositiveDefiniteError(f"metric diagonal entry {bad[0]} is <= 0")
         self.cfg = cfg
         self.dim = a_op.dim
         self.block_size = cfg.resolved_block_size()
@@ -382,7 +369,7 @@ class LobpcgEngine:
         """
         include_p = self.use_history_direction if use_previous is None else use_previous
         active = np.flatnonzero(~self.converged_mask())
-        if self.cfg.locking != "soft" or active.size == 0:
+        if active.size == 0:
             active = np.arange(self.block_size)
 
         _require_finite(self.residual_norms[active])
@@ -437,7 +424,7 @@ class LobpcgEngine:
     def _well_conditioned(self, gram: np.ndarray) -> bool:
         eigvals = sym_eig(gram).values
         lam_min, lam_max = float(eigvals[0]), float(eigvals[-1])
-        return lam_min > 0.0 and lam_max / lam_min <= self.cfg.restart_cond_limit
+        return lam_min > 0.0 and lam_max / lam_min <= RESTART_COND_LIMIT
 
     # -- driver ----------------------------------------------------------
 
@@ -452,8 +439,8 @@ class LobpcgEngine:
                                         or np.all(self.converged_mask()[:nev])):
                     self._refresh_products()
                 conv = self.converged_mask()
-                if self.cfg.locking == "soft":  # the leading converged columns
-                    self.n_locked = max(self.n_locked, int(np.cumprod(conv).sum()))
+                # the leading converged columns
+                self.n_locked = max(self.n_locked, int(np.cumprod(conv).sum()))
                 self._record()
                 if np.all(conv[:nev]):
                     status = STATUS_CONVERGED

@@ -33,10 +33,11 @@ from .blocks import (
     carried_rayleigh_ritz,
     combine_parts,
 )
-# Unused here; bound because perfbench/tracer.py looks them up in this module.
-from .blocks import b_project_out, rayleigh_ritz, residual_block  # noqa: F401
 from .errors import InsufficientRankError, InvalidConfigError, OrthonormalizationError
 from .operators import LinearOperator, op_apply
+# Unused here; bound because perfbench/tracer.py looks them up in this module.
+from .blocks import b_project_out, rayleigh_ritz, residual_block  # noqa: F401
+from .operators import norm_estimates  # noqa: F401
 from .solver import (
     REFRESH_PERIOD,
     STATUS_BREAKDOWN,
@@ -48,7 +49,6 @@ from .solver import (
     SolverConfig,
     _Breakdown,
     _require_finite,
-    norm_estimates,  # noqa: F401
 )
 
 
@@ -58,7 +58,8 @@ class Lobpcg2Config:
 
     ``nev`` is padded up to the next multiple of ``sub_block`` internally;
     padded pairs are discarded on return.  ``rr_period`` is the number of
-    rounds between shared Rayleigh-Ritz couplings.
+    rounds between shared Rayleigh-Ritz couplings.  ``tol`` and
+    ``max_iter`` are checked by the engines' :class:`SolverConfig`.
     """
 
     nev: int
@@ -85,10 +86,6 @@ class Lobpcg2Config:
             raise InvalidConfigError(
                 f"padded width {self.padded_nev()} exceeds the dimension {dim}"
             )
-        if not self.tol > 0:
-            raise InvalidConfigError(f"tol must be positive, got {self.tol}")
-        if self.max_iter < 1:
-            raise InvalidConfigError(f"max_iter must be >= 1, got {self.max_iter}")
 
 
 def lobpcg2_solve(a_op: LinearOperator, cfg: Lobpcg2Config, *,

@@ -1,6 +1,7 @@
 """Command-line contracts: flags, exit codes, output schemas,
 reproducibility."""
 
+import dataclasses
 import json
 import re
 import subprocess
@@ -11,7 +12,13 @@ import pytest
 
 from conftest import laplacian_1d, laplacian_1d_eigenvalues
 
-from lobpcg_kit import write_edge_csv, write_matrix_market_symmetric
+from lobpcg_kit import (
+    Lobpcg2Config,
+    SolverConfig,
+    write_edge_csv,
+    write_matrix_market_symmetric,
+)
+from lobpcg_kit import cli
 from lobpcg_kit.cli import main
 
 
@@ -112,6 +119,13 @@ class TestSolve:
         assert doc["status"] == "converged"
         assert doc["iterations"] <= 1
 
+    def test_bad_x0_size_line_is_usage_error(self, lap50, tmp_path):
+        x0 = tmp_path / "x0.mtx"
+        x0.write_text("%%MatrixMarket matrix array real general\n3 x\n1\n2\n3\n")
+        code = main(["solve", "--matrix", lap50, "--nev", "1", "--x0", str(x0),
+                     "--out", str(tmp_path / "x.json")])
+        assert code == 1
+
     def test_block_size_rejected_for_lobpcg2(self, lap50, tmp_path):
         code = main(["solve", "--matrix", lap50, "--nev", "2",
                      "--variant", "lobpcg2", "--block-size", "4",
@@ -149,6 +163,60 @@ class TestReproducibility:
         replay = [f if f != str(out_a) else str(out_b) for f in manifest["flags"]]
         assert main(replay) == 0
         assert eigenvalue_bytes(out_a) == eigenvalue_bytes(out_b)
+
+
+#: The solve flag that sets each config field, and a value other than the
+#: field's default for it.
+FIELD_FLAGS = {
+    "nev": ("--nev", 2),
+    "block_size": ("--block-size", 3),
+    "sub_block": ("--sub-block", 2),
+    "rr_period": ("--rr-period", 3),
+    "tol": ("--tol", 1e-7),
+    "max_iter": ("--max-iter", 40),
+    "seed": ("--seed", 5),
+    "record_history": ("--history", True),
+}
+
+
+class TestConfigReach:
+    """Every config field is a knob that the command line sets."""
+
+    def test_every_config_field_has_a_solve_flag(self, capsys):
+        fields = {f.name for cls in (SolverConfig, Lobpcg2Config)
+                  for f in dataclasses.fields(cls)}
+        assert fields == set(FIELD_FLAGS)
+        assert main(["solve", "--help"]) == 0
+        usage = capsys.readouterr().out
+        for flag, _ in FIELD_FLAGS.values():
+            assert flag in usage
+
+    @pytest.mark.parametrize("variant, cls, solve_name", [
+        ("lobpcg", SolverConfig, "lobpcg_solve"),
+        ("psd", SolverConfig, "psd_solve"),
+        ("lobpcg2", Lobpcg2Config, "lobpcg2_solve"),
+    ])
+    def test_manifest_config_reproduces_the_solve(self, lap50, tmp_path, monkeypatch,
+                                                  variant, cls, solve_name):
+        seen = []
+        solve = getattr(cli, solve_name)
+
+        def spy(matrix, cfg, **kwargs):
+            seen.append(cfg)
+            return solve(matrix, cfg, **kwargs)
+        monkeypatch.setattr(cli, solve_name, spy)
+
+        values = {f.name: FIELD_FLAGS[f.name][1] for f in dataclasses.fields(cls)}
+        flags = ["solve", "--matrix", lap50, "--variant", variant]
+        for name, value in values.items():
+            flag = FIELD_FLAGS[name][0]
+            flags += [flag] if value is True else [flag, str(value)]
+        out = tmp_path / "reach.json"
+        assert main(flags + ["--out", str(out)]) in (0, 2)
+        manifest = json.loads(out.read_text())["manifest"]
+        assert seen == [cls(**values)]
+        assert cls(**manifest["config"]) == seen[0]
+        assert "thread_cap" not in manifest
 
 
 class TestBench:

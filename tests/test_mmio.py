@@ -138,6 +138,14 @@ class TestRoundTrips:
         np.testing.assert_array_equal(again.col_indices, matrix.col_indices)
         np.testing.assert_array_equal(again.values, matrix.values)
 
+    @pytest.mark.parametrize("size", ["3 x", "3", "0 2", "3 -1"])
+    def test_dense_bad_size_line_reports_line(self, tmp_path, size):
+        path = write(tmp_path, "bad.mtx",
+                     f"%%MatrixMarket matrix array real general\n{size}\n1\n2\n3\n")
+        with pytest.raises(MatrixMarketParseError) as exc:
+            read_dense_matrix_market(path)
+        assert exc.value.line_no == 2
+
     def test_dense_round_trip(self, tmp_path, rng):
         block = rng.standard_normal((6, 3))
         path = tmp_path / "block.mtx"

@@ -124,25 +124,25 @@ class TestJacobiPrecond:
     def test_reciprocal_diagonal(self):
         a = csr_from_coo(2, [(0, 0, 2.0), (1, 1, 4.0)])
         pre = jacobi_precond(a)
-        np.testing.assert_allclose(pre.diagonal_reciprocals, [0.5, 0.25])
+        np.testing.assert_allclose(pre.diagonal_values, [0.5, 0.25])
         assert not pre.nonpositive_diagonal
 
     def test_zero_diagonal_fallback(self):
         a = csr_from_coo(2, [(0, 1, 1.0), (1, 1, 3.0)])  # A[0,0] = 0
         pre = jacobi_precond(a)
-        assert pre.diagonal_reciprocals[0] == 1.0
+        assert pre.diagonal_values[0] == 1.0
         assert pre.nonpositive_diagonal
 
     def test_one_d_diagonal_array(self):
         pre = jacobi_precond(np.array([2.0, 4.0, 0.0, 1.0, 8.0]))
-        np.testing.assert_allclose(pre.diagonal_reciprocals, [0.5, 0.25, 1.0, 1.0, 0.125])
+        np.testing.assert_allclose(pre.diagonal_values, [0.5, 0.25, 1.0, 1.0, 0.125])
         assert pre.nonpositive_diagonal
         with pytest.raises(DimensionMismatchError):
             jacobi_precond(np.eye(3))
 
     def test_uniform_laplacian_diagonal(self):
         pre = jacobi_precond(laplacian_1d(10))
-        np.testing.assert_allclose(pre.diagonal_reciprocals, 0.5)
+        np.testing.assert_allclose(pre.diagonal_values, 0.5)
 
     def test_spd_as_operator(self, rng):
         dense = rng.standard_normal((10, 10))

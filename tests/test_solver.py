@@ -23,6 +23,7 @@ from lobpcg_kit import (
     InvalidConfigError,
     Lobpcg2Config,
     LobpcgEngine,
+    NotPositiveDefiniteError,
     OrthonormalizationError,
     SolverConfig,
     csr_from_coo,
@@ -217,12 +218,6 @@ class TestInvariants:
             assert res.status == "converged"
             err = np.abs(res.values - oracle.values[:nev])
             assert np.all(err <= 1e-6 * (1 + np.abs(oracle.values[:nev])))
-
-    def test_locking_none_still_converges(self):
-        a = easy_spd_problem(23, 44)
-        res = lobpcg_solve(a, SolverConfig(nev=3, locking="none", record_history=True))
-        assert res.status == "converged"
-        assert all(rec.locked_count == 0 for rec in res.history)
 
     def test_no_history_by_default(self):
         res = lobpcg_solve(diag_operator(8), SolverConfig(nev=2))
@@ -486,9 +481,21 @@ class TestValidation:
         with pytest.raises(InvalidConfigError):
             lobpcg_solve(IdentityOperator(10), SolverConfig(nev=1, tol=0.0))
 
-    def test_bad_locking(self):
-        with pytest.raises(InvalidConfigError):
-            lobpcg_solve(IdentityOperator(10), SolverConfig(nev=1, locking="hard"))
+    @pytest.mark.parametrize("solve", [
+        lambda a, b: lobpcg_solve(a, SolverConfig(nev=2), b_op=b),
+        lambda a, b: psd_solve(a, SolverConfig(nev=2), b_op=b),
+        lambda a, b: lobpcg2_solve(a, Lobpcg2Config(nev=2), b_op=b),
+    ], ids=["lobpcg", "psd", "lobpcg2"])
+    @pytest.mark.parametrize("make_b", [
+        DiagonalOperator,
+        lambda diag: csr_from_coo(diag.size, [(i, i, d) for i, d in enumerate(diag)]),
+    ], ids=["diagonal", "sparse"])
+    @pytest.mark.parametrize("first", [-1.0, 0.0], ids=["indefinite", "singular"])
+    def test_non_positive_definite_metric_rejected(self, solve, make_b, first):
+        # without the check, both pencils end in a false 'converged' [2, 3]
+        b = make_b(np.concatenate([[first], np.ones(39)]))
+        with pytest.raises(NotPositiveDefiniteError, match="entry 0"):
+            solve(DiagonalOperator(np.arange(1.0, 41.0)), b)
 
     def test_x0_shape_checked(self):
         with pytest.raises(DimensionMismatchError):
@@ -542,11 +549,12 @@ class TestHardSpectra:
         assert np.max(np.abs(res.values - 1.0)) <= 1e-8
         assert subspace_gap(res.vectors, oracle.vectors[:, :3]) <= 1e-6
 
-    def test_restart_guard_degrades_gracefully(self):
+    def test_restart_guard_degrades_gracefully(self, monkeypatch):
         # an absurdly low condition limit drops the carried block every
         # step; the iteration still converges (descent-like)
+        monkeypatch.setattr(solver, "RESTART_COND_LIMIT", 1.5)
         a = easy_spd_problem(2, 50)
-        res = lobpcg_solve(a, SolverConfig(nev=2, restart_cond_limit=1.5))
+        res = lobpcg_solve(a, SolverConfig(nev=2))
         assert res.status == "converged"
 
     def test_tight_tolerance_near_machine_precision(self):

@@ -403,6 +403,11 @@ class TestValidation:
         with pytest.raises(InvalidConfigError):
             lobpcg2_solve(diag_operator(10), Lobpcg2Config(nev=4, sub_block=4))
 
+    @pytest.mark.parametrize("bad", [{"tol": 0.0}, {"tol": -1e-8}, {"max_iter": 0}])
+    def test_engine_checks_tol_and_max_iter(self, bad):
+        with pytest.raises(InvalidConfigError):
+            lobpcg2_solve(diag_operator(10), Lobpcg2Config(nev=2, **bad))
+
     def test_padded_width_must_fit(self):
         with pytest.raises(InvalidConfigError):
             lobpcg2_solve(diag_operator(8), Lobpcg2Config(nev=9, sub_block=1))
