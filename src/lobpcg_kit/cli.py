@@ -155,7 +155,7 @@ def _build_parser() -> _Parser:
 # -- solve ----------------------------------------------------------------
 
 def _run_variant(variant: str, args, matrix, metric, precond, *, block: int | None,
-                 rr_period: int, history: bool = False, x0: np.ndarray | None = None):
+                 rr_period: int | None, history: bool = False, x0: np.ndarray | None = None):
     """Build ``variant``'s config, its block width resolved, and time its
     solve.  Returns ``(cfg, result, wall_seconds)``."""
     if variant == "lobpcg2":
@@ -255,11 +255,14 @@ def _parse_grid(spec: str) -> list[dict]:
             except ValueError:
                 raise InvalidConfigError(f"grid dimension {name!r} needs integers") from None
     cells = []
-    for variant, block, period, precond in itertools.product(
-        dims["variant"], dims["block-size"], dims["rr-period"], dims["precond"]
-    ):
-        cells.append({"variant": variant, "block_size": block,
-                      "rr_period": period, "precond": precond})
+    for variant in dims["variant"]:
+        # only lobpcg2 couples, so only its cells vary with rr-period
+        periods = dims["rr-period"] if variant == "lobpcg2" else [None]
+        for block, period, precond in itertools.product(
+            dims["block-size"], periods, dims["precond"]
+        ):
+            cells.append({"variant": variant, "block_size": block,
+                          "rr_period": period, "precond": precond})
     return cells
 
 
@@ -304,7 +307,8 @@ def cmd_bench(args, flags: list[str]) -> int:
     with open(args.out, "w", encoding="utf-8", newline="") as handle:
         handle.write(",".join(_BENCH_COLUMNS) + "\n")
         for row in rows:
-            handle.write(",".join(str(row[c]) for c in _BENCH_COLUMNS) + "\n")
+            handle.write(",".join("" if row[c] is None else str(row[c])
+                                  for c in _BENCH_COLUMNS) + "\n")
     return EXIT_OK
 
 

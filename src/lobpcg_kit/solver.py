@@ -9,9 +9,10 @@ The products A X, B X, A P and B P are carried alongside X and P and
 updated with the same Ritz coefficients, so a step applies A only to the
 new direction block; the carried-product algebra (Gram matrices, the
 Rayleigh-Ritz projection, B-normalization from products) lives in
-:mod:`lobpcg_kit.blocks`, and this module keeps the iteration.  A X and
-B X are recomputed explicitly before a convergence claim is accepted,
-before returning, and every :data:`REFRESH_PERIOD` steps.  Without a
+:mod:`lobpcg_kit.blocks`, and this module keeps the iteration.  Its loop,
+:func:`drive`, runs every solver and recomputes A X and B X explicitly
+before a convergence claim, at ``max_iter`` and every
+:data:`REFRESH_PERIOD` steps, so statuses rest on explicit products.  Without a
 metric, B X, B W and B P are X, W and P themselves.  P is B-orthogonalized
 against X in coefficient space and B-normalized from its mapped products.
 The Gram blocks known by construction (X^T A X = diag(theta),
@@ -21,7 +22,6 @@ below :data:`EXPLICIT_GRAM_RTOL` (scipy's ``explicitGramFlag``).
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass, field
 
@@ -258,8 +258,6 @@ class LobpcgEngine:
         a_start = op_apply(self.a_op, start)
 
         self.iterations = 0
-        self.n_locked = 0
-        self.history: list[IterationRecord] = []
         self._last_basis_cols = self.block_size
         self._explicit_grams = False  # see EXPLICIT_GRAM_RTOL
         if np.isfinite(a_start).all():
@@ -338,28 +336,11 @@ class LobpcgEngine:
     def converged_mask(self) -> np.ndarray:
         return self.residual_norms <= self.convergence_thresholds()
 
-    def _record(self) -> None:
-        if self.cfg.record_history:
-            self.history.append(IterationRecord(
-                iteration=self.iterations,
-                ritz_values=self.ritz_values.copy(),
-                residual_norms=self.residual_norms.copy(),
-                locked_count=self.n_locked,
-                basis_cols=self._last_basis_cols,
-            ))
-
-    def fork(self) -> "LobpcgEngine":
-        """Independent deep copy, for comparing steps from one state."""
-        return copy.deepcopy(self)
-
     # -- the update step -------------------------------------------------
 
-    def step(self, use_previous: bool | None = None,
-             extra_deflation: tuple[np.ndarray, np.ndarray] | None = None) -> None:
+    def step(self, extra_deflation: tuple[np.ndarray, np.ndarray] | None = None) -> None:
         """One locally optimal update of the iterate block.
 
-        ``use_previous`` overrides the engine's direction mode for this
-        single step (the steepest-descent comparison hook).
         ``extra_deflation`` is a ``(V, b_dual_basis(V, B V))`` pair that the
         active residuals are B-projected off before preconditioning.  A is
         applied to the new direction block only, B to it by its
@@ -367,7 +348,7 @@ class LobpcgEngine:
         signal when the residuals or the projected Gram matrices are not
         finite, no search directions survive, or the trial without P fails.
         """
-        include_p = self.use_history_direction if use_previous is None else use_previous
+        include_p = self.use_history_direction
         active = np.flatnonzero(~self.converged_mask())
         if active.size == 0:
             active = np.arange(self.block_size)
@@ -426,46 +407,60 @@ class LobpcgEngine:
         lam_min, lam_max = float(eigvals[0]), float(eigvals[-1])
         return lam_min > 0.0 and lam_max / lam_min <= RESTART_COND_LIMIT
 
-    # -- driver ----------------------------------------------------------
-
-    def run(self) -> SolveResult:
-        nev = self.cfg.nev
-        status = None
-        while status is None:
-            try:
-                # refresh periodically, and accept a convergence claim on
-                # explicit products only
-                if not self._fresh and (self.iterations % REFRESH_PERIOD == 0
-                                        or np.all(self.converged_mask()[:nev])):
-                    self._refresh_products()
-                conv = self.converged_mask()
-                # the leading converged columns
-                self.n_locked = max(self.n_locked, int(np.cumprod(conv).sum()))
-                self._record()
-                if np.all(conv[:nev]):
-                    status = STATUS_CONVERGED
-                elif self.iterations >= self.cfg.max_iter:
-                    status = STATUS_MAX_ITER
-                else:
-                    self.step()
-            except (_Breakdown, OrthonormalizationError):
-                # the state is mutated only once fully assembled and
-                # finite, so the best-so-far pairs are intact here
-                status = STATUS_BREAKDOWN
+    def salvage(self) -> None:
+        """After a breakdown, try to make carried products explicit."""
         if not self._fresh:
             try:
                 self._refresh_products()
             except (_Breakdown, OrthonormalizationError):
-                status = STATUS_BREAKDOWN
-        return SolveResult(
-            values=self.ritz_values[:nev].copy(),
-            vectors=self.X[:, :nev].copy(),
-            status=status,
-            iterations=self.iterations,
-            residual_norms=self.residual_norms[:nev].copy(),
-            history=self.history,
-            counters=self.counters,
-        )
+                pass
+
+    def run(self) -> SolveResult:
+        return drive(self, self.cfg.nev, self.cfg.max_iter, REFRESH_PERIOD,
+                     self.cfg.record_history)
+
+
+def drive(state, nev: int, max_iter: int, period: int, record_history: bool) -> SolveResult:
+    """The iteration loop of every solver: claims, stopping and history.
+
+    ``state`` is a :class:`LobpcgEngine` or lobpcg2's round state; both
+    provide ``converged_mask``, ``_refresh_products``, ``step``, ``salvage``,
+    ``_fresh`` (products explicit) and ``_last_basis_cols``.  Carried
+    products are refreshed before a convergence claim, at ``max_iter`` and
+    every ``period`` steps, so the status is decided on explicit products.
+    Breakdown ends the run after ``state.salvage()``.
+    """
+    history: list[IterationRecord] = []
+    n_locked = 0
+    status = None
+    while status is None:
+        try:
+            conv = state.converged_mask()
+            if not state._fresh and (np.all(conv[:nev]) or state.iterations >= max_iter
+                                     or state.iterations % period == 0):
+                state._refresh_products()
+                conv = state.converged_mask()
+            n_locked = max(n_locked, int(np.cumprod(conv).sum()))  # leading converged
+            if record_history:
+                values, norms = state.ritz_values, state.residual_norms
+                order = np.argsort(values, kind="stable")  # lobpcg2 stacks its engines'
+                history.append(IterationRecord(state.iterations, values[order], norms[order],
+                                               n_locked, state._last_basis_cols))
+            if np.all(conv[:nev]):
+                status = STATUS_CONVERGED
+            elif state.iterations >= max_iter:
+                status = STATUS_MAX_ITER
+            else:
+                state.step()
+        except (_Breakdown, OrthonormalizationError):
+            # a state is mutated only once fully assembled and finite, so
+            # the best-so-far pairs are intact here
+            status = STATUS_BREAKDOWN
+            state.salvage()
+    return SolveResult(values=state.ritz_values[:nev].copy(), vectors=state.X[:, :nev].copy(),
+                       status=status, iterations=state.iterations,
+                       residual_norms=state.residual_norms[:nev].copy(), history=history,
+                       counters=state.counters)
 
 
 def lobpcg_solve(a_op: LinearOperator, cfg: SolverConfig, *,

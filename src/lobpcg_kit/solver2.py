@@ -10,11 +10,12 @@ round).  Every ``rr_period`` rounds one shared Rayleigh-Ritz over the
 aggregate span, on explicit A X and B X, hands every engine a slice of the
 Ritz vectors in ascending order, and its carried directions B-projected off
 them, so every recurrence stays LOBPCG across couplings (a retry after a
-round in which nothing moved drops them).  It is the engines' explicit
-refresh and the only place a convergence claim is accepted.  The shared
-step can thus be omitted on most rounds, trading coupling frequency
-against per-round cost.  The coupling's Rayleigh-Ritz and B-normalization
-are those of :mod:`lobpcg_kit.blocks`; this module keeps only the coupling.
+round in which nothing moved drops them).  It is the refresh of
+:func:`~lobpcg_kit.solver.drive`, the loop of every solver, which couples
+before a convergence claim, at ``max_iter`` and every ``rr_period`` rounds;
+the shared step can thus be omitted on most rounds, trading coupling
+frequency against per-round cost.  The coupling's Rayleigh-Ritz and
+B-normalization are those of :mod:`lobpcg_kit.blocks`.
 """
 
 from __future__ import annotations
@@ -41,14 +42,12 @@ from .operators import norm_estimates  # noqa: F401
 from .solver import (
     REFRESH_PERIOD,
     STATUS_BREAKDOWN,
-    STATUS_CONVERGED,
-    STATUS_MAX_ITER,
-    IterationRecord,
     LobpcgEngine,
     SolveResult,
     SolverConfig,
     _Breakdown,
     _require_finite,
+    drive,
 )
 
 
@@ -88,6 +87,112 @@ class Lobpcg2Config:
             )
 
 
+class _Rounds:
+    """lobpcg2's state for :func:`~lobpcg_kit.solver.drive`: one narrow
+    engine per sub-block, advanced a round at a time and coupled by a
+    shared Rayleigh-Ritz, which is also its explicit refresh.  The stacked
+    ``ritz_values``, ``X`` and ``residual_norms`` are the engines' own, in
+    sub-block order."""
+
+    def __init__(self, lead: LobpcgEngine, cfg: Lobpcg2Config, rng: np.random.Generator):
+        self.padded, self.rr_period = cfg.padded_nev(), cfg.rr_period
+        self.slices = [slice(lo, lo + cfg.sub_block)
+                       for lo in range(0, self.padded, cfg.sub_block)]
+        # the other engines share the lead's operators, counters and norm
+        # estimates; the first coupling replaces every iterate block, the
+        # lead's own start included
+        self.engines = [lead] + [copy.copy(lead) for _ in self.slices[1:]]
+        self.lead, self.counters, self.rng = lead, lead.counters, rng
+        self.iterations = 0
+        self._last_basis_cols = self.padded
+        #: True while the engines hold the output of a shared Rayleigh-Ritz.
+        self._fresh = False
+
+    def stack(self, name: str) -> np.ndarray:
+        return np.hstack([getattr(engine, name) for engine in self.engines])
+
+    ritz_values = property(lambda self: self.stack("ritz_values"))
+    X = property(lambda self: self.stack("X"))
+    residual_norms = property(lambda self: self.stack("residual_norms"))
+
+    def converged_mask(self) -> np.ndarray:
+        return np.concatenate([engine.converged_mask() for engine in self.engines])
+
+    def explicit(self):
+        x = self.X
+        return x, op_apply(self.lead.a_op, x), b_apply(self.lead.b_op, x)
+
+    def couple(self, x: np.ndarray, a_x: np.ndarray, b_x: np.ndarray, keep: bool = True) -> None:
+        """Shared Rayleigh-Ritz; every engine takes a copied slice, and its P if ``keep``."""
+        _require_finite(a_x, b_x)
+        self.counters.rayleigh_ritz_calls += 1
+        parts = [(x, a_x, b_x)]
+        try:
+            values, x, a_x, b_x, _ = carried_rayleigh_ritz(parts, self.padded)
+        except InsufficientRankError:
+            # recurrences collapsed: widen the span with random columns
+            fill = self.rng.standard_normal((x.shape[0], self.padded))
+            parts.append((fill, op_apply(self.lead.a_op, fill), b_apply(self.lead.b_op, fill)))
+            _require_finite(*parts[1])
+            values, x, a_x, b_x, _ = carried_rayleigh_ritz(parts, self.padded)
+        for engine, cols in zip(self.engines, self.slices):
+            direction = None
+            if keep and engine.P is not None:  # P -= X (B X)^T P, one engine at a time
+                self.counters.orthonormalizations += 1
+                direction = b_normalized(combine_parts(  # P may hold fewer than nb columns
+                    [(engine.P, engine.AP, engine.BP), (x, a_x, b_x)],
+                    np.vstack([np.eye(engine.P.shape[1]), -(b_x.T @ engine.P)])))
+            x_cols = x[:, cols].copy()
+            engine._adopt(values[cols].copy(), x_cols, a_x[:, cols].copy(),
+                          x_cols if b_x is x else b_x[:, cols].copy(), direction)
+        self._fresh = True
+
+    def _refresh_products(self) -> None:
+        self.couple(*self.explicit())
+        self._last_basis_cols += self.padded  # the round's columns, then the coupling's
+
+    def step(self) -> None:
+        """One round: every engine that has not converged steps once."""
+        conv = self.converged_mask()
+        self.iterations += 1
+        x_agg = self.X
+        deflation = (x_agg, b_dual_basis(x_agg, x_agg if self.lead.b_op is None
+                                         else self.stack("BX")))
+        moved = round_cols = 0
+        for engine, done in zip(self.engines, np.split(conv, len(self.engines))):
+            if done.all():
+                continue  # a fully converged recurrence idles
+            try:
+                engine.step(extra_deflation=deflation)
+            except (_Breakdown, OrthonormalizationError):
+                continue
+            moved += 1
+            round_cols += engine._last_basis_cols
+        del x_agg, deflation
+        if not moved:
+            # nothing moved: give up when no engine holds P; otherwise couple
+            # without P, so that a stall does not repeat with it, and retry
+            if self._fresh and all(engine.P is None for engine in self.engines):
+                raise _Breakdown
+            self.couple(*self.explicit(), keep=False)
+            self._last_basis_cols = self.padded
+            return
+        self._fresh, self._last_basis_cols = False, round_cols
+        if (self.rr_period > REFRESH_PERIOD and self.iterations % REFRESH_PERIOD == 0
+                and self.iterations % self.rr_period):  # a coupling round refreshes anyway
+            for engine in self.engines:
+                engine._refresh_products()
+
+    def salvage(self) -> None:
+        """After a breakdown, couple on the carried products if uncoupled: an
+        explicit product may be what is not finite."""
+        if not self._fresh:
+            try:
+                self.couple(self.X, self.stack("AX"), self.stack("BX"), keep=False)
+            except (_Breakdown, InsufficientRankError, OrthonormalizationError):
+                pass
+
+
 def lobpcg2_solve(a_op: LinearOperator, cfg: Lobpcg2Config, *,
                   b_op: LinearOperator | None = None,
                   precond: LinearOperator | None = None) -> SolveResult:
@@ -100,134 +205,18 @@ def lobpcg2_solve(a_op: LinearOperator, cfg: Lobpcg2Config, *,
     columns are returned with NaN values and ``breakdown``.
     """
     cfg.validate(a_op.dim)
-    dim, nev, nb, padded = a_op.dim, cfg.nev, cfg.sub_block, cfg.padded_nev()
-    slices = [slice(lo, lo + nb) for lo in range(0, padded, nb)]
     rng = np.random.default_rng(cfg.seed)
-    start = rng.standard_normal((dim, padded))
-    lead = LobpcgEngine(a_op, SolverConfig(nev=nb, tol=cfg.tol, max_iter=cfg.max_iter,
-                                           seed=cfg.seed),
-                        b_op=b_op, precond=precond, x0=start[:, slices[0]])
-    # the other engines share the lead's operators, counters and norm
-    # estimates; the first coupling replaces every iterate block, the
-    # lead's own start included
-    engines = [lead] + [copy.copy(lead) for _ in slices[1:]]
-    counters = lead.counters
-
-    def stack(name: str) -> np.ndarray:
-        return np.hstack([getattr(engine, name) for engine in engines])
-
-    def explicit():
-        x = stack("X")
-        return x, op_apply(lead.a_op, x), b_apply(lead.b_op, x)
-
-    def couple(x: np.ndarray, a_x: np.ndarray, b_x: np.ndarray, keep: bool = True) -> None:
-        """Shared Rayleigh-Ritz; every engine takes a copied slice, and its P if ``keep``."""
-        _require_finite(a_x, b_x)
-        counters.rayleigh_ritz_calls += 1
-        parts = [(x, a_x, b_x)]
-        try:
-            values, x, a_x, b_x, _ = carried_rayleigh_ritz(parts, padded)
-        except InsufficientRankError:
-            # recurrences collapsed: widen the span with random columns
-            fill = rng.standard_normal((dim, padded))
-            parts.append((fill, op_apply(lead.a_op, fill), b_apply(lead.b_op, fill)))
-            _require_finite(*parts[1])
-            values, x, a_x, b_x, _ = carried_rayleigh_ritz(parts, padded)
-        for engine, cols in zip(engines, slices):
-            direction = None
-            if keep and engine.P is not None:  # P -= X (B X)^T P, one engine at a time
-                counters.orthonormalizations += 1
-                direction = b_normalized(combine_parts(  # P may hold fewer than nb columns
-                    [(engine.P, engine.AP, engine.BP), (x, a_x, b_x)],
-                    np.vstack([np.eye(engine.P.shape[1]), -(b_x.T @ engine.P)])))
-            x_cols = x[:, cols].copy()
-            engine._adopt(values[cols].copy(), x_cols, a_x[:, cols].copy(),
-                          x_cols if b_x is x else b_x[:, cols].copy(), direction)
-
-    x, _, _, b_x = b_orthonormalize_full(start, lead.b_op, counters)
+    start = rng.standard_normal((a_op.dim, cfg.padded_nev()))
+    lead = LobpcgEngine(a_op, SolverConfig(nev=cfg.sub_block, tol=cfg.tol,
+                                           max_iter=cfg.max_iter, seed=cfg.seed),
+                        b_op=b_op, precond=precond, x0=start[:, :cfg.sub_block])
+    x, _, _, b_x = b_orthonormalize_full(start, lead.b_op, lead.counters)
     a_x = op_apply(lead.a_op, x)
     if not np.isfinite(a_x).all():
-        nan = np.full(nev, np.nan)
-        return SolveResult(values=nan, vectors=x[:, :nev].copy(), status=STATUS_BREAKDOWN,
-                           iterations=0, residual_norms=nan.copy(), counters=counters)
-    couple(x, a_x, b_x)
+        nan = np.full(cfg.nev, np.nan)
+        return SolveResult(values=nan, vectors=x[:, :cfg.nev].copy(), status=STATUS_BREAKDOWN,
+                           iterations=0, residual_norms=nan.copy(), counters=lead.counters)
+    rounds = _Rounds(lead, cfg, rng)
+    rounds.couple(x, a_x, b_x)
     del start, x, a_x, b_x  # the engines hold copies
-
-    history: list[IterationRecord] = []
-    n_locked = iterations = 0
-    last_basis_cols = padded
-    #: True while the engines hold the output of a shared Rayleigh-Ritz.
-    coupled = True
-    status = None
-    try:
-        while status is None:
-            conv = np.concatenate([engine.converged_mask() for engine in engines])
-            if not coupled and (np.all(conv[:nev]) or iterations >= cfg.max_iter):
-                # claim convergence, or stop, on explicit products only
-                couple(*explicit())
-                coupled, last_basis_cols = True, padded
-                conv = np.concatenate([engine.converged_mask() for engine in engines])
-            n_locked = max(n_locked, int(np.cumprod(conv).sum()))  # leading converged
-            if cfg.record_history:
-                values, norms = stack("ritz_values"), stack("residual_norms")
-                order = np.argsort(values, kind="stable")
-                history.append(IterationRecord(
-                    iteration=iterations, ritz_values=values[order],
-                    residual_norms=norms[order], locked_count=n_locked,
-                    basis_cols=last_basis_cols,
-                ))
-            if np.all(conv[:nev]):
-                status = STATUS_CONVERGED
-                continue
-            if iterations >= cfg.max_iter:
-                status = STATUS_MAX_ITER
-                continue
-
-            iterations += 1
-            x_agg = stack("X")
-            deflation = (x_agg, b_dual_basis(x_agg, x_agg if lead.b_op is None else stack("BX")))
-            moved = round_cols = 0
-            for engine, done in zip(engines, np.split(conv, len(engines))):
-                if done.all():
-                    continue  # a fully converged recurrence idles
-                try:
-                    engine.step(extra_deflation=deflation)
-                except (_Breakdown, OrthonormalizationError):
-                    continue
-                moved += 1
-                round_cols += engine._last_basis_cols
-            del x_agg, deflation
-            if not moved:
-                # nothing moved: give up when no engine holds P; otherwise couple
-                # without P, so that a stall does not repeat with it, and retry
-                if coupled and all(engine.P is None for engine in engines):
-                    status = STATUS_BREAKDOWN
-                else:
-                    couple(*explicit(), keep=False)
-                    coupled, last_basis_cols = True, padded
-                continue
-            coupled, last_basis_cols = False, round_cols
-            if iterations % cfg.rr_period == 0:
-                couple(*explicit())
-                coupled, last_basis_cols = True, round_cols + padded
-            elif cfg.rr_period > REFRESH_PERIOD and iterations % REFRESH_PERIOD == 0:
-                for engine in engines:
-                    engine._refresh_products()
-    except (_Breakdown, OrthonormalizationError):
-        status = STATUS_BREAKDOWN
-        if not coupled:
-            # an explicit product is not finite: couple on the carried ones
-            try:
-                couple(stack("X"), stack("AX"), stack("BX"), keep=False)
-            except (_Breakdown, InsufficientRankError, OrthonormalizationError):
-                pass
-
-    return SolveResult(
-        values=stack("ritz_values")[:nev],
-        vectors=stack("X")[:, :nev].copy(),
-        status=status,
-        iterations=iterations,
-        residual_norms=stack("residual_norms")[:nev],
-        history=history,
-        counters=counters,
-    )
+    return drive(rounds, cfg.nev, cfg.max_iter, cfg.rr_period, cfg.record_history)

@@ -6,6 +6,7 @@ verified against the dense oracle, closed-form spectra, or structural
 properties.  Budget: the whole module runs in well under two minutes.
 """
 
+import copy
 import re
 
 import numpy as np
@@ -153,9 +154,10 @@ def test_criterion_3_local_optimality_dominance(suite3):
                                                      seed=run["seed"]))
         for _ in range(3):
             engine.step()
-        three_term, descent = engine.fork(), engine.fork()
-        three_term.step(use_previous=True)
-        descent.step(use_previous=False)
+        three_term, descent = copy.deepcopy(engine), copy.deepcopy(engine)
+        three_term.step()
+        descent.use_history_direction = False
+        descent.step()
         if not np.all(three_term.ritz_values <= descent.ritz_values + 1e-12):
             failures.append(f"problem {run['idx']}: single-step dominance")
     report(3, "descent dominance (single step and full run)", failures)

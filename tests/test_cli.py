@@ -285,6 +285,18 @@ class TestBench:
         for row in self.variant_rows(lap50, tmp_path, "--metric", str(b_path)):
             assert int(row["b_matvec_count"]) > 0
 
+    def test_rr_period_multiplies_only_lobpcg2_cells(self, lap50, tmp_path):
+        out = tmp_path / "periods.csv"
+        code = main(["bench", "--matrix", lap50, "--nev", "2",
+                     "--grid", "variant=lobpcg,psd,lobpcg2;rr-period=1,7",
+                     "--out", str(out)])
+        assert code == 0
+        lines = out.read_text().strip().splitlines()
+        header = lines[0].split(",")
+        rows = [dict(zip(header, line.split(","))) for line in lines[1:]]
+        assert [(row["variant"], row["rr_period"]) for row in rows] == [
+            ("lobpcg", ""), ("psd", ""), ("lobpcg2", "1"), ("lobpcg2", "7")]
+
     def test_unknown_dimension_rejected(self, lap50, tmp_path):
         code = main(["bench", "--matrix", lap50, "--nev", "2",
                      "--grid", "tolerance=1e-8", "--out", str(tmp_path / "x.csv")])

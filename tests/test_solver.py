@@ -1,5 +1,6 @@
 """Blocked solver behavior: convergence, locking, monotonicity, baselines."""
 
+import copy
 import re
 
 import numpy as np
@@ -120,19 +121,21 @@ class TestPsd:
         for _ in range(4):
             engine.step()
         assert engine.P is not None
-        three_term = engine.fork()
-        descent = engine.fork()
-        three_term.step(use_previous=True)
-        descent.step(use_previous=False)
+        three_term = copy.deepcopy(engine)
+        descent = copy.deepcopy(engine)
+        three_term.step()
+        descent.use_history_direction = False
+        descent.step()
         assert np.all(three_term.ritz_values <= descent.ritz_values + 1e-12)
 
     def test_first_iteration_coincides(self):
         # with no carried direction the two methods take the same step
         a = easy_spd_problem(4, 36)
         lob = LobpcgEngine(a, SolverConfig(nev=2, seed=9))
-        desc = LobpcgEngine(a, SolverConfig(nev=2, seed=9))
-        lob.step(use_previous=True)
-        desc.step(use_previous=False)
+        desc = copy.deepcopy(lob)
+        lob.step()
+        desc.use_history_direction = False
+        desc.step()
         np.testing.assert_array_equal(lob.ritz_values, desc.ritz_values)
 
 
@@ -239,6 +242,62 @@ class TestInvariants:
         assert res.counters.a_matvecs > 0
         assert res.counters.b_matvecs > 0
         assert res.counters.matvecs == res.counters.a_matvecs + res.counters.b_matvecs
+
+
+class TestDriver:
+    """The one driver loop behind lobpcg_solve, psd_solve and lobpcg2_solve."""
+
+    STOPS = {
+        "lobpcg": lambda a, hist: lobpcg_solve(
+            a, SolverConfig(nev=2, max_iter=40, seed=1, record_history=hist)),
+        "psd": lambda a, hist: psd_solve(
+            a, SolverConfig(nev=2, max_iter=240, seed=1, record_history=hist)),
+        # one width-2 engine, never coupled before the stop
+        "lobpcg2": lambda a, hist: lobpcg2_solve(
+            a, Lobpcg2Config(nev=2, sub_block=2, rr_period=1000, max_iter=40, seed=1,
+                             record_history=hist)),
+    }
+
+    @pytest.mark.parametrize("variant", sorted(STOPS))
+    def test_terminal_refresh_decides_the_status(self, variant, monkeypatch):
+        # carried residual norms that never claim convergence leave the
+        # status to the explicit refresh at max_iter
+        step = LobpcgEngine.step
+
+        def hiding_step(engine, *args, **kwargs):
+            step(engine, *args, **kwargs)
+            engine.residual_norms = engine.residual_norms * 1e8
+
+        monkeypatch.setattr(LobpcgEngine, "step", hiding_step)
+        a = easy_spd_problem(5, 48)
+        res = self.STOPS[variant](a, True)
+        assert res.status == "converged"
+        last = res.history[-1]
+        assert last.iteration == res.iterations
+        np.testing.assert_array_equal(last.residual_norms[:2], res.residual_norms)
+        # the explicit residuals are below the solver's own thresholds
+        fresh = op_apply(a, res.vectors) - res.vectors * res.values[None, :]
+        thresholds = 1e-8 * (norm_estimates(a) + np.abs(res.values)) \
+            * np.linalg.norm(res.vectors, axis=0)
+        assert np.all(np.linalg.norm(fresh, axis=0) <= 1.01 * thresholds)
+
+    def test_every_solver_runs_through_the_driver(self, monkeypatch):
+        from lobpcg_kit import solver2
+
+        calls = []
+        drive = solver.drive
+
+        def counted(state, *args):
+            calls.append(type(state).__name__)
+            return drive(state, *args)
+
+        monkeypatch.setattr(solver, "drive", counted)
+        monkeypatch.setattr(solver2, "drive", counted)
+        a = easy_spd_problem(5, 48)
+        for solve in self.STOPS.values():
+            solve(a, False)
+        assert len(calls) == 3
+        assert calls[0] == calls[1] == "LobpcgEngine"
 
 
 class TestCarriedProducts:
