@@ -129,19 +129,25 @@ def _svqb_attribution(gram_vectors: np.ndarray, dropped: np.ndarray) -> list[int
     return [k for k in range(m) if k not in dropped_cols]
 
 
-def gram_transform(gram: np.ndarray):
+def gram_transform(gram: np.ndarray, cond_limit: float = np.inf):
     """Cholesky-else-SVQB transform of a symmetric Gram matrix G.
 
     Returns ``(transform, kept)`` with ``transform^T G transform = I`` over
     the numerically independent directions; ``kept`` lists the Gram
-    columns judged independent.  Raises ZeroRankError when none are.
+    columns judged independent.  Raises ZeroRankError when none are.  Under
+    a finite ``cond_limit`` a Cholesky that fails or has a pivot ratio
+    squared above it raises NotPositiveDefiniteError, without SVQB.
     """
     m = gram.shape[0]
     try:
         lower = cholesky(gram)
+        if np.diag(lower).max() ** 2 > cond_limit * np.diag(lower).min() ** 2:
+            raise NotPositiveDefiniteError("Cholesky pivot ratio exceeds the condition limit")
         transform = np.linalg.solve(lower, np.eye(m)).T  # inv(L).T, upper triangular
         kept = list(range(m))
     except NotPositiveDefiniteError:
+        if cond_limit < np.inf:
+            raise
         eig = sym_eig(gram)
         lam_max = float(eig.values[-1])
         keep_mask = eig.values > m * RANK_DROP_RTOL * max(lam_max, 0.0)
@@ -152,14 +158,13 @@ def gram_transform(gram: np.ndarray):
     return transform, kept
 
 
-def gram_basis(gram_b: np.ndarray) -> np.ndarray:
+def gram_basis(gram_b: np.ndarray, cond_limit: float = np.inf) -> np.ndarray:
     """Transform T with T^T G T = I over the independent directions of a
-    basis whose B-Gram matrix is G, found after scaling the columns to unit
-    B-norm.  Raises ZeroRankError when no direction is independent.
-    """
+    basis whose B-Gram matrix is G, found by :func:`gram_transform` after
+    scaling the columns to unit B-norm."""
     scale = np.sqrt(np.diag(gram_b))
     scale = np.where(scale > 0, scale, 1.0)
-    transform, _ = gram_transform(gram_b / np.outer(scale, scale))
+    transform, _ = gram_transform(gram_b / np.outer(scale, scale), cond_limit)
     return transform / scale[:, None]
 
 
@@ -180,32 +185,40 @@ def b_orthonormalize_full(block: np.ndarray, b_op: LinearOperator | None,
     """B-orthonormalize and also return the column transform and product.
 
     Returns ``(out, kept, transform, b_out)`` with ``out = block @ transform``,
-    ``out^T B out = I`` within :data:`ORTHO_POST_TOL` and ``b_out = B @ out``
-    as the post-check computed it.  Numerically dependent content is
-    dropped; ``kept`` lists the input columns judged independent.  Raises
-    ZeroRankError when nothing survives and OrthonormalizationError when a
-    B-Gram matrix is not finite or the post-check fails even after a retry.
-    ``b_op=None`` is the identity metric: B is not applied, ``b_out is out``.
+    ``out^T B out = I`` within :data:`ORTHO_POST_TOL` and ``b_out = B @ out``,
+    mapped from one apply of B to the input and post-checked (as in scipy).
+    Dependent content is dropped; ``kept`` lists the input columns kept.
+    Raises ZeroRankError when nothing survives and OrthonormalizationError
+    when a B-Gram matrix is not finite or the post-check fails even after a
+    retry.  With ``b_op=None`` (identity) B is not applied: ``b_out is out``.
     """
     out = _as_block(block)
-    kept, transform = list(range(out.shape[1])), None
+    scale = np.sqrt(np.einsum("ij,ij->j", out, out))
+    scale = np.where(scale > 0, scale, 1.0)
+    out = out / scale[None, :]
+    b_out = b_apply(b_op, out)
+    kept, transform = list(range(out.shape[1])), np.diag(1.0 / scale)
     for _ in range(2):
-        scale = np.sqrt(np.einsum("ij,ij->j", out, out))
-        scale = np.where(scale > 0, scale, 1.0)
-        scaled = out / scale[None, :]
-        gram = _finite_gram(scaled.T @ b_apply(b_op, scaled))
-        pass_transform, pass_kept = gram_transform(sym(gram))
-        pass_transform = pass_transform / scale[:, None]
+        pass_transform, pass_kept = gram_transform(sym(_finite_gram(out.T @ b_out)))
         out = out @ pass_transform
+        b_out = out if b_op is None else b_out @ pass_transform
         if counters is not None:
             counters.orthonormalizations += 1
         kept = [kept[i] for i in pass_kept]
-        transform = pass_transform if transform is None else transform @ pass_transform
-        b_out = b_apply(b_op, out)
+        transform = transform @ pass_transform
         defect = ortho_defect(_finite_gram(out.T @ b_out))
         if defect <= ORTHO_POST_TOL:
             return out, kept, transform, b_out
     raise OrthonormalizationError(f"orthonormality defect {defect:.3e} persists after retry")
+
+
+def _checked_orthonormalize(block, b_op, counters=None):
+    """:func:`b_orthonormalize_full` re-checked on B applied afresh."""
+    out, kept, transform, _ = b_orthonormalize_full(block, b_op, counters)
+    b_out = b_apply(b_op, out)
+    if (defect := ortho_defect(_finite_gram(out.T @ b_out))) > ORTHO_POST_TOL:
+        raise OrthonormalizationError(f"orthonormality defect {defect:.3e} on applying B")
+    return out, kept, transform, b_out
 
 
 def b_orthonormalize(block: np.ndarray, b_op: LinearOperator):
@@ -214,7 +227,7 @@ def b_orthonormalize(block: np.ndarray, b_op: LinearOperator):
     Returns ``(out, kept)``: an n x r block with ``out^T B out = I`` within
     1e-8 and the indices of the input columns judged independent.
     """
-    return b_orthonormalize_full(block, b_op)[:2]
+    return _checked_orthonormalize(block, b_op)[:2]
 
 
 def fix_signs(vectors: np.ndarray, *companions: np.ndarray) -> None:
@@ -235,10 +248,10 @@ def fix_signs(vectors: np.ndarray, *companions: np.ndarray) -> None:
             array *= sign
 
 
-def combine_parts(parts, coeff: np.ndarray):
-    """``(S C, A S C, B S C)`` for a basis S held as ``(V, A V, B V)`` parts,
-    without stacking them; B S C is S C itself when every part's B-product
-    is the part."""
+def combine_parts(parts, coeff: np.ndarray, plus=None):
+    """``(S C, A S C, B S C)`` (plus the triple ``plus``) for a basis S held
+    as ``(V, A V, B V)`` parts, without stacking them; B S C is S C itself
+    when every part's B-product is the part."""
     aliased = all(b_v is v for v, _, b_v in parts)
     out, row = None, 0
     for part in parts:
@@ -250,6 +263,8 @@ def combine_parts(parts, coeff: np.ndarray):
         else:
             for total, piece in zip(out, pieces):
                 total += piece
+    for total, piece in zip(out, plus or ()):
+        total += piece
     return out[0], out[1], out[0] if aliased else out[2]
 
 
@@ -276,57 +291,73 @@ def part_grams(parts, ritz_values: np.ndarray | None = None):
 
 
 def carried_rayleigh_ritz(parts, want: int, gram_a: np.ndarray | None = None,
-                          gram_b: np.ndarray | None = None):
+                          gram_b: np.ndarray | None = None, cond_limit: float = np.inf):
     """Smallest ``want`` Ritz pairs over the span of a basis from carried
     products.
 
     The basis is the column concatenation of ``parts``, a list of
     ``(V, A V, B V)`` triples, with :func:`part_grams` ``gram_a``/``gram_b``;
     it is never stacked.  Returns ``(values, vectors, a_vectors, b_vectors,
-    coefficients)`` with ``vectors = basis @ coefficients`` and the products
-    mapped alike; no operator is applied.  The Ritz block's
+    coefficients, tail)`` with ``vectors = basis @ coefficients``, products
+    alike, summed as ``parts[0]``'s share plus ``tail``, the other parts'
+    (None for one part); no operator is applied.  The Ritz block's
     B-orthonormality is post-checked from the mapped product; when it
-    exceeds :data:`ORTHO_POST_TOL` one more pass is made over the Ritz
-    block, and OrthonormalizationError raised when that does not mend it.
-    Signs follow :func:`fix_signs`.
+    exceeds :data:`ORTHO_POST_TOL` one more pass, which leaves ``tail``
+    None, is made over the Ritz block, and OrthonormalizationError raised
+    when that does not mend it.  ``cond_limit`` is :func:`gram_transform`'s,
+    on the first pass.
     """
     if gram_a is None:
         gram_a, gram_b = part_grams(parts)
     coeff = None
     for _ in range(2):
-        transform = gram_basis(gram_b)
+        transform = gram_basis(gram_b, cond_limit)
         if want > transform.shape[1]:
             raise InsufficientRankError(
-                f"basis rank {transform.shape[1]} is below the {want} requested pairs"
-            )
+                f"basis rank {transform.shape[1]} is below the {want} requested pairs")
         eig = sym_eig(sym(transform.T @ gram_a @ transform))
         values, step_coeff = eig.values[:want].copy(), transform @ eig.vectors[:, :want]
-        x, a_x, b_x = combine_parts(parts, step_coeff)
-        fix_signs(x, step_coeff, a_x, b_x)
+        rows = parts[0][0].shape[1]
+        tail = combine_parts(parts[1:], step_coeff[rows:]) if len(parts) > 1 else None
+        x, a_x, b_x = combine_parts(parts[:1], step_coeff[:rows], tail)
         coeff = step_coeff if coeff is None else coeff @ step_coeff
         gram_b = x.T @ b_x
         defect = ortho_defect(gram_b)
         if defect <= ORTHO_POST_TOL:
-            return values, x, a_x, b_x, coeff
-        parts = [(x, a_x, b_x)]
+            return values, x, a_x, b_x, coeff, tail
+        parts, cond_limit = [(x, a_x, b_x)], np.inf
         gram_a, gram_b = sym(x.T @ a_x), sym(gram_b)
     raise OrthonormalizationError(
-        f"Ritz block orthonormality defect {defect:.3e} persists after retry"
-    )
+        f"Ritz block orthonormality defect {defect:.3e} persists after retry")
 
 
 def b_normalized(direction):
-    """``(V, A V, B V)`` B-orthonormalized from its products, post-checked,
-    one retry; None when that fails."""
+    """``(V, A V, B V)``, B-orthonormalized from its products until they
+    pass the post-check, twice at most; None when that fails."""
     for _ in range(2):
+        gram = direction[0].T @ direction[2]
+        if ortho_defect(gram) <= ORTHO_POST_TOL:
+            return direction
         try:
-            transform = gram_basis(sym(direction[0].T @ direction[2]))
+            direction = combine_parts([direction], gram_basis(sym(gram)))
         except InsufficientRankError:
             return None
-        direction = combine_parts([direction], transform)
-        if ortho_defect(direction[0].T @ direction[2]) <= ORTHO_POST_TOL:
-            return direction
-    return None
+    return direction if ortho_defect(direction[0].T @ direction[2]) <= ORTHO_POST_TOL else None
+
+
+def next_direction(ritz, tail, coeff: np.ndarray, gram_b: np.ndarray, rows: int):
+    """The step's next ``(P, A P, B P)`` or None: ``coeff``, ``rows`` zeroed,
+    B-orthogonalized to ``coeff`` (by M) and normalized (by T) through
+    ``gram_b``, is mapped as ``tail T - ritz (M T)`` and :func:`b_normalized`."""
+    tail_coeff = coeff.copy()
+    tail_coeff[:rows] = 0.0
+    overlap = coeff.T @ gram_b @ tail_coeff
+    tail_coeff -= coeff @ overlap
+    try:
+        transform = gram_basis(sym(tail_coeff.T @ gram_b @ tail_coeff))
+    except InsufficientRankError:
+        return None
+    return b_normalized(combine_parts([tail, ritz], np.vstack([transform, -overlap @ transform])))
 
 
 def rayleigh_ritz(basis: np.ndarray, a_op: LinearOperator, b_op: LinearOperator,
@@ -341,8 +372,8 @@ def rayleigh_ritz(basis: np.ndarray, a_op: LinearOperator, b_op: LinearOperator,
     basis = _as_block(basis)
     if counters is not None:
         counters.rayleigh_ritz_calls += 1
-    ortho, _, transform, b_ortho = b_orthonormalize_full(basis, b_op, counters)
-    values, _, _, _, coeff = carried_rayleigh_ritz([(ortho, op_apply(a_op, ortho), b_ortho)], want)
+    ortho, _, transform, b_ortho = _checked_orthonormalize(basis, b_op, counters)
+    values, *_, coeff, _ = carried_rayleigh_ritz([(ortho, op_apply(a_op, ortho), b_ortho)], want)
     coeff = transform @ coeff
     vectors = basis @ coeff
     fix_signs(vectors, coeff)

@@ -13,8 +13,9 @@ Rayleigh-Ritz projection, B-normalization from products) lives in
 :func:`drive`, runs every solver and recomputes A X and B X explicitly
 before a convergence claim, at ``max_iter`` and every
 :data:`REFRESH_PERIOD` steps, so statuses rest on explicit products.  Without a
-metric, B X, B W and B P are X, W and P themselves.  P is B-orthogonalized
-against X in coefficient space and B-normalized from its mapped products.
+metric, B X, B W and B P are X, W and P themselves.  X and P share the
+product of [W, P]; P is B-orthogonalized to X and normalized in their
+coefficient space.
 The Gram blocks known by construction (X^T A X = diag(theta),
 X^T B X = W^T B W = P^T B P = I) are formed only once the residuals fall
 below :data:`EXPLICIT_GRAM_RTOL` (scipy's ``explicitGramFlag``).
@@ -31,17 +32,17 @@ from .blocks import (
     ORTHO_POST_TOL,
     OpCounters,
     b_apply,
-    b_normalized,
     b_orthonormalize_full,
     b_project_out,
     carried_rayleigh_ritz,
-    combine_parts,
+    fix_signs,
+    next_direction,
     ortho_defect,
     part_grams,
 )
 # Unused here; bound because perfbench/tracer.py looks them up in this module.
 from .blocks import rayleigh_ritz, residual_block  # noqa: F401
-from .dense import sym_eig_kernel as sym_eig
+from .dense import sym_eig_kernel as sym_eig  # noqa: F401
 from .errors import (
     DimensionMismatchError,
     InsufficientRankError,
@@ -50,6 +51,7 @@ from .errors import (
     OrthonormalizationError,
     ZeroRankError,
 )
+from . import operators  # perfbench/tracer.py rebinds IdentityOperator in this module
 from .operators import (
     CallableOperator,
     DiagonalOperator,
@@ -68,8 +70,8 @@ STATUS_BREAKDOWN = "breakdown"
 #: rounding drift grows with the number of updates.
 REFRESH_PERIOD = 50
 
-#: The restart guard: a step drops the previous-direction block when the
-#: joint B-Gram matrix of [X, W, P] has a condition number above this.
+#: The restart guard: a step drops P when the Cholesky of the joint B-Gram
+#: matrix of [X, W, P] fails or its pivot ratio squared exceeds this.
 RESTART_COND_LIMIT = 1e12
 
 #: Residual norms at or below their convergence thresholds at this tol make
@@ -170,18 +172,6 @@ def _require_finite(*blocks: np.ndarray) -> None:
         raise _Breakdown
 
 
-def _next_direction(parts, coeff: np.ndarray, gram_b: np.ndarray):
-    """Previous-direction block ``(P, A P, B P)`` for the next step, or None:
-    the Ritz coefficients ``coeff`` with the rows of the iterate block
-    ``parts[0]`` zeroed, B-orthogonalized against ``coeff`` through the
-    basis' B-Gram matrix ``gram_b``, then
-    :func:`~lobpcg_kit.blocks.b_normalized`."""
-    tail = coeff.copy()
-    tail[:parts[0][0].shape[1]] = 0.0
-    tail -= coeff @ (coeff.T @ gram_b @ tail)
-    return b_normalized(combine_parts(parts, tail))
-
-
 class LobpcgEngine:
     """Stepping core shared by :func:`lobpcg_solve`, :func:`psd_solve` and
     :func:`~lobpcg_kit.solver2.lobpcg2_solve`.
@@ -212,6 +202,7 @@ class LobpcgEngine:
                 f"operator dimensions disagree: {a_op.dim} vs {b_op.dim}"
             )
         cfg.validate(a_op.dim)
+        b_op = None if isinstance(b_op, operators.IdentityOperator) else b_op  # never applied
         if isinstance(b_op, (DiagonalOperator, SparseSymMatrix)):
             # a positive definite B has a positive diagonal
             bad = np.flatnonzero(b_op.diagonal() <= 0)
@@ -307,6 +298,8 @@ class LobpcgEngine:
     def _update_residuals(self) -> None:
         """Residuals and their norms, and X's column norms, of a new state."""
         self.R = self.AX - self.BX * self.ritz_values[None, :]
+        if self.constraints is not None:  # the pencil's residual off span(Y)
+            self.R = b_project_out(self.R, self.b_constraints, self.constraints)
         self.residual_norms = np.sqrt(np.einsum("ij,ij->j", self.R, self.R))
         self._x_norms = np.sqrt(np.einsum("ij,ij->j", self.X, self.X))
 
@@ -323,7 +316,7 @@ class LobpcgEngine:
         x, values = self.X, self.ritz_values
         if ortho_defect(x.T @ b_x) > ORTHO_POST_TOL:
             self.counters.orthonormalizations += 1
-            values, x, a_x, b_x, _ = carried_rayleigh_ritz([(x, a_x, b_x)], self.block_size)
+            values, x, a_x, b_x, _, _ = carried_rayleigh_ritz([(x, a_x, b_x)], self.block_size)
         self.X, self.AX, self.BX, self.ritz_values = x, a_x, b_x, values
         self._fresh = True
         self._update_residuals()
@@ -342,11 +335,11 @@ class LobpcgEngine:
         """One locally optimal update of the iterate block.
 
         ``extra_deflation`` is a ``(V, b_dual_basis(V, B V))`` pair that the
-        active residuals are B-projected off before preconditioning.  A is
-        applied to the new direction block only, B to it by its
-        orthonormalization and post-check.  Raises the internal breakdown
-        signal when the residuals or the projected Gram matrices are not
-        finite, no search directions survive, or the trial without P fails.
+        active residuals are B-projected off before preconditioning.  A and
+        B are applied once, to the new directions only.  Raises the internal
+        breakdown signal when the residuals or the projected Gram matrices
+        are not finite, no search directions survive, or the trial without
+        P fails.
         """
         include_p = self.use_history_direction
         active = np.flatnonzero(~self.converged_mask())
@@ -359,8 +352,7 @@ class LobpcgEngine:
         residuals = self.R[:, active]
         if extra_deflation is not None:
             residuals = b_project_out(residuals, *extra_deflation)
-        directions = self.precond.apply(residuals)
-        directions = self._deflate(directions)
+        directions = self._deflate(self.precond.apply(residuals))
         directions = b_project_out(directions, self.X, self.BX)
         try:
             w_block, _, _, b_w = b_orthonormalize_full(directions, self.b_op, self.counters)
@@ -373,26 +365,24 @@ class LobpcgEngine:
             parts.append((self.P, self.AP, self.BP))
         gram_a, gram_b = part_grams(parts, None if self._explicit_grams else self.ritz_values)
         _require_finite(gram_a, gram_b)
-        # Condition guard on the joint Gram matrix: drop the carried
-        # directions for this step when the basis degenerates, or when the
-        # projection with them falls short of rank or fails its post-check.
-        trials = [parts[:2]]
-        if len(parts) == 3 and self._well_conditioned(gram_b):
-            trials.insert(0, parts)
-        for trial in trials:
+        # The restart guard (a Cholesky failing RESTART_COND_LIMIT) drops the
+        # carried directions for this step, as does a projection with them
+        # that falls short of rank or fails its post-check.
+        for trial in [parts, parts[:2]] if len(parts) == 3 else [parts]:
             width = sum(block.shape[1] for block, _, _ in trial)
             self.counters.rayleigh_ritz_calls += 1
             try:
-                values, x, a_x, b_x, coeff = carried_rayleigh_ritz(
-                    trial, self.block_size, gram_a[:width, :width], gram_b[:width, :width]
-                )
+                values, x, a_x, b_x, coeff, tail = carried_rayleigh_ritz(
+                    trial, self.block_size, gram_a[:width, :width], gram_b[:width, :width],
+                    RESTART_COND_LIMIT if len(trial) == 3 else np.inf)
                 break
-            except (InsufficientRankError, OrthonormalizationError):
+            except (InsufficientRankError, NotPositiveDefiniteError, OrthonormalizationError):
                 continue
         else:
             raise _Breakdown
 
-        new_p = _next_direction(trial, coeff, gram_b[:width, :width]) if include_p else None
+        new_p = None if tail is None or not include_p else next_direction(
+            (x, a_x, b_x), tail, coeff, gram_b[:width, :width], self.X.shape[1])
         self.counters.orthonormalizations += int(include_p)
 
         self.X, self.AX, self.BX, self.ritz_values = x, a_x, b_x, values
@@ -402,14 +392,9 @@ class LobpcgEngine:
         self._fresh = False
         self._update_residuals()
 
-    def _well_conditioned(self, gram: np.ndarray) -> bool:
-        eigvals = sym_eig(gram).values
-        lam_min, lam_max = float(eigvals[0]), float(eigvals[-1])
-        return lam_min > 0.0 and lam_max / lam_min <= RESTART_COND_LIMIT
-
-    def salvage(self) -> None:
-        """After a breakdown, try to make carried products explicit."""
-        if not self._fresh:
+    def salvage(self, in_step: bool) -> None:
+        """After a breakdown in a step, try to make carried products explicit."""
+        if in_step and not self._fresh:
             try:
                 self._refresh_products()
             except (_Breakdown, OrthonormalizationError):
@@ -428,12 +413,13 @@ def drive(state, nev: int, max_iter: int, period: int, record_history: bool) -> 
     ``_fresh`` (products explicit) and ``_last_basis_cols``.  Carried
     products are refreshed before a convergence claim, at ``max_iter`` and
     every ``period`` steps, so the status is decided on explicit products.
-    Breakdown ends the run after ``state.salvage()``.
+    Breakdown ends the run after ``state.salvage(in_step)``.
     """
     history: list[IterationRecord] = []
     n_locked = 0
     status = None
     while status is None:
+        in_step = False
         try:
             conv = state.converged_mask()
             if not state._fresh and (np.all(conv[:nev]) or state.iterations >= max_iter
@@ -451,13 +437,16 @@ def drive(state, nev: int, max_iter: int, period: int, record_history: bool) -> 
             elif state.iterations >= max_iter:
                 status = STATUS_MAX_ITER
             else:
+                in_step = True
                 state.step()
         except (_Breakdown, OrthonormalizationError):
             # a state is mutated only once fully assembled and finite, so
             # the best-so-far pairs are intact here
             status = STATUS_BREAKDOWN
-            state.salvage()
-    return SolveResult(values=state.ritz_values[:nev].copy(), vectors=state.X[:, :nev].copy(),
+            state.salvage(in_step)
+    vectors = state.X[:, :nev].copy()
+    fix_signs(vectors)
+    return SolveResult(values=state.ritz_values[:nev].copy(), vectors=vectors,
                        status=status, iterations=state.iterations,
                        residual_norms=state.residual_norms[:nev].copy(), history=history,
                        counters=state.counters)

@@ -128,13 +128,13 @@ class _Rounds:
         self.counters.rayleigh_ritz_calls += 1
         parts = [(x, a_x, b_x)]
         try:
-            values, x, a_x, b_x, _ = carried_rayleigh_ritz(parts, self.padded)
+            values, x, a_x, b_x, _, _ = carried_rayleigh_ritz(parts, self.padded)
         except InsufficientRankError:
             # recurrences collapsed: widen the span with random columns
             fill = self.rng.standard_normal((x.shape[0], self.padded))
             parts.append((fill, op_apply(self.lead.a_op, fill), b_apply(self.lead.b_op, fill)))
             _require_finite(*parts[1])
-            values, x, a_x, b_x, _ = carried_rayleigh_ritz(parts, self.padded)
+            values, x, a_x, b_x, _, _ = carried_rayleigh_ritz(parts, self.padded)
         for engine, cols in zip(self.engines, self.slices):
             direction = None
             if keep and engine.P is not None:  # P -= X (B X)^T P, one engine at a time
@@ -183,9 +183,9 @@ class _Rounds:
             for engine in self.engines:
                 engine._refresh_products()
 
-    def salvage(self) -> None:
-        """After a breakdown, couple on the carried products if uncoupled: an
-        explicit product may be what is not finite."""
+    def salvage(self, in_step: bool) -> None:
+        """After any breakdown, couple on the carried products if uncoupled:
+        an explicit product may be what is not finite."""
         if not self._fresh:
             try:
                 self.couple(self.X, self.stack("AX"), self.stack("BX"), keep=False)

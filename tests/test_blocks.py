@@ -145,16 +145,34 @@ class TestBOrthonormalize:
     # numpy warns while forming a Gram matrix from an infinite product
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_gram_raises(self, rng, bad_value, bad_from):
-        # B turns non-finite in the first pass or only in its post-check
+        # B is applied once and turns non-finite in the columns from
+        # bad_from on, the others staying finite
         calls = []
 
         def apply(block):
             calls.append(block.shape[1])
-            return np.full_like(block, bad_value) if len(calls) >= bad_from else block.copy()
+            out = block.copy()
+            out[:, bad_from:] = bad_value
+            return out
 
         with pytest.raises(OrthonormalizationError):
             b_orthonormalize_full(rng.standard_normal((10, 3)), CallableOperator(10, apply))
-        assert len(calls) == bad_from
+        assert calls == [3]
+
+    @pytest.mark.parametrize("bad_value", [np.nan, np.inf])
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_public_wrapper_checks_b_applied_afresh(self, rng, bad_value):
+        # the mapped product passes; B turns non-finite only on the
+        # wrapper's own apply
+        calls = []
+
+        def apply(block):
+            calls.append(block.shape[1])
+            return np.full_like(block, bad_value) if len(calls) >= 2 else block.copy()
+
+        with pytest.raises(OrthonormalizationError):
+            b_orthonormalize(rng.standard_normal((10, 3)), CallableOperator(10, apply))
+        assert calls == [3, 3]
 
 
 class TestRayleighRitz:

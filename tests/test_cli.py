@@ -3,9 +3,11 @@ reproducibility."""
 
 import dataclasses
 import json
+import os
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -330,10 +332,14 @@ class TestPartitionCommand:
 
 def test_module_entry_point(lap50, tmp_path):
     out = tmp_path / "proc.json"
+    # the child does not see pytest's pythonpath setting
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [path for path in [os.environ.get("PYTHONPATH")] if path]))
     proc = subprocess.run(
         [sys.executable, "-m", "lobpcg_kit", "solve", "--matrix", lap50,
          "--nev", "1", "--out", str(out)],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=env,
     )
     assert proc.returncode == 0
     assert json.loads(out.read_text())["status"] == "converged"

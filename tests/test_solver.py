@@ -99,6 +99,24 @@ class TestLobpcgExamples:
         # with the first eigenvector deflated, the solver finds pairs 2, 3
         np.testing.assert_allclose(res.values, oracle.values[1:3], atol=1e-7)
 
+    @pytest.mark.parametrize("metric", [False, True], ids=["standard", "pencil"])
+    def test_constraints_need_not_be_eigenvectors(self, metric):
+        # the constant vector is no eigenvector of the Dirichlet Laplacian;
+        # the pairs are those of the pencil on the B-orthogonal complement
+        n = 60
+        a = laplacian_1d(n)
+        b = random_spd_metric(2, n) if metric else None
+        b_dense = np.eye(n) if b is None else b.to_dense()
+        y = np.ones((n, 1))
+        res = lobpcg_solve(a, SolverConfig(nev=3, block_size=4), b_op=b,
+                           precond=jacobi_precond(a), constraints=y)
+        basis = np.linalg.svd((b_dense @ y).T)[2][1:].T  # spans {x : y^T B x = 0}
+        inv_lower = np.linalg.inv(np.linalg.cholesky(basis.T @ b_dense @ basis))
+        expected = np.linalg.eigvalsh(inv_lower @ basis.T @ a.to_dense() @ basis @ inv_lower.T)
+        assert res.status == "converged"
+        np.testing.assert_allclose(res.values, expected[:3], rtol=1e-7)
+        assert np.max(np.abs(y.T @ b_dense @ res.vectors)) <= 1e-8
+
 
 class TestPsd:
     def test_identity(self):
@@ -281,6 +299,42 @@ class TestDriver:
             * np.linalg.norm(res.vectors, axis=0)
         assert np.all(np.linalg.norm(fresh, axis=0) <= 1.01 * thresholds)
 
+    # numpy warns while the poisoned products meet
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("armed_after,a_columns", [(10, 24), (5, 16)])
+    def test_salvage_follows_only_a_step_breakdown(self, armed_after, a_columns):
+        # A turns NaN after step `armed_after`: at max_iter 10 the refresh
+        # breaks down and is not repeated; inside step 6 the step breaks
+        # down and the salvage refresh applies A to X (2 columns) once
+        mat, armed = easy_spd_problem(5, 48), []
+        a = CallableOperator(48, lambda block: np.full_like(block, np.nan) if armed
+                             else op_apply(mat, block))
+        engine = LobpcgEngine(a, SolverConfig(nev=2, max_iter=10))
+        step = engine.step
+
+        def arming_step():
+            step()
+            if engine.iterations == armed_after:
+                armed.append(True)
+
+        engine.step = arming_step
+        res = engine.run()
+        assert (res.status, res.iterations) == ("breakdown", armed_after)
+        assert res.counters.a_matvecs == a_columns
+
+    @pytest.mark.parametrize("solve", [
+        lambda a, b: lobpcg_solve(a, SolverConfig(nev=2, seed=3), b_op=b),
+        lambda a, b: lobpcg2_solve(a, Lobpcg2Config(nev=2, sub_block=1, seed=3), b_op=b),
+    ], ids=["lobpcg", "lobpcg2"])
+    def test_identity_metric_takes_the_standard_path(self, solve):
+        a = easy_spd_problem(3, 40)
+        plain, ident = solve(a, None), solve(a, IdentityOperator(40))
+        assert ident.counters.b_matvecs == 0
+        assert ident.iterations == plain.iterations
+        np.testing.assert_array_equal(ident.values, plain.values)
+        np.testing.assert_array_equal(ident.vectors, plain.vectors)
+        assert LobpcgEngine(a, SolverConfig(nev=2), b_op=IdentityOperator(40)).b_op is None
+
     def test_every_solver_runs_through_the_driver(self, monkeypatch):
         from lobpcg_kit import solver2
 
@@ -368,6 +422,39 @@ class TestStepConstruction:
         # X^T B P with B applied explicitly; P^T B P from the carried B P,
         # which the step takes to be I
         assert np.max(worst, axis=0).tolist() <= [1e-8, 1e-8]
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_explicit_b_orthonormality_over_long_runs(self, seed, monkeypatch):
+        # W's B-product is mapped from one apply; over 600 steps, most with
+        # residuals at rounding level, B applied afresh to every W and X
+        # still finds them B-orthonormal
+        a, b = fe_pencil()
+        orthonormalize, w_defects, w_gaps, x_defects = solver.b_orthonormalize_full, [], [], []
+
+        def explicit(block):
+            return np.max(np.abs(block.T @ op_apply(b, block) - np.eye(block.shape[1])))
+
+        def checked_orthonormalize(*args, **kwargs):
+            out = orthonormalize(*args, **kwargs)
+            w_defects.append(explicit(out[0]))
+            w_gaps.append(np.max(np.abs(op_apply(b, out[0]) - out[3])) / np.max(np.abs(out[3])))
+            return out
+
+        monkeypatch.setattr(solver, "b_orthonormalize_full", checked_orthonormalize)
+        engine = LobpcgEngine(a, SolverConfig(nev=4, tol=1e-300, max_iter=600, seed=seed),
+                              b_op=b, precond=jacobi_precond(a))
+        step = engine.step
+
+        def checked_step(*args, **kwargs):
+            step(*args, **kwargs)
+            x_defects.append(explicit(engine.X))
+
+        engine.step = checked_step
+        assert engine.run().iterations == 600
+        assert len(w_defects) == 601 and len(x_defects) == 600
+        assert max(w_gaps) <= 1e-10
+        assert max(w_defects) <= ORTHO_POST_TOL
+        assert max(x_defects) <= 1e-12
 
     def test_standard_problem_applies_no_metric(self):
         a = laplacian_1d(200)
