@@ -38,7 +38,7 @@ class SelfLoopError(LobpcgKitError):
 
 
 class NegativeWeightError(LobpcgKitError):
-    """A graph edge carries a negative weight."""
+    """A graph edge carries a negative or non-finite weight."""
 
 
 class ZeroVectorError(LobpcgKitError):

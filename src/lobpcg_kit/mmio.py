@@ -1,13 +1,15 @@
 """Matrix Market and edge-list file handling.
 
-Readers are liberal about blank lines, ``%`` comments and CRLF endings and
-strict about everything else, reporting 1-based line numbers on failure.
-Numbers are written with 17 significant digits so files round-trip float64
-exactly.
+Readers are liberal about blank lines, comment lines (a ``%``, or ``#`` in
+edge lists, first on a line) and CRLF endings and strict about everything
+else, reporting 1-based line numbers on failure.  One ``np.loadtxt`` call
+parses a file's body; a per-line pass runs only to name an error.  Numbers
+are written with 17 significant digits so files round-trip float64 exactly.
 """
 
 from __future__ import annotations
 
+import io
 import os
 from typing import Iterable
 
@@ -20,6 +22,7 @@ from .errors import (
     UnsupportedFieldError,
 )
 from .operators import (
+    _TRIPLET,
     SparseSymMatrix,
     _coo_columns,
     _merge_duplicates,
@@ -37,21 +40,58 @@ def _fmt(x: float) -> str:
     return f"{float(x):.17g}"
 
 
-def _data_lines(path: str | os.PathLike):
+def _read_text(path: str | os.PathLike) -> str:
+    """The UTF-8 text of ``path``; an undecodable byte fails on its line."""
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            return handle.read()
+    except UnicodeDecodeError as exc:
+        line_no = len((exc.object[:exc.start] + b".").splitlines())
+        raise MatrixMarketParseError("not valid UTF-8", line_no) from None
+
+
+def _number(kind, token: str):
+    """``kind(token)``, int or float, in np.loadtxt's grammar: Python's,
+    less ``_`` digit groups, non-ASCII digits and ints outside int64."""
+    value = kind(token)
+    if not token.isascii() or "_" in token or (kind is int and not -2**63 <= value < 2**63):
+        raise ValueError(token)
+    return value
+
+
+def _data_lines(text: str, comment: str = "%"):
     """Yield (line_no, stripped_text) for non-comment, non-blank lines."""
-    with open(path, "r", encoding="utf-8") as handle:
-        for line_no, raw in enumerate(handle, start=1):
-            text = raw.strip()
-            if not text or text.startswith("%"):
-                continue
-            yield line_no, text
+    for line_no, raw in enumerate(io.StringIO(text), start=1):
+        stripped = raw.strip()
+        if stripped and not stripped.startswith(comment):
+            yield line_no, stripped
 
 
-def _parse_header(path: str | os.PathLike) -> tuple[str, str]:
-    """Validate the banner line; return (format, symmetry)."""
-    with open(path, "r", encoding="utf-8") as handle:
-        first = handle.readline()
-    tokens = first.strip().split()
+def _load_body(text: str, skip: int, dtype, delimiter, comment: str, valid, find_error):
+    """The lines of ``text`` after the first ``skip``, less blank and
+    comment lines, parsed by one ``np.loadtxt`` call into ``dtype``.  If it
+    fails or ``valid(records)`` does not hold, ``find_error()`` raises."""
+    body = "".join(text.split("\n", skip)[skip:])
+    # loadtxt refuses a blank line when its delimiter is ",", and its
+    # comments= would also cut a comment that starts mid-line
+    lines = [*filter(str.strip, body.split("\n"))]
+    if comment in body:
+        lines = [line for line in lines if not line.lstrip().startswith(comment)]
+    try:
+        records = (np.loadtxt(lines, dtype, delimiter=delimiter, comments=None, ndmin=1)
+                   if lines else np.empty(0, dtype))
+    except ValueError:
+        records = None
+    if records is None or not valid(records):
+        find_error()
+        raise MatrixMarketParseError("the file body does not parse")  # not reached
+    return records
+
+
+def _parse_header(path: str | os.PathLike, text: str, expected: str) -> str:
+    """Validate the banner line of an ``expected`` format file; return the
+    symmetry."""
+    tokens = text.partition("\n")[0].split()
     if not tokens or tokens[0].lower() != _COORD_BANNER:
         raise BadHeaderError(f"{path}: missing %%MatrixMarket banner")
     if len(tokens) != 5:
@@ -63,7 +103,9 @@ def _parse_header(path: str | os.PathLike) -> tuple[str, str]:
         raise UnsupportedFieldError(f"field {fld!r} is not supported (real only)")
     if sym not in ("symmetric", "general"):
         raise UnsupportedFieldError(f"symmetry {sym!r} is not supported")
-    return fmt, sym
+    if fmt != expected:
+        raise UnsupportedFieldError(f"format {fmt!r} is not supported here ({expected} only)")
+    return sym
 
 
 def _size_line(lines, fields: str) -> tuple[int, list[int]]:
@@ -77,12 +119,33 @@ def _size_line(lines, fields: str) -> tuple[int, list[int]]:
     if len(parts) != len(fields.split()):
         raise MatrixMarketParseError(f"size line needs '{fields}'", line_no)
     try:
-        sizes = [int(part) for part in parts]
+        sizes = [_number(int, part) for part in parts]
     except ValueError:
         raise MatrixMarketParseError("size line is not integral", line_no) from None
     if min(sizes[:2]) < 1 or min(sizes) < 0:
         raise MatrixMarketParseError("non-positive dimensions", line_no)
     return line_no, sizes
+
+
+def _entry_errors(lines, last_line_no: int, rows: int, nnz: int) -> None:
+    """The per-line pass over coordinate entries: raise the first error."""
+    count = 0
+    for line_no, text in lines:
+        last_line_no = line_no
+        if count == nnz:
+            raise MatrixMarketParseError(f"more than the declared {nnz} entries", line_no)
+        parts = text.split()
+        if len(parts) != 3:
+            raise MatrixMarketParseError("entry needs 'i j value'", line_no)
+        try:
+            i, j, _ = _number(int, parts[0]), _number(int, parts[1]), _number(float, parts[2])
+        except ValueError:
+            raise MatrixMarketParseError(f"cannot parse entry {text!r}", line_no) from None
+        if not (1 <= i <= rows and 1 <= j <= rows):
+            raise MatrixMarketParseError(f"index ({i}, {j}) outside 1..{rows}", line_no)
+        count += 1
+    if count != nnz:
+        raise MatrixMarketParseError(f"declared {nnz} entries but found {count}", last_line_no)
 
 
 def parse_matrix_market(path: str | os.PathLike) -> SparseSymMatrix:
@@ -92,35 +155,19 @@ def parse_matrix_market(path: str | os.PathLike) -> SparseSymMatrix:
     Indices are converted from 1-based to 0-based, duplicates are summed,
     and symmetric files holding one triangle are mirrored.
     """
-    fmt, sym = _parse_header(path)
-    if fmt != "coordinate":
-        raise UnsupportedFieldError(f"format {fmt!r} is not supported here (coordinate only)")
-
-    lines = _data_lines(path)
+    text = _read_text(path)
+    sym = _parse_header(path, text, "coordinate")
+    lines = _data_lines(text)
     size_line_no, (rows, cols, nnz) = _size_line(lines, "rows cols nnz")
     if rows != cols:
         raise MatrixMarketParseError(f"matrix is {rows}x{cols}, not square", size_line_no)
-
-    entries: list[tuple[int, int, float]] = []
-    last_line_no = size_line_no
-    for line_no, text in lines:
-        last_line_no = line_no
-        if len(entries) == nnz:
-            raise MatrixMarketParseError(f"more than the declared {nnz} entries", line_no)
-        parts = text.split()
-        if len(parts) != 3:
-            raise MatrixMarketParseError("entry needs 'i j value'", line_no)
-        try:
-            i, j, value = int(parts[0]), int(parts[1]), float(parts[2])
-        except ValueError:
-            raise MatrixMarketParseError(f"cannot parse entry {text!r}", line_no) from None
-        if not (1 <= i <= rows and 1 <= j <= cols):
-            raise MatrixMarketParseError(f"index ({i}, {j}) outside 1..{rows}", line_no)
-        entries.append((i - 1, j - 1, value))
-    if len(entries) != nnz:
-        raise MatrixMarketParseError(
-            f"declared {nnz} entries but found {len(entries)}", last_line_no
-        )
+    entries = _load_body(
+        text, size_line_no, _TRIPLET, None, "%",
+        lambda e: e.size == nnz and np.all((1 <= e["i"]) & (e["i"] <= rows)
+                                           & (1 <= e["j"]) & (e["j"] <= rows)),
+        lambda: _entry_errors(lines, size_line_no, rows, nnz))
+    entries["i"] -= 1
+    entries["j"] -= 1
 
     if sym == "general":
         i, j, v = _coo_columns(entries)
@@ -144,27 +191,34 @@ def write_matrix_market_symmetric(path: str | os.PathLike, matrix: SparseSymMatr
             handle.write(f"{i + 1} {j + 1} {_fmt(v)}\n")
 
 
-def read_dense_matrix_market(path: str | os.PathLike) -> np.ndarray:
-    """Read an ``array real general`` file into an (n, m) array."""
-    fmt, sym = _parse_header(path)
-    if fmt != "array":
-        raise UnsupportedFieldError(f"format {fmt!r} is not supported here (array only)")
-    if sym != "general":
-        raise UnsupportedFieldError("array files must be general")
-    lines = _data_lines(path)
-    _, (rows, cols) = _size_line(lines, "rows cols")
-    values = []
+def _value_errors(lines, last_line_no: int, expected: int) -> None:
+    """The per-line pass over array values: raise the first error."""
+    count = 0
     for line_no, text in lines:
+        last_line_no = line_no
         try:
-            values.append(float(text))
+            _number(float, text)
         except ValueError:
             raise MatrixMarketParseError(f"cannot parse value {text!r}", line_no) from None
-    if len(values) != rows * cols:
-        raise MatrixMarketParseError(
-            f"expected {rows * cols} values, found {len(values)}"
-        )
+        count += 1
+    if count != expected:
+        raise MatrixMarketParseError(f"expected {expected} values, found {count}", last_line_no)
+
+
+def read_dense_matrix_market(path: str | os.PathLike) -> np.ndarray:
+    """Read an ``array real general`` file, one value a line, into an
+    (n, m) array."""
+    text = _read_text(path)
+    if _parse_header(path, text, "array") != "general":
+        raise UnsupportedFieldError("array files must be general")
+    lines = _data_lines(text)
+    size_line_no, (rows, cols) = _size_line(lines, "rows cols")
+    # one field a record, so that a line of two numbers is refused
+    values = _load_body(text, size_line_no, [("v", float)], None, "%",
+                        lambda values: values.size == rows * cols,
+                        lambda: _value_errors(lines, size_line_no, rows * cols))
     # Array format stores columns contiguously.
-    return np.array(values).reshape((cols, rows)).T
+    return values["v"].reshape((cols, rows)).T
 
 
 def write_dense_matrix_market(path: str | os.PathLike, block: np.ndarray) -> None:
@@ -180,34 +234,43 @@ def write_dense_matrix_market(path: str | os.PathLike, block: np.ndarray) -> Non
                 handle.write(f"{_fmt(block[row, col])}\n")
 
 
-def read_edge_csv(path: str | os.PathLike) -> tuple[int, list[tuple[int, int, float]]]:
+def _edge_row(text: str, line_no: int) -> bool:
+    """Check one data line of an edge CSV; False for the optional header:
+    a line 1 of three fields that do not parse."""
+    parts = [p.strip() for p in text.split(",")]
+    if len(parts) != 3:
+        raise MatrixMarketParseError("row needs 'u,v,weight'", line_no)
+    try:
+        u, v, _ = _number(int, parts[0]), _number(int, parts[1]), _number(float, parts[2])
+    except ValueError:
+        if line_no == 1:
+            return False
+        raise MatrixMarketParseError(f"cannot parse row {text!r}", line_no) from None
+    if u < 0 or v < 0:
+        raise MatrixMarketParseError("vertex ids must be >= 0", line_no)
+    return True
+
+
+def _edge_errors(text: str) -> None:
+    """The per-line pass over an edge CSV: raise the first error."""
+    if not sum(_edge_row(row, line_no) for line_no, row in _data_lines(text, "#")):
+        raise MatrixMarketParseError("edge file holds no edges")
+
+
+def read_edge_csv(path: str | os.PathLike) -> tuple[int, np.ndarray]:
     """Read ``u,v,weight`` rows (0-based ids; optional header; LF or CRLF).
 
-    Returns ``(n, edges)`` with n inferred as max vertex id + 1.
+    Returns ``(n, edges)`` with n inferred as max vertex id + 1 and
+    ``edges`` a record array of fields ``i``, ``j`` and ``v``, whose
+    ``tolist()`` is the list of ``(u, v, weight)`` tuples.
     """
-    edges: list[tuple[int, int, float]] = []
-    top = 0
-    with open(path, "r", encoding="utf-8-sig") as handle:
-        for line_no, raw in enumerate(handle, start=1):
-            text = raw.strip()
-            if not text or text.startswith("#"):
-                continue
-            parts = [p.strip() for p in text.split(",")]
-            if len(parts) != 3:
-                raise MatrixMarketParseError("row needs 'u,v,weight'", line_no)
-            try:
-                u, v, w = int(parts[0]), int(parts[1]), float(parts[2])
-            except ValueError:
-                if line_no == 1:
-                    continue  # optional header row
-                raise MatrixMarketParseError(f"cannot parse row {text!r}", line_no) from None
-            if u < 0 or v < 0:
-                raise MatrixMarketParseError("vertex ids must be >= 0", line_no)
-            edges.append((u, v, w))
-            top = max(top, u, v)
-    if not edges:
-        raise MatrixMarketParseError("edge file holds no edges")
-    return top + 1, edges
+    text = _read_text(path).removeprefix("\ufeff")
+    head = text.partition("\n")[0].strip()
+    header = bool(head) and not head.startswith("#") and not _edge_row(head, 1)
+    edges = _load_body(text, int(header), _TRIPLET, ",", "#",
+                       lambda e: e.size and min(e["i"].min(), e["j"].min()) >= 0,
+                       lambda: _edge_errors(text))
+    return int(max(edges["i"].max(), edges["j"].max())) + 1, edges
 
 
 def write_edge_csv(path: str | os.PathLike, edges: Iterable[tuple[int, int, float]]) -> None:

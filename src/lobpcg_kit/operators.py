@@ -165,9 +165,11 @@ _TRIPLET = np.dtype([("i", np.int64), ("j", np.int64), ("v", float)])
 
 
 def _coo_columns(records: Iterable) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Row, column and value arrays of (i, j, value) records."""
-    data = np.fromiter(map(tuple, records), _TRIPLET)
-    return data["i"], data["j"], data["v"]
+    """Row, column and value arrays of (i, j, value) records: a ``_TRIPLET``
+    array as it is, or any iterable of triples."""
+    if not (isinstance(records, np.ndarray) and records.dtype == _TRIPLET):
+        records = np.fromiter(map(tuple, records), _TRIPLET)
+    return records["i"], records["j"], records["v"]
 
 
 def _merge_duplicates(n: int, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray):
@@ -220,7 +222,8 @@ def _assemble(n: int, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray) -> S
 
 
 def csr_from_coo(n: int, triplets: Iterable[tuple[int, int, float]]) -> SparseSymMatrix:
-    """Assemble a symmetric CSR matrix from (i, j, value) triplets.
+    """Assemble a symmetric CSR matrix from (i, j, value) triplets, or the
+    record array a reader returns.
 
     Duplicates are summed in input order.  When only one of (i, j) / (j, i)
     is supplied the entry is mirrored; when both are supplied their
@@ -314,10 +317,10 @@ def laplacian_from_edges(n: int, edges: Iterable[tuple[int, int, float]]) -> Spa
 
     Parallel edges are summed.  L is symmetric positive semidefinite and
     annihilates the constant vector.  Errors name the first bad edge in
-    input order.
+    input order; a weight must be finite and not negative.
     """
     u, v, w = _coo_columns(edges)
-    bad = (u == v) | (u < 0) | (u >= n) | (v < 0) | (v >= n) | (w < 0)
+    bad = (u == v) | (u < 0) | (u >= n) | (v < 0) | (v >= n) | ~((w >= 0) & (w < np.inf))
     if bad.any():
         k = int(np.argmax(bad))
         uk, vk, wk = int(u[k]), int(v[k]), float(w[k])
@@ -325,7 +328,8 @@ def laplacian_from_edges(n: int, edges: Iterable[tuple[int, int, float]]) -> Spa
             raise SelfLoopError(f"self loop at vertex {uk}")
         if not (0 <= uk < n and 0 <= vk < n):
             raise IndexOutOfRangeError(f"edge ({uk}, {vk}) outside [0, {n})")
-        raise NegativeWeightError(f"edge ({uk}, {vk}) has negative weight {wk}")
+        kind = "negative" if wk < 0 else "non-finite"
+        raise NegativeWeightError(f"edge ({uk}, {vk}) has {kind} weight {wk}")
     if not u.size:
         # Edgeless graph: the all-zero Laplacian.
         return _assemble(n, np.zeros(1, np.int64), np.zeros(1, np.int64), np.zeros(1))

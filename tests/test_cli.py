@@ -17,6 +17,7 @@ from conftest import laplacian_1d, laplacian_1d_eigenvalues
 from lobpcg_kit import (
     Lobpcg2Config,
     SolverConfig,
+    partition_graph,
     write_edge_csv,
     write_matrix_market_symmetric,
 )
@@ -328,6 +329,57 @@ class TestPartitionCommand:
         code = main(["partition", "--edges", str(epath),
                      "--out", str(tmp_path / "x.json")])
         assert code == 1
+
+
+class TestUnreadableInput:
+    """A file the readers refuse is a one-line usage error, not a traceback."""
+
+    @pytest.mark.parametrize("content,message", [
+        (b"u,v,weight\n0,1,1\n# caf\xe9\n1,2,1\n", "line 3: not valid UTF-8"),
+        (b"0,1,1\n1,99999999999999999999,1\n",
+         "line 2: cannot parse row '1,99999999999999999999,1'"),
+    ])
+    def test_partition(self, tmp_path, capsys, content, message):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(content)
+        code = main(["partition", "--edges", str(path), "--out", str(tmp_path / "x.json")])
+        assert code == 1
+        assert capsys.readouterr().err == f"lobpcg-kit partition: {message}\n"
+
+    def test_solve(self, tmp_path, capsys):
+        path = tmp_path / "bad.mtx"
+        path.write_bytes(b"%%MatrixMarket matrix coordinate real symmetric\n"
+                         b"% caf\xe9\n1 1 1\n1 1 1.0\n")
+        code = main(["solve", "--matrix", str(path), "--nev", "1",
+                     "--out", str(tmp_path / "x.json")])
+        assert code == 1
+        assert capsys.readouterr().err == "lobpcg-kit solve: line 2: not valid UTF-8\n"
+
+
+def test_partition_of_a_generated_csv_matches_the_library(tmp_path):
+    # a heavy-tailed two-community graph, its rows shuffled and written
+    # with a header and CRLF endings
+    rng = np.random.default_rng(7)
+    n = 300
+    weight = rng.pareto(2.5, n) + 1.0
+    community = rng.integers(0, 2, n)
+    u = rng.choice(n, 2000, p=weight / weight.sum())
+    v = rng.choice(n, 2000, p=weight / weight.sum())
+    keep = (u != v) & ((community[u] == community[v]) | (rng.random(2000) < 0.03))
+    edges = [(int(a), int(b), float(w)) for a, b, w in
+             zip(u[keep], v[keep], rng.integers(1, 4, keep.sum()))]
+    edges += [(k, (k + 1) % n, 0.125) for k in range(n)]  # keeps it connected
+    edges = [edges[k] for k in rng.permutation(len(edges))]
+    path = tmp_path / "graph.csv"
+    path.write_bytes(("u,v,weight\r\n" + "".join(f"{a},{b},{w!r}\r\n" for a, b, w in edges))
+                     .encode("utf-8"))
+    out = tmp_path / "part.json"
+    assert main(["partition", "--edges", str(path), "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    expected = partition_graph(n, edges)
+    assert doc["labels"] == expected.labels.tolist()
+    assert doc["cut_weight"] == expected.cut_weight
+    assert doc["fiedler_value"] == expected.fiedler_value
 
 
 def test_module_entry_point(lap50, tmp_path):

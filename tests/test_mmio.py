@@ -17,6 +17,7 @@ from lobpcg_kit import (
     write_edge_csv,
     write_matrix_market_symmetric,
 )
+from lobpcg_kit import mmio
 
 
 def write(tmp_path, name, text):
@@ -146,6 +147,13 @@ class TestRoundTrips:
             read_dense_matrix_market(path)
         assert exc.value.line_no == 2
 
+    def test_dense_value_count_reports_line(self, tmp_path):
+        path = write(tmp_path, "short.mtx",
+                     "%%MatrixMarket matrix array real general\n2 2\n1\n2\n3\n% end\n")
+        with pytest.raises(MatrixMarketParseError) as exc:
+            read_dense_matrix_market(path)
+        assert str(exc.value) == "line 5: expected 4 values, found 3"
+
     def test_dense_round_trip(self, tmp_path, rng):
         block = rng.standard_normal((6, 3))
         path = tmp_path / "block.mtx"
@@ -159,14 +167,14 @@ class TestEdgeCsv:
         path = write(tmp_path, "e.csv", "0,1,1.0\n1,2,2.5\n")
         n, edges = read_edge_csv(path)
         assert n == 3
-        assert edges == [(0, 1, 1.0), (1, 2, 2.5)]
+        assert edges.tolist() == [(0, 1, 1.0), (1, 2, 2.5)]
 
     def test_header_and_crlf(self, tmp_path):
         path = tmp_path / "e.csv"
         path.write_bytes(b"u,v,weight\r\n0,1,1.0\r\n2,3,0.5\r\n")
         n, edges = read_edge_csv(path)
         assert n == 4
-        assert edges == [(0, 1, 1.0), (2, 3, 0.5)]
+        assert edges.tolist() == [(0, 1, 1.0), (2, 3, 0.5)]
 
     def test_bad_row_reports_line(self, tmp_path):
         path = write(tmp_path, "bad.csv", "0,1,1.0\n1,two,1.0\n")
@@ -179,4 +187,38 @@ class TestEdgeCsv:
         path = tmp_path / "rt.csv"
         write_edge_csv(path, edges)
         n, again = read_edge_csv(path)
-        assert again == edges
+        assert again.tolist() == edges
+
+
+class TestOneParsePath:
+    """Valid files with a header, a byte order mark, CRLF endings, blank
+    lines and comment lines are parsed without the per-line pass."""
+
+    @pytest.fixture(autouse=True)
+    def no_per_line_pass(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the per-line pass ran on a valid file")
+        for name in ("_edge_errors", "_entry_errors", "_value_errors"):
+            monkeypatch.setattr(mmio, name, refuse)
+
+    def test_edge_csv(self, tmp_path):
+        path = tmp_path / "e.csv"
+        path.write_bytes("\ufeffu,v,weight\r\n# comment\r\n 0 , 1 ,1.5\r\n\r\n \t\r\n"
+                         "  # indented, comment\r\n3,2,2.5\r\n\xa0\r\n".encode("utf-8"))
+        n, edges = read_edge_csv(path)
+        assert n == 4
+        assert edges.tolist() == [(0, 1, 1.5), (3, 2, 2.5)]
+
+    def test_coordinate(self, tmp_path):
+        path = tmp_path / "c.mtx"
+        path.write_bytes(b"%%MatrixMarket matrix coordinate real symmetric\r\n% comment\r\n"
+                         b"\r\n2 2 3\r\n1 1 2.0\r\n  % indented\r\n\t\r\n2 1 -1.0\r\n"
+                         b"2 2 3.0")
+        np.testing.assert_array_equal(parse_matrix_market(path).to_dense(),
+                                      [[2.0, -1.0], [-1.0, 3.0]])
+
+    def test_array(self, tmp_path):
+        path = tmp_path / "a.mtx"
+        path.write_bytes(b"%%MatrixMarket matrix array real general\r\n% comment\r\n"
+                         b"2 1\r\n\r\n 1.5 \r\n% between\r\n-2\r\n")
+        np.testing.assert_array_equal(read_dense_matrix_market(path), [[1.5], [-2.0]])

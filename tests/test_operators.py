@@ -209,6 +209,15 @@ class TestLaplacian:
         with pytest.raises(NegativeWeightError):
             laplacian_from_edges(3, [(0, 1, -1.0)])
 
+    @pytest.mark.parametrize("weight,kind", [(float("nan"), "non-finite"),
+                                             (float("inf"), "non-finite"),
+                                             (float("-inf"), "negative")])
+    def test_non_finite_weight_rejected(self, weight, kind):
+        # NaN passes `w < 0`; the first such edge in input order is named
+        edges = [(0, 1, 1.0), (1, 2, weight), (0, 2, -1.0)]
+        with pytest.raises(NegativeWeightError, match=rf"edge \(1, 2\) has {kind} weight"):
+            laplacian_from_edges(3, edges)
+
     def test_parallel_edges_summed(self):
         lap = laplacian_from_edges(2, [(0, 1, 1.0), (1, 0, 1.0)])
         np.testing.assert_array_equal(densify(lap), [[2.0, -2.0], [-2.0, 2.0]])
