@@ -2,7 +2,9 @@
 
 Rayleigh quotients, residual blocks, B-orthonormalization with rank
 handling, and the Rayleigh-Ritz projection.  A block vector is a float64
-``(n, m)`` array whose columns are the vectors; the metric B is any SPD
+``(n, m)`` array of column vectors, held column-major (as in BLOPEX) so
+that broadcasts and column reductions run along n; :func:`block_mul` forms
+the solvers' ``V @ C`` so.  The metric B is any SPD
 :class:`~lobpcg_kit.operators.LinearOperator`.  The solvers hold a basis
 as ``(V, A V, B V)`` parts, and the one Rayleigh-Ritz here works on such
 parts without applying an operator (Hetmaniuk & Lehoucq, "Basis selection
@@ -99,6 +101,11 @@ def residual_block(a_op: LinearOperator, b_op: LinearOperator, block: np.ndarray
             f"{ritz_values.shape[0]} values for {block.shape[1]} columns"
         )
     return op_apply(a_op, block) - op_apply(b_op, block) * ritz_values[None, :]
+
+
+def block_mul(block: np.ndarray, coeff: np.ndarray) -> np.ndarray:
+    """``block @ coeff`` as a column-major block."""
+    return (coeff.T @ block.T).T
 
 
 def sym(gram: np.ndarray) -> np.ndarray:
@@ -200,8 +207,8 @@ def b_orthonormalize_full(block: np.ndarray, b_op: LinearOperator | None,
     kept, transform = list(range(out.shape[1])), np.diag(1.0 / scale)
     for _ in range(2):
         pass_transform, pass_kept = gram_transform(sym(_finite_gram(out.T @ b_out)))
-        out = out @ pass_transform
-        b_out = out if b_op is None else b_out @ pass_transform
+        out = block_mul(out, pass_transform)
+        b_out = out if b_op is None else block_mul(b_out, pass_transform)
         if counters is not None:
             counters.orthonormalizations += 1
         kept = [kept[i] for i in pass_kept]
@@ -257,7 +264,7 @@ def combine_parts(parts, coeff: np.ndarray, plus=None):
     for part in parts:
         rows = coeff[row:row + part[0].shape[1]]
         row += rows.shape[0]
-        pieces = [block @ rows for block in part[:2 if aliased else 3]]
+        pieces = [block_mul(block, rows) for block in part[:2 if aliased else 3]]
         if out is None:
             out = pieces
         else:
@@ -375,7 +382,7 @@ def rayleigh_ritz(basis: np.ndarray, a_op: LinearOperator, b_op: LinearOperator,
     ortho, _, transform, b_ortho = _checked_orthonormalize(basis, b_op, counters)
     values, *_, coeff, _ = carried_rayleigh_ritz([(ortho, op_apply(a_op, ortho), b_ortho)], want)
     coeff = transform @ coeff
-    vectors = basis @ coeff
+    vectors = basis @ coeff  # as a caller forms it: the product is exact
     fix_signs(vectors, coeff)
     return RitzSet(values=values, vectors=vectors, coefficients=coeff)
 
@@ -390,7 +397,7 @@ def b_dual_basis(basis: np.ndarray, b_basis: np.ndarray) -> np.ndarray:
         transform, _ = gram_transform(sym(basis.T @ b_basis))
     except ZeroRankError:
         return np.zeros_like(b_basis)
-    return b_basis @ (transform @ transform.T)
+    return block_mul(b_basis, transform @ transform.T)
 
 
 def b_project_out(block: np.ndarray, basis: np.ndarray, b_basis: np.ndarray) -> np.ndarray:
@@ -399,4 +406,4 @@ def b_project_out(block: np.ndarray, basis: np.ndarray, b_basis: np.ndarray) -> 
     ``b_basis`` is the precomputed ``B @ basis`` of a B-orthonormal basis,
     or :func:`b_dual_basis` of any basis.
     """
-    return block - basis @ (b_basis.T @ block)
+    return block - block_mul(basis, b_basis.T @ block)

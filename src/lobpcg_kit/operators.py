@@ -1,10 +1,14 @@
 """Symmetric linear operators: sparse matrices, metrics, preconditioners.
 
 Everything the solvers touch is a :class:`LinearOperator`: a symmetric map
-of fixed dimension applied to an ``(n, m)`` block of column vectors.
-Operators are immutable after construction and safe to share across
-threads.  Preconditioners are operators too: :func:`jacobi_precond`
-returns a :class:`DiagonalOperator`, :func:`exact_inverse_precond` a
+of fixed dimension applied to an ``(n, m)`` block of column vectors.  The
+solvers hold blocks column-major (each vector contiguous), so ``apply``
+may receive an F-ordered block, and so may a :class:`CallableOperator`'s
+function.  The sparse, diagonal and identity operators accept either order
+and return an F-ordered block for F-ordered input.  Operators are
+immutable after construction and safe to share across threads.
+Preconditioners are operators too: :func:`jacobi_precond` returns a
+:class:`DiagonalOperator`, :func:`exact_inverse_precond` a
 :class:`CallableOperator`.
 """
 
@@ -26,6 +30,13 @@ from .errors import (
 
 #: Relative tolerance for declaring two mirrored entries "the same value".
 MIRROR_RTOL = 1e-12
+
+#: A jagged-diagonal slot of fewer rows joins the CSR tail: the measured
+#: crossover of the two paths, which README gives.
+TAIL_ROWS = 1024
+
+#: Entries per pass over the CSR tail, cut at row ends: bounds its gather.
+TAIL_PASS_ENTRIES = 1 << 16
 
 
 class LinearOperator:
@@ -93,9 +104,13 @@ class SparseSymMatrix(LinearOperator):
     increasing within each row; the pattern and values are symmetric.
     Construct through :func:`csr_from_coo`.
 
-    ``apply`` runs on a jagged-diagonal copy of the entries built here:
-    the rows sorted by descending length, and slot k holding the k-th entry
-    of every row longer than k (those rows form a prefix of the order).
+    ``apply`` runs on a copy of the entries built here, rows sorted by
+    descending length: jagged-diagonal slots (slot k holds the k-th entry of
+    every row longer than k, a prefix of the order) of :data:`TAIL_ROWS`
+    rows or more, then the thinner slots' entries as one row-sorted CSR
+    tail, summed by ``np.add.reduceat`` in passes of about
+    :data:`TAIL_PASS_ENTRIES`.  It accumulates ``(m, n)``, each column
+    contiguous, and returns the column-major view.
     """
 
     def __init__(self, dim: int, row_offsets: np.ndarray, col_indices: np.ndarray,
@@ -105,16 +120,28 @@ class SparseSymMatrix(LinearOperator):
         self.col_indices = np.asarray(col_indices, dtype=np.int64)
         self.values = np.asarray(values, dtype=float)
         lengths = np.diff(self.row_offsets)
-        self._row_order = np.argsort(-lengths, kind="stable")
-        # rows longer than k, for each slot k
+        order = np.argsort(-lengths, kind="stable")
+        self._inverse = np.empty_like(order)
+        self._inverse[order] = np.arange(self.dim)
+        # rows longer than k, for each slot k; non-increasing in k
         counts = self.dim - np.cumsum(np.bincount(lengths))[:-1]
-        slot_ptr = np.concatenate(([0], np.cumsum(counts)))
-        slot = np.repeat(np.arange(counts.size), counts)
-        rank = np.arange(self.nnz) - slot_ptr[slot]
-        at = self.row_offsets[self._row_order][rank] + slot
-        jd_cols, jd_vals = self.col_indices[at], self.values[at, None]
-        self._slots = [(int(hi - lo), jd_vals[lo:hi], jd_cols[lo:hi])
-                       for lo, hi in zip(slot_ptr[:-1], slot_ptr[1:])]
+        n_head = int(np.count_nonzero(counts >= TAIL_ROWS))
+        slot_ptr = np.concatenate(([0], np.cumsum(counts[:n_head])))
+        slot = np.repeat(np.arange(n_head), counts[:n_head])
+        at = self.row_offsets[order][np.arange(slot_ptr[-1]) - slot_ptr[slot]] + slot
+        jd_cols, jd_vals = self.col_indices[at], self.values[at]
+        # (first row, end row, values, columns, row starts): starts in the tail only
+        self._passes = [(0, int(hi - lo), jd_vals[lo:hi], jd_cols[lo:hi], None)
+                        for lo, hi in zip(slot_ptr[:-1], slot_ptr[1:])]
+        if n_head < counts.size:  # the longest rows' entries past the head slots
+            rows = order[:counts[n_head]]
+            tail = lengths[rows] - n_head
+            starts = np.cumsum(tail) - tail
+            at = np.repeat(self.row_offsets[rows] + n_head - starts, tail) + np.arange(tail.sum())
+            vals, cols, ptr = self.values[at], self.col_indices[at], np.r_[starts, at.size]
+            cuts = np.r_[0, np.flatnonzero(np.diff(starts // TAIL_PASS_ENTRIES)) + 1, rows.size]
+            self._passes += [(lo, hi, vals[ptr[lo]:ptr[hi]], cols[ptr[lo]:ptr[hi]],
+                              starts[lo:hi] - starts[lo]) for lo, hi in zip(cuts[:-1], cuts[1:])]
 
     @property
     def nnz(self) -> int:
@@ -122,17 +149,18 @@ class SparseSymMatrix(LinearOperator):
 
     def apply(self, block: np.ndarray) -> np.ndarray:
         block = np.asarray(block, dtype=float)
-        single = block.ndim == 1
-        if single:
-            block = block[:, None]
-        acc = np.zeros((self.dim, block.shape[1]))
-        for count, vals, cols in self._slots:
-            # in place through a view: `acc[:count] +=` would copy it back
-            head = acc[:count]
-            head += vals * block.take(cols, axis=0)
-        out = np.empty_like(acc)
-        out[self._row_order] = acc
-        return out[:, 0] if single else out
+        by_column = block.reshape(block.shape[0], -1).T  # (m, n)
+        acc = np.zeros((by_column.shape[0], self.dim))
+        for lo, hi, vals, cols, starts in self._passes:
+            gathered = by_column.take(cols, axis=1)
+            gathered *= vals
+            if starts is not None:
+                gathered = np.add.reduceat(gathered, starts, axis=1)
+            # in place through a view: `acc[:, lo:hi] +=` would copy it back
+            rows = acc[:, lo:hi]
+            rows += gathered
+        out = acc.take(self._inverse, axis=1).T
+        return out[:, 0] if block.ndim == 1 else out
 
     def row_indices(self) -> np.ndarray:
         """Row of every stored entry, aligned with ``col_indices``."""
@@ -190,8 +218,12 @@ def _merge_duplicates(n: int, rows: np.ndarray, cols: np.ndarray, vals: np.ndarr
 
 
 def _mirrors_disagree(sums: np.ndarray, mirror_sums: np.ndarray, rtol: float) -> np.ndarray:
-    """Where two mirrored values differ by more than ``rtol`` relative."""
-    return np.abs(sums - mirror_sums) > rtol * np.maximum(np.abs(sums), np.abs(mirror_sums))
+    """Where two mirrored values differ by more than ``rtol`` relative; a
+    value that is not finite agrees only with an equal one."""
+    with np.errstate(invalid="ignore", over="ignore"):  # inf - inf, huge - -huge
+        gap = np.abs(sums - mirror_sums)
+    close = gap <= rtol * np.maximum(np.abs(sums), np.abs(mirror_sums))
+    return ~(close & np.isfinite(gap) | (sums == mirror_sums))
 
 
 def _assemble(n: int, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray) -> SparseSymMatrix:
@@ -235,7 +267,7 @@ def csr_from_coo(n: int, triplets: Iterable[tuple[int, int, float]]) -> SparseSy
 
 
 def op_apply(op: LinearOperator, block: np.ndarray) -> np.ndarray:
-    """Apply ``op`` column-by-column to a block vector.
+    """Apply ``op`` to a block vector after checking its row count.
 
     A 1-d input is treated as a single column and returned 1-d.
     """

@@ -142,9 +142,9 @@ class _Rounds:
                 direction = b_normalized(combine_parts(  # P may hold fewer than nb columns
                     [(engine.P, engine.AP, engine.BP), (x, a_x, b_x)],
                     np.vstack([np.eye(engine.P.shape[1]), -(b_x.T @ engine.P)])))
-            x_cols = x[:, cols].copy()
-            engine._adopt(values[cols].copy(), x_cols, a_x[:, cols].copy(),
-                          x_cols if b_x is x else b_x[:, cols].copy(), direction)
+            x_cols = x[:, cols].copy(order="K")
+            engine._adopt(values[cols].copy(), x_cols, a_x[:, cols].copy(order="K"),
+                          x_cols if b_x is x else b_x[:, cols].copy(order="K"), direction)
         self._fresh = True
 
     def _refresh_products(self) -> None:

@@ -65,6 +65,20 @@ class TestParseCoordinate:
         with pytest.raises(NonSymmetricDataError):
             parse_matrix_market(path)
 
+    def test_general_opposite_infinities_rejected(self, tmp_path):
+        path = write(tmp_path, "infgen.mtx",
+                     "%%MatrixMarket matrix coordinate real general\n"
+                     "2 2 4\n1 1 1.0\n1 2 inf\n2 1 -inf\n2 2 5.0\n")
+        with pytest.raises(NonSymmetricDataError):
+            parse_matrix_market(path)
+
+    def test_general_mirrored_infinities_accepted(self, tmp_path):
+        path = write(tmp_path, "infsym.mtx",
+                     "%%MatrixMarket matrix coordinate real general\n"
+                     "2 2 4\n1 1 1.0\n1 2 inf\n2 1 inf\n2 2 5.0\n")
+        np.testing.assert_array_equal(parse_matrix_market(path).values,
+                                      [1.0, np.inf, np.inf, 5.0])
+
     def test_general_missing_mirror_rejected(self, tmp_path):
         path = write(tmp_path, "halfgen.mtx",
                      "%%MatrixMarket matrix coordinate real general\n"

@@ -1,8 +1,12 @@
 """Operator contracts: CSR assembly, block application, preconditioners,
 graph Laplacians."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import dense_to_csr, laplacian_1d
 
@@ -21,6 +25,7 @@ from lobpcg_kit import (
     laplacian_from_edges,
     op_apply,
 )
+from lobpcg_kit.operators import TAIL_PASS_ENTRIES, TAIL_ROWS
 
 
 def densify(matrix):
@@ -49,6 +54,17 @@ class TestCsrFromCoo:
     def test_asymmetric_values_rejected(self):
         with pytest.raises(AsymmetricValuesError):
             csr_from_coo(2, [(0, 1, 1.0), (1, 0, 1.5)])
+
+    @pytest.mark.parametrize("upper,lower", [(np.inf, -np.inf), (-np.inf, np.inf),
+                                             (np.inf, 1.0), (2.0, -np.inf)])
+    def test_non_finite_mismatch_rejected(self, upper, lower):
+        with pytest.raises(AsymmetricValuesError):
+            csr_from_coo(2, [(0, 1, upper), (1, 0, lower)])
+
+    @pytest.mark.parametrize("value", [np.inf, -np.inf])
+    def test_mirrored_infinities_accepted(self, value):
+        m = csr_from_coo(2, [(0, 1, value), (1, 0, value)])
+        np.testing.assert_array_equal(m.values, [value, value])
 
     def test_both_triangles_matching_ok(self):
         m = csr_from_coo(2, [(0, 1, 2.0), (1, 0, 2.0), (0, 0, 1.0), (1, 1, 1.0)])
@@ -118,6 +134,80 @@ class TestOpApply:
         combo = op_apply(matrix, 2.0 * u - 3.0 * v)
         parts = 2.0 * op_apply(matrix, u) - 3.0 * op_apply(matrix, v)
         assert np.max(np.abs(combo - parts)) <= 1e-10 * matrix.max_row_l1()
+
+
+@st.composite
+def apply_cases(draw):
+    """A symmetric matrix and an input to apply it to.
+
+    Sizes reach past TAIL_ROWS, so that a banded or scattered pattern fills
+    jagged-diagonal slots of the head and hub rows fill the CSR tail; below
+    it every slot is in the tail.  Rows may be empty, and so may the whole
+    pattern."""
+    n = draw(st.one_of(st.integers(1, 40), st.integers(TAIL_ROWS, TAIL_ROWS + 60)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    kind = draw(st.sampled_from(["band", "scattered", "no entries", "edgeless laplacian"]))
+    if kind == "no entries":
+        matrix = csr_from_coo(n, [])
+    elif kind == "edgeless laplacian":
+        matrix = laplacian_from_edges(n, [])
+    else:
+        live = np.flatnonzero(rng.random(n) >= draw(st.sampled_from([0.0, 0.01, 0.5])))
+        pairs = [(i, i) for i in live]
+        if kind == "band":
+            pairs += list(zip(live[:-1], live[1:]))
+        elif live.size:
+            pairs += list(zip(rng.choice(live, 2 * n), rng.choice(live, 2 * n)))
+        for hub in rng.choice(live, draw(st.integers(0, 3)) if live.size else 0):
+            pairs += [(hub, k) for k in rng.choice(live, draw(st.integers(1, live.size)))]
+        # one entry per unordered pair, mirrored by the assembly
+        pairs = {(min(i, j), max(i, j)) for i, j in pairs}
+        matrix = csr_from_coo(n, [(int(i), int(j), float(rng.uniform(-2.0, 2.0)))
+                                  for i, j in sorted(pairs)])
+    m = draw(st.sampled_from(range(1, 13)))
+    layout = draw(st.sampled_from(["C", "F", "strided", "1-d", "1-d strided"]))
+    wide = rng.uniform(-1.0, 1.0, (2 * n, 2 * m))
+    block = {"C": np.ascontiguousarray(wide[:n, :m]), "F": np.asfortranarray(wide[:n, :m]),
+             "strided": wide[::2, 1::2], "1-d": wide[:n, 0].copy(),
+             "1-d strided": wide[::2, 0]}[layout]
+    return matrix, block
+
+
+class TestApplyMatchesDense:
+    @settings(max_examples=120, deadline=None, derandomize=True, database=None)
+    @given(apply_cases())
+    def test_equals_dense_product_of_the_csr_arrays(self, case):
+        matrix, block = case
+        n = matrix.dim
+        dense = np.zeros((n, n))
+        rows = np.repeat(np.arange(n), np.diff(matrix.row_offsets))
+        dense[rows, matrix.col_indices] = matrix.values
+        out = matrix.apply(block)
+        assert out.shape == block.shape
+        row_len = np.diff(matrix.row_offsets)
+        as_block = block.reshape(n, -1)
+        bound = (row_len[:, None] + 1) * np.finfo(float).eps * (np.abs(dense) @ np.abs(as_block))
+        assert np.all(np.abs(out.reshape(n, -1) - dense @ as_block) <= bound)
+        assert np.all(out.reshape(n, -1)[row_len == 0] == 0.0)
+        if block.ndim == 2:
+            assert out.flags.f_contiguous
+
+    def test_tail_passes_bound_the_gather(self, rng):
+        # a dense pattern under TAIL_ROWS rows is all tail, in several passes
+        n, m = 600, 4
+        dense = rng.standard_normal((n, n))
+        dense += dense.T
+        matrix = dense_to_csr(dense)
+        tail_passes = [p for p in matrix._passes if p[4] is not None]
+        assert len(tail_passes) == -(-n * n // TAIL_PASS_ENTRIES)
+        block = np.asfortranarray(rng.standard_normal((n, m)))
+        tracemalloc.start()
+        out = matrix.apply(block)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        np.testing.assert_allclose(out, dense @ block, rtol=1e-12, atol=1e-10)
+        # about one pass's gather (a single pass would gather n * n * m)
+        assert peak < 2 * 8 * m * TAIL_PASS_ENTRIES
 
 
 class TestJacobiPrecond:
