@@ -159,7 +159,9 @@ def _run_variant(variant: str, args, matrix, metric, precond, *, block: int | No
     """Build ``variant``'s config, its block width resolved, and time its
     solve.  Returns ``(cfg, result, wall_seconds)``."""
     if variant == "lobpcg2":
-        cfg = Lobpcg2Config(nev=args.nev, sub_block=block or 1, rr_period=rr_period,
+        # only None takes the default; 0 is left for validate() to reject
+        cfg = Lobpcg2Config(nev=args.nev, sub_block=1 if block is None else block,
+                            rr_period=1 if rr_period is None else rr_period,
                             tol=args.tol, max_iter=args.max_iter, seed=args.seed,
                             record_history=history)
         solve, start_block = lobpcg2_solve, {}
@@ -191,7 +193,7 @@ def cmd_solve(args, flags: list[str]) -> int:
         block = args.block_size
     x0 = read_dense_matrix_market(args.x0) if args.x0 else None
     cfg, result, wall = _run_variant(args.variant, args, matrix, metric, precond,
-                                     block=block, rr_period=args.rr_period or 1,
+                                     block=block, rr_period=args.rr_period,
                                      history=args.history, x0=x0)
 
     document = {

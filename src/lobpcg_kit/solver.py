@@ -401,19 +401,18 @@ class LobpcgEngine:
                 pass
 
     def run(self) -> SolveResult:
-        return drive(self, self.cfg.nev, self.cfg.max_iter, REFRESH_PERIOD,
-                     self.cfg.record_history)
+        return drive(self, self.cfg.nev, self.cfg.max_iter, self.cfg.record_history)
 
 
-def drive(state, nev: int, max_iter: int, period: int, record_history: bool) -> SolveResult:
+def drive(state, nev: int, max_iter: int, record_history: bool) -> SolveResult:
     """The iteration loop of every solver: claims, stopping and history.
 
     ``state`` is a :class:`LobpcgEngine` or lobpcg2's round state; both
     provide ``converged_mask``, ``_refresh_products``, ``step``, ``salvage``,
     ``_fresh`` (products explicit) and ``_last_basis_cols``.  Carried
     products are refreshed before a convergence claim, at ``max_iter`` and
-    every ``period`` steps, so the status is decided on explicit products.
-    Breakdown ends the run after ``state.salvage(in_step)``.
+    every :data:`REFRESH_PERIOD` steps (one schedule for every solver), so
+    statuses rest on explicit products.  Breakdown ends after ``salvage``.
     """
     history: list[IterationRecord] = []
     n_locked = 0
@@ -423,7 +422,7 @@ def drive(state, nev: int, max_iter: int, period: int, record_history: bool) -> 
         try:
             conv = state.converged_mask()
             if not state._fresh and (np.all(conv[:nev]) or state.iterations >= max_iter
-                                     or state.iterations % period == 0):
+                                     or state.iterations % REFRESH_PERIOD == 0):
                 state._refresh_products()
                 conv = state.converged_mask()
             n_locked = max(n_locked, int(np.cumprod(conv).sum()))  # leading converged

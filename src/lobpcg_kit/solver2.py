@@ -7,15 +7,13 @@ side by side.  Each step B-projects an engine's active residuals off the
 aggregate iterate block before preconditioning, so the recurrences do not
 collapse onto the same eigenvectors (its B-dual basis is formed once per
 round).  Every ``rr_period`` rounds one shared Rayleigh-Ritz over the
-aggregate span, on explicit A X and B X, hands every engine a slice of the
-Ritz vectors in ascending order, and its carried directions B-projected off
-them, so every recurrence stays LOBPCG across couplings (a retry after a
-round in which nothing moved drops them).  It is the refresh of
-:func:`~lobpcg_kit.solver.drive`, the loop of every solver, which couples
-before a convergence claim, at ``max_iter`` and every ``rr_period`` rounds;
-the shared step can thus be omitted on most rounds, trading coupling
-frequency against per-round cost.  The coupling's Rayleigh-Ritz and
-B-normalization are those of :mod:`lobpcg_kit.blocks`.
+aggregate span, on the carried A X and B X, hands every engine a slice of
+the Ritz vectors in ascending order, and its carried directions B-projected
+off them, so every recurrence stays LOBPCG across couplings (a retry after a
+round in which nothing moved drops them).  On explicit products it is the
+refresh of :func:`~lobpcg_kit.solver.drive`, on the schedule of every
+solver, which then stands in for the carried coupling.  The coupling's
+Rayleigh-Ritz and B-normalization are those of :mod:`lobpcg_kit.blocks`.
 """
 
 from __future__ import annotations
@@ -40,7 +38,6 @@ from .operators import LinearOperator, op_apply
 from .blocks import b_project_out, rayleigh_ritz, residual_block  # noqa: F401
 from .operators import norm_estimates  # noqa: F401
 from .solver import (
-    REFRESH_PERIOD,
     STATUS_BREAKDOWN,
     LobpcgEngine,
     SolveResult,
@@ -57,8 +54,8 @@ class Lobpcg2Config:
 
     ``nev`` is padded up to the next multiple of ``sub_block`` internally;
     padded pairs are discarded on return.  ``rr_period`` is the number of
-    rounds between shared Rayleigh-Ritz couplings.  ``tol`` and
-    ``max_iter`` are checked by the engines' :class:`SolverConfig`.
+    rounds between shared Rayleigh-Ritz couplings on carried products.
+    ``tol`` and ``max_iter`` are checked by the engines' :class:`SolverConfig`.
     """
 
     nev: int
@@ -90,7 +87,7 @@ class Lobpcg2Config:
 class _Rounds:
     """lobpcg2's state for :func:`~lobpcg_kit.solver.drive`: one narrow
     engine per sub-block, advanced a round at a time and coupled by a
-    shared Rayleigh-Ritz, which is also its explicit refresh.  The stacked
+    shared Rayleigh-Ritz, on explicit products as its refresh.  The stacked
     ``ritz_values``, ``X`` and ``residual_norms`` are the engines' own, in
     sub-block order."""
 
@@ -105,8 +102,8 @@ class _Rounds:
         self.lead, self.counters, self.rng = lead, lead.counters, rng
         self.iterations = 0
         self._last_basis_cols = self.padded
-        #: True while the engines hold the output of a shared Rayleigh-Ritz.
-        self._fresh = False
+        #: True while the engines hold a shared Rayleigh-Ritz on explicit products.
+        self._fresh = True
 
     def stack(self, name: str) -> np.ndarray:
         return np.hstack([getattr(engine, name) for engine in self.engines])
@@ -118,9 +115,9 @@ class _Rounds:
     def converged_mask(self) -> np.ndarray:
         return np.concatenate([engine.converged_mask() for engine in self.engines])
 
-    def explicit(self):
+    def carried(self):
         x = self.X
-        return x, op_apply(self.lead.a_op, x), b_apply(self.lead.b_op, x)
+        return x, self.stack("AX"), x if self.lead.b_op is None else self.stack("BX")
 
     def couple(self, x: np.ndarray, a_x: np.ndarray, b_x: np.ndarray, keep: bool = True) -> None:
         """Shared Rayleigh-Ritz; every engine takes a copied slice, and its P if ``keep``."""
@@ -145,20 +142,26 @@ class _Rounds:
             x_cols = x[:, cols].copy(order="K")
             engine._adopt(values[cols].copy(), x_cols, a_x[:, cols].copy(order="K"),
                           x_cols if b_x is x else b_x[:, cols].copy(order="K"), direction)
-        self._fresh = True
 
-    def _refresh_products(self) -> None:
-        self.couple(*self.explicit())
+    def _refresh_products(self, keep: bool = True) -> None:
+        x = self.X
+        self.couple(x, op_apply(self.lead.a_op, x), b_apply(self.lead.b_op, x), keep)
+        self._fresh = True
         self._last_basis_cols += self.padded  # the round's columns, then the coupling's
 
     def step(self) -> None:
-        """One round: every engine that has not converged steps once."""
+        """One round: every engine that has not converged steps once, after
+        a coupling on carried products when the last round was an
+        ``rr_period``-th one that drive did not refresh."""
+        coupled = not self._fresh and self.iterations % self.rr_period == 0
+        if coupled:
+            self.couple(*self.carried())
         conv = self.converged_mask()
         self.iterations += 1
         x_agg = self.X
         deflation = (x_agg, b_dual_basis(x_agg, x_agg if self.lead.b_op is None
                                          else self.stack("BX")))
-        moved = round_cols = 0
+        moved, round_cols = 0, self.padded * coupled
         for engine, done in zip(self.engines, np.split(conv, len(self.engines))):
             if done.all():
                 continue  # a fully converged recurrence idles
@@ -174,21 +177,17 @@ class _Rounds:
             # without P, so that a stall does not repeat with it, and retry
             if self._fresh and all(engine.P is None for engine in self.engines):
                 raise _Breakdown
-            self.couple(*self.explicit(), keep=False)
+            self._refresh_products(keep=False)
             self._last_basis_cols = self.padded
             return
         self._fresh, self._last_basis_cols = False, round_cols
-        if (self.rr_period > REFRESH_PERIOD and self.iterations % REFRESH_PERIOD == 0
-                and self.iterations % self.rr_period):  # a coupling round refreshes anyway
-            for engine in self.engines:
-                engine._refresh_products()
 
     def salvage(self, in_step: bool) -> None:
-        """After any breakdown, couple on the carried products if uncoupled:
+        """After any breakdown, couple on the carried products unless fresh:
         an explicit product may be what is not finite."""
         if not self._fresh:
             try:
-                self.couple(self.X, self.stack("AX"), self.stack("BX"), keep=False)
+                self.couple(*self.carried(), keep=False)
             except (_Breakdown, InsufficientRankError, OrthonormalizationError):
                 pass
 
@@ -219,4 +218,4 @@ def lobpcg2_solve(a_op: LinearOperator, cfg: Lobpcg2Config, *,
     rounds = _Rounds(lead, cfg, rng)
     rounds.couple(x, a_x, b_x)
     del start, x, a_x, b_x  # the engines hold copies
-    return drive(rounds, cfg.nev, cfg.max_iter, cfg.rr_period, cfg.record_history)
+    return drive(rounds, cfg.nev, cfg.max_iter, cfg.record_history)

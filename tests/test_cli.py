@@ -135,6 +135,16 @@ class TestSolve:
                      "--out", str(tmp_path / "x.json")])
         assert code == 1
 
+    @pytest.mark.parametrize("flag", ["--rr-period", "--sub-block"])
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_lobpcg2_width_and_period_below_one_are_usage_errors(self, lap50, tmp_path,
+                                                                 flag, value):
+        out = tmp_path / "x.json"
+        code = main(["solve", "--matrix", lap50, "--nev", "2", "--variant", "lobpcg2",
+                     flag, value, "--out", str(out)])
+        assert code == 1
+        assert not out.exists()
+
     def test_metric_file(self, tmp_path, lap50):
         # B = diagonal metric written as a coordinate file
         from lobpcg_kit import csr_from_coo, dense_oracle
@@ -299,6 +309,15 @@ class TestBench:
         rows = [dict(zip(header, line.split(","))) for line in lines[1:]]
         assert [(row["variant"], row["rr_period"]) for row in rows] == [
             ("lobpcg", ""), ("psd", ""), ("lobpcg2", "1"), ("lobpcg2", "7")]
+
+    @pytest.mark.parametrize("grid", ["variant=lobpcg2;block-size=0",
+                                      "variant=lobpcg2;rr-period=0"])
+    def test_lobpcg2_width_and_period_of_zero_are_usage_errors(self, lap50, tmp_path, grid):
+        out = tmp_path / "x.csv"
+        code = main(["bench", "--matrix", lap50, "--nev", "2", "--grid", grid,
+                     "--out", str(out)])
+        assert code == 1
+        assert not out.exists()
 
     def test_unknown_dimension_rejected(self, lap50, tmp_path):
         code = main(["bench", "--matrix", lap50, "--nev", "2",

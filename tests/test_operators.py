@@ -66,6 +66,12 @@ class TestCsrFromCoo:
         m = csr_from_coo(2, [(0, 1, value), (1, 0, value)])
         np.testing.assert_array_equal(m.values, [value, value])
 
+    @pytest.mark.filterwarnings("error")  # an overflow warning fails the test
+    @pytest.mark.parametrize("value", [1e308, -1e308, np.finfo(float).max])
+    def test_mirrored_extreme_values_keep_their_value(self, value):
+        m = csr_from_coo(2, [(0, 1, value), (1, 0, value)])
+        np.testing.assert_array_equal(m.values, [value, value])
+
     def test_both_triangles_matching_ok(self):
         m = csr_from_coo(2, [(0, 1, 2.0), (1, 0, 2.0), (0, 0, 1.0), (1, 1, 1.0)])
         np.testing.assert_array_equal(densify(m), [[1.0, 2.0], [2.0, 1.0]])

@@ -341,9 +341,9 @@ class TestDriver:
         calls = []
         drive = solver.drive
 
-        def counted(state, *args):
+        def counted(state, nev, max_iter, record_history):
             calls.append(type(state).__name__)
-            return drive(state, *args)
+            return drive(state, nev, max_iter, record_history)
 
         monkeypatch.setattr(solver, "drive", counted)
         monkeypatch.setattr(solver2, "drive", counted)

@@ -231,26 +231,66 @@ class TestOnEngine:
         # B orthonormalizes and post-checks the new directions
         assert counters.b_matvecs <= 2 * counters.precond_applies + 2 * budget
 
-    def test_coupling_applies_padded_columns_and_keeps_p_without_apply(self, monkeypatch):
+    @pytest.mark.parametrize("max_iter,stall", [(500, None), (45, None), (500, 7)],
+                             ids=["claim", "max_iter", "stall"])
+    def test_only_explicit_couplings_apply_the_padded_aggregate(self, monkeypatch,
+                                                               max_iter, stall):
         a, b = fe_pencil(12, 14)
-        cfg = Lobpcg2Config(nev=6, sub_block=2, rr_period=5, seed=3)
-        n_engines = cfg.padded_nev() // cfg.sub_block
+        cfg = Lobpcg2Config(nev=6, sub_block=2, rr_period=5, max_iter=max_iter, seed=3)
         log = event_log(monkeypatch)
+        round_step, couple, rounds = solver2._Rounds.step, solver2._Rounds.couple, []
+        engine_step = LobpcgEngine.step
+
+        def marked_round(state):
+            rounds.append(state.iterations + 1)
+            round_step(state)
+
+        def marked_couple(state, *args, **kwargs):
+            log.append(("couple", state.iterations))  # after this many rounds
+            couple(state, *args, **kwargs)
+
+        def stalling_step(engine, *args, **kwargs):
+            if rounds[-1] == stall:  # no engine moves in this round
+                raise _Breakdown
+            engine_step(engine, *args, **kwargs)
+
+        monkeypatch.setattr(solver2._Rounds, "step", marked_round)
+        monkeypatch.setattr(solver2._Rounds, "couple", marked_couple)
+        monkeypatch.setattr(LobpcgEngine, "step", stalling_step)
         res = lobpcg2_solve(a, cfg, b_op=b, precond=jacobi_precond(a))
-        assert res.status == "converged"
-        checked = kept = 0
-        for k, adopts in couplings(log, n_engines):
-            if log[k - 1][0] != "step":
-                continue  # the start coupling
-            before, during = np.array(log[k - 1][1]), np.array(log[k][1])
-            # A and B once each to the padded aggregate, through explicit()
-            assert np.all(during - before == cfg.padded_nev())
-            # and keeping every engine's P applies nothing more
+        assert res.status == ("max_iter" if max_iter < 500 else "converged")
+        assert rounds[-1] == res.iterations > min(REFRESH_PERIOD, max_iter - 1)
+        coupled = {}  # round -> the (A, B) columns applied by each of its couplings
+        for k, adopts in couplings(log, cfg.padded_nev() // cfg.sub_block)[1:]:
+            round_no = log[k - 1][1]
+            before = next(entry[1] for entry in reversed(log[:k]) if entry[0] != "couple")
+            coupled.setdefault(round_no, []).append(tuple(np.subtract(log[k][1], before)))
+            # keeping each engine's P applies nothing; the stall retry drops it
             assert all(entry[1] == log[k][1] for entry in adopts)
-            kept += sum(entry[3] is not None for entry in adopts)
-            checked += 1
-        assert checked >= 2
-        assert kept == checked * n_engines
+            kept = [entry[3] is not None for entry in adopts]
+            assert not any(kept) if round_no == stall else any(kept)
+        assert all(len(applied) == 1 for applied in coupled.values())  # never twice
+        explicit = {r for r, [applied] in coupled.items() if applied != (0, 0)}
+        assert all(coupled[r] == [(cfg.padded_nev(),) * 2] for r in explicit)
+        # explicit every REFRESH_PERIOD rounds, on a stall and at the end (a
+        # claim or max_iter); carried, applying nothing, on other rr_period rounds
+        assert explicit == ({r for r in rounds if r % REFRESH_PERIOD == 0}
+                            | {rounds[-1], stall} - {None})
+        assert set(coupled) - explicit == {r for r in rounds if r % cfg.rr_period == 0
+                                          } - explicit
+
+    def test_coupling_every_round_costs_about_as_much_as_rarely(self):
+        # a carried coupling applies nothing, so A columns per round hardly
+        # depend on rr_period
+        a, b = fe_pencil(12, 14)
+        for seed in (1, 3):
+            per_round = {}
+            for rr_period in (1, 25):
+                cfg = Lobpcg2Config(nev=6, sub_block=2, rr_period=rr_period, seed=seed)
+                res = lobpcg2_solve(a, cfg, b_op=b, precond=jacobi_precond(a))
+                assert res.status == "converged"
+                per_round[rr_period] = res.counters.a_matvecs / res.iterations
+            assert per_round[1] <= 1.1 * per_round[25]
 
     def test_kept_p_is_b_orthonormal_and_b_orthogonal_to_the_aggregate(self, monkeypatch):
         a, b = fe_pencil(12, 14)
@@ -354,7 +394,7 @@ class TestOnEngine:
         assert res.counters.precond_applies == precond.columns > res.iterations
 
     def test_long_period_run_returns_explicit_products(self):
-        # couplings further apart than the engines' refresh period
+        # couplings further apart than the refresh period
         a, b = fe_pencil(10, 12)
         cfg = Lobpcg2Config(nev=4, sub_block=2, rr_period=60, tol=1e-300,
                             max_iter=REFRESH_PERIOD + 80, seed=1)
