@@ -243,7 +243,8 @@ def _assemble(n: int, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray) -> S
             f"entries ({keys[k] // n},{keys[k] % n})={float(sums[k])!r} and "
             f"({keys[k] % n},{keys[k] // n})={float(mirror_sums[k])!r} disagree"
         )
-    values = np.where(two_sided, 0.5 * sums + 0.5 * mirror_sums, sums)  # halved: no overflow
+    # equal pairs are kept exactly; others are halved first, so cannot overflow
+    values = np.where(two_sided & (sums != mirror_sums), 0.5 * sums + 0.5 * mirror_sums, sums)
     # an entry supplied on one side only is copied across
     mirrored = keys[~paired]
     keys = np.concatenate([keys, (mirrored % n) * n + mirrored // n])

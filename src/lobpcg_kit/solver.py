@@ -287,11 +287,12 @@ class LobpcgEngine:
 
     def _adopt(self, values: np.ndarray, x: np.ndarray, a_x: np.ndarray,
                b_x: np.ndarray, direction=None) -> None:
-        """Take ``x`` as the iterate block with its Ritz values and explicit
-        products, and ``direction``, a ``(P, A P, B P)`` or None, as P."""
+        """Take ``x`` as the iterate block with its Ritz values and products
+        (explicit or carried), and ``direction``, a ``(P, A P, B P)`` or None."""
         self.ritz_values, self.X, self.AX, self.BX = values, x, a_x, b_x
         self.P, self.AP, self.BP = direction or (None, None, None)
-        #: True while AX and BX derive from explicit applies to the current X.
+        #: Set on adoption and refresh.  lobpcg2's engines also adopt carried
+        #: products, so drive reads the flag of lobpcg2's round state instead.
         self._fresh = True
         self._update_residuals()
 

@@ -67,7 +67,7 @@ class TestCsrFromCoo:
         np.testing.assert_array_equal(m.values, [value, value])
 
     @pytest.mark.filterwarnings("error")  # an overflow warning fails the test
-    @pytest.mark.parametrize("value", [1e308, -1e308, np.finfo(float).max])
+    @pytest.mark.parametrize("value", [1e308, -1e308, np.finfo(float).max, 5e-324, 3 * 5e-324])
     def test_mirrored_extreme_values_keep_their_value(self, value):
         m = csr_from_coo(2, [(0, 1, value), (1, 0, value)])
         np.testing.assert_array_equal(m.values, [value, value])

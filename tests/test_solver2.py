@@ -265,10 +265,11 @@ class TestOnEngine:
             round_no = log[k - 1][1]
             before = next(entry[1] for entry in reversed(log[:k]) if entry[0] != "couple")
             coupled.setdefault(round_no, []).append(tuple(np.subtract(log[k][1], before)))
-            # keeping each engine's P applies nothing; the stall retry drops it
+            # every engine keeps its P, which applies nothing; the stall
+            # retry drops every P
             assert all(entry[1] == log[k][1] for entry in adopts)
             kept = [entry[3] is not None for entry in adopts]
-            assert not any(kept) if round_no == stall else any(kept)
+            assert not any(kept) if round_no == stall else all(kept)
         assert all(len(applied) == 1 for applied in coupled.values())  # never twice
         explicit = {r for r, [applied] in coupled.items() if applied != (0, 0)}
         assert all(coupled[r] == [(cfg.padded_nev(),) * 2] for r in explicit)
