@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dense import cholesky_kernel as cholesky, sym_eig_kernel as sym_eig
+from .dense import cholesky_kernel as cholesky, cholesky_stack, sym_eig_kernel as sym_eig
 from .errors import (
     DimensionMismatchError,
     InsufficientRankError,
@@ -108,12 +108,38 @@ def block_mul(block: np.ndarray, coeff: np.ndarray) -> np.ndarray:
     return (coeff.T @ block.T).T
 
 
+def _t(gram: np.ndarray) -> np.ndarray:
+    """The transpose of a matrix, or of every matrix of a ``(k, m, m)`` stack."""
+    return gram.swapaxes(-1, -2)
+
+
 def sym(gram: np.ndarray) -> np.ndarray:
-    return 0.5 * (gram + gram.T)
+    return 0.5 * (gram + _t(gram))
+
+
+#: Squared column norms in this range lose no digits to underflow and did
+#: not overflow.
+_SAFE_SQUARES = (np.finfo(float).tiny / np.finfo(float).eps, np.finfo(float).max)
+
+
+def column_norms(block: np.ndarray) -> np.ndarray:
+    """The 2-norm of every column: from the summed squares where they lie in
+    a safe range, else from the column rescaled by its largest magnitude, so
+    that no norm underflows to 0 or overflows to inf."""
+    squares = np.einsum("ij,ij->j", block, block)
+    norms = np.sqrt(squares)
+    unsafe = np.flatnonzero(~((squares >= _SAFE_SQUARES[0]) & (squares <= _SAFE_SQUARES[1])))
+    if unsafe.size:  # zero, inf and NaN columns keep their norms
+        peak = np.max(np.abs(block[:, unsafe]), axis=0)
+        fine = (peak > 0) & (peak < np.inf)
+        unsafe, peak = unsafe[fine], peak[fine]
+        scaled = block[:, unsafe] / peak
+        norms[unsafe] = peak * np.sqrt(np.einsum("ij,ij->j", scaled, scaled))
+    return norms
 
 
 def ortho_defect(gram: np.ndarray) -> float:
-    return float(np.max(np.abs(gram - np.eye(gram.shape[0]))))
+    return float(np.abs(gram - np.eye(gram.shape[0])).max())
 
 
 def _svqb_attribution(gram_vectors: np.ndarray, dropped: np.ndarray) -> list[int]:
@@ -148,7 +174,8 @@ def gram_transform(gram: np.ndarray, cond_limit: float = np.inf):
     m = gram.shape[0]
     try:
         lower = cholesky(gram)
-        if np.diag(lower).max() ** 2 > cond_limit * np.diag(lower).min() ** 2:
+        pivots = lower.diagonal()
+        if pivots.max() ** 2 > cond_limit * pivots.min() ** 2:
             raise NotPositiveDefiniteError("Cholesky pivot ratio exceeds the condition limit")
         transform = np.linalg.solve(lower, np.eye(m)).T  # inv(L).T, upper triangular
         kept = list(range(m))
@@ -169,7 +196,7 @@ def gram_basis(gram_b: np.ndarray, cond_limit: float = np.inf) -> np.ndarray:
     """Transform T with T^T G T = I over the independent directions of a
     basis whose B-Gram matrix is G, found by :func:`gram_transform` after
     scaling the columns to unit B-norm."""
-    scale = np.sqrt(np.diag(gram_b))
+    scale = np.sqrt(gram_b.diagonal())
     scale = np.where(scale > 0, scale, 1.0)
     transform, _ = gram_transform(gram_b / np.outer(scale, scale), cond_limit)
     return transform / scale[:, None]
@@ -199,24 +226,75 @@ def b_orthonormalize_full(block: np.ndarray, b_op: LinearOperator | None,
     when a B-Gram matrix is not finite or the post-check fails even after a
     retry.  With ``b_op=None`` (identity) B is not applied: ``b_out is out``.
     """
+    out, scale = unit_columns(block)
+    return orthonormal_passes(out, b_apply(b_op, out), counters, np.diag(1.0 / scale))
+
+
+def unit_columns(block: np.ndarray):
+    """``(block / scale, scale)`` for the columns' 2-norms ``scale`` (1 for
+    a zero column): the input of :func:`orthonormal_passes`."""
     out = _as_block(block)
-    scale = np.sqrt(np.einsum("ij,ij->j", out, out))
+    scale = column_norms(out)
     scale = np.where(scale > 0, scale, 1.0)
-    out = out / scale[None, :]
-    b_out = b_apply(b_op, out)
-    kept, transform = list(range(out.shape[1])), np.diag(1.0 / scale)
+    return out / scale[None, :], scale
+
+
+def orthonormal_passes(out: np.ndarray, b_out: np.ndarray, counters: OpCounters | None = None,
+                       transform: np.ndarray | None = None, first=None):
+    """:func:`b_orthonormalize_full` from its scaled input ``out`` and
+    ``b_out = B @ out`` (``out`` itself for the identity metric), whose
+    column transform so far is ``transform`` (None: not tracked).
+    ``first`` is the first pass's :func:`gram_transform` when formed already.
+    """
+    identity, kept = b_out is out, list(range(out.shape[1]))
     for _ in range(2):
-        pass_transform, pass_kept = gram_transform(sym(_finite_gram(out.T @ b_out)))
+        pass_transform, pass_kept = first or gram_transform(sym(_finite_gram(out.T @ b_out)))
+        first = None
         out = block_mul(out, pass_transform)
-        b_out = out if b_op is None else block_mul(b_out, pass_transform)
+        b_out = out if identity else block_mul(b_out, pass_transform)
         if counters is not None:
             counters.orthonormalizations += 1
         kept = [kept[i] for i in pass_kept]
-        transform = transform @ pass_transform
+        if transform is not None:
+            transform = transform @ pass_transform
         defect = ortho_defect(_finite_gram(out.T @ b_out))
         if defect <= ORTHO_POST_TOL:
             return out, kept, transform, b_out
     raise OrthonormalizationError(f"orthonormality defect {defect:.3e} persists after retry")
+
+
+def b_orthonormalize_spans(out: np.ndarray, spans: list, b_op: LinearOperator | None,
+                           counters: OpCounters | None = None) -> list:
+    """:func:`orthonormal_passes` over column spans of a column-major block
+    of :func:`unit_columns`, from one apply of B to all of it, with the first
+    passes' Cholesky factors and inverses stacked over the spans of one
+    width: ``(W, B W)`` per span, None where nothing survives or the
+    post-check fails."""
+    b_out = b_apply(b_op, out)
+    pairs = [(out[:, span], out[:, span] if b_out is out else b_out[:, span]) for span in spans]
+    del out, b_out
+    grams = [v.T @ b_v for v, b_v in pairs]
+    firsts = [None] * len(pairs)
+    for group in _groups([gram.shape if np.isfinite(gram).all() else None for gram in grams]):
+        transforms, ok = stacked_cholesky_transforms(sym(np.stack([grams[i] for i in group])))
+        for j in np.flatnonzero(ok):
+            firsts[group[j]] = (transforms[j], list(range(transforms.shape[-1])))
+    results = []
+    for (v, b_v), gram, first in zip(pairs, grams, firsts):
+        try:
+            first = first or gram_transform(sym(_finite_gram(gram)))
+            v, _, _, b_v = orthonormal_passes(v, b_v, counters, first=first)
+        except (ZeroRankError, OrthonormalizationError):
+            v = None
+        results.append(None if v is None else (v, b_v))
+    return results
+
+
+def sub_block_stack(block: np.ndarray, width: int, cols: int | None = None) -> np.ndarray:
+    """A column-major block's consecutive width-``width`` sub-blocks (their
+    first ``cols`` columns) as a ``(k, n, cols)`` stack of views."""
+    stack = block.T.reshape(-1, width, block.shape[0])
+    return _t(stack if cols is None else stack[:, :cols])
 
 
 def _checked_orthonormalize(block, b_op, counters=None):
@@ -282,23 +360,119 @@ def part_grams(parts, ritz_values: np.ndarray | None = None):
     those values, so diag(ritz_values) and the diagonal B-blocks I are not
     formed.  Off-diagonal B-blocks use the earlier part's B-product: the
     carried B P of the last part, whose drift compounds, never enters.
+    Parts may be ``(k, n, m)`` stacks of k bases alike, with ``(k, m)``
+    values; the Gram matrices are then ``(k, m, m)`` stacks.
     """
-    edges = np.cumsum([0] + [v.shape[1] for v, _, _ in parts])
-    gram_a, gram_b = np.zeros((edges[-1], edges[-1])), np.eye(edges[-1])
+    edges = np.cumsum([0] + [v.shape[-1] for v, _, _ in parts])
+    shape = parts[0][0].shape[:-2] + (edges[-1], edges[-1])
+    gram_a, gram_b = np.zeros(shape), np.zeros(shape)
+    diagonal = np.arange(edges[-1])
+    gram_b[..., diagonal, diagonal] = 1.0
     for i, (u, _, b_u) in enumerate(parts):
         for j in range(i, len(parts)):
             v, a_v, b_v = parts[j]
             rows, cols = slice(edges[i], edges[i + 1]), slice(edges[j], edges[j + 1])
             if i == j and ritz_values is not None:
-                gram_a[rows, cols] = np.diag(ritz_values) if i == 0 else u.T @ a_v
+                if i == 0:
+                    gram_a[..., diagonal[rows], diagonal[rows]] = ritz_values
+                else:
+                    gram_a[..., rows, cols] = _t(u) @ a_v
                 continue
-            gram_a[rows, cols], gram_b[rows, cols] = u.T @ a_v, b_u.T @ v
-            gram_a[cols, rows], gram_b[cols, rows] = gram_a[rows, cols].T, gram_b[rows, cols].T
+            gram_a[..., rows, cols], gram_b[..., rows, cols] = _t(u) @ a_v, _t(b_u) @ v
+            gram_a[..., cols, rows] = _t(gram_a[..., rows, cols])
+            gram_b[..., cols, rows] = _t(gram_b[..., rows, cols])
     return sym(gram_a), sym(gram_b)
 
 
+def ritz_coefficients(gram_a: np.ndarray, gram_b: np.ndarray, want: int,
+                      cond_limit: float = np.inf):
+    """The smallest ``want`` Ritz values of a Gram pair and their coefficients
+    over the basis, through :func:`gram_basis` (``cond_limit`` is its)."""
+    transform = gram_basis(gram_b, cond_limit)
+    if want > transform.shape[1]:
+        raise InsufficientRankError(
+            f"basis rank {transform.shape[1]} is below the {want} requested pairs")
+    eig = sym_eig(sym(transform.T @ gram_a @ transform))
+    return eig.values[:want].copy(), transform @ eig.vectors[:, :want]
+
+
+def stacked_cholesky_transforms(grams: np.ndarray, cond_limit=np.inf):
+    """:func:`gram_transform`'s Cholesky path over a ``(k, m, m)`` stack, in
+    one LAPACK call each for the factors and the inverses.
+
+    Returns ``(transforms, ok)``, where ``ok`` marks the members that pass
+    the pivot floor of :func:`~lobpcg_kit.dense.cholesky_kernel` and their
+    ``cond_limit`` (a scalar or one per member): only their transforms are
+    :func:`gram_transform`'s.  ``(None, all False)`` when a member is not
+    positive definite.
+    """
+    try:
+        lower, low = cholesky_stack(grams)
+    except NotPositiveDefiniteError:
+        return None, np.zeros(grams.shape[0], dtype=bool)
+    pivots = lower.diagonal(axis1=1, axis2=2)
+    ok = ~(low.any(axis=1) | (pivots.max(axis=1) ** 2 > cond_limit * pivots.min(axis=1) ** 2))
+    return _t(np.linalg.solve(lower, np.eye(grams.shape[-1]))), ok
+
+
+def stacked_gram_basis(gram_b: np.ndarray, cond_limit=np.inf):
+    """:func:`gram_basis` over a ``(k, m, m)`` stack by
+    :func:`stacked_cholesky_transforms`: ``(transforms, ok)``."""
+    scale = np.sqrt(np.diagonal(gram_b, axis1=1, axis2=2))
+    scale = np.where(scale > 0, scale, 1.0)
+    transform, ok = stacked_cholesky_transforms(
+        gram_b / (scale[:, :, None] * scale[:, None, :]), cond_limit)
+    return (None if transform is None else transform / scale[:, :, None]), ok
+
+
+def stacked_ritz_coefficients(gram_a: np.ndarray, gram_b: np.ndarray, want: int,
+                              cond_limit=np.inf):
+    """:func:`ritz_coefficients` over ``(k, m, m)`` stacks of Gram pairs, in
+    stacked LAPACK calls: ``(values, coefficients, ok)`` with ``ok`` marking
+    the members that stay on the Cholesky path (see
+    :func:`stacked_cholesky_transforms`), none when the stacked ``eigh``
+    fails."""
+    transform, ok = stacked_gram_basis(gram_b, cond_limit)
+    if not ok.any():
+        return None, None, ok
+    try:
+        values, vectors = np.linalg.eigh(sym(_t(transform) @ gram_a @ transform))
+    except np.linalg.LinAlgError:
+        return None, None, np.zeros_like(ok)
+    return values[:, :want], transform @ vectors[:, :, :want], ok
+
+
+def _groups(keys: list) -> list:
+    """The indices of the items of every key (None excepted) that two or
+    more items share: the members of one stacked LAPACK call."""
+    groups: dict = {}
+    for i, key in enumerate(keys):
+        if key is not None:
+            groups.setdefault(key, []).append(i)
+    return [group for group in groups.values() if len(group) > 1]
+
+
+def stacked_first_trials(pairs: list, cond_limits: list, want: int) -> list:
+    """Per ``(gram_a, gram_b)`` pair, its :func:`ritz_coefficients` and
+    :func:`direction_coefficients` (or None) under its cond limit, as
+    stacked LAPACK calls over the finite pairs of one size; None for a pair
+    left to the one-block path."""
+    firsts = [None] * len(pairs)
+    for group in _groups([gram_a.shape if np.isfinite(gram_a).all() and np.isfinite(gram_b).all()
+                          else None for gram_a, gram_b in pairs]):
+        gram_a, gram_b = (np.stack([pairs[i][j] for i in group]) for j in (0, 1))
+        values, coeff, ok = stacked_ritz_coefficients(
+            gram_a, gram_b, want, np.array([cond_limits[i] for i in group]))
+        if ok.any():
+            combined = stacked_direction_coefficients(coeff[ok], gram_b[ok], want)
+            for j, p_coeff in zip(np.flatnonzero(ok), combined):
+                firsts[group[j]] = (values[j], coeff[j], p_coeff)
+    return firsts
+
+
 def carried_rayleigh_ritz(parts, want: int, gram_a: np.ndarray | None = None,
-                          gram_b: np.ndarray | None = None, cond_limit: float = np.inf):
+                          gram_b: np.ndarray | None = None, cond_limit: float = np.inf,
+                          first=None):
     """Smallest ``want`` Ritz pairs over the span of a basis from carried
     products.
 
@@ -312,18 +486,15 @@ def carried_rayleigh_ritz(parts, want: int, gram_a: np.ndarray | None = None,
     exceeds :data:`ORTHO_POST_TOL` one more pass, which leaves ``tail``
     None, is made over the Ritz block, and OrthonormalizationError raised
     when that does not mend it.  ``cond_limit`` is :func:`gram_transform`'s,
-    on the first pass.
+    on the first pass, whose :func:`ritz_coefficients` are ``first`` when
+    they were formed already.
     """
     if gram_a is None:
         gram_a, gram_b = part_grams(parts)
     coeff = None
     for _ in range(2):
-        transform = gram_basis(gram_b, cond_limit)
-        if want > transform.shape[1]:
-            raise InsufficientRankError(
-                f"basis rank {transform.shape[1]} is below the {want} requested pairs")
-        eig = sym_eig(sym(transform.T @ gram_a @ transform))
-        values, step_coeff = eig.values[:want].copy(), transform @ eig.vectors[:, :want]
+        values, step_coeff = first or ritz_coefficients(gram_a, gram_b, want, cond_limit)
+        first = None
         rows = parts[0][0].shape[1]
         tail = combine_parts(parts[1:], step_coeff[rows:]) if len(parts) > 1 else None
         x, a_x, b_x = combine_parts(parts[:1], step_coeff[:rows], tail)
@@ -352,19 +523,51 @@ def b_normalized(direction):
     return direction if ortho_defect(direction[0].T @ direction[2]) <= ORTHO_POST_TOL else None
 
 
-def next_direction(ritz, tail, coeff: np.ndarray, gram_b: np.ndarray, rows: int):
-    """The step's next ``(P, A P, B P)`` or None: ``coeff``, ``rows`` zeroed,
-    B-orthogonalized to ``coeff`` (by M) and normalized (by T) through
-    ``gram_b``, is mapped as ``tail T - ritz (M T)`` and :func:`b_normalized`."""
+def _tail_gram(coeff: np.ndarray, gram_b: np.ndarray, rows: int):
+    """``(M, G)``: ``coeff`` with its first ``rows`` rows zeroed is
+    B-orthogonalized to ``coeff`` by M through ``gram_b``, and G is its
+    B-Gram matrix; for a matrix or a stack."""
     tail_coeff = coeff.copy()
-    tail_coeff[:rows] = 0.0
-    overlap = coeff.T @ gram_b @ tail_coeff
+    tail_coeff[..., :rows, :] = 0.0
+    overlap = _t(coeff) @ gram_b @ tail_coeff
     tail_coeff -= coeff @ overlap
+    return overlap, sym(_t(tail_coeff) @ gram_b @ tail_coeff)
+
+
+def direction_coefficients(coeff: np.ndarray, gram_b: np.ndarray, rows: int):
+    """:func:`next_direction`'s coefficients over ``[tail, ritz]``, or None
+    when the carried directions are dependent on the Ritz block."""
+    overlap, gram = _tail_gram(coeff, gram_b, rows)
     try:
-        transform = gram_basis(sym(tail_coeff.T @ gram_b @ tail_coeff))
+        transform = gram_basis(gram)
     except InsufficientRankError:
         return None
-    return b_normalized(combine_parts([tail, ritz], np.vstack([transform, -overlap @ transform])))
+    return np.vstack([transform, -overlap @ transform])
+
+
+def stacked_direction_coefficients(coeff: np.ndarray, gram_b: np.ndarray, rows: int) -> list:
+    """:func:`direction_coefficients` over ``(k, m, w)`` and ``(k, m, m)``
+    stacks by :func:`stacked_gram_basis`; None for a member that leaves its
+    Cholesky path."""
+    overlap, gram = _tail_gram(coeff, gram_b, rows)
+    transform, ok = stacked_gram_basis(gram)
+    if transform is None:
+        return [None] * len(ok)
+    combined = np.concatenate([transform, -overlap @ transform], axis=1)
+    return [combined[k] if ok[k] else None for k in range(len(ok))]
+
+
+def next_direction(ritz, tail, coeff: np.ndarray, gram_b: np.ndarray, rows: int,
+                   combined: np.ndarray | None = None):
+    """The step's next ``(P, A P, B P)`` or None: ``coeff``, ``rows`` zeroed,
+    B-orthogonalized to ``coeff`` (by M) and normalized (by T) through
+    ``gram_b``, is mapped as ``tail T - ritz (M T)`` and :func:`b_normalized`.
+    ``combined`` is ``[T; -M T]`` when formed already."""
+    if combined is None:
+        combined = direction_coefficients(coeff, gram_b, rows)
+        if combined is None:
+            return None
+    return b_normalized(combine_parts([tail, ritz], combined))
 
 
 def rayleigh_ritz(basis: np.ndarray, a_op: LinearOperator, b_op: LinearOperator,

@@ -100,18 +100,27 @@ def cholesky(m: np.ndarray) -> np.ndarray:
 def cholesky_kernel(m: np.ndarray) -> np.ndarray:
     """:func:`cholesky` of a symmetric matrix, unvalidated; the pivot rule
     still applies."""
-    pivot_floor = m.shape[0] * PIVOT_RTOL * float(np.max(np.abs(m)))
-    try:
-        lower = np.linalg.cholesky(m)
-    except np.linalg.LinAlgError as exc:
-        raise NotPositiveDefiniteError(f"matrix is not positive definite: {exc}") from None
-    low = np.flatnonzero(np.diag(lower) ** 2 <= pivot_floor)
-    if low.size:
-        j = low[0]
+    lower, low = cholesky_stack(m)
+    if low.any():
+        j = np.flatnonzero(low)[0]
         raise NotPositiveDefiniteError(
-            f"pivot {lower[j, j] ** 2:.3e} at column {j} is below threshold {pivot_floor:.3e}"
+            f"pivot {lower[j, j] ** 2:.3e} at column {j} is at or below the pivot floor"
         )
     return lower
+
+
+def cholesky_stack(stack: np.ndarray):
+    """The Cholesky factors of a symmetric matrix, or of a ``(k, m, m)``
+    stack in one LAPACK call, and the mask of pivots L_jj^2 at or below
+    ``m * 1e-14 * max|M|`` (per matrix), which fail :func:`cholesky`'s rule.
+    Raises NotPositiveDefiniteError when LAPACK finds a matrix not positive
+    definite."""
+    pivot_floor = stack.shape[-1] * PIVOT_RTOL * np.abs(stack).max(axis=(-2, -1))
+    try:
+        lower = np.linalg.cholesky(stack)
+    except np.linalg.LinAlgError as exc:
+        raise NotPositiveDefiniteError(f"matrix is not positive definite: {exc}") from None
+    return lower, lower.diagonal(axis1=-2, axis2=-1) ** 2 <= pivot_floor[..., None]
 
 
 def _capped(m: np.ndarray) -> np.ndarray:

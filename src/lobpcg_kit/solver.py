@@ -35,6 +35,7 @@ from .blocks import (
     b_orthonormalize_full,
     b_project_out,
     carried_rayleigh_ritz,
+    column_norms,
     fix_signs,
     next_direction,
     ortho_defect,
@@ -197,31 +198,10 @@ class LobpcgEngine:
                  x0: np.ndarray | None = None,
                  constraints: np.ndarray | None = None,
                  use_history_direction: bool = True):
-        if b_op is not None and a_op.dim != b_op.dim:
-            raise DimensionMismatchError(
-                f"operator dimensions disagree: {a_op.dim} vs {b_op.dim}"
-            )
         cfg.validate(a_op.dim)
-        b_op = None if isinstance(b_op, operators.IdentityOperator) else b_op  # never applied
-        if isinstance(b_op, (DiagonalOperator, SparseSymMatrix)):
-            # a positive definite B has a positive diagonal
-            bad = np.flatnonzero(b_op.diagonal() <= 0)
-            if bad.size:
-                raise NotPositiveDefiniteError(f"metric diagonal entry {bad[0]} is <= 0")
+        self._setup(a_op, b_op, precond)
         self.cfg = cfg
-        self.dim = a_op.dim
         self.block_size = cfg.resolved_block_size()
-        self.counters = OpCounters()
-        self.norm_a = norm_estimates(a_op)
-        self.norm_b = 1.0 if b_op is None else norm_estimates(b_op)
-        self.a_op = _CountingOperator(a_op, self.counters, "a_matvecs")
-        self.b_op = None if b_op is None else _CountingOperator(b_op, self.counters, "b_matvecs")
-        raw_precond = precond if precond is not None else CallableOperator(a_op.dim, np.copy)
-        if raw_precond.dim != a_op.dim:
-            raise DimensionMismatchError(
-                f"preconditioner dimension {raw_precond.dim} does not match {a_op.dim}"
-            )
-        self.precond = _CountingOperator(raw_precond, self.counters, "precond_applies")
         self.use_history_direction = use_history_direction
 
         self._rng = np.random.default_rng(cfg.seed)
@@ -259,6 +239,33 @@ class LobpcgEngine:
 
     # -- setup helpers -------------------------------------------------
 
+    def _setup(self, a_op: LinearOperator, b_op: LinearOperator | None,
+               precond: LinearOperator | None) -> None:
+        """Check the operators, estimate their norms and wrap them to count
+        their columns into a fresh :class:`OpCounters`."""
+        if b_op is not None and a_op.dim != b_op.dim:
+            raise DimensionMismatchError(
+                f"operator dimensions disagree: {a_op.dim} vs {b_op.dim}"
+            )
+        b_op = None if isinstance(b_op, operators.IdentityOperator) else b_op  # never applied
+        if isinstance(b_op, (DiagonalOperator, SparseSymMatrix)):
+            # a positive definite B has a positive diagonal
+            bad = np.flatnonzero(b_op.diagonal() <= 0)
+            if bad.size:
+                raise NotPositiveDefiniteError(f"metric diagonal entry {bad[0]} is <= 0")
+        self.dim = a_op.dim
+        self.counters = OpCounters()
+        self.norm_a = norm_estimates(a_op)
+        self.norm_b = 1.0 if b_op is None else norm_estimates(b_op)
+        self.a_op = _CountingOperator(a_op, self.counters, "a_matvecs")
+        self.b_op = None if b_op is None else _CountingOperator(b_op, self.counters, "b_matvecs")
+        raw_precond = precond if precond is not None else CallableOperator(a_op.dim, np.copy)
+        if raw_precond.dim != a_op.dim:
+            raise DimensionMismatchError(
+                f"preconditioner dimension {raw_precond.dim} does not match {a_op.dim}"
+            )
+        self.precond = _CountingOperator(raw_precond, self.counters, "precond_applies")
+
     def _deflate(self, block: np.ndarray) -> np.ndarray:
         if self.constraints is None:
             return block
@@ -286,13 +293,12 @@ class LobpcgEngine:
     # -- state inspection ----------------------------------------------
 
     def _adopt(self, values: np.ndarray, x: np.ndarray, a_x: np.ndarray,
-               b_x: np.ndarray, direction=None) -> None:
-        """Take ``x`` as the iterate block with its Ritz values and products
-        (explicit or carried), and ``direction``, a ``(P, A P, B P)`` or None."""
+               b_x: np.ndarray) -> None:
+        """Take ``x`` as the iterate block with its Ritz values and explicit
+        products, and no carried directions."""
         self.ritz_values, self.X, self.AX, self.BX = values, x, a_x, b_x
-        self.P, self.AP, self.BP = direction or (None, None, None)
-        #: Set on adoption and refresh.  lobpcg2's engines also adopt carried
-        #: products, so drive reads the flag of lobpcg2's round state instead.
+        self.P = self.AP = self.BP = None
+        #: True while A X and B X are explicit products: set here and on refresh.
         self._fresh = True
         self._update_residuals()
 
@@ -301,8 +307,8 @@ class LobpcgEngine:
         self.R = self.AX - self.BX * self.ritz_values[None, :]
         if self.constraints is not None:  # the pencil's residual off span(Y)
             self.R = b_project_out(self.R, self.b_constraints, self.constraints)
-        self.residual_norms = np.sqrt(np.einsum("ij,ij->j", self.R, self.R))
-        self._x_norms = np.sqrt(np.einsum("ij,ij->j", self.X, self.X))
+        self.residual_norms = column_norms(self.R)
+        self._x_norms = column_norms(self.X)
 
     def _refresh_products(self) -> None:
         """Recompute A X and B X explicitly, and the residuals from them.
@@ -332,60 +338,41 @@ class LobpcgEngine:
 
     # -- the update step -------------------------------------------------
 
-    def step(self, extra_deflation: tuple[np.ndarray, np.ndarray] | None = None) -> None:
-        """One locally optimal update of the iterate block.
-
-        ``extra_deflation`` is a ``(V, b_dual_basis(V, B V))`` pair that the
-        active residuals are B-projected off before preconditioning.  A and
-        B are applied once, to the new directions only.  Raises the internal
-        breakdown signal when the residuals or the projected Gram matrices
-        are not finite, no search directions survive, or the trial without
-        P fails.
+    def step(self) -> None:
+        """One locally optimal update of the iterate block, in two phases:
+        :meth:`_directions` builds the search directions, and for them,
+        B-orthonormalized into W, and A W, :meth:`_advance` makes the
+        Rayleigh-Ritz.  A and B are applied once, to the new directions only.
+        Raises the internal breakdown signal when the residuals or the
+        projected Gram matrices are not finite, no search directions survive,
+        or the trial without P fails.
         """
-        include_p = self.use_history_direction
+        try:
+            w, _, _, b_w = b_orthonormalize_full(self._directions(), self.b_op, self.counters)
+        except ZeroRankError:
+            raise _Breakdown from None
+        self._advance(w, op_apply(self.a_op, w), b_w)
+
+    def _directions(self) -> np.ndarray:
+        """Phase 1: the active residuals preconditioned, deflated and
+        B-projected off X."""
         active = np.flatnonzero(~self.converged_mask())
         if active.size == 0:
             active = np.arange(self.block_size)
-
         _require_finite(self.residual_norms[active])
         self._explicit_grams = self._explicit_grams or bool(np.all(
             self.residual_norms <= self.convergence_thresholds(EXPLICIT_GRAM_RTOL)))
-        residuals = self.R[:, active]
-        if extra_deflation is not None:
-            residuals = b_project_out(residuals, *extra_deflation)
-        directions = self._deflate(self.precond.apply(residuals))
-        directions = b_project_out(directions, self.X, self.BX)
-        try:
-            w_block, _, _, b_w = b_orthonormalize_full(directions, self.b_op, self.counters)
-        except ZeroRankError:
-            raise _Breakdown from None
-        a_w = op_apply(self.a_op, w_block)
+        directions = self._deflate(self.precond.apply(self.R[:, active]))
+        return b_project_out(directions, self.X, self.BX)
 
-        parts = [(self.X, self.AX, self.BX), (w_block, a_w, b_w)]
-        if include_p and self.P is not None:
+    def _advance(self, w: np.ndarray, a_w: np.ndarray, b_w: np.ndarray) -> None:
+        """Phase 2: :func:`ritz_update` over X, W and the carried P, adopted."""
+        parts = [(self.X, self.AX, self.BX), (w, a_w, b_w)]
+        if self.use_history_direction and self.P is not None:
             parts.append((self.P, self.AP, self.BP))
-        gram_a, gram_b = part_grams(parts, None if self._explicit_grams else self.ritz_values)
-        _require_finite(gram_a, gram_b)
-        # The restart guard (a Cholesky failing RESTART_COND_LIMIT) drops the
-        # carried directions for this step, as does a projection with them
-        # that falls short of rank or fails its post-check.
-        for trial in [parts, parts[:2]] if len(parts) == 3 else [parts]:
-            width = sum(block.shape[1] for block, _, _ in trial)
-            self.counters.rayleigh_ritz_calls += 1
-            try:
-                values, x, a_x, b_x, coeff, tail = carried_rayleigh_ritz(
-                    trial, self.block_size, gram_a[:width, :width], gram_b[:width, :width],
-                    RESTART_COND_LIMIT if len(trial) == 3 else np.inf)
-                break
-            except (InsufficientRankError, NotPositiveDefiniteError, OrthonormalizationError):
-                continue
-        else:
-            raise _Breakdown
-
-        new_p = None if tail is None or not include_p else next_direction(
-            (x, a_x, b_x), tail, coeff, gram_b[:width, :width], self.X.shape[1])
-        self.counters.orthonormalizations += int(include_p)
-
+        values, (x, a_x, b_x), new_p, width = ritz_update(
+            parts, self.block_size, self.counters, self.use_history_direction,
+            part_grams(parts, None if self._explicit_grams else self.ritz_values))
         self.X, self.AX, self.BX, self.ritz_values = x, a_x, b_x, values
         self.P, self.AP, self.BP = new_p or (None, None, None)
         self.iterations += 1
@@ -403,6 +390,42 @@ class LobpcgEngine:
 
     def run(self) -> SolveResult:
         return drive(self, self.cfg.nev, self.cfg.max_iter, self.cfg.record_history)
+
+
+def ritz_update(parts, want: int, counters: OpCounters, keep_p: bool, grams, first=None):
+    """Phase 2 of a step: the Rayleigh-Ritz over ``parts``, the ``(V, A V,
+    B V)`` triples of X, W and the carried P if any, with their
+    :func:`part_grams` ``grams``, and the next P when ``keep_p``.
+
+    The restart guard (a Cholesky failing :data:`RESTART_COND_LIMIT`) drops
+    the carried directions, as does a projection with them that falls short
+    of rank or fails its post-check.  ``first`` holds the first trial's
+    :func:`~lobpcg_kit.blocks.ritz_coefficients` and, or None,
+    :func:`~lobpcg_kit.blocks.direction_coefficients` when formed already.
+    Returns ``(values, (x, a_x, b_x), next P or None, width)``, ``width``
+    the trial's columns; raises the internal breakdown signal when the
+    Gram matrices are not finite or the trial without P fails.
+    """
+    gram_a, gram_b = grams
+    _require_finite(gram_a, gram_b)
+    for trial in [parts, parts[:2]] if len(parts) == 3 else [parts]:
+        width = sum(block.shape[1] for block, _, _ in trial)
+        counters.rayleigh_ritz_calls += 1
+        try:
+            values, x, a_x, b_x, coeff, tail = carried_rayleigh_ritz(
+                trial, want, gram_a[:width, :width], gram_b[:width, :width],
+                RESTART_COND_LIMIT if len(trial) == 3 else np.inf, first and first[:2])
+            break
+        except (InsufficientRankError, NotPositiveDefiniteError, OrthonormalizationError):
+            first = None
+            continue
+    else:
+        raise _Breakdown
+    new_p = None if tail is None or not keep_p else next_direction(
+        (x, a_x, b_x), tail, coeff, gram_b[:width, :width], parts[0][0].shape[1],
+        first and first[2])
+    counters.orthonormalizations += int(keep_p)
+    return values, (x, a_x, b_x), new_p, width
 
 
 def drive(state, nev: int, max_iter: int, record_history: bool) -> SolveResult:

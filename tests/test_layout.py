@@ -60,10 +60,13 @@ def test_lobpcg2_couplings_hand_out_column_major_blocks(monkeypatch, metric):
 
     def recorded(rounds, *args, **kwargs):
         couple(rounds, *args, **kwargs)
-        seen.extend((engine.P is not None, not_column_major(engine))
-                    for engine in rounds.engines)
-        seen.append((False, [name for name in ("X", "AX", "BX")
-                             if not rounds.stack(name).flags.f_contiguous]))
+        for k in range(len(rounds.slices)):
+            parts = rounds._parts(k)
+            names = BLOCKS[:3] + (BLOCKS[3:6] if len(parts) > 1 else ())
+            blocks = [block for part in parts for block in part]
+            seen.append((len(parts) > 1, [name for name, block in zip(names, blocks)
+                                          if not block.flags.f_contiguous]))
+        seen.append((False, not_column_major(rounds)))
 
     monkeypatch.setattr(solver2._Rounds, "couple", recorded)
     result = lobpcg2_solve(a, Lobpcg2Config(nev=4, sub_block=2, rr_period=2), b_op=b)

@@ -1,8 +1,14 @@
 """Many-small-blocks solver: agreement with the full-block method,
 coupling-period behavior, aggregate invariants."""
 
+import copy
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import dense_to_csr, easy_spd_problem, fe_matrices_1d, random_spd_metric
 
@@ -21,8 +27,8 @@ from lobpcg_kit import (
     norm_estimates,
     op_apply,
 )
-from lobpcg_kit import solver2
-from lobpcg_kit.solver import REFRESH_PERIOD, LobpcgEngine, _Breakdown
+from lobpcg_kit import blocks, solver2
+from lobpcg_kit.solver import REFRESH_PERIOD
 
 
 def diag_operator(n):
@@ -43,57 +49,64 @@ def fe_pencil(mx, my):
 
 
 def event_log(monkeypatch):
-    """Log of a lobpcg2 run's events, in order: ``("step", tally)`` after an
-    engine step, ``("rr", tally)`` as a shared Rayleigh-Ritz starts, and
-    ``("adopt", tally, x, direction)`` as an engine adopts its slice and
-    carried directions (copies).  ``tally`` is the engines' shared
-    ``(a_matvecs, b_matvecs)`` at that point."""
-    log, counters = [], []  # the engines share the lead's OpCounters
+    """Log of a lobpcg2 run's events, in order: ``("step", tally)`` after a
+    sub-block steps, ``("rr", tally)`` as a shared Rayleigh-Ritz starts, and
+    ``("adopt", tally, x, direction)`` for every sub-block as a coupling
+    ends: its slice of X and its carried ``(P, A P, B P)`` or None (copies).
+    ``tally`` is the run's ``(a_matvecs, b_matvecs)`` at that point."""
+    log, counters = [], []
 
-    def tally(engine=None):
-        if engine is not None:
-            counters[:] = [engine.counters]
+    def tally(state=None):
+        if state is not None:
+            counters[:] = [state.counters]
         return counters[0].a_matvecs, counters[0].b_matvecs
 
-    adopt, step, shared_rr = LobpcgEngine._adopt, LobpcgEngine.step, solver2.carried_rayleigh_ritz
+    update, couple = solver2._Rounds._update_sub_block, solver2._Rounds.couple
+    shared_rr = solver2.carried_rayleigh_ritz
 
-    def logged_adopt(engine, values, x, a_x, b_x, direction=None):
-        kept = None if direction is None else [block.copy() for block in direction]
-        log.append(("adopt", tally(engine), x.copy(), kept))
-        adopt(engine, values, x, a_x, b_x, direction)
+    def logged_update(state, *args):
+        width = update(state, *args)
+        if width:
+            log.append(("step", tally(state)))
+        return width
 
-    def logged_step(engine, *args, **kwargs):
-        step(engine, *args, **kwargs)
-        log.append(("step", tally(engine)))
+    def logged_couple(state, *args, **kwargs):
+        tally(state)
+        couple(state, *args, **kwargs)
+        for k in range(len(state.slices)):
+            parts = state._parts(k)
+            kept = [block.copy() for block in parts[1]] if len(parts) > 1 else None
+            log.append(("adopt", tally(), parts[0][0].copy(), kept))
 
     def logged_rr(*args, **kwargs):
         log.append(("rr", tally()))
         return shared_rr(*args, **kwargs)
 
-    monkeypatch.setattr(LobpcgEngine, "_adopt", logged_adopt)
-    monkeypatch.setattr(LobpcgEngine, "step", logged_step)
+    monkeypatch.setattr(solver2._Rounds, "_update_sub_block", logged_update)
+    monkeypatch.setattr(solver2._Rounds, "couple", logged_couple)
     monkeypatch.setattr(solver2, "carried_rayleigh_ritz", logged_rr)
     return log
 
 
-def couplings(log, n_engines):
+def couplings(log, n_blocks):
     """``(k, adopts)`` for every shared Rayleigh-Ritz in an event log: the
-    index of its ``rr`` entry and the engines' adopts that follow it."""
+    index of its ``rr`` entry and the sub-blocks' adopts that follow it."""
     starts = [k for k, entry in enumerate(log) if entry[0] == "rr"]
-    groups = [(k, log[k + 1:k + 1 + n_engines]) for k in starts]
+    groups = [(k, log[k + 1:k + 1 + n_blocks]) for k in starts]
     assert all(entry[0] == "adopt" for _, adopts in groups for entry in adopts)
     return groups
 
 
 class CountingDiagonal(DiagonalOperator):
-    """Diagonal operator that counts the columns it is applied to."""
+    """Diagonal operator that counts its applies and the columns they take."""
 
     def __init__(self, diagonal):
         super().__init__(diagonal)
-        self.columns = 0
+        self.columns = self.calls = 0
 
     def apply(self, block):
         self.columns += block.shape[1]
+        self.calls += 1
         return super().apply(block)
 
 
@@ -223,10 +236,10 @@ class TestOnEngine:
         res = lobpcg2_solve(a, cfg, b_op=b, precond=jacobi_precond(a))
         assert res.status == "converged"
         counters = res.counters
-        # start: the lead engine's own block and the aggregate; then every
-        # shared Rayleigh-Ritz, the terminal one included
+        # the aggregate start, then every shared Rayleigh-Ritz, the terminal
+        # one included
         couplings = 2 + res.iterations // cfg.rr_period
-        budget = cfg.sub_block + cfg.padded_nev() * couplings
+        budget = cfg.padded_nev() * couplings
         assert counters.a_matvecs <= counters.precond_applies + budget
         # B orthonormalizes and post-checks the new directions
         assert counters.b_matvecs <= 2 * counters.precond_applies + 2 * budget
@@ -239,7 +252,7 @@ class TestOnEngine:
         cfg = Lobpcg2Config(nev=6, sub_block=2, rr_period=5, max_iter=max_iter, seed=3)
         log = event_log(monkeypatch)
         round_step, couple, rounds = solver2._Rounds.step, solver2._Rounds.couple, []
-        engine_step = LobpcgEngine.step
+        advance = solver2._Rounds._advance_round
 
         def marked_round(state):
             rounds.append(state.iterations + 1)
@@ -249,14 +262,14 @@ class TestOnEngine:
             log.append(("couple", state.iterations))  # after this many rounds
             couple(state, *args, **kwargs)
 
-        def stalling_step(engine, *args, **kwargs):
-            if rounds[-1] == stall:  # no engine moves in this round
-                raise _Breakdown
-            engine_step(engine, *args, **kwargs)
+        def stalling_round(state, moving):
+            if rounds[-1] == stall:  # no sub-block moves in this round
+                return []
+            return advance(state, moving)
 
         monkeypatch.setattr(solver2._Rounds, "step", marked_round)
         monkeypatch.setattr(solver2._Rounds, "couple", marked_couple)
-        monkeypatch.setattr(LobpcgEngine, "step", stalling_step)
+        monkeypatch.setattr(solver2._Rounds, "_advance_round", stalling_round)
         res = lobpcg2_solve(a, cfg, b_op=b, precond=jacobi_precond(a))
         assert res.status == ("max_iter" if max_iter < 500 else "converged")
         assert rounds[-1] == res.iterations > min(REFRESH_PERIOD, max_iter - 1)
@@ -265,7 +278,7 @@ class TestOnEngine:
             round_no = log[k - 1][1]
             before = next(entry[1] for entry in reversed(log[:k]) if entry[0] != "couple")
             coupled.setdefault(round_no, []).append(tuple(np.subtract(log[k][1], before)))
-            # every engine keeps its P, which applies nothing; the stall
+            # every sub-block keeps its P, which applies nothing; the stall
             # retry drops every P
             assert all(entry[1] == log[k][1] for entry in adopts)
             kept = [entry[3] is not None for entry in adopts]
@@ -318,18 +331,18 @@ class TestOnEngine:
         a, b = fe_pencil(12, 14)
         cfg = Lobpcg2Config(nev=4, sub_block=2, rr_period=5, seed=3)
         log = event_log(monkeypatch)
-        logged_step, carried = LobpcgEngine.step, []
+        advance, carried = solver2._Rounds._advance_round, []
 
-        def stalling_step(engine, *args, **kwargs):
-            carried.append(engine.P is not None)
-            if len(carried) in (5, 6):  # both engines of round 3
-                raise _Breakdown
-            logged_step(engine, *args, **kwargs)
+        def stalling_round(state, moving):
+            carried.append([bool(state.p_cols[k]) for k, _ in moving])
+            if len(carried) == 3:  # both sub-blocks of round 3
+                return []
+            return advance(state, moving)
 
-        monkeypatch.setattr(LobpcgEngine, "step", stalling_step)
+        monkeypatch.setattr(solver2._Rounds, "_advance_round", stalling_round)
         res = lobpcg2_solve(a, cfg, b_op=b, precond=jacobi_precond(a))
         assert res.status == "converged"
-        assert carried[4] and carried[5]  # the stalled round had a P to drop
+        assert carried[2] == [True, True]  # the stalled round had a P to drop
         groups = couplings(log, 2)
         # the start, then the retry after the four steps of rounds 1 and 2
         retry_index, retry = groups[1]
@@ -342,39 +355,39 @@ class TestOnEngine:
         a, b = fe_pencil(12, 14)
         cfg = Lobpcg2Config(nev=4, sub_block=2, rr_period=1, seed=3)
         log = event_log(monkeypatch)
-        logged_step, carried = LobpcgEngine.step, []
+        advance, carried = solver2._Rounds._advance_round, []
 
-        def stalling_step(engine, *args, **kwargs):
-            carried.append(engine.P is not None)
-            if len(carried) in (5, 6):  # both engines of round 3
-                raise _Breakdown
-            logged_step(engine, *args, **kwargs)
+        def stalling_round(state, moving):
+            carried.append([bool(state.p_cols[k]) for k, _ in moving])
+            if len(carried) == 3:  # both sub-blocks of round 3
+                return []
+            return advance(state, moving)
 
-        monkeypatch.setattr(LobpcgEngine, "step", stalling_step)
+        monkeypatch.setattr(solver2._Rounds, "_advance_round", stalling_round)
         res = lobpcg2_solve(a, cfg, b_op=b, precond=jacobi_precond(a))
         assert res.status == "converged"
-        assert carried[4] and carried[5]  # round 2's coupling kept P
+        assert carried[2] == [True, True]  # round 2's coupling kept P
         groups = couplings(log, 2)
         # the start, the couplings after rounds 1 and 2, then the retry
         retry_index, retry = groups[3]
         assert [entry[0] for entry in log[:retry_index]].count("step") == 4
         assert all(entry[3] is None for entry in retry)
-        assert not carried[6] and not carried[7]  # round 4 steps without P
+        assert carried[3] == [False, False]  # round 4 steps without P
         assert all(entry[3] is not None for entry in groups[4][1])
 
     def test_coupling_keeps_a_p_narrower_than_the_sub_block(self, monkeypatch):
         a, b = fe_pencil(12, 14)
         cfg = Lobpcg2Config(nev=4, sub_block=2, rr_period=1, seed=3)
         log = event_log(monkeypatch)
-        logged_step = LobpcgEngine.step
+        logged_update = solver2._Rounds._update_sub_block
 
-        def narrowing_step(engine, *args, **kwargs):
-            logged_step(engine, *args, **kwargs)
-            if engine.P is not None:  # as when dependent columns are dropped
-                engine.P, engine.AP, engine.BP = (block[:, :1] for block in
-                                                  (engine.P, engine.AP, engine.BP))
+        def narrowing_update(state, k, *args):
+            width = logged_update(state, k, *args)
+            if state.p_cols[k]:  # as when dependent columns are dropped
+                state.p_cols[k] = 1
+            return width
 
-        monkeypatch.setattr(LobpcgEngine, "step", narrowing_step)
+        monkeypatch.setattr(solver2._Rounds, "_update_sub_block", narrowing_update)
         res = lobpcg2_solve(a, cfg, b_op=b, precond=jacobi_precond(a))
         assert res.status in ("converged", "max_iter")
         assert b_defect(res.vectors, b) <= 1e-8
@@ -433,6 +446,85 @@ class TestOnEngine:
         assert np.all(np.isfinite(res.values))
         assert np.all(np.isfinite(res.residual_norms))
         assert b_defect(res.vectors, IdentityOperator(n)) <= 1e-8
+
+
+class TestStackedRounds:
+    def test_a_round_applies_each_operator_once(self, monkeypatch):
+        n = 60
+        a = CountingDiagonal(np.linspace(1.0, 30.0, n))
+        b = CountingDiagonal(np.linspace(1.0, 2.0, n))
+        precond = CountingDiagonal(1.0 / np.linspace(1.0, 30.0, n))
+        advance, rounds = solver2._Rounds._advance_round, []
+
+        def counted_round(state, moving):
+            before = [op.calls for op in (a, b, precond)]
+            widths = advance(state, moving)
+            rounds.append((len(moving), len(widths),
+                           [op.calls - calls for op, calls in zip((a, b, precond), before)]))
+            return widths
+
+        monkeypatch.setattr(solver2._Rounds, "_advance_round", counted_round)
+        res = lobpcg2_solve(a, Lobpcg2Config(nev=6, sub_block=2, rr_period=3),
+                            b_op=b, precond=precond)
+        assert res.status == "converged"
+        shared = [applied for moving, moved, applied in rounds if moving >= 2 and moved]
+        assert len(shared) >= 5
+        assert all(applied == [1, 1, 1] for applied in shared)  # calls, not columns
+
+    @settings(derandomize=True, database=None, max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 20), rounds=st.integers(0, 15), sub_block=st.integers(1, 3),
+           ragged=st.booleans(), copy_of_x=st.sampled_from([None, 0.0, 1e-7, 1e-6]))
+    def test_stacked_and_per_block_phase_2_agree(self, seed, rounds, sub_block, ragged,
+                                                 copy_of_x):
+        a, b = fe_pencil(10, 12)
+        state = solver2._Rounds(a, Lobpcg2Config(nev=6, sub_block=sub_block, rr_period=3,
+                                                  seed=seed), b, jacobi_precond(a))
+        start = state.rng.standard_normal((a.dim, state.padded))
+        x, _, _, b_x = solver2.b_orthonormalize_full(start, state.b_op, state.counters)
+        state.couple(x, op_apply(state.a_op, x), b_x)
+        for _ in range(rounds):
+            state.step()
+        moving = [(k, np.arange(cols.start, cols.stop)) for k, cols in enumerate(state.slices)]
+        if ragged and sub_block > 1:  # one sub-block with a narrower W
+            moving[1] = (1, moving[1][1][1:])
+        if copy_of_x is not None and state.p_cols[0]:
+            # sub-block 0's P a B-normalized copy of its X, exact or nearly:
+            # a B-Gram matrix whose Cholesky fails in LAPACK (0), the pivot
+            # floor (1e-7) or the restart guard's condition limit (1e-6)
+            cols = slice(0, state.p_cols[0])
+            p = state.X[:, cols] + copy_of_x * np.random.default_rng(seed).standard_normal(
+                (a.dim, state.p_cols[0]))
+            for block, copied in zip((state.P, state.AP, state.BP),
+                                     (p, op_apply(a, p), op_apply(b, p))):
+                block[:, cols] = copied / np.sqrt(np.einsum("ij,ij->j", p, op_apply(b, p)))
+        per_block = copy.deepcopy(state)
+        widths = state._advance_round(moving)
+        with mock.patch.object(blocks, "stacked_cholesky_transforms",
+                               lambda grams, *_: (None, np.zeros(len(grams), dtype=bool))), \
+                mock.patch.object(solver2._Rounds, "_stacked_grams", lambda *_: None):
+            assert per_block._advance_round(moving) == widths
+        for name in ("ritz_values", "X", "AX", "BX", "P", "AP", "BP", "p_cols"):
+            assert np.array_equal(getattr(state, name), getattr(per_block, name)), name
+        assert state.counters == per_block.counters
+
+    def test_peak_memory_against_block_lobpcg(self):
+        # On fe_pencil_many's pencil the rounds built no tall block at full
+        # width, for a peak of 0.6236 times block LOBPCG's at nev 12
+        a, b = fe_pencil(30, 40)
+        precond = jacobi_precond(a)
+        peaks = []
+        for solve in (lambda: lobpcg2_solve(a, Lobpcg2Config(nev=12, sub_block=4, rr_period=25,
+                                                             max_iter=300, seed=3),
+                                            b_op=b, precond=precond),
+                      lambda: lobpcg_solve(a, SolverConfig(nev=12, max_iter=300, seed=3),
+                                           b_op=b, precond=precond)):
+            tracemalloc.start()
+            try:
+                assert solve().status == "converged"
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] <= 1.1 * 0.6236 * peaks[1]
 
 
 class TestValidation:
