@@ -508,8 +508,9 @@ class TestStackedRounds:
         assert state.counters == per_block.counters
 
     def test_peak_memory_against_block_lobpcg(self):
-        # On fe_pencil_many's pencil the rounds built no tall block at full
-        # width, for a peak of 0.6236 times block LOBPCG's at nev 12
+        # On fe_pencil_many's pencil the per-engine rounds peaked at 0.6236
+        # times block LOBPCG's peak at nev 12; rounds that held every
+        # sub-block's tall temporaries at once would exceed 1.1 times that
         a, b = fe_pencil(30, 40)
         precond = jacobi_precond(a)
         peaks = []
