@@ -79,13 +79,17 @@ def _as_block(block: np.ndarray) -> np.ndarray:
 
 
 def rayleigh_quotient(x: np.ndarray, a_op: LinearOperator, b_op: LinearOperator) -> float:
-    """(x, A x) / (x, B x) for a single vector."""
+    """(x, A x) / (x, B x) for a single vector, scaled to a largest magnitude
+    of 1 first; ZeroVectorError when (x, B x) is not positive."""
     x = _as_block(x)
     if x.shape[1] != 1:
         raise DimensionMismatchError("rayleigh_quotient takes a single vector")
+    peak = np.max(np.abs(x))
+    if peak > 0:  # so that (x, B x) neither underflows nor overflows
+        x = x / peak
     bx = op_apply(b_op, x)
     denom = float(x[:, 0] @ bx[:, 0])
-    if denom <= 1e-300:
+    if not denom > 0:
         raise ZeroVectorError(f"(x, B x) = {denom!r} is not positive")
     ax = op_apply(a_op, x)
     return float(x[:, 0] @ ax[:, 0]) / denom
@@ -271,7 +275,8 @@ def b_orthonormalize_spans(out: np.ndarray, spans: list, b_op: LinearOperator | 
     width: ``(W, B W)`` per span, None where nothing survives or the
     post-check fails."""
     b_out = b_apply(b_op, out)
-    pairs = [(out[:, span], out[:, span] if b_out is out else b_out[:, span]) for span in spans]
+    views = [out[:, span] for span in spans]  # one each, so that B W stays W without B
+    pairs = list(zip(views, views if b_out is out else [b_out[:, span] for span in spans]))
     del out, b_out
     grams = [v.T @ b_v for v, b_v in pairs]
     firsts = [None] * len(pairs)

@@ -314,9 +314,10 @@ def jacobi_precond(matrix) -> DiagonalOperator:
     """Inverse-diagonal preconditioner with a unit fallback.
 
     ``matrix`` is an operator with a ``diagonal()`` method or the 1-d
-    diagonal itself.  Entries with diagonal <= 1e-300 (zero or negative)
-    get reciprocal 1 and set the ``nonpositive_diagonal`` warning flag on
-    the result.  The reciprocals are its ``diagonal_values``.
+    diagonal itself.  Every positive entry whose reciprocal is finite, however
+    small, gets that reciprocal; a zero, negative or NaN entry, or one whose
+    reciprocal overflows, gets 1 and sets the ``nonpositive_diagonal``
+    warning flag on the result.  The reciprocals are its ``diagonal_values``.
     """
     if isinstance(matrix, LinearOperator):
         diag = np.asarray(matrix.diagonal(), dtype=float)
@@ -324,8 +325,10 @@ def jacobi_precond(matrix) -> DiagonalOperator:
         diag = np.asarray(matrix, dtype=float)
         if diag.ndim != 1:
             raise DimensionMismatchError(f"expected a 1-d diagonal, got shape {diag.shape}")
-    usable = diag > 1e-300
-    pre = DiagonalOperator(np.where(usable, 1.0 / np.where(usable, diag, 1.0), 1.0))
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        inverse = 1.0 / diag
+    usable = (diag > 0) & np.isfinite(inverse)
+    pre = DiagonalOperator(np.where(usable, inverse, 1.0))
     pre.nonpositive_diagonal = bool(np.any(~usable))
     return pre
 

@@ -4,6 +4,8 @@ The iteration keeps a B-orthonormal block of Ritz vectors, augments it
 with preconditioned residuals and an implicitly recurred previous-direction
 block, and re-extracts the smallest Ritz pairs each step.  A steepest
 descent variant (no previous-direction block) is provided as a baseline.
+Both step as rounds of one sub-block through the core that lobpcg2's
+narrow recurrences share (:meth:`LobpcgEngine._advance_round`).
 
 The products A X, B X, A P and B P are carried alongside X and P and
 updated with the same Ritz coefficients, so a step applies A only to the
@@ -25,6 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 import numpy as np
 
@@ -32,7 +35,9 @@ from .blocks import (
     ORTHO_POST_TOL,
     OpCounters,
     b_apply,
+    b_dual_basis,
     b_orthonormalize_full,
+    b_orthonormalize_spans,
     b_project_out,
     carried_rayleigh_ritz,
     column_norms,
@@ -40,6 +45,9 @@ from .blocks import (
     next_direction,
     ortho_defect,
     part_grams,
+    stacked_first_trials,
+    sub_block_stack,
+    unit_columns,
 )
 # Unused here; bound because perfbench/tracer.py looks them up in this module.
 from .blocks import rayleigh_ritz, residual_block  # noqa: F401
@@ -173,6 +181,16 @@ def _require_finite(*blocks: np.ndarray) -> None:
         raise _Breakdown
 
 
+def _columns(triple, cols):
+    """Columns ``cols`` of a ``(V, A V, B V)`` triple, the triple itself if
+    they are all its columns; B V stays V itself."""
+    v, a_v, b_v = triple
+    if cols == slice(0, v.shape[1]):
+        return triple
+    block = v[:, cols]
+    return block, a_v[:, cols], block if b_v is v else b_v[:, cols]
+
+
 class LobpcgEngine:
     """Stepping core shared by :func:`lobpcg_solve`, :func:`psd_solve` and
     :func:`~lobpcg_kit.solver2.lobpcg2_solve`.
@@ -181,9 +199,12 @@ class LobpcgEngine:
     three-block step against a steepest-descent step from an identical
     state.  Regular callers should use the solve functions.
 
-    ``AX``/``BX`` and ``AP``/``BP`` hold the carried operator products of
-    the iterate block ``X`` and the previous-direction block ``P``; with
-    ``b_op=None`` the engine holds no B and they are ``X``/``P`` themselves.
+    The state's columns are the sub-blocks ``slices``, advanced together
+    a round at a time: one for this engine, ``nev / sub_block`` for
+    lobpcg2.  ``AX``/``BX`` and ``AP``/``BP`` hold the carried operator
+    products of the iterate block ``X`` and the previous-direction block
+    ``P``, whose first ``p_cols[k]`` columns of slice k are sub-block k's
+    (none at 0); with ``b_op=None`` there is no B and they are ``X``/``P``.
 
     A diagonal or sparse ``b_op`` with a diagonal entry <= 0 is not
     positive definite and raises :class:`NotPositiveDefiniteError` before
@@ -202,7 +223,6 @@ class LobpcgEngine:
         self._setup(a_op, b_op, precond)
         self.cfg = cfg
         self.block_size = cfg.resolved_block_size()
-        self.use_history_direction = use_history_direction
 
         self._rng = np.random.default_rng(cfg.seed)
         if constraints is not None:
@@ -228,14 +248,16 @@ class LobpcgEngine:
         start, b_start = self._full_rank_start(start)
         a_start = op_apply(self.a_op, start)
 
-        self.iterations = 0
-        self._last_basis_cols = self.block_size
-        self._explicit_grams = False  # see EXPLICIT_GRAM_RTOL
+        self._sub_blocks(self.block_size, self.block_size, use_history_direction)
+        values = np.full(self.block_size, np.nan)
         if np.isfinite(a_start).all():
             self.counters.rayleigh_ritz_calls += 1
-            self._adopt(*carried_rayleigh_ritz([(start, a_start, b_start)], self.block_size)[:4])
-        else:
-            self._adopt(np.full(self.block_size, np.nan), start, a_start, b_start)
+            values, start, a_start, b_start = carried_rayleigh_ritz(
+                [(start, a_start, b_start)], self.block_size)[:4]
+        self.ritz_values, self.X, self.AX, self.BX = values, start, a_start, b_start
+        #: True while A X and B X are explicit products: set here and on refresh.
+        self._fresh = True
+        self._update_residuals()
 
     # -- setup helpers -------------------------------------------------
 
@@ -266,6 +288,16 @@ class LobpcgEngine:
             )
         self.precond = _CountingOperator(raw_precond, self.counters, "precond_applies")
 
+    def _sub_blocks(self, width: int, sub_block: int, use_history_direction=True) -> None:
+        """An empty state of ``width`` columns stepped as sub-blocks of
+        ``sub_block`` columns, none of which carries directions yet."""
+        self.use_history_direction = use_history_direction
+        self.slices = [slice(lo, lo + sub_block) for lo in range(0, width, sub_block)]
+        self.iterations, self._last_basis_cols = 0, width
+        self._explicit_grams = np.zeros(len(self.slices), dtype=bool)  # see EXPLICIT_GRAM_RTOL
+        self.p_cols = np.zeros(len(self.slices), dtype=int)
+        self.P = self.AP = self.BP = None
+
     def _deflate(self, block: np.ndarray) -> np.ndarray:
         if self.constraints is None:
             return block
@@ -291,16 +323,6 @@ class LobpcgEngine:
         )
 
     # -- state inspection ----------------------------------------------
-
-    def _adopt(self, values: np.ndarray, x: np.ndarray, a_x: np.ndarray,
-               b_x: np.ndarray) -> None:
-        """Take ``x`` as the iterate block with its Ritz values and explicit
-        products, and no carried directions."""
-        self.ritz_values, self.X, self.AX, self.BX = values, x, a_x, b_x
-        self.P = self.AP = self.BP = None
-        #: True while A X and B X are explicit products: set here and on refresh.
-        self._fresh = True
-        self._update_residuals()
 
     def _update_residuals(self) -> None:
         """Residuals and their norms, and X's column norms, of a new state."""
@@ -339,46 +361,167 @@ class LobpcgEngine:
     # -- the update step -------------------------------------------------
 
     def step(self) -> None:
-        """One locally optimal update of the iterate block, in two phases:
-        :meth:`_directions` builds the search directions, and for them,
-        B-orthonormalized into W, and A W, :meth:`_advance` makes the
-        Rayleigh-Ritz.  A and B are applied once, to the new directions only.
-        Raises the internal breakdown signal when the residuals or the
-        projected Gram matrices are not finite, no search directions survive,
-        or the trial without P fails.
-        """
-        try:
-            w, _, _, b_w = b_orthonormalize_full(self._directions(), self.b_op, self.counters)
-        except ZeroRankError:
-            raise _Breakdown from None
-        self._advance(w, op_apply(self.a_op, w), b_w)
-
-    def _directions(self) -> np.ndarray:
-        """Phase 1: the active residuals preconditioned, deflated and
-        B-projected off X."""
+        """One locally optimal update of the iterate block: a round of its
+        one sub-block over the columns that have not converged (all once
+        every column has).  Raises the internal breakdown signal when their
+        residuals are not finite or the block does not move."""
         active = np.flatnonzero(~self.converged_mask())
         if active.size == 0:
             active = np.arange(self.block_size)
         _require_finite(self.residual_norms[active])
-        self._explicit_grams = self._explicit_grams or bool(np.all(
+        self._explicit_grams |= bool(np.all(
             self.residual_norms <= self.convergence_thresholds(EXPLICIT_GRAM_RTOL)))
-        directions = self._deflate(self.precond.apply(self.R[:, active]))
-        return b_project_out(directions, self.X, self.BX)
-
-    def _advance(self, w: np.ndarray, a_w: np.ndarray, b_w: np.ndarray) -> None:
-        """Phase 2: :func:`ritz_update` over X, W and the carried P, adopted."""
-        parts = [(self.X, self.AX, self.BX), (w, a_w, b_w)]
-        if self.use_history_direction and self.P is not None:
-            parts.append((self.P, self.AP, self.BP))
-        values, (x, a_x, b_x), new_p, width = ritz_update(
-            parts, self.block_size, self.counters, self.use_history_direction,
-            part_grams(parts, None if self._explicit_grams else self.ritz_values))
-        self.X, self.AX, self.BX, self.ritz_values = x, a_x, b_x, values
-        self.P, self.AP, self.BP = new_p or (None, None, None)
+        widths = self._advance_round([(0, active)])
+        if not widths:
+            raise _Breakdown
         self.iterations += 1
-        self._last_basis_cols = width
-        self._fresh = False
+        self._fresh, self._last_basis_cols = False, widths[0]
         self._update_residuals()
+
+    def _parts(self, k: int) -> list:
+        """Sub-block k's ``(X, A X, B X)`` and, if it has one and the state
+        uses it, its ``(P, A P, B P)``: the state's blocks or views of them."""
+        cols = self.slices[k]
+        parts = [_columns((self.X, self.AX, self.BX), cols)]
+        if self.p_cols[k] and self.use_history_direction:
+            parts.append(_columns((self.P, self.AP, self.BP),
+                                  slice(cols.start, cols.start + self.p_cols[k])))
+        return parts
+
+    def _keep(self, k: int, names: tuple, blocks) -> None:
+        """Put sub-block k's ``blocks`` in the state's blocks ``names``: a
+        state of one sub-block holds them by reference (None included), a
+        state of several writes them into the sub-block's leading columns."""
+        lo = self.slices[k].start
+        for name, block in zip(names, blocks):
+            if len(self.slices) == 1:
+                setattr(self, name, block)
+            elif block is not None:
+                getattr(self, name)[:, lo:lo + block.shape[1]] = block
+
+    def _keep_direction(self, k: int, direction) -> None:
+        """Keep sub-block k's carried ``(P, A P, B P)``, or None, in the state."""
+        self.p_cols[k] = 0 if direction is None else direction[0].shape[1]
+        self._keep(k, ("P", "AP", "BP"), direction or (None,) * 3)
+
+    def _join(self, widths: list, blocks) -> np.ndarray:
+        """The ``blocks``, of ``widths`` columns, side by side in one
+        column-major block, taken one at a time; the block itself if one."""
+        if len(widths) == 1:
+            return next(iter(blocks))
+        out, edges = np.empty((self.dim, sum(widths)), order="F"), [0, *accumulate(widths)]
+        for block, lo, hi in zip(blocks, edges[:-1], edges[1:]):
+            out[:, lo:hi] = block
+        return out
+
+    def _advance_round(self, moving: list) -> list:
+        """Both phases of a step for every moving sub-block, ``(k, active
+        columns)``, with one preconditioner, B and A apply each; returns
+        the trial widths of the sub-blocks that moved.  Phase 1 makes W from
+        the active residuals: projected off the whole X (one B-dual basis)
+        when there are several sub-blocks, preconditioned, deflated,
+        B-projected off the sub-block's own X and B-orthonormalized."""
+        widths = [active.size for _, active in moving]
+        if len(self.slices) == 1:  # the sub-block's own X is the whole X
+            residuals = self.R[:, moving[0][1]]
+        else:
+            dual = b_dual_basis(self.X, self.BX)
+            residuals = self._join(widths, (b_project_out(self.R[:, active], self.X, dual)
+                                            for _, active in moving))
+            del dual
+        directions = self.precond.apply(residuals)
+        del residuals
+        edges = [0, *accumulate(widths)]
+        spans = [slice(lo, hi) for lo, hi in zip(edges[:-1], edges[1:])]
+        own = [_columns((self.X, self.AX, self.BX), self.slices[k]) for k, _ in moving]
+        out = self._join(widths, (
+            unit_columns(b_project_out(self._deflate(directions[:, span]), x, b_x))[0]
+            for (x, _, b_x), span in zip(own, spans)))
+        del directions, own
+        steps = [(k, *step) for (k, _), step in zip(
+            moving, b_orthonormalize_spans(out, spans, self.b_op, self.counters)) if step]
+        del out
+        if not steps:
+            return []
+        # W and B W join into the A apply's input, and the blocks of phase 1 are freed
+        widths = [w.shape[1] for _, w, _ in steps]
+        w_all = self._join(widths, (w for _, w, _ in steps))
+        b_w_all = w_all if self.b_op is None else self._join(widths, (b_w for _, _, b_w in steps))
+        blocks = [k for k, _, _ in steps]
+        del steps
+        a_w_all = op_apply(self.a_op, w_all)
+        return self._rayleigh_ritz_round(blocks, [0, *accumulate(widths)],
+                                         (w_all, a_w_all, b_w_all))
+
+    def _rayleigh_ritz_round(self, blocks: list, edges: list, directions) -> list:
+        """Phase 2 for the sub-blocks ``blocks``, whose W, A W and B W are
+        the column spans between ``edges`` of ``directions``, with the first
+        trials' small dense work stacked."""
+        members = []
+        for k, lo, hi in zip(blocks, edges[:-1], edges[1:]):
+            members.append(self._parts(k))
+            members[-1].insert(1, _columns(directions, slice(lo, hi)))
+        grams = self._stacked_grams(blocks, members, directions) if len(blocks) > 1 else None
+        pairs = list(zip(*grams)) if grams else [
+            part_grams(parts, None if self._explicit_grams[k] else self.ritz_values[self.slices[k]])
+            for k, parts in zip(blocks, members)]
+        firsts = [None] if len(pairs) == 1 else stacked_first_trials(
+            pairs, [RESTART_COND_LIMIT if len(parts) == 3 else np.inf for parts in members],
+            members[0][0][0].shape[1])  # the sub-blocks' width
+        return [width for width in map(self._update_sub_block, blocks, members, pairs, firsts)
+                if width]
+
+    def _stacked_grams(self, blocks: list, members: list, directions):
+        """Every sub-block's Gram matrices, as ``(k, m, m)`` stacks formed
+        over stacked views, when all of them move with one shape and one
+        Gram rule; None otherwise."""
+        shapes = {tuple(v.shape[1] for v, _, _ in parts) for parts in members}
+        rule = {bool(self._explicit_grams[k]) for k in blocks}
+        if len(blocks) < len(self.slices) or len(shapes) > 1 or len(rule) > 1:
+            return None
+        width, w_cols, *p_cols = shapes.pop()
+        stacks = [[sub_block_stack(b, width) for b in (self.X, self.AX, self.BX)],
+                  [sub_block_stack(b, w_cols) for b in directions]]
+        stacks += [[sub_block_stack(b, width, p_cols[0]) for b in (self.P, self.AP, self.BP)]
+                   ] if p_cols else []
+        return part_grams(stacks, None if rule.pop() else self.ritz_values.reshape(-1, width))
+
+    def _update_sub_block(self, k: int, parts: list, grams, first) -> int:
+        """Phase 2 for sub-block k: the Rayleigh-Ritz over ``parts``, the
+        ``(V, A V, B V)`` triples of its X, W and carried P if any, with
+        their :func:`part_grams` ``grams``, and its next P, kept in the
+        state.  Returns the trial's width; 0, and the state untouched, when
+        the Gram matrices are not finite or the trial without P fails.
+        The restart guard (a Cholesky failing :data:`RESTART_COND_LIMIT`)
+        drops P, as does a trial with P that falls short of rank or fails
+        its post-check.  ``first`` holds the first trial's
+        :func:`~lobpcg_kit.blocks.ritz_coefficients` and, or None,
+        :func:`~lobpcg_kit.blocks.direction_coefficients` if formed already.
+        """
+        gram_a, gram_b = grams
+        if not (np.isfinite(gram_a).all() and np.isfinite(gram_b).all()):
+            return 0
+        for trial in [parts, parts[:2]] if len(parts) == 3 else [parts]:
+            width = sum(block.shape[1] for block, _, _ in trial)
+            self.counters.rayleigh_ritz_calls += 1
+            try:
+                values, x, a_x, b_x, coeff, tail = carried_rayleigh_ritz(
+                    trial, parts[0][0].shape[1], gram_a[:width, :width], gram_b[:width, :width],
+                    RESTART_COND_LIMIT if len(trial) == 3 else np.inf, first and first[:2])
+                break
+            except (InsufficientRankError, NotPositiveDefiniteError, OrthonormalizationError):
+                first = None
+        else:
+            return 0
+        keep_p = self.use_history_direction
+        direction = None if tail is None or not keep_p else next_direction(
+            (x, a_x, b_x), tail, coeff, gram_b[:width, :width], parts[0][0].shape[1],
+            first and first[2])
+        self.counters.orthonormalizations += int(keep_p)
+        self.ritz_values[self.slices[k]] = values
+        self._keep(k, ("X", "AX", "BX"), (x, a_x, b_x))
+        self._keep_direction(k, direction)
+        return width
 
     def salvage(self, in_step: bool) -> None:
         """After a breakdown in a step, try to make carried products explicit."""
@@ -390,42 +533,6 @@ class LobpcgEngine:
 
     def run(self) -> SolveResult:
         return drive(self, self.cfg.nev, self.cfg.max_iter, self.cfg.record_history)
-
-
-def ritz_update(parts, want: int, counters: OpCounters, keep_p: bool, grams, first=None):
-    """Phase 2 of a step: the Rayleigh-Ritz over ``parts``, the ``(V, A V,
-    B V)`` triples of X, W and the carried P if any, with their
-    :func:`part_grams` ``grams``, and the next P when ``keep_p``.
-
-    The restart guard (a Cholesky failing :data:`RESTART_COND_LIMIT`) drops
-    the carried directions, as does a projection with them that falls short
-    of rank or fails its post-check.  ``first`` holds the first trial's
-    :func:`~lobpcg_kit.blocks.ritz_coefficients` and, or None,
-    :func:`~lobpcg_kit.blocks.direction_coefficients` when formed already.
-    Returns ``(values, (x, a_x, b_x), next P or None, width)``, ``width``
-    the trial's columns; raises the internal breakdown signal when the
-    Gram matrices are not finite or the trial without P fails.
-    """
-    gram_a, gram_b = grams
-    _require_finite(gram_a, gram_b)
-    for trial in [parts, parts[:2]] if len(parts) == 3 else [parts]:
-        width = sum(block.shape[1] for block, _, _ in trial)
-        counters.rayleigh_ritz_calls += 1
-        try:
-            values, x, a_x, b_x, coeff, tail = carried_rayleigh_ritz(
-                trial, want, gram_a[:width, :width], gram_b[:width, :width],
-                RESTART_COND_LIMIT if len(trial) == 3 else np.inf, first and first[:2])
-            break
-        except (InsufficientRankError, NotPositiveDefiniteError, OrthonormalizationError):
-            first = None
-            continue
-    else:
-        raise _Breakdown
-    new_p = None if tail is None or not keep_p else next_direction(
-        (x, a_x, b_x), tail, coeff, gram_b[:width, :width], parts[0][0].shape[1],
-        first and first[2])
-    counters.orthonormalizations += int(keep_p)
-    return values, (x, a_x, b_x), new_p, width
 
 
 def drive(state, nev: int, max_iter: int, record_history: bool) -> SolveResult:

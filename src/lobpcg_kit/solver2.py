@@ -3,19 +3,20 @@ Rayleigh-Ritz coupling step.
 
 For ``nev`` requested pairs and a sub-block width ``nb``, ``nev / nb``
 width-``nb`` LOBPCG recurrences advance in parallel as the column
-sub-blocks of one column-major state, a round at a time, through the two
-phases of :meth:`~lobpcg_kit.solver.LobpcgEngine.step`.  A round B-projects
-every moving sub-block's active residuals off the whole iterate block (one
-B-dual basis), so the recurrences do not collapse onto the same
-eigenvectors, and applies the preconditioner, B and A once each.  Their
-small dense work runs as stacked LAPACK calls over sub-blocks of one width;
-their tall combinations, one sub-block at a time.  Every ``rr_period``
-rounds one shared Rayleigh-Ritz over the whole span, on the carried A X and
-B X, gives every sub-block its slice of the Ritz vectors in ascending order,
-and its carried directions B-projected off them, so every recurrence stays
-LOBPCG across couplings (a retry after a round in which nothing moved drops
-them).  On explicit products it is the refresh of
-:func:`~lobpcg_kit.solver.drive`, on the schedule of every solver.
+sub-blocks of one column-major state, a round at a time, through the
+round that every solver steps with
+(:meth:`~lobpcg_kit.solver.LobpcgEngine._advance_round`).  A round
+B-projects every moving sub-block's active residuals off the whole
+iterate block (one B-dual basis), so the recurrences do not collapse onto
+the same eigenvectors, and applies the preconditioner, B and A once each.
+Their small dense work runs as stacked LAPACK calls over sub-blocks of
+one width; their tall combinations, one sub-block at a time.  Every
+``rr_period`` rounds one shared Rayleigh-Ritz over the whole span, on the
+carried A X and B X, gives every sub-block its slice of the Ritz vectors
+in ascending order, and its carried directions B-projected off them, so
+every recurrence stays LOBPCG across couplings (a retry after a round in
+which nothing moved drops them).  On explicit products it is the refresh
+of :func:`~lobpcg_kit.solver.drive`, on the schedule of every solver.
 """
 
 from __future__ import annotations
@@ -27,33 +28,24 @@ import numpy as np
 
 from .blocks import (
     b_apply,
-    b_dual_basis,
     b_normalized,
     b_orthonormalize_full,
-    b_orthonormalize_spans,
-    b_project_out,
     carried_rayleigh_ritz,
     combine_parts,
-    part_grams,
-    stacked_first_trials,
-    sub_block_stack,
-    unit_columns,
 )
 from .errors import InsufficientRankError, InvalidConfigError, OrthonormalizationError
 from .operators import LinearOperator, op_apply
 # Unused here; bound because perfbench/tracer.py looks them up in this module.
-from .blocks import rayleigh_ritz, residual_block  # noqa: F401
+from .blocks import b_project_out, rayleigh_ritz, residual_block  # noqa: F401
 from .operators import norm_estimates  # noqa: F401
 from .solver import (
     EXPLICIT_GRAM_RTOL,
-    RESTART_COND_LIMIT,
     STATUS_BREAKDOWN,
     LobpcgEngine,
     SolveResult,
     _Breakdown,
     _require_finite,
     drive,
-    ritz_update,
 )
 
 
@@ -96,49 +88,21 @@ class Lobpcg2Config:
             raise InvalidConfigError(f"max_iter must be >= 1, got {self.max_iter}")
 
 
-def _columns(triple, cols):
-    """Columns ``cols`` of a ``(V, A V, B V)`` triple; B V stays V itself."""
-    v, a_v, b_v = triple
-    block = v[:, cols]
-    return block, a_v[:, cols], block if b_v is v else b_v[:, cols]
-
-
 class _Rounds(LobpcgEngine):
     """lobpcg2's state for :func:`~lobpcg_kit.solver.drive`: the engine's
     state, one recurrence per column sub-block, advanced a round at a time
     and coupled by a shared Rayleigh-Ritz, on explicit products as its
-    refresh.  Sub-block k's P is the first ``p_cols[k]`` columns of its
-    slice of P (none at 0)."""
+    refresh."""
 
     def __init__(self, a_op: LinearOperator, cfg: Lobpcg2Config, b_op, precond):
         self._setup(a_op, b_op, precond)
         self.cfg, self.padded, self.rr_period = cfg, cfg.padded_nev(), cfg.rr_period
-        self.slices = [slice(lo, lo + cfg.sub_block) for lo in range(0, self.padded, cfg.sub_block)]
+        self._sub_blocks(self.padded, cfg.sub_block)
         self.rng, self.constraints = np.random.default_rng(cfg.seed), None
-        self.iterations, self._last_basis_cols = 0, self.padded
         self._fresh = True  # while the state holds a shared Rayleigh-Ritz on explicit products
-        self._explicit_grams = np.zeros(len(self.slices), dtype=bool)  # per sub-block
-        self.p_cols = np.zeros(len(self.slices), dtype=int)
         self.P = np.zeros((self.dim, self.padded), order="F")
         self.AP = np.zeros_like(self.P)
         self.BP = self.P if self.b_op is None else np.zeros_like(self.P)
-
-    def _parts(self, k: int) -> list:
-        """Sub-block k's ``(X, A X, B X)`` and, if it has one, its
-        ``(P, A P, B P)``: views of the state."""
-        cols = self.slices[k]
-        parts = [_columns((self.X, self.AX, self.BX), cols)]
-        if self.p_cols[k]:
-            parts.append(_columns((self.P, self.AP, self.BP),
-                                  slice(cols.start, cols.start + self.p_cols[k])))
-        return parts
-
-    def _keep_direction(self, k: int, direction) -> None:
-        """Write sub-block k's carried ``(P, A P, B P)``, or None, into the state."""
-        self.p_cols[k] = 0 if direction is None else direction[0].shape[1]
-        if direction is not None:
-            for state, block in zip(self._parts(k)[1], direction):
-                state[...] = block
 
     def couple(self, x: np.ndarray, a_x: np.ndarray, b_x: np.ndarray, keep: bool = True) -> None:
         """Shared Rayleigh-Ritz; every sub-block keeps its P, B-projected off
@@ -200,86 +164,6 @@ class _Rounds(LobpcgEngine):
             return
         self._update_residuals()
         self._fresh, self._last_basis_cols = False, self.padded * coupled + sum(widths)
-
-    def _advance_round(self, moving: list) -> list:
-        """Both phases of a step for every moving sub-block, ``(k, active
-        columns)``, with one preconditioner, B and A apply each; returns
-        the trial widths of the sub-blocks that moved."""
-        edges = np.cumsum([0] + [active.size for _, active in moving])
-        spans = [slice(lo, hi) for lo, hi in zip(edges[:-1], edges[1:])]
-        out = np.empty((self.dim, edges[-1]), order="F")
-        dual = b_dual_basis(self.X, self.BX)
-        for (_, active), span in zip(moving, spans):
-            out[:, span] = b_project_out(self.R[:, active], self.X, dual)
-        del dual
-        directions = self.precond.apply(out)
-        for (k, _), span in zip(moving, spans):
-            x, _, b_x = self._parts(k)[0]
-            out[:, span] = unit_columns(b_project_out(directions[:, span], x, b_x))[0]
-        del directions
-        steps = [(k, *step) for (k, _), step in zip(
-            moving, b_orthonormalize_spans(out, spans, self.b_op, self.counters)) if step]
-        del out
-        if not steps:
-            return []
-        # W and B W move into the A apply's input, and the blocks of phase 1 are freed
-        edges = np.cumsum([0] + [w.shape[1] for _, w, _ in steps])
-        w_all = np.empty((self.dim, edges[-1]), order="F")
-        b_w_all = w_all if self.b_op is None else np.empty_like(w_all)
-        for (_, w, b_w), lo, hi in zip(steps, edges[:-1], edges[1:]):
-            w_all[:, lo:hi], b_w_all[:, lo:hi] = w, b_w
-        blocks = [k for k, _, _ in steps]
-        del steps, w, b_w
-        a_w_all = op_apply(self.a_op, w_all)
-        return self._rayleigh_ritz_round(blocks, edges, (w_all, a_w_all, b_w_all))
-
-    def _rayleigh_ritz_round(self, blocks: list, edges: np.ndarray, directions) -> list:
-        """Phase 2 for the sub-blocks ``blocks``, whose W, A W and B W are
-        the column spans between ``edges`` of ``directions``, with the first
-        trials' small dense work stacked."""
-        members, identity = [], directions[2] is directions[0]
-        for k, lo, hi in zip(blocks, edges[:-1], edges[1:]):
-            w, a_w, b_w = (block[:, lo:hi] for block in directions)
-            members.append(self._parts(k))
-            members[-1].insert(1, (w, a_w, w if identity else b_w))
-        grams = self._stacked_grams(blocks, members, directions)
-        pairs = list(zip(*grams)) if grams else [
-            part_grams(parts, None if self._explicit_grams[k] else self.ritz_values[self.slices[k]])
-            for k, parts in zip(blocks, members)]
-        firsts = stacked_first_trials(
-            pairs, [RESTART_COND_LIMIT if len(parts) == 3 else np.inf for parts in members],
-            self.cfg.sub_block)
-        return [width for width in map(self._update_sub_block, blocks, members, pairs, firsts)
-                if width]
-
-    def _stacked_grams(self, blocks: list, members: list, directions):
-        """Every sub-block's Gram matrices, as ``(k, m, m)`` stacks formed
-        over stacked views, when all of them move with one shape and one
-        Gram rule; None otherwise."""
-        shapes = {tuple(v.shape[1] for v, _, _ in parts) for parts in members}
-        rule = {bool(self._explicit_grams[k]) for k in blocks}
-        if len(blocks) < max(2, len(self.slices)) or len(shapes) > 1 or len(rule) > 1:
-            return None
-        (_, w_cols, *p_cols), width = shapes.pop(), self.cfg.sub_block
-        stacks = [[sub_block_stack(b, width) for b in (self.X, self.AX, self.BX)],
-                  [sub_block_stack(b, w_cols) for b in directions]]
-        stacks += [[sub_block_stack(b, width, p_cols[0]) for b in (self.P, self.AP, self.BP)]
-                   ] if p_cols else []
-        return part_grams(stacks, None if rule.pop() else self.ritz_values.reshape(-1, width))
-
-    def _update_sub_block(self, k: int, parts: list, grams, first) -> int:
-        """Sub-block k's :func:`~lobpcg_kit.solver.ritz_update`, written into
-        the state; returns its trial width, 0 when it did not move."""
-        try:
-            values, ritz, direction, width = ritz_update(
-                parts, self.cfg.sub_block, self.counters, True, grams, first)
-        except (_Breakdown, OrthonormalizationError):
-            return 0
-        self.ritz_values[self.slices[k]] = values
-        for state, block in zip(parts[0], ritz):
-            state[...] = block
-        self._keep_direction(k, direction)
-        return width
 
     def salvage(self, in_step: bool) -> None:
         """After any breakdown, couple on the carried products unless fresh:

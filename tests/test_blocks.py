@@ -24,7 +24,8 @@ from lobpcg_kit import (
     rayleigh_ritz,
     residual_block,
 )
-from lobpcg_kit.blocks import b_orthonormalize_full, fix_signs
+from lobpcg_kit.blocks import (b_orthonormalize_full, b_orthonormalize_spans, fix_signs,
+                                unit_columns)
 
 
 def spd_operator(rng, n, shift=None):
@@ -57,6 +58,24 @@ class TestRayleighQuotient:
     def test_zero_vector_rejected(self):
         with pytest.raises(ZeroVectorError):
             rayleigh_quotient(np.zeros(3), IdentityOperator(3), IdentityOperator(3))
+
+    @pytest.mark.parametrize("exponent", [-305, -302, -250, -160, -100, 0, 100, 160, 250, 300])
+    def test_invariant_under_scaling_the_pencil(self, exponent):
+        # A = c diag(1..5), B = c I: (x, B x) is about c, far below 1e-300 at
+        # the small end, and the quotient is that of c = 1
+        c = 10.0 ** exponent
+        spectrum = np.arange(1.0, 6.0)
+        x = np.array([1.0, -2.0, 0.5, 3.0, 1.0])
+        a, b = DiagonalOperator(c * spectrum), DiagonalOperator(np.full(5, c))
+        expected = (x @ (spectrum * x)) / (x @ x)
+        assert rayleigh_quotient(x, a, b) == pytest.approx(expected, rel=1e-14)
+
+    @pytest.mark.parametrize("scale", [1e-300, 1e-160, 1e160, 1e300])
+    def test_tiny_and_huge_vectors(self, scale):
+        # (x, x) underflows to 0 or overflows to inf unscaled
+        a = DiagonalOperator(np.arange(1.0, 6.0))
+        assert rayleigh_quotient(scale * np.ones(5), a, IdentityOperator(5)) == pytest.approx(
+            3.0, rel=1e-14)
 
 
 class TestResidualBlock:
@@ -173,6 +192,18 @@ class TestBOrthonormalize:
         with pytest.raises(OrthonormalizationError):
             b_orthonormalize(rng.standard_normal((10, 3)), CallableOperator(10, apply))
         assert calls == [3, 3]
+
+    @pytest.mark.parametrize("widths", [[3], [2, 2, 3], [2, 2]])
+    def test_spans_keep_the_identity_metric_aliased(self, rng, widths):
+        # without a metric every span's W is its own B-product, so no pass
+        # maps a copy of it
+        edges = np.cumsum([0] + widths)
+        out, _ = unit_columns(np.asfortranarray(rng.standard_normal((30, edges[-1]))))
+        spans = [slice(lo, hi) for lo, hi in zip(edges[:-1], edges[1:])]
+        steps = b_orthonormalize_spans(out, spans, None)
+        assert [w.shape[1] for w, _ in steps] == widths
+        assert all(b_w is w for w, b_w in steps)
+        assert all(np.max(np.abs(w.T @ w - np.eye(w.shape[1]))) <= 1e-8 for w, _ in steps)
 
 
 class TestRayleighRitz:

@@ -45,7 +45,7 @@ def test_engine_blocks_stay_column_major(metric, jacobi):
     assert not_column_major(engine) == []
     for _ in range(4):
         engine.step()
-        assert engine.P is not None
+        assert engine.p_cols[0]
         assert not_column_major(engine) == []
     engine._refresh_products()
     assert not_column_major(engine) == []

@@ -236,6 +236,21 @@ class TestJacobiPrecond:
         with pytest.raises(DimensionMismatchError):
             jacobi_precond(np.eye(3))
 
+    def test_tiny_positive_entries_keep_their_reciprocal(self):
+        # only the entry whose reciprocal overflows falls back to 1
+        pre = jacobi_precond(np.array([1e-301, 2.0, 1e-310]))
+        np.testing.assert_array_equal(pre.diagonal_values, [1.0 / 1e-301, 0.5, 1.0])
+        assert pre.nonpositive_diagonal
+
+    @pytest.mark.parametrize("exponent", [-305, -302, -250, -160, -100, 0, 100, 160, 250, 300])
+    def test_scales_with_the_diagonal(self, exponent):
+        c = 10.0 ** exponent
+        diagonal = np.array([1.0, 2.5, 7.0, 1e3])
+        pre = jacobi_precond(c * diagonal)
+        np.testing.assert_allclose(pre.diagonal_values,
+                                   jacobi_precond(diagonal).diagonal_values / c, rtol=1e-15)
+        assert not pre.nonpositive_diagonal
+
     def test_uniform_laplacian_diagonal(self):
         pre = jacobi_precond(laplacian_1d(10))
         np.testing.assert_allclose(pre.diagonal_values, 0.5)

@@ -138,7 +138,7 @@ class TestPsd:
         engine = LobpcgEngine(a, SolverConfig(nev=3, seed=3))
         for _ in range(4):
             engine.step()
-        assert engine.P is not None
+        assert engine.p_cols[0]
         three_term = copy.deepcopy(engine)
         descent = copy.deepcopy(engine)
         three_term.step()
@@ -411,10 +411,11 @@ class TestStepConstruction:
 
         def checked_step(*args, **kwargs):
             step(*args, **kwargs)
-            if engine.P is not None:
-                eye = np.eye(engine.P.shape[1])
-                worst.append((np.max(np.abs(engine.X.T @ op_apply(b, engine.P))),
-                              np.max(np.abs(engine.P.T @ engine.BP - eye))))
+            if engine.p_cols[0]:
+                p, _, b_p = engine._parts(0)[1]
+                eye = np.eye(p.shape[1])
+                worst.append((np.max(np.abs(engine.X.T @ op_apply(b, p))),
+                              np.max(np.abs(p.T @ b_p - eye))))
 
         engine.step = checked_step
         assert engine.run().iterations == 600
@@ -426,21 +427,32 @@ class TestStepConstruction:
     @pytest.mark.parametrize("seed", range(4))
     def test_explicit_b_orthonormality_over_long_runs(self, seed, monkeypatch):
         # W's B-product is mapped from one apply; over 600 steps, most with
-        # residuals at rounding level, B applied afresh to every W and X
-        # still finds them B-orthonormal
+        # residuals at rounding level, B applied afresh to every W (and the
+        # start block) and X still finds them B-orthonormal
         a, b = fe_pencil()
         orthonormalize, w_defects, w_gaps, x_defects = solver.b_orthonormalize_full, [], [], []
+        orthonormalize_spans = solver.b_orthonormalize_spans
 
         def explicit(block):
             return np.max(np.abs(block.T @ op_apply(b, block) - np.eye(block.shape[1])))
 
+        def check(w, b_w):
+            w_defects.append(explicit(w))
+            w_gaps.append(np.max(np.abs(op_apply(b, w) - b_w)) / np.max(np.abs(b_w)))
+
         def checked_orthonormalize(*args, **kwargs):
             out = orthonormalize(*args, **kwargs)
-            w_defects.append(explicit(out[0]))
-            w_gaps.append(np.max(np.abs(op_apply(b, out[0]) - out[3])) / np.max(np.abs(out[3])))
+            check(out[0], out[3])
+            return out
+
+        def checked_round_orthonormalize(*args, **kwargs):  # the step's W
+            out = orthonormalize_spans(*args, **kwargs)
+            for w, b_w in out:
+                check(w, b_w)
             return out
 
         monkeypatch.setattr(solver, "b_orthonormalize_full", checked_orthonormalize)
+        monkeypatch.setattr(solver, "b_orthonormalize_spans", checked_round_orthonormalize)
         engine = LobpcgEngine(a, SolverConfig(nev=4, tol=1e-300, max_iter=600, seed=seed),
                               b_op=b, precond=jacobi_precond(a))
         step = engine.step
@@ -463,7 +475,8 @@ class TestStepConstruction:
         assert engine.b_op is None and engine.b_constraints is engine.constraints
         for _ in range(5):
             engine.step()
-            assert engine.BX is engine.X and engine.BP is engine.P
+            (x, _, b_x), (p, _, b_p) = engine._parts(0)
+            assert engine.BX is engine.X and b_x is x and b_p is p
         res = engine.run()
         assert res.status == "converged"
         assert engine.BX is engine.X
@@ -476,12 +489,12 @@ class TestStepConstruction:
         for _ in range(5):
             engine.step()
         assert np.max(engine.residual_norms / engine.convergence_thresholds(1.0)) > 1e-3
-        assert not engine._explicit_grams and engine.P is not None
+        assert not engine._explicit_grams[0] and engine.p_cols[0]
         # a direction block as the step forms one
         directions = b_project_out(engine.precond.apply(engine.R), engine.X, engine.BX)
         w, _, _, b_w = b_orthonormalize_full(directions, engine.b_op)
-        parts = [(engine.X, engine.AX, engine.BX), (w, op_apply(a, w), b_w),
-                 (engine.P, engine.AP, engine.BP)]
+        parts = engine._parts(0)
+        parts.insert(1, (w, op_apply(a, w), b_w))
         for known, explicit in zip(solver.part_grams(parts, engine.ritz_values),
                                    solver.part_grams(parts)):
             np.testing.assert_allclose(known, explicit, rtol=0, atol=1e-8)
@@ -521,7 +534,7 @@ class TestStepConstruction:
         cfg = SolverConfig(nev=3, block_size=5, seed=0)
         engine = LobpcgEngine(a, cfg, precond=jacobi_precond(a))
         engine.step()
-        assert engine.P is not None
+        assert engine.p_cols[0]
         monkeypatch.setattr(solver, "carried_rayleigh_ritz", failing_once)
         engine.step()
         assert widths and engine.iterations == 2

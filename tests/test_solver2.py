@@ -26,8 +26,9 @@ from lobpcg_kit import (
     lobpcg_solve,
     norm_estimates,
     op_apply,
+    psd_solve,
 )
-from lobpcg_kit import blocks, solver2
+from lobpcg_kit import blocks, solver, solver2
 from lobpcg_kit.solver import REFRESH_PERIOD
 
 
@@ -448,13 +449,23 @@ class TestOnEngine:
         assert b_defect(res.vectors, IdentityOperator(n)) <= 1e-8
 
 
+#: Every solver for nev 6, each stepping as rounds of the engine's core.
+SOLVES = {
+    "lobpcg2": lambda a, **kw: lobpcg2_solve(a, Lobpcg2Config(nev=6, sub_block=2, rr_period=3),
+                                             **kw),
+    "lobpcg": lambda a, **kw: lobpcg_solve(a, SolverConfig(nev=6), **kw),
+    "psd": lambda a, **kw: psd_solve(a, SolverConfig(nev=6), **kw),
+}
+
+
 class TestStackedRounds:
-    def test_a_round_applies_each_operator_once(self, monkeypatch):
+    @pytest.mark.parametrize("name", SOLVES)
+    def test_a_round_applies_each_operator_once(self, monkeypatch, name):
         n = 60
         a = CountingDiagonal(np.linspace(1.0, 30.0, n))
         b = CountingDiagonal(np.linspace(1.0, 2.0, n))
         precond = CountingDiagonal(1.0 / np.linspace(1.0, 30.0, n))
-        advance, rounds = solver2._Rounds._advance_round, []
+        advance, rounds = solver.LobpcgEngine._advance_round, []
 
         def counted_round(state, moving):
             before = [op.calls for op in (a, b, precond)]
@@ -463,13 +474,29 @@ class TestStackedRounds:
                            [op.calls - calls for op, calls in zip((a, b, precond), before)]))
             return widths
 
-        monkeypatch.setattr(solver2._Rounds, "_advance_round", counted_round)
-        res = lobpcg2_solve(a, Lobpcg2Config(nev=6, sub_block=2, rr_period=3),
-                            b_op=b, precond=precond)
+        monkeypatch.setattr(solver.LobpcgEngine, "_advance_round", counted_round)
+        res = SOLVES[name](a, b_op=b, precond=precond)
         assert res.status == "converged"
-        shared = [applied for moving, moved, applied in rounds if moving >= 2 and moved]
+        # the rounds shared by two or more sub-blocks; lobpcg and psd step as
+        # rounds of their one sub-block
+        shared_from = 2 if name == "lobpcg2" else 1
+        shared = [applied for moving, moved, applied in rounds if moving >= shared_from and moved]
         assert len(shared) >= 5
         assert all(applied == [1, 1, 1] for applied in shared)  # calls, not columns
+
+    @pytest.mark.parametrize("name", SOLVES)
+    def test_w_is_its_own_b_product_on_a_standard_problem(self, monkeypatch, name):
+        # without a metric no round forms or maps a B W apart from W
+        orthonormalize, aliased = solver.b_orthonormalize_spans, []
+
+        def recorded(*args, **kwargs):
+            steps = orthonormalize(*args, **kwargs)
+            aliased.extend(b_w is w for w, b_w in filter(None, steps))
+            return steps
+
+        monkeypatch.setattr(solver, "b_orthonormalize_spans", recorded)
+        SOLVES[name](DiagonalOperator(np.arange(1.0, 201.0)))
+        assert len(aliased) >= 5 and all(aliased)
 
     @settings(derandomize=True, database=None, max_examples=25, deadline=None)
     @given(seed=st.integers(0, 20), rounds=st.integers(0, 15), sub_block=st.integers(1, 3),
