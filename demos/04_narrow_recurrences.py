@@ -4,11 +4,11 @@ a shared Rayleigh-Ritz step every `rr_period` rounds.
 Each narrow recurrence keeps its carried direction block across the
 coupling (B-projected off the new Ritz vectors), so it stays a 3-term LOBPCG
 recurrence at every period.  A periodic coupling works on the carried
-products and applies no operator; A X is recomputed explicitly only on the
-solvers' one refresh schedule (every REFRESH_PERIOD rounds, before a
-convergence claim and at max_iter).  With rr_period=1 the coupling runs
-every round; larger periods skip most shared projections, at about the same
-number of rounds and A columns.
+products and applies no operator; A X is recomputed explicitly only where a
+status is decided, before a convergence claim and at max_iter (and in the
+retry after a round in which nothing moved).  With rr_period=1 the coupling
+runs every round; larger periods skip most shared projections, at about the
+same number of rounds and A columns.
 
 Run:  python demos/04_narrow_recurrences.py
 """
@@ -62,6 +62,6 @@ print()
 print("All configurations land on the same eigenvalues in about the same")
 print("number of rounds: every narrow recurrence keeps its carried direction")
 print("across the couplings, so sparser coupling (larger rr_period) saves")
-print("shared projection calls, not rounds.  A coupling between refreshes")
-print("works on carried products, so coupling every round applies A to about")
-print("as many columns as coupling every fifth round.")
+print("shared projection calls, not rounds.  Every coupling before the")
+print("convergence claim works on carried products, so coupling every round")
+print("applies A to about as many columns as coupling every fifth round.")

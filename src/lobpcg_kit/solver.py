@@ -13,11 +13,11 @@ new direction block; the carried-product algebra (Gram matrices, the
 Rayleigh-Ritz projection, B-normalization from products) lives in
 :mod:`lobpcg_kit.blocks`, and this module keeps the iteration.  Its loop,
 :func:`drive`, runs every solver and recomputes A X and B X explicitly
-before a convergence claim, at ``max_iter`` and every
-:data:`REFRESH_PERIOD` steps, so statuses rest on explicit products.  Without a
-metric, B X, B W and B P are X, W and P themselves.  X and P share the
-product of [W, P]; P is B-orthogonalized to X and normalized in their
-coefficient space.
+before a convergence claim and at ``max_iter``, so statuses rest on
+explicit products; in between, the carried products' drift stays at
+rounding level.  Without a metric, B X, B W and B P are X, W and P
+themselves.  X and P share the product of [W, P]; P is B-orthogonalized
+to X and normalized in their coefficient space.
 The Gram blocks known by construction (X^T A X = diag(theta),
 X^T B X = W^T B W = P^T B P = I) are formed only once the residuals fall
 below :data:`EXPLICIT_GRAM_RTOL` (scipy's ``explicitGramFlag``).
@@ -73,11 +73,6 @@ from .operators import (
 STATUS_CONVERGED = "converged"
 STATUS_MAX_ITER = "max_iter"
 STATUS_BREAKDOWN = "breakdown"
-
-#: Steps between explicit recomputations of A X and B X.  In between, the
-#: carried products are only updated with the Ritz coefficients, and their
-#: rounding drift grows with the number of updates.
-REFRESH_PERIOD = 50
 
 #: The restart guard: a step drops P when the Cholesky of the joint B-Gram
 #: matrix of [X, W, P] fails or its pivot ratio squared exceeds this.
@@ -208,9 +203,9 @@ class LobpcgEngine:
 
     A diagonal or sparse ``b_op`` with a diagonal entry <= 0 is not
     positive definite and raises :class:`NotPositiveDefiniteError` before
-    any operator is applied.  When A is not finite on the start block, the
-    engine keeps the B-orthonormal start block with NaN Ritz values, and
-    its first step reports breakdown.
+    any operator is applied.  When A is not finite on the start block, or
+    its Rayleigh-Ritz fails, the engine keeps the B-orthonormal start block
+    with NaN Ritz values, and its first step reports breakdown.
     """
 
     def __init__(self, a_op: LinearOperator, cfg: SolverConfig, *,
@@ -246,18 +241,8 @@ class LobpcgEngine:
         else:
             start = self._rng.standard_normal((self.dim, self.block_size))
         start, b_start = self._full_rank_start(start)
-        a_start = op_apply(self.a_op, start)
-
         self._sub_blocks(self.block_size, self.block_size, use_history_direction)
-        values = np.full(self.block_size, np.nan)
-        if np.isfinite(a_start).all():
-            self.counters.rayleigh_ritz_calls += 1
-            values, start, a_start, b_start = carried_rayleigh_ritz(
-                [(start, a_start, b_start)], self.block_size)[:4]
-        self.ritz_values, self.X, self.AX, self.BX = values, start, a_start, b_start
-        #: True while A X and B X are explicit products: set here and on refresh.
-        self._fresh = True
-        self._update_residuals()
+        self._start(start, op_apply(self.a_op, start), b_start)
 
     # -- setup helpers -------------------------------------------------
 
@@ -294,6 +279,7 @@ class LobpcgEngine:
         self.use_history_direction = use_history_direction
         self.slices = [slice(lo, lo + sub_block) for lo in range(0, width, sub_block)]
         self.iterations, self._last_basis_cols = 0, width
+        self._fresh = True  # while A X and B X are explicit products: from the start, on refresh
         self._explicit_grams = np.zeros(len(self.slices), dtype=bool)  # see EXPLICIT_GRAM_RTOL
         self.p_cols = np.zeros(len(self.slices), dtype=int)
         self.P = self.AP = self.BP = None
@@ -321,6 +307,26 @@ class LobpcgEngine:
         raise InsufficientRankError(
             f"could not build a rank-{self.block_size} start block"
         )
+
+    def _start(self, x: np.ndarray, a_x: np.ndarray, b_x: np.ndarray) -> None:
+        """Couple on the B-orthonormal start block ``x`` and its products;
+        when a product is not finite or the Rayleigh-Ritz fails, keep ``x``
+        with NaN Ritz values instead, so that the first step breaks down."""
+        try:
+            self.couple(x, a_x, b_x)
+        except (_Breakdown, InsufficientRankError, NotPositiveDefiniteError,
+                OrthonormalizationError):
+            self.ritz_values, self.X, self.AX, self.BX = np.full(x.shape[1], np.nan), x, a_x, b_x
+            self._update_residuals()
+
+    def couple(self, x: np.ndarray, a_x: np.ndarray, b_x: np.ndarray) -> None:
+        """Make the Ritz pairs of span(x), from its products, the state: the
+        shared Rayleigh-Ritz of a state of one sub-block."""
+        _require_finite(a_x, b_x)
+        self.counters.rayleigh_ritz_calls += 1
+        self.ritz_values, self.X, self.AX, self.BX = carried_rayleigh_ritz(
+            [(x, a_x, b_x)], self.block_size)[:4]
+        self._update_residuals()
 
     # -- state inspection ----------------------------------------------
 
@@ -541,9 +547,9 @@ def drive(state, nev: int, max_iter: int, record_history: bool) -> SolveResult:
     ``state`` is a :class:`LobpcgEngine` or lobpcg2's round state; both
     provide ``converged_mask``, ``_refresh_products``, ``step``, ``salvage``,
     ``_fresh`` (products explicit) and ``_last_basis_cols``.  Carried
-    products are refreshed before a convergence claim, at ``max_iter`` and
-    every :data:`REFRESH_PERIOD` steps (one schedule for every solver), so
-    statuses rest on explicit products.  Breakdown ends after ``salvage``.
+    products are refreshed in two cases only, before a convergence claim and
+    at ``max_iter`` (one schedule for every solver), so statuses rest on
+    explicit products.  Breakdown ends after ``salvage``.
     """
     history: list[IterationRecord] = []
     n_locked = 0
@@ -552,14 +558,13 @@ def drive(state, nev: int, max_iter: int, record_history: bool) -> SolveResult:
         in_step = False
         try:
             conv = state.converged_mask()
-            if not state._fresh and (np.all(conv[:nev]) or state.iterations >= max_iter
-                                     or state.iterations % REFRESH_PERIOD == 0):
+            if not state._fresh and (np.all(conv[:nev]) or state.iterations >= max_iter):
                 state._refresh_products()
                 conv = state.converged_mask()
             n_locked = max(n_locked, int(np.cumprod(conv).sum()))  # leading converged
             if record_history:
                 values, norms = state.ritz_values, state.residual_norms
-                order = np.argsort(values, kind="stable")  # lobpcg2 stacks its engines'
+                order = np.argsort(values, kind="stable")  # lobpcg2's sub-blocks step apart
                 history.append(IterationRecord(state.iterations, values[order], norms[order],
                                                n_locked, state._last_basis_cols))
             if np.all(conv[:nev]):

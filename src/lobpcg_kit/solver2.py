@@ -16,7 +16,8 @@ carried A X and B X, gives every sub-block its slice of the Ritz vectors
 in ascending order, and its carried directions B-projected off them, so
 every recurrence stays LOBPCG across couplings (a retry after a round in
 which nothing moved drops them).  On explicit products it is the refresh
-of :func:`~lobpcg_kit.solver.drive`, on the schedule of every solver.
+of :func:`~lobpcg_kit.solver.drive`, made before a convergence claim and
+at ``max_iter``, as for every solver.
 """
 
 from __future__ import annotations
@@ -40,7 +41,6 @@ from .blocks import b_project_out, rayleigh_ritz, residual_block  # noqa: F401
 from .operators import norm_estimates  # noqa: F401
 from .solver import (
     EXPLICIT_GRAM_RTOL,
-    STATUS_BREAKDOWN,
     LobpcgEngine,
     SolveResult,
     _Breakdown,
@@ -99,7 +99,6 @@ class _Rounds(LobpcgEngine):
         self.cfg, self.padded, self.rr_period = cfg, cfg.padded_nev(), cfg.rr_period
         self._sub_blocks(self.padded, cfg.sub_block)
         self.rng, self.constraints = np.random.default_rng(cfg.seed), None
-        self._fresh = True  # while the state holds a shared Rayleigh-Ritz on explicit products
         self.P = np.zeros((self.dim, self.padded), order="F")
         self.AP = np.zeros_like(self.P)
         self.BP = self.P if self.b_op is None else np.zeros_like(self.P)
@@ -144,7 +143,6 @@ class _Rounds(LobpcgEngine):
             self.couple(self.X, self.AX, self.BX)
         conv = self.converged_mask()
         explicit = self.residual_norms <= self.convergence_thresholds(EXPLICIT_GRAM_RTOL)
-        self.iterations += 1
         moving = []  # (sub-block, its active columns)
         for k, cols in enumerate(self.slices):
             if conv[cols].all():
@@ -159,9 +157,11 @@ class _Rounds(LobpcgEngine):
             # couple without P, so that a stall does not repeat with it, and retry
             if self._fresh and not self.p_cols.any():
                 raise _Breakdown
+            self.iterations += 1
             self._refresh_products(keep=False)
             self._last_basis_cols = self.padded
             return
+        self.iterations += 1
         self._update_residuals()
         self._fresh, self._last_basis_cols = False, self.padded * coupled + sum(widths)
 
@@ -183,19 +183,12 @@ def lobpcg2_solve(a_op: LinearOperator, cfg: Lobpcg2Config, *,
     Result contract matches :func:`~lobpcg_kit.solver.lobpcg_solve`; the
     reported vectors always pass through one terminal shared Rayleigh-Ritz,
     so they are jointly optimal and B-orthonormal regardless of status.
-    When A is not finite on the start block, the B-orthonormal start
-    columns are returned with NaN values and ``breakdown``.
+    The start block follows the engine's rule (:class:`LobpcgEngine`).
     """
     cfg.validate(a_op.dim)
     rounds = _Rounds(a_op, cfg, b_op, precond)
-    start = rounds.rng.standard_normal((a_op.dim, cfg.padded_nev()))
-    x, _, _, b_x = b_orthonormalize_full(start, rounds.b_op, rounds.counters)
-    a_x = op_apply(rounds.a_op, x)
-    if not np.isfinite(a_x).all():
-        nan = np.full(cfg.nev, np.nan)
-        return SolveResult(values=nan, vectors=x[:, :cfg.nev].copy(), status=STATUS_BREAKDOWN,
-                           iterations=0, residual_norms=nan.copy(), counters=rounds.counters)
-    del start
-    rounds.couple(x, a_x, b_x)
-    del x, a_x, b_x  # the state holds the coupling's own blocks
+    x, _, _, b_x = b_orthonormalize_full(rounds.rng.standard_normal((a_op.dim, rounds.padded)),
+                                         rounds.b_op, rounds.counters)
+    rounds._start(x, op_apply(rounds.a_op, x), b_x)
+    del x, b_x  # the state holds the coupling's own blocks
     return drive(rounds, cfg.nev, cfg.max_iter, cfg.record_history)

@@ -37,9 +37,9 @@ from lobpcg_kit import (
     op_apply,
     psd_solve,
 )
-from lobpcg_kit import solver
+from lobpcg_kit import solver, solver2
 from lobpcg_kit.blocks import b_orthonormalize_full, b_project_out
-from lobpcg_kit.solver import ORTHO_POST_TOL, REFRESH_PERIOD
+from lobpcg_kit.solver import ORTHO_POST_TOL
 
 
 def diag_operator(n):
@@ -367,15 +367,52 @@ class TestCarriedProducts:
             # B only orthonormalizes the new directions and post-checks them
             assert counters.b_matvecs - b_before <= 2 * active
 
-    def test_solve_adds_only_the_documented_refreshes(self):
+    def test_solve_adds_only_the_documented_refreshes(self, monkeypatch):
         # A is applied to the start block, to every preconditioned direction,
-        # and to X at each periodic refresh and convergence claim
+        # and to X at each convergence claim, however long the run
+        refresh, claims = LobpcgEngine._refresh_products, []
+
+        def marked_refresh(engine):
+            claims.append(bool(np.all(engine.converged_mask()[:engine.cfg.nev])))
+            refresh(engine)
+
+        monkeypatch.setattr(LobpcgEngine, "_refresh_products", marked_refresh)
         a = laplacian_1d(200)
         res = lobpcg_solve(a, SolverConfig(nev=3, block_size=5, seed=0))
         assert res.status == "converged"
-        assert res.iterations > 2 * REFRESH_PERIOD
-        refreshes = 1 + res.iterations // REFRESH_PERIOD + 1
-        assert res.counters.a_matvecs <= res.counters.precond_applies + 5 * refreshes
+        assert res.iterations > 100
+        assert claims and all(claims)
+        refreshes = 1 + len(claims)
+        assert res.counters.a_matvecs == res.counters.precond_applies + 5 * refreshes
+
+    @pytest.mark.parametrize("name", ["lobpcg", "psd", "lobpcg2"])
+    def test_carried_products_stay_near_explicit_ones(self, monkeypatch, name):
+        # 600 steps with an unreachable tolerance, so nothing is refreshed:
+        # every 50 steps, carried A X and B X stay within 1e-10 of A and B
+        # applied to X, relative to the operator's norm times x's
+        a, b = fe_pencil()
+        owner = solver2._Rounds if name == "lobpcg2" else LobpcgEngine
+        step, drifts = owner.step, []
+
+        def checked_step(state):
+            step(state)
+            if state.iterations % 50 == 0:
+                x_norms = np.linalg.norm(state.X, axis=0)
+                for carried, op in ((state.AX, a), (state.BX, b)):
+                    gap = np.linalg.norm(carried - op_apply(op, state.X), axis=0)
+                    drifts.append(np.max(gap / (norm_estimates(op) * x_norms)))
+
+        monkeypatch.setattr(owner, "step", checked_step)
+        kw = dict(nev=6, tol=1e-300, max_iter=600, seed=1)
+        solve, cfg = {"lobpcg": (lobpcg_solve, SolverConfig(**kw)),
+                      "psd": (psd_solve, SolverConfig(**kw)),
+                      "lobpcg2": (lobpcg2_solve, Lobpcg2Config(sub_block=2, rr_period=5, **kw))
+                      }[name]
+        res = solve(a, cfg, b_op=b, precond=jacobi_precond(a))
+        assert res.status == "max_iter"
+        assert res.iterations == 600
+        assert len(drifts) == 2 * 600 // 50
+        assert max(drifts) <= 1e-10
 
     def test_long_run_returns_explicit_products(self):
         # 600 steps with an unreachable tolerance: the carried products must
@@ -613,6 +650,27 @@ def test_non_finite_operator_ends_in_breakdown(solver, poisoned, bad_value):
     assert np.all(np.isnan(res.residual_norms))
     assert np.all(np.isfinite(res.vectors))
     assert b_defect(res.vectors, IdentityOperator(n)) <= 1e-8
+
+
+@pytest.mark.parametrize("solve", [
+    lambda a, b: lobpcg_solve(a, SolverConfig(nev=2), b_op=b),
+    lambda a, b: psd_solve(a, SolverConfig(nev=2), b_op=b),
+    lambda a, b: lobpcg2_solve(a, Lobpcg2Config(nev=2), b_op=b),
+], ids=["lobpcg", "psd", "lobpcg2"])
+# the start block's Gram matrices overflow
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_failed_start_rayleigh_ritz_ends_in_breakdown(solve):
+    # an SPD pencil whose wanted values (1e307, 1.95e307) can be represented;
+    # the start block's Rayleigh-Ritz fails, as it does for a non-finite A
+    n = 40
+    a = DiagonalOperator(np.arange(1.0, n + 1))
+    b = DiagonalOperator(1e-307 * np.linspace(1.0, 2.0, n))
+    res = solve(a, b)
+    assert res.status == "breakdown"
+    assert res.iterations == 0
+    assert np.all(np.isnan(res.values))
+    assert np.all(np.isfinite(res.vectors))
+    assert b_defect(res.vectors, b) <= 1e-8
 
 
 class TestExactInverse:

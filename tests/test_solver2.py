@@ -29,7 +29,6 @@ from lobpcg_kit import (
     psd_solve,
 )
 from lobpcg_kit import blocks, solver, solver2
-from lobpcg_kit.solver import REFRESH_PERIOD
 
 
 def diag_operator(n):
@@ -273,7 +272,7 @@ class TestOnEngine:
         monkeypatch.setattr(solver2._Rounds, "_advance_round", stalling_round)
         res = lobpcg2_solve(a, cfg, b_op=b, precond=jacobi_precond(a))
         assert res.status == ("max_iter" if max_iter < 500 else "converged")
-        assert rounds[-1] == res.iterations > min(REFRESH_PERIOD, max_iter - 1)
+        assert rounds[-1] == res.iterations > 2 * cfg.rr_period
         coupled = {}  # round -> the (A, B) columns applied by each of its couplings
         for k, adopts in couplings(log, cfg.padded_nev() // cfg.sub_block)[1:]:
             round_no = log[k - 1][1]
@@ -287,10 +286,9 @@ class TestOnEngine:
         assert all(len(applied) == 1 for applied in coupled.values())  # never twice
         explicit = {r for r, [applied] in coupled.items() if applied != (0, 0)}
         assert all(coupled[r] == [(cfg.padded_nev(),) * 2] for r in explicit)
-        # explicit every REFRESH_PERIOD rounds, on a stall and at the end (a
-        # claim or max_iter); carried, applying nothing, on other rr_period rounds
-        assert explicit == ({r for r in rounds if r % REFRESH_PERIOD == 0}
-                            | {rounds[-1], stall} - {None})
+        # explicit on a stall and at the end (a claim or max_iter) only;
+        # carried, applying nothing, on the other rr_period rounds
+        assert explicit == {rounds[-1], stall} - {None}
         assert set(coupled) - explicit == {r for r in rounds if r % cfg.rr_period == 0
                                           } - explicit
 
@@ -409,14 +407,16 @@ class TestOnEngine:
         assert res.counters.precond_applies == precond.columns > res.iterations
 
     def test_long_period_run_returns_explicit_products(self):
-        # couplings further apart than the refresh period
+        # couplings 60 rounds apart on carried products: only the start and
+        # the coupling at max_iter apply A and B to the padded state
         a, b = fe_pencil(10, 12)
         cfg = Lobpcg2Config(nev=4, sub_block=2, rr_period=60, tol=1e-300,
-                            max_iter=REFRESH_PERIOD + 80, seed=1)
-        assert cfg.rr_period > REFRESH_PERIOD
+                            max_iter=130, seed=1)
         res = lobpcg2_solve(a, cfg, b_op=b, precond=jacobi_precond(a))
         assert res.status == "max_iter"
         assert res.iterations == cfg.max_iter
+        explicit = 2 * cfg.padded_nev()
+        assert res.counters.a_matvecs == res.counters.precond_applies + explicit
         assert b_defect(res.vectors, b) <= 1e-8
         fresh = op_apply(a, res.vectors) - op_apply(b, res.vectors) * res.values[None, :]
         # the pairs converge to rounding level, so compare against that floor
