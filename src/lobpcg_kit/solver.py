@@ -4,8 +4,10 @@ The iteration keeps a B-orthonormal block of Ritz vectors, augments it
 with preconditioned residuals and an implicitly recurred previous-direction
 block, and re-extracts the smallest Ritz pairs each step.  A steepest
 descent variant (no previous-direction block) is provided as a baseline.
-Both step as rounds of one sub-block through the core that lobpcg2's
-narrow recurrences share (:meth:`LobpcgEngine._advance_round`).
+:class:`LobpcgEngine` is the state of both and of lobpcg2's narrow
+recurrences: a step is a round of one sub-block
+(:meth:`LobpcgEngine._advance_round`), and a round in which nothing moves
+is retried once on explicit products without the previous directions.
 
 The products A X, B X, A P and B P are carried alongside X and P and
 updated with the same Ritz coefficients, so a step applies A only to the
@@ -36,11 +38,13 @@ from .blocks import (
     OpCounters,
     b_apply,
     b_dual_basis,
+    b_normalized,
     b_orthonormalize_full,
     b_orthonormalize_spans,
     b_project_out,
     carried_rayleigh_ritz,
     column_norms,
+    combine_parts,
     fix_signs,
     next_direction,
     ortho_defect,
@@ -187,16 +191,22 @@ def _columns(triple, cols):
 
 
 class LobpcgEngine:
-    """Stepping core shared by :func:`lobpcg_solve`, :func:`psd_solve` and
+    """The one solver state, stepped by :func:`drive` for
+    :func:`lobpcg_solve`, :func:`psd_solve` and
     :func:`~lobpcg_kit.solver2.lobpcg2_solve`.
 
     Exposed so tests can drive individual update steps and compare a
     three-block step against a steepest-descent step from an identical
     state.  Regular callers should use the solve functions.
 
-    The state's columns are the sub-blocks ``slices``, advanced together
-    a round at a time: one for this engine, ``nev / sub_block`` for
-    lobpcg2.  ``AX``/``BX`` and ``AP``/``BP`` hold the carried operator
+    ``cfg`` is a :class:`SolverConfig`, or lobpcg2's ``Lobpcg2Config``,
+    whose ``sub_block`` and ``rr_period`` the state takes.  Its columns are
+    the sub-blocks ``slices``, advanced together a round at a time: one
+    sub-block of ``block_size`` columns for a :class:`SolverConfig`, and
+    ``padded_nev() / sub_block`` for lobpcg2, coupled by a shared
+    Rayleigh-Ritz every ``rr_period`` rounds.  A coupling merges
+    sub-blocks, so a state of one sub-block couples only to restore its X's
+    B-orthonormality.  ``AX``/``BX`` and ``AP``/``BP`` hold the carried operator
     products of the iterate block ``X`` and the previous-direction block
     ``P``, whose first ``p_cols[k]`` columns of slice k are sub-block k's
     (none at 0); with ``b_op=None`` there is no B and they are ``X``/``P``.
@@ -208,7 +218,7 @@ class LobpcgEngine:
     with NaN Ritz values, and its first step reports breakdown.
     """
 
-    def __init__(self, a_op: LinearOperator, cfg: SolverConfig, *,
+    def __init__(self, a_op: LinearOperator, cfg, *,
                  b_op: LinearOperator | None = None,
                  precond: LinearOperator | None = None,
                  x0: np.ndarray | None = None,
@@ -217,7 +227,8 @@ class LobpcgEngine:
         cfg.validate(a_op.dim)
         self._setup(a_op, b_op, precond)
         self.cfg = cfg
-        self.block_size = cfg.resolved_block_size()
+        sub_block = getattr(cfg, "sub_block", None)  # set by lobpcg2's config only
+        self.block_size = cfg.padded_nev() if sub_block else cfg.resolved_block_size()
 
         self._rng = np.random.default_rng(cfg.seed)
         if constraints is not None:
@@ -241,7 +252,20 @@ class LobpcgEngine:
         else:
             start = self._rng.standard_normal((self.dim, self.block_size))
         start, b_start = self._full_rank_start(start)
-        self._sub_blocks(self.block_size, self.block_size, use_history_direction)
+
+        # an empty state stepped as sub-blocks, none of which carries directions yet
+        width, sub_block = self.block_size, sub_block or self.block_size
+        self.use_history_direction = use_history_direction
+        self.slices = [slice(lo, lo + sub_block) for lo in range(0, width, sub_block)]
+        self.iterations, self._last_basis_cols = 0, width
+        self._fresh = True  # while A X and B X are explicit products: from the start, on refresh
+        self._explicit_grams = np.zeros(len(self.slices), dtype=bool)  # see EXPLICIT_GRAM_RTOL
+        self.p_cols = np.zeros(len(self.slices), dtype=int)
+        self.P = self.AP = self.BP = None
+        if len(self.slices) > 1:  # the sub-blocks write their P into its columns
+            self.P = np.zeros((self.dim, width), order="F")
+            self.AP = np.zeros_like(self.P)
+            self.BP = self.P if self.b_op is None else np.zeros_like(self.P)
         self._start(start, op_apply(self.a_op, start), b_start)
 
     # -- setup helpers -------------------------------------------------
@@ -272,17 +296,6 @@ class LobpcgEngine:
                 f"preconditioner dimension {raw_precond.dim} does not match {a_op.dim}"
             )
         self.precond = _CountingOperator(raw_precond, self.counters, "precond_applies")
-
-    def _sub_blocks(self, width: int, sub_block: int, use_history_direction=True) -> None:
-        """An empty state of ``width`` columns stepped as sub-blocks of
-        ``sub_block`` columns, none of which carries directions yet."""
-        self.use_history_direction = use_history_direction
-        self.slices = [slice(lo, lo + sub_block) for lo in range(0, width, sub_block)]
-        self.iterations, self._last_basis_cols = 0, width
-        self._fresh = True  # while A X and B X are explicit products: from the start, on refresh
-        self._explicit_grams = np.zeros(len(self.slices), dtype=bool)  # see EXPLICIT_GRAM_RTOL
-        self.p_cols = np.zeros(len(self.slices), dtype=int)
-        self.P = self.AP = self.BP = None
 
     def _deflate(self, block: np.ndarray) -> np.ndarray:
         if self.constraints is None:
@@ -319,13 +332,32 @@ class LobpcgEngine:
             self.ritz_values, self.X, self.AX, self.BX = np.full(x.shape[1], np.nan), x, a_x, b_x
             self._update_residuals()
 
-    def couple(self, x: np.ndarray, a_x: np.ndarray, b_x: np.ndarray) -> None:
+    def couple(self, x: np.ndarray, a_x: np.ndarray, b_x: np.ndarray, keep: bool = True) -> None:
         """Make the Ritz pairs of span(x), from its products, the state: the
-        shared Rayleigh-Ritz of a state of one sub-block."""
+        shared Rayleigh-Ritz of every sub-block, widened by random columns
+        when they collapse.  Every sub-block keeps its P, B-projected off
+        the new X, if ``keep``."""
         _require_finite(a_x, b_x)
         self.counters.rayleigh_ritz_calls += 1
-        self.ritz_values, self.X, self.AX, self.BX = carried_rayleigh_ritz(
-            [(x, a_x, b_x)], self.block_size)[:4]
+        parts = [(x, a_x, b_x)]
+        try:
+            values, x, a_x, b_x, _, _ = carried_rayleigh_ritz(parts, self.block_size)
+        except InsufficientRankError:
+            # recurrences collapsed: widen the span with random columns
+            fill = self._deflate(self._rng.standard_normal((x.shape[0], self.block_size)))
+            parts.append((fill, op_apply(self.a_op, fill), b_apply(self.b_op, fill)))
+            _require_finite(*parts[1])
+            values, x, a_x, b_x, _, _ = carried_rayleigh_ritz(parts, self.block_size)
+        del parts
+        self.ritz_values, self.X, self.AX, self.BX = values, x, a_x, b_x
+        for k in range(len(self.slices)):
+            direction = None
+            if keep and self.p_cols[k]:  # P -= X (B X)^T P, one sub-block at a time
+                self.counters.orthonormalizations += 1
+                p = self._parts(k)[1]
+                direction = b_normalized(combine_parts(  # P may hold fewer than nb columns
+                    [p, (x, a_x, b_x)], np.vstack([np.eye(p[0].shape[1]), -(b_x.T @ p[0])])))
+            self._keep_direction(k, direction)
         self._update_residuals()
 
     # -- state inspection ----------------------------------------------
@@ -338,23 +370,26 @@ class LobpcgEngine:
         self.residual_norms = column_norms(self.R)
         self._x_norms = column_norms(self.X)
 
-    def _refresh_products(self) -> None:
+    def _refresh_products(self, keep: bool = True) -> None:
         """Recompute A X and B X explicitly, and the residuals from them.
 
-        When max|X^T B X - I| exceeds :data:`ORTHO_POST_TOL`, X is replaced
-        by the Ritz vectors of its own span.  Raises the internal breakdown
-        signal, leaving the state untouched, when a product is not finite.
+        A state of several sub-blocks couples on them (:meth:`couple`), as
+        does one whose max|X^T B X - I| exceeds :data:`ORTHO_POST_TOL`; a
+        state of one sub-block otherwise adopts them.  P is kept if
+        ``keep``.  Raises the internal breakdown signal, leaving the state
+        untouched, when a product is not finite.
         """
-        a_x = op_apply(self.a_op, self.X)
-        b_x = b_apply(self.b_op, self.X)
+        a_x, b_x = op_apply(self.a_op, self.X), b_apply(self.b_op, self.X)
         _require_finite(a_x, b_x)
-        x, values = self.X, self.ritz_values
-        if ortho_defect(x.T @ b_x) > ORTHO_POST_TOL:
-            self.counters.orthonormalizations += 1
-            values, x, a_x, b_x, _, _ = carried_rayleigh_ritz([(x, a_x, b_x)], self.block_size)
-        self.X, self.AX, self.BX, self.ritz_values = x, a_x, b_x, values
+        if len(self.slices) > 1 or ortho_defect(self.X.T @ b_x) > ORTHO_POST_TOL:
+            self.couple(self.X, a_x, b_x, keep)
+            self._last_basis_cols += self.block_size  # the round's columns, then the coupling's
+        else:
+            self.AX, self.BX = a_x, b_x
+            if not keep:
+                self._keep_direction(0, None)
+            self._update_residuals()
         self._fresh = True
-        self._update_residuals()
 
     def convergence_thresholds(self, tol: float | None = None) -> np.ndarray:
         """Each column's residual threshold at ``tol``, ``cfg.tol`` by default."""
@@ -367,22 +402,44 @@ class LobpcgEngine:
     # -- the update step -------------------------------------------------
 
     def step(self) -> None:
-        """One locally optimal update of the iterate block: a round of its
-        one sub-block over the columns that have not converged (all once
-        every column has).  Raises the internal breakdown signal when their
-        residuals are not finite or the block does not move."""
-        active = np.flatnonzero(~self.converged_mask())
-        if active.size == 0:
-            active = np.arange(self.block_size)
-        _require_finite(self.residual_norms[active])
-        self._explicit_grams |= bool(np.all(
-            self.residual_norms <= self.convergence_thresholds(EXPLICIT_GRAM_RTOL)))
-        widths = self._advance_round([(0, active)])
+        """One round: every sub-block steps once over its columns that have
+        not converged (every column once all have), after a coupling on
+        carried products when there are several sub-blocks and the last
+        round was an ``rr_period``-th one that drive did not refresh.
+
+        When nothing moves, the state refreshes its products and drops P
+        (:meth:`_refresh_products`), so that a stall does not repeat with
+        it, and counts that retry as the round once it succeeds; it raises
+        the internal breakdown signal instead when its products are explicit
+        and no sub-block holds a P.
+        """
+        # several sub-blocks come from lobpcg2's config, which sets rr_period
+        coupled = (len(self.slices) > 1 and not self._fresh
+                   and self.iterations % self.cfg.rr_period == 0)
+        if coupled:
+            self.couple(self.X, self.AX, self.BX)
+        conv = self.converged_mask()
+        if conv.all():
+            conv[:] = False
+        explicit = self.residual_norms <= self.convergence_thresholds(EXPLICIT_GRAM_RTOL)
+        moving = []  # (sub-block, its active columns)
+        for k, cols in enumerate(self.slices):
+            if conv[cols].all():
+                continue  # a fully converged recurrence idles
+            active = cols.start + np.flatnonzero(~conv[cols])
+            if np.isfinite(self.residual_norms[active]).all():
+                self._explicit_grams[k] |= bool(explicit[cols].all())
+                moving.append((k, active))
+        widths = self._advance_round(moving) if moving else []
         if not widths:
-            raise _Breakdown
+            if self._fresh and not self.p_cols.any():
+                raise _Breakdown
+            self._refresh_products(keep=False)
+            self.iterations, self._last_basis_cols = self.iterations + 1, self.block_size
+            return
         self.iterations += 1
-        self._fresh, self._last_basis_cols = False, widths[0]
         self._update_residuals()
+        self._fresh, self._last_basis_cols = False, self.block_size * coupled + sum(widths)
 
     def _parts(self, k: int) -> list:
         """Sub-block k's ``(X, A X, B X)`` and, if it has one and the state
@@ -529,12 +586,15 @@ class LobpcgEngine:
         self._keep_direction(k, direction)
         return width
 
-    def salvage(self, in_step: bool) -> None:
-        """After a breakdown in a step, try to make carried products explicit."""
-        if in_step and not self._fresh:
+    def salvage(self) -> None:
+        """After any breakdown, a state of several sub-blocks couples on its
+        carried products unless fresh: an explicit product may be what is
+        not finite.  A state of one sub-block keeps its pairs, since its
+        stall retry has tried explicit products already."""
+        if len(self.slices) > 1 and not self._fresh:
             try:
-                self._refresh_products()
-            except (_Breakdown, OrthonormalizationError):
+                self.couple(self.X, self.AX, self.BX, keep=False)
+            except (_Breakdown, InsufficientRankError, OrthonormalizationError):
                 pass
 
     def run(self) -> SolveResult:
@@ -544,18 +604,15 @@ class LobpcgEngine:
 def drive(state, nev: int, max_iter: int, record_history: bool) -> SolveResult:
     """The iteration loop of every solver: claims, stopping and history.
 
-    ``state`` is a :class:`LobpcgEngine` or lobpcg2's round state; both
-    provide ``converged_mask``, ``_refresh_products``, ``step``, ``salvage``,
-    ``_fresh`` (products explicit) and ``_last_basis_cols``.  Carried
-    products are refreshed in two cases only, before a convergence claim and
-    at ``max_iter`` (one schedule for every solver), so statuses rest on
-    explicit products.  Breakdown ends after ``salvage``.
+    ``state`` is a :class:`LobpcgEngine`, the state of every solver.
+    Carried products are refreshed in two cases only, before a convergence
+    claim and at ``max_iter`` (one schedule for every solver), so statuses
+    rest on explicit products.  Breakdown ends after ``salvage``.
     """
     history: list[IterationRecord] = []
     n_locked = 0
     status = None
     while status is None:
-        in_step = False
         try:
             conv = state.converged_mask()
             if not state._fresh and (np.all(conv[:nev]) or state.iterations >= max_iter):
@@ -572,13 +629,12 @@ def drive(state, nev: int, max_iter: int, record_history: bool) -> SolveResult:
             elif state.iterations >= max_iter:
                 status = STATUS_MAX_ITER
             else:
-                in_step = True
                 state.step()
         except (_Breakdown, OrthonormalizationError):
             # a state is mutated only once fully assembled and finite, so
             # the best-so-far pairs are intact here
             status = STATUS_BREAKDOWN
-            state.salvage(in_step)
+            state.salvage()
     vectors = state.X[:, :nev].copy()
     fix_signs(vectors)
     return SolveResult(values=state.ritz_values[:nev].copy(), vectors=vectors,

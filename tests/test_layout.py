@@ -19,7 +19,6 @@ from lobpcg_kit import (
     jacobi_precond,
     lobpcg2_solve,
 )
-from lobpcg_kit import solver2
 from lobpcg_kit.solver import LobpcgEngine
 
 BLOCKS = ("X", "AX", "BX", "P", "AP", "BP", "R")
@@ -56,19 +55,19 @@ def test_lobpcg2_couplings_hand_out_column_major_blocks(monkeypatch, metric):
     n = 60
     a = easy_spd_problem(3, n)
     b = random_spd_metric(4, n) if metric else None
-    couple, seen = solver2._Rounds.couple, []
+    couple, seen = LobpcgEngine.couple, []
 
-    def recorded(rounds, *args, **kwargs):
-        couple(rounds, *args, **kwargs)
-        for k in range(len(rounds.slices)):
-            parts = rounds._parts(k)
+    def recorded(state, *args, **kwargs):
+        couple(state, *args, **kwargs)
+        for k in range(len(state.slices)):
+            parts = state._parts(k)
             names = BLOCKS[:3] + (BLOCKS[3:6] if len(parts) > 1 else ())
             blocks = [block for part in parts for block in part]
             seen.append((len(parts) > 1, [name for name, block in zip(names, blocks)
                                           if not block.flags.f_contiguous]))
-        seen.append((False, not_column_major(rounds)))
+        seen.append((False, not_column_major(state)))
 
-    monkeypatch.setattr(solver2._Rounds, "couple", recorded)
+    monkeypatch.setattr(LobpcgEngine, "couple", recorded)
     result = lobpcg2_solve(a, Lobpcg2Config(nev=4, sub_block=2, rr_period=2), b_op=b)
     assert result.status == "converged"
     assert seen and all(bad == [] for _, bad in seen)

@@ -37,7 +37,7 @@ from lobpcg_kit import (
     op_apply,
     psd_solve,
 )
-from lobpcg_kit import solver, solver2
+from lobpcg_kit import solver
 from lobpcg_kit.blocks import b_orthonormalize_full, b_project_out
 from lobpcg_kit.solver import ORTHO_POST_TOL
 
@@ -336,8 +336,6 @@ class TestDriver:
         assert LobpcgEngine(a, SolverConfig(nev=2), b_op=IdentityOperator(40)).b_op is None
 
     def test_every_solver_runs_through_the_driver(self, monkeypatch):
-        from lobpcg_kit import solver2
-
         calls = []
         drive = solver.drive
 
@@ -346,12 +344,10 @@ class TestDriver:
             return drive(state, nev, max_iter, record_history)
 
         monkeypatch.setattr(solver, "drive", counted)
-        monkeypatch.setattr(solver2, "drive", counted)
         a = easy_spd_problem(5, 48)
         for solve in self.STOPS.values():
             solve(a, False)
-        assert len(calls) == 3
-        assert calls[0] == calls[1] == "LobpcgEngine"
+        assert calls == ["LobpcgEngine"] * 3
 
 
 class TestCarriedProducts:
@@ -391,8 +387,7 @@ class TestCarriedProducts:
         # every 50 steps, carried A X and B X stay within 1e-10 of A and B
         # applied to X, relative to the operator's norm times x's
         a, b = fe_pencil()
-        owner = solver2._Rounds if name == "lobpcg2" else LobpcgEngine
-        step, drifts = owner.step, []
+        step, drifts = LobpcgEngine.step, []
 
         def checked_step(state):
             step(state)
@@ -402,7 +397,7 @@ class TestCarriedProducts:
                     gap = np.linalg.norm(carried - op_apply(op, state.X), axis=0)
                     drifts.append(np.max(gap / (norm_estimates(op) * x_norms)))
 
-        monkeypatch.setattr(owner, "step", checked_step)
+        monkeypatch.setattr(LobpcgEngine, "step", checked_step)
         kw = dict(nev=6, tol=1e-300, max_iter=600, seed=1)
         solve, cfg = {"lobpcg": (lobpcg_solve, SolverConfig(**kw)),
                       "psd": (psd_solve, SolverConfig(**kw)),

@@ -28,7 +28,7 @@ from lobpcg_kit import (
     op_apply,
     psd_solve,
 )
-from lobpcg_kit import blocks, solver, solver2
+from lobpcg_kit import blocks, solver
 
 
 def diag_operator(n):
@@ -49,11 +49,12 @@ def fe_pencil(mx, my):
 
 
 def event_log(monkeypatch):
-    """Log of a lobpcg2 run's events, in order: ``("step", tally)`` after a
-    sub-block steps, ``("rr", tally)`` as a shared Rayleigh-Ritz starts, and
-    ``("adopt", tally, x, direction)`` for every sub-block as a coupling
-    ends: its slice of X and its carried ``(P, A P, B P)`` or None (copies).
-    ``tally`` is the run's ``(a_matvecs, b_matvecs)`` at that point."""
+    """Log of a run's events, in order: ``("step", tally)`` after a
+    sub-block steps, ``("rr", tally)`` as a coupling's shared Rayleigh-Ritz
+    starts, and ``("adopt", tally, x, direction)`` for every sub-block as
+    the coupling ends: its slice of X and its carried ``(P, A P, B P)`` or
+    None (copies).  ``tally`` is the run's ``(a_matvecs, b_matvecs)`` at
+    that point."""
     log, counters = [], []
 
     def tally(state=None):
@@ -61,8 +62,7 @@ def event_log(monkeypatch):
             counters[:] = [state.counters]
         return counters[0].a_matvecs, counters[0].b_matvecs
 
-    update, couple = solver2._Rounds._update_sub_block, solver2._Rounds.couple
-    shared_rr = solver2.carried_rayleigh_ritz
+    update, couple = solver.LobpcgEngine._update_sub_block, solver.LobpcgEngine.couple
 
     def logged_update(state, *args):
         width = update(state, *args)
@@ -71,20 +71,15 @@ def event_log(monkeypatch):
         return width
 
     def logged_couple(state, *args, **kwargs):
-        tally(state)
+        log.append(("rr", tally(state)))
         couple(state, *args, **kwargs)
         for k in range(len(state.slices)):
             parts = state._parts(k)
             kept = [block.copy() for block in parts[1]] if len(parts) > 1 else None
             log.append(("adopt", tally(), parts[0][0].copy(), kept))
 
-    def logged_rr(*args, **kwargs):
-        log.append(("rr", tally()))
-        return shared_rr(*args, **kwargs)
-
-    monkeypatch.setattr(solver2._Rounds, "_update_sub_block", logged_update)
-    monkeypatch.setattr(solver2._Rounds, "couple", logged_couple)
-    monkeypatch.setattr(solver2, "carried_rayleigh_ritz", logged_rr)
+    monkeypatch.setattr(solver.LobpcgEngine, "_update_sub_block", logged_update)
+    monkeypatch.setattr(solver.LobpcgEngine, "couple", logged_couple)
     return log
 
 
@@ -160,8 +155,8 @@ class TestCrossVariantAgreement:
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_one_sub_block_is_block_lobpcg(self, seed):
-        # at sub_block = nev and rr_period = 1 the coupling keeps the
-        # engine's P, so lobpcg2 takes the block LOBPCG step from the same start
+        # at sub_block = nev lobpcg2 is one sub-block, so it takes the block
+        # LOBPCG step from the same start
         a, b = fe_pencil(10, 12)
         nev = 4
         full = lobpcg_solve(a, SolverConfig(nev=nev, seed=seed), b_op=b,
@@ -172,6 +167,24 @@ class TestCrossVariantAgreement:
         assert full.status == narrow.status == "converged"
         assert abs(narrow.iterations - full.iterations) <= 3
         np.testing.assert_allclose(narrow.values, full.values, rtol=1e-7)
+
+    @pytest.mark.parametrize("rr_period", [1, 5])
+    @pytest.mark.parametrize("nev", [3, 4])
+    @pytest.mark.parametrize("metric", [False, True], ids=["standard", "pencil"])
+    def test_one_sub_block_is_block_lobpcg_bit_for_bit(self, metric, nev, rr_period):
+        # a coupling merges sub-blocks, so a state of one sub-block never
+        # couples on carried products: lobpcg2 is lobpcg_solve at its width
+        a, b = fe_pencil(12, 14)
+        b = b if metric else None
+        full = lobpcg_solve(a, SolverConfig(nev=nev, block_size=4, seed=0), b_op=b,
+                            precond=jacobi_precond(a))
+        narrow = lobpcg2_solve(a, Lobpcg2Config(nev=nev, sub_block=4, rr_period=rr_period),
+                               b_op=b, precond=jacobi_precond(a))
+        assert full.status == narrow.status == "converged"
+        assert narrow.iterations == full.iterations
+        for name in ("values", "vectors", "residual_norms"):
+            assert np.array_equal(getattr(narrow, name), getattr(full, name)), name
+        assert narrow.counters == full.counters
 
     def test_generalized_metric_and_preconditioner(self):
         n = 60
@@ -251,15 +264,15 @@ class TestOnEngine:
         a, b = fe_pencil(12, 14)
         cfg = Lobpcg2Config(nev=6, sub_block=2, rr_period=5, max_iter=max_iter, seed=3)
         log = event_log(monkeypatch)
-        round_step, couple, rounds = solver2._Rounds.step, solver2._Rounds.couple, []
-        advance = solver2._Rounds._advance_round
+        round_step, couple, rounds = solver.LobpcgEngine.step, solver.LobpcgEngine.couple, []
+        advance = solver.LobpcgEngine._advance_round
 
         def marked_round(state):
             rounds.append(state.iterations + 1)
             round_step(state)
 
         def marked_couple(state, *args, **kwargs):
-            log.append(("couple", state.iterations))  # after this many rounds
+            log.append(("couple", state.iterations))  # after this many counted rounds
             couple(state, *args, **kwargs)
 
         def stalling_round(state, moving):
@@ -267,13 +280,15 @@ class TestOnEngine:
                 return []
             return advance(state, moving)
 
-        monkeypatch.setattr(solver2._Rounds, "step", marked_round)
-        monkeypatch.setattr(solver2._Rounds, "couple", marked_couple)
-        monkeypatch.setattr(solver2._Rounds, "_advance_round", stalling_round)
+        monkeypatch.setattr(solver.LobpcgEngine, "step", marked_round)
+        monkeypatch.setattr(solver.LobpcgEngine, "couple", marked_couple)
+        monkeypatch.setattr(solver.LobpcgEngine, "_advance_round", stalling_round)
         res = lobpcg2_solve(a, cfg, b_op=b, precond=jacobi_precond(a))
         assert res.status == ("max_iter" if max_iter < 500 else "converged")
         assert rounds[-1] == res.iterations > 2 * cfg.rr_period
-        coupled = {}  # round -> the (A, B) columns applied by each of its couplings
+        # the stalled round's retry couples before the round is counted
+        retry = None if stall is None else stall - 1
+        coupled = {}  # counted rounds -> the (A, B) columns applied by each coupling after them
         for k, adopts in couplings(log, cfg.padded_nev() // cfg.sub_block)[1:]:
             round_no = log[k - 1][1]
             before = next(entry[1] for entry in reversed(log[:k]) if entry[0] != "couple")
@@ -282,13 +297,13 @@ class TestOnEngine:
             # retry drops every P
             assert all(entry[1] == log[k][1] for entry in adopts)
             kept = [entry[3] is not None for entry in adopts]
-            assert not any(kept) if round_no == stall else all(kept)
+            assert not any(kept) if round_no == retry else all(kept)
         assert all(len(applied) == 1 for applied in coupled.values())  # never twice
         explicit = {r for r, [applied] in coupled.items() if applied != (0, 0)}
         assert all(coupled[r] == [(cfg.padded_nev(),) * 2] for r in explicit)
         # explicit on a stall and at the end (a claim or max_iter) only;
         # carried, applying nothing, on the other rr_period rounds
-        assert explicit == {rounds[-1], stall} - {None}
+        assert explicit == {rounds[-1], retry} - {None}
         assert set(coupled) - explicit == {r for r in rounds if r % cfg.rr_period == 0
                                           } - explicit
 
@@ -326,35 +341,47 @@ class TestOnEngine:
             assert kept >= 3
             monkeypatch.undo()
 
-    def test_round_in_which_nothing_moved_retries_without_p(self, monkeypatch):
+    @pytest.mark.parametrize("name", ["lobpcg", "psd", "lobpcg2"])
+    def test_round_in_which_nothing_moved_retries_without_p(self, monkeypatch, name):
+        # every solver retries a round in which nothing moved once, on
+        # explicit products without P, and goes on
         a, b = fe_pencil(12, 14)
-        cfg = Lobpcg2Config(nev=4, sub_block=2, rr_period=5, seed=3)
         log = event_log(monkeypatch)
-        advance, carried = solver2._Rounds._advance_round, []
+        advance, carried = solver.LobpcgEngine._advance_round, []
 
         def stalling_round(state, moving):
             carried.append([bool(state.p_cols[k]) for k, _ in moving])
-            if len(carried) == 3:  # both sub-blocks of round 3
+            if len(carried) == 7:  # every sub-block of round 7
                 return []
             return advance(state, moving)
 
-        monkeypatch.setattr(solver2._Rounds, "_advance_round", stalling_round)
-        res = lobpcg2_solve(a, cfg, b_op=b, precond=jacobi_precond(a))
+        monkeypatch.setattr(solver.LobpcgEngine, "_advance_round", stalling_round)
+        solve, cfg = {"lobpcg": (lobpcg_solve, SolverConfig(nev=4, seed=3)),
+                      "psd": (psd_solve, SolverConfig(nev=4, seed=3)),
+                      "lobpcg2": (lobpcg2_solve, Lobpcg2Config(nev=4, sub_block=2, rr_period=5,
+                                                               seed=3))}[name]
+        res = solve(a, cfg, b_op=b, precond=jacobi_precond(a))
         assert res.status == "converged"
-        assert carried[2] == [True, True]  # the stalled round had a P to drop
-        groups = couplings(log, 2)
-        # the start, then the retry after the four steps of rounds 1 and 2
-        retry_index, retry = groups[1]
-        assert [entry[0] for entry in log[:retry_index]].count("step") == 4
-        assert all(entry[3] is None for entry in retry)
-        # the next coupling, after rounds 4 and 5, keeps P again
-        assert all(entry[3] is not None for entry in groups[2][1])
+        assert res.iterations > 7
+        kept = name != "psd"  # psd keeps no P
+        assert all(p == kept for p in carried[6])  # the stalled round had a P to drop
+        assert not any(carried[7])  # round 8 steps without P
+        assert all(p == kept for p in carried[8])  # round 9 with round 8's P
+        if name == "lobpcg2":
+            groups = couplings(log, 2)
+            # the start, the carried coupling after round 5, then the retry
+            # after the twelve steps of rounds 1 to 6
+            retry_index, retry = groups[2]
+            assert [entry[0] for entry in log[:retry_index]].count("step") == 12
+            assert all(entry[3] is None for entry in retry)
+            # the next coupling, after round 10, keeps P again
+            assert all(entry[3] is not None for entry in groups[3][1])
 
     def test_round_stalled_after_a_coupling_that_kept_p_retries_without_p(self, monkeypatch):
         a, b = fe_pencil(12, 14)
         cfg = Lobpcg2Config(nev=4, sub_block=2, rr_period=1, seed=3)
         log = event_log(monkeypatch)
-        advance, carried = solver2._Rounds._advance_round, []
+        advance, carried = solver.LobpcgEngine._advance_round, []
 
         def stalling_round(state, moving):
             carried.append([bool(state.p_cols[k]) for k, _ in moving])
@@ -362,7 +389,7 @@ class TestOnEngine:
                 return []
             return advance(state, moving)
 
-        monkeypatch.setattr(solver2._Rounds, "_advance_round", stalling_round)
+        monkeypatch.setattr(solver.LobpcgEngine, "_advance_round", stalling_round)
         res = lobpcg2_solve(a, cfg, b_op=b, precond=jacobi_precond(a))
         assert res.status == "converged"
         assert carried[2] == [True, True]  # round 2's coupling kept P
@@ -378,7 +405,7 @@ class TestOnEngine:
         a, b = fe_pencil(12, 14)
         cfg = Lobpcg2Config(nev=4, sub_block=2, rr_period=1, seed=3)
         log = event_log(monkeypatch)
-        logged_update = solver2._Rounds._update_sub_block
+        logged_update = solver.LobpcgEngine._update_sub_block
 
         def narrowing_update(state, k, *args):
             width = logged_update(state, k, *args)
@@ -386,7 +413,7 @@ class TestOnEngine:
                 state.p_cols[k] = 1
             return width
 
-        monkeypatch.setattr(solver2._Rounds, "_update_sub_block", narrowing_update)
+        monkeypatch.setattr(solver.LobpcgEngine, "_update_sub_block", narrowing_update)
         res = lobpcg2_solve(a, cfg, b_op=b, precond=jacobi_precond(a))
         assert res.status in ("converged", "max_iter")
         assert b_defect(res.vectors, b) <= 1e-8
@@ -426,10 +453,16 @@ class TestOnEngine:
     @pytest.mark.parametrize("poisoned", ["a", "b"])
     # numpy warns while a Gram matrix is formed from a non-finite product
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_non_finite_mid_run_ends_in_breakdown(self, poisoned):
+    def test_non_finite_mid_run_ends_in_breakdown(self, monkeypatch, poisoned):
         n = 40
         spectrum = np.arange(1.0, n + 1)
         calls = {"count": 0}
+        advance, moved = solver.LobpcgEngine._advance_round, []
+
+        def counted_round(state, moving):
+            widths = advance(state, moving)
+            moved.append(bool(widths))
+            return widths
 
         def apply(block):
             calls["count"] += 1
@@ -437,13 +470,16 @@ class TestOnEngine:
             # finite through the start and a few rounds
             return np.full_like(out, np.nan) if calls["count"] > 30 else out
 
+        monkeypatch.setattr(solver.LobpcgEngine, "_advance_round", counted_round)
         op = CallableOperator(n, apply)
         a_op = op if poisoned == "a" else DiagonalOperator(spectrum)
         b_op = op if poisoned == "b" else None
         res = lobpcg2_solve(a_op, Lobpcg2Config(nev=4, sub_block=2, rr_period=3),
                             b_op=b_op)
         assert res.status == "breakdown"
-        assert res.iterations > 0
+        # the last round moved nothing and its retry broke down: not counted
+        assert not moved[-1]
+        assert res.iterations == sum(moved) > 0
         assert np.all(np.isfinite(res.values))
         assert np.all(np.isfinite(res.residual_norms))
         assert b_defect(res.vectors, IdentityOperator(n)) <= 1e-8
@@ -504,11 +540,9 @@ class TestStackedRounds:
     def test_stacked_and_per_block_phase_2_agree(self, seed, rounds, sub_block, ragged,
                                                  copy_of_x):
         a, b = fe_pencil(10, 12)
-        state = solver2._Rounds(a, Lobpcg2Config(nev=6, sub_block=sub_block, rr_period=3,
-                                                  seed=seed), b, jacobi_precond(a))
-        start = state.rng.standard_normal((a.dim, state.padded))
-        x, _, _, b_x = solver2.b_orthonormalize_full(start, state.b_op, state.counters)
-        state.couple(x, op_apply(state.a_op, x), b_x)
+        state = solver.LobpcgEngine(a, Lobpcg2Config(nev=6, sub_block=sub_block, rr_period=3,
+                                                     seed=seed),
+                                    b_op=b, precond=jacobi_precond(a))
         for _ in range(rounds):
             state.step()
         moving = [(k, np.arange(cols.start, cols.stop)) for k, cols in enumerate(state.slices)]
@@ -528,7 +562,7 @@ class TestStackedRounds:
         widths = state._advance_round(moving)
         with mock.patch.object(blocks, "stacked_cholesky_transforms",
                                lambda grams, *_: (None, np.zeros(len(grams), dtype=bool))), \
-                mock.patch.object(solver2._Rounds, "_stacked_grams", lambda *_: None):
+                mock.patch.object(solver.LobpcgEngine, "_stacked_grams", lambda *_: None):
             assert per_block._advance_round(moving) == widths
         for name in ("ritz_values", "X", "AX", "BX", "P", "AP", "BP", "p_cols"):
             assert np.array_equal(getattr(state, name), getattr(per_block, name)), name
