@@ -487,31 +487,22 @@ def carried_rayleigh_ritz(parts, want: int, gram_a: np.ndarray | None = None,
     coefficients, tail)`` with ``vectors = basis @ coefficients``, products
     alike, summed as ``parts[0]``'s share plus ``tail``, the other parts'
     (None for one part); no operator is applied.  The Ritz block's
-    B-orthonormality is post-checked from the mapped product; when it
-    exceeds :data:`ORTHO_POST_TOL` one more pass, which leaves ``tail``
-    None, is made over the Ritz block, and OrthonormalizationError raised
-    when that does not mend it.  ``cond_limit`` is :func:`gram_transform`'s,
-    on the first pass, whose :func:`ritz_coefficients` are ``first`` when
-    they were formed already.
+    B-orthonormality is post-checked once, from the mapped product: a defect
+    above :data:`ORTHO_POST_TOL`, or NaN, raises OrthonormalizationError, and
+    the caller's fallback runs.  ``cond_limit`` is :func:`gram_transform`'s,
+    and ``first`` the :func:`ritz_coefficients` when they were formed already.
     """
     if gram_a is None:
         gram_a, gram_b = part_grams(parts)
-    coeff = None
-    for _ in range(2):
-        values, step_coeff = first or ritz_coefficients(gram_a, gram_b, want, cond_limit)
-        first = None
-        rows = parts[0][0].shape[1]
-        tail = combine_parts(parts[1:], step_coeff[rows:]) if len(parts) > 1 else None
-        x, a_x, b_x = combine_parts(parts[:1], step_coeff[:rows], tail)
-        coeff = step_coeff if coeff is None else coeff @ step_coeff
-        gram_b = x.T @ b_x
-        defect = ortho_defect(gram_b)
-        if defect <= ORTHO_POST_TOL:
-            return values, x, a_x, b_x, coeff, tail
-        parts, cond_limit = [(x, a_x, b_x)], np.inf
-        gram_a, gram_b = sym(x.T @ a_x), sym(gram_b)
-    raise OrthonormalizationError(
-        f"Ritz block orthonormality defect {defect:.3e} persists after retry")
+    values, coeff = first or ritz_coefficients(gram_a, gram_b, want, cond_limit)
+    rows = parts[0][0].shape[1]
+    tail = combine_parts(parts[1:], coeff[rows:]) if len(parts) > 1 else None
+    x, a_x, b_x = combine_parts(parts[:1], coeff[:rows], tail)
+    defect = ortho_defect(x.T @ b_x)
+    if not defect <= ORTHO_POST_TOL:
+        raise OrthonormalizationError(
+            f"Ritz block orthonormality defect {defect:.3e} fails the post-check")
+    return values, x, a_x, b_x, coeff, tail
 
 
 def b_normalized(direction):

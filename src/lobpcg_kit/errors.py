@@ -54,7 +54,8 @@ class ZeroRankError(InsufficientRankError):
 
 
 class OrthonormalizationError(LobpcgKitError):
-    """B-orthonormalization failed its post-check even after a retry."""
+    """A block failed its B-orthonormality post-check, or its B-Gram matrix
+    is not finite."""
 
 
 class InvalidConfigError(LobpcgKitError):

@@ -75,7 +75,7 @@ class DiagonalOperator(LinearOperator):
         self.diagonal_values = diagonal
 
     def apply(self, block: np.ndarray) -> np.ndarray:
-        return self.diagonal_values[:, None] * block
+        return (self.diagonal_values[:, None] if block.ndim == 2 else self.diagonal_values) * block
 
     def diagonal(self) -> np.ndarray:
         return self.diagonal_values.copy()

@@ -60,8 +60,8 @@ from .errors import (
     DimensionMismatchError,
     InsufficientRankError,
     InvalidConfigError,
+    LobpcgKitError,
     NotPositiveDefiniteError,
-    OrthonormalizationError,
     ZeroRankError,
 )
 from . import operators  # perfbench/tracer.py rebinds IdentityOperator in this module
@@ -170,9 +170,9 @@ class _CountingOperator(LinearOperator):
         return self._inner.apply(block)
 
 
-class _Breakdown(Exception):
-    """Internal signal: no usable search directions remain, or an operator
-    returned non-finite values."""
+class _Breakdown(LobpcgKitError):
+    """No usable search directions remain, or an operator returned
+    non-finite values: like any error of this package, it ends a run."""
 
 
 def _require_finite(*blocks: np.ndarray) -> None:
@@ -213,9 +213,10 @@ class LobpcgEngine:
 
     A diagonal or sparse ``b_op`` with a diagonal entry <= 0 is not
     positive definite and raises :class:`NotPositiveDefiniteError` before
-    any operator is applied.  When A is not finite on the start block, or
-    its Rayleigh-Ritz fails, the engine keeps the B-orthonormal start block
-    with NaN Ritz values, and its first step reports breakdown.
+    any operator is applied.  Once built, its :meth:`run` raises nothing.
+    When A is not finite on the start block, or any error of this package
+    arises in its coupling, it keeps the B-orthonormal start block with NaN
+    Ritz values, and its first step reports breakdown.
     """
 
     def __init__(self, a_op: LinearOperator, cfg, *,
@@ -327,8 +328,7 @@ class LobpcgEngine:
         with NaN Ritz values instead, so that the first step breaks down."""
         try:
             self.couple(x, a_x, b_x)
-        except (_Breakdown, InsufficientRankError, NotPositiveDefiniteError,
-                OrthonormalizationError):
+        except LobpcgKitError:
             self.ritz_values, self.X, self.AX, self.BX = np.full(x.shape[1], np.nan), x, a_x, b_x
             self._update_residuals()
 
@@ -554,10 +554,10 @@ class LobpcgEngine:
         ``(V, A V, B V)`` triples of its X, W and carried P if any, with
         their :func:`part_grams` ``grams``, and its next P, kept in the
         state.  Returns the trial's width; 0, and the state untouched, when
-        the Gram matrices are not finite or the trial without P fails.
-        The restart guard (a Cholesky failing :data:`RESTART_COND_LIMIT`)
-        drops P, as does a trial with P that falls short of rank or fails
-        its post-check.  ``first`` holds the first trial's
+        the Gram matrices are not finite or the trial without P fails.  A
+        trial fails on any error of this package: the restart guard (a
+        Cholesky failing :data:`RESTART_COND_LIMIT`), a rank shortfall, a
+        failed post-check.  ``first`` holds the first trial's
         :func:`~lobpcg_kit.blocks.ritz_coefficients` and, or None,
         :func:`~lobpcg_kit.blocks.direction_coefficients` if formed already.
         """
@@ -572,14 +572,14 @@ class LobpcgEngine:
                     trial, parts[0][0].shape[1], gram_a[:width, :width], gram_b[:width, :width],
                     RESTART_COND_LIMIT if len(trial) == 3 else np.inf, first and first[:2])
                 break
-            except (InsufficientRankError, NotPositiveDefiniteError, OrthonormalizationError):
+            except LobpcgKitError:
                 first = None
         else:
             return 0
         keep_p = self.use_history_direction
-        direction = None if tail is None or not keep_p else next_direction(
+        direction = next_direction(
             (x, a_x, b_x), tail, coeff, gram_b[:width, :width], parts[0][0].shape[1],
-            first and first[2])
+            first and first[2]) if keep_p else None
         self.counters.orthonormalizations += int(keep_p)
         self.ritz_values[self.slices[k]] = values
         self._keep(k, ("X", "AX", "BX"), (x, a_x, b_x))
@@ -594,7 +594,7 @@ class LobpcgEngine:
         if len(self.slices) > 1 and not self._fresh:
             try:
                 self.couple(self.X, self.AX, self.BX, keep=False)
-            except (_Breakdown, InsufficientRankError, OrthonormalizationError):
+            except LobpcgKitError:
                 pass
 
     def run(self) -> SolveResult:
@@ -605,9 +605,9 @@ def drive(state, nev: int, max_iter: int, record_history: bool) -> SolveResult:
     """The iteration loop of every solver: claims, stopping and history.
 
     ``state`` is a :class:`LobpcgEngine`, the state of every solver.
-    Carried products are refreshed in two cases only, before a convergence
-    claim and at ``max_iter`` (one schedule for every solver), so statuses
-    rest on explicit products.  Breakdown ends after ``salvage``.
+    Carried products are refreshed only before a convergence claim and at
+    ``max_iter``, so statuses rest on explicit products.  Any error of this
+    package ends the run in breakdown, after ``salvage``.
     """
     history: list[IterationRecord] = []
     n_locked = 0
@@ -630,7 +630,7 @@ def drive(state, nev: int, max_iter: int, record_history: bool) -> SolveResult:
                 status = STATUS_MAX_ITER
             else:
                 state.step()
-        except (_Breakdown, OrthonormalizationError):
+        except LobpcgKitError:
             # a state is mutated only once fully assembled and finite, so
             # the best-so-far pairs are intact here
             status = STATUS_BREAKDOWN
@@ -652,8 +652,8 @@ def lobpcg_solve(a_op: LinearOperator, cfg: SolverConfig, *,
 
     B defaults to the identity metric and ``precond`` to none.  ``x0``
     (block_size columns) enables warm starts; ``constraints`` columns are
-    known eigenvectors deflated from all search directions.  Breakdown is
-    reported through ``result.status``, never raised.
+    known eigenvectors deflated from all search directions.  Once the solver
+    is built, breakdown is reported through ``result.status``, never raised.
     """
     engine = LobpcgEngine(a_op, cfg, b_op=b_op, precond=precond, x0=x0,
                           constraints=constraints, use_history_direction=True)

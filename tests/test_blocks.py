@@ -24,8 +24,8 @@ from lobpcg_kit import (
     rayleigh_ritz,
     residual_block,
 )
-from lobpcg_kit.blocks import (b_orthonormalize_full, b_orthonormalize_spans, fix_signs,
-                                unit_columns)
+from lobpcg_kit.blocks import (b_orthonormalize_full, b_orthonormalize_spans,
+                                carried_rayleigh_ritz, fix_signs, unit_columns)
 
 
 def spd_operator(rng, n, shift=None):
@@ -275,6 +275,26 @@ class TestRayleighRitz:
         residual = op_apply(a, ritz.vectors) - op_apply(b, ritz.vectors) * ritz.values
         norm_a = np.linalg.norm(a.to_dense(), 2)
         assert np.max(np.abs(basis.T @ residual)) <= 1e-9 * norm_a * np.linalg.norm(basis, 2)
+
+    def test_carried_ritz_block_failing_its_post_check_fails_the_trial(self):
+        # the same pairs from carried products, without B-orthonormalizing
+        # the basis first: a Ritz block that misses the post-check is not
+        # mended within itself, which would lose the Galerkin condition
+        rng = np.random.default_rng(0)
+        n = 12
+        for _ in range(40):
+            a = spd_operator(rng, n)
+            b = DiagonalOperator(rng.uniform(1.0, 2.0, n))
+            v, u = rng.standard_normal(n), rng.standard_normal(n)
+            basis = np.column_stack([v, v + 3e-7 * np.linalg.norm(v) * u])
+            try:
+                values, _, a_x, b_x, _, _ = carried_rayleigh_ritz(
+                    [(basis, op_apply(a, basis), op_apply(b, basis))], 1)
+            except OrthonormalizationError:
+                continue
+            residual = a_x - b_x * values
+            norm_a = np.linalg.norm(a.to_dense(), 2)
+            assert np.max(np.abs(basis.T @ residual)) <= 1e-10 * norm_a * np.linalg.norm(basis, 2)
 
     def test_insufficient_rank(self, rng):
         v = rng.standard_normal((10, 1))

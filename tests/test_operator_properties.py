@@ -14,6 +14,8 @@ from hypothesis import strategies as st
 
 from lobpcg_kit import (
     AsymmetricValuesError,
+    DiagonalOperator,
+    IdentityOperator,
     IndexOutOfRangeError,
     NegativeWeightError,
     SelfLoopError,
@@ -123,10 +125,11 @@ class TestApplyProperties:
         assert out.shape == block.shape
         assert np.all(np.abs(out - exact) <= bound)
         assert np.all(out[row_len[:, 0] == 0] == 0.0)
-        # a 1-d vector is one column
-        single = matrix.apply(block[:, 0])
-        assert single.shape == (dense.shape[0],)
-        np.testing.assert_array_equal(single, matrix.apply(block[:, :1])[:, 0])
+        # a 1-d vector is one column, for the diagonal and identity operators too
+        for op in (matrix, DiagonalOperator(np.diag(dense)), IdentityOperator(dense.shape[0])):
+            single = op.apply(block[:, 0])
+            assert single.shape == (dense.shape[0],)
+            np.testing.assert_array_equal(single, op.apply(block[:, :1])[:, 0])
         np.testing.assert_array_equal(out[:, :1], matrix.apply(block[:, :1]))
 
     @PROPERTY

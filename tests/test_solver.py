@@ -792,6 +792,6 @@ def test_ritz_block_error_reports_the_defect_that_failed():
     parts = [(v, v * [1.0, 2.0, 3.0], v @ (np.eye(3) + skew))]
     with pytest.raises(OrthonormalizationError) as info:
         solver.carried_rayleigh_ritz(parts, 2)
-    reported = float(re.search(r"defect (\S+) persists", str(info.value)).group(1))
+    reported = float(re.search(r"defect (\S+) fails", str(info.value)).group(1))
     assert reported > ORTHO_POST_TOL
     assert reported == pytest.approx(1e-6, rel=1e-3)
