@@ -351,9 +351,10 @@ def exact_inverse_precond(op: LinearOperator) -> CallableOperator:
 def laplacian_from_edges(n: int, edges: Iterable[tuple[int, int, float]]) -> SparseSymMatrix:
     """Weighted graph Laplacian L = D - W from an undirected edge list.
 
-    Parallel edges are summed.  L is symmetric positive semidefinite and
-    annihilates the constant vector.  Errors name the first bad edge in
-    input order; a weight must be finite and not negative.
+    Parallel edges are summed in input order.  L is symmetric positive
+    semidefinite and annihilates the constant vector.  Errors name the
+    first bad edge in input order; a weight must be finite and not
+    negative.
     """
     u, v, w = _coo_columns(edges)
     bad = (u == v) | (u < 0) | (u >= n) | (v < 0) | (v >= n) | ~((w >= 0) & (w < np.inf))
@@ -369,8 +370,27 @@ def laplacian_from_edges(n: int, edges: Iterable[tuple[int, int, float]]) -> Spa
     if not u.size:
         # Edgeless graph: the all-zero Laplacian.
         return _assemble(n, np.zeros(1, np.int64), np.zeros(1, np.int64), np.zeros(1))
-    # Per edge, in this order: (u, v, -w), (v, u, -w), (u, u, w), (v, v, w).
-    rows = np.column_stack([u, v, u, v]).ravel()
-    cols = np.column_stack([v, u, u, v]).ravel()
-    vals = np.column_stack([-w, -w, w, w]).ravel()
-    return _assemble(n, rows, cols, vals)
+    return SparseSymMatrix(n, *_laplacian_csr(n, u, v, w))
+
+
+def _laplacian_csr(n: int, u: np.ndarray, v: np.ndarray, w: np.ndarray):
+    """Row offsets, columns and values of the Laplacian of valid edges.
+
+    The input is symmetric by construction, so there is no mirror search:
+    per edge, in input order, keys (u, v) and (v, u) hold -w, and one
+    diagonal key per vertex with an edge holds its degree.  ``np.bincount``
+    sums in input order from +0.0, so every entry is bit for bit the sum
+    :func:`csr_from_coo` forms from the four triplets per edge.  Its
+    temporaries are freed before :class:`SparseSymMatrix` builds its copy.
+    """
+    ends = np.column_stack([u, v]).ravel()
+    touched = np.flatnonzero(np.bincount(ends, minlength=n))
+    degree = np.bincount(ends, weights=np.repeat(w, 2), minlength=n)[touched]
+    keys = np.concatenate([ends * n + np.column_stack([v, u]).ravel(), touched * (n + 1)])
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    fresh = np.r_[True, keys[1:] != keys[:-1]]
+    values = np.bincount(np.cumsum(fresh) - 1,
+                         weights=np.concatenate([np.repeat(-w, 2), degree])[order])
+    rows, cols = np.divmod(keys[fresh], n)
+    return np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=n)))), cols, values

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from lobpcg_kit import SparseSymMatrix, csr_from_coo
+from lobpcg_kit.operators import _TRIPLET
 
 
 def dense_to_csr(dense: np.ndarray, drop_tol: float = 0.0) -> SparseSymMatrix:
@@ -33,6 +34,37 @@ def laplacian_1d(n: int) -> SparseSymMatrix:
     triplets = [(i, i, 2.0) for i in range(n)]
     triplets += [(i, i + 1, -1.0) for i in range(n - 1)]
     return csr_from_coo(n, triplets)
+
+
+def heavy_tailed_edges(n: int, seed: int) -> np.ndarray:
+    """Shuffled (u, v, weight) records of a connected heavy-tailed graph.
+
+    Chung-Lu draws with Pareto expected degrees plus a ring that keeps it
+    connected.  Draws repeat pairs in both orientations, and the weights
+    are thirds, so a parallel edge's sum depends on its order.
+    """
+    rng = np.random.default_rng(seed)
+    expected = rng.pareto(2.5, n) + 1.0
+    u, v = rng.choice(n, (2, 4 * n), p=expected / expected.sum())
+    ring = np.arange(n)
+    heads = np.concatenate([u[u != v], ring])
+    tails = np.concatenate([v[u != v], (ring + 1) % n])
+    edges = np.empty(heads.size, _TRIPLET)
+    edges["i"], edges["j"] = heads, tails
+    edges["v"] = rng.integers(1, 7, heads.size) / 3.0
+    return edges[rng.permutation(heads.size)]
+
+
+def checked_laplacian(n: int, edges: np.ndarray) -> SparseSymMatrix:
+    """Laplacian of valid edge records through csr_from_coo's checked path,
+    from the four triplets (u, v, -w), (v, u, -w), (u, u, w), (v, v, w) per
+    edge, in input order."""
+    u, v, w = edges["i"], edges["j"], edges["v"]
+    triplets = np.empty((u.size, 4), _TRIPLET)
+    triplets["i"] = np.column_stack([u, v, u, v])
+    triplets["j"] = np.column_stack([v, u, u, v])
+    triplets["v"] = np.column_stack([-w, -w, w, w])
+    return csr_from_coo(n, triplets.ravel())
 
 
 def laplacian_1d_eigenvalues(n: int, count: int) -> np.ndarray:

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import dense_to_csr, laplacian_1d
+from conftest import dense_to_csr, heavy_tailed_edges, laplacian_1d
 
 from lobpcg_kit import (
     AsymmetricValuesError,
@@ -214,6 +214,18 @@ class TestApplyMatchesDense:
         np.testing.assert_allclose(out, dense @ block, rtol=1e-12, atol=1e-10)
         # about one pass's gather (a single pass would gather n * n * m)
         assert peak < 2 * 8 * m * TAIL_PASS_ENTRIES
+
+
+def test_laplacian_assembly_peak_per_stored_entry():
+    # 58 bytes per stored entry; assembly through csr_from_coo's checked
+    # path, from four triplets per edge, peaked at 162
+    n = 4000
+    edges = heavy_tailed_edges(n, seed=0)
+    tracemalloc.start()
+    lap = laplacian_from_edges(n, edges)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert peak < 70 * lap.nnz
 
 
 class TestJacobiPrecond:

@@ -3,6 +3,9 @@
 import numpy as np
 import pytest
 
+from conftest import checked_laplacian, heavy_tailed_edges
+
+import lobpcg_kit.partition
 from lobpcg_kit import (
     DisconnectedGraphError,
     IdentityOperator,
@@ -10,6 +13,7 @@ from lobpcg_kit import (
     laplacian_from_edges,
     partition_graph,
 )
+from lobpcg_kit.operators import TAIL_ROWS
 
 
 def clique(vertices, weight=1.0):
@@ -84,3 +88,21 @@ class TestBisection:
         edges = clique(range(3), 2.0) + clique(range(3, 6), 2.0) + [(0, 3, 3.0)]
         part = partition_graph(6, edges)
         assert part.cut_weight == pytest.approx(3.0)
+
+
+def test_laplacian_and_bisection_match_the_checked_path_at_scale(monkeypatch):
+    # laplacian_from_edges skips the mirror search of csr_from_coo's checked
+    # path; on a graph over TAIL_ROWS (so applied through both the
+    # jagged-diagonal head and the CSR tail) the two agree bit for bit
+    n = 4000
+    edges = heavy_tailed_edges(n, seed=3)
+    lap, checked = laplacian_from_edges(n, edges), checked_laplacian(n, edges)
+    assert n > TAIL_ROWS and {p[4] is None for p in lap._passes} == {True, False}
+    for name in ("row_offsets", "col_indices", "values"):
+        assert getattr(lap, name).tobytes() == getattr(checked, name).tobytes()
+    fast = partition_graph(n, edges)
+    monkeypatch.setattr(lobpcg_kit.partition, "laplacian_from_edges", checked_laplacian)
+    slow = partition_graph(n, edges)
+    assert fast.fiedler_vector.tobytes() == slow.fiedler_vector.tobytes()
+    np.testing.assert_array_equal(fast.labels, slow.labels)
+    assert fast.cut_weight == slow.cut_weight
