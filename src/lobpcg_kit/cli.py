@@ -36,7 +36,6 @@ from .solver import (
     lobpcg_solve,
     psd_solve,
 )
-from .solver2 import Lobpcg2Config, lobpcg2_solve
 
 FORMAT_VERSION = 1
 
@@ -157,22 +156,19 @@ def _build_parser() -> _Parser:
 def _run_variant(variant: str, args, matrix, metric, precond, *, block: int | None,
                  rr_period: int | None, history: bool = False, x0: np.ndarray | None = None):
     """Build ``variant``'s config, its block width resolved, and time its
-    solve.  Returns ``(cfg, result, wall_seconds)``."""
+    solve: lobpcg2 is lobpcg with sub-blocks of ``block`` columns.
+    Returns ``(cfg, result, wall_seconds)``."""
+    # only None takes the default; 0 is left for validate() to reject
     if variant == "lobpcg2":
-        # only None takes the default; 0 is left for validate() to reject
-        cfg = Lobpcg2Config(nev=args.nev, sub_block=1 if block is None else block,
-                            rr_period=1 if rr_period is None else rr_period,
-                            tol=args.tol, max_iter=args.max_iter, seed=args.seed,
-                            record_history=history)
-        solve, start_block = lobpcg2_solve, {}
+        widths = {"sub_block": 1 if block is None else block,
+                  "rr_period": 1 if rr_period is None else rr_period}
     else:
-        cfg = SolverConfig(nev=args.nev, block_size=args.nev if block is None else block,
-                           tol=args.tol, max_iter=args.max_iter, seed=args.seed,
-                           record_history=history)
-        solve = lobpcg_solve if variant == "lobpcg" else psd_solve
-        start_block = {"x0": x0}
+        widths = {"block_size": args.nev if block is None else block}
+    cfg = SolverConfig(nev=args.nev, tol=args.tol, max_iter=args.max_iter, seed=args.seed,
+                       record_history=history, **widths)
+    solve = psd_solve if variant == "psd" else lobpcg_solve
     start = time.perf_counter()
-    result = solve(matrix, cfg, b_op=metric, precond=precond, **start_block)
+    result = solve(matrix, cfg, b_op=metric, precond=precond, x0=x0)
     return cfg, result, time.perf_counter() - start
 
 
@@ -181,20 +177,17 @@ def cmd_solve(args, flags: list[str]) -> int:
     metric = parse_matrix_market(args.metric) if args.metric else None
     precond = jacobi_precond(matrix) if args.precond == "jacobi" else None
 
-    if args.variant == "lobpcg2":
-        if args.x0 is not None:
-            raise InvalidConfigError("--x0 is not supported with --variant lobpcg2")
-        if args.block_size is not None:
-            raise InvalidConfigError("use --sub-block, not --block-size, with lobpcg2")
-        block = args.sub_block
-    elif args.sub_block is not None or args.rr_period is not None:
+    narrow = args.variant == "lobpcg2"
+    if narrow and args.x0 is not None:
+        raise InvalidConfigError("--x0 is not supported with --variant lobpcg2")
+    if narrow and args.block_size is not None:
+        raise InvalidConfigError("use --sub-block, not --block-size, with lobpcg2")
+    if not narrow and (args.sub_block is not None or args.rr_period is not None):
         raise InvalidConfigError("--sub-block/--rr-period only apply to --variant lobpcg2")
-    else:
-        block = args.block_size
     x0 = read_dense_matrix_market(args.x0) if args.x0 else None
     cfg, result, wall = _run_variant(args.variant, args, matrix, metric, precond,
-                                     block=block, rr_period=args.rr_period,
-                                     history=args.history, x0=x0)
+                                     block=args.sub_block if narrow else args.block_size,
+                                     rr_period=args.rr_period, history=args.history, x0=x0)
 
     document = {
         "format_version": FORMAT_VERSION,
@@ -290,7 +283,7 @@ def cmd_bench(args, flags: list[str]) -> int:
         rows.append({
             "format_version": FORMAT_VERSION,
             "variant": cell["variant"],
-            "block_size": cfg.sub_block if isinstance(cfg, Lobpcg2Config) else cfg.block_size,
+            "block_size": cfg.sub_block or cfg.block_size,
             "rr_period": cell["rr_period"],
             "precond": cell["precond"],
             "nev": args.nev,

@@ -190,14 +190,31 @@ class SparseSymMatrix(LinearOperator):
 
 #: One (i, j, value) record of coordinate input.
 _TRIPLET = np.dtype([("i", np.int64), ("j", np.int64), ("v", float)])
+#: The same record as read from an iterable: float indices keep a fraction,
+#: a NaN or an infinity visible instead of casting it away.
+_RAW_TRIPLET = np.dtype([("i", float), ("j", float), ("v", float)])
 
 
 def _coo_columns(records: Iterable) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Row, column and value arrays of (i, j, value) records: a ``_TRIPLET``
-    array as it is, or any iterable of triples."""
-    if not (isinstance(records, np.ndarray) and records.dtype == _TRIPLET):
-        records = np.fromiter(map(tuple, records), _TRIPLET)
-    return records["i"], records["j"], records["v"]
+    array as it is, or any iterable of triples, whose indices must be
+    integers in the int64 range (IndexOutOfRangeError names the first
+    record with another index)."""
+    if isinstance(records, np.ndarray) and records.dtype == _TRIPLET:
+        return records["i"], records["j"], records["v"]
+    records = records if isinstance(records, list) else list(records)
+    try:
+        raw = np.fromiter(map(tuple, records), _RAW_TRIPLET, len(records))
+    except OverflowError:  # an integer beyond the float range: as an index, inf
+        raw = np.array([(*(x if abs(x) < 2**63 else np.inf for x in r[:2]), r[2])
+                        for r in map(tuple, records)], _RAW_TRIPLET)
+    i, j = raw["i"], raw["j"]
+    bad = (np.trunc(i) != i) | (np.trunc(j) != j) | ~(np.maximum(abs(i), abs(j)) < 2.0**63)
+    if bad.any():
+        i, j = tuple(records[int(np.argmax(bad))])[:2]
+        raise IndexOutOfRangeError(
+            f"entry ({i}, {j}) has an index that is not an integer in the int64 range")
+    return i.astype(np.int64), j.astype(np.int64), raw["v"]
 
 
 def _merge_duplicates(n: int, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray):

@@ -4,8 +4,9 @@ The iteration keeps a B-orthonormal block of Ritz vectors, augments it
 with preconditioned residuals and an implicitly recurred previous-direction
 block, and re-extracts the smallest Ritz pairs each step.  A steepest
 descent variant (no previous-direction block) is provided as a baseline.
-:class:`LobpcgEngine` is the state of both and of lobpcg2's narrow
-recurrences: a step is a round of one sub-block
+lobpcg2 is block LOBPCG cut into narrow sub-blocks (``sub_block``), which
+one :class:`SolverConfig` sets for every solver.  :class:`LobpcgEngine` is
+the state of all three: a step is a round of its sub-blocks
 (:meth:`LobpcgEngine._advance_round`), and a round in which nothing moves
 is retried once on explicit products without the previous directions.
 
@@ -64,7 +65,9 @@ from .errors import (
     NotPositiveDefiniteError,
     ZeroRankError,
 )
-from . import operators  # perfbench/tracer.py rebinds IdentityOperator in this module
+# read as operators.IdentityOperator: perfbench/tracer.py binds a factory
+# function, which isinstance cannot take, to that name in this module
+from . import operators
 from .operators import (
     CallableOperator,
     DiagonalOperator,
@@ -89,36 +92,53 @@ EXPLICIT_GRAM_RTOL = math.sqrt(np.finfo(float).eps)
 
 @dataclass
 class SolverConfig:
-    """Knobs for the blocked solver.
+    """Knobs for every solver.
 
-    ``block_size`` defaults to ``nev``; it may not exceed ceil(dim / 4) so
-    the three-block trial basis keeps a plausible rank (violations raise,
-    they are never clamped).  Locking is always soft: converged columns
+    The iterate block's :meth:`width` is ``block_size`` (``nev`` by
+    default) rounded up to a multiple of ``sub_block``, one sub-block if
+    None; pairs past ``nev`` are discarded on return.  A sub-block may not
+    exceed ceil(dim / 4) so the three-block trial basis keeps a plausible
+    rank (violations raise, they are never clamped).  Sub-blocks couple
+    every ``rr_period`` rounds.  Locking is always soft: converged columns
     stay in the basis but stop generating search directions.
     """
 
     nev: int
     block_size: int | None = None
+    sub_block: int | None = None
+    rr_period: int = 1
     tol: float = 1e-8
     max_iter: int = 500
     seed: int = 0
     record_history: bool = False
 
-    def resolved_block_size(self) -> int:
-        return self.nev if self.block_size is None else self.block_size
+    def width(self) -> int:
+        size = self.nev if self.block_size is None else self.block_size
+        step = self.sub_block or 1
+        return step * math.ceil(size / step)
 
     def validate(self, dim: int) -> None:
-        bs = self.resolved_block_size()
-        if not 1 <= self.nev <= bs:
-            raise InvalidConfigError(f"need 1 <= nev <= block_size, got {self.nev}, {bs}")
-        if bs > math.ceil(dim / 4):
-            raise InvalidConfigError(
-                f"block_size {bs} exceeds ceil(dim / 4) = {math.ceil(dim / 4)} for dim {dim}"
-            )
-        if not self.tol > 0:
-            raise InvalidConfigError(f"tol must be positive, got {self.tol}")
-        if self.max_iter < 1:
-            raise InvalidConfigError(f"max_iter must be >= 1, got {self.max_iter}")
+        bs = self.nev if self.block_size is None else self.block_size
+        name, cols = ("block_size", bs) if self.sub_block is None else ("sub_block", self.sub_block)
+        for holds, message in [
+            (1 <= self.nev <= bs, f"need 1 <= nev <= block_size, got {self.nev}, {bs}"),
+            (cols >= 1, f"sub_block must be >= 1, got {cols}"),
+            (self.rr_period >= 1, f"rr_period must be >= 1, got {self.rr_period}"),
+            (cols <= math.ceil(dim / 4),
+             f"{name} {cols} exceeds ceil(dim / 4) = {math.ceil(dim / 4)} for dim {dim}"),
+            (self.width() <= dim, f"padded width {self.width()} exceeds the dimension {dim}"),
+            (self.tol > 0, f"tol must be positive, got {self.tol}"),
+            (self.max_iter >= 1, f"max_iter must be >= 1, got {self.max_iter}"),
+        ]:
+            if not holds:
+                raise InvalidConfigError(message)
+
+
+class Lobpcg2Config(SolverConfig):
+    """A :class:`SolverConfig` whose sub-blocks default to one column."""
+
+    def __init__(self, nev: int, sub_block: int | None = 1, **knobs):
+        super().__init__(nev, sub_block=sub_block, **knobs)
 
 
 @dataclass
@@ -192,24 +212,27 @@ def _columns(triple, cols):
 
 class LobpcgEngine:
     """The one solver state, stepped by :func:`drive` for
-    :func:`lobpcg_solve`, :func:`psd_solve` and
-    :func:`~lobpcg_kit.solver2.lobpcg2_solve`.
+    :func:`lobpcg_solve`, :func:`psd_solve` and :func:`lobpcg2_solve`.
 
     Exposed so tests can drive individual update steps and compare a
     three-block step against a steepest-descent step from an identical
     state.  Regular callers should use the solve functions.
 
-    ``cfg`` is a :class:`SolverConfig`, or lobpcg2's ``Lobpcg2Config``,
-    whose ``sub_block`` and ``rr_period`` the state takes.  Its columns are
-    the sub-blocks ``slices``, advanced together a round at a time: one
-    sub-block of ``block_size`` columns for a :class:`SolverConfig`, and
-    ``padded_nev() / sub_block`` for lobpcg2, coupled by a shared
-    Rayleigh-Ritz every ``rr_period`` rounds.  A coupling merges
-    sub-blocks, so a state of one sub-block couples only to restore its X's
-    B-orthonormality.  ``AX``/``BX`` and ``AP``/``BP`` hold the carried operator
-    products of the iterate block ``X`` and the previous-direction block
-    ``P``, whose first ``p_cols[k]`` columns of slice k are sub-block k's
-    (none at 0); with ``b_op=None`` there is no B and they are ``X``/``P``.
+    Its ``cfg.width()`` columns are the width-``cfg.sub_block`` sub-blocks
+    ``slices`` (one if None): narrow LOBPCG recurrences advanced together,
+    a round at a time.  A round B-projects the active residuals off the
+    whole ``X`` (one B-dual basis), so that the recurrences do not collapse
+    onto the same eigenvectors, and applies the preconditioner, B and A
+    once each; the small dense work of sub-blocks of one width runs as
+    stacked LAPACK calls.  Every ``rr_period`` rounds a shared
+    Rayleigh-Ritz on carried products (:meth:`couple`) gives every
+    sub-block its slice of the Ritz vectors, in ascending order, and its P
+    B-projected off them.  A coupling merges sub-blocks, so a state of one
+    sub-block, block LOBPCG, couples only to restore its X's
+    B-orthonormality.  ``AX``/``BX`` and ``AP``/``BP`` hold the carried
+    operator products of ``X`` and the previous-direction block ``P``,
+    whose first ``p_cols[k]`` columns of slice k are sub-block k's (none at
+    0); with ``b_op=None`` there is no B and they are ``X``/``P``.
 
     A diagonal or sparse ``b_op`` with a diagonal entry <= 0 is not
     positive definite and raises :class:`NotPositiveDefiniteError` before
@@ -219,7 +242,7 @@ class LobpcgEngine:
     Ritz values, and its first step reports breakdown.
     """
 
-    def __init__(self, a_op: LinearOperator, cfg, *,
+    def __init__(self, a_op: LinearOperator, cfg: SolverConfig, *,
                  b_op: LinearOperator | None = None,
                  precond: LinearOperator | None = None,
                  x0: np.ndarray | None = None,
@@ -228,8 +251,7 @@ class LobpcgEngine:
         cfg.validate(a_op.dim)
         self._setup(a_op, b_op, precond)
         self.cfg = cfg
-        sub_block = getattr(cfg, "sub_block", None)  # set by lobpcg2's config only
-        self.block_size = cfg.padded_nev() if sub_block else cfg.resolved_block_size()
+        self.block_size = cfg.width()
 
         self._rng = np.random.default_rng(cfg.seed)
         if constraints is not None:
@@ -255,7 +277,7 @@ class LobpcgEngine:
         start, b_start = self._full_rank_start(start)
 
         # an empty state stepped as sub-blocks, none of which carries directions yet
-        width, sub_block = self.block_size, sub_block or self.block_size
+        width, sub_block = self.block_size, cfg.sub_block or self.block_size
         self.use_history_direction = use_history_direction
         self.slices = [slice(lo, lo + sub_block) for lo in range(0, width, sub_block)]
         self.iterations, self._last_basis_cols = 0, width
@@ -413,7 +435,6 @@ class LobpcgEngine:
         the internal breakdown signal instead when its products are explicit
         and no sub-block holds a P.
         """
-        # several sub-blocks come from lobpcg2's config, which sets rr_period
         coupled = (len(self.slices) > 1 and not self._fresh
                    and self.iterations % self.cfg.rr_period == 0)
         if coupled:
@@ -651,7 +672,7 @@ def lobpcg_solve(a_op: LinearOperator, cfg: SolverConfig, *,
     """Smallest ``cfg.nev`` eigenpairs of A x = lambda B x.
 
     B defaults to the identity metric and ``precond`` to none.  ``x0``
-    (block_size columns) enables warm starts; ``constraints`` columns are
+    (``cfg.width()`` columns) enables warm starts; ``constraints`` columns are
     known eigenvectors deflated from all search directions.  Once the solver
     is built, breakdown is reported through ``result.status``, never raised.
     """
@@ -669,3 +690,13 @@ def psd_solve(a_op: LinearOperator, cfg: SolverConfig, *,
     engine = LobpcgEngine(a_op, cfg, b_op=b_op, precond=precond, x0=x0,
                           constraints=constraints, use_history_direction=False)
     return engine.run()
+
+
+def lobpcg2_solve(a_op: LinearOperator, cfg: SolverConfig, *,
+                  b_op: LinearOperator | None = None,
+                  precond: LinearOperator | None = None) -> SolveResult:
+    """:func:`lobpcg_solve` with sub-blocks (a :class:`Lobpcg2Config`), no
+    start block and no constraints.  With several sub-blocks the vectors
+    pass through a terminal shared Rayleigh-Ritz, so they are B-orthonormal
+    regardless of status."""
+    return LobpcgEngine(a_op, cfg, b_op=b_op, precond=precond).run()

@@ -135,6 +135,16 @@ class TestSolve:
                      "--out", str(tmp_path / "x.json")])
         assert code == 1
 
+    def test_x0_rejected_for_lobpcg2(self, lap50, tmp_path):
+        x0 = tmp_path / "x0.mtx"
+        x0.write_text("%%MatrixMarket matrix array real general\n50 2\n"
+                      + "1\n" * 100)
+        out = tmp_path / "x.json"
+        code = main(["solve", "--matrix", lap50, "--nev", "2", "--variant", "lobpcg2",
+                     "--x0", str(x0), "--out", str(out)])
+        assert code == 1
+        assert not out.exists()
+
     @pytest.mark.parametrize("flag", ["--rr-period", "--sub-block"])
     @pytest.mark.parametrize("value", ["0", "-3"])
     def test_lobpcg2_width_and_period_below_one_are_usage_errors(self, lap50, tmp_path,
@@ -196,8 +206,7 @@ class TestConfigReach:
     """Every config field is a knob that the command line sets."""
 
     def test_every_config_field_has_a_solve_flag(self, capsys):
-        fields = {f.name for cls in (SolverConfig, Lobpcg2Config)
-                  for f in dataclasses.fields(cls)}
+        fields = {f.name for f in dataclasses.fields(SolverConfig)}
         assert fields == set(FIELD_FLAGS)
         assert main(["solve", "--help"]) == 0
         usage = capsys.readouterr().out
@@ -207,7 +216,7 @@ class TestConfigReach:
     @pytest.mark.parametrize("variant, cls, solve_name", [
         ("lobpcg", SolverConfig, "lobpcg_solve"),
         ("psd", SolverConfig, "psd_solve"),
-        ("lobpcg2", Lobpcg2Config, "lobpcg2_solve"),
+        ("lobpcg2", Lobpcg2Config, "lobpcg_solve"),
     ])
     def test_manifest_config_reproduces_the_solve(self, lap50, tmp_path, monkeypatch,
                                                   variant, cls, solve_name):
@@ -219,7 +228,10 @@ class TestConfigReach:
             return solve(matrix, cfg, **kwargs)
         monkeypatch.setattr(cli, solve_name, spy)
 
-        values = {f.name: FIELD_FLAGS[f.name][1] for f in dataclasses.fields(cls)}
+        # the width knobs of the other kind of solver are rejected
+        rejected = {"block_size"} if variant == "lobpcg2" else {"sub_block", "rr_period"}
+        values = {name: value for name, (_, value) in FIELD_FLAGS.items()
+                  if name not in rejected}
         flags = ["solve", "--matrix", lap50, "--variant", variant]
         for name, value in values.items():
             flag = FIELD_FLAGS[name][0]
@@ -227,8 +239,8 @@ class TestConfigReach:
         out = tmp_path / "reach.json"
         assert main(flags + ["--out", str(out)]) in (0, 2)
         manifest = json.loads(out.read_text())["manifest"]
-        assert seen == [cls(**values)]
-        assert cls(**manifest["config"]) == seen[0]
+        assert seen == [SolverConfig(**values)]
+        assert dataclasses.asdict(cls(**manifest["config"])) == dataclasses.asdict(seen[0])
         assert "thread_cap" not in manifest
 
 

@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 from lobpcg_kit import (
     CallableOperator,
     DiagonalOperator,
-    Lobpcg2Config,
     LobpcgEngine,
     LobpcgKitError,
     SolverConfig,
@@ -25,12 +24,14 @@ SPECTRUM = np.arange(1.0, N + 1)
 METRIC = np.linspace(1.0, 2.0, N)
 
 #: ``(config, use_history_direction)`` of the engine each solve function
-#: builds and runs: lobpcg_solve, psd_solve and lobpcg2_solve at two widths
+#: builds and runs: lobpcg_solve, psd_solve, and both at sub-block widths
+#: 2 and 4 (lobpcg2_solve is lobpcg_solve with sub-blocks)
 SOLVERS = {
     "lobpcg": (SolverConfig(nev=4), True),
     "psd": (SolverConfig(nev=4), False),
-    "lobpcg2-2": (Lobpcg2Config(nev=4, sub_block=2, rr_period=3), True),
-    "lobpcg2-4": (Lobpcg2Config(nev=4, sub_block=4), True),
+    "lobpcg2-2": (SolverConfig(nev=4, sub_block=2, rr_period=3), True),
+    "lobpcg2-4": (SolverConfig(nev=4, sub_block=4), True),
+    "psd-2": (SolverConfig(nev=4, sub_block=2, rr_period=3), False),
 }
 
 FAULTS = {
@@ -57,7 +58,7 @@ def faulty(diagonal, onset, fault):
     return CallableOperator(N, apply)
 
 
-@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(solver=st.sampled_from(sorted(SOLVERS)),
        bad=st.sampled_from(["a", "b", "precond"]),
        with_b=st.booleans(), with_precond=st.booleans(),

@@ -1,6 +1,7 @@
 """Operator contracts: CSR assembly, block application, preconditioners,
 graph Laplacians."""
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -30,6 +31,22 @@ from lobpcg_kit.operators import TAIL_PASS_ENTRIES, TAIL_ROWS
 
 def densify(matrix):
     return matrix.to_dense()
+
+
+#: Indices of in-memory records that are no int64 integer, which must be
+#: neither truncated nor let through as a bare ValueError or OverflowError.
+BAD_INDICES = [1.7, float("nan"), float("inf"), -float("inf"), 2**63, 10**400]
+
+
+@pytest.mark.parametrize("bad", BAD_INDICES,
+                         ids=["fraction", "nan", "inf", "-inf", "2**63", "10**400"])
+@pytest.mark.parametrize("assemble", [csr_from_coo, laplacian_from_edges])
+def test_in_memory_index_that_is_no_integer_is_named(assemble, bad):
+    records = [(0, 1, 1.0), (1, 2, 1.0), (0, bad, 2.0), (2, 0.5, 1.0)]
+    with pytest.raises(IndexOutOfRangeError, match=rf"entry \(0, {re.escape(str(bad))}\)"):
+        assemble(3, records)
+    with pytest.raises(IndexOutOfRangeError, match=r"entry \(0, "):
+        assemble(3, iter(records))
 
 
 class TestCsrFromCoo:

@@ -682,16 +682,24 @@ class TestExactInverse:
 
 class TestValidation:
     def test_nev_zero_rejected(self):
-        with pytest.raises(InvalidConfigError):
-            lobpcg_solve(IdentityOperator(10), SolverConfig(nev=0))
+        # nev must lie in [1, block_size], whichever config class holds it
+        for cls in (SolverConfig, Lobpcg2Config):
+            for nev, block_size in [(0, None), (3, 2)]:
+                with pytest.raises(InvalidConfigError, match="nev <= block_size"):
+                    lobpcg_solve(IdentityOperator(10), cls(nev=nev, block_size=block_size))
 
     def test_block_cap_is_error_not_clamp(self):
-        with pytest.raises(InvalidConfigError):
-            lobpcg_solve(IdentityOperator(10), SolverConfig(nev=2, block_size=4))
+        # the cap of ceil(dim / 4) = 3 is on the sub-block: the whole block
+        # unless sub_block is set
+        for cfg in (SolverConfig(nev=2, block_size=4), SolverConfig(nev=2, sub_block=4),
+                    Lobpcg2Config(nev=2, sub_block=4)):
+            with pytest.raises(InvalidConfigError, match="exceeds ceil"):
+                lobpcg_solve(IdentityOperator(10), cfg)
 
     def test_bad_tol(self):
-        with pytest.raises(InvalidConfigError):
-            lobpcg_solve(IdentityOperator(10), SolverConfig(nev=1, tol=0.0))
+        for cls in (SolverConfig, Lobpcg2Config):
+            with pytest.raises(InvalidConfigError, match="tol"):
+                lobpcg_solve(IdentityOperator(10), cls(nev=1, tol=0.0))
 
     @pytest.mark.parametrize("solve", [
         lambda a, b: lobpcg_solve(a, SolverConfig(nev=2), b_op=b),

@@ -186,6 +186,32 @@ class TestCrossVariantAgreement:
             assert np.array_equal(getattr(narrow, name), getattr(full, name)), name
         assert narrow.counters == full.counters
 
+    @pytest.mark.parametrize("solve", [lobpcg_solve, psd_solve], ids=["lobpcg", "psd"])
+    def test_sub_blocks_with_constraints_match_the_oracle(self, solve):
+        # the pencil's two lowest eigenvectors are deflated, so the
+        # sub-blocks find pairs 3 to 6 of the oracle
+        a, b = fe_pencil(12, 14)
+        oracle = dense_oracle(a, b)
+        known = oracle.vectors[:, :2]
+        cfg = SolverConfig(nev=4, sub_block=2, rr_period=3)
+        res = solve(a, cfg, b_op=b, precond=jacobi_precond(a), constraints=known)
+        assert res.status == "converged"
+        np.testing.assert_allclose(res.values, oracle.values[2:6], rtol=1e-12)
+        assert b_defect(res.vectors, b) <= 1e-8
+        assert np.max(np.abs(known.T @ op_apply(b, res.vectors))) <= 1e-8
+
+    def test_lobpcg_with_sub_blocks_is_lobpcg2_bit_for_bit(self):
+        a, b = fe_pencil(12, 14)
+        full = lobpcg_solve(a, SolverConfig(nev=4, sub_block=2, rr_period=3), b_op=b,
+                            precond=jacobi_precond(a))
+        narrow = lobpcg2_solve(a, Lobpcg2Config(nev=4, sub_block=2, rr_period=3), b_op=b,
+                               precond=jacobi_precond(a))
+        assert full.status == narrow.status == "converged"
+        assert narrow.iterations == full.iterations
+        for name in ("values", "vectors", "residual_norms"):
+            assert np.array_equal(getattr(narrow, name), getattr(full, name)), name
+        assert narrow.counters == full.counters
+
     def test_generalized_metric_and_preconditioner(self):
         n = 60
         a = easy_spd_problem(7, n)
@@ -252,7 +278,7 @@ class TestOnEngine:
         # the aggregate start, then every shared Rayleigh-Ritz, the terminal
         # one included
         couplings = 2 + res.iterations // cfg.rr_period
-        budget = cfg.padded_nev() * couplings
+        budget = cfg.width() * couplings
         assert counters.a_matvecs <= counters.precond_applies + budget
         # B orthonormalizes and post-checks the new directions
         assert counters.b_matvecs <= 2 * counters.precond_applies + 2 * budget
@@ -289,7 +315,7 @@ class TestOnEngine:
         # the stalled round's retry couples before the round is counted
         retry = None if stall is None else stall - 1
         coupled = {}  # counted rounds -> the (A, B) columns applied by each coupling after them
-        for k, adopts in couplings(log, cfg.padded_nev() // cfg.sub_block)[1:]:
+        for k, adopts in couplings(log, cfg.width() // cfg.sub_block)[1:]:
             round_no = log[k - 1][1]
             before = next(entry[1] for entry in reversed(log[:k]) if entry[0] != "couple")
             coupled.setdefault(round_no, []).append(tuple(np.subtract(log[k][1], before)))
@@ -300,7 +326,7 @@ class TestOnEngine:
             assert not any(kept) if round_no == retry else all(kept)
         assert all(len(applied) == 1 for applied in coupled.values())  # never twice
         explicit = {r for r, [applied] in coupled.items() if applied != (0, 0)}
-        assert all(coupled[r] == [(cfg.padded_nev(),) * 2] for r in explicit)
+        assert all(coupled[r] == [(cfg.width(),) * 2] for r in explicit)
         # explicit on a stall and at the end (a claim or max_iter) only;
         # carried, applying nothing, on the other rr_period rounds
         assert explicit == {rounds[-1], retry} - {None}
@@ -328,7 +354,7 @@ class TestOnEngine:
             res = lobpcg2_solve(a, cfg, b_op=b, precond=jacobi_precond(a))
             assert res.status == "converged"
             kept = 0
-            for _, adopts in couplings(log, cfg.padded_nev() // cfg.sub_block):
+            for _, adopts in couplings(log, cfg.width() // cfg.sub_block):
                 x_agg = np.hstack([entry[2] for entry in adopts])
                 for entry in adopts:
                     if entry[3] is None:
@@ -442,7 +468,7 @@ class TestOnEngine:
         res = lobpcg2_solve(a, cfg, b_op=b, precond=jacobi_precond(a))
         assert res.status == "max_iter"
         assert res.iterations == cfg.max_iter
-        explicit = 2 * cfg.padded_nev()
+        explicit = 2 * cfg.width()
         assert res.counters.a_matvecs == res.counters.precond_applies + explicit
         assert b_defect(res.vectors, b) <= 1e-8
         fresh = op_apply(a, res.vectors) - op_apply(b, res.vectors) * res.values[None, :]
@@ -590,19 +616,29 @@ class TestStackedRounds:
 
 
 class TestValidation:
+    """Each rule of ``SolverConfig.validate`` rejects its inputs whichever
+    config class holds them."""
+
     def test_rr_period_positive(self):
-        with pytest.raises(InvalidConfigError):
-            lobpcg2_solve(diag_operator(10), Lobpcg2Config(nev=2, rr_period=0))
+        for cls in (SolverConfig, Lobpcg2Config):
+            with pytest.raises(InvalidConfigError, match="rr_period"):
+                lobpcg2_solve(diag_operator(10), cls(nev=2, sub_block=1, rr_period=0))
 
     def test_sub_block_cap(self):
-        with pytest.raises(InvalidConfigError):
-            lobpcg2_solve(diag_operator(10), Lobpcg2Config(nev=4, sub_block=4))
+        # below one, or wider than ceil(dim / 4) = 3
+        for cls in (SolverConfig, Lobpcg2Config):
+            for sub_block in (0, 4):
+                with pytest.raises(InvalidConfigError, match="sub_block"):
+                    lobpcg2_solve(diag_operator(10), cls(nev=4, sub_block=sub_block))
 
     @pytest.mark.parametrize("bad", [{"tol": 0.0}, {"tol": -1e-8}, {"max_iter": 0}])
     def test_engine_checks_tol_and_max_iter(self, bad):
-        with pytest.raises(InvalidConfigError):
-            lobpcg2_solve(diag_operator(10), Lobpcg2Config(nev=2, **bad))
+        for cls in (SolverConfig, Lobpcg2Config):
+            with pytest.raises(InvalidConfigError):
+                lobpcg2_solve(diag_operator(10), cls(nev=2, **bad))
 
     def test_padded_width_must_fit(self):
-        with pytest.raises(InvalidConfigError):
-            lobpcg2_solve(diag_operator(8), Lobpcg2Config(nev=9, sub_block=1))
+        for cls in (SolverConfig, Lobpcg2Config):
+            for dim, nev, sub_block in [(8, 9, 1), (10, 10, 3)]:
+                with pytest.raises(InvalidConfigError, match="padded width"):
+                    lobpcg2_solve(diag_operator(dim), cls(nev=nev, sub_block=sub_block))

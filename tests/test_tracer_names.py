@@ -13,6 +13,8 @@ from pathlib import Path
 
 import pytest
 
+from lobpcg_kit import blocks, operators, solver, solver2
+
 TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "lobpcg_kit"
 
@@ -68,3 +70,12 @@ def imports_marked_unused():
 def test_imports_kept_for_the_tracer_are_looked_up():
     looked_up = {(owner.__name__, attr) for owner, attr in LOOKED_UP}
     assert [pair for pair in imports_marked_unused() if pair not in looked_up] == []
+
+
+def test_solver2_only_rebinds_names_of_other_modules():
+    # solver2 stays a module of bindings that the tracer looks up until the
+    # tracer reads in-library figures, so no logic may grow back into it
+    homes = [vars(module) for module in (solver, blocks, operators)]
+    own = {name: value for name, value in vars(solver2).items() if not name.startswith("__")}
+    assert [name for name, value in own.items()
+            if not any(home.get(name) is value for home in homes)] == []
