@@ -178,8 +178,6 @@ def cmd_solve(args, flags: list[str]) -> int:
     precond = jacobi_precond(matrix) if args.precond == "jacobi" else None
 
     narrow = args.variant == "lobpcg2"
-    if narrow and args.x0 is not None:
-        raise InvalidConfigError("--x0 is not supported with --variant lobpcg2")
     if narrow and args.block_size is not None:
         raise InvalidConfigError("use --sub-block, not --block-size, with lobpcg2")
     if not narrow and (args.sub_block is not None or args.rr_period is not None):

@@ -38,6 +38,10 @@ TAIL_ROWS = 1024
 #: Entries per pass over the CSR tail, cut at row ends: bounds its gather.
 TAIL_PASS_ENTRIES = 1 << 16
 
+#: The diagonal layout is taken while its slots, padding included, number
+#: at most this many times nnz: the measured crossover, which README gives.
+DIAGONAL_FILL = 2.0
+
 
 class LinearOperator:
     """Symmetric operator contract: ``apply`` maps (n, m) blocks to (n, m).
@@ -104,13 +108,27 @@ class SparseSymMatrix(LinearOperator):
     increasing within each row; the pattern and values are symmetric.
     Construct through :func:`csr_from_coo`.
 
-    ``apply`` runs on a copy of the entries built here, rows sorted by
-    descending length: jagged-diagonal slots (slot k holds the k-th entry of
-    every row longer than k, a prefix of the order) of :data:`TAIL_ROWS`
-    rows or more, then the thinner slots' entries as one row-sorted CSR
-    tail, summed by ``np.add.reduceat`` in passes of about
-    :data:`TAIL_PASS_ENTRIES`.  It accumulates ``(m, n)``, each column
-    contiguous, and returns the column-major view.
+    ``apply`` runs on a copy of the entries built here in one of two
+    layouts, named by ``layout`` and chosen from the pattern alone.  It
+    accumulates ``(m, n)``, each column contiguous, in passes, and returns
+    the column-major view.
+
+    * ``"diagonal"``, for a pattern on few, nearly full diagonals (a
+      stencil or finite-element matrix): one value array per offset
+      k = j - i, over rows ``[max(0, -k), min(n, n - k))``, zero where a
+      row has no entry at that offset.  A pass adds ``d_k`` times the block
+      shifted by k, in ascending k, so each row is summed in column order
+      from +0.0 with plain slices.  It is taken when the offsets are no
+      more than the longest row's entries and their diagonals hold at most
+      :data:`DIAGONAL_FILL` times ``nnz`` slots.  A padded zero meets the
+      block too: a NaN or infinity in the block may spread, through
+      0 * inf, to rows within the band that A does not couple to it.
+    * ``"jagged"``, otherwise: rows sorted by descending length, then
+      jagged-diagonal slots (slot k holds the k-th entry of every row
+      longer than k, a prefix of the order) of :data:`TAIL_ROWS` rows or
+      more, then the thinner slots' entries as one row-sorted CSR tail,
+      summed by ``np.add.reduceat`` in passes of about
+      :data:`TAIL_PASS_ENTRIES`; a final gather restores the row order.
     """
 
     def __init__(self, dim: int, row_offsets: np.ndarray, col_indices: np.ndarray,
@@ -120,9 +138,43 @@ class SparseSymMatrix(LinearOperator):
         self.col_indices = np.asarray(col_indices, dtype=np.int64)
         self.values = np.asarray(values, dtype=float)
         lengths = np.diff(self.row_offsets)
+        # a pass is (first row, end row, values, source, row starts): the
+        # source is an offset to slice at or columns to gather; row starts
+        # only in the jagged tail
+        self._passes, self._inverse = self._diagonal_passes(lengths), None
+        self.layout = "jagged" if self._passes is None else "diagonal"
+        if self._passes is None:
+            self._passes, self._inverse = self._jagged_passes(lengths)
+
+    def _diagonal_passes(self, lengths: np.ndarray) -> list | None:
+        """The passes of the diagonal layout, or None where the rule of the
+        class docstring rejects the pattern."""
+        n, longest = self.dim, int(lengths.max())
+        # rows mostly far shorter than the longest cannot fill its diagonals
+        if longest > DIAGONAL_FILL * self.nnz / n:
+            return None
+        rows = self.row_indices()
+        shifted = self.col_indices - rows + (n - 1)  # offset + n - 1 >= 0
+        present = np.flatnonzero(np.bincount(shifted, minlength=2 * n - 1))
+        offsets = present - (n - 1)
+        spans = n - np.abs(offsets)
+        if present.size > longest or spans.sum() > DIAGONAL_FILL * self.nnz:
+            return None
+        firsts = np.maximum(0, -offsets)
+        starts = np.cumsum(spans) - spans
+        base = np.zeros(2 * n - 1, dtype=np.int64)
+        base[present] = starts - firsts
+        slots = np.zeros(int(spans.sum()))
+        slots[base[shifted] + rows] = self.values
+        return [(int(lo), int(lo + span), slots[at:at + span], int(k), None)
+                for lo, span, at, k in zip(firsts, spans, starts, offsets)]
+
+    def _jagged_passes(self, lengths: np.ndarray) -> tuple[list, np.ndarray]:
+        """The passes of the jagged layout and the gather that restores
+        the row order."""
         order = np.argsort(-lengths, kind="stable")
-        self._inverse = np.empty_like(order)
-        self._inverse[order] = np.arange(self.dim)
+        inverse = np.empty_like(order)
+        inverse[order] = np.arange(self.dim)
         # rows longer than k, for each slot k; non-increasing in k
         counts = self.dim - np.cumsum(np.bincount(lengths))[:-1]
         n_head = int(np.count_nonzero(counts >= TAIL_ROWS))
@@ -130,9 +182,8 @@ class SparseSymMatrix(LinearOperator):
         slot = np.repeat(np.arange(n_head), counts[:n_head])
         at = self.row_offsets[order][np.arange(slot_ptr[-1]) - slot_ptr[slot]] + slot
         jd_cols, jd_vals = self.col_indices[at], self.values[at]
-        # (first row, end row, values, columns, row starts): starts in the tail only
-        self._passes = [(0, int(hi - lo), jd_vals[lo:hi], jd_cols[lo:hi], None)
-                        for lo, hi in zip(slot_ptr[:-1], slot_ptr[1:])]
+        passes = [(0, int(hi - lo), jd_vals[lo:hi], jd_cols[lo:hi], None)
+                  for lo, hi in zip(slot_ptr[:-1], slot_ptr[1:])]
         if n_head < counts.size:  # the longest rows' entries past the head slots
             rows = order[:counts[n_head]]
             tail = lengths[rows] - n_head
@@ -140,8 +191,9 @@ class SparseSymMatrix(LinearOperator):
             at = np.repeat(self.row_offsets[rows] + n_head - starts, tail) + np.arange(tail.sum())
             vals, cols, ptr = self.values[at], self.col_indices[at], np.r_[starts, at.size]
             cuts = np.r_[0, np.flatnonzero(np.diff(starts // TAIL_PASS_ENTRIES)) + 1, rows.size]
-            self._passes += [(lo, hi, vals[ptr[lo]:ptr[hi]], cols[ptr[lo]:ptr[hi]],
-                              starts[lo:hi] - starts[lo]) for lo, hi in zip(cuts[:-1], cuts[1:])]
+            passes += [(lo, hi, vals[ptr[lo]:ptr[hi]], cols[ptr[lo]:ptr[hi]],
+                        starts[lo:hi] - starts[lo]) for lo, hi in zip(cuts[:-1], cuts[1:])]
+        return passes, inverse
 
     @property
     def nnz(self) -> int:
@@ -151,15 +203,11 @@ class SparseSymMatrix(LinearOperator):
         block = np.asarray(block, dtype=float)
         by_column = block.reshape(block.shape[0], -1).T  # (m, n)
         acc = np.zeros((by_column.shape[0], self.dim))
-        for lo, hi, vals, cols, starts in self._passes:
-            gathered = by_column.take(cols, axis=1)
-            gathered *= vals
-            if starts is not None:
-                gathered = np.add.reduceat(gathered, starts, axis=1)
+        for lo, hi, vals, source, starts in self._passes:
             # in place through a view: `acc[:, lo:hi] +=` would copy it back
             rows = acc[:, lo:hi]
-            rows += gathered
-        out = acc.take(self._inverse, axis=1).T
+            rows += _pass_terms(by_column, lo, hi, vals, source, starts)
+        out = (acc if self._inverse is None else acc.take(self._inverse, axis=1)).T
         return out[:, 0] if block.ndim == 1 else out
 
     def row_indices(self) -> np.ndarray:
@@ -186,6 +234,19 @@ class SparseSymMatrix(LinearOperator):
         """Yield (row, col, value) over the stored full pattern."""
         yield from zip(self.row_indices().tolist(), self.col_indices.tolist(),
                        self.values.tolist())
+
+
+def _pass_terms(by_column: np.ndarray, lo: int, hi: int, vals: np.ndarray, source,
+                starts: np.ndarray | None) -> np.ndarray:
+    """A pass's terms for rows ``lo:hi`` of an ``(m, n)`` block: ``vals``
+    times the block sliced at offset ``source`` (an int), or gathered at
+    columns ``source`` and, with row ``starts``, summed per row.  Returned
+    for the caller to add, so that it is freed before the next pass."""
+    if isinstance(source, int):
+        return by_column[:, lo + source:hi + source] * vals
+    terms = by_column.take(source, axis=1)
+    terms *= vals
+    return terms if starts is None else np.add.reduceat(terms, starts, axis=1)
 
 
 #: One (i, j, value) record of coordinate input.

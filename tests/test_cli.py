@@ -135,15 +135,16 @@ class TestSolve:
                      "--out", str(tmp_path / "x.json")])
         assert code == 1
 
-    def test_x0_rejected_for_lobpcg2(self, lap50, tmp_path):
-        x0 = tmp_path / "x0.mtx"
-        x0.write_text("%%MatrixMarket matrix array real general\n50 2\n"
-                      + "1\n" * 100)
-        out = tmp_path / "x.json"
-        code = main(["solve", "--matrix", lap50, "--nev", "2", "--variant", "lobpcg2",
-                     "--x0", str(x0), "--out", str(out)])
-        assert code == 1
-        assert not out.exists()
+    def test_lobpcg2_from_a_converged_x0_takes_no_step(self, lap50, tmp_path):
+        vecs = tmp_path / "vecs.mtx"
+        first, second = tmp_path / "first.json", tmp_path / "second.json"
+        narrow = ["solve", "--matrix", lap50, "--nev", "2", "--variant", "lobpcg2"]
+        assert main(narrow + ["--vectors-out", str(vecs), "--out", str(first)]) == 0
+        assert main(narrow + ["--x0", str(vecs), "--out", str(second)]) == 0
+        doc = json.loads(second.read_text())
+        assert doc["status"] == "converged"
+        assert doc["iterations"] == 0
+        assert doc["manifest"]["problem_paths"]["x0"] == str(vecs)
 
     @pytest.mark.parametrize("flag", ["--rr-period", "--sub-block"])
     @pytest.mark.parametrize("value", ["0", "-3"])

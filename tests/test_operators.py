@@ -1,6 +1,7 @@
 """Operator contracts: CSR assembly, block application, preconditioners,
 graph Laplacians."""
 
+import math
 import re
 import tracemalloc
 
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import dense_to_csr, heavy_tailed_edges, laplacian_1d
+from conftest import dense_to_csr, fe_matrices_1d, heavy_tailed_edges, laplacian_1d
 
 from lobpcg_kit import (
     AsymmetricValuesError,
@@ -26,7 +27,7 @@ from lobpcg_kit import (
     laplacian_from_edges,
     op_apply,
 )
-from lobpcg_kit.operators import TAIL_PASS_ENTRIES, TAIL_ROWS
+from lobpcg_kit.operators import DIAGONAL_FILL, TAIL_PASS_ENTRIES, TAIL_ROWS
 
 
 def densify(matrix):
@@ -159,22 +160,70 @@ class TestOpApply:
         assert np.max(np.abs(combo - parts)) <= 1e-10 * matrix.max_row_l1()
 
 
+def grid_stencil(dims, values):
+    """The (2d + 1)-point stencil on a Dirichlet box: the diagonal and one
+    entry per grid edge, so rows at the box's faces have gaps.  ``values``
+    gives the diagonal, then one value per edge, axis by axis."""
+    n = math.prod(dims)
+    index = np.arange(n).reshape(dims)
+    lower = [np.take(index, range(length - 1), axis=axis).ravel()
+             for axis, length in enumerate(dims)]
+    upper = [np.take(index, range(1, length), axis=axis).ravel()
+             for axis, length in enumerate(dims)]
+    rows = np.concatenate([index.ravel()] + lower)
+    cols = np.concatenate([index.ravel()] + upper)
+    return csr_from_coo(n, list(zip(rows.tolist(), cols.tolist(), values(rows.size).tolist())))
+
+
+def gapped_band(n, width, dropped, rng):
+    """A band of half-width ``width`` missing a ``dropped`` share of its
+    off-diagonal pairs, none in the middle row: so the offsets are no more
+    than that row's entries, and for n >= 8 * width the padding stays
+    within DIAGONAL_FILL."""
+    pairs = [(i, i + k) for k in range(1, width + 1) for i in range(n - k)]
+    middle = n // 2
+    droppable = [p for p in pairs if middle not in p]
+    gone = {droppable[k] for k in rng.permutation(len(droppable))[:int(dropped * len(droppable))]}
+    kept = [(i, i) for i in range(n)] + [p for p in pairs if p not in gone]
+    return csr_from_coo(n, [(i, j, float(rng.uniform(-2.0, 2.0))) for i, j in kept])
+
+
+#: Kinds of apply_cases; the last three always take the diagonal layout.
+APPLY_KINDS = ("band", "scattered", "no entries", "edgeless laplacian")
+DIAGONAL_KINDS = ("grid 2-d", "grid 3-d", "gapped band")
+
+
 @st.composite
-def apply_cases(draw):
+def apply_cases(draw, kinds=APPLY_KINDS + DIAGONAL_KINDS):
     """A symmetric matrix and an input to apply it to.
 
     Sizes reach past TAIL_ROWS, so that a banded or scattered pattern fills
     jagged-diagonal slots of the head and hub rows fill the CSR tail; below
     it every slot is in the tail.  Rows may be empty, and so may the whole
-    pattern."""
-    n = draw(st.one_of(st.integers(1, 40), st.integers(TAIL_ROWS, TAIL_ROWS + 60)))
+    pattern.  Grid stencils and gapped bands lie on a few diagonals, with
+    padding at the faces of the box and at the band's gaps."""
+    kind = draw(st.sampled_from(kinds))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-    kind = draw(st.sampled_from(["band", "scattered", "no entries", "edgeless laplacian"]))
+    big = draw(st.booleans())
+    if kind == "grid 2-d":
+        sides = [(33, 36), (32, 34)] if big else [(3, 8)] * 2
+        matrix = grid_stencil([draw(st.integers(*s)) for s in sides],
+                              lambda size: rng.uniform(-2.0, 2.0, size))
+    elif kind == "grid 3-d":
+        sides = [(11, 12), (10, 11), (10, 11)] if big else [(3, 5)] * 3
+        matrix = grid_stencil([draw(st.integers(*s)) for s in sides],
+                              lambda size: rng.uniform(-2.0, 2.0, size))
+    elif kind == "gapped band":
+        width = draw(st.integers(1, 3))
+        n = draw(st.integers(TAIL_ROWS, TAIL_ROWS + 60) if big else st.integers(8 * width, 40))
+        matrix = gapped_band(n, width, draw(st.sampled_from([0.0, 0.1, 0.25])), rng)
+    else:
+        n = draw(st.integers(TAIL_ROWS, TAIL_ROWS + 60) if big else st.integers(1, 40))
     if kind == "no entries":
         matrix = csr_from_coo(n, [])
     elif kind == "edgeless laplacian":
         matrix = laplacian_from_edges(n, [])
-    else:
+    elif kind in ("band", "scattered"):
         live = np.flatnonzero(rng.random(n) >= draw(st.sampled_from([0.0, 0.01, 0.5])))
         pairs = [(i, i) for i in live]
         if kind == "band":
@@ -187,6 +236,7 @@ def apply_cases(draw):
         pairs = {(min(i, j), max(i, j)) for i, j in pairs}
         matrix = csr_from_coo(n, [(int(i), int(j), float(rng.uniform(-2.0, 2.0)))
                                   for i, j in sorted(pairs)])
+    n = matrix.dim
     m = draw(st.sampled_from(range(1, 13)))
     layout = draw(st.sampled_from(["C", "F", "strided", "1-d", "1-d strided"]))
     wide = rng.uniform(-1.0, 1.0, (2 * n, 2 * m))
@@ -194,6 +244,19 @@ def apply_cases(draw):
              "strided": wide[::2, 1::2], "1-d": wide[:n, 0].copy(),
              "1-d strided": wide[::2, 0]}[layout]
     return matrix, block
+
+
+def sequential_product(matrix, block):
+    """A times the block, each row summed one entry at a time in CSR column
+    order, from +0.0."""
+    x = block.reshape(matrix.dim, -1)
+    out = np.zeros(x.shape)
+    lengths = np.diff(matrix.row_offsets)
+    for k in range(int(lengths.max(initial=0))):
+        rows = np.flatnonzero(lengths > k)
+        at = matrix.row_offsets[rows] + k
+        out[rows] += matrix.values[at][:, None] * x[matrix.col_indices[at]]
+    return out
 
 
 class TestApplyMatchesDense:
@@ -215,6 +278,16 @@ class TestApplyMatchesDense:
         if block.ndim == 2:
             assert out.flags.f_contiguous
 
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(apply_cases(kinds=DIAGONAL_KINDS))
+    def test_diagonal_layout_is_the_sequential_row_sum_bit_for_bit(self, case):
+        matrix, block = case
+        assert matrix.layout == "diagonal"
+        out = matrix.apply(block)
+        assert out.shape == block.shape
+        expected = sequential_product(matrix, block)
+        assert np.ascontiguousarray(out.reshape(matrix.dim, -1)).tobytes() == expected.tobytes()
+
     def test_tail_passes_bound_the_gather(self, rng):
         # a dense pattern under TAIL_ROWS rows is all tail, in several passes
         n, m = 600, 4
@@ -231,6 +304,85 @@ class TestApplyMatchesDense:
         np.testing.assert_allclose(out, dense @ block, rtol=1e-12, atol=1e-10)
         # about one pass's gather (a single pass would gather n * n * m)
         assert peak < 2 * 8 * m * TAIL_PASS_ENTRIES
+
+
+def q1_pencil(nx, ny):
+    """The Q1 finite-element pencil K(x)M + M(x)K, M(x)M on an nx-by-ny grid."""
+    kx, mx = fe_matrices_1d(nx)
+    ky, my = fe_matrices_1d(ny)
+    return dense_to_csr(np.kron(kx, my) + np.kron(mx, ky)), dense_to_csr(np.kron(mx, my))
+
+
+def scattered(n, per_row, seed):
+    """A diagonal of 4 plus about ``per_row`` random off-diagonal pairs a row."""
+    rng = np.random.default_rng(seed)
+    pairs = np.unique(np.sort(rng.integers(0, n, (per_row * n, 2)), axis=1), axis=0)
+    pairs = pairs[pairs[:, 0] != pairs[:, 1]]
+    return csr_from_coo(n, [(i, i, 4.0) for i in range(n)]
+                        + [(int(i), int(j), float(rng.uniform(-1.0, 1.0))) for i, j in pairs])
+
+
+class TestApplyLayout:
+    """The layout each pattern gets: the diagonal one for stencil and
+    finite-element patterns, the jagged one for skewed or scattered rows
+    and for dense patterns (2n - 1 offsets against n entries a row)."""
+
+    def test_stencil_and_fe_patterns_take_the_diagonal_layout(self):
+        n = 12 * 16 * 21
+        stencil = grid_stencil((12, 16, 21),
+                               lambda size: np.r_[np.full(n, 6.0), -np.ones(size - n)])
+        assert stencil.layout == "diagonal"
+        assert sorted(p[3] for p in stencil._passes) == [-336, -21, -1, 0, 1, 21, 336]
+        a, b = q1_pencil(30, 40)
+        assert (a.layout, b.layout) == ("diagonal", "diagonal")
+        assert len(a._passes) == len(b._passes) == 9
+        for matrix in (stencil, a, b):
+            slots = sum(hi - lo for lo, hi, *_ in matrix._passes)
+            assert matrix.nnz <= slots <= DIAGONAL_FILL * matrix.nnz
+            assert matrix._inverse is None
+
+    @pytest.mark.parametrize("build", [
+        lambda: laplacian_from_edges(4000, heavy_tailed_edges(4000, seed=0)),
+        lambda: scattered(1500, 3, seed=1),
+        lambda: dense_to_csr(np.random.default_rng(2).standard_normal((600, 600))),
+    ], ids=["heavy-tailed laplacian", "scattered", "dense"])
+    def test_skewed_scattered_and_dense_patterns_stay_jagged(self, build):
+        matrix = build()
+        assert matrix.layout == "jagged"
+        assert not any(isinstance(p[3], int) for p in matrix._passes)
+
+    def test_diagonal_apply_holds_two_blocks(self, rng):
+        matrix = grid_stencil((12, 16, 21), lambda size: rng.uniform(-1.0, 1.0, size))
+        m = 10
+        block = np.asfortranarray(rng.standard_normal((matrix.dim, m)))
+        tracemalloc.start()
+        out = matrix.apply(block)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert out.flags.f_contiguous
+        # the accumulator, which is returned, and one shifted product, plus
+        # one ufunc buffer of numpy's
+        assert peak <= 2 * block.nbytes + 8 * np.getbufsize() + 4096
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entry_reaches_every_coupled_row(self, rng, bad):
+        dims = (9, 11)
+        matrix = grid_stencil(dims, lambda size: rng.uniform(0.5, 2.0, size))
+        assert matrix.layout == "diagonal"
+        block = rng.standard_normal((matrix.dim, 3))
+        j = 4 * dims[1]  # on the box's face: row j - 1 meets it through a padded slot
+        block[j, 1] = bad
+        out = matrix.apply(block)
+        rows = matrix.row_indices()
+        coupled = rows[matrix.col_indices == j]
+        assert coupled.size == 4
+        assert not np.isfinite(out[coupled, 1]).any()
+        # beyond the band nothing is touched, nor in the other columns
+        offsets = [p[3] for p in matrix._passes]
+        in_band = np.isin(j - np.arange(matrix.dim), offsets)
+        assert np.isfinite(out[~in_band, 1]).all()
+        assert np.isfinite(out[:, [0, 2]]).all()
 
 
 def test_laplacian_assembly_peak_per_stored_entry():
