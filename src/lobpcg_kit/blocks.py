@@ -5,10 +5,18 @@ handling, and the Rayleigh-Ritz projection.  A block vector is a float64
 ``(n, m)`` array of column vectors, held column-major (as in BLOPEX) so
 that broadcasts and column reductions run along n; :func:`block_mul` forms
 the solvers' ``V @ C`` so.  The metric B is any SPD
-:class:`~lobpcg_kit.operators.LinearOperator`.  The solvers hold a basis
-as ``(V, A V, B V)`` parts, and the one Rayleigh-Ritz here works on such
-parts without applying an operator (Hetmaniuk & Lehoucq, "Basis selection
-in LOBPCG", J. Comput. Phys. 218, 2006).
+:class:`~lobpcg_kit.operators.LinearOperator`.
+
+The solvers hold each part of a basis, and its operator products, as one
+*stack*: an ``(r, n, m)`` array whose members ``(A V, V, B V)`` are each
+column-major (:func:`stack_of`), so that B V is always ``stack[-1]``.  A
+standard problem's stack is ``(A V, V)``: its B V is V by layout, and no
+B member exists.  One broadcast matmul maps every member of a part
+(:func:`combine_parts`), and one forms a Gram block pair
+(:func:`part_grams`); each member still goes through the GEMM a single
+block would.  The one Rayleigh-Ritz here works on such parts without
+applying an operator (Hetmaniuk & Lehoucq, "Basis selection in LOBPCG",
+J. Comput. Phys. 218, 2006).
 """
 
 from __future__ import annotations
@@ -107,18 +115,41 @@ def residual_block(a_op: LinearOperator, b_op: LinearOperator, block: np.ndarray
     return op_apply(a_op, block) - op_apply(b_op, block) * ritz_values[None, :]
 
 
-def block_mul(block: np.ndarray, coeff: np.ndarray) -> np.ndarray:
-    """``block @ coeff`` as a column-major block."""
-    return (coeff.T @ block.T).T
-
-
 def _t(gram: np.ndarray) -> np.ndarray:
     """The transpose of a matrix, or of every matrix of a ``(k, m, m)`` stack."""
     return gram.swapaxes(-1, -2)
 
 
+def block_mul(block: np.ndarray, coeff: np.ndarray) -> np.ndarray:
+    """``block @ coeff`` as a column-major block, or for every member of a
+    stack of blocks (and of coefficients) in one broadcast matmul, as a
+    stack."""
+    return _t(_t(coeff) @ _t(block))
+
+
 def sym(gram: np.ndarray) -> np.ndarray:
     return 0.5 * (gram + _t(gram))
+
+
+def empty_stack(roles: int, n: int, m: int) -> np.ndarray:
+    """An uninitialized ``(roles, n, m)`` stack of column-major members."""
+    return _t(np.empty((roles, m, n)))
+
+
+def stack_of(*members: np.ndarray) -> np.ndarray:
+    """Blocks of one shape, such as ``(A V, V, B V)``, copied into one
+    stack."""
+    stack = empty_stack(len(members), *members[0].shape)
+    for slot, member in zip(stack, members):
+        slot[...] = member
+    return stack
+
+
+def product_stack(v: np.ndarray, a_op: LinearOperator, b_op: LinearOperator | None) -> np.ndarray:
+    """The stack ``(A V, V, B V)`` of a block V, A applied before B;
+    ``(A V, V)`` when ``b_op`` is None (no metric)."""
+    a_v = op_apply(a_op, v)
+    return stack_of(a_v, v) if b_op is None else stack_of(a_v, v, op_apply(b_op, v))
 
 
 #: Squared column norms in this range lose no digits to underflow and did
@@ -231,7 +262,14 @@ def b_orthonormalize_full(block: np.ndarray, b_op: LinearOperator | None,
     retry.  With ``b_op=None`` (identity) B is not applied: ``b_out is out``.
     """
     out, scale = unit_columns(block)
-    return orthonormal_passes(out, b_apply(b_op, out), counters, np.diag(1.0 / scale))
+    b_out = b_apply(b_op, out)
+    # the first pass's Gram matrix in the layout the caller's block has
+    first = gram_transform(sym(_finite_gram(out.T @ b_out)))
+    pair = out[None] if b_op is None else stack_of(out, b_out)
+    del b_out
+    stack, kept, transform = orthonormal_passes(pair, counters, np.diag(1.0 / scale), first)
+    out = stack[1].copy(order="F")  # so that the unformed A member is freed
+    return out, kept, transform, out if b_op is None else stack[2].copy(order="F")
 
 
 def unit_columns(block: np.ndarray):
@@ -243,63 +281,115 @@ def unit_columns(block: np.ndarray):
     return out / scale[None, :], scale
 
 
-def orthonormal_passes(out: np.ndarray, b_out: np.ndarray, counters: OpCounters | None = None,
+def orthonormal_passes(pair: np.ndarray, counters: OpCounters | None = None,
                        transform: np.ndarray | None = None, first=None):
-    """:func:`b_orthonormalize_full` from its scaled input ``out`` and
-    ``b_out = B @ out`` (``out`` itself for the identity metric), whose
-    column transform so far is ``transform`` (None: not tracked).
-    ``first`` is the first pass's :func:`gram_transform` when formed already.
+    """:func:`b_orthonormalize_full` from the stack ``pair`` of its scaled
+    input V and ``B V``, ``(V,)`` without a metric, whose column transform
+    so far is ``transform`` (None: not tracked).  ``first`` is the first
+    pass's :func:`gram_transform` when formed already.  Every pass maps V
+    and B V as one pair, into the last members of a new ``(A V, V, B V)``
+    stack (``(A V, V)`` without a metric) whose A V member it leaves
+    unformed, for the caller to fill: returns ``(stack, kept, transform)``.
     """
-    identity, kept = b_out is out, list(range(out.shape[1]))
+    kept = list(range(pair.shape[-1]))
     for _ in range(2):
-        pass_transform, pass_kept = first or gram_transform(sym(_finite_gram(out.T @ b_out)))
+        pass_transform, pass_kept = first or gram_transform(
+            sym(_finite_gram(pair[0].T @ pair[-1])))
         first = None
-        out = block_mul(out, pass_transform)
-        b_out = out if identity else block_mul(b_out, pass_transform)
+        stack = empty_stack(len(pair) + 1, pair.shape[1], pass_transform.shape[1])
+        np.matmul(pass_transform.T, _t(pair), out=_t(stack[1:]))
+        pair = stack[1:]
         if counters is not None:
             counters.orthonormalizations += 1
         kept = [kept[i] for i in pass_kept]
         if transform is not None:
             transform = transform @ pass_transform
-        defect = ortho_defect(_finite_gram(out.T @ b_out))
+        defect = ortho_defect(_finite_gram(pair[0].T @ pair[-1]))
         if defect <= ORTHO_POST_TOL:
-            return out, kept, transform, b_out
+            return stack, kept, transform
     raise OrthonormalizationError(f"orthonormality defect {defect:.3e} persists after retry")
 
 
 def b_orthonormalize_spans(out: np.ndarray, spans: list, b_op: LinearOperator | None,
-                           counters: OpCounters | None = None) -> list:
-    """:func:`orthonormal_passes` over column spans of a column-major block
-    of :func:`unit_columns`, from one apply of B to all of it, with the first
-    passes' Cholesky factors and inverses stacked over the spans of one
-    width: ``(W, B W)`` per span, None where nothing survives or the
-    post-check fails."""
-    b_out = b_apply(b_op, out)
-    views = [out[:, span] for span in spans]  # one each, so that B W stays W without B
-    pairs = list(zip(views, views if b_out is out else [b_out[:, span] for span in spans]))
-    del out, b_out
-    grams = [v.T @ b_v for v, b_v in pairs]
-    firsts = [None] * len(pairs)
+                           counters: OpCounters | None = None):
+    """:func:`orthonormal_passes` over the column spans that tile a
+    column-major block of :func:`unit_columns`, from one apply of B to all
+    of it, with the first passes' Cholesky factors and inverses stacked
+    over the spans of one width.  Returns ``(ws, kept)``: the survivors' W
+    side by side in one stack whose A W member is unformed (None when none
+    survive), and each span's surviving width, 0 where nothing survives or
+    the post-check fails.  Spans of one width that all pass after one pass
+    from the stacked factors are mapped by one matmul (:func:`_stacked_pass`).
+    """
+    pair = out[None] if b_op is None else stack_of(out, op_apply(b_op, out))
+    del out
+    widths = {span.stop - span.start for span in spans}
+    one_width = len(spans) > 1 and len(widths) == 1
+    ws = _stacked_pass(pair, widths.pop(), counters) if one_width else None
+    if ws is not None:
+        return ws, [span.stop - span.start for span in spans]
+    views = [pair[..., span] for span in spans]
+    del pair
+    grams = [view[0].T @ view[-1] for view in views]
+    firsts = [None] * len(views)
     for group in _groups([gram.shape if np.isfinite(gram).all() else None for gram in grams]):
         transforms, ok = stacked_cholesky_transforms(sym(np.stack([grams[i] for i in group])))
         for j in np.flatnonzero(ok):
             firsts[group[j]] = (transforms[j], list(range(transforms.shape[-1])))
-    results = []
-    for (v, b_v), gram, first in zip(pairs, grams, firsts):
-        try:
-            first = first or gram_transform(sym(_finite_gram(gram)))
-            v, _, _, b_v = orthonormal_passes(v, b_v, counters, first=first)
-        except (ZeroRankError, OrthonormalizationError):
-            v = None
-        results.append(None if v is None else (v, b_v))
-    return results
+    stacks = [_span_passes(view, gram, first, counters)
+              for view, gram, first in zip(views, grams, firsts)]
+    del views  # and so the pair, before the survivors are joined
+    kept = [0 if stack is None else stack.shape[-1] for stack in stacks]
+    stacks = [stack for stack in stacks if stack is not None]
+    if len(stacks) < 2:
+        return (stacks[0] if stacks else None), kept
+    ws, lo = empty_stack(len(stacks[0]), stacks[0].shape[1], sum(kept)), 0
+    for stack in stacks:
+        ws[1:, :, lo:lo + stack.shape[-1]] = stack[1:]
+        lo += stack.shape[-1]
+    return ws, kept
+
+
+def _span_passes(view: np.ndarray, gram: np.ndarray, first, counters: OpCounters | None):
+    """One span's :func:`orthonormal_passes` stack from its ``view`` of the
+    pair and its first Gram matrix; None where nothing survives or the
+    post-check fails."""
+    try:
+        first = first or gram_transform(sym(_finite_gram(gram)))
+        return orthonormal_passes(view, counters, first=first)[0]
+    except (ZeroRankError, OrthonormalizationError):
+        return None
+
+
+def _stacked_pass(pair: np.ndarray, width: int, counters: OpCounters | None):
+    """:func:`b_orthonormalize_spans`' W stack for spans all ``width``
+    wide, by one stacked pass from the stacked Cholesky factors, each
+    member through the GEMMs a span's own pass makes; None when a span
+    leaves that path or fails its post-check, for the spans' own passes."""
+    subs = sub_block_stack(pair, width)
+    grams = _t(subs[0]) @ subs[-1]
+    if not np.isfinite(grams).all():
+        return None
+    transforms, ok = stacked_cholesky_transforms(sym(grams))
+    if not ok.all():
+        return None
+    ws = empty_stack(len(pair) + 1, pair.shape[1], pair.shape[-1])
+    np.matmul(_t(transforms), _t(subs), out=_t(sub_block_stack(ws[1:], width)))
+    mapped = sub_block_stack(ws, width)
+    post = _t(mapped[1]) @ mapped[-1]
+    if not (np.abs(post - np.eye(width)).max(axis=(1, 2)) <= ORTHO_POST_TOL).all():
+        return None  # NaN included
+    if counters is not None:
+        counters.orthonormalizations += len(grams)
+    return ws
 
 
 def sub_block_stack(block: np.ndarray, width: int, cols: int | None = None) -> np.ndarray:
     """A column-major block's consecutive width-``width`` sub-blocks (their
-    first ``cols`` columns) as a ``(k, n, cols)`` stack of views."""
-    stack = block.T.reshape(-1, width, block.shape[0])
-    return _t(stack if cols is None else stack[:, :cols])
+    first ``cols`` columns) as a ``(k, n, cols)`` stack of views; for a
+    stack of ``r`` such blocks, an ``(r, k, n, cols)`` stack."""
+    subs = _t(block).reshape(block.shape[:-2] + (-1, width, block.shape[-2]))
+    return _t(subs if cols is None else subs[..., :cols, :])
 
 
 def _checked_orthonormalize(block, b_op, counters=None):
@@ -338,55 +428,54 @@ def fix_signs(vectors: np.ndarray, *companions: np.ndarray) -> None:
             array *= sign
 
 
-def combine_parts(parts, coeff: np.ndarray, plus=None):
-    """``(S C, A S C, B S C)`` (plus the triple ``plus``) for a basis S held
-    as ``(V, A V, B V)`` parts, without stacking them; B S C is S C itself
-    when every part's B-product is the part."""
-    aliased = all(b_v is v for v, _, b_v in parts)
+def combine_parts(parts, coeff: np.ndarray, plus: np.ndarray | None = None) -> np.ndarray:
+    """The stack of ``S C`` and its products (plus the stack ``plus``) for a
+    basis S held as part stacks, without joining them: one
+    :func:`block_mul` maps every member of a part."""
     out, row = None, 0
     for part in parts:
-        rows = coeff[row:row + part[0].shape[1]]
+        rows = coeff[row:row + part.shape[-1]]
         row += rows.shape[0]
-        pieces = [block_mul(block, rows) for block in part[:2 if aliased else 3]]
+        piece = block_mul(part, rows)
         if out is None:
-            out = pieces
+            out = piece
         else:
-            for total, piece in zip(out, pieces):
-                total += piece
-    for total, piece in zip(out, plus or ()):
-        total += piece
-    return out[0], out[1], out[0] if aliased else out[2]
+            out += piece
+    if plus is not None:
+        out += plus
+    return out
 
 
 def part_grams(parts, ritz_values: np.ndarray | None = None):
-    """Projected A- and B-Gram matrices of a basis held as ``(V, A V, B V)``
-    parts, formed over the upper block triangle.  With ``ritz_values``, every
-    part is taken to be B-orthonormal and the first to be the Ritz block of
-    those values, so diag(ritz_values) and the diagonal B-blocks I are not
-    formed.  Off-diagonal B-blocks use the earlier part's B-product: the
-    carried B P of the last part, whose drift compounds, never enters.
-    Parts may be ``(k, n, m)`` stacks of k bases alike, with ``(k, m)``
-    values; the Gram matrices are then ``(k, m, m)`` stacks.
+    """Projected A- and B-Gram matrices of a basis held as part stacks,
+    formed over the upper block triangle into one array, a block pair
+    ``(U^T A V, (B U)^T V)`` as one matmul of ``(U, B U)`` by ``(A V, V)``.
+    With ``ritz_values``, every part is taken to be B-orthonormal and the
+    first to be the Ritz block of those values, so diag(ritz_values) and the
+    diagonal B-blocks I are not formed.  Off-diagonal B-blocks use the
+    earlier part's B-product: the carried B P of the last part, whose drift
+    compounds, never enters.  Parts may be ``(r, k, n, m)`` stacks of k
+    bases alike, with ``(k, m)`` values; the Gram matrices are then
+    ``(k, m, m)`` stacks.
     """
-    edges = np.cumsum([0] + [v.shape[-1] for v, _, _ in parts])
-    shape = parts[0][0].shape[:-2] + (edges[-1], edges[-1])
-    gram_a, gram_b = np.zeros(shape), np.zeros(shape)
+    edges = np.cumsum([0] + [part.shape[-1] for part in parts])
+    grams = np.zeros((2,) + parts[0].shape[1:-2] + (edges[-1], edges[-1]))  # A, then B
     diagonal = np.arange(edges[-1])
-    gram_b[..., diagonal, diagonal] = 1.0
-    for i, (u, _, b_u) in enumerate(parts):
+    grams[1][..., diagonal, diagonal] = 1.0
+    for i, u in enumerate(parts):
         for j in range(i, len(parts)):
-            v, a_v, b_v = parts[j]
+            v = parts[j]
             rows, cols = slice(edges[i], edges[i + 1]), slice(edges[j], edges[j + 1])
             if i == j and ritz_values is not None:
                 if i == 0:
-                    gram_a[..., diagonal[rows], diagonal[rows]] = ritz_values
+                    grams[0][..., diagonal[rows], diagonal[rows]] = ritz_values
                 else:
-                    gram_a[..., rows, cols] = _t(u) @ a_v
+                    grams[0][..., rows, cols] = _t(u[1]) @ v[0]
                 continue
-            gram_a[..., rows, cols], gram_b[..., rows, cols] = _t(u) @ a_v, _t(b_u) @ v
-            gram_a[..., cols, rows] = _t(gram_a[..., rows, cols])
-            gram_b[..., cols, rows] = _t(gram_b[..., rows, cols])
-    return sym(gram_a), sym(gram_b)
+            grams[..., rows, cols] = _t(u[1:]) @ v[:2]
+            grams[..., cols, rows] = _t(grams[..., rows, cols])
+    gram_a, gram_b = sym(grams)
+    return gram_a, gram_b
 
 
 def ritz_coefficients(gram_a: np.ndarray, gram_b: np.ndarray, want: int,
@@ -481,42 +570,42 @@ def carried_rayleigh_ritz(parts, want: int, gram_a: np.ndarray | None = None,
     """Smallest ``want`` Ritz pairs over the span of a basis from carried
     products.
 
-    The basis is the column concatenation of ``parts``, a list of
-    ``(V, A V, B V)`` triples, with :func:`part_grams` ``gram_a``/``gram_b``;
-    it is never stacked.  Returns ``(values, vectors, a_vectors, b_vectors,
-    coefficients, tail)`` with ``vectors = basis @ coefficients``, products
-    alike, summed as ``parts[0]``'s share plus ``tail``, the other parts'
-    (None for one part); no operator is applied.  The Ritz block's
-    B-orthonormality is post-checked once, from the mapped product: a defect
-    above :data:`ORTHO_POST_TOL`, or NaN, raises OrthonormalizationError, and
-    the caller's fallback runs.  ``cond_limit`` is :func:`gram_transform`'s,
-    and ``first`` the :func:`ritz_coefficients` when they were formed already.
+    The basis is the column concatenation of ``parts``, a list of part
+    stacks, with :func:`part_grams` ``gram_a``/``gram_b``; it is never
+    joined.  Returns ``(values, ritz, coefficients, tail)``: ``ritz`` is
+    the stack of the Ritz block ``basis @ coefficients`` and its products,
+    summed as ``parts[0]``'s share plus ``tail``, the other parts' (None for
+    one part); no operator is applied.  The Ritz block's B-orthonormality
+    is post-checked once, from the mapped product: a defect above
+    :data:`ORTHO_POST_TOL`, or NaN, raises OrthonormalizationError, and the
+    caller's fallback runs.  ``cond_limit`` is :func:`gram_transform`'s, and
+    ``first`` the :func:`ritz_coefficients` when they were formed already.
     """
     if gram_a is None:
         gram_a, gram_b = part_grams(parts)
     values, coeff = first or ritz_coefficients(gram_a, gram_b, want, cond_limit)
-    rows = parts[0][0].shape[1]
+    rows = parts[0].shape[-1]
     tail = combine_parts(parts[1:], coeff[rows:]) if len(parts) > 1 else None
-    x, a_x, b_x = combine_parts(parts[:1], coeff[:rows], tail)
-    defect = ortho_defect(x.T @ b_x)
+    ritz = combine_parts(parts[:1], coeff[:rows], tail)
+    defect = ortho_defect(ritz[1].T @ ritz[-1])
     if not defect <= ORTHO_POST_TOL:
         raise OrthonormalizationError(
             f"Ritz block orthonormality defect {defect:.3e} fails the post-check")
-    return values, x, a_x, b_x, coeff, tail
+    return values, ritz, coeff, tail
 
 
-def b_normalized(direction):
-    """``(V, A V, B V)``, B-orthonormalized from its products until they
-    pass the post-check, twice at most; None when that fails."""
+def b_normalized(direction: np.ndarray):
+    """A part stack B-orthonormalized from its products until they pass
+    the post-check, twice at most; None when that fails."""
     for _ in range(2):
-        gram = direction[0].T @ direction[2]
+        gram = direction[1].T @ direction[-1]
         if ortho_defect(gram) <= ORTHO_POST_TOL:
             return direction
         try:
             direction = combine_parts([direction], gram_basis(sym(gram)))
         except InsufficientRankError:
             return None
-    return direction if ortho_defect(direction[0].T @ direction[2]) <= ORTHO_POST_TOL else None
+    return direction if ortho_defect(direction[1].T @ direction[-1]) <= ORTHO_POST_TOL else None
 
 
 def _tail_gram(coeff: np.ndarray, gram_b: np.ndarray, rows: int):
@@ -555,7 +644,7 @@ def stacked_direction_coefficients(coeff: np.ndarray, gram_b: np.ndarray, rows: 
 
 def next_direction(ritz, tail, coeff: np.ndarray, gram_b: np.ndarray, rows: int,
                    combined: np.ndarray | None = None):
-    """The step's next ``(P, A P, B P)`` or None: ``coeff``, ``rows`` zeroed,
+    """The step's next P stack or None: ``coeff``, ``rows`` zeroed,
     B-orthogonalized to ``coeff`` (by M) and normalized (by T) through
     ``gram_b``, is mapped as ``tail T - ritz (M T)`` and :func:`b_normalized`.
     ``combined`` is ``[T; -M T]`` when formed already."""
@@ -579,7 +668,9 @@ def rayleigh_ritz(basis: np.ndarray, a_op: LinearOperator, b_op: LinearOperator,
     if counters is not None:
         counters.rayleigh_ritz_calls += 1
     ortho, _, transform, b_ortho = _checked_orthonormalize(basis, b_op, counters)
-    values, *_, coeff, _ = carried_rayleigh_ritz([(ortho, op_apply(a_op, ortho), b_ortho)], want)
+    a_ortho = op_apply(a_op, ortho)
+    part = stack_of(a_ortho, ortho) if b_op is None else stack_of(a_ortho, ortho, b_ortho)
+    values, _, coeff, _ = carried_rayleigh_ritz([part], want)
     coeff = transform @ coeff
     vectors = basis @ coeff  # as a caller forms it: the product is exact
     fix_signs(vectors, coeff)
@@ -603,6 +694,8 @@ def b_project_out(block: np.ndarray, basis: np.ndarray, b_basis: np.ndarray) -> 
     """Remove the B-projection onto span(basis) from every column.
 
     ``b_basis`` is the precomputed ``B @ basis`` of a B-orthonormal basis,
-    or :func:`b_dual_basis` of any basis.
+    or :func:`b_dual_basis` of any basis.  ``block`` may be a ``(k, n, w)``
+    stack of blocks, projected off one basis or off a stack of k bases in
+    one broadcast matmul each.
     """
-    return block - block_mul(basis, b_basis.T @ block)
+    return block - block_mul(basis, _t(b_basis) @ block)

@@ -195,6 +195,7 @@ def cmd_solve(args, flags: list[str]) -> int:
             args.variant, args.seed, dataclasses.asdict(cfg),
         ),
         "status": result.status,
+        "cause": result.cause,
         "eigenvalues": list(result.values),
         "iterations": result.iterations,
         "residual_norms_final": list(result.residual_norms),

@@ -265,7 +265,10 @@ def _coo_columns(records: Iterable) -> tuple[np.ndarray, np.ndarray, np.ndarray]
         return records["i"], records["j"], records["v"]
     records = records if isinstance(records, list) else list(records)
     try:
-        raw = np.fromiter(map(tuple, records), _RAW_TRIPLET, len(records))
+        try:  # records that are tuples already, as most are
+            raw = np.fromiter(records, _RAW_TRIPLET, len(records))
+        except (ValueError, TypeError):  # lists, or records of the wrong length
+            raw = np.fromiter(map(tuple, records), _RAW_TRIPLET, len(records))
     except OverflowError:  # an integer beyond the float range: as an index, inf
         raw = np.array([(*(x if abs(x) < 2**63 else np.inf for x in r[:2]), r[2])
                         for r in map(tuple, records)], _RAW_TRIPLET)
@@ -451,12 +454,24 @@ def laplacian_from_edges(n: int, edges: Iterable[tuple[int, int, float]]) -> Spa
     return SparseSymMatrix(n, *_laplacian_csr(n, u, v, w))
 
 
+def _radix_order(keys: np.ndarray, top: int) -> np.ndarray:
+    """``np.argsort(keys, kind="stable")`` of non-negative int64 keys of at
+    most ``top``: stable argsorts of their 16-bit digits, least significant
+    first, which numpy runs as radix sorts, as many as ``top`` needs."""
+    order = np.arange(keys.size)
+    for shift in range(0, max(int(top).bit_length(), 1), 16):
+        digit = (keys >> shift).astype(np.uint16)  # the low 16 bits
+        order = order[np.argsort(digit[order], kind="stable")]
+    return order
+
+
 def _laplacian_csr(n: int, u: np.ndarray, v: np.ndarray, w: np.ndarray):
     """Row offsets, columns and values of the Laplacian of valid edges.
 
     The input is symmetric by construction, so there is no mirror search:
     per edge, in input order, keys (u, v) and (v, u) hold -w, and one
-    diagonal key per vertex with an edge holds its degree.  ``np.bincount``
+    diagonal key per vertex with an edge holds its degree; they are put in
+    CSR order by :func:`_radix_order`.  ``np.bincount``
     sums in input order from +0.0, so every entry is bit for bit the sum
     :func:`csr_from_coo` forms from the four triplets per edge.  Its
     temporaries are freed before :class:`SparseSymMatrix` builds its copy.
@@ -465,7 +480,7 @@ def _laplacian_csr(n: int, u: np.ndarray, v: np.ndarray, w: np.ndarray):
     touched = np.flatnonzero(np.bincount(ends, minlength=n))
     degree = np.bincount(ends, weights=np.repeat(w, 2), minlength=n)[touched]
     keys = np.concatenate([ends * n + np.column_stack([v, u]).ravel(), touched * (n + 1)])
-    order = np.argsort(keys, kind="stable")
+    order = _radix_order(keys, n * n - 1)
     keys = keys[order]
     fresh = np.r_[True, keys[1:] != keys[:-1]]
     values = np.bincount(np.cumsum(fresh) - 1,

@@ -18,9 +18,11 @@ Rayleigh-Ritz projection, B-normalization from products) lives in
 :func:`drive`, runs every solver and recomputes A X and B X explicitly
 before a convergence claim and at ``max_iter``, so statuses rest on
 explicit products; in between, the carried products' drift stays at
-rounding level.  Without a metric, B X, B W and B P are X, W and P
-themselves.  X and P share the product of [W, P]; P is B-orthogonalized
-to X and normalized in their coefficient space.
+rounding level.  Each of X, W and P is held with its products as one
+:mod:`~lobpcg_kit.blocks` stack ``(A V, V, B V)``, so that one matmul
+maps all of them; without a metric the stack is ``(A V, V)`` and B V is V
+by layout.  X and P share the product of [W, P]; P is B-orthogonalized to
+X and normalized in their coefficient space.
 The Gram blocks known by construction (X^T A X = diag(theta),
 X^T B X = W^T B W = P^T B P = I) are formed only once the residuals fall
 below :data:`EXPLICIT_GRAM_RTOL` (scipy's ``explicitGramFlag``).
@@ -37,7 +39,6 @@ import numpy as np
 from .blocks import (
     ORTHO_POST_TOL,
     OpCounters,
-    b_apply,
     b_dual_basis,
     b_normalized,
     b_orthonormalize_full,
@@ -50,6 +51,8 @@ from .blocks import (
     next_direction,
     ortho_defect,
     part_grams,
+    product_stack,
+    stack_of,
     stacked_first_trials,
     sub_block_stack,
     unit_columns,
@@ -161,7 +164,9 @@ class SolveResult:
     ``iterations`` counts subspace-update steps actually performed, so a
     start that is already converged reports 0.  ``vectors`` holds the
     ``nev`` B-orthonormal Ritz vectors even for ``max_iter``/``breakdown``
-    outcomes (best so far, never discarded).
+    outcomes (best so far, never discarded).  ``cause`` names the class and
+    message of the error that ended a run in ``breakdown``, and is None for
+    any other status.
     """
 
     values: np.ndarray
@@ -171,6 +176,7 @@ class SolveResult:
     residual_norms: np.ndarray
     history: list[IterationRecord] = field(default_factory=list)
     counters: OpCounters = field(default_factory=OpCounters)
+    cause: str | None = None
 
 
 class _CountingOperator(LinearOperator):
@@ -195,19 +201,9 @@ class _Breakdown(LobpcgKitError):
     non-finite values: like any error of this package, it ends a run."""
 
 
-def _require_finite(*blocks: np.ndarray) -> None:
-    if not all(np.isfinite(block).all() for block in blocks):
-        raise _Breakdown
-
-
-def _columns(triple, cols):
-    """Columns ``cols`` of a ``(V, A V, B V)`` triple, the triple itself if
-    they are all its columns; B V stays V itself."""
-    v, a_v, b_v = triple
-    if cols == slice(0, v.shape[1]):
-        return triple
-    block = v[:, cols]
-    return block, a_v[:, cols], block if b_v is v else b_v[:, cols]
+def _require_finite(stack: np.ndarray) -> None:
+    if not np.isfinite(stack).all():
+        raise _Breakdown("non-finite product")
 
 
 class LobpcgEngine:
@@ -229,10 +225,11 @@ class LobpcgEngine:
     sub-block its slice of the Ritz vectors, in ascending order, and its P
     B-projected off them.  A coupling merges sub-blocks, so a state of one
     sub-block, block LOBPCG, couples only to restore its X's
-    B-orthonormality.  ``AX``/``BX`` and ``AP``/``BP`` hold the carried
-    operator products of ``X`` and the previous-direction block ``P``,
-    whose first ``p_cols[k]`` columns of slice k are sub-block k's (none at
-    0); with ``b_op=None`` there is no B and they are ``X``/``P``.
+    B-orthonormality.  ``xs`` and ``ps`` are the stacks ``(A X, X, B X)``
+    and ``(A P, P, B P)`` of the iterate block X and the previous-direction
+    block P with their carried products, ``(A X, X)`` and ``(A P, P)``
+    with ``b_op=None``; the first ``p_cols[k]`` columns of slice k of P are
+    sub-block k's (none at 0).
 
     A diagonal or sparse ``b_op`` with a diagonal entry <= 0 is not
     positive definite and raises :class:`NotPositiveDefiniteError` before
@@ -275,6 +272,9 @@ class LobpcgEngine:
         else:
             start = self._rng.standard_normal((self.dim, self.block_size))
         start, b_start = self._full_rank_start(start)
+        a_start = op_apply(self.a_op, start)
+        start = stack_of(a_start, start, *(() if self.b_op is None else (b_start,)))
+        del a_start, b_start
 
         # an empty state stepped as sub-blocks, none of which carries directions yet
         width, sub_block = self.block_size, cfg.sub_block or self.block_size
@@ -284,12 +284,10 @@ class LobpcgEngine:
         self._fresh = True  # while A X and B X are explicit products: from the start, on refresh
         self._explicit_grams = np.zeros(len(self.slices), dtype=bool)  # see EXPLICIT_GRAM_RTOL
         self.p_cols = np.zeros(len(self.slices), dtype=int)
-        self.P = self.AP = self.BP = None
+        self.ps = None
         if len(self.slices) > 1:  # the sub-blocks write their P into its columns
-            self.P = np.zeros((self.dim, width), order="F")
-            self.AP = np.zeros_like(self.P)
-            self.BP = self.P if self.b_op is None else np.zeros_like(self.P)
-        self._start(start, op_apply(self.a_op, start), b_start)
+            self.ps = np.zeros_like(start)
+        self._start(start)
 
     # -- setup helpers -------------------------------------------------
 
@@ -344,41 +342,41 @@ class LobpcgEngine:
             f"could not build a rank-{self.block_size} start block"
         )
 
-    def _start(self, x: np.ndarray, a_x: np.ndarray, b_x: np.ndarray) -> None:
-        """Couple on the B-orthonormal start block ``x`` and its products;
-        when a product is not finite or the Rayleigh-Ritz fails, keep ``x``
-        with NaN Ritz values instead, so that the first step breaks down."""
+    def _start(self, xs: np.ndarray) -> None:
+        """Couple on the stack ``xs`` of the B-orthonormal start block; when
+        a product is not finite or the Rayleigh-Ritz fails, keep it with NaN
+        Ritz values instead, so that the first step breaks down."""
         try:
-            self.couple(x, a_x, b_x)
+            self.couple(xs)
         except LobpcgKitError:
-            self.ritz_values, self.X, self.AX, self.BX = np.full(x.shape[1], np.nan), x, a_x, b_x
+            self.ritz_values, self.xs = np.full(xs.shape[-1], np.nan), xs
             self._update_residuals()
 
-    def couple(self, x: np.ndarray, a_x: np.ndarray, b_x: np.ndarray, keep: bool = True) -> None:
-        """Make the Ritz pairs of span(x), from its products, the state: the
-        shared Rayleigh-Ritz of every sub-block, widened by random columns
-        when they collapse.  Every sub-block keeps its P, B-projected off
-        the new X, if ``keep``."""
-        _require_finite(a_x, b_x)
+    def couple(self, xs: np.ndarray, keep: bool = True) -> None:
+        """Make the Ritz pairs of span(X), from the stack ``xs`` of X and its
+        products, the state: the shared Rayleigh-Ritz of every sub-block,
+        widened by random columns when they collapse.  Every sub-block keeps
+        its P, B-projected off the new X, if ``keep``."""
+        _require_finite(xs)
         self.counters.rayleigh_ritz_calls += 1
-        parts = [(x, a_x, b_x)]
+        parts = [xs]
         try:
-            values, x, a_x, b_x, _, _ = carried_rayleigh_ritz(parts, self.block_size)
+            values, xs, _, _ = carried_rayleigh_ritz(parts, self.block_size)
         except InsufficientRankError:
             # recurrences collapsed: widen the span with random columns
-            fill = self._deflate(self._rng.standard_normal((x.shape[0], self.block_size)))
-            parts.append((fill, op_apply(self.a_op, fill), b_apply(self.b_op, fill)))
-            _require_finite(*parts[1])
-            values, x, a_x, b_x, _, _ = carried_rayleigh_ritz(parts, self.block_size)
+            fill = self._deflate(self._rng.standard_normal((self.dim, self.block_size)))
+            parts.append(product_stack(fill, self.a_op, self.b_op))
+            _require_finite(parts[1])
+            values, xs, _, _ = carried_rayleigh_ritz(parts, self.block_size)
         del parts
-        self.ritz_values, self.X, self.AX, self.BX = values, x, a_x, b_x
+        self.ritz_values, self.xs = values, xs
         for k in range(len(self.slices)):
             direction = None
             if keep and self.p_cols[k]:  # P -= X (B X)^T P, one sub-block at a time
                 self.counters.orthonormalizations += 1
                 p = self._parts(k)[1]
                 direction = b_normalized(combine_parts(  # P may hold fewer than nb columns
-                    [p, (x, a_x, b_x)], np.vstack([np.eye(p[0].shape[1]), -(b_x.T @ p[0])])))
+                    [p, xs], np.vstack([np.eye(p.shape[-1]), -(xs[-1].T @ p[1])])))
             self._keep_direction(k, direction)
         self._update_residuals()
 
@@ -386,11 +384,11 @@ class LobpcgEngine:
 
     def _update_residuals(self) -> None:
         """Residuals and their norms, and X's column norms, of a new state."""
-        self.R = self.AX - self.BX * self.ritz_values[None, :]
+        self.R = self.xs[0] - self.xs[-1] * self.ritz_values[None, :]
         if self.constraints is not None:  # the pencil's residual off span(Y)
             self.R = b_project_out(self.R, self.b_constraints, self.constraints)
         self.residual_norms = column_norms(self.R)
-        self._x_norms = column_norms(self.X)
+        self._x_norms = column_norms(self.xs[1])
 
     def _refresh_products(self, keep: bool = True) -> None:
         """Recompute A X and B X explicitly, and the residuals from them.
@@ -401,13 +399,13 @@ class LobpcgEngine:
         ``keep``.  Raises the internal breakdown signal, leaving the state
         untouched, when a product is not finite.
         """
-        a_x, b_x = op_apply(self.a_op, self.X), b_apply(self.b_op, self.X)
-        _require_finite(a_x, b_x)
-        if len(self.slices) > 1 or ortho_defect(self.X.T @ b_x) > ORTHO_POST_TOL:
-            self.couple(self.X, a_x, b_x, keep)
+        xs = product_stack(self.xs[1], self.a_op, self.b_op)
+        _require_finite(xs)
+        if len(self.slices) > 1 or ortho_defect(xs[1].T @ xs[-1]) > ORTHO_POST_TOL:
+            self.couple(xs, keep)
             self._last_basis_cols += self.block_size  # the round's columns, then the coupling's
         else:
-            self.AX, self.BX = a_x, b_x
+            self.xs = xs
             if not keep:
                 self._keep_direction(0, None)
             self._update_residuals()
@@ -438,7 +436,7 @@ class LobpcgEngine:
         coupled = (len(self.slices) > 1 and not self._fresh
                    and self.iterations % self.cfg.rr_period == 0)
         if coupled:
-            self.couple(self.X, self.AX, self.BX)
+            self.couple(self.xs)
         conv = self.converged_mask()
         if conv.all():
             conv[:] = False
@@ -454,7 +452,7 @@ class LobpcgEngine:
         widths = self._advance_round(moving) if moving else []
         if not widths:
             if self._fresh and not self.p_cols.any():
-                raise _Breakdown
+                raise _Breakdown("no sub-block moved on explicit products")
             self._refresh_products(keep=False)
             self.iterations, self._last_basis_cols = self.iterations + 1, self.block_size
             return
@@ -463,34 +461,33 @@ class LobpcgEngine:
         self._fresh, self._last_basis_cols = False, self.block_size * coupled + sum(widths)
 
     def _parts(self, k: int) -> list:
-        """Sub-block k's ``(X, A X, B X)`` and, if it has one and the state
-        uses it, its ``(P, A P, B P)``: the state's blocks or views of them."""
+        """Sub-block k's X stack and, if it has one and the state uses it,
+        its P stack: views of the state's stacks."""
         cols = self.slices[k]
-        parts = [_columns((self.X, self.AX, self.BX), cols)]
+        parts = [self.xs[..., cols]]
         if self.p_cols[k] and self.use_history_direction:
-            parts.append(_columns((self.P, self.AP, self.BP),
-                                  slice(cols.start, cols.start + self.p_cols[k])))
+            parts.append(self.ps[..., cols.start:cols.start + self.p_cols[k]])
         return parts
 
-    def _keep(self, k: int, names: tuple, blocks) -> None:
-        """Put sub-block k's ``blocks`` in the state's blocks ``names``: a
-        state of one sub-block holds them by reference (None included), a
-        state of several writes them into the sub-block's leading columns."""
-        lo = self.slices[k].start
-        for name, block in zip(names, blocks):
-            if len(self.slices) == 1:
-                setattr(self, name, block)
-            elif block is not None:
-                getattr(self, name)[:, lo:lo + block.shape[1]] = block
+    def _keep(self, k: int, name: str, stack) -> None:
+        """Put sub-block k's ``stack`` in the state's stack ``name``: a state
+        of one sub-block holds it by reference (None included), a state of
+        several writes it into the sub-block's leading columns."""
+        if len(self.slices) == 1:
+            setattr(self, name, stack)
+        elif stack is not None:
+            lo = self.slices[k].start
+            getattr(self, name)[..., lo:lo + stack.shape[-1]] = stack
 
     def _keep_direction(self, k: int, direction) -> None:
-        """Keep sub-block k's carried ``(P, A P, B P)``, or None, in the state."""
-        self.p_cols[k] = 0 if direction is None else direction[0].shape[1]
-        self._keep(k, ("P", "AP", "BP"), direction or (None,) * 3)
+        """Keep sub-block k's carried P stack, or None, in the state."""
+        self.p_cols[k] = 0 if direction is None else direction.shape[-1]
+        self._keep(k, "ps", direction)
 
     def _join(self, widths: list, blocks) -> np.ndarray:
         """The ``blocks``, of ``widths`` columns, side by side in one
-        column-major block, taken one at a time; the block itself if one."""
+        column-major block, taken one at a time (a ``(k, n, w)`` stack
+        member by member); the block itself if one."""
         if len(widths) == 1:
             return next(iter(blocks))
         out, edges = np.empty((self.dim, sum(widths)), order="F"), [0, *accumulate(widths)]
@@ -502,95 +499,101 @@ class LobpcgEngine:
         """Both phases of a step for every moving sub-block, ``(k, active
         columns)``, with one preconditioner, B and A apply each; returns
         the trial widths of the sub-blocks that moved.  Phase 1 makes W from
-        the active residuals: projected off the whole X (one B-dual basis)
-        when there are several sub-blocks, preconditioned, deflated,
-        B-projected off the sub-block's own X and B-orthonormalized."""
+        the active residuals (:meth:`_unit_directions`) and
+        B-orthonormalizes it, into one stack for phase 2."""
         widths = [active.size for _, active in moving]
+        edges = [0, *accumulate(widths)]
+        spans = [slice(lo, hi) for lo, hi in zip(edges[:-1], edges[1:])]
+        ws, kept = b_orthonormalize_spans(self._unit_directions(moving, widths, spans), spans,
+                                          self.b_op, self.counters)
+        if ws is None:
+            return []
+        blocks = [k for (k, _), cols in zip(moving, kept) if cols]
+        ws[0] = op_apply(self.a_op, ws[1])
+        return self._rayleigh_ritz_round(blocks, [0, *accumulate(filter(None, kept))], ws)
+
+    def _unit_directions(self, moving: list, widths: list, spans: list) -> np.ndarray:
+        """Phase 1 up to W's orthonormalization, side by side in one block:
+        the active residuals, projected off the whole X (one B-dual basis)
+        when there are several sub-blocks, preconditioned, deflated,
+        B-projected off each sub-block's own X and scaled to unit columns.
+        When every column of several sub-blocks moves, each projection is
+        one batched call over the sub-blocks."""
+        whole = len(self.slices) > 1 and sum(widths) == self.block_size
+        width = self.slices[0].stop
         if len(self.slices) == 1:  # the sub-block's own X is the whole X
             residuals = self.R[:, moving[0][1]]
         else:
-            dual = b_dual_basis(self.X, self.BX)
-            residuals = self._join(widths, (b_project_out(self.R[:, active], self.X, dual)
-                                            for _, active in moving))
-            del dual
+            x = self.xs[1]
+            dual = b_dual_basis(x, self.xs[-1])
+            residuals = self._join(widths, b_project_out(sub_block_stack(self.R, width), x, dual)
+                                   if whole else (b_project_out(self.R[:, active], x, dual)
+                                                  for _, active in moving))
+            del x, dual
         directions = self.precond.apply(residuals)
         del residuals
-        edges = [0, *accumulate(widths)]
-        spans = [slice(lo, hi) for lo, hi in zip(edges[:-1], edges[1:])]
-        own = [_columns((self.X, self.AX, self.BX), self.slices[k]) for k, _ in moving]
-        out = self._join(widths, (
-            unit_columns(b_project_out(self._deflate(directions[:, span]), x, b_x))[0]
-            for (x, _, b_x), span in zip(own, spans)))
-        del directions, own
-        steps = [(k, *step) for (k, _), step in zip(
-            moving, b_orthonormalize_spans(out, spans, self.b_op, self.counters)) if step]
-        del out
-        if not steps:
-            return []
-        # W and B W join into the A apply's input, and the blocks of phase 1 are freed
-        widths = [w.shape[1] for _, w, _ in steps]
-        w_all = self._join(widths, (w for _, w, _ in steps))
-        b_w_all = w_all if self.b_op is None else self._join(widths, (b_w for _, _, b_w in steps))
-        blocks = [k for k, _, _ in steps]
-        del steps
-        a_w_all = op_apply(self.a_op, w_all)
-        return self._rayleigh_ritz_round(blocks, [0, *accumulate(widths)],
-                                         (w_all, a_w_all, b_w_all))
+        if whole:
+            own = sub_block_stack(self.xs, width)
+            return unit_columns(self._join(widths, b_project_out(
+                self._deflate(sub_block_stack(directions, width)), own[1], own[-1])))[0]
+        own = [self.xs[..., self.slices[k]] for k, _ in moving]
+        return self._join(widths, (
+            unit_columns(b_project_out(self._deflate(directions[:, span]), x[1], x[-1]))[0]
+            for x, span in zip(own, spans)))
 
-    def _rayleigh_ritz_round(self, blocks: list, edges: list, directions) -> list:
-        """Phase 2 for the sub-blocks ``blocks``, whose W, A W and B W are
-        the column spans between ``edges`` of ``directions``, with the first
-        trials' small dense work stacked."""
+    def _rayleigh_ritz_round(self, blocks: list, edges: list, ws: np.ndarray) -> list:
+        """Phase 2 for the sub-blocks ``blocks``, whose W stacks are the
+        column spans between ``edges`` of ``ws``, with the first trials'
+        small dense work stacked."""
         members = []
         for k, lo, hi in zip(blocks, edges[:-1], edges[1:]):
             members.append(self._parts(k))
-            members[-1].insert(1, _columns(directions, slice(lo, hi)))
-        grams = self._stacked_grams(blocks, members, directions) if len(blocks) > 1 else None
+            members[-1].insert(1, ws[..., lo:hi])
+        grams = self._stacked_grams(blocks, members, ws) if len(blocks) > 1 else None
         pairs = list(zip(*grams)) if grams else [
             part_grams(parts, None if self._explicit_grams[k] else self.ritz_values[self.slices[k]])
             for k, parts in zip(blocks, members)]
         firsts = [None] if len(pairs) == 1 else stacked_first_trials(
             pairs, [RESTART_COND_LIMIT if len(parts) == 3 else np.inf for parts in members],
-            members[0][0][0].shape[1])  # the sub-blocks' width
+            members[0][0].shape[-1])  # the sub-blocks' width
         return [width for width in map(self._update_sub_block, blocks, members, pairs, firsts)
                 if width]
 
-    def _stacked_grams(self, blocks: list, members: list, directions):
+    def _stacked_grams(self, blocks: list, members: list, ws: np.ndarray):
         """Every sub-block's Gram matrices, as ``(k, m, m)`` stacks formed
         over stacked views, when all of them move with one shape and one
         Gram rule; None otherwise."""
-        shapes = {tuple(v.shape[1] for v, _, _ in parts) for parts in members}
+        shapes = {tuple(part.shape[-1] for part in parts) for parts in members}
         rule = {bool(self._explicit_grams[k]) for k in blocks}
         if len(blocks) < len(self.slices) or len(shapes) > 1 or len(rule) > 1:
             return None
         width, w_cols, *p_cols = shapes.pop()
-        stacks = [[sub_block_stack(b, width) for b in (self.X, self.AX, self.BX)],
-                  [sub_block_stack(b, w_cols) for b in directions]]
-        stacks += [[sub_block_stack(b, width, p_cols[0]) for b in (self.P, self.AP, self.BP)]
-                   ] if p_cols else []
+        stacks = [sub_block_stack(self.xs, width), sub_block_stack(ws, w_cols)]
+        stacks += [sub_block_stack(self.ps, width, p_cols[0])] if p_cols else []
         return part_grams(stacks, None if rule.pop() else self.ritz_values.reshape(-1, width))
 
     def _update_sub_block(self, k: int, parts: list, grams, first) -> int:
         """Phase 2 for sub-block k: the Rayleigh-Ritz over ``parts``, the
-        ``(V, A V, B V)`` triples of its X, W and carried P if any, with
-        their :func:`part_grams` ``grams``, and its next P, kept in the
-        state.  Returns the trial's width; 0, and the state untouched, when
-        the Gram matrices are not finite or the trial without P fails.  A
-        trial fails on any error of this package: the restart guard (a
-        Cholesky failing :data:`RESTART_COND_LIMIT`), a rank shortfall, a
-        failed post-check.  ``first`` holds the first trial's
+        stacks of its X, W and carried P if any, with their
+        :func:`part_grams` ``grams``, and its next P, kept in the state.
+        Returns the trial's width; 0, and the state untouched, when the Gram
+        matrices are not finite or the trial without P fails.  A trial fails
+        on any error of this package: the restart guard (a Cholesky failing
+        :data:`RESTART_COND_LIMIT`), a rank shortfall, a failed post-check.
+        ``first`` holds the first trial's
         :func:`~lobpcg_kit.blocks.ritz_coefficients` and, or None,
         :func:`~lobpcg_kit.blocks.direction_coefficients` if formed already.
         """
         gram_a, gram_b = grams
         if not (np.isfinite(gram_a).all() and np.isfinite(gram_b).all()):
             return 0
+        rows = parts[0].shape[-1]
         for trial in [parts, parts[:2]] if len(parts) == 3 else [parts]:
-            width = sum(block.shape[1] for block, _, _ in trial)
+            width = sum(part.shape[-1] for part in trial)
             self.counters.rayleigh_ritz_calls += 1
             try:
-                values, x, a_x, b_x, coeff, tail = carried_rayleigh_ritz(
-                    trial, parts[0][0].shape[1], gram_a[:width, :width], gram_b[:width, :width],
+                values, xs, coeff, tail = carried_rayleigh_ritz(
+                    trial, rows, gram_a[:width, :width], gram_b[:width, :width],
                     RESTART_COND_LIMIT if len(trial) == 3 else np.inf, first and first[:2])
                 break
             except LobpcgKitError:
@@ -598,12 +601,11 @@ class LobpcgEngine:
         else:
             return 0
         keep_p = self.use_history_direction
-        direction = next_direction(
-            (x, a_x, b_x), tail, coeff, gram_b[:width, :width], parts[0][0].shape[1],
-            first and first[2]) if keep_p else None
+        direction = next_direction(xs, tail, coeff, gram_b[:width, :width], rows,
+                                   first and first[2]) if keep_p else None
         self.counters.orthonormalizations += int(keep_p)
         self.ritz_values[self.slices[k]] = values
-        self._keep(k, ("X", "AX", "BX"), (x, a_x, b_x))
+        self._keep(k, "xs", xs)
         self._keep_direction(k, direction)
         return width
 
@@ -614,7 +616,7 @@ class LobpcgEngine:
         stall retry has tried explicit products already."""
         if len(self.slices) > 1 and not self._fresh:
             try:
-                self.couple(self.X, self.AX, self.BX, keep=False)
+                self.couple(self.xs, keep=False)
             except LobpcgKitError:
                 pass
 
@@ -628,11 +630,12 @@ def drive(state, nev: int, max_iter: int, record_history: bool) -> SolveResult:
     ``state`` is a :class:`LobpcgEngine`, the state of every solver.
     Carried products are refreshed only before a convergence claim and at
     ``max_iter``, so statuses rest on explicit products.  Any error of this
-    package ends the run in breakdown, after ``salvage``.
+    package ends the run in breakdown, after ``salvage``; the result's
+    ``cause`` names that error.
     """
     history: list[IterationRecord] = []
     n_locked = 0
-    status = None
+    status = cause = None
     while status is None:
         try:
             conv = state.converged_mask()
@@ -651,17 +654,17 @@ def drive(state, nev: int, max_iter: int, record_history: bool) -> SolveResult:
                 status = STATUS_MAX_ITER
             else:
                 state.step()
-        except LobpcgKitError:
+        except LobpcgKitError as error:
             # a state is mutated only once fully assembled and finite, so
             # the best-so-far pairs are intact here
-            status = STATUS_BREAKDOWN
+            status, cause = STATUS_BREAKDOWN, f"{type(error).__name__}: {error}"
             state.salvage()
-    vectors = state.X[:, :nev].copy()
+    vectors = state.xs[1][:, :nev].copy()
     fix_signs(vectors)
     return SolveResult(values=state.ritz_values[:nev].copy(), vectors=vectors,
                        status=status, iterations=state.iterations,
                        residual_norms=state.residual_norms[:nev].copy(), history=history,
-                       counters=state.counters)
+                       counters=state.counters, cause=cause)
 
 
 def lobpcg_solve(a_op: LinearOperator, cfg: SolverConfig, *,

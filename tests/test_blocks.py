@@ -24,8 +24,9 @@ from lobpcg_kit import (
     rayleigh_ritz,
     residual_block,
 )
-from lobpcg_kit.blocks import (b_orthonormalize_full, b_orthonormalize_spans,
-                                carried_rayleigh_ritz, fix_signs, unit_columns)
+from lobpcg_kit.blocks import (b_orthonormalize_full, b_orthonormalize_spans, block_mul,
+                                carried_rayleigh_ritz, combine_parts, fix_signs, part_grams,
+                                stack_of, sub_block_stack, unit_columns)
 
 
 def spd_operator(rng, n, shift=None):
@@ -195,15 +196,15 @@ class TestBOrthonormalize:
 
     @pytest.mark.parametrize("widths", [[3], [2, 2, 3], [2, 2]])
     def test_spans_keep_the_identity_metric_aliased(self, rng, widths):
-        # without a metric every span's W is its own B-product, so no pass
-        # maps a copy of it
+        # without a metric every span's W is its own B-product: its stack
+        # (A W, W) holds no B member, so no pass maps a copy of W
         edges = np.cumsum([0] + widths)
         out, _ = unit_columns(np.asfortranarray(rng.standard_normal((30, edges[-1]))))
         spans = [slice(lo, hi) for lo, hi in zip(edges[:-1], edges[1:])]
-        steps = b_orthonormalize_spans(out, spans, None)
-        assert [w.shape[1] for w, _ in steps] == widths
-        assert all(b_w is w for w, b_w in steps)
-        assert all(np.max(np.abs(w.T @ w - np.eye(w.shape[1]))) <= 1e-8 for w, _ in steps)
+        ws, kept = b_orthonormalize_spans(out, spans, None)
+        assert kept == widths and len(ws) == 2
+        assert all(np.max(np.abs(w.T @ w - np.eye(w.shape[1]))) <= 1e-8
+                   for w in (ws[1][:, span] for span in spans))
 
 
 class TestRayleighRitz:
@@ -288,11 +289,11 @@ class TestRayleighRitz:
             v, u = rng.standard_normal(n), rng.standard_normal(n)
             basis = np.column_stack([v, v + 3e-7 * np.linalg.norm(v) * u])
             try:
-                values, _, a_x, b_x, _, _ = carried_rayleigh_ritz(
-                    [(basis, op_apply(a, basis), op_apply(b, basis))], 1)
+                values, ritz, _, _ = carried_rayleigh_ritz(
+                    [stack_of(op_apply(a, basis), basis, op_apply(b, basis))], 1)
             except OrthonormalizationError:
                 continue
-            residual = a_x - b_x * values
+            residual = ritz[0] - ritz[-1] * values
             norm_a = np.linalg.norm(a.to_dense(), 2)
             assert np.max(np.abs(basis.T @ residual)) <= 1e-10 * norm_a * np.linalg.norm(basis, 2)
 
@@ -429,3 +430,95 @@ def test_fix_signs_matches_the_column_loop(block, coeff_rows):
     fix_signs(vectors, companion, vectors, companion)
     np.testing.assert_array_equal(vectors, expected)
     np.testing.assert_array_equal(companion, expected_coeff)
+
+
+def per_product_grams(parts, ritz_values=None):
+    """:func:`part_grams` as a loop over single products, ``u.T @ a_v`` and
+    ``b_u.T @ v``, for parts given as ``(V, A V, B V)`` tuples of blocks,
+    with B V the block itself without a metric."""
+    edges = np.cumsum([0] + [v.shape[1] for v, _, _ in parts])
+    gram_a, gram_b = np.zeros((edges[-1],) * 2), np.eye(edges[-1])
+    for i, (u, _, b_u) in enumerate(parts):
+        for j in range(i, len(parts)):
+            v, a_v, _ = parts[j]
+            rows, cols = slice(edges[i], edges[i + 1]), slice(edges[j], edges[j + 1])
+            if i == j and ritz_values is not None:
+                if i == 0:
+                    gram_a[rows, cols] = np.diag(ritz_values)
+                else:
+                    gram_a[rows, cols] = u.T @ a_v
+                continue
+            gram_a[rows, cols], gram_b[rows, cols] = u.T @ a_v, b_u.T @ v
+            gram_a[cols, rows], gram_b[cols, rows] = gram_a[rows, cols].T, gram_b[rows, cols].T
+    return 0.5 * (gram_a + gram_a.T), 0.5 * (gram_b + gram_b.T)
+
+
+def as_tuple(stack):
+    """A part stack as a ``(V, A V, B V)`` tuple of its members; without a
+    metric its B V is V itself, so that ``u.T @ u`` is a diagonal block."""
+    v = stack[1]
+    return v, stack[0], v if len(stack) == 2 else stack[2]
+
+
+class TestStackedParts:
+    """One broadcast matmul per part stack gives every product bit for bit
+    as one matmul per block does."""
+
+    @pytest.mark.parametrize("metric", [False, True], ids=["standard", "pencil"])
+    @pytest.mark.parametrize("known", [False, True], ids=["explicit", "known"])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_part_grams_match_the_per_product_loop(self, metric, known, seed):
+        rng = np.random.default_rng(seed)
+        n, widths = 300, (4, 3, 2)
+        parts = [stack_of(*(rng.standard_normal((n, m)) for _ in range(3 if metric else 2)))
+                 for m in widths]
+        assert all(member.flags.f_contiguous for part in parts for member in part)
+        values = np.sort(rng.standard_normal(widths[0])) if known else None
+        expected = per_product_grams([as_tuple(part) for part in parts], values)
+        for got, want in zip(part_grams(parts, values), expected):
+            np.testing.assert_array_equal(got, want)
+        if not metric and not known:  # U^T U as the one-block product forms it
+            diagonal = part_grams(parts[:1])[1]
+            np.testing.assert_array_equal(diagonal, parts[0][1].T @ parts[0][1])
+            np.testing.assert_array_equal(diagonal, diagonal.T)
+
+    @pytest.mark.parametrize("metric", [False, True], ids=["standard", "pencil"])
+    @pytest.mark.parametrize("known", [False, True], ids=["explicit", "known"])
+    def test_stacked_sub_block_grams_match_each_sub_block(self, metric, known):
+        # (r, k, n, m) stacks of k sub-blocks, as the engine's rounds form them
+        rng = np.random.default_rng(5)
+        n, k, width = 200, 3, 4
+        wide = [stack_of(*(rng.standard_normal((n, k * width)) for _ in range(3 if metric else 2)))
+                for _ in range(3)]
+        parts = [sub_block_stack(wide[0], width), sub_block_stack(wide[1], width),
+                 sub_block_stack(wide[2], width, 2)]
+        values = rng.standard_normal((k, width)) if known else None
+        stacked = part_grams(parts, values)
+        for s in range(k):
+            one = [part[:, s] for part in parts]
+            expected = per_product_grams([as_tuple(part) for part in one],
+                                         None if values is None else values[s])
+            for got, want in zip(stacked, expected):
+                np.testing.assert_array_equal(got[s], want)
+
+    @pytest.mark.parametrize("metric", [False, True], ids=["standard", "pencil"])
+    @pytest.mark.parametrize("plus", [False, True])
+    def test_combine_parts_matches_block_mul_per_product(self, metric, plus):
+        rng = np.random.default_rng(9)
+        n, widths, out_cols = 300, (4, 3, 2), 4
+        roles = 3 if metric else 2
+        parts = [stack_of(*(rng.standard_normal((n, m)) for _ in range(roles))) for m in widths]
+        coeff = rng.standard_normal((sum(widths), out_cols))
+        extra = stack_of(*(rng.standard_normal((n, out_cols)) for _ in range(roles)))
+        got = combine_parts(parts, coeff, extra if plus else None)
+        assert len(got) == roles
+        edges = np.cumsum([0] + list(widths))
+        for r in range(roles):
+            want = None
+            for part, lo, hi in zip(parts, edges[:-1], edges[1:]):
+                piece = block_mul(part[r], coeff[lo:hi])
+                want = piece if want is None else want + piece
+            if plus:
+                want = want + extra[r]
+            np.testing.assert_array_equal(got[r], want)
+            assert got[r].flags.f_contiguous

@@ -52,6 +52,7 @@ class TestSolve:
         doc = json.loads(out.read_text())
         assert doc["format_version"] == 1
         assert doc["status"] == "converged"
+        assert doc["cause"] is None  # named only for a breakdown
         exact = laplacian_1d_eigenvalues(50, 2)
         assert np.max(np.abs(np.array(doc["eigenvalues"]) - exact)) <= 1e-7
         assert doc["manifest"]["variant"] == "lobpcg"

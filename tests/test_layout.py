@@ -21,13 +21,24 @@ from lobpcg_kit import (
 )
 from lobpcg_kit.solver import LobpcgEngine
 
-BLOCKS = ("X", "AX", "BX", "P", "AP", "BP", "R")
+#: the members of the state's stacks, then its residual block
+BLOCKS = ("AX", "X", "BX", "AP", "P", "BP", "R")
+
+
+def blocks_of(*stacks):
+    """``(name, block)`` of every member of the stacks (None for no P),
+    named in BLOCKS' order; a standard problem's stacks have no B member."""
+    named = []
+    for stack, names in zip(stacks, (BLOCKS[:3], BLOCKS[3:6])):
+        if stack is not None:
+            named += list(zip(names, stack))
+    return named
 
 
 def not_column_major(state):
     """Names of the state's blocks that are not F-contiguous."""
-    return [name for name in BLOCKS
-            if getattr(state, name) is not None and not getattr(state, name).flags.f_contiguous]
+    named = blocks_of(state.xs, state.ps) + [("R", state.R)]
+    return [name for name, block in named if not block.flags.f_contiguous]
 
 
 @pytest.mark.parametrize("metric", [None, "sparse", "diagonal"])
@@ -61,9 +72,7 @@ def test_lobpcg2_couplings_hand_out_column_major_blocks(monkeypatch, metric):
         couple(state, *args, **kwargs)
         for k in range(len(state.slices)):
             parts = state._parts(k)
-            names = BLOCKS[:3] + (BLOCKS[3:6] if len(parts) > 1 else ())
-            blocks = [block for part in parts for block in part]
-            seen.append((len(parts) > 1, [name for name, block in zip(names, blocks)
+            seen.append((len(parts) > 1, [name for name, block in blocks_of(*parts)
                                           if not block.flags.f_contiguous]))
         seen.append((False, not_column_major(state)))
 

@@ -22,6 +22,7 @@ from lobpcg_kit import (
     csr_from_coo,
     laplacian_from_edges,
 )
+from lobpcg_kit.operators import _radix_order
 
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 
@@ -213,3 +214,15 @@ class TestAssemblyProperties:
 def test_malformed_triplets_rejected(records):
     with pytest.raises((ValueError, TypeError)):
         csr_from_coo(3, records)
+
+
+@PROPERTY
+@given(n=st.sampled_from([256, 257, 65536, 65537]), data=st.data())
+def test_radix_order_is_the_stable_argsort(n, data):
+    # 1, 2, 2 and 3 digits of 16 bits; the keys repeat, as the Laplacian's
+    # do, so that stability shows
+    top = n * n - 1
+    distinct = data.draw(st.lists(st.integers(0, top), min_size=1, max_size=40))
+    picks = data.draw(st.lists(st.integers(0, len(distinct) - 1), min_size=1, max_size=200))
+    keys = np.array([distinct[k] for k in picks], dtype=np.int64)
+    np.testing.assert_array_equal(_radix_order(keys, top), np.argsort(keys, kind="stable"))

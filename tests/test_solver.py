@@ -38,7 +38,7 @@ from lobpcg_kit import (
     psd_solve,
 )
 from lobpcg_kit import solver
-from lobpcg_kit.blocks import b_orthonormalize_full, b_project_out
+from lobpcg_kit.blocks import b_orthonormalize_full, b_project_out, stack_of
 from lobpcg_kit.solver import ORTHO_POST_TOL
 
 
@@ -212,6 +212,7 @@ class TestInvariants:
         broken = CallableOperator(12, np.zeros_like)
         res = lobpcg_solve(a, SolverConfig(nev=2), precond=broken)
         assert res.status == "breakdown"
+        assert res.cause == "_Breakdown: no sub-block moved on explicit products"
         assert res.values.shape == (2,)
         assert b_defect(res.vectors, IdentityOperator(12)) <= 1e-8
 
@@ -392,9 +393,10 @@ class TestCarriedProducts:
         def checked_step(state):
             step(state)
             if state.iterations % 50 == 0:
-                x_norms = np.linalg.norm(state.X, axis=0)
-                for carried, op in ((state.AX, a), (state.BX, b)):
-                    gap = np.linalg.norm(carried - op_apply(op, state.X), axis=0)
+                carried_ax, x, carried_bx = state.xs
+                x_norms = np.linalg.norm(x, axis=0)
+                for carried, op in ((carried_ax, a), (carried_bx, b)):
+                    gap = np.linalg.norm(carried - op_apply(op, x), axis=0)
                     drifts.append(np.max(gap / (norm_estimates(op) * x_norms)))
 
         monkeypatch.setattr(LobpcgEngine, "step", checked_step)
@@ -444,9 +446,9 @@ class TestStepConstruction:
         def checked_step(*args, **kwargs):
             step(*args, **kwargs)
             if engine.p_cols[0]:
-                p, _, b_p = engine._parts(0)[1]
+                _, p, b_p = engine._parts(0)[1]
                 eye = np.eye(p.shape[1])
-                worst.append((np.max(np.abs(engine.X.T @ op_apply(b, p))),
+                worst.append((np.max(np.abs(engine.xs[1].T @ op_apply(b, p))),
                               np.max(np.abs(p.T @ b_p - eye))))
 
         engine.step = checked_step
@@ -478,10 +480,9 @@ class TestStepConstruction:
             return out
 
         def checked_round_orthonormalize(*args, **kwargs):  # the step's W
-            out = orthonormalize_spans(*args, **kwargs)
-            for w, b_w in out:
-                check(w, b_w)
-            return out
+            ws, kept = orthonormalize_spans(*args, **kwargs)
+            check(ws[1], ws[-1])
+            return ws, kept
 
         monkeypatch.setattr(solver, "b_orthonormalize_full", checked_orthonormalize)
         monkeypatch.setattr(solver, "b_orthonormalize_spans", checked_round_orthonormalize)
@@ -491,7 +492,7 @@ class TestStepConstruction:
 
         def checked_step(*args, **kwargs):
             step(*args, **kwargs)
-            x_defects.append(explicit(engine.X))
+            x_defects.append(explicit(engine.xs[1]))
 
         engine.step = checked_step
         assert engine.run().iterations == 600
@@ -507,11 +508,12 @@ class TestStepConstruction:
         assert engine.b_op is None and engine.b_constraints is engine.constraints
         for _ in range(5):
             engine.step()
-            (x, _, b_x), (p, _, b_p) = engine._parts(0)
-            assert engine.BX is engine.X and b_x is x and b_p is p
+            # no stack holds a B member: (A X, X) and (A P, P)
+            assert [len(part) for part in engine._parts(0)] == [2, 2]
+            assert len(engine.xs) == len(engine.ps) == 2
         res = engine.run()
         assert res.status == "converged"
-        assert engine.BX is engine.X
+        assert len(engine.xs) == 2
         assert res.counters.b_matvecs == 0
 
     def test_known_gram_blocks_match_explicit_ones(self):
@@ -523,10 +525,10 @@ class TestStepConstruction:
         assert np.max(engine.residual_norms / engine.convergence_thresholds(1.0)) > 1e-3
         assert not engine._explicit_grams[0] and engine.p_cols[0]
         # a direction block as the step forms one
-        directions = b_project_out(engine.precond.apply(engine.R), engine.X, engine.BX)
+        directions = b_project_out(engine.precond.apply(engine.R), engine.xs[1], engine.xs[-1])
         w, _, _, b_w = b_orthonormalize_full(directions, engine.b_op)
         parts = engine._parts(0)
-        parts.insert(1, (w, op_apply(a, w), b_w))
+        parts.insert(1, stack_of(op_apply(a, w), w, b_w))
         for known, explicit in zip(solver.part_grams(parts, engine.ritz_values),
                                    solver.part_grams(parts)):
             np.testing.assert_allclose(known, explicit, rtol=0, atol=1e-8)
@@ -558,7 +560,7 @@ class TestStepConstruction:
         def failing_once(parts, *args, **kwargs):
             # the first trial that includes P fails the Ritz block's post-check
             if len(parts) == 3 and not widths:
-                widths.extend(v.shape[1] for v, _, _ in parts)
+                widths.extend(part.shape[-1] for part in parts)
                 raise OrthonormalizationError("Ritz block orthonormality defect persists")
             return carried(parts, *args, **kwargs)
 
@@ -666,6 +668,36 @@ def test_failed_start_rayleigh_ritz_ends_in_breakdown(solve):
     assert np.all(np.isnan(res.values))
     assert np.all(np.isfinite(res.vectors))
     assert b_defect(res.vectors, b) <= 1e-8
+
+
+class TestBreakdownCause:
+    """``SolveResult.cause`` names the error that ended a run in breakdown."""
+
+    def test_wrong_shaped_preconditioner_names_its_error(self):
+        # one column back for a block of two: the first round fails
+        a = DiagonalOperator(np.arange(1.0, 41.0))
+        precond = CallableOperator(40, lambda block: block[:, :1].copy())
+        res = lobpcg_solve(a, SolverConfig(nev=2), precond=precond)
+        assert (res.status, res.iterations) == ("breakdown", 0)
+        assert res.cause.startswith("DimensionMismatchError: ")
+
+    # numpy warns while the poisoned products meet
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_a_turning_nan_mid_run_names_a_non_finite_product(self):
+        spectrum = np.arange(1.0, 41.0)[:, None]
+        a, state = poisoned_operator(40, lambda block: spectrum * block, np.nan)
+        engine = LobpcgEngine(a, SolverConfig(nev=2))
+        for _ in range(3):
+            engine.step()
+        state["armed"] = True
+        res = engine.run()
+        assert (res.status, res.iterations) == ("breakdown", 3)
+        assert res.cause == "_Breakdown: non-finite product"
+
+    def test_converged_run_has_no_cause(self):
+        res = lobpcg_solve(diag_operator(40), SolverConfig(nev=2))
+        assert res.status == "converged"
+        assert res.cause is None
 
 
 class TestExactInverse:
@@ -797,7 +829,7 @@ def test_ritz_block_error_reports_the_defect_that_failed():
     # the post-checked one is not
     v, _ = np.linalg.qr(np.random.default_rng(4).standard_normal((30, 3)))
     skew = np.array([[0.0, 1e-6, 0.0], [-1e-6, 0.0, 2e-6], [0.0, -2e-6, 0.0]])
-    parts = [(v, v * [1.0, 2.0, 3.0], v @ (np.eye(3) + skew))]
+    parts = [stack_of(v * [1.0, 2.0, 3.0], v, v @ (np.eye(3) + skew))]
     with pytest.raises(OrthonormalizationError) as info:
         solver.carried_rayleigh_ritz(parts, 2)
     reported = float(re.search(r"defect (\S+) fails", str(info.value)).group(1))

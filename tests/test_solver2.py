@@ -52,8 +52,8 @@ def event_log(monkeypatch):
     """Log of a run's events, in order: ``("step", tally)`` after a
     sub-block steps, ``("rr", tally)`` as a coupling's shared Rayleigh-Ritz
     starts, and ``("adopt", tally, x, direction)`` for every sub-block as
-    the coupling ends: its slice of X and its carried ``(P, A P, B P)`` or
-    None (copies).  ``tally`` is the run's ``(a_matvecs, b_matvecs)`` at
+    the coupling ends: its slice of X and its carried P stack
+    ``(A P, P, B P)`` or None (copies).  ``tally`` is the run's ``(a_matvecs, b_matvecs)`` at
     that point."""
     log, counters = [], []
 
@@ -75,8 +75,8 @@ def event_log(monkeypatch):
         couple(state, *args, **kwargs)
         for k in range(len(state.slices)):
             parts = state._parts(k)
-            kept = [block.copy() for block in parts[1]] if len(parts) > 1 else None
-            log.append(("adopt", tally(), parts[0][0].copy(), kept))
+            kept = parts[1].copy() if len(parts) > 1 else None
+            log.append(("adopt", tally(), parts[0][1].copy(), kept))
 
     monkeypatch.setattr(solver.LobpcgEngine, "_update_sub_block", logged_update)
     monkeypatch.setattr(solver.LobpcgEngine, "couple", logged_couple)
@@ -359,7 +359,7 @@ class TestOnEngine:
                 for entry in adopts:
                     if entry[3] is None:
                         continue
-                    p = entry[3][0]
+                    p = entry[3][1]
                     b_p = op_apply(b, p)  # B applied explicitly
                     assert np.max(np.abs(x_agg.T @ b_p)) <= 1e-8
                     assert np.max(np.abs(p.T @ b_p - np.eye(p.shape[1]))) <= 1e-8
@@ -445,7 +445,7 @@ class TestOnEngine:
         assert b_defect(res.vectors, b) <= 1e-8
         kept = [entry[3] for _, adopts in couplings(log, 2) for entry in adopts
                 if entry[3] is not None]
-        assert kept and all(direction[0].shape[1] == 1 for direction in kept)
+        assert kept and all(direction.shape[-1] == 1 for direction in kept)
 
     def test_counters_include_every_recurrence(self):
         n = 60
@@ -548,13 +548,15 @@ class TestStackedRounds:
 
     @pytest.mark.parametrize("name", SOLVES)
     def test_w_is_its_own_b_product_on_a_standard_problem(self, monkeypatch, name):
-        # without a metric no round forms or maps a B W apart from W
+        # without a metric no round forms or maps a B W apart from W: every
+        # W stack is (A W, W)
         orthonormalize, aliased = solver.b_orthonormalize_spans, []
 
         def recorded(*args, **kwargs):
-            steps = orthonormalize(*args, **kwargs)
-            aliased.extend(b_w is w for w, b_w in filter(None, steps))
-            return steps
+            ws, kept = orthonormalize(*args, **kwargs)
+            if ws is not None:
+                aliased.append(len(ws) == 2)
+            return ws, kept
 
         monkeypatch.setattr(solver, "b_orthonormalize_spans", recorded)
         SOLVES[name](DiagonalOperator(np.arange(1.0, 201.0)))
@@ -579,10 +581,9 @@ class TestStackedRounds:
             # a B-Gram matrix whose Cholesky fails in LAPACK (0), the pivot
             # floor (1e-7) or the restart guard's condition limit (1e-6)
             cols = slice(0, state.p_cols[0])
-            p = state.X[:, cols] + copy_of_x * np.random.default_rng(seed).standard_normal(
+            p = state.xs[1][:, cols] + copy_of_x * np.random.default_rng(seed).standard_normal(
                 (a.dim, state.p_cols[0]))
-            for block, copied in zip((state.P, state.AP, state.BP),
-                                     (p, op_apply(a, p), op_apply(b, p))):
+            for block, copied in zip(state.ps, (op_apply(a, p), p, op_apply(b, p))):
                 block[:, cols] = copied / np.sqrt(np.einsum("ij,ij->j", p, op_apply(b, p)))
         per_block = copy.deepcopy(state)
         widths = state._advance_round(moving)
@@ -590,9 +591,68 @@ class TestStackedRounds:
                                lambda grams, *_: (None, np.zeros(len(grams), dtype=bool))), \
                 mock.patch.object(solver.LobpcgEngine, "_stacked_grams", lambda *_: None):
             assert per_block._advance_round(moving) == widths
-        for name in ("ritz_values", "X", "AX", "BX", "P", "AP", "BP", "p_cols"):
+        for name in ("ritz_values", "xs", "ps", "p_cols"):
             assert np.array_equal(getattr(state, name), getattr(per_block, name)), name
         assert state.counters == per_block.counters
+
+    @pytest.mark.parametrize("seed,rounds,constrained", [(0, 0, False), (1, 7, False),
+                                                         (2, 30, False), (3, 5, True)])
+    def test_batched_phase_1_matches_each_sub_block(self, seed, rounds, constrained):
+        # when every column of every sub-block moves, phase 1 projects all
+        # of them in one batched call each; its block is bit for bit the
+        # sub-blocks' own, joined
+        a, b = fe_pencil(10, 12)
+        constraints = np.random.default_rng(seed).standard_normal((a.dim, 2))
+        state = solver.LobpcgEngine(a, Lobpcg2Config(nev=6, sub_block=2, rr_period=3, seed=seed),
+                                    b_op=b, precond=jacobi_precond(a),
+                                    constraints=constraints if constrained else None)
+        for _ in range(rounds):
+            state.step()
+        moving = [(k, np.arange(cols.start, cols.stop)) for k, cols in enumerate(state.slices)]
+        widths = [active.size for _, active in moving]
+        spans = [slice(k * 2, k * 2 + 2) for k in range(3)]
+        x, dual = state.xs[1], blocks.b_dual_basis(state.xs[1], state.xs[-1])
+        residuals = state._join(widths, (blocks.b_project_out(state.R[:, active], x, dual)
+                                         for _, active in moving))
+        directions = state.precond.apply(residuals)
+        own = [state.xs[..., cols] for cols in state.slices]
+        expected = state._join(widths, (blocks.unit_columns(blocks.b_project_out(
+            state._deflate(directions[:, span]), o[1], o[-1]))[0] for o, span in zip(own, spans)))
+        got = state._unit_directions(moving, widths, spans)
+        np.testing.assert_array_equal(got, expected)
+        assert got.flags.f_contiguous
+
+    def test_one_block_mul_per_part_per_map(self, monkeypatch):
+        # a round of 3 equal sub-blocks maps each part stack, all of its
+        # products, with one block_mul, and a second round repeats the count
+        a, b = fe_pencil(12, 14)
+        state = solver.LobpcgEngine(a, Lobpcg2Config(nev=6, sub_block=2, rr_period=25, seed=1),
+                                    b_op=b, precond=jacobi_precond(a))
+        for _ in range(3):
+            state.step()
+        assert len(state.slices) == 3 and state.p_cols.all()
+        block_mul, combine_parts, calls, maps = blocks.block_mul, blocks.combine_parts, [0], []
+
+        def counted_block_mul(*args):
+            calls[0] += 1
+            return block_mul(*args)
+
+        def counted_combine_parts(parts, *args):
+            before = calls[0]
+            out = combine_parts(parts, *args)
+            maps.append((len(parts), calls[0] - before))
+            return out
+
+        monkeypatch.setattr(blocks, "block_mul", counted_block_mul)
+        monkeypatch.setattr(blocks, "combine_parts", counted_combine_parts)
+        rounds = []
+        for _ in range(2):
+            calls[0], maps[:] = 0, []
+            state.step()
+            rounds.append((calls[0], list(maps)))
+        # per sub-block: the Ritz map of [W, P] and of X, then the next P
+        assert rounds[0][1] == [(2, 2), (1, 1), (2, 2)] * 3
+        assert rounds[1] == rounds[0]
 
     def test_peak_memory_against_block_lobpcg(self):
         # On fe_pencil_many's pencil the per-engine rounds peaked at 0.6236
