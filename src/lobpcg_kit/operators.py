@@ -265,10 +265,7 @@ def _coo_columns(records: Iterable) -> tuple[np.ndarray, np.ndarray, np.ndarray]
         return records["i"], records["j"], records["v"]
     records = records if isinstance(records, list) else list(records)
     try:
-        try:  # records that are tuples already, as most are
-            raw = np.fromiter(records, _RAW_TRIPLET, len(records))
-        except (ValueError, TypeError):  # lists, or records of the wrong length
-            raw = np.fromiter(map(tuple, records), _RAW_TRIPLET, len(records))
+        raw = np.fromiter(map(tuple, records), _RAW_TRIPLET, len(records))
     except OverflowError:  # an integer beyond the float range: as an index, inf
         raw = np.array([(*(x if abs(x) < 2**63 else np.inf for x in r[:2]), r[2])
                         for r in map(tuple, records)], _RAW_TRIPLET)

@@ -210,10 +210,22 @@ class TestAssemblyProperties:
         assert outcome(laplacian_from_edges, n, edges) == outcome(reference_laplacian, n, edges)
 
 
-@pytest.mark.parametrize("records", [[(0, 1)], [(0, 1, 2.0, 3.0)], [(0, 1, "x")]])
+# a scalar or a size-1 array is not a record: numpy would assign it to every
+# field of a structured element, so it must not reach ``np.fromiter`` as is
+MALFORMED = [[(0, 1)], [(0, 1, 2.0, 3.0)], [(0, 1, "x")],
+             [1, 2], [1.0], ["1"], [np.array([2.0])]]
+
+
+@pytest.mark.parametrize("records", MALFORMED)
 def test_malformed_triplets_rejected(records):
     with pytest.raises((ValueError, TypeError)):
         csr_from_coo(3, records)
+
+
+@pytest.mark.parametrize("edges", MALFORMED)
+def test_malformed_edges_rejected(edges):
+    with pytest.raises((ValueError, TypeError)):
+        laplacian_from_edges(3, edges)
 
 
 @PROPERTY
