@@ -314,12 +314,12 @@ def b_orthonormalize_spans(out: np.ndarray, spans: list, b_op: LinearOperator | 
                            counters: OpCounters | None = None):
     """:func:`orthonormal_passes` over the column spans that tile a
     column-major block of :func:`unit_columns`, from one apply of B to all
-    of it, with the first passes' Cholesky factors and inverses stacked
-    over the spans of one width.  Returns ``(ws, kept)``: the survivors' W
-    side by side in one stack whose A W member is unformed (None when none
-    survive), and each span's surviving width, 0 where nothing survives or
-    the post-check fails.  Spans of one width that all pass after one pass
-    from the stacked factors are mapped by one matmul (:func:`_stacked_pass`).
+    of it.  Returns ``(ws, kept)``: the survivors' W side by side in one
+    stack whose A W member is unformed (None when none survive), and each
+    span's surviving width, 0 where nothing survives or the post-check
+    fails.  Spans of one width that all pass after one pass from stacked
+    Cholesky factors are mapped by one matmul (:func:`_stacked_pass`);
+    otherwise each span takes its own passes.
     """
     pair = out[None] if b_op is None else stack_of(out, op_apply(b_op, out))
     del out
@@ -328,17 +328,8 @@ def b_orthonormalize_spans(out: np.ndarray, spans: list, b_op: LinearOperator | 
     ws = _stacked_pass(pair, widths.pop(), counters) if one_width else None
     if ws is not None:
         return ws, [span.stop - span.start for span in spans]
-    views = [pair[..., span] for span in spans]
-    del pair
-    grams = [view[0].T @ view[-1] for view in views]
-    firsts = [None] * len(views)
-    for group in _groups([gram.shape if np.isfinite(gram).all() else None for gram in grams]):
-        transforms, ok = stacked_cholesky_transforms(sym(np.stack([grams[i] for i in group])))
-        for j in np.flatnonzero(ok):
-            firsts[group[j]] = (transforms[j], list(range(transforms.shape[-1])))
-    stacks = [_span_passes(view, gram, first, counters)
-              for view, gram, first in zip(views, grams, firsts)]
-    del views  # and so the pair, before the survivors are joined
+    stacks = [_span_passes(pair[..., span], counters) for span in spans]
+    del pair  # before the survivors are joined
     kept = [0 if stack is None else stack.shape[-1] for stack in stacks]
     stacks = [stack for stack in stacks if stack is not None]
     if len(stacks) < 2:
@@ -350,13 +341,11 @@ def b_orthonormalize_spans(out: np.ndarray, spans: list, b_op: LinearOperator | 
     return ws, kept
 
 
-def _span_passes(view: np.ndarray, gram: np.ndarray, first, counters: OpCounters | None):
+def _span_passes(view: np.ndarray, counters: OpCounters | None):
     """One span's :func:`orthonormal_passes` stack from its ``view`` of the
-    pair and its first Gram matrix; None where nothing survives or the
-    post-check fails."""
+    pair; None where nothing survives or the post-check fails."""
     try:
-        first = first or gram_transform(sym(_finite_gram(gram)))
-        return orthonormal_passes(view, counters, first=first)[0]
+        return orthonormal_passes(view, counters)[0]
     except (ZeroRankError, OrthonormalizationError):
         return None
 
@@ -677,25 +666,10 @@ def rayleigh_ritz(basis: np.ndarray, a_op: LinearOperator, b_op: LinearOperator,
     return RitzSet(values=values, vectors=vectors, coefficients=coeff)
 
 
-def b_dual_basis(basis: np.ndarray, b_basis: np.ndarray) -> np.ndarray:
-    """``B V G^+`` for a basis V that need not be B-orthonormal, with
-    ``b_basis = B V``, ``G = V^T B V`` and ``G^+ = T T^T`` for the
-    :func:`gram_transform` T of G (zero when no direction is independent),
-    so that ``b_project_out(block, basis, b_dual_basis(basis, b_basis))``
-    removes the B-projection onto span(basis)."""
-    try:
-        transform, _ = gram_transform(sym(basis.T @ b_basis))
-    except ZeroRankError:
-        return np.zeros_like(b_basis)
-    return block_mul(b_basis, transform @ transform.T)
-
-
 def b_project_out(block: np.ndarray, basis: np.ndarray, b_basis: np.ndarray) -> np.ndarray:
     """Remove the B-projection onto span(basis) from every column.
 
-    ``b_basis`` is the precomputed ``B @ basis`` of a B-orthonormal basis,
-    or :func:`b_dual_basis` of any basis.  ``block`` may be a ``(k, n, w)``
-    stack of blocks, projected off one basis or off a stack of k bases in
-    one broadcast matmul each.
+    ``b_basis`` is the precomputed ``B @ basis`` of a B-orthonormal
+    basis.
     """
     return block - block_mul(basis, _t(b_basis) @ block)

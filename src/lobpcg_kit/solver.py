@@ -39,15 +39,16 @@ import numpy as np
 from .blocks import (
     ORTHO_POST_TOL,
     OpCounters,
-    b_dual_basis,
     b_normalized,
     b_orthonormalize_full,
     b_orthonormalize_spans,
     b_project_out,
+    block_mul,
     carried_rayleigh_ritz,
     column_norms,
     combine_parts,
     fix_signs,
+    gram_transform,
     next_direction,
     ortho_defect,
     part_grams,
@@ -55,6 +56,7 @@ from .blocks import (
     stack_of,
     stacked_first_trials,
     sub_block_stack,
+    sym,
     unit_columns,
 )
 # Unused here; bound because perfbench/tracer.py looks them up in this module.
@@ -217,10 +219,11 @@ class LobpcgEngine:
     Its ``cfg.width()`` columns are the width-``cfg.sub_block`` sub-blocks
     ``slices`` (one if None): narrow LOBPCG recurrences advanced together,
     a round at a time.  A round B-projects the active residuals off the
-    whole ``X`` (one B-dual basis), so that the recurrences do not collapse
-    onto the same eigenvectors, and applies the preconditioner, B and A
-    once each; the small dense work of sub-blocks of one width runs as
-    stacked LAPACK calls.  Every ``rr_period`` rounds a shared
+    whole ``X``, through the inverse of its B-Gram matrix, so that the
+    recurrences do not collapse onto the same eigenvectors, and each new
+    direction off its own sub-block's ``X`` by one masked product; it
+    applies the preconditioner, B and A once each, and the small dense
+    work of sub-blocks of one width runs as stacked LAPACK calls.  Every ``rr_period`` rounds a shared
     Rayleigh-Ritz on carried products (:meth:`couple`) gives every
     sub-block its slice of the Ritz vectors, in ascending order, and its P
     B-projected off them.  A coupling merges sub-blocks, so a state of one
@@ -484,27 +487,15 @@ class LobpcgEngine:
         self.p_cols[k] = 0 if direction is None else direction.shape[-1]
         self._keep(k, "ps", direction)
 
-    def _join(self, widths: list, blocks) -> np.ndarray:
-        """The ``blocks``, of ``widths`` columns, side by side in one
-        column-major block, taken one at a time (a ``(k, n, w)`` stack
-        member by member); the block itself if one."""
-        if len(widths) == 1:
-            return next(iter(blocks))
-        out, edges = np.empty((self.dim, sum(widths)), order="F"), [0, *accumulate(widths)]
-        for block, lo, hi in zip(blocks, edges[:-1], edges[1:]):
-            out[:, lo:hi] = block
-        return out
-
     def _advance_round(self, moving: list) -> list:
         """Both phases of a step for every moving sub-block, ``(k, active
         columns)``, with one preconditioner, B and A apply each; returns
         the trial widths of the sub-blocks that moved.  Phase 1 makes W from
         the active residuals (:meth:`_unit_directions`) and
         B-orthonormalizes it, into one stack for phase 2."""
-        widths = [active.size for _, active in moving]
-        edges = [0, *accumulate(widths)]
+        edges = [0, *accumulate(active.size for _, active in moving)]
         spans = [slice(lo, hi) for lo, hi in zip(edges[:-1], edges[1:])]
-        ws, kept = b_orthonormalize_spans(self._unit_directions(moving, widths, spans), spans,
+        ws, kept = b_orthonormalize_spans(self._unit_directions(moving), spans,
                                           self.b_op, self.counters)
         if ws is None:
             return []
@@ -512,34 +503,25 @@ class LobpcgEngine:
         ws[0] = op_apply(self.a_op, ws[1])
         return self._rayleigh_ritz_round(blocks, [0, *accumulate(filter(None, kept))], ws)
 
-    def _unit_directions(self, moving: list, widths: list, spans: list) -> np.ndarray:
-        """Phase 1 up to W's orthonormalization, side by side in one block:
-        the active residuals, projected off the whole X (one B-dual basis)
-        when there are several sub-blocks, preconditioned, deflated,
-        B-projected off each sub-block's own X and scaled to unit columns.
-        When every column of several sub-blocks moves, each projection is
-        one batched call over the sub-blocks."""
-        whole = len(self.slices) > 1 and sum(widths) == self.block_size
-        width = self.slices[0].stop
-        if len(self.slices) == 1:  # the sub-block's own X is the whole X
-            residuals = self.R[:, moving[0][1]]
-        else:
-            x = self.xs[1]
-            dual = b_dual_basis(x, self.xs[-1])
-            residuals = self._join(widths, b_project_out(sub_block_stack(self.R, width), x, dual)
-                                   if whole else (b_project_out(self.R[:, active], x, dual)
-                                                  for _, active in moving))
-            del x, dual
-        directions = self.precond.apply(residuals)
+    def _unit_directions(self, moving: list) -> np.ndarray:
+        """Phase 1 up to W's orthonormalization, the active columns side by
+        side in round order: the residuals, B-projected off the whole X in
+        its coefficient space when there are several sub-blocks,
+        preconditioned, deflated, B-projected off each column's own
+        sub-block's X and scaled to unit columns."""
+        active = np.concatenate([cols for _, cols in moving])
+        x, b_x = self.xs[1], self.xs[-1]
+        residuals = self.R[:, active]
+        if len(self.slices) > 1:  # sub-blocks are B-orthogonal only after a coupling
+            transform, _ = gram_transform(sym(x.T @ b_x))
+            residuals -= block_mul(x, transform @ (transform.T @ (b_x.T @ residuals)))
+        directions = self._deflate(self.precond.apply(residuals))
         del residuals
-        if whole:
-            own = sub_block_stack(self.xs, width)
-            return unit_columns(self._join(widths, b_project_out(
-                self._deflate(sub_block_stack(directions, width)), own[1], own[-1])))[0]
-        own = [self.xs[..., self.slices[k]] for k, _ in moving]
-        return self._join(widths, (
-            unit_columns(b_project_out(self._deflate(directions[:, span]), x[1], x[-1]))[0]
-            for x, span in zip(own, spans)))
+        if len(self.slices) == 1:  # the sub-block's own X is the whole X
+            return unit_columns(b_project_out(directions, x, b_x))[0]
+        width = self.slices[0].stop
+        own = np.arange(self.block_size)[:, None] // width == active // width
+        return unit_columns(directions - block_mul(x, own * (b_x.T @ directions)))[0]
 
     def _rayleigh_ritz_round(self, blocks: list, edges: list, ws: np.ndarray) -> list:
         """Phase 2 for the sub-blocks ``blocks``, whose W stacks are the

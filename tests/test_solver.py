@@ -5,6 +5,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     dense_to_csr,
@@ -155,6 +157,57 @@ class TestPsd:
         desc.use_history_direction = False
         desc.step()
         np.testing.assert_array_equal(lob.ritz_values, desc.ritz_values)
+
+
+def rate_bound_holds(values: np.ndarray, spectrum: np.ndarray, gamma: float) -> int:
+    """Check Knyazev and Neymeyr's sharp estimate for a preconditioned
+    step (Linear Algebra Appl. 358, 2003) on every step between successive
+    Rayleigh quotients ``values``: with ||I - T A||_A <= ``gamma`` and
+    lambda_i <= lambda < lambda_{i+1} of the pencil's ``spectrum``,
+    (lambda' - lambda_i) / (lambda_{i+1} - lambda') is at most sigma^2 times
+    (lambda - lambda_i) / (lambda_{i+1} - lambda), for
+    sigma = 1 - (1 - gamma) (1 - lambda_i / lambda_{i+1}).  Steps from a
+    lambda within rounding of an eigenvalue are skipped; returns the number
+    checked."""
+    checked, noise = 0, 1e-8 * spectrum[-1]
+    for old, new in zip(values[:-1], values[1:]):
+        i = int(np.searchsorted(spectrum, old, side="right")) - 1
+        if i < 0 or i + 1 >= spectrum.size or min(old - spectrum[i], spectrum[i + 1] - old) <= noise:
+            continue
+        low, high = spectrum[i], spectrum[i + 1]
+        sigma = 1.0 - (1.0 - gamma) * (1.0 - low / high)
+        bound = sigma ** 2 * (old - low) / (high - old)
+        assert (new - low) / (high - new) <= bound * (1 + 1e-9) + 1e-11 * spectrum[-1] / (high - new), \
+            (i, old, new, gamma)
+        checked += 1
+    return checked
+
+
+class TestRateBound:
+    """Every step of a single-vector psd run, and lobpcg's first step,
+    minimizes the Rayleigh quotient over span{x, T r}, which holds the
+    preconditioned step x - T r, so each obeys that step's sharp rate
+    bound (:func:`rate_bound_holds`).  A diagonal A (and B) whose pencil has
+    the eigenvalues ``spectrum``, and T = diag((1 - t_i) / a_i) with
+    |t_i| <= gamma, give ||I - T A||_A = max|t_i| exactly."""
+
+    @settings(derandomize=True, database=None, max_examples=60, deadline=None)
+    @given(n=st.integers(6, 40), seed=st.integers(0, 2**32 - 1), spread=st.floats(1.0, 1e4),
+           gamma=st.floats(0.0, 0.95), metric=st.booleans())
+    def test_steps_obey_the_knyazev_neymeyr_bound(self, n, seed, spread, gamma, metric):
+        rng = np.random.default_rng(seed)
+        spectrum = 1.0 + np.cumsum(rng.uniform(0.2, 1.0, n)) * spread / n
+        b = rng.uniform(0.5, 2.0, n) if metric else np.ones(n)
+        a = rng.permutation(spectrum) * b
+        t = gamma * rng.uniform(-1.0, 1.0, n)
+        ops = dict(b_op=DiagonalOperator(b) if metric else None,
+                   precond=DiagonalOperator((1.0 - t) / a), x0=rng.standard_normal((n, 1)))
+        gamma = float(np.abs(t).max())
+        for solve, steps in ((psd_solve, 6), (lobpcg_solve, 1)):
+            res = solve(DiagonalOperator(a), SolverConfig(nev=1, tol=1e-300, max_iter=steps,
+                                                          record_history=True), **ops)
+            values = np.array([record.ritz_values[0] for record in res.history])
+            assert rate_bound_holds(values, spectrum, gamma) >= 1
 
 
 class TestNormEstimates:

@@ -595,12 +595,17 @@ class TestStackedRounds:
             assert np.array_equal(getattr(state, name), getattr(per_block, name)), name
         assert state.counters == per_block.counters
 
-    @pytest.mark.parametrize("seed,rounds,constrained", [(0, 0, False), (1, 7, False),
-                                                         (2, 30, False), (3, 5, True)])
-    def test_batched_phase_1_matches_each_sub_block(self, seed, rounds, constrained):
-        # when every column of every sub-block moves, phase 1 projects all
-        # of them in one batched call each; its block is bit for bit the
-        # sub-blocks' own, joined
+    @pytest.mark.parametrize("seed,rounds,moving,constrained", [
+        (0, 0, [(0, [0, 1]), (1, [2, 3]), (2, [4, 5])], False),
+        (1, 7, [(0, [1]), (1, [2, 3]), (2, [4])], False),
+        (2, 30, [(1, [3])], False),
+        (3, 5, [(0, [0, 1]), (1, [2, 3]), (2, [4, 5])], True),
+    ], ids=["all-moving", "partial", "one-column", "constrained"])
+    def test_phase_1_matches_each_sub_block(self, seed, rounds, moving, constrained):
+        # phase 1 in one path for any moving set matches, to rounding, each
+        # sub-block's directions formed apart: the residuals projected off
+        # the whole X through an explicit pseudo-inverse of X^T B X,
+        # preconditioned, deflated, projected off the sub-block's own X
         a, b = fe_pencil(10, 12)
         constraints = np.random.default_rng(seed).standard_normal((a.dim, 2))
         state = solver.LobpcgEngine(a, Lobpcg2Config(nev=6, sub_block=2, rr_period=3, seed=seed),
@@ -608,19 +613,68 @@ class TestStackedRounds:
                                     constraints=constraints if constrained else None)
         for _ in range(rounds):
             state.step()
-        moving = [(k, np.arange(cols.start, cols.stop)) for k, cols in enumerate(state.slices)]
-        widths = [active.size for _, active in moving]
-        spans = [slice(k * 2, k * 2 + 2) for k in range(3)]
-        x, dual = state.xs[1], blocks.b_dual_basis(state.xs[1], state.xs[-1])
-        residuals = state._join(widths, (blocks.b_project_out(state.R[:, active], x, dual)
-                                         for _, active in moving))
-        directions = state.precond.apply(residuals)
-        own = [state.xs[..., cols] for cols in state.slices]
-        expected = state._join(widths, (blocks.unit_columns(blocks.b_project_out(
-            state._deflate(directions[:, span]), o[1], o[-1]))[0] for o, span in zip(own, spans)))
-        got = state._unit_directions(moving, widths, spans)
-        np.testing.assert_array_equal(got, expected)
+        moving = [(k, np.array(active)) for k, active in moving]
+        x, b_x = state.xs[1], state.xs[-1]
+        whole = np.linalg.pinv(x.T @ b_x)
+        expected = []
+        for k, active in moving:
+            residuals = state.R[:, active] - x @ (whole @ (b_x.T @ state.R[:, active]))
+            directions = state._deflate(state.precond.apply(residuals))
+            own = state.xs[..., state.slices[k]]
+            directions = directions - own[1] @ (own[-1].T @ directions)
+            expected.append(directions / np.linalg.norm(directions, axis=0))
+        got = state._unit_directions(moving)
         assert got.flags.f_contiguous
+        assert np.linalg.norm(got - np.hstack(expected), axis=0).max() <= 1e-12
+        lo = 0
+        for k, active in moving:  # B-orthogonal to its own sub-block's X
+            b_own = state.xs[-1][:, state.slices[k]]
+            overlap = b_own.T @ got[:, lo:lo + active.size]
+            assert (np.abs(overlap) <= 1e-12 * np.linalg.norm(b_own, axis=0)[:, None]).all()
+            lo += active.size
+
+    @pytest.mark.parametrize("constrained", [False, True])
+    def test_one_sub_block_phase_1_is_the_plain_projection(self, constrained):
+        # lobpcg and psd take no projection off the whole X, and project
+        # off their one X by b_project_out, bit for bit
+        a, b = fe_pencil(10, 12)
+        constraints = np.random.default_rng(4).standard_normal((a.dim, 2))
+        state = solver.LobpcgEngine(a, SolverConfig(nev=4, seed=4), b_op=b,
+                                    precond=jacobi_precond(a),
+                                    constraints=constraints if constrained else None)
+        for _ in range(6):
+            state.step()
+        active = np.array([0, 2, 3])
+        expected = blocks.unit_columns(blocks.b_project_out(state._deflate(
+            state.precond.apply(state.R[:, active])), state.xs[1], state.xs[-1]))[0]
+        np.testing.assert_array_equal(state._unit_directions([(0, active)]), expected)
+
+    def test_collapsed_sub_blocks_take_the_svqb_projection(self, monkeypatch):
+        # two sub-blocks holding one vector make X^T B X singular: the
+        # projection off the whole X keeps one direction of it (SVQB), and
+        # each W column is finite and B-orthogonal to its own X
+        a, b = fe_pencil(10, 12)
+        state = solver.LobpcgEngine(a, Lobpcg2Config(nev=2, sub_block=1, seed=5), b_op=b,
+                                    precond=jacobi_precond(a))
+        for _ in range(3):
+            state.step()
+        state.xs[..., 1] = state.xs[..., 0]
+        state.ritz_values[1] = state.ritz_values[0]
+        state._update_residuals()
+        transform, kept = solver.gram_transform, []
+
+        def recorded(gram, *args):
+            out = transform(gram, *args)
+            kept.append(len(out[1]))
+            return out
+
+        monkeypatch.setattr(solver, "gram_transform", recorded)
+        got = state._unit_directions([(0, np.array([0])), (1, np.array([1]))])
+        assert kept == [1]
+        assert np.isfinite(got).all()
+        for k in range(2):
+            b_own = state.xs[-1][:, k]
+            assert abs(b_own @ got[:, k]) <= 1e-12 * np.linalg.norm(b_own)
 
     def test_one_block_mul_per_part_per_map(self, monkeypatch):
         # a round of 3 equal sub-blocks maps each part stack, all of its
