@@ -29,6 +29,7 @@ from .dense import cholesky_kernel as cholesky, cholesky_stack, sym_eig_kernel a
 from .errors import (
     DimensionMismatchError,
     InsufficientRankError,
+    LobpcgKitError,
     NotPositiveDefiniteError,
     OrthonormalizationError,
     ZeroRankError,
@@ -63,7 +64,9 @@ class OpCounters:
     """Exact operation tallies a solver maintains for benchmarking.
 
     ``a_matvecs`` and ``b_matvecs`` count the columns A and B were applied
-    to; ``matvecs`` is their sum.
+    to; ``matvecs`` is their sum.  ``estimate_matvecs`` counts apart the
+    columns a matrix-free A or B was applied to in order to estimate its
+    spectrum: its norm estimate and, for B, the probe of its definiteness.
     """
 
     a_matvecs: int = 0
@@ -71,6 +74,7 @@ class OpCounters:
     precond_applies: int = 0
     rayleigh_ritz_calls: int = 0
     orthonormalizations: int = 0
+    estimate_matvecs: int = 0
 
     @property
     def matvecs(self) -> int:
@@ -204,7 +208,10 @@ def gram_transform(gram: np.ndarray, cond_limit: float = np.inf):
     the numerically independent directions; ``kept`` lists the Gram
     columns judged independent.  Raises ZeroRankError when none are.  Under
     a finite ``cond_limit`` a Cholesky that fails or has a pivot ratio
-    squared above it raises NotPositiveDefiniteError, without SVQB.
+    squared above it raises NotPositiveDefiniteError, without SVQB.  So
+    does an SVQB eigenvalue below -m * RANK_DROP_RTOL * lambda_max, the
+    mirror of the rank rule: a B-Gram matrix that indefinite comes from an
+    indefinite metric, which dropping the direction would hide.
     """
     m = gram.shape[0]
     try:
@@ -219,7 +226,12 @@ def gram_transform(gram: np.ndarray, cond_limit: float = np.inf):
             raise
         eig = sym_eig(gram)
         lam_max = float(eig.values[-1])
-        keep_mask = eig.values > m * RANK_DROP_RTOL * max(lam_max, 0.0)
+        floor = m * RANK_DROP_RTOL * max(lam_max, 0.0)
+        if eig.values[0] < -floor:
+            raise NotPositiveDefiniteError(
+                f"Gram eigenvalue {eig.values[0]:.3e} against a largest of {lam_max:.3e}: "
+                "the metric is indefinite") from None
+        keep_mask = eig.values > floor
         if lam_max <= 0.0 or not np.any(keep_mask):
             raise ZeroRankError("all columns are numerically dependent") from None
         transform = eig.vectors[:, keep_mask] / np.sqrt(eig.values[keep_mask])[None, :]
@@ -420,7 +432,8 @@ def fix_signs(vectors: np.ndarray, *companions: np.ndarray) -> None:
 def combine_parts(parts, coeff: np.ndarray, plus: np.ndarray | None = None) -> np.ndarray:
     """The stack of ``S C`` and its products (plus the stack ``plus``) for a
     basis S held as part stacks, without joining them: one
-    :func:`block_mul` maps every member of a part."""
+    :func:`block_mul` maps every member of a part, and each part's product
+    is released once added."""
     out, row = None, 0
     for part in parts:
         rows = coeff[row:row + part.shape[-1]]
@@ -430,6 +443,7 @@ def combine_parts(parts, coeff: np.ndarray, plus: np.ndarray | None = None) -> n
             out = piece
         else:
             out += piece
+        del piece
     if plus is not None:
         out += plus
     return out
@@ -636,12 +650,17 @@ def next_direction(ritz, tail, coeff: np.ndarray, gram_b: np.ndarray, rows: int,
     """The step's next P stack or None: ``coeff``, ``rows`` zeroed,
     B-orthogonalized to ``coeff`` (by M) and normalized (by T) through
     ``gram_b``, is mapped as ``tail T - ritz (M T)`` and :func:`b_normalized`.
-    ``combined`` is ``[T; -M T]`` when formed already."""
-    if combined is None:
-        combined = direction_coefficients(coeff, gram_b, rows)
+    ``combined`` is ``[T; -M T]`` when formed already.  Any error of this
+    package on the way also gives None: the Ritz block is kept already, so
+    the step ends without P rather than raise."""
+    try:
         if combined is None:
-            return None
-    return b_normalized(combine_parts([tail, ritz], combined))
+            combined = direction_coefficients(coeff, gram_b, rows)
+            if combined is None:
+                return None
+        return b_normalized(combine_parts([tail, ritz], combined))
+    except LobpcgKitError:
+        return None
 
 
 def rayleigh_ritz(basis: np.ndarray, a_op: LinearOperator, b_op: LinearOperator,

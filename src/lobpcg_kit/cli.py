@@ -199,6 +199,7 @@ def cmd_solve(args, flags: list[str]) -> int:
         "eigenvalues": list(result.values),
         "iterations": result.iterations,
         "residual_norms_final": list(result.residual_norms),
+        "counters": dataclasses.asdict(result.counters),
     }
     if args.history:
         document["history"] = [dataclasses.asdict(rec) for rec in result.history]

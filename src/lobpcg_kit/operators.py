@@ -388,6 +388,37 @@ def norm_estimates(op: LinearOperator) -> float:
     return estimate
 
 
+def lanczos_ritz_values(op: LinearOperator) -> np.ndarray:
+    """Ascending Ritz values of a symmetric operator over the Krylov space
+    of a fixed random vector, by at most 10 Lanczos steps (as many applies
+    as :func:`norm_estimates` makes), each new vector orthogonalized twice
+    against the earlier ones; fewer when the space is invariant to
+    sqrt(eps).  The pencil of the basis' Gram matrices is solved through
+    the Cholesky factor of ``V^T V``, so each value lies in the operator's
+    spectral range to rounding: a negative one shows that the operator is
+    not positive semidefinite.  NaN when the projection is not finite.
+    """
+    vec = np.random.default_rng(1905).standard_normal((op.dim, 1))
+    basis, products = [vec / np.linalg.norm(vec)], []
+    while True:
+        products.append(op.apply(basis[-1]))
+        if len(basis) == min(10, op.dim) or not np.isfinite(products[-1]).all():
+            break
+        known, vec = np.hstack(basis), products[-1]
+        for _ in range(2):
+            vec = vec - known @ (known.T @ vec)
+        norm = np.linalg.norm(vec)
+        if not norm > np.sqrt(np.finfo(float).eps) * np.linalg.norm(products[-1]):
+            break  # the Krylov space is invariant
+        basis.append(vec / norm)
+    basis = np.hstack(basis)
+    inverse = np.linalg.inv(np.linalg.cholesky(basis.T @ basis))
+    gram = inverse @ (basis.T @ np.hstack(products)) @ inverse.T
+    if not np.isfinite(gram).all():
+        return np.full(basis.shape[1], np.nan)
+    return np.linalg.eigvalsh(0.5 * (gram + gram.T))
+
+
 def jacobi_precond(matrix) -> DiagonalOperator:
     """Inverse-diagonal preconditioner with a unit fallback.
 

@@ -22,7 +22,9 @@ rounding level.  Each of X, W and P is held with its products as one
 :mod:`~lobpcg_kit.blocks` stack ``(A V, V, B V)``, so that one matmul
 maps all of them; without a metric the stack is ``(A V, V)`` and B V is V
 by layout.  X and P share the product of [W, P]; P is B-orthogonalized to
-X and normalized in their coefficient space.
+X and normalized in their coefficient space.  A step holds only the
+blocks it still needs: the residual block, W and the old X and P are
+released at their last read.
 The Gram blocks known by construction (X^T A X = diag(theta),
 X^T B X = W^T B W = P^T B P = I) are formed only once the residuals fall
 below :data:`EXPLICIT_GRAM_RTOL` (scipy's ``explicitGramFlag``).
@@ -38,6 +40,7 @@ import numpy as np
 
 from .blocks import (
     ORTHO_POST_TOL,
+    RANK_DROP_RTOL,
     OpCounters,
     b_normalized,
     b_orthonormalize_full,
@@ -78,6 +81,7 @@ from .operators import (
     DiagonalOperator,
     LinearOperator,
     SparseSymMatrix,
+    lanczos_ritz_values,
     norm_estimates,
     op_apply,
 )
@@ -203,6 +207,12 @@ class _Breakdown(LobpcgKitError):
     non-finite values: like any error of this package, it ends a run."""
 
 
+def _matrix_free(op: LinearOperator) -> bool:
+    """Whether ``op`` is known by its apply alone, with no diagonal or
+    entries to read a norm or a sign from."""
+    return not isinstance(op, (operators.IdentityOperator, DiagonalOperator, SparseSymMatrix))
+
+
 def _require_finite(stack: np.ndarray) -> None:
     if not np.isfinite(stack).all():
         raise _Breakdown("non-finite product")
@@ -236,7 +246,9 @@ class LobpcgEngine:
 
     A diagonal or sparse ``b_op`` with a diagonal entry <= 0 is not
     positive definite and raises :class:`NotPositiveDefiniteError` before
-    any operator is applied.  Once built, its :meth:`run` raises nothing.
+    any operator is applied; a matrix-free one is probed before the first
+    convergence claim (:meth:`check_metric`).  Once built, its :meth:`run`
+    raises nothing.
     When A is not finite on the start block, or any error of this package
     arises in its coupling, it keeps the B-orthonormal start block with NaN
     Ritz values, and its first step reports breakdown.
@@ -310,8 +322,13 @@ class LobpcgEngine:
                 raise NotPositiveDefiniteError(f"metric diagonal entry {bad[0]} is <= 0")
         self.dim = a_op.dim
         self.counters = OpCounters()
-        self.norm_a = norm_estimates(a_op)
-        self.norm_b = 1.0 if b_op is None else norm_estimates(b_op)
+        estimated = [op if op is None or not _matrix_free(op)
+                     else _CountingOperator(op, self.counters, "estimate_matvecs")
+                     for op in (a_op, b_op)]
+        self.norm_a = norm_estimates(estimated[0])
+        self.norm_b = 1.0 if b_op is None else norm_estimates(estimated[1])
+        # a matrix-free metric is probed once, before the first convergence claim
+        self._unprobed_metric = None if estimated[1] is b_op else estimated[1]
         self.a_op = _CountingOperator(a_op, self.counters, "a_matvecs")
         self.b_op = None if b_op is None else _CountingOperator(b_op, self.counters, "b_matvecs")
         raw_precond = precond if precond is not None else CallableOperator(a_op.dim, np.copy)
@@ -386,8 +403,12 @@ class LobpcgEngine:
     # -- state inspection ----------------------------------------------
 
     def _update_residuals(self) -> None:
-        """Residuals and their norms, and X's column norms, of a new state."""
-        self.R = self.xs[0] - self.xs[-1] * self.ritz_values[None, :]
+        """Residuals and their norms, and X's column norms, of a new state;
+        the old residual block is released before the new one is formed,
+        in one buffer."""
+        self.R = None
+        self.R = self.xs[-1] * self.ritz_values[None, :]
+        np.subtract(self.xs[0], self.R, out=self.R)
         if self.constraints is not None:  # the pencil's residual off span(Y)
             self.R = b_project_out(self.R, self.b_constraints, self.constraints)
         self.residual_norms = column_norms(self.R)
@@ -413,6 +434,21 @@ class LobpcgEngine:
                 self._keep_direction(0, None)
             self._update_residuals()
         self._fresh = True
+
+    def check_metric(self) -> None:
+        """Raise :class:`NotPositiveDefiniteError` when a matrix-free metric,
+        whose definiteness the constructor cannot check, has a Lanczos Ritz
+        value below -k * RANK_DROP_RTOL times the largest of its k
+        (:func:`~lobpcg_kit.operators.lanczos_ritz_values`).  Once per
+        state; a no-op for any other metric."""
+        if self._unprobed_metric is None:
+            return
+        values = lanczos_ritz_values(self._unprobed_metric)
+        self._unprobed_metric = None
+        if values[0] < -values.size * RANK_DROP_RTOL * max(values[-1], 0.0):
+            raise NotPositiveDefiniteError(
+                f"metric has a Ritz value {values[0]:.3e} against a largest of "
+                f"{values[-1]:.3e}: it is indefinite")
 
     def convergence_thresholds(self, tol: float | None = None) -> np.ndarray:
         """Each column's residual threshold at ``tol``, ``cfg.tol`` by default."""
@@ -492,7 +528,8 @@ class LobpcgEngine:
         columns)``, with one preconditioner, B and A apply each; returns
         the trial widths of the sub-blocks that moved.  Phase 1 makes W from
         the active residuals (:meth:`_unit_directions`) and
-        B-orthonormalizes it, into one stack for phase 2."""
+        B-orthonormalizes it, into one stack for phase 2, whose sub-blocks'
+        views of it are then its only references."""
         edges = [0, *accumulate(active.size for _, active in moving)]
         spans = [slice(lo, hi) for lo, hi in zip(edges[:-1], edges[1:])]
         ws, kept = b_orthonormalize_spans(self._unit_directions(moving), spans,
@@ -501,17 +538,26 @@ class LobpcgEngine:
             return []
         blocks = [k for (k, _), cols in zip(moving, kept) if cols]
         ws[0] = op_apply(self.a_op, ws[1])
-        return self._rayleigh_ritz_round(blocks, [0, *accumulate(filter(None, kept))], ws)
+        w_edges = [0, *accumulate(filter(None, kept))]
+        members = []
+        for k, lo, hi in zip(blocks, w_edges[:-1], w_edges[1:]):
+            members.append(self._parts(k))
+            members[-1].insert(1, ws[..., lo:hi])
+        grams = self._stacked_grams(blocks, members, ws) if len(blocks) > 1 else None
+        del ws
+        return self._rayleigh_ritz_round(blocks, members, grams)
 
     def _unit_directions(self, moving: list) -> np.ndarray:
         """Phase 1 up to W's orthonormalization, the active columns side by
         side in round order: the residuals, B-projected off the whole X in
         its coefficient space when there are several sub-blocks,
         preconditioned, deflated, B-projected off each column's own
-        sub-block's X and scaled to unit columns."""
+        sub-block's X and scaled to unit columns.  The state's residual
+        block is released once its active columns are copied; the round's
+        end forms the next one."""
         active = np.concatenate([cols for _, cols in moving])
         x, b_x = self.xs[1], self.xs[-1]
-        residuals = self.R[:, active]
+        residuals, self.R = self.R[:, active], None
         if len(self.slices) > 1:  # sub-blocks are B-orthogonal only after a coupling
             transform, _ = gram_transform(sym(x.T @ b_x))
             residuals -= block_mul(x, transform @ (transform.T @ (b_x.T @ residuals)))
@@ -523,15 +569,11 @@ class LobpcgEngine:
         own = np.arange(self.block_size)[:, None] // width == active // width
         return unit_columns(directions - block_mul(x, own * (b_x.T @ directions)))[0]
 
-    def _rayleigh_ritz_round(self, blocks: list, edges: list, ws: np.ndarray) -> list:
-        """Phase 2 for the sub-blocks ``blocks``, whose W stacks are the
-        column spans between ``edges`` of ``ws``, with the first trials'
-        small dense work stacked."""
-        members = []
-        for k, lo, hi in zip(blocks, edges[:-1], edges[1:]):
-            members.append(self._parts(k))
-            members[-1].insert(1, ws[..., lo:hi])
-        grams = self._stacked_grams(blocks, members, ws) if len(blocks) > 1 else None
+    def _rayleigh_ritz_round(self, blocks: list, members: list, grams) -> list:
+        """Phase 2 for the sub-blocks ``blocks``, whose part stacks are
+        ``members`` (X, W and P if any), with the first trials' small dense
+        work stacked; ``grams`` are their Gram matrices when
+        :meth:`_stacked_grams` formed them, else None."""
         pairs = list(zip(*grams)) if grams else [
             part_grams(parts, None if self._explicit_grams[k] else self.ritz_values[self.slices[k]])
             for k, parts in zip(blocks, members)]
@@ -562,6 +604,10 @@ class LobpcgEngine:
         matrices are not finite or the trial without P fails.  A trial fails
         on any error of this package: the restart guard (a Cholesky failing
         :data:`RESTART_COND_LIMIT`), a rank shortfall, a failed post-check.
+        A Ritz block that passes is kept with its values at once, and
+        ``parts`` emptied, so that the old X and P (and the round's W, after
+        the last sub-block) are freed before the next P is formed; a next P
+        that cannot be formed leaves the sub-block without one.
         ``first`` holds the first trial's
         :func:`~lobpcg_kit.blocks.ritz_coefficients` and, or None,
         :func:`~lobpcg_kit.blocks.direction_coefficients` if formed already.
@@ -582,13 +628,15 @@ class LobpcgEngine:
                 first = None
         else:
             return 0
-        keep_p = self.use_history_direction
-        direction = next_direction(xs, tail, coeff, gram_b[:width, :width], rows,
-                                   first and first[2]) if keep_p else None
-        self.counters.orthonormalizations += int(keep_p)
         self.ritz_values[self.slices[k]] = values
         self._keep(k, "xs", xs)
-        self._keep_direction(k, direction)
+        self._keep_direction(k, None)
+        parts.clear()
+        del trial
+        if self.use_history_direction:
+            self.counters.orthonormalizations += 1
+            self._keep_direction(k, next_direction(xs, tail, coeff, gram_b[:width, :width],
+                                                   rows, first and first[2]))
         return width
 
     def salvage(self) -> None:
@@ -611,7 +659,8 @@ def drive(state, nev: int, max_iter: int, record_history: bool) -> SolveResult:
 
     ``state`` is a :class:`LobpcgEngine`, the state of every solver.
     Carried products are refreshed only before a convergence claim and at
-    ``max_iter``, so statuses rest on explicit products.  Any error of this
+    ``max_iter``, so statuses rest on explicit products; a claim also waits
+    for the state's :meth:`~LobpcgEngine.check_metric`.  Any error of this
     package ends the run in breakdown, after ``salvage``; the result's
     ``cause`` names that error.
     """
@@ -631,6 +680,7 @@ def drive(state, nev: int, max_iter: int, record_history: bool) -> SolveResult:
                 history.append(IterationRecord(state.iterations, values[order], norms[order],
                                                n_locked, state._last_basis_cols))
             if np.all(conv[:nev]):
+                state.check_metric()
                 status = STATUS_CONVERGED
             elif state.iterations >= max_iter:
                 status = STATUS_MAX_ITER

@@ -7,6 +7,10 @@ inside their iteration budgets.
 
 from __future__ import annotations
 
+import gc
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -34,6 +38,33 @@ def laplacian_1d(n: int) -> SparseSymMatrix:
     triplets = [(i, i, 2.0) for i in range(n)]
     triplets += [(i, i + 1, -1.0) for i in range(n - 1)]
     return csr_from_coo(n, triplets)
+
+
+def grid_stencil(dims, values):
+    """The (2d + 1)-point stencil on a Dirichlet box: the diagonal and one
+    entry per grid edge, so rows at the box's faces have gaps.  ``values``
+    gives the diagonal, then one value per edge, axis by axis."""
+    n = math.prod(dims)
+    index = np.arange(n).reshape(dims)
+    lower = [np.take(index, range(length - 1), axis=axis).ravel()
+             for axis, length in enumerate(dims)]
+    upper = [np.take(index, range(1, length), axis=axis).ravel()
+             for axis, length in enumerate(dims)]
+    rows = np.concatenate([index.ravel()] + lower)
+    cols = np.concatenate([index.ravel()] + upper)
+    return csr_from_coo(n, list(zip(rows.tolist(), cols.tolist(), values(rows.size).tolist())))
+
+
+def peak_bytes(call):
+    """``(call(), peak)``: what ``call`` returns and the most bytes that
+    tracemalloc saw allocated while it ran, after a ``gc.collect()``.
+    Tracing stops even when the call raises."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        return call(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def heavy_tailed_edges(n: int, seed: int) -> np.ndarray:

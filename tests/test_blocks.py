@@ -14,6 +14,7 @@ from lobpcg_kit import (
     DimensionMismatchError,
     IdentityOperator,
     InsufficientRankError,
+    NotPositiveDefiniteError,
     OrthonormalizationError,
     ZeroRankError,
     ZeroVectorError,
@@ -25,8 +26,8 @@ from lobpcg_kit import (
     residual_block,
 )
 from lobpcg_kit.blocks import (b_orthonormalize_full, b_orthonormalize_spans, block_mul,
-                                carried_rayleigh_ritz, combine_parts, fix_signs, part_grams,
-                                stack_of, sub_block_stack, unit_columns)
+                                carried_rayleigh_ritz, combine_parts, fix_signs, gram_transform,
+                                part_grams, stack_of, sub_block_stack, unit_columns)
 
 
 def spd_operator(rng, n, shift=None):
@@ -193,6 +194,24 @@ class TestBOrthonormalize:
         with pytest.raises(OrthonormalizationError):
             b_orthonormalize(rng.standard_normal((10, 3)), CallableOperator(10, apply))
         assert calls == [3, 3]
+
+    def test_indefinite_metric_raises(self):
+        # the B-Gram matrix of e1, e2 is diag(-1, 1): SVQB used to drop e1's
+        # direction and return e2 alone, B-orthonormal under any metric
+        signs = np.concatenate([[-1.0], np.ones(9)])
+        b = CallableOperator(10, lambda block: signs[:, None] * block)
+        with pytest.raises(NotPositiveDefiniteError, match="indefinite"):
+            b_orthonormalize(np.eye(10)[:, :2], b)
+
+    def test_svqb_drops_a_rounding_level_negative_direction(self, rng):
+        # a rank-one Gram matrix whose null space rounds below zero, far
+        # above -m * RANK_DROP_RTOL * lambda_max: dependent, not indefinite
+        q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+        gram = (q * np.array([-1e-16, 0.0, 3.0])) @ q.T
+        transform, kept = gram_transform(0.5 * (gram + gram.T))
+        assert transform.shape == (3, 1) and len(kept) == 1
+        with pytest.raises(NotPositiveDefiniteError, match="indefinite"):
+            gram_transform((q * np.array([-1e-10, 0.0, 3.0])) @ q.T)
 
     @pytest.mark.parametrize("widths", [[3], [2, 2, 3], [2, 2]])
     def test_spans_keep_the_identity_metric_aliased(self, rng, widths):

@@ -60,6 +60,18 @@ class TestSolve:
         assert len(doc["residual_norms_final"]) == 2
         assert doc["wall_time_seconds"] > 0
 
+    def test_counters_reported(self, lap50, tmp_path):
+        # every OpCounters tally; a matrix read from a file is sparse, so its
+        # norm estimate applies nothing and estimate_matvecs is 0
+        out = tmp_path / "out.json"
+        assert main(["solve", "--matrix", lap50, "--nev", "2", "--out", str(out)]) == 0
+        counters = json.loads(out.read_text())["counters"]
+        assert set(counters) == {"a_matvecs", "b_matvecs", "precond_applies",
+                                 "rayleigh_ritz_calls", "orthonormalizations",
+                                 "estimate_matvecs"}
+        assert counters["a_matvecs"] > 0
+        assert (counters["b_matvecs"], counters["estimate_matvecs"]) == (0, 0)
+
     def test_nev_zero_is_usage_error(self, lap50, tmp_path):
         code = main(["solve", "--matrix", lap50, "--nev", "0",
                      "--out", str(tmp_path / "x.json")])

@@ -1,16 +1,21 @@
 """Operator contracts: CSR assembly, block application, preconditioners,
 graph Laplacians."""
 
-import math
 import re
-import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import dense_to_csr, fe_matrices_1d, heavy_tailed_edges, laplacian_1d
+from conftest import (
+    dense_to_csr,
+    fe_matrices_1d,
+    grid_stencil,
+    heavy_tailed_edges,
+    laplacian_1d,
+    peak_bytes,
+)
 
 from lobpcg_kit import (
     AsymmetricValuesError,
@@ -160,21 +165,6 @@ class TestOpApply:
         assert np.max(np.abs(combo - parts)) <= 1e-10 * matrix.max_row_l1()
 
 
-def grid_stencil(dims, values):
-    """The (2d + 1)-point stencil on a Dirichlet box: the diagonal and one
-    entry per grid edge, so rows at the box's faces have gaps.  ``values``
-    gives the diagonal, then one value per edge, axis by axis."""
-    n = math.prod(dims)
-    index = np.arange(n).reshape(dims)
-    lower = [np.take(index, range(length - 1), axis=axis).ravel()
-             for axis, length in enumerate(dims)]
-    upper = [np.take(index, range(1, length), axis=axis).ravel()
-             for axis, length in enumerate(dims)]
-    rows = np.concatenate([index.ravel()] + lower)
-    cols = np.concatenate([index.ravel()] + upper)
-    return csr_from_coo(n, list(zip(rows.tolist(), cols.tolist(), values(rows.size).tolist())))
-
-
 def gapped_band(n, width, dropped, rng):
     """A band of half-width ``width`` missing a ``dropped`` share of its
     off-diagonal pairs, none in the middle row: so the offsets are no more
@@ -297,10 +287,7 @@ class TestApplyMatchesDense:
         tail_passes = [p for p in matrix._passes if p[4] is not None]
         assert len(tail_passes) == -(-n * n // TAIL_PASS_ENTRIES)
         block = np.asfortranarray(rng.standard_normal((n, m)))
-        tracemalloc.start()
-        out = matrix.apply(block)
-        peak = tracemalloc.get_traced_memory()[1]
-        tracemalloc.stop()
+        out, peak = peak_bytes(lambda: matrix.apply(block))
         np.testing.assert_allclose(out, dense @ block, rtol=1e-12, atol=1e-10)
         # about one pass's gather (a single pass would gather n * n * m)
         assert peak < 2 * 8 * m * TAIL_PASS_ENTRIES
@@ -355,10 +342,7 @@ class TestApplyLayout:
         matrix = grid_stencil((12, 16, 21), lambda size: rng.uniform(-1.0, 1.0, size))
         m = 10
         block = np.asfortranarray(rng.standard_normal((matrix.dim, m)))
-        tracemalloc.start()
-        out = matrix.apply(block)
-        peak = tracemalloc.get_traced_memory()[1]
-        tracemalloc.stop()
+        out, peak = peak_bytes(lambda: matrix.apply(block))
         assert out.flags.f_contiguous
         # the accumulator, which is returned, and one shifted product, plus
         # one ufunc buffer of numpy's
@@ -390,10 +374,7 @@ def test_laplacian_assembly_peak_per_stored_entry():
     # path, from four triplets per edge, peaked at 162
     n = 4000
     edges = heavy_tailed_edges(n, seed=0)
-    tracemalloc.start()
-    lap = laplacian_from_edges(n, edges)
-    peak = tracemalloc.get_traced_memory()[1]
-    tracemalloc.stop()
+    lap, peak = peak_bytes(lambda: laplacian_from_edges(n, edges))
     assert peak < 70 * lap.nnz
 
 

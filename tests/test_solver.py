@@ -12,8 +12,10 @@ from conftest import (
     dense_to_csr,
     easy_spd_problem,
     fe_matrices_1d,
+    grid_stencil,
     laplacian_1d,
     laplacian_1d_eigenvalues,
+    peak_bytes,
     random_spd_metric,
     subspace_gap,
 )
@@ -41,6 +43,7 @@ from lobpcg_kit import (
 )
 from lobpcg_kit import solver
 from lobpcg_kit.blocks import b_orthonormalize_full, b_project_out, stack_of
+from lobpcg_kit.operators import lanczos_ritz_values
 from lobpcg_kit.solver import ORTHO_POST_TOL
 
 
@@ -232,6 +235,51 @@ class TestNormEstimates:
         true_norm = np.max(np.abs(np.linalg.eigvalsh(dense)))
         est = norm_estimates(op)
         assert true_norm / 20 <= est <= 20 * true_norm
+
+    def test_lanczos_ritz_values_lie_in_the_spectrum(self, rng):
+        dense = rng.standard_normal((30, 30))
+        dense = dense + dense.T
+        spectrum = np.linalg.eigvalsh(dense)
+        values = lanczos_ritz_values(CallableOperator(30, lambda block: dense @ block))
+        assert values.size == 10
+        assert spectrum[0] - 1e-12 <= values[0] and values[-1] <= spectrum[-1] + 1e-12
+        assert np.all(np.diff(values) >= 0)
+
+    def test_lanczos_stops_on_an_invariant_space(self):
+        # two distinct eigenvalues: the Krylov space is invariant after two steps
+        signs = np.concatenate([[-1.0], np.ones(39)])
+        applied = []
+
+        def apply(block):
+            applied.append(block.shape[1])
+            return signs[:, None] * block
+
+        values = lanczos_ritz_values(CallableOperator(40, apply))
+        np.testing.assert_allclose(values, [-1.0, 1.0], atol=1e-14)
+        assert applied == [1, 1]
+
+
+class TestStepMemory:
+    """A step holds only the blocks it still needs."""
+
+    def test_standard_step_holds_about_ten_blocks(self):
+        # lap3d_std's Laplacian: at its peak a step holds the state's X and P
+        # stacks (A V, V), the round's W and the new Ritz block and its tail,
+        # about ten n x width blocks (10.15 measured); it held 15.15 while
+        # every block a step read lived until the step returned
+        dims = (12, 16, 21)
+        n = int(np.prod(dims))
+        a = grid_stencil(dims, lambda size: np.r_[np.full(n, 6.0), -np.ones(size - n)])
+        precond = jacobi_precond(a)
+        cfg = SolverConfig(nev=8, block_size=10)
+
+        def solve():
+            return lobpcg_solve(a, cfg, precond=precond)
+
+        solve()  # so that first-call allocations, such as imports, are not counted
+        result, peak = peak_bytes(solve)
+        assert result.status == "converged"
+        assert peak <= 11.1 * n * cfg.width() * 8
 
 
 class TestInvariants:
@@ -802,6 +850,28 @@ class TestValidation:
         with pytest.raises(NotPositiveDefiniteError, match="entry 0"):
             solve(DiagonalOperator(np.arange(1.0, 41.0)), b)
 
+    @pytest.mark.parametrize("solve", [
+        lambda a, b: lobpcg_solve(a, SolverConfig(nev=2), b_op=b),
+        lambda a, b: psd_solve(a, SolverConfig(nev=2), b_op=b),
+        lambda a, b: lobpcg2_solve(a, Lobpcg2Config(nev=2), b_op=b),
+    ], ids=["lobpcg", "psd", "lobpcg2"])
+    @pytest.mark.parametrize("make_b", [
+        lambda signs: CallableOperator(40, lambda block: signs[:, None] * block),
+        lambda signs: csr_from_coo(40, [(i, i, 1.0) for i in range(40)] + [(0, 1, 2.0)]),
+    ], ids=["matrix-free", "sparse"])
+    def test_indefinite_metric_past_the_diagonal_check_ends_in_breakdown(self, solve, make_b):
+        # the constructor reads no diagonal of the matrix-free diag(-1, 1, ...)
+        # and a positive one of the sparse metric. No B-Gram matrix the runs
+        # form under the first is indefinite: all three reported a false
+        # 'converged' [2, 3] (the pencil's smallest eigenvalue is -1) before
+        # the metric was probed ahead of the claim. Under the second SVQB
+        # dropped the negative directions until no sub-block moved
+        b = make_b(np.concatenate([[-1.0], np.ones(39)]))
+        res = solve(DiagonalOperator(np.arange(1.0, 41.0)), b)
+        assert res.status == "breakdown"
+        assert res.cause.startswith("NotPositiveDefiniteError: ")
+        assert "indefinite" in res.cause
+
     def test_x0_shape_checked(self):
         with pytest.raises(DimensionMismatchError):
             lobpcg_solve(IdentityOperator(10), SolverConfig(nev=2),
@@ -833,6 +903,29 @@ class TestMatrixFree:
         oracle = dense_oracle(op, IdentityOperator(40))
         assert res.status == "converged"
         assert np.max(np.abs(res.values - oracle.values[:3])) <= 1e-6
+
+    def test_estimate_applies_are_counted_apart(self):
+        # a matrix-free A and B are applied to 10 columns each for their norm
+        # estimates, and B to 10 more by the probe of its definiteness before
+        # the claim; a_matvecs and b_matvecs count only the solve's own applies
+        spectrum, metric = np.arange(1.0, 41.0), np.linspace(1.0, 2.0, 40)
+        seen = {"a": 0, "b": 0}
+
+        def counted(name, diagonal):
+            def apply(block):
+                seen[name] += block.shape[1]
+                return diagonal[:, None] * block
+            return CallableOperator(40, apply)
+
+        res = lobpcg_solve(counted("a", spectrum), SolverConfig(nev=2),
+                           b_op=counted("b", metric))
+        assert res.status == "converged"
+        assert res.counters.estimate_matvecs == 30
+        assert seen["a"] == res.counters.a_matvecs + 10
+        assert seen["b"] == res.counters.b_matvecs + 20
+        plain = lobpcg_solve(DiagonalOperator(spectrum), SolverConfig(nev=2),
+                             b_op=DiagonalOperator(metric))
+        assert plain.counters.estimate_matvecs == 0
 
     def test_operator_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
