@@ -102,16 +102,21 @@ class CallableOperator(LinearOperator):
 
 
 class SparseSymMatrix(LinearOperator):
-    """CSR storage of the full symmetric pattern (both triangles).
+    """A symmetric sparse matrix that holds each stored entry once, in the
+    layout its ``apply`` reads.
 
-    ``row_offsets`` has ``dim + 1`` entries; ``col_indices`` are strictly
-    increasing within each row; the pattern and values are symmetric.
-    Construct through :func:`csr_from_coo`.
+    It is built from CSR arrays of the full symmetric pattern (both
+    triangles): ``row_offsets`` has ``dim + 1`` entries; ``col_indices``
+    are strictly increasing within each row; the pattern and values are
+    symmetric.  Construct through :func:`csr_from_coo`.  The CSR arrays
+    stay readable as ``row_offsets``, ``col_indices`` and ``values``, bit
+    for bit, but a layout that does not hold one rebuilds it on each read,
+    at O(nnz) cost; ``diagonal()`` and ``max_row_l1()`` are computed once,
+    on construction.
 
-    ``apply`` runs on a copy of the entries built here in one of two
-    layouts, named by ``layout`` and chosen from the pattern alone.  It
-    accumulates ``(m, n)``, each column contiguous, in passes, and returns
-    the column-major view.
+    ``apply`` accumulates ``(m, n)``, each column contiguous, in passes
+    over one of two layouts, named by ``layout`` and chosen from the
+    pattern alone, and returns the column-major view.
 
     * ``"diagonal"``, for a pattern on few, nearly full diagonals (a
       stencil or finite-element matrix): one value array per offset
@@ -123,38 +128,57 @@ class SparseSymMatrix(LinearOperator):
       :data:`DIAGONAL_FILL` times ``nnz`` slots.  A padded zero meets the
       block too: a NaN or infinity in the block may spread, through
       0 * inf, to rows within the band that A does not couple to it.
+      Padding hides which zeros are stored, so this layout keeps
+      ``row_offsets`` and ``col_indices`` besides its slots.
     * ``"jagged"``, otherwise: rows sorted by descending length, then
       jagged-diagonal slots (slot k holds the k-th entry of every row
       longer than k, a prefix of the order) of :data:`TAIL_ROWS` rows or
       more, then the thinner slots' entries as one row-sorted CSR tail,
       summed by ``np.add.reduceat`` in passes of about
       :data:`TAIL_PASS_ENTRIES`; a final gather restores the row order.
+      It holds a value and a column per entry, the row order, and the
+      tail's row starts, and no CSR array.
     """
 
     def __init__(self, dim: int, row_offsets: np.ndarray, col_indices: np.ndarray,
                  values: np.ndarray):
         super().__init__(dim)
-        self.row_offsets = np.asarray(row_offsets, dtype=np.int64)
-        self.col_indices = np.asarray(col_indices, dtype=np.int64)
-        self.values = np.asarray(values, dtype=float)
-        lengths = np.diff(self.row_offsets)
+        row_offsets = np.asarray(row_offsets, dtype=np.int64)
+        col_indices = np.asarray(col_indices, dtype=np.int64)
+        values = np.asarray(values, dtype=float)
+        self._nnz = int(values.shape[0])
+        lengths = np.diff(row_offsets)
+        rows = np.repeat(np.arange(self.dim), lengths)
+        on_diag = np.flatnonzero(rows == col_indices)
+        self._diagonal = np.zeros(self.dim)
+        self._diagonal[rows[on_diag]] = values[on_diag]
+        del on_diag
+        self._max_row_l1 = 0.0 if not self._nnz else float(np.max(np.add.reduceat(
+            np.abs(values), row_offsets[:-1][np.flatnonzero(lengths)])))
         # a pass is (first row, end row, values, source, row starts): the
         # source is an offset to slice at or columns to gather; row starts
         # only in the jagged tail
-        self._passes, self._inverse = self._diagonal_passes(lengths), None
-        self.layout = "jagged" if self._passes is None else "diagonal"
-        if self._passes is None:
-            self._passes, self._inverse = self._jagged_passes(lengths)
+        diagonal = self._diagonal_passes(lengths, rows, col_indices, values)
+        del rows
+        self.layout = "jagged" if diagonal is None else "diagonal"
+        # the CSR pattern, which the jagged layout derives from its passes
+        self._pattern = None if diagonal is None else (row_offsets, col_indices)
+        if diagonal is None:
+            self._passes, self._inverse = self._jagged_passes(lengths, row_offsets,
+                                                              col_indices, values)
+        else:
+            (self._passes, self._slots), self._inverse = diagonal, None
 
-    def _diagonal_passes(self, lengths: np.ndarray) -> list | None:
-        """The passes of the diagonal layout, or None where the rule of the
-        class docstring rejects the pattern."""
+    def _diagonal_passes(self, lengths: np.ndarray, rows: np.ndarray, cols: np.ndarray,
+                         values: np.ndarray) -> tuple[list, np.ndarray] | None:
+        """The passes of the diagonal layout over the CSR entries at
+        ``rows``, ``cols`` and the slots they view, or None where the rule
+        of the class docstring rejects the pattern."""
         n, longest = self.dim, int(lengths.max())
         # rows mostly far shorter than the longest cannot fill its diagonals
         if longest > DIAGONAL_FILL * self.nnz / n:
             return None
-        rows = self.row_indices()
-        shifted = self.col_indices - rows + (n - 1)  # offset + n - 1 >= 0
+        shifted = cols - rows + (n - 1)  # offset + n - 1 >= 0
         present = np.flatnonzero(np.bincount(shifted, minlength=2 * n - 1))
         offsets = present - (n - 1)
         spans = n - np.abs(offsets)
@@ -165,31 +189,34 @@ class SparseSymMatrix(LinearOperator):
         base = np.zeros(2 * n - 1, dtype=np.int64)
         base[present] = starts - firsts
         slots = np.zeros(int(spans.sum()))
-        slots[base[shifted] + rows] = self.values
+        slots[base[shifted] + rows] = values
         return [(int(lo), int(lo + span), slots[at:at + span], int(k), None)
-                for lo, span, at, k in zip(firsts, spans, starts, offsets)]
+                for lo, span, at, k in zip(firsts, spans, starts, offsets)], slots
 
-    def _jagged_passes(self, lengths: np.ndarray) -> tuple[list, np.ndarray]:
-        """The passes of the jagged layout and the gather that restores
-        the row order."""
+    def _jagged_passes(self, lengths: np.ndarray, row_offsets: np.ndarray,
+                       col_indices: np.ndarray, values: np.ndarray) -> tuple[list, np.ndarray]:
+        """The passes of the jagged layout, each gathered from the CSR
+        arrays on its own, and the gather that restores the row order."""
         order = np.argsort(-lengths, kind="stable")
         inverse = np.empty_like(order)
         inverse[order] = np.arange(self.dim)
         # rows longer than k, for each slot k; non-increasing in k
         counts = self.dim - np.cumsum(np.bincount(lengths))[:-1]
         n_head = int(np.count_nonzero(counts >= TAIL_ROWS))
-        slot_ptr = np.concatenate(([0], np.cumsum(counts[:n_head])))
-        slot = np.repeat(np.arange(n_head), counts[:n_head])
-        at = self.row_offsets[order][np.arange(slot_ptr[-1]) - slot_ptr[slot]] + slot
-        jd_cols, jd_vals = self.col_indices[at], self.values[at]
-        passes = [(0, int(hi - lo), jd_vals[lo:hi], jd_cols[lo:hi], None)
-                  for lo, hi in zip(slot_ptr[:-1], slot_ptr[1:])]
+        passes = []
+        if n_head:
+            at = row_offsets[order[:counts[0]]]  # each row's next entry, in order
+            for count in counts[:n_head].tolist():  # slot k: at + k over its rows
+                slot = at[:count]
+                passes.append((0, count, values.take(slot), col_indices.take(slot), None))
+                slot += 1
+            del at
         if n_head < counts.size:  # the longest rows' entries past the head slots
             rows = order[:counts[n_head]]
             tail = lengths[rows] - n_head
             starts = np.cumsum(tail) - tail
-            at = np.repeat(self.row_offsets[rows] + n_head - starts, tail) + np.arange(tail.sum())
-            vals, cols, ptr = self.values[at], self.col_indices[at], np.r_[starts, at.size]
+            at = np.repeat(row_offsets[rows] + n_head - starts, tail) + np.arange(tail.sum())
+            vals, cols, ptr = values[at], col_indices[at], np.r_[starts, at.size]
             cuts = np.r_[0, np.flatnonzero(np.diff(starts // TAIL_PASS_ENTRIES)) + 1, rows.size]
             passes += [(lo, hi, vals[ptr[lo]:ptr[hi]], cols[ptr[lo]:ptr[hi]],
                         starts[lo:hi] - starts[lo]) for lo, hi in zip(cuts[:-1], cuts[1:])]
@@ -197,7 +224,7 @@ class SparseSymMatrix(LinearOperator):
 
     @property
     def nnz(self) -> int:
-        return int(self.values.shape[0])
+        return self._nnz
 
     def apply(self, block: np.ndarray) -> np.ndarray:
         block = np.asarray(block, dtype=float)
@@ -210,25 +237,76 @@ class SparseSymMatrix(LinearOperator):
         out = (acc if self._inverse is None else acc.take(self._inverse, axis=1)).T
         return out[:, 0] if block.ndim == 1 else out
 
+    @property
+    def row_offsets(self) -> np.ndarray:
+        """CSR row offsets, ``dim + 1`` of them."""
+        if self._pattern is not None:
+            return self._pattern[0]
+        lengths = np.zeros(self.dim, dtype=np.int64)  # by place in the row order
+        for lo, hi, vals, _, starts in self._passes:
+            lengths[lo:hi] += 1 if starts is None else np.diff(starts, append=vals.size)
+        return np.concatenate(([0], np.cumsum(lengths[self._inverse])))
+
+    @property
+    def col_indices(self) -> np.ndarray:
+        """CSR column of every stored entry."""
+        return self._pattern[1] if self._pattern is not None else self._in_csr_order(1)
+
+    @property
+    def values(self) -> np.ndarray:
+        """CSR value of every stored entry."""
+        if self._pattern is None:
+            return self._in_csr_order(0)
+        n, base, at = self.dim, np.zeros(2 * self.dim - 1, dtype=np.int64), 0
+        for lo, hi, _, k, _ in self._passes:  # slot of row i at offset k: base[k + n - 1] + i
+            base[k + n - 1], at = at - lo, at + hi - lo
+        rows = self.row_indices()
+        return self._slots[base[self._pattern[1] - rows + (n - 1)] + rows]
+
+    def _in_csr_order(self, field: int) -> np.ndarray:
+        """The jagged layout's values (``field`` 0) or columns (1) in CSR order."""
+        offsets = self.row_offsets
+        out = np.empty(self.nnz, dtype=float if field == 0 else np.int64)
+        for rows, ranks, *arrays in self._jagged_entries():
+            out[offsets[rows] + ranks] = arrays[field]
+        return out
+
+    def _jagged_entries(self):
+        """Per pass of the jagged layout: the rows of its entries, their
+        places within their rows, their values and their columns."""
+        order = np.empty_like(self._inverse)
+        order[self._inverse] = np.arange(self.dim)
+        head = 0
+        for lo, hi, vals, cols, starts in self._passes:
+            if starts is None:  # slot `head`: the head-th entry of rows lo:hi
+                yield order[lo:hi], head, vals, cols
+                head += 1
+            else:
+                lengths = np.diff(starts, append=vals.size)
+                ranks = np.arange(head, head + vals.size) - np.repeat(starts, lengths)
+                yield np.repeat(order[lo:hi], lengths), ranks, vals, cols
+
+    def entry_passes(self):
+        """Yield ``(rows, cols, values)`` over the stored entries, one pass
+        of ``apply`` at a time, so that no array spans all of them.  The
+        diagonal layout's passes yield its padding zeros too."""
+        if self._pattern is None:
+            for rows, _, vals, cols in self._jagged_entries():
+                yield rows, cols, vals
+            return
+        for lo, hi, vals, k, _ in self._passes:
+            rows = np.arange(lo, hi)
+            yield rows, rows + k, vals
+
     def row_indices(self) -> np.ndarray:
         """Row of every stored entry, aligned with ``col_indices``."""
         return np.repeat(np.arange(self.dim), np.diff(self.row_offsets))
 
     def diagonal(self) -> np.ndarray:
-        rows = self.row_indices()
-        on_diag = rows == self.col_indices
-        diag = np.zeros(self.dim)
-        diag[rows[on_diag]] = self.values[on_diag]
-        return diag
+        return self._diagonal.copy()
 
     def max_row_l1(self) -> float:
-        if not self.nnz:
-            return 0.0
-        sums = np.add.reduceat(
-            np.abs(self.values),
-            self.row_offsets[:-1][np.flatnonzero(np.diff(self.row_offsets))],
-        )
-        return float(np.max(sums))
+        return self._max_row_l1
 
     def entries(self) -> Iterable[tuple[int, int, float]]:
         """Yield (row, col, value) over the stored full pattern."""
@@ -499,19 +577,43 @@ def _laplacian_csr(n: int, u: np.ndarray, v: np.ndarray, w: np.ndarray):
     The input is symmetric by construction, so there is no mirror search:
     per edge, in input order, keys (u, v) and (v, u) hold -w, and one
     diagonal key per vertex with an edge holds its degree; they are put in
-    CSR order by :func:`_radix_order`.  ``np.bincount``
-    sums in input order from +0.0, so every entry is bit for bit the sum
-    :func:`csr_from_coo` forms from the four triplets per edge.  Its
-    temporaries are freed before :class:`SparseSymMatrix` builds its copy.
+    CSR order by :func:`_radix_order`.  ``np.bincount`` sums in input
+    order from +0.0, so every entry is bit for bit the sum
+    :func:`csr_from_coo` forms from the four triplets per edge.  The keys
+    are written into one array, and each nnz-sized temporary is freed at
+    its last use, so that at most four are live at once.
     """
-    ends = np.column_stack([u, v]).ravel()
-    touched = np.flatnonzero(np.bincount(ends, minlength=n))
-    degree = np.bincount(ends, weights=np.repeat(w, 2), minlength=n)[touched]
-    keys = np.concatenate([ends * n + np.column_stack([v, u]).ravel(), touched * (n + 1)])
+    m = u.size
+    touched = np.flatnonzero(np.bincount(u, minlength=n) + np.bincount(v, minlength=n))
+    keys = np.empty(2 * m + touched.size, dtype=np.int64)
+    ends = keys[:2 * m].reshape(m, 2)  # u, v per edge, in input order, until made keys
+    ends[:, 0], ends[:, 1] = u, v
+    degree = np.bincount(keys[:2 * m], weights=np.repeat(w, 2), minlength=n)[touched]
+    ends *= n
+    ends[:, 0] += v
+    ends[:, 1] += u
+    np.multiply(touched, n + 1, out=keys[2 * m:])
+    del ends, touched
     order = _radix_order(keys, n * n - 1)
     keys = keys[order]
-    fresh = np.r_[True, keys[1:] != keys[:-1]]
-    values = np.bincount(np.cumsum(fresh) - 1,
-                         weights=np.concatenate([np.repeat(-w, 2), degree])[order])
-    rows, cols = np.divmod(keys[fresh], n)
-    return np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=n)))), cols, values
+    # each sorted key's weight: -w of its edge, or the degree of its vertex
+    on_diagonal = np.flatnonzero(order >= 2 * m)
+    degree = degree[order[on_diagonal] - 2 * m]
+    order //= 2
+    weights = np.take(w, order, mode="clip")  # an edge's keys are 2k and 2k + 1
+    del order
+    np.negative(weights, out=weights)
+    weights[on_diagonal] = degree
+    del on_diagonal, degree
+    fresh = np.empty(keys.size, dtype=bool)
+    fresh[0] = True
+    np.not_equal(keys[1:], keys[:-1], out=fresh[1:])
+    cols = keys[fresh]
+    offsets = np.searchsorted(cols, np.arange(n + 1) * n)
+    ids = np.cumsum(fresh, out=keys)  # the sorted keys' last use
+    ids -= 1
+    del keys, fresh
+    values = np.bincount(ids, weights=weights)
+    del ids, weights
+    cols %= n
+    return offsets, cols, values

@@ -37,10 +37,14 @@ class PartitionResult:
 
 
 def _cut_weight(laplacian: SparseSymMatrix, labels: np.ndarray) -> float:
-    rows, cols = laplacian.row_indices(), laplacian.col_indices
-    crossing = (rows < cols) & (labels[rows] != labels[cols])
-    # off-diagonal Laplacian entries are -weight
-    return float(np.sum(-laplacian.values[crossing]))
+    """Total weight of the edges whose ends ``labels`` tells apart, summed
+    over the Laplacian's stored entries one pass at a time."""
+    total = 0.0
+    for rows, cols, vals in laplacian.entry_passes():
+        crossing = (rows < cols) & (labels[rows] != labels[cols])
+        # off-diagonal Laplacian entries are -weight
+        total += float(np.sum(-vals[crossing]))
+    return total
 
 
 def partition_graph(n: int, edges, *, tol: float = 1e-8, seed: int = 0,

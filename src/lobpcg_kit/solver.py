@@ -246,9 +246,9 @@ class LobpcgEngine:
 
     A diagonal or sparse ``b_op`` with a diagonal entry <= 0 is not
     positive definite and raises :class:`NotPositiveDefiniteError` before
-    any operator is applied; a matrix-free one is probed before the first
-    convergence claim (:meth:`check_metric`).  Once built, its :meth:`run`
-    raises nothing.
+    any operator is applied; a sparse or matrix-free one is probed before
+    the first convergence claim (:meth:`check_metric`).  Once built, its
+    :meth:`run` raises nothing.
     When A is not finite on the start block, or any error of this package
     arises in its coupling, it keeps the B-orthonormal start block with NaN
     Ritz values, and its first step reports breakdown.
@@ -327,10 +327,13 @@ class LobpcgEngine:
                      for op in (a_op, b_op)]
         self.norm_a = norm_estimates(estimated[0])
         self.norm_b = 1.0 if b_op is None else norm_estimates(estimated[1])
-        # a matrix-free metric is probed once, before the first convergence claim
-        self._unprobed_metric = None if estimated[1] is b_op else estimated[1]
         self.a_op = _CountingOperator(a_op, self.counters, "a_matvecs")
         self.b_op = None if b_op is None else _CountingOperator(b_op, self.counters, "b_matvecs")
+        # a metric that is not diagonal is probed once, before the first
+        # convergence claim: a matrix-free one's applies count apart, as its
+        # norm estimate's do, and a sparse one's as B applies
+        self._unprobed_metric = (None if b_op is None or isinstance(b_op, DiagonalOperator)
+                                 else self.b_op if estimated[1] is b_op else estimated[1])
         raw_precond = precond if precond is not None else CallableOperator(a_op.dim, np.copy)
         if raw_precond.dim != a_op.dim:
             raise DimensionMismatchError(
@@ -436,11 +439,11 @@ class LobpcgEngine:
         self._fresh = True
 
     def check_metric(self) -> None:
-        """Raise :class:`NotPositiveDefiniteError` when a matrix-free metric,
-        whose definiteness the constructor cannot check, has a Lanczos Ritz
-        value below -k * RANK_DROP_RTOL times the largest of its k
-        (:func:`~lobpcg_kit.operators.lanczos_ritz_values`).  Once per
-        state; a no-op for any other metric."""
+        """Raise :class:`NotPositiveDefiniteError` when a sparse or
+        matrix-free metric, which the constructor cannot prove definite, has
+        a Lanczos Ritz value below -k * RANK_DROP_RTOL times the largest of
+        its k (:func:`~lobpcg_kit.operators.lanczos_ritz_values`).
+        Once per state; a no-op for any other metric."""
         if self._unprobed_metric is None:
             return
         values = lanczos_ritz_values(self._unprobed_metric)

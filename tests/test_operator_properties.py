@@ -6,6 +6,8 @@ which accumulates entry by entry in input order.
 """
 
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,10 +21,13 @@ from lobpcg_kit import (
     IndexOutOfRangeError,
     NegativeWeightError,
     SelfLoopError,
+    SparseSymMatrix,
     csr_from_coo,
     laplacian_from_edges,
 )
-from lobpcg_kit.operators import _radix_order
+from lobpcg_kit.mmio import parse_matrix_market, write_matrix_market_symmetric
+from lobpcg_kit.operators import TAIL_ROWS, _radix_order
+from lobpcg_kit.partition import _cut_weight
 
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 
@@ -238,3 +243,93 @@ def test_radix_order_is_the_stable_argsort(n, data):
     picks = data.draw(st.lists(st.integers(0, len(distinct) - 1), min_size=1, max_size=200))
     keys = np.array([distinct[k] for k in picks], dtype=np.int64)
     np.testing.assert_array_equal(_radix_order(keys, top), np.argsort(keys, kind="stable"))
+
+
+@st.composite
+def stored_patterns(draw):
+    """``(n, row_offsets, col_indices, values)`` of a random symmetric
+    pattern: a band of a few diagonals with gaps (the diagonal layout), or
+    scattered entries (the jagged layout), over TAIL_ROWS rows or fewer so
+    that it has a head of jagged diagonals or not.  Some rows are empty,
+    one hub row may couple to every other row, and about a tenth of the
+    stored values are 0.0 or -0.0; the others are quarters, so that sums
+    of a few hundred of them are exact."""
+    kind = draw(st.sampled_from(["band", "scattered", "scattered past TAIL_ROWS"]))
+    n = draw(st.integers(TAIL_ROWS + 1, TAIL_ROWS + 300) if kind.endswith("TAIL_ROWS")
+             else st.integers(1, 200))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if kind == "band":
+        offsets = rng.permutation(max(1, n // 4))[:rng.integers(1, 4)]
+        rows = np.concatenate([np.arange(n - k) for k in offsets])
+        cols = rows + np.repeat(offsets, n - offsets)
+        keep = rng.random(rows.size) < 0.95
+        rows, cols = rows[keep], cols[keep]
+    else:
+        rows, cols = rng.integers(0, n, (2, rng.integers(0, 4 * n + 1)))
+    if draw(st.booleans()):
+        hub = rng.integers(n)
+        rows, cols = np.r_[rows, np.full(n, hub)], np.r_[cols, np.arange(n)]
+    empty = rng.random(n) < 0.1
+    keep = ~(empty[rows] | empty[cols])
+    keys = np.unique(np.r_[rows[keep] * n + cols[keep], cols[keep] * n + rows[keep]])
+    rows, cols = np.divmod(keys, n)
+    upper = rng.integers(-256, 257, keys.size) / 4.0
+    upper[rng.random(keys.size) < 0.1] = rng.choice([0.0, -0.0])
+    # (i, j) and (j, i) share the value drawn for the upper one
+    values = upper[np.searchsorted(keys, np.minimum(rows, cols) * n + np.maximum(rows, cols))]
+    row_offsets = np.searchsorted(rows, np.arange(n + 1))
+    return n, row_offsets, cols, values
+
+
+class TestStoredOnce:
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(stored_patterns(), st.integers(0, 2 ** 16))
+    def test_accessors_return_the_csr_it_was_built_from(self, case, seed):
+        n, row_offsets, cols, values = case
+        matrix = SparseSymMatrix(n, row_offsets, cols, values)
+        rows = np.repeat(np.arange(n), np.diff(row_offsets))
+        assert matrix.nnz == values.size
+        for got, want in [(matrix.row_offsets, row_offsets), (matrix.col_indices, cols),
+                          (matrix.values, values), (matrix.row_indices(), rows)]:
+            assert (got.dtype, got.tobytes()) == (want.dtype, want.tobytes())
+        assert list(matrix.entries()) == list(zip(rows.tolist(), cols.tolist(),
+                                                  values.tolist()))
+        # the diagonal and the largest row 1-norm as they were read from CSR
+        diagonal = np.zeros(n)
+        on_diag = rows == cols
+        diagonal[rows[on_diag]] = values[on_diag]
+        assert matrix.diagonal().tobytes() == diagonal.tobytes()
+        sums = np.add.reduceat(np.abs(values), row_offsets[:-1][np.diff(row_offsets) > 0])
+        assert matrix.max_row_l1() == (float(sums.max()) if values.size else 0.0)
+        # the crossing weight of any labelling, summed one pass at a time
+        labels = np.random.default_rng(seed).integers(0, 2, n)
+        crossing = (rows < cols) & (labels[rows] != labels[cols])
+        assert _cut_weight(matrix, labels) == float(np.sum(-values[crossing]))
+
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(stored_patterns())
+    def test_matrix_market_round_trip(self, case):
+        n, row_offsets, cols, values = case
+        matrix = SparseSymMatrix(n, row_offsets, cols, values)
+        with tempfile.TemporaryDirectory() as folder:
+            path = Path(folder) / "matrix.mtx"
+            write_matrix_market_symmetric(path, matrix)
+            again = parse_matrix_market(path)
+        # stored zeros keep their places; assembly sums from +0.0, so -0.0 reads back as 0.0
+        assert again.dim == n
+        assert again.row_offsets.tobytes() == row_offsets.tobytes()
+        assert again.col_indices.tobytes() == cols.tobytes()
+        assert again.values.tobytes() == (values + 0.0).tobytes()
+
+    def test_the_patterns_take_each_layout(self):
+        # the strategy reaches the diagonal layout, the all-tail jagged one
+        # and the jagged one with a head
+        shapes = set()
+
+        @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+        @given(stored_patterns())
+        def collect(case):
+            matrix = SparseSymMatrix(*case)
+            shapes.add((matrix.layout, any(p[4] is None for p in matrix._passes)))
+        collect()
+        assert {("diagonal", False), ("jagged", False), ("jagged", True)} <= shapes

@@ -1,7 +1,9 @@
 """Operator contracts: CSR assembly, block application, preconditioners,
 graph Laplacians."""
 
+import gc
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,6 +28,7 @@ from lobpcg_kit import (
     IndexOutOfRangeError,
     NegativeWeightError,
     SelfLoopError,
+    SparseSymMatrix,
     csr_from_coo,
     exact_inverse_precond,
     jacobi_precond,
@@ -370,12 +373,33 @@ class TestApplyLayout:
 
 
 def test_laplacian_assembly_peak_per_stored_entry():
-    # 58 bytes per stored entry; assembly through csr_from_coo's checked
-    # path, from four triplets per edge, peaked at 162
+    # 39.1 bytes per stored entry; 58.4 while the assembly gathered into
+    # fresh nnz-sized arrays and the matrix copied its CSR arrays, and 162
+    # through csr_from_coo's checked path, from four triplets per edge
     n = 4000
     edges = heavy_tailed_edges(n, seed=0)
     lap, peak = peak_bytes(lambda: laplacian_from_edges(n, edges))
-    assert peak < 70 * lap.nnz
+    assert peak < 43 * lap.nnz
+
+
+def test_jagged_matrix_holds_each_entry_once():
+    # a value and a column per entry, the row order and the diagonal per
+    # row: 779,447 bytes here, against 1,481,670 while the matrix kept its
+    # CSR arrays beside the jagged copy
+    n = 4000
+    lap = laplacian_from_edges(n, heavy_tailed_edges(n, seed=0))
+    assert lap.layout == "jagged"
+    gc.collect()
+    tracemalloc.start()
+    try:
+        csr = [array.copy() for array in (lap.row_offsets, lap.col_indices, lap.values)]
+        matrix = SparseSymMatrix(n, *csr)
+        del csr
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert matrix.layout == "jagged"
+    assert held <= 1.1 * (16 * matrix.nnz + 16 * n)
 
 
 class TestJacobiPrecond:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from conftest import checked_laplacian, heavy_tailed_edges
+from conftest import checked_laplacian, heavy_tailed_edges, peak_bytes
 
 import lobpcg_kit.partition
 from lobpcg_kit import (
@@ -106,3 +106,15 @@ def test_laplacian_and_bisection_match_the_checked_path_at_scale(monkeypatch):
     assert fast.fiedler_vector.tobytes() == slow.fiedler_vector.tobytes()
     np.testing.assert_array_equal(fast.labels, slow.labels)
     assert fast.cut_weight == slow.cut_weight
+
+
+def test_bisection_peak_per_stored_entry():
+    # 39.1 bytes per entry of the Laplacian, set by its assembly; 62.4 while
+    # the matrix kept its CSR arrays beside the jagged copy and the cut
+    # weight gathered rows and labels over every stored entry
+    n = 4000
+    edges = heavy_tailed_edges(n, seed=0)
+    partition_graph(n, edges)  # numpy's first-call set-up is not the bisection's
+    part, peak = peak_bytes(lambda: partition_graph(n, edges))
+    assert np.unique(part.labels).tolist() == [0, 1]
+    assert peak < 43 * laplacian_from_edges(n, edges).nnz

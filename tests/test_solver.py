@@ -872,6 +872,23 @@ class TestValidation:
         assert res.cause.startswith("NotPositiveDefiniteError: ")
         assert "indefinite" in res.cause
 
+    @pytest.mark.parametrize("solve", [lobpcg_solve, psd_solve], ids=["lobpcg", "psd"])
+    def test_sparse_metric_with_a_positive_diagonal_is_probed(self, solve):
+        # B = I + 2(e37 e38^T + e38 e37^T) is indefinite (the pencil's
+        # smallest eigenvalue is about -39.5), but a start block off rows
+        # 37-38 keeps its B-Gram matrices positive: without the probe both
+        # runs reported 'converged' [1, 2]
+        n = 40
+        b = csr_from_coo(n, [(i, i, 1.0) for i in range(n)] + [(37, 38, 2.0)])
+        x0 = np.eye(n, 2) + 1e-3 * np.random.default_rng(0).standard_normal((n, 2))
+        x0[37:39] = 0.0
+        res = solve(DiagonalOperator(np.arange(1.0, n + 1.0)), SolverConfig(nev=2),
+                    b_op=b, x0=x0)
+        assert res.status == "breakdown"
+        assert res.cause.startswith("NotPositiveDefiniteError: ")
+        assert "indefinite" in res.cause
+        assert res.counters.estimate_matvecs == 0  # its applies count as B's
+
     def test_x0_shape_checked(self):
         with pytest.raises(DimensionMismatchError):
             lobpcg_solve(IdentityOperator(10), SolverConfig(nev=2),
