@@ -25,11 +25,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dense import cholesky_kernel as cholesky, cholesky_stack, sym_eig_kernel as sym_eig
+from .dense import cholesky_stack as cholesky, sym_eig_kernel as sym_eig
 from .errors import (
     DimensionMismatchError,
     InsufficientRankError,
     LobpcgKitError,
+    NoConvergenceError,
     NotPositiveDefiniteError,
     OrthonormalizationError,
     ZeroRankError,
@@ -201,52 +202,66 @@ def _svqb_attribution(gram_vectors: np.ndarray, dropped: np.ndarray) -> list[int
     return [k for k in range(m) if k not in dropped_cols]
 
 
-def gram_transform(gram: np.ndarray, cond_limit: float = np.inf):
+def cholesky_transforms(grams: np.ndarray, cond_limit=np.inf):
+    """The Cholesky rule over a symmetric Gram matrix, or a ``(k, m, m)``
+    stack in one LAPACK call each for the factors and the inverses.
+
+    Returns ``(transforms, ok)``: ``ok`` marks the matrices whose Cholesky
+    LAPACK completes with every pivot above the floor of
+    :func:`~lobpcg_kit.dense.cholesky` and a pivot ratio squared of at most
+    ``cond_limit`` (a scalar or one per member).  Only their transforms,
+    upper triangular ``inv(L)^T`` with ``T^T G T = I``, are meaningful.
+    """
+    lower, low = cholesky(grams)
+    pivots = lower.diagonal(axis1=-2, axis2=-1)
+    ok = ~(low.any(axis=-1) | (pivots.max(axis=-1) ** 2 > cond_limit * pivots.min(axis=-1) ** 2))
+    return _t(np.linalg.solve(lower, np.eye(grams.shape[-1]))), ok
+
+
+def gram_transform(gram: np.ndarray):
     """Cholesky-else-SVQB transform of a symmetric Gram matrix G.
 
     Returns ``(transform, kept)`` with ``transform^T G transform = I`` over
     the numerically independent directions; ``kept`` lists the Gram
-    columns judged independent.  Raises ZeroRankError when none are.  Under
-    a finite ``cond_limit`` a Cholesky that fails or has a pivot ratio
-    squared above it raises NotPositiveDefiniteError, without SVQB.  So
-    does an SVQB eigenvalue below -m * RANK_DROP_RTOL * lambda_max, the
-    mirror of the rank rule: a B-Gram matrix that indefinite comes from an
-    indefinite metric, which dropping the direction would hide.
+    columns judged independent.  Raises ZeroRankError when none are.  SVQB
+    runs where :func:`cholesky_transforms` rejects G.  An SVQB eigenvalue
+    below -m * RANK_DROP_RTOL * lambda_max, the mirror of the rank rule,
+    raises NotPositiveDefiniteError: a B-Gram matrix that indefinite comes
+    from an indefinite metric, which dropping the direction would hide.
     """
     m = gram.shape[0]
-    try:
-        lower = cholesky(gram)
-        pivots = lower.diagonal()
-        if pivots.max() ** 2 > cond_limit * pivots.min() ** 2:
-            raise NotPositiveDefiniteError("Cholesky pivot ratio exceeds the condition limit")
-        transform = np.linalg.solve(lower, np.eye(m)).T  # inv(L).T, upper triangular
-        kept = list(range(m))
-    except NotPositiveDefiniteError:
-        if cond_limit < np.inf:
-            raise
-        eig = sym_eig(gram)
-        lam_max = float(eig.values[-1])
-        floor = m * RANK_DROP_RTOL * max(lam_max, 0.0)
-        if eig.values[0] < -floor:
-            raise NotPositiveDefiniteError(
-                f"Gram eigenvalue {eig.values[0]:.3e} against a largest of {lam_max:.3e}: "
-                "the metric is indefinite") from None
-        keep_mask = eig.values > floor
-        if lam_max <= 0.0 or not np.any(keep_mask):
-            raise ZeroRankError("all columns are numerically dependent") from None
-        transform = eig.vectors[:, keep_mask] / np.sqrt(eig.values[keep_mask])[None, :]
-        kept = _svqb_attribution(eig.vectors, ~keep_mask)
-    return transform, kept
+    transform, ok = cholesky_transforms(gram)
+    if ok:
+        return transform, list(range(m))
+    eig = sym_eig(gram)
+    lam_max = float(eig.values[-1])
+    floor = m * RANK_DROP_RTOL * max(lam_max, 0.0)
+    if eig.values[0] < -floor:
+        raise NotPositiveDefiniteError(
+            f"Gram eigenvalue {eig.values[0]:.3e} against a largest of {lam_max:.3e}: "
+            "the metric is indefinite")
+    keep_mask = eig.values > floor
+    if lam_max <= 0.0 or not np.any(keep_mask):
+        raise ZeroRankError("all columns are numerically dependent")
+    transform = eig.vectors[:, keep_mask] / np.sqrt(eig.values[keep_mask])[None, :]
+    return transform, _svqb_attribution(eig.vectors, ~keep_mask)
 
 
-def gram_basis(gram_b: np.ndarray, cond_limit: float = np.inf) -> np.ndarray:
+def _unit_diagonal(gram_b: np.ndarray):
+    """``(G, scale)``: a B-Gram matrix, or every matrix of a stack, with
+    its columns scaled to unit B-norm (a zero column kept), and the column
+    scale to divide a transform of G by to get one of the input."""
+    scale = np.sqrt(np.diagonal(gram_b, axis1=-2, axis2=-1))
+    scale = np.where(scale > 0, scale, 1.0)
+    return gram_b / (scale[..., :, None] * scale[..., None, :]), scale[..., :, None]
+
+
+def gram_basis(gram_b: np.ndarray) -> np.ndarray:
     """Transform T with T^T G T = I over the independent directions of a
     basis whose B-Gram matrix is G, found by :func:`gram_transform` after
     scaling the columns to unit B-norm."""
-    scale = np.sqrt(gram_b.diagonal())
-    scale = np.where(scale > 0, scale, 1.0)
-    transform, _ = gram_transform(gram_b / np.outer(scale, scale), cond_limit)
-    return transform / scale[:, None]
+    gram, scale = _unit_diagonal(gram_b)
+    return gram_transform(gram)[0] / scale
 
 
 def _finite_gram(gram: np.ndarray) -> np.ndarray:
@@ -371,7 +386,7 @@ def _stacked_pass(pair: np.ndarray, width: int, counters: OpCounters | None):
     grams = _t(subs[0]) @ subs[-1]
     if not np.isfinite(grams).all():
         return None
-    transforms, ok = stacked_cholesky_transforms(sym(grams))
+    transforms, ok = cholesky_transforms(sym(grams))
     if not ok.all():
         return None
     ws = empty_stack(len(pair) + 1, pair.shape[1], pair.shape[-1])
@@ -481,95 +496,74 @@ def part_grams(parts, ritz_values: np.ndarray | None = None):
     return gram_a, gram_b
 
 
-def ritz_coefficients(gram_a: np.ndarray, gram_b: np.ndarray, want: int,
-                      cond_limit: float = np.inf):
+def _ritz(transform: np.ndarray, gram_a: np.ndarray, want: int):
+    """The smallest ``want`` Ritz values of ``gram_a`` over the basis
+    transform of its pair, and their coefficients: for a matrix or a
+    stack, in one ``eigh`` call."""
+    eig = sym_eig(sym(_t(transform) @ gram_a @ transform))
+    return eig.values[..., :want], transform @ eig.vectors[..., :want]
+
+
+def ritz_coefficients(gram_a: np.ndarray, gram_b: np.ndarray, want: int):
     """The smallest ``want`` Ritz values of a Gram pair and their coefficients
-    over the basis, through :func:`gram_basis` (``cond_limit`` is its)."""
-    transform = gram_basis(gram_b, cond_limit)
+    over the basis, through :func:`gram_basis`."""
+    transform = gram_basis(gram_b)
     if want > transform.shape[1]:
         raise InsufficientRankError(
             f"basis rank {transform.shape[1]} is below the {want} requested pairs")
-    eig = sym_eig(sym(transform.T @ gram_a @ transform))
-    return eig.values[:want].copy(), transform @ eig.vectors[:, :want]
+    values, coeff = _ritz(transform, gram_a, want)
+    return values.copy(), coeff
 
 
-def stacked_cholesky_transforms(grams: np.ndarray, cond_limit=np.inf):
-    """:func:`gram_transform`'s Cholesky path over a ``(k, m, m)`` stack, in
-    one LAPACK call each for the factors and the inverses.
-
-    Returns ``(transforms, ok)``, where ``ok`` marks the members that pass
-    the pivot floor of :func:`~lobpcg_kit.dense.cholesky_kernel` and their
-    ``cond_limit`` (a scalar or one per member): only their transforms are
-    :func:`gram_transform`'s.  ``(None, all False)`` when a member is not
-    positive definite.
-    """
-    try:
-        lower, low = cholesky_stack(grams)
-    except NotPositiveDefiniteError:
-        return None, np.zeros(grams.shape[0], dtype=bool)
-    pivots = lower.diagonal(axis1=1, axis2=2)
-    ok = ~(low.any(axis=1) | (pivots.max(axis=1) ** 2 > cond_limit * pivots.min(axis=1) ** 2))
-    return _t(np.linalg.solve(lower, np.eye(grams.shape[-1]))), ok
-
-
-def stacked_gram_basis(gram_b: np.ndarray, cond_limit=np.inf):
+def _stacked_gram_basis(gram_b: np.ndarray, cond_limit=np.inf):
     """:func:`gram_basis` over a ``(k, m, m)`` stack by
-    :func:`stacked_cholesky_transforms`: ``(transforms, ok)``."""
-    scale = np.sqrt(np.diagonal(gram_b, axis1=1, axis2=2))
-    scale = np.where(scale > 0, scale, 1.0)
-    transform, ok = stacked_cholesky_transforms(
-        gram_b / (scale[:, :, None] * scale[:, None, :]), cond_limit)
-    return (None if transform is None else transform / scale[:, :, None]), ok
+    :func:`cholesky_transforms`: ``(transforms, ok)``."""
+    gram, scale = _unit_diagonal(gram_b)
+    transform, ok = cholesky_transforms(gram, cond_limit)
+    return transform / scale, ok
 
 
-def stacked_ritz_coefficients(gram_a: np.ndarray, gram_b: np.ndarray, want: int,
-                              cond_limit=np.inf):
-    """:func:`ritz_coefficients` over ``(k, m, m)`` stacks of Gram pairs, in
-    stacked LAPACK calls: ``(values, coefficients, ok)`` with ``ok`` marking
-    the members that stay on the Cholesky path (see
-    :func:`stacked_cholesky_transforms`), none when the stacked ``eigh``
-    fails."""
-    transform, ok = stacked_gram_basis(gram_b, cond_limit)
-    if not ok.any():
-        return None, None, ok
-    try:
-        values, vectors = np.linalg.eigh(sym(_t(transform) @ gram_a @ transform))
-    except np.linalg.LinAlgError:
-        return None, None, np.zeros_like(ok)
-    return values[:, :want], transform @ vectors[:, :, :want], ok
+def stacked_first_trials(pairs: list, cond_limits: list, want: int,
+                         directions: bool) -> list:
+    """Every sub-block's first Rayleigh-Ritz trial on the Cholesky path.
 
-
-def _groups(keys: list) -> list:
-    """The indices of the items of every key (None excepted) that two or
-    more items share: the members of one stacked LAPACK call."""
-    groups: dict = {}
-    for i, key in enumerate(keys):
-        if key is not None:
-            groups.setdefault(key, []).append(i)
-    return [group for group in groups.values() if len(group) > 1]
-
-
-def stacked_first_trials(pairs: list, cond_limits: list, want: int) -> list:
-    """Per ``(gram_a, gram_b)`` pair, its :func:`ritz_coefficients` and
-    :func:`direction_coefficients` (or None) under its cond limit, as
-    stacked LAPACK calls over the finite pairs of one size; None for a pair
-    left to the one-block path."""
+    Per ``(gram_a, gram_b)`` pair of a basis ``[X, W]`` or ``[X, W, P]``
+    whose X has ``want`` columns: its :func:`ritz_coefficients` (values and
+    coefficients) and, if ``directions``, the ``combined`` coefficients of
+    :func:`next_direction`, None where those leave the Cholesky path, with
+    the pair's Cholesky held to its ``cond_limits`` entry.  The finite
+    pairs of one size make one stack for each LAPACK call, a lone pair a
+    stack of one.  None for a pair that is not finite, whose Cholesky fails
+    the rule, or whose stack's ``eigh`` does not converge: that pair goes
+    on to its next trial.
+    """
     firsts = [None] * len(pairs)
-    for group in _groups([gram_a.shape if np.isfinite(gram_a).all() and np.isfinite(gram_b).all()
-                          else None for gram_a, gram_b in pairs]):
+    groups: dict = {}
+    for i, (gram_a, gram_b) in enumerate(pairs):
+        if np.isfinite(gram_a).all() and np.isfinite(gram_b).all():
+            groups.setdefault(gram_a.shape, []).append(i)
+    for group in groups.values():
         gram_a, gram_b = (np.stack([pairs[i][j] for i in group]) for j in (0, 1))
-        values, coeff, ok = stacked_ritz_coefficients(
-            gram_a, gram_b, want, np.array([cond_limits[i] for i in group]))
-        if ok.any():
-            combined = stacked_direction_coefficients(coeff[ok], gram_b[ok], want)
-            for j, p_coeff in zip(np.flatnonzero(ok), combined):
-                firsts[group[j]] = (values[j], coeff[j], p_coeff)
+        transform, ok = _stacked_gram_basis(gram_b, np.array([cond_limits[i] for i in group]))
+        if not ok.any():
+            continue
+        try:
+            values, coeff = _ritz(transform[ok], gram_a[ok], want)
+        except NoConvergenceError:
+            continue
+        combined = [None] * len(coeff)
+        if directions:
+            overlap, gram = _tail_gram(coeff, gram_b[ok], want)
+            p_transform, p_ok = _stacked_gram_basis(gram)
+            combined = np.concatenate([p_transform, -overlap @ p_transform], axis=1)
+            combined = [each if kept else None for each, kept in zip(combined, p_ok)]
+        for i, first in zip(np.array(group)[ok], zip(values, coeff, combined)):
+            firsts[i] = first
     return firsts
 
 
 def carried_rayleigh_ritz(parts, want: int, gram_a: np.ndarray | None = None,
-                          gram_b: np.ndarray | None = None, cond_limit: float = np.inf,
-                          first=None):
+                          gram_b: np.ndarray | None = None, first=None):
     """Smallest ``want`` Ritz pairs over the span of a basis from carried
     products.
 
@@ -581,12 +575,13 @@ def carried_rayleigh_ritz(parts, want: int, gram_a: np.ndarray | None = None,
     one part); no operator is applied.  The Ritz block's B-orthonormality
     is post-checked once, from the mapped product: a defect above
     :data:`ORTHO_POST_TOL`, or NaN, raises OrthonormalizationError, and the
-    caller's fallback runs.  ``cond_limit`` is :func:`gram_transform`'s, and
-    ``first`` the :func:`ritz_coefficients` when they were formed already.
+    caller's fallback runs.  ``first`` holds the :func:`ritz_coefficients`
+    when they were formed already, as :func:`stacked_first_trials` forms a
+    first trial's.
     """
     if gram_a is None:
         gram_a, gram_b = part_grams(parts)
-    values, coeff = first or ritz_coefficients(gram_a, gram_b, want, cond_limit)
+    values, coeff = first or ritz_coefficients(gram_a, gram_b, want)
     rows = parts[0].shape[-1]
     tail = combine_parts(parts[1:], coeff[rows:]) if len(parts) > 1 else None
     ritz = combine_parts(parts[:1], coeff[:rows], tail)
@@ -622,42 +617,20 @@ def _tail_gram(coeff: np.ndarray, gram_b: np.ndarray, rows: int):
     return overlap, sym(_t(tail_coeff) @ gram_b @ tail_coeff)
 
 
-def direction_coefficients(coeff: np.ndarray, gram_b: np.ndarray, rows: int):
-    """:func:`next_direction`'s coefficients over ``[tail, ritz]``, or None
-    when the carried directions are dependent on the Ritz block."""
-    overlap, gram = _tail_gram(coeff, gram_b, rows)
-    try:
-        transform = gram_basis(gram)
-    except InsufficientRankError:
-        return None
-    return np.vstack([transform, -overlap @ transform])
-
-
-def stacked_direction_coefficients(coeff: np.ndarray, gram_b: np.ndarray, rows: int) -> list:
-    """:func:`direction_coefficients` over ``(k, m, w)`` and ``(k, m, m)``
-    stacks by :func:`stacked_gram_basis`; None for a member that leaves its
-    Cholesky path."""
-    overlap, gram = _tail_gram(coeff, gram_b, rows)
-    transform, ok = stacked_gram_basis(gram)
-    if transform is None:
-        return [None] * len(ok)
-    combined = np.concatenate([transform, -overlap @ transform], axis=1)
-    return [combined[k] if ok[k] else None for k in range(len(ok))]
-
-
 def next_direction(ritz, tail, coeff: np.ndarray, gram_b: np.ndarray, rows: int,
                    combined: np.ndarray | None = None):
     """The step's next P stack or None: ``coeff``, ``rows`` zeroed,
     B-orthogonalized to ``coeff`` (by M) and normalized (by T) through
     ``gram_b``, is mapped as ``tail T - ritz (M T)`` and :func:`b_normalized`.
     ``combined`` is ``[T; -M T]`` when formed already.  Any error of this
-    package on the way also gives None: the Ritz block is kept already, so
-    the step ends without P rather than raise."""
+    package on the way, such as carried directions dependent on the Ritz
+    block, also gives None: the Ritz block is kept already, so the step
+    ends without P rather than raise."""
     try:
         if combined is None:
-            combined = direction_coefficients(coeff, gram_b, rows)
-            if combined is None:
-                return None
+            overlap, gram = _tail_gram(coeff, gram_b, rows)
+            transform = gram_basis(gram)
+            combined = np.vstack([transform, -overlap @ transform])
         return b_normalized(combine_parts([tail, ritz], combined))
     except LobpcgKitError:
         return None

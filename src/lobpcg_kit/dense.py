@@ -1,8 +1,9 @@
 """Small dense kernels: symmetric eigendecomposition and Cholesky.
 
 These back the Rayleigh-Ritz projection step and the dense verification
-oracle; the solvers call the unvalidated ``*_kernel`` forms on Gram
-matrices they symmetrize themselves.  Matrices are plain float64
+oracle.  The solvers call the unvalidated forms, :func:`sym_eig_kernel`
+and :func:`cholesky_stack`, on Gram matrices they symmetrize themselves,
+one matrix or a ``(k, m, m)`` stack at a time.  Matrices are plain float64
 ``numpy.ndarray`` objects of shape ``(rows, cols)``; only indexing
 semantics matter, storage order is numpy's business.
 """
@@ -94,18 +95,10 @@ def cholesky(m: np.ndarray) -> np.ndarray:
     callers treat that as a rank-deficiency signal and switch to their
     eigendecomposition-based fallback.
     """
-    return cholesky_kernel(_capped(require_symmetric(m)))
-
-
-def cholesky_kernel(m: np.ndarray) -> np.ndarray:
-    """:func:`cholesky` of a symmetric matrix, unvalidated; the pivot rule
-    still applies."""
-    lower, low = cholesky_stack(m)
+    lower, low = cholesky_stack(_capped(require_symmetric(m)))
     if low.any():
-        j = np.flatnonzero(low)[0]
         raise NotPositiveDefiniteError(
-            f"pivot {lower[j, j] ** 2:.3e} at column {j} is at or below the pivot floor"
-        )
+            f"matrix is not positive definite to the pivot floor at column {np.argmax(low)}")
     return lower
 
 
@@ -113,13 +106,16 @@ def cholesky_stack(stack: np.ndarray):
     """The Cholesky factors of a symmetric matrix, or of a ``(k, m, m)``
     stack in one LAPACK call, and the mask of pivots L_jj^2 at or below
     ``m * 1e-14 * max|M|`` (per matrix), which fail :func:`cholesky`'s rule.
-    Raises NotPositiveDefiniteError when LAPACK finds a matrix not positive
-    definite."""
+    A matrix that LAPACK finds not positive definite has every pivot
+    masked and the identity for its factor; the other members of its
+    stack are then factored one by one."""
     pivot_floor = stack.shape[-1] * PIVOT_RTOL * np.abs(stack).max(axis=(-2, -1))
     try:
         lower = np.linalg.cholesky(stack)
-    except np.linalg.LinAlgError as exc:
-        raise NotPositiveDefiniteError(f"matrix is not positive definite: {exc}") from None
+    except np.linalg.LinAlgError:
+        if stack.ndim == 2:
+            return np.eye(len(stack)), np.ones(len(stack), dtype=bool)
+        return tuple(map(np.stack, zip(*map(cholesky_stack, stack))))
     return lower, lower.diagonal(axis1=-2, axis2=-1) ** 2 <= pivot_floor[..., None]
 
 

@@ -24,6 +24,7 @@ from .errors import (
     DenseCapExceededError,
     DimensionMismatchError,
     IndexOutOfRangeError,
+    InvalidConfigError,
     NegativeWeightError,
     SelfLoopError,
 )
@@ -75,6 +76,8 @@ class IdentityOperator(LinearOperator):
 class DiagonalOperator(LinearOperator):
     def __init__(self, diagonal: Sequence[float]):
         diagonal = np.asarray(diagonal, dtype=float)
+        if diagonal.ndim != 1:
+            raise DimensionMismatchError(f"expected a 1-d diagonal, got shape {diagonal.shape}")
         super().__init__(diagonal.shape[0])
         self.diagonal_values = diagonal
 
@@ -500,18 +503,19 @@ def lanczos_ritz_values(op: LinearOperator) -> np.ndarray:
 def jacobi_precond(matrix) -> DiagonalOperator:
     """Inverse-diagonal preconditioner with a unit fallback.
 
-    ``matrix`` is an operator with a ``diagonal()`` method or the 1-d
-    diagonal itself.  Every positive entry whose reciprocal is finite, however
-    small, gets that reciprocal; a zero, negative or NaN entry, or one whose
-    reciprocal overflows, gets 1 and sets the ``nonpositive_diagonal``
-    warning flag on the result.  The reciprocals are its ``diagonal_values``.
+    ``matrix`` is an operator with a ``diagonal()`` method (InvalidConfigError
+    for one without) or the 1-d diagonal itself.  Every positive entry whose
+    reciprocal is finite, however small, gets that reciprocal; a zero,
+    negative or NaN entry, or one whose reciprocal overflows, gets 1 and sets
+    the ``nonpositive_diagonal`` warning flag on the result.  The reciprocals
+    are its ``diagonal_values``.
     """
     if isinstance(matrix, LinearOperator):
-        diag = np.asarray(matrix.diagonal(), dtype=float)
-    else:
-        diag = np.asarray(matrix, dtype=float)
-        if diag.ndim != 1:
-            raise DimensionMismatchError(f"expected a 1-d diagonal, got shape {diag.shape}")
+        if not hasattr(matrix, "diagonal"):
+            raise InvalidConfigError(
+                f"{type(matrix).__name__} has no diagonal() for a Jacobi preconditioner")
+        matrix = matrix.diagonal()
+    diag = np.asarray(matrix, dtype=float)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         inverse = 1.0 / diag
     usable = (diag > 0) & np.isfinite(inverse)

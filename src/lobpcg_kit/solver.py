@@ -35,6 +35,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import accumulate
+from numbers import Integral
 
 import numpy as np
 
@@ -127,6 +128,9 @@ class SolverConfig:
         return step * math.ceil(size / step)
 
     def validate(self, dim: int) -> None:
+        for name in ("nev", "block_size", "sub_block", "rr_period", "max_iter"):
+            if not isinstance(value := getattr(self, name), (Integral, type(None))):
+                raise InvalidConfigError(f"{name} must be an integer, got {value!r}")
         bs = self.nev if self.block_size is None else self.block_size
         name, cols = ("block_size", bs) if self.sub_block is None else ("sub_block", self.sub_block)
         for holds, message in [
@@ -270,6 +274,9 @@ class LobpcgEngine:
             constraints = np.asarray(constraints, dtype=float)
             if constraints.ndim == 1:
                 constraints = constraints[:, None]
+            if constraints.ndim != 2 or constraints.shape[0] != self.dim:
+                raise DimensionMismatchError(
+                    f"constraints must have {self.dim} rows, got shape {constraints.shape}")
             self.constraints, _, _, self.b_constraints = b_orthonormalize_full(
                 constraints, self.b_op, self.counters)
         else:
@@ -580,9 +587,9 @@ class LobpcgEngine:
         pairs = list(zip(*grams)) if grams else [
             part_grams(parts, None if self._explicit_grams[k] else self.ritz_values[self.slices[k]])
             for k, parts in zip(blocks, members)]
-        firsts = [None] if len(pairs) == 1 else stacked_first_trials(
+        firsts = stacked_first_trials(
             pairs, [RESTART_COND_LIMIT if len(parts) == 3 else np.inf for parts in members],
-            members[0][0].shape[-1])  # the sub-blocks' width
+            members[0][0].shape[-1], self.use_history_direction)  # the sub-blocks' width
         return [width for width in map(self._update_sub_block, blocks, members, pairs, firsts)
                 if width]
 
@@ -603,17 +610,18 @@ class LobpcgEngine:
         """Phase 2 for sub-block k: the Rayleigh-Ritz over ``parts``, the
         stacks of its X, W and carried P if any, with their
         :func:`part_grams` ``grams``, and its next P, kept in the state.
-        Returns the trial's width; 0, and the state untouched, when the Gram
-        matrices are not finite or the trial without P fails.  A trial fails
-        on any error of this package: the restart guard (a Cholesky failing
-        :data:`RESTART_COND_LIMIT`), a rank shortfall, a failed post-check.
-        A Ritz block that passes is kept with its values at once, and
-        ``parts`` emptied, so that the old X and P (and the round's W, after
-        the last sub-block) are freed before the next P is formed; a next P
-        that cannot be formed leaves the sub-block without one.
-        ``first`` holds the first trial's
-        :func:`~lobpcg_kit.blocks.ritz_coefficients` and, or None,
-        :func:`~lobpcg_kit.blocks.direction_coefficients` if formed already.
+        ``first`` is the first trial from
+        :func:`~lobpcg_kit.blocks.stacked_first_trials`, None where that call
+        rejected it (the restart guard, for ``[X, W, P]``): a rejected
+        ``[X, W, P]`` is counted and skipped, a rejected ``[X, W]`` made
+        again off the Cholesky path (SVQB).  A trial also fails on any error
+        of this package: a rank shortfall, a failed post-check.  Returns the
+        trial's width; 0, and the state untouched, when the Gram matrices
+        are not finite or the trial without P fails.  A Ritz block that
+        passes is kept with its values at once, and ``parts`` emptied, so
+        that the old X and P (and the round's W, after the last sub-block)
+        are freed before the next P is formed; a next P that cannot be
+        formed leaves the sub-block without one.
         """
         gram_a, gram_b = grams
         if not (np.isfinite(gram_a).all() and np.isfinite(gram_b).all()):
@@ -622,10 +630,12 @@ class LobpcgEngine:
         for trial in [parts, parts[:2]] if len(parts) == 3 else [parts]:
             width = sum(part.shape[-1] for part in trial)
             self.counters.rayleigh_ritz_calls += 1
+            if first is None and len(trial) == 3:
+                continue
             try:
                 values, xs, coeff, tail = carried_rayleigh_ritz(
                     trial, rows, gram_a[:width, :width], gram_b[:width, :width],
-                    RESTART_COND_LIMIT if len(trial) == 3 else np.inf, first and first[:2])
+                    first and first[:2])
                 break
             except LobpcgKitError:
                 first = None

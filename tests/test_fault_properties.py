@@ -63,7 +63,8 @@ def faulty(diagonal, onset, fault):
        bad=st.sampled_from(["a", "b", "precond"]),
        with_b=st.booleans(), with_precond=st.booleans(),
        onset=st.integers(1, 101), fault=st.sampled_from(sorted(FAULTS)))
-# a sym_eig that fails to converge inside a sub-block's trial
+# A scaled by 1e200 from mid-run: Gram products overflow, some trials with
+# P fail their post-check, and the run ends at max_iter after 500 rounds
 @example(solver="lobpcg2-2", bad="a", with_b=False, with_precond=False,
          onset=13, fault="x1e200")
 # a coupling on refreshed products that falls short of rank

@@ -26,6 +26,7 @@ from lobpcg_kit import (
     DimensionMismatchError,
     IdentityOperator,
     IndexOutOfRangeError,
+    InvalidConfigError,
     NegativeWeightError,
     SelfLoopError,
     SparseSymMatrix,
@@ -402,6 +403,13 @@ def test_jagged_matrix_holds_each_entry_once():
     assert held <= 1.1 * (16 * matrix.nnz + 16 * n)
 
 
+@pytest.mark.parametrize("diagonal", [np.ones((2, 2)), np.float64(2.0)], ids=["2-d", "0-d"])
+def test_diagonal_operator_rejects_a_diagonal_that_is_not_1_d(diagonal):
+    # a 2-d one used to be accepted, and its apply failed to broadcast
+    with pytest.raises(DimensionMismatchError, match="1-d diagonal"):
+        DiagonalOperator(diagonal)
+
+
 class TestJacobiPrecond:
     def test_reciprocal_diagonal(self):
         a = csr_from_coo(2, [(0, 0, 2.0), (1, 1, 4.0)])
@@ -421,6 +429,13 @@ class TestJacobiPrecond:
         assert pre.nonpositive_diagonal
         with pytest.raises(DimensionMismatchError):
             jacobi_precond(np.eye(3))
+
+    @pytest.mark.parametrize("op", [IdentityOperator(4), CallableOperator(4, np.copy)],
+                             ids=["identity", "callable"])
+    def test_operator_without_a_diagonal_rejected(self, op):
+        # it used to fail with AttributeError: ... no attribute 'diagonal'
+        with pytest.raises(InvalidConfigError, match="no diagonal"):
+            jacobi_precond(op)
 
     def test_tiny_positive_entries_keep_their_reciprocal(self):
         # only the entry whose reciprocal overflows falls back to 1

@@ -889,6 +889,27 @@ class TestValidation:
         assert "indefinite" in res.cause
         assert res.counters.estimate_matvecs == 0  # its applies count as B's
 
+    @pytest.mark.parametrize("field", ["nev", "block_size", "sub_block", "rr_period",
+                                       "max_iter"])
+    def test_non_integral_count_rejected(self, field):
+        # a fractional nev or sub_block failed in slicing with a bare
+        # TypeError; the others were accepted, and max_iter=2.5 ran 3
+        # iterations
+        knobs = {"nev": 1, field: 2.5}
+        with pytest.raises(InvalidConfigError, match=f"{field} must be an integer"):
+            lobpcg_solve(DiagonalOperator(np.arange(1.0, 41.0)), SolverConfig(**knobs))
+
+    def test_numpy_integer_counts_accepted(self):
+        cfg = SolverConfig(nev=np.int64(2), block_size=np.int32(3), max_iter=np.int64(200))
+        res = lobpcg_solve(DiagonalOperator(np.arange(1.0, 41.0)), cfg)
+        assert res.status == "converged"
+
+    def test_constraints_rows_checked(self):
+        # a numpy ValueError from matmul before the check
+        with pytest.raises(DimensionMismatchError, match="constraints must have 20 rows"):
+            lobpcg_solve(DiagonalOperator(np.arange(1.0, 21.0)), SolverConfig(nev=1),
+                         constraints=np.ones((10, 1)))
+
     def test_x0_shape_checked(self):
         with pytest.raises(DimensionMismatchError):
             lobpcg_solve(IdentityOperator(10), SolverConfig(nev=2),

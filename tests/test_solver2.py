@@ -23,6 +23,7 @@ from lobpcg_kit import (
     IdentityOperator,
     InvalidConfigError,
     Lobpcg2Config,
+    NoConvergenceError,
     SolverConfig,
     csr_from_coo,
     dense_oracle,
@@ -567,38 +568,85 @@ class TestStackedRounds:
         SOLVES[name](DiagonalOperator(np.arange(1.0, 201.0)))
         assert len(aliased) >= 5 and all(aliased)
 
+    @staticmethod
+    def round_state(seed, rounds, sub_block, use_history_direction=True):
+        """A lobpcg2 state on the FE pencil ``(a, b)`` after ``rounds``
+        rounds, the moving set of a round in which every sub-block moves,
+        and the pencil."""
+        a, b = fe_pencil(10, 12)
+        state = solver.LobpcgEngine(a, Lobpcg2Config(nev=6, sub_block=sub_block, rr_period=3,
+                                                     seed=seed),
+                                    b_op=b, precond=jacobi_precond(a),
+                                    use_history_direction=use_history_direction)
+        for _ in range(rounds):
+            state.step()
+        moving = [(k, np.arange(cols.start, cols.stop)) for k, cols in enumerate(state.slices)]
+        return state, moving, (a, b)
+
     @settings(derandomize=True, database=None, max_examples=25, deadline=None)
     @given(seed=st.integers(0, 20), rounds=st.integers(0, 15), sub_block=st.integers(1, 3),
            ragged=st.booleans(), copy_of_x=st.sampled_from([None, 0.0, 1e-7, 1e-6]))
     def test_stacked_and_per_block_phase_2_agree(self, seed, rounds, sub_block, ragged,
                                                  copy_of_x):
-        a, b = fe_pencil(10, 12)
-        state = solver.LobpcgEngine(a, Lobpcg2Config(nev=6, sub_block=sub_block, rr_period=3,
-                                                     seed=seed),
-                                    b_op=b, precond=jacobi_precond(a))
-        for _ in range(rounds):
-            state.step()
-        moving = [(k, np.arange(cols.start, cols.stop)) for k, cols in enumerate(state.slices)]
+        # a round matches, bit for bit and in every count, the same round
+        # with the Gram matrices formed per sub-block and every first trial
+        # made as a stack of one
+        state, moving, (a, b) = self.round_state(seed, rounds, sub_block)
         if ragged and sub_block > 1:  # one sub-block with a narrower W
             moving[1] = (1, moving[1][1][1:])
         if copy_of_x is not None and state.p_cols[0]:
-            # sub-block 0's P a B-normalized copy of its X, exact or nearly:
-            # a B-Gram matrix whose Cholesky fails in LAPACK (0), the pivot
-            # floor (1e-7) or the restart guard's condition limit (1e-6)
+            # sub-block 0's P a B-orthonormal copy of its X, exact or with
+            # entries perturbed by this relative amount: a B-Gram matrix whose
+            # Cholesky fails in LAPACK (0), the pivot floor (1e-7) or the
+            # restart guard's condition limit (1e-6)
             cols = slice(0, state.p_cols[0])
-            p = state.xs[1][:, cols] + copy_of_x * np.random.default_rng(seed).standard_normal(
-                (a.dim, state.p_cols[0]))
+            x = state.xs[1][:, cols]
+            p, _ = blocks.b_orthonormalize(x * (1.0 + copy_of_x * np.random.default_rng(
+                seed).standard_normal(x.shape)), b)
             for block, copied in zip(state.ps, (op_apply(a, p), p, op_apply(b, p))):
-                block[:, cols] = copied / np.sqrt(np.einsum("ij,ij->j", p, op_apply(b, p)))
+                block[:, cols] = copied
         per_block = copy.deepcopy(state)
         widths = state._advance_round(moving)
-        with mock.patch.object(blocks, "stacked_cholesky_transforms",
-                               lambda grams, *_: (None, np.zeros(len(grams), dtype=bool))), \
+        stacked = solver.stacked_first_trials
+
+        def stacks_of_one(pairs, cond_limits, *rest):
+            return [stacked([pair], [limit], *rest)[0] for pair, limit in zip(pairs, cond_limits)]
+
+        with mock.patch.object(solver, "stacked_first_trials", stacks_of_one), \
                 mock.patch.object(solver.LobpcgEngine, "_stacked_grams", lambda *_: None):
             assert per_block._advance_round(moving) == widths
         for name in ("ritz_values", "xs", "ps", "p_cols"):
             assert np.array_equal(getattr(state, name), getattr(per_block, name)), name
         assert state.counters == per_block.counters
+
+    @pytest.mark.parametrize("use_history_direction", [True, False], ids=["lobpcg2", "psd"])
+    def test_a_stack_whose_eigh_fails_sends_every_member_to_its_next_trial(
+            self, monkeypatch, use_history_direction):
+        state, moving, (_, b) = self.round_state(0, 4, 2, use_history_direction)
+        assert state.p_cols.all() == use_history_direction
+        eig, carried, trials = blocks.sym_eig, solver.carried_rayleigh_ritz, []
+
+        def failing_on_stacks(gram):
+            if gram.ndim == 3:
+                raise NoConvergenceError("eigendecomposition did not converge")
+            return eig(gram)
+
+        def recorded(parts, want, gram_a=None, gram_b=None, first=None):
+            trials.append((len(parts), first))
+            return carried(parts, want, gram_a, gram_b, first)
+
+        monkeypatch.setattr(blocks, "sym_eig", failing_on_stacks)
+        monkeypatch.setattr(solver, "carried_rayleigh_ritz", recorded)
+        calls = state.counters.rayleigh_ritz_calls
+        # every sub-block moves on [X, W], made apart: a [X, W, P] trial is
+        # counted, not made
+        assert state._advance_round(moving) == [4] * len(moving)
+        assert trials == [(2, None)] * len(moving)
+        trials_per_block = 2 if use_history_direction else 1
+        assert state.counters.rayleigh_ritz_calls - calls == trials_per_block * len(moving)
+        for cols in state.slices:
+            x = state.xs[1][:, cols]
+            assert blocks.ortho_defect(x.T @ op_apply(b, x)) <= 1e-8
 
     @pytest.mark.parametrize("seed,rounds,moving,constrained", [
         (0, 0, [(0, [0, 1]), (1, [2, 3]), (2, [4, 5])], False),

@@ -79,3 +79,38 @@ def test_solver2_only_rebinds_names_of_other_modules():
     own = {name: value for name, value in vars(solver2).items() if not name.startswith("__")}
     assert [name for name, value in own.items()
             if not any(home.get(name) is value for home in homes)] == []
+
+
+#: LAPACK factorizations that the tracer's ``dense.chol`` and ``dense.eig``
+#: layers see only when they are called as ``blocks.cholesky`` or
+#: ``blocks.sym_eig`` (``solver.sym_eig``)
+FACTORIZATIONS = {"cholesky", "eigh", "eigvalsh"}
+
+
+def direct_factorizations(path: Path) -> list:
+    """``(line, name)`` of every ``numpy.linalg`` factorization that the
+    module at ``path`` names directly, by attribute or by import."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Attribute) and node.attr in FACTORIZATIONS:
+            owner = node.value
+            if (isinstance(owner, ast.Attribute) and owner.attr == "linalg") or (
+                    isinstance(owner, ast.Name) and owner.id == "linalg"):
+                found.append((node.lineno, node.attr))
+        elif isinstance(node, ast.ImportFrom) and node.module == "numpy.linalg":
+            found += [(node.lineno, alias.name) for alias in node.names
+                      if alias.name in FACTORIZATIONS]
+    return sorted(found)
+
+
+@pytest.mark.parametrize("module", ["blocks", "solver"])
+def test_factorizations_go_through_the_traced_names(module):
+    assert direct_factorizations(PACKAGE / f"{module}.py") == []
+
+
+def test_direct_factorizations_are_found(tmp_path):
+    source = tmp_path / "sample.py"
+    source.write_text("import numpy as np\nfrom numpy import linalg\n"
+                      "from numpy.linalg import eigh, solve\n"
+                      "np.linalg.cholesky(g)\nlinalg.eigvalsh(g)\nnp.linalg.solve(g, g)\n")
+    assert direct_factorizations(source) == [(3, "eigh"), (4, "cholesky"), (5, "eigvalsh")]
