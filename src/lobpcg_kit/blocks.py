@@ -447,21 +447,33 @@ def fix_signs(vectors: np.ndarray, *companions: np.ndarray) -> None:
 def combine_parts(parts, coeff: np.ndarray, plus: np.ndarray | None = None) -> np.ndarray:
     """The stack of ``S C`` and its products (plus the stack ``plus``) for a
     basis S held as part stacks, without joining them: one
-    :func:`block_mul` maps every member of a part, and each part's product
-    is released once added."""
-    out, row = None, 0
-    for part in parts:
-        rows = coeff[row:row + part.shape[-1]]
-        row += rows.shape[0]
-        piece = block_mul(part, rows)
-        if out is None:
-            out = piece
-        else:
-            out += piece
+    :func:`block_mul` maps every member of a part.  The last part's share
+    is formed first, so that a last part held only by a list handed over
+    (:func:`handed_over`) is freed before any other share is formed: P of
+    a basis ``[X, W, P]``, the tail of the next P's ``[ritz, tail]``.  The
+    shares are added in part order, each released once added.  The
+    caller's list is left as it is."""
+    *parts, last = parts  # frees a list handed over: from CPython 3.11 only the callee holds it
+    edges = np.cumsum([0] + [part.shape[-1] for part in parts])
+    last = block_mul(last, coeff[edges[-1]:])
+    out = None
+    for part, lo, hi in zip(parts, edges[:-1], edges[1:]):
+        piece = block_mul(part, coeff[lo:hi])
+        out = piece if out is None else np.add(out, piece, out=out)
         del piece
+    out = last if out is None else np.add(out, last, out=out)
     if plus is not None:
         out += plus
     return out
+
+
+def handed_over(parts: list, start: int = 0) -> list:
+    """``parts[start:]`` in a new list, removed from ``parts``: for a callee
+    that takes the parts over, so that one the caller holds nowhere else is
+    held by the callee alone."""
+    taken = parts[start:]
+    del parts[start:]
+    return taken
 
 
 def part_grams(parts, ritz_values: np.ndarray | None = None):
@@ -555,7 +567,7 @@ def stacked_first_trials(pairs: list, cond_limits: list, want: int,
         if directions:
             overlap, gram = _tail_gram(coeff, gram_b[ok], want)
             p_transform, p_ok = _stacked_gram_basis(gram)
-            combined = np.concatenate([p_transform, -overlap @ p_transform], axis=1)
+            combined = np.concatenate([-overlap @ p_transform, p_transform], axis=1)
             combined = [each if kept else None for each, kept in zip(combined, p_ok)]
         for i, first in zip(np.array(group)[ok], zip(values, coeff, combined)):
             firsts[i] = first
@@ -572,7 +584,11 @@ def carried_rayleigh_ritz(parts, want: int, gram_a: np.ndarray | None = None,
     joined.  Returns ``(values, ritz, coefficients, tail)``: ``ritz`` is
     the stack of the Ritz block ``basis @ coefficients`` and its products,
     summed as ``parts[0]``'s share plus ``tail``, the other parts' (None for
-    one part); no operator is applied.  The Ritz block's B-orthonormality
+    one part); no operator is applied.  Once the coefficients are formed,
+    the parts are handed over to :func:`combine_parts`, the tail's first,
+    emptying ``parts``: a part that the caller holds nowhere else, such as
+    the P of a state of one sub-block, is freed once its share is formed.
+    The Ritz block's B-orthonormality
     is post-checked once, from the mapped product: a defect above
     :data:`ORTHO_POST_TOL`, or NaN, raises OrthonormalizationError, and the
     caller's fallback runs.  ``first`` holds the :func:`ritz_coefficients`
@@ -583,8 +599,8 @@ def carried_rayleigh_ritz(parts, want: int, gram_a: np.ndarray | None = None,
         gram_a, gram_b = part_grams(parts)
     values, coeff = first or ritz_coefficients(gram_a, gram_b, want)
     rows = parts[0].shape[-1]
-    tail = combine_parts(parts[1:], coeff[rows:]) if len(parts) > 1 else None
-    ritz = combine_parts(parts[:1], coeff[:rows], tail)
+    tail = combine_parts(handed_over(parts, 1), coeff[rows:]) if len(parts) > 1 else None
+    ritz = combine_parts(handed_over(parts), coeff[:rows], tail)
     defect = ortho_defect(ritz[1].T @ ritz[-1])
     if not defect <= ORTHO_POST_TOL:
         raise OrthonormalizationError(
@@ -617,21 +633,24 @@ def _tail_gram(coeff: np.ndarray, gram_b: np.ndarray, rows: int):
     return overlap, sym(_t(tail_coeff) @ gram_b @ tail_coeff)
 
 
-def next_direction(ritz, tail, coeff: np.ndarray, gram_b: np.ndarray, rows: int,
+def next_direction(basis: list, coeff: np.ndarray, gram_b: np.ndarray, rows: int,
                    combined: np.ndarray | None = None):
-    """The step's next P stack or None: ``coeff``, ``rows`` zeroed,
-    B-orthogonalized to ``coeff`` (by M) and normalized (by T) through
-    ``gram_b``, is mapped as ``tail T - ritz (M T)`` and :func:`b_normalized`.
-    ``combined`` is ``[T; -M T]`` when formed already.  Any error of this
-    package on the way, such as carried directions dependent on the Ritz
-    block, also gives None: the Ritz block is kept already, so the step
-    ends without P rather than raise."""
+    """The step's next P stack or None, from ``basis``, the list
+    ``[ritz, tail]`` of the Ritz block's and the tail's stacks, which it
+    empties: ``coeff``, ``rows`` zeroed, B-orthogonalized to ``coeff`` (by
+    M) and normalized (by T) through ``gram_b``, is mapped as
+    ``tail T - ritz (M T)`` and :func:`b_normalized`.  The tail's share is
+    formed first, so a tail held nowhere else is freed before the Ritz
+    block's share is formed.  ``combined`` is ``[-M T; T]`` when formed
+    already.  Any error of this package on the way, such as carried
+    directions dependent on the Ritz block, also gives None: the Ritz block
+    is kept already, so the step ends without P rather than raise."""
     try:
         if combined is None:
             overlap, gram = _tail_gram(coeff, gram_b, rows)
             transform = gram_basis(gram)
-            combined = np.vstack([transform, -overlap @ transform])
-        return b_normalized(combine_parts([tail, ritz], combined))
+            combined = np.vstack([-overlap @ transform, transform])
+        return b_normalized(combine_parts(handed_over(basis), combined))
     except LobpcgKitError:
         return None
 

@@ -23,8 +23,12 @@ rounding level.  Each of X, W and P is held with its products as one
 maps all of them; without a metric the stack is ``(A V, V)`` and B V is V
 by layout.  X and P share the product of [W, P]; P is B-orthogonalized to
 X and normalized in their coefficient space.  A step holds only the
-blocks it still needs: the residual block, W and the old X and P are
-released at their last read.
+blocks it still needs, each freed after its last product: the residual
+block once phase 1 has copied its active columns; with one sub-block, P
+once its share of [W, P]'s product (the tail) is formed, before W's; W
+and the old X once the Ritz block passes; the tail once its share of the
+next P is formed.  A refresh writes the explicit A X and B X into the
+state's stack, so no second X stack is held.
 The Gram blocks known by construction (X^T A X = diag(theta),
 X^T B X = W^T B W = P^T B P = I) are formed only once the residuals fall
 below :data:`EXPLICIT_GRAM_RTOL` (scipy's ``explicitGramFlag``).
@@ -35,7 +39,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import accumulate
-from numbers import Integral
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -129,8 +133,15 @@ class SolverConfig:
 
     def validate(self, dim: int) -> None:
         for name in ("nev", "block_size", "sub_block", "rr_period", "max_iter"):
-            if not isinstance(value := getattr(self, name), (Integral, type(None))):
+            value, optional = getattr(self, name), name in ("block_size", "sub_block")
+            if not (isinstance(value, Integral) or optional and value is None):
                 raise InvalidConfigError(f"{name} must be an integer, got {value!r}")
+        if not (isinstance(self.tol, Real) and math.isfinite(self.tol)):
+            raise InvalidConfigError(f"tol must be a finite number, got {self.tol!r}")
+        try:
+            np.random.default_rng(self.seed)
+        except (TypeError, ValueError) as error:
+            raise InvalidConfigError(f"seed {self.seed!r} is not a valid seed: {error}") from None
         bs = self.nev if self.block_size is None else self.block_size
         name, cols = ("block_size", bs) if self.sub_block is None else ("sub_block", self.sub_block)
         for holds, message in [
@@ -425,21 +436,26 @@ class LobpcgEngine:
         self._x_norms = column_norms(self.xs[1])
 
     def _refresh_products(self, keep: bool = True) -> None:
-        """Recompute A X and B X explicitly, and the residuals from them.
+        """Recompute A X and B X explicitly, check that both are finite and
+        write them into the state's stack, then the residuals from them.
 
-        A state of several sub-blocks couples on them (:meth:`couple`), as
-        does one whose max|X^T B X - I| exceeds :data:`ORTHO_POST_TOL`; a
-        state of one sub-block otherwise adopts them.  P is kept if
-        ``keep``.  Raises the internal breakdown signal, leaving the state
-        untouched, when a product is not finite.
+        A state of several sub-blocks couples on that stack
+        (:meth:`couple`), as does one whose max|X^T B X - I| exceeds
+        :data:`ORTHO_POST_TOL`; a state of one sub-block otherwise keeps
+        it.  No second X stack is formed.  P is kept if ``keep``.  Raises
+        the internal breakdown signal, leaving the state untouched, when a
+        product is not finite.
         """
-        xs = product_stack(self.xs[1], self.a_op, self.b_op)
-        _require_finite(xs)
-        if len(self.slices) > 1 or ortho_defect(xs[1].T @ xs[-1]) > ORTHO_POST_TOL:
-            self.couple(xs, keep)
+        products = [op_apply(op, self.xs[1]) for op in (self.a_op, self.b_op) if op is not None]
+        for product in products:
+            _require_finite(product)
+        for member, product in zip((0, 2), products):  # A X, then B X
+            self.xs[member] = product
+        del products, product
+        if len(self.slices) > 1 or ortho_defect(self.xs[1].T @ self.xs[-1]) > ORTHO_POST_TOL:
+            self.couple(self.xs, keep)
             self._last_basis_cols += self.block_size  # the round's columns, then the coupling's
         else:
-            self.xs = xs
             if not keep:
                 self._keep_direction(0, None)
             self._update_residuals()
@@ -498,9 +514,10 @@ class LobpcgEngine:
             if np.isfinite(self.residual_norms[active]).all():
                 self._explicit_grams[k] |= bool(explicit[cols].all())
                 moving.append((k, active))
+        carried = self.p_cols.any()  # a sub-block starts the round with a P
         widths = self._advance_round(moving) if moving else []
         if not widths:
-            if self._fresh and not self.p_cols.any():
+            if self._fresh and not carried:
                 raise _Breakdown("no sub-block moved on explicit products")
             self._refresh_products(keep=False)
             self.iterations, self._last_basis_cols = self.iterations + 1, self.block_size
@@ -617,20 +634,27 @@ class LobpcgEngine:
         again off the Cholesky path (SVQB).  A trial also fails on any error
         of this package: a rank shortfall, a failed post-check.  Returns the
         trial's width; 0, and the state untouched, when the Gram matrices
-        are not finite or the trial without P fails.  A Ritz block that
-        passes is kept with its values at once, and ``parts`` emptied, so
-        that the old X and P (and the round's W, after the last sub-block)
-        are freed before the next P is formed; a next P that cannot be
-        formed leaves the sub-block without one.
+        are not finite or the trial without P fails; a state of one
+        sub-block has handed its P to the trial by then, and a round in which
+        nothing moves drops P anyway.  Each block is freed after its last
+        product: the trial takes ``parts`` over, so that such a P goes once
+        its share of the tail is formed, before W's; a Ritz block that passes
+        is kept with its values at once, freeing the old X (and the round's
+        W, after the last sub-block), and read back from the state's
+        columns; the tail goes once its share of the next P is formed.  A
+        next P that cannot be formed leaves the sub-block without one.
         """
         gram_a, gram_b = grams
         if not (np.isfinite(gram_a).all() and np.isfinite(gram_b).all()):
             return 0
         rows = parts[0].shape[-1]
+        if len(self.slices) == 1:  # the trial then holds the state's only P
+            self._keep_direction(k, None)
         for trial in [parts, parts[:2]] if len(parts) == 3 else [parts]:
             width = sum(part.shape[-1] for part in trial)
             self.counters.rayleigh_ritz_calls += 1
             if first is None and len(trial) == 3:
+                trial.clear()  # P is read no more
                 continue
             try:
                 values, xs, coeff, tail = carried_rayleigh_ritz(
@@ -644,11 +668,11 @@ class LobpcgEngine:
         self.ritz_values[self.slices[k]] = values
         self._keep(k, "xs", xs)
         self._keep_direction(k, None)
-        parts.clear()
-        del trial
         if self.use_history_direction:
             self.counters.orthonormalizations += 1
-            self._keep_direction(k, next_direction(xs, tail, coeff, gram_b[:width, :width],
+            basis = [self.xs[..., self.slices[k]], tail]
+            del xs, tail
+            self._keep_direction(k, next_direction(basis, coeff, gram_b[:width, :width],
                                                    rows, first and first[2]))
         return width
 

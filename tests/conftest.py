@@ -67,6 +67,15 @@ def peak_bytes(call):
         tracemalloc.stop()
 
 
+def peak_blocks(call, rows: int, width: int):
+    """``(call(), peak)`` with the peak of :func:`peak_bytes` in float64
+    blocks of ``rows x width``, after one warm-up call, so that first-call
+    allocations such as imports are not counted."""
+    call()
+    result, peak = peak_bytes(call)
+    return result, peak / (rows * width * 8)
+
+
 def heavy_tailed_edges(n: int, seed: int) -> np.ndarray:
     """Shuffled (u, v, weight) records of a connected heavy-tailed graph.
 

@@ -1,6 +1,8 @@
 """Block algebra contracts: quotients, residuals, orthonormalization,
 Rayleigh-Ritz extraction."""
 
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -25,9 +27,11 @@ from lobpcg_kit import (
     rayleigh_ritz,
     residual_block,
 )
+from lobpcg_kit import blocks
 from lobpcg_kit.blocks import (b_orthonormalize_full, b_orthonormalize_spans, block_mul,
                                 carried_rayleigh_ritz, combine_parts, fix_signs, gram_transform,
-                                part_grams, stack_of, sub_block_stack, unit_columns)
+                                handed_over, part_grams, stack_of, sub_block_stack,
+                                unit_columns)
 
 
 def spd_operator(rng, n, shift=None):
@@ -541,3 +545,20 @@ class TestStackedParts:
                 want = want + extra[r]
             np.testing.assert_array_equal(got[r], want)
             assert got[r].flags.f_contiguous
+
+    def test_last_part_handed_over_is_freed_before_the_other_shares(self, monkeypatch):
+        # as P of a basis [W, P] and the tail of the next P's [ritz, tail]
+        rng = np.random.default_rng(3)
+        parts = [stack_of(*rng.standard_normal((3, 200, m))) for m in (4, 3)]
+        coeff = rng.standard_normal((7, 4))
+        want = combine_parts(parts, coeff)
+        last, mul, alive = weakref.ref(parts[1]), blocks.block_mul, []
+
+        def recorded(*args):
+            alive.append(last() is not None)
+            return mul(*args)
+
+        monkeypatch.setattr(blocks, "block_mul", recorded)
+        got = combine_parts(handed_over(parts), coeff)
+        assert parts == [] and alive == [True, False]
+        np.testing.assert_array_equal(got, want)

@@ -15,7 +15,7 @@ from conftest import (
     grid_stencil,
     laplacian_1d,
     laplacian_1d_eigenvalues,
-    peak_bytes,
+    peak_blocks,
     random_spd_metric,
     subspace_gap,
 )
@@ -262,24 +262,34 @@ class TestNormEstimates:
 class TestStepMemory:
     """A step holds only the blocks it still needs."""
 
-    def test_standard_step_holds_about_ten_blocks(self):
-        # lap3d_std's Laplacian: at its peak a step holds the state's X and P
-        # stacks (A V, V), the round's W and the new Ritz block and its tail,
-        # about ten n x width blocks (10.15 measured); it held 15.15 while
+    def test_standard_step_holds_about_eight_blocks(self):
+        # lap3d_std's Laplacian: the step peaks in phase 1, applying A to W,
+        # with the state's X and P stacks (A V, V), the round's W stack and
+        # A W: about eight n x width blocks (8.29 measured). It held 10.17
+        # while P lived until the Ritz block was formed, and 15.15 while
         # every block a step read lived until the step returned
         dims = (12, 16, 21)
         n = int(np.prod(dims))
         a = grid_stencil(dims, lambda size: np.r_[np.full(n, 6.0), -np.ones(size - n)])
         precond = jacobi_precond(a)
         cfg = SolverConfig(nev=8, block_size=10)
-
-        def solve():
-            return lobpcg_solve(a, cfg, precond=precond)
-
-        solve()  # so that first-call allocations, such as imports, are not counted
-        result, peak = peak_bytes(solve)
+        result, peak = peak_blocks(lambda: lobpcg_solve(a, cfg, precond=precond),
+                                   n, cfg.width())
         assert result.status == "converged"
-        assert peak <= 11.1 * n * cfg.width() * 8
+        assert peak <= 9.1
+
+    def test_generalized_step_holds_about_twelve_blocks(self):
+        # one sub-block of 12 on a Q1 FE pencil: the step peaks at the Ritz
+        # block's post-check, with the state's X stack (A X, X, B X), the
+        # round's W stack, the tail and the new Ritz block, P freed once its
+        # share of the tail was formed (12.54 measured; 15.55 before)
+        a, b = fe_pencil(30, 40)
+        precond = jacobi_precond(a)
+        cfg = SolverConfig(nev=12, max_iter=300, seed=3)
+        result, peak = peak_blocks(lambda: lobpcg_solve(a, cfg, b_op=b, precond=precond),
+                                   a.dim, cfg.width())
+        assert result.status == "converged"
+        assert peak <= 13.8
 
 
 class TestInvariants:
@@ -529,10 +539,11 @@ class TestCarriedProducts:
                                    rtol=1e-6)
 
 
-def fe_pencil():
-    """240-dof Q1 finite-element pencil (stiffness, mass)."""
-    k1, m1 = fe_matrices_1d(15)
-    k2, m2 = fe_matrices_1d(16)
+def fe_pencil(mx: int = 15, my: int = 16):
+    """Q1 finite-element pencil (stiffness, mass) on an mx x my grid, 240
+    dofs by default."""
+    k1, m1 = fe_matrices_1d(mx)
+    k2, m2 = fe_matrices_1d(my)
     return dense_to_csr(np.kron(k1, m2) + np.kron(m1, k2)), dense_to_csr(np.kron(m1, m2))
 
 
@@ -830,9 +841,22 @@ class TestValidation:
                 lobpcg_solve(IdentityOperator(10), cfg)
 
     def test_bad_tol(self):
+        # tol=inf took every residual as converged: the start block's Ritz
+        # values [20.50, 28.23] of diag(1..40) came back as 'converged'
         for cls in (SolverConfig, Lobpcg2Config):
-            with pytest.raises(InvalidConfigError, match="tol"):
-                lobpcg_solve(IdentityOperator(10), cls(nev=1, tol=0.0))
+            for tol in (0.0, float("inf"), float("nan")):
+                with pytest.raises(InvalidConfigError, match="tol"):
+                    lobpcg_solve(DiagonalOperator(np.arange(1.0, 41.0)), cls(nev=2, tol=tol))
+
+    @pytest.mark.parametrize("field,value", [
+        ("nev", None), ("rr_period", None), ("max_iter", None), ("seed", -1), ("seed", 1.5),
+    ])
+    def test_unusable_field_rejected(self, field, value):
+        # each raised a bare TypeError or numpy's ValueError
+        for cls in (SolverConfig, Lobpcg2Config):
+            knobs = {"nev": 2, field: value}
+            with pytest.raises(InvalidConfigError, match=field):
+                lobpcg_solve(IdentityOperator(10), cls(**knobs))
 
     @pytest.mark.parametrize("solve", [
         lambda a, b: lobpcg_solve(a, SolverConfig(nev=2), b_op=b),
