@@ -400,12 +400,11 @@ def _stacked_pass(pair: np.ndarray, width: int, counters: OpCounters | None):
     return ws
 
 
-def sub_block_stack(block: np.ndarray, width: int, cols: int | None = None) -> np.ndarray:
-    """A column-major block's consecutive width-``width`` sub-blocks (their
-    first ``cols`` columns) as a ``(k, n, cols)`` stack of views; for a
-    stack of ``r`` such blocks, an ``(r, k, n, cols)`` stack."""
-    subs = _t(block).reshape(block.shape[:-2] + (-1, width, block.shape[-2]))
-    return _t(subs if cols is None else subs[..., :cols, :])
+def sub_block_stack(block: np.ndarray, width: int) -> np.ndarray:
+    """A column-major block's consecutive width-``width`` sub-blocks as a
+    ``(k, n, width)`` stack of views; for a stack of ``r`` such blocks, an
+    ``(r, k, n, width)`` stack."""
+    return _t(_t(block).reshape(block.shape[:-2] + (-1, width, block.shape[-2])))
 
 
 def _checked_orthonormalize(block, b_op, counters=None):
@@ -484,26 +483,24 @@ def part_grams(parts, ritz_values: np.ndarray | None = None):
     first to be the Ritz block of those values, so diag(ritz_values) and the
     diagonal B-blocks I are not formed.  Off-diagonal B-blocks use the
     earlier part's B-product: the carried B P of the last part, whose drift
-    compounds, never enters.  Parts may be ``(r, k, n, m)`` stacks of k
-    bases alike, with ``(k, m)`` values; the Gram matrices are then
-    ``(k, m, m)`` stacks.
+    compounds, never enters.
     """
     edges = np.cumsum([0] + [part.shape[-1] for part in parts])
-    grams = np.zeros((2,) + parts[0].shape[1:-2] + (edges[-1], edges[-1]))  # A, then B
+    grams = np.zeros((2, edges[-1], edges[-1]))  # A, then B
     diagonal = np.arange(edges[-1])
-    grams[1][..., diagonal, diagonal] = 1.0
+    grams[1][diagonal, diagonal] = 1.0
     for i, u in enumerate(parts):
         for j in range(i, len(parts)):
             v = parts[j]
             rows, cols = slice(edges[i], edges[i + 1]), slice(edges[j], edges[j + 1])
             if i == j and ritz_values is not None:
                 if i == 0:
-                    grams[0][..., diagonal[rows], diagonal[rows]] = ritz_values
+                    grams[0][diagonal[rows], diagonal[rows]] = ritz_values
                 else:
-                    grams[0][..., rows, cols] = _t(u[1]) @ v[0]
+                    grams[0][rows, cols] = u[1].T @ v[0]
                 continue
-            grams[..., rows, cols] = _t(u[1:]) @ v[:2]
-            grams[..., cols, rows] = _t(grams[..., rows, cols])
+            grams[:, rows, cols] = _t(u[1:]) @ v[:2]
+            grams[:, cols, rows] = _t(grams[:, rows, cols])
     gram_a, gram_b = sym(grams)
     return gram_a, gram_b
 

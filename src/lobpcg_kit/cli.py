@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import itertools
+import json
 import math
 import sys
 import time
@@ -67,10 +68,8 @@ def _json_fragment(value) -> str:
     if isinstance(value, (float, np.floating)):
         value = float(value)
         return f"{value:.17g}" if math.isfinite(value) else "null"
-    if isinstance(value, str):
-        escaped = value.replace("\\", "\\\\").replace('"', '\\"')
-        escaped = escaped.replace("\n", "\\n").replace("\r", "\\r").replace("\t", "\\t")
-        return f'"{escaped}"'
+    if isinstance(value, str):  # every character below U+0020 escaped
+        return json.dumps(value, ensure_ascii=False)
     if isinstance(value, dict):
         inner = ", ".join(f"{_json_fragment(str(k))}: {_json_fragment(v)}"
                           for k, v in value.items())

@@ -21,12 +21,13 @@ explicit products; in between, the carried products' drift stays at
 rounding level.  Each of X, W and P is held with its products as one
 :mod:`~lobpcg_kit.blocks` stack ``(A V, V, B V)``, so that one matmul
 maps all of them; without a metric the stack is ``(A V, V)`` and B V is V
-by layout.  X and P share the product of [W, P]; P is B-orthogonalized to
-X and normalized in their coefficient space.  A step holds only the
+by layout.  X is one stack over every sub-block; each sub-block holds its
+own P stack.  X and P share the product of [W, P]; P is B-orthogonalized
+to X and normalized in their coefficient space.  A step holds only the
 blocks it still needs, each freed after its last product: the residual
-block once phase 1 has copied its active columns; with one sub-block, P
-once its share of [W, P]'s product (the tail) is formed, before W's; W
-and the old X once the Ritz block passes; the tail once its share of the
+block once phase 1 has copied its active columns; a sub-block's P once
+its share of [W, P]'s product (the tail) is formed, before W's; W once
+the last sub-block's Ritz block is formed; the tail once its share of the
 next P is formed.  A refresh writes the explicit A X and B X into the
 state's stack, so no second X stack is held.
 The Gram blocks known by construction (X^T A X = diag(theta),
@@ -63,7 +64,6 @@ from .blocks import (
     product_stack,
     stack_of,
     stacked_first_trials,
-    sub_block_stack,
     sym,
     unit_columns,
 )
@@ -132,6 +132,11 @@ class SolverConfig:
         return step * math.ceil(size / step)
 
     def validate(self, dim: int) -> None:
+        for name in ("nev", "block_size", "sub_block", "rr_period", "max_iter", "tol", "seed"):
+            if isinstance(value := getattr(self, name), (bool, np.bool_)):
+                raise InvalidConfigError(f"{name} must not be a bool, got {value!r}")
+        if not isinstance(self.record_history, (bool, np.bool_)):
+            raise InvalidConfigError(f"record_history must be a bool, got {self.record_history!r}")
         for name in ("nev", "block_size", "sub_block", "rr_period", "max_iter"):
             value, optional = getattr(self, name), name in ("block_size", "sub_block")
             if not (isinstance(value, Integral) or optional and value is None):
@@ -233,6 +238,18 @@ def _require_finite(stack: np.ndarray) -> None:
         raise _Breakdown("non-finite product")
 
 
+def _real_input(name: str, block) -> np.ndarray:
+    """A caller's block as a float array; InvalidConfigError when it is
+    complex, whose imaginary part a cast would drop, or not finite."""
+    block = np.asarray(block)
+    if np.iscomplexobj(block):
+        raise InvalidConfigError(f"{name} must be real, got dtype {block.dtype}")
+    block = block.astype(float, copy=False)
+    if not np.isfinite(block).all():
+        raise InvalidConfigError(f"{name} contains non-finite entries")
+    return block
+
+
 class LobpcgEngine:
     """The one solver state, stepped by :func:`drive` for
     :func:`lobpcg_solve`, :func:`psd_solve` and :func:`lobpcg2_solve`.
@@ -247,17 +264,18 @@ class LobpcgEngine:
     whole ``X``, through the inverse of its B-Gram matrix, so that the
     recurrences do not collapse onto the same eigenvectors, and each new
     direction off its own sub-block's ``X`` by one masked product; it
-    applies the preconditioner, B and A once each, and the small dense
-    work of sub-blocks of one width runs as stacked LAPACK calls.  Every ``rr_period`` rounds a shared
+    applies the preconditioner, B and A once each.  Each sub-block's Gram
+    matrices are formed apart; the small dense work of their first trials
+    runs as stacked LAPACK calls.  Every ``rr_period`` rounds a shared
     Rayleigh-Ritz on carried products (:meth:`couple`) gives every
     sub-block its slice of the Ritz vectors, in ascending order, and its P
     B-projected off them.  A coupling merges sub-blocks, so a state of one
     sub-block, block LOBPCG, couples only to restore its X's
-    B-orthonormality.  ``xs`` and ``ps`` are the stacks ``(A X, X, B X)``
-    and ``(A P, P, B P)`` of the iterate block X and the previous-direction
-    block P with their carried products, ``(A X, X)`` and ``(A P, P)``
-    with ``b_op=None``; the first ``p_cols[k]`` columns of slice k of P are
-    sub-block k's (none at 0).
+    B-orthonormality.  ``xs`` is the stack ``(A X, X, B X)`` of the
+    iterate block X with its carried products, ``(A X, X)`` with
+    ``b_op=None``; slice k of it is sub-block k's.  ``ps[k]`` is sub-block
+    k's previous-direction stack ``(A P, P, B P)`` (``(A P, P)``), at most
+    as wide as the sub-block, or None.
 
     A diagonal or sparse ``b_op`` with a diagonal entry <= 0 is not
     positive definite and raises :class:`NotPositiveDefiniteError` before
@@ -282,7 +300,7 @@ class LobpcgEngine:
 
         self._rng = np.random.default_rng(cfg.seed)
         if constraints is not None:
-            constraints = np.asarray(constraints, dtype=float)
+            constraints = _real_input("constraints", constraints)
             if constraints.ndim == 1:
                 constraints = constraints[:, None]
             if constraints.ndim != 2 or constraints.shape[0] != self.dim:
@@ -294,13 +312,11 @@ class LobpcgEngine:
             self.constraints = self.b_constraints = None
 
         if x0 is not None:
-            x0 = np.asarray(x0, dtype=float)
+            x0 = _real_input("x0", x0)
             if x0.shape != (self.dim, self.block_size):
                 raise DimensionMismatchError(
                     f"x0 must be ({self.dim}, {self.block_size}), got {x0.shape}"
                 )
-            if not np.all(np.isfinite(x0)):
-                raise InvalidConfigError("x0 contains non-finite entries")
             start = x0.copy()
         else:
             start = self._rng.standard_normal((self.dim, self.block_size))
@@ -316,10 +332,7 @@ class LobpcgEngine:
         self.iterations, self._last_basis_cols = 0, width
         self._fresh = True  # while A X and B X are explicit products: from the start, on refresh
         self._explicit_grams = np.zeros(len(self.slices), dtype=bool)  # see EXPLICIT_GRAM_RTOL
-        self.p_cols = np.zeros(len(self.slices), dtype=int)
-        self.ps = None
-        if len(self.slices) > 1:  # the sub-blocks write their P into its columns
-            self.ps = np.zeros_like(start)
+        self.ps = [None] * len(self.slices)
         self._start(start)
 
     # -- setup helpers -------------------------------------------------
@@ -411,14 +424,12 @@ class LobpcgEngine:
             values, xs, _, _ = carried_rayleigh_ritz(parts, self.block_size)
         del parts
         self.ritz_values, self.xs = values, xs
-        for k in range(len(self.slices)):
-            direction = None
-            if keep and self.p_cols[k]:  # P -= X (B X)^T P, one sub-block at a time
+        for k, p in enumerate(self.ps):
+            if keep and p is not None:  # P -= X (B X)^T P, one sub-block at a time
                 self.counters.orthonormalizations += 1
-                p = self._parts(k)[1]
-                direction = b_normalized(combine_parts(  # P may hold fewer than nb columns
+                p = b_normalized(combine_parts(  # P may hold fewer than nb columns
                     [p, xs], np.vstack([np.eye(p.shape[-1]), -(xs[-1].T @ p[1])])))
-            self._keep_direction(k, direction)
+            self.ps[k] = p if keep else None
         self._update_residuals()
 
     # -- state inspection ----------------------------------------------
@@ -457,7 +468,7 @@ class LobpcgEngine:
             self._last_basis_cols += self.block_size  # the round's columns, then the coupling's
         else:
             if not keep:
-                self._keep_direction(0, None)
+                self.ps[0] = None
             self._update_residuals()
         self._fresh = True
 
@@ -514,7 +525,7 @@ class LobpcgEngine:
             if np.isfinite(self.residual_norms[active]).all():
                 self._explicit_grams[k] |= bool(explicit[cols].all())
                 moving.append((k, active))
-        carried = self.p_cols.any()  # a sub-block starts the round with a P
+        carried = any(p is not None for p in self.ps)  # a sub-block starts the round with a P
         widths = self._advance_round(moving) if moving else []
         if not widths:
             if self._fresh and not carried:
@@ -527,28 +538,12 @@ class LobpcgEngine:
         self._fresh, self._last_basis_cols = False, self.block_size * coupled + sum(widths)
 
     def _parts(self, k: int) -> list:
-        """Sub-block k's X stack and, if it has one and the state uses it,
-        its P stack: views of the state's stacks."""
-        cols = self.slices[k]
-        parts = [self.xs[..., cols]]
-        if self.p_cols[k] and self.use_history_direction:
-            parts.append(self.ps[..., cols.start:cols.start + self.p_cols[k]])
+        """Sub-block k's X stack, a view of the state's, and, if it has one
+        and the state uses it, its P stack."""
+        parts = [self.xs[..., self.slices[k]]]
+        if self.ps[k] is not None and self.use_history_direction:
+            parts.append(self.ps[k])
         return parts
-
-    def _keep(self, k: int, name: str, stack) -> None:
-        """Put sub-block k's ``stack`` in the state's stack ``name``: a state
-        of one sub-block holds it by reference (None included), a state of
-        several writes it into the sub-block's leading columns."""
-        if len(self.slices) == 1:
-            setattr(self, name, stack)
-        elif stack is not None:
-            lo = self.slices[k].start
-            getattr(self, name)[..., lo:lo + stack.shape[-1]] = stack
-
-    def _keep_direction(self, k: int, direction) -> None:
-        """Keep sub-block k's carried P stack, or None, in the state."""
-        self.p_cols[k] = 0 if direction is None else direction.shape[-1]
-        self._keep(k, "ps", direction)
 
     def _advance_round(self, moving: list) -> list:
         """Both phases of a step for every moving sub-block, ``(k, active
@@ -570,9 +565,8 @@ class LobpcgEngine:
         for k, lo, hi in zip(blocks, w_edges[:-1], w_edges[1:]):
             members.append(self._parts(k))
             members[-1].insert(1, ws[..., lo:hi])
-        grams = self._stacked_grams(blocks, members, ws) if len(blocks) > 1 else None
         del ws
-        return self._rayleigh_ritz_round(blocks, members, grams)
+        return self._rayleigh_ritz_round(blocks, members)
 
     def _unit_directions(self, moving: list) -> np.ndarray:
         """Phase 1 up to W's orthonormalization, the active columns side by
@@ -590,38 +584,23 @@ class LobpcgEngine:
             residuals -= block_mul(x, transform @ (transform.T @ (b_x.T @ residuals)))
         directions = self._deflate(self.precond.apply(residuals))
         del residuals
-        if len(self.slices) == 1:  # the sub-block's own X is the whole X
-            return unit_columns(b_project_out(directions, x, b_x))[0]
         width = self.slices[0].stop
         own = np.arange(self.block_size)[:, None] // width == active // width
         return unit_columns(directions - block_mul(x, own * (b_x.T @ directions)))[0]
 
-    def _rayleigh_ritz_round(self, blocks: list, members: list, grams) -> list:
+    def _rayleigh_ritz_round(self, blocks: list, members: list) -> list:
         """Phase 2 for the sub-blocks ``blocks``, whose part stacks are
-        ``members`` (X, W and P if any), with the first trials' small dense
-        work stacked; ``grams`` are their Gram matrices when
-        :meth:`_stacked_grams` formed them, else None."""
-        pairs = list(zip(*grams)) if grams else [
-            part_grams(parts, None if self._explicit_grams[k] else self.ritz_values[self.slices[k]])
-            for k, parts in zip(blocks, members)]
+        ``members`` (X, W and P if any): each sub-block's Gram matrices
+        formed apart, its first trial's small dense work stacked with the
+        others'."""
+        pairs = [part_grams(parts, None if self._explicit_grams[k]
+                            else self.ritz_values[self.slices[k]])
+                 for k, parts in zip(blocks, members)]
         firsts = stacked_first_trials(
             pairs, [RESTART_COND_LIMIT if len(parts) == 3 else np.inf for parts in members],
             members[0][0].shape[-1], self.use_history_direction)  # the sub-blocks' width
         return [width for width in map(self._update_sub_block, blocks, members, pairs, firsts)
                 if width]
-
-    def _stacked_grams(self, blocks: list, members: list, ws: np.ndarray):
-        """Every sub-block's Gram matrices, as ``(k, m, m)`` stacks formed
-        over stacked views, when all of them move with one shape and one
-        Gram rule; None otherwise."""
-        shapes = {tuple(part.shape[-1] for part in parts) for parts in members}
-        rule = {bool(self._explicit_grams[k]) for k in blocks}
-        if len(blocks) < len(self.slices) or len(shapes) > 1 or len(rule) > 1:
-            return None
-        width, w_cols, *p_cols = shapes.pop()
-        stacks = [sub_block_stack(self.xs, width), sub_block_stack(ws, w_cols)]
-        stacks += [sub_block_stack(self.ps, width, p_cols[0])] if p_cols else []
-        return part_grams(stacks, None if rule.pop() else self.ritz_values.reshape(-1, width))
 
     def _update_sub_block(self, k: int, parts: list, grams, first) -> int:
         """Phase 2 for sub-block k: the Rayleigh-Ritz over ``parts``, the
@@ -633,23 +612,21 @@ class LobpcgEngine:
         ``[X, W, P]`` is counted and skipped, a rejected ``[X, W]`` made
         again off the Cholesky path (SVQB).  A trial also fails on any error
         of this package: a rank shortfall, a failed post-check.  Returns the
-        trial's width; 0, and the state untouched, when the Gram matrices
-        are not finite or the trial without P fails; a state of one
-        sub-block has handed its P to the trial by then, and a round in which
-        nothing moves drops P anyway.  Each block is freed after its last
-        product: the trial takes ``parts`` over, so that such a P goes once
-        its share of the tail is formed, before W's; a Ritz block that passes
-        is kept with its values at once, freeing the old X (and the round's
-        W, after the last sub-block), and read back from the state's
-        columns; the tail goes once its share of the next P is formed.  A
-        next P that cannot be formed leaves the sub-block without one.
+        trial's width; 0 when the Gram matrices are not finite, the state
+        untouched, or when the trial without P fails, the sub-block's X and
+        Ritz values untouched and its P, handed to the trial, dropped.  Each
+        block is freed after its last product: the trial takes ``parts``
+        over, so that P goes once its share of the tail is formed, before
+        W's; a Ritz block that passes is written with its values into the
+        state's columns at once and read back from them; the tail goes once
+        its share of the next P is formed.  A next P that cannot be formed
+        leaves the sub-block without one.
         """
         gram_a, gram_b = grams
         if not (np.isfinite(gram_a).all() and np.isfinite(gram_b).all()):
             return 0
         rows = parts[0].shape[-1]
-        if len(self.slices) == 1:  # the trial then holds the state's only P
-            self._keep_direction(k, None)
+        self.ps[k] = None  # the trial then holds the sub-block's only P
         for trial in [parts, parts[:2]] if len(parts) == 3 else [parts]:
             width = sum(part.shape[-1] for part in trial)
             self.counters.rayleigh_ritz_calls += 1
@@ -666,14 +643,14 @@ class LobpcgEngine:
         else:
             return 0
         self.ritz_values[self.slices[k]] = values
-        self._keep(k, "xs", xs)
-        self._keep_direction(k, None)
+        self.xs[..., self.slices[k]] = xs
+        del xs
         if self.use_history_direction:
             self.counters.orthonormalizations += 1
             basis = [self.xs[..., self.slices[k]], tail]
-            del xs, tail
-            self._keep_direction(k, next_direction(basis, coeff, gram_b[:width, :width],
-                                                   rows, first and first[2]))
+            del tail
+            self.ps[k] = next_direction(basis, coeff, gram_b[:width, :width], rows,
+                                        first and first[2])
         return width
 
     def salvage(self) -> None:

@@ -30,8 +30,7 @@ from lobpcg_kit import (
 from lobpcg_kit import blocks
 from lobpcg_kit.blocks import (b_orthonormalize_full, b_orthonormalize_spans, block_mul,
                                 carried_rayleigh_ritz, combine_parts, fix_signs, gram_transform,
-                                handed_over, part_grams, stack_of, sub_block_stack,
-                                unit_columns)
+                                handed_over, part_grams, stack_of, unit_columns)
 
 
 def spd_operator(rng, n, shift=None):
@@ -504,25 +503,6 @@ class TestStackedParts:
             diagonal = part_grams(parts[:1])[1]
             np.testing.assert_array_equal(diagonal, parts[0][1].T @ parts[0][1])
             np.testing.assert_array_equal(diagonal, diagonal.T)
-
-    @pytest.mark.parametrize("metric", [False, True], ids=["standard", "pencil"])
-    @pytest.mark.parametrize("known", [False, True], ids=["explicit", "known"])
-    def test_stacked_sub_block_grams_match_each_sub_block(self, metric, known):
-        # (r, k, n, m) stacks of k sub-blocks, as the engine's rounds form them
-        rng = np.random.default_rng(5)
-        n, k, width = 200, 3, 4
-        wide = [stack_of(*(rng.standard_normal((n, k * width)) for _ in range(3 if metric else 2)))
-                for _ in range(3)]
-        parts = [sub_block_stack(wide[0], width), sub_block_stack(wide[1], width),
-                 sub_block_stack(wide[2], width, 2)]
-        values = rng.standard_normal((k, width)) if known else None
-        stacked = part_grams(parts, values)
-        for s in range(k):
-            one = [part[:, s] for part in parts]
-            expected = per_product_grams([as_tuple(part) for part in one],
-                                         None if values is None else values[s])
-            for got, want in zip(stacked, expected):
-                np.testing.assert_array_equal(got[s], want)
 
     @pytest.mark.parametrize("metric", [False, True], ids=["standard", "pencil"])
     @pytest.mark.parametrize("plus", [False, True])

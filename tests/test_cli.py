@@ -201,6 +201,14 @@ class TestReproducibility:
         assert main(replay) == 0
         assert eigenvalue_bytes(out_a) == eigenvalue_bytes(out_b)
 
+    @pytest.mark.parametrize("text", ["\x0b", "\x1b[0m", "a\x00b", "\x1f", "\b\f",
+                                      "\n\r\t", 'quote " and \\', "caf\u00e9"])
+    def test_control_characters_round_trip(self, text):
+        # \x0b, \x1b and \x00 were written raw, so json.loads rejected the
+        # document; raw flags and problem paths reach the manifest so
+        document = {"flags": [text], "problem_paths": {text: text}}
+        assert json.loads(cli.dumps_json(document)) == document
+
 
 #: The solve flag that sets each config field, and a value other than the
 #: field's default for it.

@@ -25,19 +25,21 @@ from lobpcg_kit.solver import LobpcgEngine
 BLOCKS = ("AX", "X", "BX", "AP", "P", "BP", "R")
 
 
-def blocks_of(*stacks):
-    """``(name, block)`` of every member of the stacks (None for no P),
-    named in BLOCKS' order; a standard problem's stacks have no B member."""
-    named = []
-    for stack, names in zip(stacks, (BLOCKS[:3], BLOCKS[3:6])):
+def blocks_of(xs, *ps):
+    """``(name, block)`` of every member of an X stack and of P stacks (None
+    for no P), named in BLOCKS' order; a standard problem's stacks have no B
+    member."""
+    named = list(zip(BLOCKS[:3], xs))
+    for stack in ps:
         if stack is not None:
-            named += list(zip(names, stack))
+            named += list(zip(BLOCKS[3:6], stack))
     return named
 
 
 def not_column_major(state):
-    """Names of the state's blocks that are not F-contiguous."""
-    named = blocks_of(state.xs, state.ps) + [("R", state.R)]
+    """Names of the state's blocks that are not F-contiguous: its X stack,
+    every sub-block's P stack and its residual block."""
+    named = blocks_of(state.xs, *state.ps) + [("R", state.R)]
     return [name for name, block in named if not block.flags.f_contiguous]
 
 
@@ -55,7 +57,7 @@ def test_engine_blocks_stay_column_major(metric, jacobi):
     assert not_column_major(engine) == []
     for _ in range(4):
         engine.step()
-        assert engine.p_cols[0]
+        assert engine.ps[0] is not None
         assert not_column_major(engine) == []
     engine._refresh_products()
     assert not_column_major(engine) == []

@@ -143,7 +143,7 @@ class TestPsd:
         engine = LobpcgEngine(a, SolverConfig(nev=3, seed=3))
         for _ in range(4):
             engine.step()
-        assert engine.p_cols[0]
+        assert engine.ps[0] is not None
         three_term = copy.deepcopy(engine)
         descent = copy.deepcopy(engine)
         three_term.step()
@@ -557,8 +557,8 @@ class TestStepConstruction:
 
         def checked_step(*args, **kwargs):
             step(*args, **kwargs)
-            if engine.p_cols[0]:
-                _, p, b_p = engine._parts(0)[1]
+            if engine.ps[0] is not None:
+                _, p, b_p = engine.ps[0]
                 eye = np.eye(p.shape[1])
                 worst.append((np.max(np.abs(engine.xs[1].T @ op_apply(b, p))),
                               np.max(np.abs(p.T @ b_p - eye))))
@@ -622,7 +622,7 @@ class TestStepConstruction:
             engine.step()
             # no stack holds a B member: (A X, X) and (A P, P)
             assert [len(part) for part in engine._parts(0)] == [2, 2]
-            assert len(engine.xs) == len(engine.ps) == 2
+            assert len(engine.xs) == len(engine.ps[0]) == 2
         res = engine.run()
         assert res.status == "converged"
         assert len(engine.xs) == 2
@@ -635,7 +635,7 @@ class TestStepConstruction:
         for _ in range(5):
             engine.step()
         assert np.max(engine.residual_norms / engine.convergence_thresholds(1.0)) > 1e-3
-        assert not engine._explicit_grams[0] and engine.p_cols[0]
+        assert not engine._explicit_grams[0] and engine.ps[0] is not None
         # a direction block as the step forms one
         directions = b_project_out(engine.precond.apply(engine.R), engine.xs[1], engine.xs[-1])
         w, _, _, b_w = b_orthonormalize_full(directions, engine.b_op)
@@ -680,7 +680,7 @@ class TestStepConstruction:
         cfg = SolverConfig(nev=3, block_size=5, seed=0)
         engine = LobpcgEngine(a, cfg, precond=jacobi_precond(a))
         engine.step()
-        assert engine.p_cols[0]
+        assert engine.ps[0] is not None
         monkeypatch.setattr(solver, "carried_rayleigh_ritz", failing_once)
         engine.step()
         assert widths and engine.iterations == 2
@@ -944,6 +944,41 @@ class TestValidation:
         x0[0, 0] = np.nan
         with pytest.raises(InvalidConfigError):
             lobpcg_solve(IdentityOperator(10), SolverConfig(nev=2), x0=x0)
+
+    @pytest.mark.parametrize("field", ["nev", "block_size", "sub_block", "rr_period",
+                                       "max_iter", "tol", "seed"])
+    @pytest.mark.parametrize("flag", [True, np.True_], ids=["bool", "numpy-bool"])
+    def test_bool_field_rejected(self, field, flag):
+        # tol=True ran at tol 1.0 and took diag(1..40)'s start values as
+        # converged after 0 iterations; max_iter=True stopped after one step
+        knobs = {"nev": 1, field: flag}
+        with pytest.raises(InvalidConfigError, match=f"{field} must not be a bool"):
+            lobpcg_solve(DiagonalOperator(np.arange(1.0, 41.0)), SolverConfig(**knobs))
+
+    @pytest.mark.parametrize("value", ["yes", 1, None])
+    def test_record_history_must_be_a_bool(self, value):
+        # "yes" was taken as true
+        with pytest.raises(InvalidConfigError, match="record_history must be a bool"):
+            lobpcg_solve(DiagonalOperator(np.arange(1.0, 41.0)),
+                         SolverConfig(nev=1, record_history=value))
+
+    @pytest.mark.parametrize("name", ["x0", "constraints"])
+    def test_complex_input_rejected(self, name):
+        # the imaginary part was dropped with a ComplexWarning
+        block = np.eye(40, 2) + 1j * np.eye(40, 2, -1)
+        with pytest.raises(InvalidConfigError, match=f"{name} must be real"):
+            lobpcg_solve(DiagonalOperator(np.arange(1.0, 41.0)), SolverConfig(nev=2),
+                         **{name: block})
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_constraints_finite_checked(self, bad):
+        # an OrthonormalizationError from the Gram check, where x0 already
+        # got this message
+        constraints = np.ones((40, 1))
+        constraints[3, 0] = bad
+        with pytest.raises(InvalidConfigError, match="constraints contains non-finite"):
+            lobpcg_solve(DiagonalOperator(np.arange(1.0, 41.0)), SolverConfig(nev=2),
+                         constraints=constraints)
 
     def test_rank_deficient_x0_padded(self):
         # a duplicated start column is repaired, not fatal

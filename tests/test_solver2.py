@@ -24,6 +24,7 @@ from lobpcg_kit import (
     InvalidConfigError,
     Lobpcg2Config,
     NoConvergenceError,
+    OrthonormalizationError,
     SolverConfig,
     csr_from_coo,
     dense_oracle,
@@ -425,7 +426,7 @@ class TestOnEngine:
         advance, carried = solver.LobpcgEngine._advance_round, []
 
         def stalling_round(state, moving):
-            carried.append([bool(state.p_cols[k]) for k, _ in moving])
+            carried.append([state.ps[k] is not None for k, _ in moving])
             if len(carried) == 7:  # every sub-block of round 7
                 return []
             return advance(state, moving)
@@ -459,7 +460,7 @@ class TestOnEngine:
         advance, carried = solver.LobpcgEngine._advance_round, []
 
         def stalling_round(state, moving):
-            carried.append([bool(state.p_cols[k]) for k, _ in moving])
+            carried.append([state.ps[k] is not None for k, _ in moving])
             if len(carried) == 3:  # both sub-blocks of round 3
                 return []
             return advance(state, moving)
@@ -484,8 +485,8 @@ class TestOnEngine:
 
         def narrowing_update(state, k, *args):
             width = logged_update(state, k, *args)
-            if state.p_cols[k]:  # as when dependent columns are dropped
-                state.p_cols[k] = 1
+            if state.ps[k] is not None:  # as when dependent columns are dropped
+                state.ps[k] = state.ps[k][..., :1]
             return width
 
         monkeypatch.setattr(solver.LobpcgEngine, "_update_sub_block", narrowing_update)
@@ -632,22 +633,19 @@ class TestStackedRounds:
     def test_stacked_and_per_block_phase_2_agree(self, seed, rounds, sub_block, ragged,
                                                  copy_of_x):
         # a round matches, bit for bit and in every count, the same round
-        # with the Gram matrices formed per sub-block and every first trial
-        # made as a stack of one
+        # with every first trial made as a stack of one
         state, moving, (a, b) = self.round_state(seed, rounds, sub_block)
         if ragged and sub_block > 1:  # one sub-block with a narrower W
             moving[1] = (1, moving[1][1][1:])
-        if copy_of_x is not None and state.p_cols[0]:
+        if copy_of_x is not None and state.ps[0] is not None:
             # sub-block 0's P a B-orthonormal copy of its X, exact or with
             # entries perturbed by this relative amount: a B-Gram matrix whose
             # Cholesky fails in LAPACK (0), the pivot floor (1e-7) or the
             # restart guard's condition limit (1e-6)
-            cols = slice(0, state.p_cols[0])
-            x = state.xs[1][:, cols]
+            x = state.xs[1][:, :state.ps[0].shape[-1]]
             p, _ = blocks.b_orthonormalize(x * (1.0 + copy_of_x * np.random.default_rng(
                 seed).standard_normal(x.shape)), b)
-            for block, copied in zip(state.ps, (op_apply(a, p), p, op_apply(b, p))):
-                block[:, cols] = copied
+            state.ps[0] = blocks.stack_of(op_apply(a, p), p, op_apply(b, p))
         per_block = copy.deepcopy(state)
         widths = state._advance_round(moving)
         stacked = solver.stacked_first_trials
@@ -655,18 +653,19 @@ class TestStackedRounds:
         def stacks_of_one(pairs, cond_limits, *rest):
             return [stacked([pair], [limit], *rest)[0] for pair, limit in zip(pairs, cond_limits)]
 
-        with mock.patch.object(solver, "stacked_first_trials", stacks_of_one), \
-                mock.patch.object(solver.LobpcgEngine, "_stacked_grams", lambda *_: None):
+        with mock.patch.object(solver, "stacked_first_trials", stacks_of_one):
             assert per_block._advance_round(moving) == widths
-        for name in ("ritz_values", "xs", "ps", "p_cols"):
+        for name in ("ritz_values", "xs"):
             assert np.array_equal(getattr(state, name), getattr(per_block, name)), name
+        assert [p is None for p in state.ps] == [p is None for p in per_block.ps]
+        assert all(p is None or np.array_equal(p, q) for p, q in zip(state.ps, per_block.ps))
         assert state.counters == per_block.counters
 
     @pytest.mark.parametrize("use_history_direction", [True, False], ids=["lobpcg2", "psd"])
     def test_a_stack_whose_eigh_fails_sends_every_member_to_its_next_trial(
             self, monkeypatch, use_history_direction):
         state, moving, (_, b) = self.round_state(0, 4, 2, use_history_direction)
-        assert state.p_cols.all() == use_history_direction
+        assert all(p is not None for p in state.ps) == use_history_direction
         eig, carried, trials = blocks.sym_eig, solver.carried_rayleigh_ritz, []
 
         def failing_on_stacks(gram):
@@ -690,6 +689,34 @@ class TestStackedRounds:
         for cols in state.slices:
             x = state.xs[1][:, cols]
             assert blocks.ortho_defect(x.T @ op_apply(b, x)) <= 1e-8
+
+    def test_sub_block_whose_every_trial_fails_keeps_x_and_drops_p(self, monkeypatch):
+        # sub-block 1 hands its P to its trials, all of which fail, while
+        # the others move: its X and Ritz values stay byte for byte and it
+        # ends the round without P, as a state of one sub-block does
+        state, moving, _ = self.round_state(0, 4, 2)
+        assert all(p is not None for p in state.ps)
+        cols = state.slices[1]
+        x, values = state.xs[..., cols].tobytes(), state.ritz_values[cols].tobytes()
+        update, carried, current = (solver.LobpcgEngine._update_sub_block,
+                                    solver.carried_rayleigh_ritz, [])
+
+        def tracked_update(state, k, *args):
+            current.append(k)
+            return update(state, k, *args)
+
+        def failing_for_sub_block_1(*args, **kwargs):
+            if current[-1] == 1:
+                raise OrthonormalizationError("Ritz block orthonormality defect persists")
+            return carried(*args, **kwargs)
+
+        monkeypatch.setattr(solver.LobpcgEngine, "_update_sub_block", tracked_update)
+        monkeypatch.setattr(solver, "carried_rayleigh_ritz", failing_for_sub_block_1)
+        assert len(state._advance_round(moving)) == len(moving) - 1
+        assert current == [k for k, _ in moving]
+        assert state.xs[..., cols].tobytes() == x
+        assert state.ritz_values[cols].tobytes() == values
+        assert [p is None for p in state.ps] == [k == 1 for k, _ in moving]
 
     @pytest.mark.parametrize("seed,rounds,moving,constrained", [
         (0, 0, [(0, [0, 1]), (1, [2, 3]), (2, [4, 5])], False),
@@ -731,8 +758,9 @@ class TestStackedRounds:
 
     @pytest.mark.parametrize("constrained", [False, True])
     def test_one_sub_block_phase_1_is_the_plain_projection(self, constrained):
-        # lobpcg and psd take no projection off the whole X, and project
-        # off their one X by b_project_out, bit for bit
+        # lobpcg and psd take no projection off the whole X, and their
+        # masked projection off their one X, whose mask is all ones, is
+        # b_project_out's, bit for bit
         a, b = fe_pencil(10, 12)
         constraints = np.random.default_rng(4).standard_normal((a.dim, 2))
         state = solver.LobpcgEngine(a, SolverConfig(nev=4, seed=4), b_op=b,
@@ -780,7 +808,7 @@ class TestStackedRounds:
                                     b_op=b, precond=jacobi_precond(a))
         for _ in range(3):
             state.step()
-        assert len(state.slices) == 3 and state.p_cols.all()
+        assert len(state.slices) == 3 and all(p is not None for p in state.ps)
         block_mul, combine_parts, calls, maps = blocks.block_mul, blocks.combine_parts, [0], []
 
         def counted_block_mul(*args):
@@ -806,9 +834,11 @@ class TestStackedRounds:
 
     def test_peak_memory_stays_per_sub_block(self):
         # lobpcg2's tall work stays per sub-block: on fe_pencil_many's pencil
-        # a solve peaks at 4.17 times the blocks of its state's X stack
-        # (A X, X, B X), in phase 1's A apply; the bound allows 10% more.
-        # It peaked at 4.50 while an explicit coupling held a second X stack
+        # a solve peaks at 4.14 times the blocks of its state's X stack
+        # (A X, X, B X), in phase 1's A apply. The bound allows 10% more
+        # than the 4.17 it peaked at while every P sat in one padded buffer,
+        # and it peaked at 4.50 while an explicit coupling held a second X
+        # stack
         a, b = fe_pencil(30, 40)
         precond = jacobi_precond(a)
         cfg = Lobpcg2Config(nev=12, sub_block=4, rr_period=25, max_iter=300, seed=3)
@@ -820,9 +850,10 @@ class TestStackedRounds:
     def test_round_holds_fifteen_blocks_at_most(self):
         # a round's live blocks, in n x width units: the state's X, P and R,
         # the round's W, and one sub-block's Ritz block and its tail at a
-        # time; coupling every round, the solve peaks at 12.50, in phase
-        # 1's A apply. It peaked at 13.50 in an explicit coupling, which
-        # held the refreshed X stack beside the carried one
+        # time; coupling every round, the solve peaks at 12.36, in phase
+        # 1's A apply (12.52 while every P sat in one padded buffer). It
+        # peaked at 13.50 in an explicit coupling, which held the refreshed
+        # X stack beside the carried one
         a, b = fe_pencil(30, 40)
         precond = jacobi_precond(a)
         cfg = Lobpcg2Config(nev=12, sub_block=4, max_iter=300, seed=3)
