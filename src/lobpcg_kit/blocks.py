@@ -16,7 +16,8 @@ B member exists.  One broadcast matmul maps every member of a part
 (:func:`part_grams`); each member still goes through the GEMM a single
 block would.  The one Rayleigh-Ritz here works on such parts without
 applying an operator (Hetmaniuk & Lehoucq, "Basis selection in LOBPCG",
-J. Comput. Phys. 218, 2006).
+J. Comput. Phys. 218, 2006), and so does the one B-orthonormalization,
+:func:`b_orthonormalize_full`, over the column spans of a stack.
 """
 
 from __future__ import annotations
@@ -68,6 +69,8 @@ class OpCounters:
     to; ``matvecs`` is their sum.  ``estimate_matvecs`` counts apart the
     columns a matrix-free A or B was applied to in order to estimate its
     spectrum: its norm estimate and, for B, the probe of its definiteness.
+    ``orthonormalizations`` counts one per span per call of
+    :func:`b_orthonormalize_full`, whatever its passes.
     """
 
     a_matvecs: int = 0
@@ -182,24 +185,18 @@ def ortho_defect(gram: np.ndarray) -> float:
     return float(np.abs(gram - np.eye(gram.shape[0])).max())
 
 
-def _svqb_attribution(gram_vectors: np.ndarray, dropped: np.ndarray) -> list[int]:
-    """Attribute dropped Gram eigendirections to input columns.
-
-    Column k's projection onto the discarded eigenspace is
-    sum_j Q[k, j]^2 over dropped j; the columns with the largest projection
-    are reported as dropped, ties resolved toward the higher index.
-    """
-    m = gram_vectors.shape[0]
-    n_drop = int(dropped.sum())
-    if n_drop == 0:
-        return list(range(m))
-    proj = np.sum(gram_vectors[:, dropped] ** 2, axis=1)
-    # Quantize so exact duplicates tie despite rounding, then prefer
-    # dropping the higher index.
-    quantized = np.round(proj, 9)
-    order = sorted(range(m), key=lambda k: (-quantized[k], -k))
-    dropped_cols = set(order[:n_drop])
-    return [k for k in range(m) if k not in dropped_cols]
+def _svqb_attribution(gram_vectors: np.ndarray, kept: np.ndarray) -> list[int]:
+    """The input columns for the ``kept`` Gram eigendirections: greedily,
+    the column with the largest share of the kept eigenspace (its row of
+    the eigenvectors), its row then projected off the others; ties go to
+    the lower index, so that a duplicate of a kept column is dropped."""
+    rows, chosen = gram_vectors[:, kept], []
+    for _ in range(rows.shape[1]):
+        # quantized so that exact duplicates tie despite rounding
+        k = int(np.argmax(np.round(np.einsum("ij,ij->i", rows, rows), 9)))
+        chosen.append(k)
+        rows = rows - np.outer(rows @ rows[k], rows[k] / (rows[k] @ rows[k]))
+    return sorted(chosen)
 
 
 def cholesky_transforms(grams: np.ndarray, cond_limit=np.inf):
@@ -223,16 +220,20 @@ def gram_transform(gram: np.ndarray):
 
     Returns ``(transform, kept)`` with ``transform^T G transform = I`` over
     the numerically independent directions; ``kept`` lists the Gram
-    columns judged independent.  Raises ZeroRankError when none are.  SVQB
-    runs where :func:`cholesky_transforms` rejects G.  An SVQB eigenvalue
-    below -m * RANK_DROP_RTOL * lambda_max, the mirror of the rank rule,
-    raises NotPositiveDefiniteError: a B-Gram matrix that indefinite comes
-    from an indefinite metric, which dropping the direction would hide.
+    columns judged independent.  :func:`_svqb` runs where
+    :func:`cholesky_transforms` rejects G.
     """
-    m = gram.shape[0]
     transform, ok = cholesky_transforms(gram)
-    if ok:
-        return transform, list(range(m))
+    return (transform, list(range(gram.shape[0]))) if ok else _svqb(gram)
+
+
+def _svqb(gram: np.ndarray):
+    """:func:`gram_transform` by SVQB (Stathopoulos & Wu, SISC 2002) over
+    the eigenvalues above m * RANK_DROP_RTOL * lambda_max; ZeroRankError
+    when none is.  One below minus that floor raises
+    NotPositiveDefiniteError: such a B-Gram matrix comes from an indefinite
+    metric, which dropping the direction would hide."""
+    m = gram.shape[0]
     eig = sym_eig(gram)
     lam_max = float(eig.values[-1])
     floor = m * RANK_DROP_RTOL * max(lam_max, 0.0)
@@ -244,7 +245,7 @@ def gram_transform(gram: np.ndarray):
     if lam_max <= 0.0 or not np.any(keep_mask):
         raise ZeroRankError("all columns are numerically dependent")
     transform = eig.vectors[:, keep_mask] / np.sqrt(eig.values[keep_mask])[None, :]
-    return transform, _svqb_attribution(eig.vectors, ~keep_mask)
+    return transform, _svqb_attribution(eig.vectors, keep_mask)
 
 
 def _unit_diagonal(gram_b: np.ndarray):
@@ -264,156 +265,120 @@ def gram_basis(gram_b: np.ndarray) -> np.ndarray:
     return gram_transform(gram)[0] / scale
 
 
-def _finite_gram(gram: np.ndarray) -> np.ndarray:
-    """The Gram matrix itself; OrthonormalizationError when it is not finite."""
-    if not np.all(np.isfinite(gram)):
-        raise OrthonormalizationError("B-Gram matrix is not finite")
-    return gram
+def b_orthonormalize_full(stack: np.ndarray, formed: bool, counters: OpCounters | None = None,
+                          spans: list | None = None):
+    """B-orthonormalize each column span of a stack apart, from its
+    products, by CholeskyQR2 (Fukaya et al., ScalA 2014) with SVQB where
+    the Cholesky rule rejects; no operator is applied.
 
+    ``stack`` is ``(A V, V, B V)`` (``(A V, V)`` without a metric) if
+    ``formed``, else ``(V, B V)`` (``(V,)``); ``spans`` tile its columns,
+    one span by default.  A span whose V^T B V is within
+    :data:`ORTHO_POST_TOL` of I is kept as it is; any other takes at most
+    two passes, the next Gram matrix being the post-check.  A pass is
+    :func:`cholesky_transforms`, one call per width, or :func:`_svqb`
+    where that rejects.
 
-def b_apply(b_op: LinearOperator | None, block: np.ndarray) -> np.ndarray:
-    """``B @ block``, or ``block`` itself for the identity metric (``None``)."""
-    return block if b_op is None else op_apply(b_op, block)
-
-
-def b_orthonormalize_full(block: np.ndarray, b_op: LinearOperator | None,
-                          counters: OpCounters | None = None):
-    """B-orthonormalize and also return the column transform and product.
-
-    Returns ``(out, kept, transform, b_out)`` with ``out = block @ transform``,
-    ``out^T B out = I`` within :data:`ORTHO_POST_TOL` and ``b_out = B @ out``,
-    mapped from one apply of B to the input and post-checked (as in scipy).
-    Dependent content is dropped; ``kept`` lists the input columns kept.
-    Raises ZeroRankError when nothing survives and OrthonormalizationError
-    when a B-Gram matrix is not finite or the post-check fails even after a
-    retry.  With ``b_op=None`` (identity) B is not applied: ``b_out is out``.
+    Returns ``(out, outcomes)``: the surviving spans side by side in one
+    stack ``(A V, V, B V)`` (``(A V, V)``), A V unformed unless ``formed``
+    (``stack`` itself when every span passes as it is, None when none
+    survives); and per span ``(kept, transform)``, the input columns kept
+    and the map of its input onto its output (None: kept as it is), or the
+    error that dropped it: ZeroRankError when no direction is independent,
+    OrthonormalizationError when a Gram matrix is not finite or the defect
+    persists after the second pass.  NotPositiveDefiniteError is raised.
+    ``counters.orthonormalizations`` counts one per span.
     """
-    out, scale = unit_columns(block)
-    b_out = b_apply(b_op, out)
-    # the first pass's Gram matrix in the layout the caller's block has
-    first = gram_transform(sym(_finite_gram(out.T @ b_out)))
-    pair = out[None] if b_op is None else stack_of(out, b_out)
-    del b_out
-    stack, kept, transform = orthonormal_passes(pair, counters, np.diag(1.0 / scale), first)
-    out = stack[1].copy(order="F")  # so that the unformed A member is freed
-    return out, kept, transform, out if b_op is None else stack[2].copy(order="F")
-
-
-def unit_columns(block: np.ndarray):
-    """``(block / scale, scale)`` for the columns' 2-norms ``scale`` (1 for
-    a zero column): the input of :func:`orthonormal_passes`."""
-    out = _as_block(block)
-    scale = column_norms(out)
-    scale = np.where(scale > 0, scale, 1.0)
-    return out / scale[None, :], scale
-
-
-def orthonormal_passes(pair: np.ndarray, counters: OpCounters | None = None,
-                       transform: np.ndarray | None = None, first=None):
-    """:func:`b_orthonormalize_full` from the stack ``pair`` of its scaled
-    input V and ``B V``, ``(V,)`` without a metric, whose column transform
-    so far is ``transform`` (None: not tracked).  ``first`` is the first
-    pass's :func:`gram_transform` when formed already.  Every pass maps V
-    and B V as one pair, into the last members of a new ``(A V, V, B V)``
-    stack (``(A V, V)`` without a metric) whose A V member it leaves
-    unformed, for the caller to fill: returns ``(stack, kept, transform)``.
-    """
-    kept = list(range(pair.shape[-1]))
-    for _ in range(2):
-        pass_transform, pass_kept = first or gram_transform(
-            sym(_finite_gram(pair[0].T @ pair[-1])))
-        first = None
-        stack = empty_stack(len(pair) + 1, pair.shape[1], pass_transform.shape[1])
-        np.matmul(pass_transform.T, _t(pair), out=_t(stack[1:]))
-        pair = stack[1:]
-        if counters is not None:
-            counters.orthonormalizations += 1
-        kept = [kept[i] for i in pass_kept]
-        if transform is not None:
-            transform = transform @ pass_transform
-        defect = ortho_defect(_finite_gram(pair[0].T @ pair[-1]))
-        if defect <= ORTHO_POST_TOL:
-            return stack, kept, transform
-    raise OrthonormalizationError(f"orthonormality defect {defect:.3e} persists after retry")
-
-
-def b_orthonormalize_spans(out: np.ndarray, spans: list, b_op: LinearOperator | None,
-                           counters: OpCounters | None = None):
-    """:func:`orthonormal_passes` over the column spans that tile a
-    column-major block of :func:`unit_columns`, from one apply of B to all
-    of it.  Returns ``(ws, kept)``: the survivors' W side by side in one
-    stack whose A W member is unformed (None when none survive), and each
-    span's surviving width, 0 where nothing survives or the post-check
-    fails.  Spans of one width that all pass after one pass from stacked
-    Cholesky factors are mapped by one matmul (:func:`_stacked_pass`);
-    otherwise each span takes its own passes.
-    """
-    pair = out[None] if b_op is None else stack_of(out, op_apply(b_op, out))
-    del out
-    widths = {span.stop - span.start for span in spans}
-    one_width = len(spans) > 1 and len(widths) == 1
-    ws = _stacked_pass(pair, widths.pop(), counters) if one_width else None
-    if ws is not None:
-        return ws, [span.stop - span.start for span in spans]
-    stacks = [_span_passes(pair[..., span], counters) for span in spans]
-    del pair  # before the survivors are joined
-    kept = [0 if stack is None else stack.shape[-1] for stack in stacks]
-    stacks = [stack for stack in stacks if stack is not None]
-    if len(stacks) < 2:
-        return (stacks[0] if stacks else None), kept
-    ws, lo = empty_stack(len(stacks[0]), stacks[0].shape[1], sum(kept)), 0
-    for stack in stacks:
-        ws[1:, :, lo:lo + stack.shape[-1]] = stack[1:]
-        lo += stack.shape[-1]
-    return ws, kept
-
-
-def _span_passes(view: np.ndarray, counters: OpCounters | None):
-    """One span's :func:`orthonormal_passes` stack from its ``view`` of the
-    pair; None where nothing survives or the post-check fails."""
-    try:
-        return orthonormal_passes(view, counters)[0]
-    except (ZeroRankError, OrthonormalizationError):
-        return None
-
-
-def _stacked_pass(pair: np.ndarray, width: int, counters: OpCounters | None):
-    """:func:`b_orthonormalize_spans`' W stack for spans all ``width``
-    wide, by one stacked pass from the stacked Cholesky factors, each
-    member through the GEMMs a span's own pass makes; None when a span
-    leaves that path or fails its post-check, for the spans' own passes."""
-    subs = sub_block_stack(pair, width)
-    grams = _t(subs[0]) @ subs[-1]
-    if not np.isfinite(grams).all():
-        return None
-    transforms, ok = cholesky_transforms(sym(grams))
-    if not ok.all():
-        return None
-    ws = empty_stack(len(pair) + 1, pair.shape[1], pair.shape[-1])
-    np.matmul(_t(transforms), _t(subs), out=_t(sub_block_stack(ws[1:], width)))
-    mapped = sub_block_stack(ws, width)
-    post = _t(mapped[1]) @ mapped[-1]
-    if not (np.abs(post - np.eye(width)).max(axis=(1, 2)) <= ORTHO_POST_TOL).all():
-        return None  # NaN included
+    spans, (roles, n, _) = spans or [slice(0, stack.shape[-1])], stack.shape
+    roles += not formed
     if counters is not None:
-        counters.orthonormalizations += len(grams)
-    return ws
+        counters.orthonormalizations += len(spans)
+    views = [stack[..., span] for span in spans]
+    outcomes = [(range(view.shape[-1]), None) for view in views]
+    out, pending = stack if formed else None, range(len(spans))
+    del stack  # a stack handed over is freed with its last view
+    for attempt in range(3):  # the check, then the post-check of each pass
+        groups: dict = {}  # per width, the Gram matrices of the spans to pass
+        failed = {}
+        for k in pending:
+            gram = views[k][1 - roles].T @ views[k][-1]
+            if (defect := ortho_defect(gram)) <= ORTHO_POST_TOL:
+                continue
+            if attempt < 2 and defect < np.inf:
+                groups.setdefault(len(gram), {})[k] = gram
+            else:
+                failed[k] = OrthonormalizationError(
+                    "B-Gram matrix is not finite" if not defect < np.inf
+                    else f"orthonormality defect {defect:.3e} persists after retry")
+        transforms = {}
+        for group in groups.values():
+            grams = sym(np.stack(list(group.values())))
+            for k, gram, cholesky, ok in zip(group, grams, *cholesky_transforms(grams)):
+                try:
+                    transform, kept = (cholesky, range(len(gram))) if ok else _svqb(gram)
+                except ZeroRankError as error:
+                    failed[k] = error
+                    continue
+                kept_so_far, so_far = outcomes[k]
+                outcomes[k] = ([kept_so_far[i] for i in kept],
+                               transform if so_far is None else so_far @ transform)
+                transforms[k] = transform
+        if transforms or failed or out is None:  # join the survivors anew
+            outcomes = [failed.get(k, outcome) for k, outcome in enumerate(outcomes)]
+            survivors = [k for k, outcome in enumerate(outcomes) if isinstance(outcome, tuple)]
+            widths = [transforms[k].shape[1] if k in transforms else views[k].shape[-1]
+                      for k in survivors]
+            out = empty_stack(roles, n, sum(widths)) if survivors else None
+            joined, lo = [None] * len(views), 0
+            for k, width in zip(survivors, widths):
+                joined[k] = out[roles - len(views[k]):, :, lo:lo + width]
+                if k in transforms:
+                    np.matmul(_t(transforms[k]), _t(views[k]), out=_t(joined[k]))
+                else:
+                    joined[k][...] = views[k]
+                lo += width
+            views = joined
+        if not transforms:
+            return out, outcomes
+        pending = transforms
 
 
-def sub_block_stack(block: np.ndarray, width: int) -> np.ndarray:
-    """A column-major block's consecutive width-``width`` sub-blocks as a
-    ``(k, n, width)`` stack of views; for a stack of ``r`` such blocks, an
-    ``(r, k, n, width)`` stack."""
-    return _t(_t(block).reshape(block.shape[:-2] + (-1, width, block.shape[-2])))
+def unit_pair(block: np.ndarray, b_op: LinearOperator | None):
+    """``(pair, scale)``: the stack ``(V, B V)``, ``(V,)`` when ``b_op`` is
+    None, of V, the columns of ``block`` divided by their 2-norms ``scale``
+    (1 for a zero column), and of one apply of B to V.  The block is read
+    only before B is applied, so that one handed over is freed first."""
+    scale = column_norms(block)
+    scale = np.where(scale > 0, scale, 1.0)
+    pair = empty_stack(1 + (b_op is not None), *block.shape)
+    np.divide(block, scale, out=pair[0])
+    del block
+    if b_op is not None:
+        pair[1] = op_apply(b_op, pair[0])
+    return pair, scale
 
 
-def _checked_orthonormalize(block, b_op, counters=None):
-    """:func:`b_orthonormalize_full` re-checked on B applied afresh."""
-    out, kept, transform, _ = b_orthonormalize_full(block, b_op, counters)
-    b_out = b_apply(b_op, out)
-    if (defect := ortho_defect(_finite_gram(out.T @ b_out))) > ORTHO_POST_TOL:
+def b_orthonormal_stack(block: np.ndarray, b_op: LinearOperator | None,
+                        counters: OpCounters | None = None, fresh: bool = False):
+    """:func:`b_orthonormalize_full` of a block as one span, from one apply
+    of B (none when ``b_op`` is None); raises the error that drops it.
+
+    Returns ``(stack, kept, transform)``: the stack ``(A V, V, B V)``
+    (``(A V, V)``) of ``V = block @ transform``, its A V member unformed,
+    and the input columns kept.  If ``fresh``, B V is B applied afresh to
+    V, on which V's B-orthonormality is checked again.
+    """
+    pair, scale = unit_pair(_as_block(block), b_op)
+    stack, (outcome,) = b_orthonormalize_full(pair, False, counters)
+    if isinstance(outcome, LobpcgKitError):
+        raise outcome
+    kept, transform = outcome
+    if fresh and b_op is not None:
+        stack[2] = op_apply(b_op, stack[1])
+    if fresh and not (defect := ortho_defect(stack[1].T @ stack[-1])) <= ORTHO_POST_TOL:
         raise OrthonormalizationError(f"orthonormality defect {defect:.3e} on applying B")
-    return out, kept, transform, b_out
+    transform = np.eye(len(kept)) if transform is None else transform
+    return stack, list(kept), transform / scale[:, None]
 
 
 def b_orthonormalize(block: np.ndarray, b_op: LinearOperator):
@@ -422,7 +387,8 @@ def b_orthonormalize(block: np.ndarray, b_op: LinearOperator):
     Returns ``(out, kept)``: an n x r block with ``out^T B out = I`` within
     1e-8 and the indices of the input columns judged independent.
     """
-    return _checked_orthonormalize(block, b_op)[:2]
+    stack, kept, _ = b_orthonormal_stack(block, b_op, fresh=True)
+    return stack[1].copy(order="F"), kept
 
 
 def fix_signs(vectors: np.ndarray, *companions: np.ndarray) -> None:
@@ -605,20 +571,6 @@ def carried_rayleigh_ritz(parts, want: int, gram_a: np.ndarray | None = None,
     return values, ritz, coeff, tail
 
 
-def b_normalized(direction: np.ndarray):
-    """A part stack B-orthonormalized from its products until they pass
-    the post-check, twice at most; None when that fails."""
-    for _ in range(2):
-        gram = direction[1].T @ direction[-1]
-        if ortho_defect(gram) <= ORTHO_POST_TOL:
-            return direction
-        try:
-            direction = combine_parts([direction], gram_basis(sym(gram)))
-        except InsufficientRankError:
-            return None
-    return direction if ortho_defect(direction[1].T @ direction[-1]) <= ORTHO_POST_TOL else None
-
-
 def _tail_gram(coeff: np.ndarray, gram_b: np.ndarray, rows: int):
     """``(M, G)``: ``coeff`` with its first ``rows`` rows zeroed is
     B-orthogonalized to ``coeff`` by M through ``gram_b``, and G is its
@@ -631,12 +583,13 @@ def _tail_gram(coeff: np.ndarray, gram_b: np.ndarray, rows: int):
 
 
 def next_direction(basis: list, coeff: np.ndarray, gram_b: np.ndarray, rows: int,
-                   combined: np.ndarray | None = None):
+                   combined: np.ndarray | None = None, counters: OpCounters | None = None):
     """The step's next P stack or None, from ``basis``, the list
     ``[ritz, tail]`` of the Ritz block's and the tail's stacks, which it
     empties: ``coeff``, ``rows`` zeroed, B-orthogonalized to ``coeff`` (by
     M) and normalized (by T) through ``gram_b``, is mapped as
-    ``tail T - ritz (M T)`` and :func:`b_normalized`.  The tail's share is
+    ``tail T - ritz (M T)`` and :func:`b_orthonormalize_full` (with
+    ``counters``).  The tail's share is
     formed first, so a tail held nowhere else is freed before the Ritz
     block's share is formed.  ``combined`` is ``[-M T; T]`` when formed
     already.  Any error of this package on the way, such as carried
@@ -647,7 +600,8 @@ def next_direction(basis: list, coeff: np.ndarray, gram_b: np.ndarray, rows: int
             overlap, gram = _tail_gram(coeff, gram_b, rows)
             transform = gram_basis(gram)
             combined = np.vstack([-overlap @ transform, transform])
-        return b_normalized(combine_parts(handed_over(basis), combined))
+        return b_orthonormalize_full(combine_parts(handed_over(basis), combined), True,
+                                     counters)[0]
     except LobpcgKitError:
         return None
 
@@ -664,9 +618,8 @@ def rayleigh_ritz(basis: np.ndarray, a_op: LinearOperator, b_op: LinearOperator,
     basis = _as_block(basis)
     if counters is not None:
         counters.rayleigh_ritz_calls += 1
-    ortho, _, transform, b_ortho = _checked_orthonormalize(basis, b_op, counters)
-    a_ortho = op_apply(a_op, ortho)
-    part = stack_of(a_ortho, ortho) if b_op is None else stack_of(a_ortho, ortho, b_ortho)
+    part, _, transform = b_orthonormal_stack(basis, b_op, counters, fresh=True)
+    part[0] = op_apply(a_op, part[1])
     values, _, coeff, _ = carried_rayleigh_ritz([part], want)
     coeff = transform @ coeff
     vectors = basis @ coeff  # as a caller forms it: the product is exact

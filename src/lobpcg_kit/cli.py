@@ -13,6 +13,7 @@ import dataclasses
 import itertools
 import json
 import math
+import re
 import sys
 import time
 from datetime import datetime, timezone
@@ -58,6 +59,11 @@ _PRECONDS = ("none", "jacobi")
 
 # -- deterministic JSON with 17-significant-digit floats -----------------
 
+#: A lone surrogate, as ``os.fsdecode`` makes of a path byte that is not
+#: UTF-8; written raw, it cannot be encoded.
+_SURROGATE = re.compile("[\ud800-\udfff]")
+
+
 def _json_fragment(value) -> str:
     if value is None:
         return "null"
@@ -68,8 +74,9 @@ def _json_fragment(value) -> str:
     if isinstance(value, (float, np.floating)):
         value = float(value)
         return f"{value:.17g}" if math.isfinite(value) else "null"
-    if isinstance(value, str):  # every character below U+0020 escaped
-        return json.dumps(value, ensure_ascii=False)
+    if isinstance(value, str):  # every character below U+0020 and lone surrogate escaped
+        return _SURROGATE.sub(lambda match: f"\\u{ord(match.group()):04x}",
+                              json.dumps(value, ensure_ascii=False))
     if isinstance(value, dict):
         inner = ", ".join(f"{_json_fragment(str(k))}: {_json_fragment(v)}"
                           for k, v in value.items())
@@ -204,8 +211,9 @@ def cmd_solve(args, flags: list[str]) -> int:
         document["history"] = [dataclasses.asdict(rec) for rec in result.history]
     document["wall_time_seconds"] = wall
 
+    text = dumps_json(document)  # before --out is opened, so a failure leaves no empty file
     with open(args.out, "w", encoding="utf-8") as handle:
-        handle.write(dumps_json(document))
+        handle.write(text)
     if args.vectors_out:
         write_dense_matrix_market(args.vectors_out, result.vectors)
     return _STATUS_EXIT[result.status]
@@ -321,8 +329,9 @@ def cmd_partition(args, flags: list[str]) -> int:
         "fiedler_value": result.fiedler_value,
         "cut_weight": result.cut_weight,
     }
+    text = dumps_json(document)  # before --out is opened, so a failure leaves no empty file
     with open(args.out, "w", encoding="utf-8") as handle:
-        handle.write(dumps_json(document))
+        handle.write(text)
     return EXIT_OK
 
 

@@ -48,9 +48,8 @@ from .blocks import (
     ORTHO_POST_TOL,
     RANK_DROP_RTOL,
     OpCounters,
-    b_normalized,
+    b_orthonormal_stack,
     b_orthonormalize_full,
-    b_orthonormalize_spans,
     b_project_out,
     block_mul,
     carried_rayleigh_ritz,
@@ -62,10 +61,9 @@ from .blocks import (
     ortho_defect,
     part_grams,
     product_stack,
-    stack_of,
     stacked_first_trials,
     sym,
-    unit_columns,
+    unit_pair,
 )
 # Unused here; bound because perfbench/tracer.py looks them up in this module.
 from .blocks import rayleigh_ritz, residual_block  # noqa: F401
@@ -306,8 +304,9 @@ class LobpcgEngine:
             if constraints.ndim != 2 or constraints.shape[0] != self.dim:
                 raise DimensionMismatchError(
                     f"constraints must have {self.dim} rows, got shape {constraints.shape}")
-            self.constraints, _, _, self.b_constraints = b_orthonormalize_full(
-                constraints, self.b_op, self.counters)
+            stack = b_orthonormal_stack(constraints, self.b_op, self.counters)[0]
+            self.constraints = stack[1].copy(order="F")  # so that the unformed A V is freed
+            self.b_constraints = self.constraints if self.b_op is None else stack[2].copy(order="F")
         else:
             self.constraints = self.b_constraints = None
 
@@ -320,10 +319,8 @@ class LobpcgEngine:
             start = x0.copy()
         else:
             start = self._rng.standard_normal((self.dim, self.block_size))
-        start, b_start = self._full_rank_start(start)
-        a_start = op_apply(self.a_op, start)
-        start = stack_of(a_start, start, *(() if self.b_op is None else (b_start,)))
-        del a_start, b_start
+        start = self._full_rank_start(start)
+        start[0] = op_apply(self.a_op, start[1])
 
         # an empty state stepped as sub-blocks, none of which carries directions yet
         width, sub_block = self.block_size, cfg.sub_block or self.block_size
@@ -380,18 +377,17 @@ class LobpcgEngine:
     def _full_rank_start(self, start: np.ndarray):
         """Deflate, orthonormalize, and pad a start block up to full rank.
 
-        Returns the block and its B-product.
+        Returns the block's stack ``(A X, X, B X)``, A X unformed.
         """
         for _ in range(3):
-            candidate = self._deflate(start)
             try:
-                ortho, _, _, b_ortho = b_orthonormalize_full(candidate, self.b_op, self.counters)
+                ortho = b_orthonormal_stack(self._deflate(start), self.b_op, self.counters)[0]
             except ZeroRankError:
-                ortho = np.zeros((self.dim, 0))
-            if ortho.shape[1] >= self.block_size:
-                return ortho, b_ortho
-            pad = self._rng.standard_normal((self.dim, self.block_size - ortho.shape[1]))
-            start = np.hstack([ortho, pad])
+                ortho = np.zeros((2, self.dim, 0))
+            if ortho.shape[-1] >= self.block_size:
+                return ortho
+            pad = self._rng.standard_normal((self.dim, self.block_size - ortho.shape[-1]))
+            start = np.hstack([ortho[1], pad])
         raise InsufficientRankError(
             f"could not build a rank-{self.block_size} start block"
         )
@@ -426,9 +422,9 @@ class LobpcgEngine:
         self.ritz_values, self.xs = values, xs
         for k, p in enumerate(self.ps):
             if keep and p is not None:  # P -= X (B X)^T P, one sub-block at a time
-                self.counters.orthonormalizations += 1
-                p = b_normalized(combine_parts(  # P may hold fewer than nb columns
-                    [p, xs], np.vstack([np.eye(p.shape[-1]), -(xs[-1].T @ p[1])])))
+                p = b_orthonormalize_full(combine_parts(  # P may hold fewer than nb columns
+                    [p, xs], np.vstack([np.eye(p.shape[-1]), -(xs[-1].T @ p[1])])),
+                    True, self.counters)[0]
             self.ps[k] = p if keep else None
         self._update_residuals()
 
@@ -549,15 +545,19 @@ class LobpcgEngine:
         """Both phases of a step for every moving sub-block, ``(k, active
         columns)``, with one preconditioner, B and A apply each; returns
         the trial widths of the sub-blocks that moved.  Phase 1 makes W from
-        the active residuals (:meth:`_unit_directions`) and
-        B-orthonormalizes it, into one stack for phase 2, whose sub-blocks'
-        views of it are then its only references."""
+        the active residuals (:meth:`_directions`), scaled to unit columns
+        into the stack of it and its B-product, and B-orthonormalizes each
+        sub-block's span of it, into one stack for phase 2, whose
+        sub-blocks' views of it are then its only references; a span that
+        fails is dropped."""
         edges = [0, *accumulate(active.size for _, active in moving)]
         spans = [slice(lo, hi) for lo, hi in zip(edges[:-1], edges[1:])]
-        ws, kept = b_orthonormalize_spans(self._unit_directions(moving), spans,
-                                          self.b_op, self.counters)
+        ws, outcomes = b_orthonormalize_full(unit_pair(self._directions(moving), self.b_op)[0],
+                                             False, self.counters, spans)
         if ws is None:
             return []
+        kept = [len(outcome[0]) if isinstance(outcome, tuple) else 0 for outcome in outcomes]
+        del outcomes  # and its transforms, before A W is formed at the step's peak
         blocks = [k for (k, _), cols in zip(moving, kept) if cols]
         ws[0] = op_apply(self.a_op, ws[1])
         w_edges = [0, *accumulate(filter(None, kept))]
@@ -568,14 +568,15 @@ class LobpcgEngine:
         del ws
         return self._rayleigh_ritz_round(blocks, members)
 
-    def _unit_directions(self, moving: list) -> np.ndarray:
-        """Phase 1 up to W's orthonormalization, the active columns side by
-        side in round order: the residuals, B-projected off the whole X in
-        its coefficient space when there are several sub-blocks,
-        preconditioned, deflated, B-projected off each column's own
-        sub-block's X and scaled to unit columns.  The state's residual
-        block is released once its active columns are copied; the round's
-        end forms the next one."""
+    def _directions(self, moving: list) -> np.ndarray:
+        """Phase 1 up to W's scaling, the active columns side by side in
+        round order: the residuals, B-projected off the whole X in its
+        coefficient space when there are several sub-blocks,
+        preconditioned, deflated and B-projected off each column's own
+        sub-block's X.  The state's residual block is released once its
+        active columns are copied; the round's end forms the next one.  The
+        result is written into the projection's buffer, so that no third
+        block of directions is held."""
         active = np.concatenate([cols for _, cols in moving])
         x, b_x = self.xs[1], self.xs[-1]
         residuals, self.R = self.R[:, active], None
@@ -586,7 +587,8 @@ class LobpcgEngine:
         del residuals
         width = self.slices[0].stop
         own = np.arange(self.block_size)[:, None] // width == active // width
-        return unit_columns(directions - block_mul(x, own * (b_x.T @ directions)))[0]
+        projection = block_mul(x, own * (b_x.T @ directions))
+        return np.subtract(directions, projection, out=projection)
 
     def _rayleigh_ritz_round(self, blocks: list, members: list) -> list:
         """Phase 2 for the sub-blocks ``blocks``, whose part stacks are
@@ -646,11 +648,10 @@ class LobpcgEngine:
         self.xs[..., self.slices[k]] = xs
         del xs
         if self.use_history_direction:
-            self.counters.orthonormalizations += 1
             basis = [self.xs[..., self.slices[k]], tail]
             del tail
             self.ps[k] = next_direction(basis, coeff, gram_b[:width, :width], rows,
-                                        first and first[2])
+                                        first and first[2], self.counters)
         return width
 
     def salvage(self) -> None:

@@ -28,9 +28,9 @@ from lobpcg_kit import (
     residual_block,
 )
 from lobpcg_kit import blocks
-from lobpcg_kit.blocks import (b_orthonormalize_full, b_orthonormalize_spans, block_mul,
+from lobpcg_kit.blocks import (b_orthonormal_stack, b_orthonormalize_full, block_mul,
                                 carried_rayleigh_ritz, combine_parts, fix_signs, gram_transform,
-                                handed_over, part_grams, stack_of, unit_columns)
+                                handed_over, part_grams, stack_of, unit_pair)
 
 
 def spd_operator(rng, n, shift=None):
@@ -180,7 +180,7 @@ class TestBOrthonormalize:
             return out
 
         with pytest.raises(OrthonormalizationError):
-            b_orthonormalize_full(rng.standard_normal((10, 3)), CallableOperator(10, apply))
+            b_orthonormal_stack(rng.standard_normal((10, 3)), CallableOperator(10, apply))
         assert calls == [3]
 
     @pytest.mark.parametrize("bad_value", [np.nan, np.inf])
@@ -221,10 +221,10 @@ class TestBOrthonormalize:
         # without a metric every span's W is its own B-product: its stack
         # (A W, W) holds no B member, so no pass maps a copy of W
         edges = np.cumsum([0] + widths)
-        out, _ = unit_columns(np.asfortranarray(rng.standard_normal((30, edges[-1]))))
+        pair, _ = unit_pair(np.asfortranarray(rng.standard_normal((30, edges[-1]))), None)
         spans = [slice(lo, hi) for lo, hi in zip(edges[:-1], edges[1:])]
-        ws, kept = b_orthonormalize_spans(out, spans, None)
-        assert kept == widths and len(ws) == 2
+        ws, outcomes = b_orthonormalize_full(pair, False, spans=spans)
+        assert [len(kept) for kept, _ in outcomes] == widths and len(pair) == 1 and len(ws) == 2
         assert all(np.max(np.abs(w.T @ w - np.eye(w.shape[1]))) <= 1e-8
                    for w in (ws[1][:, span] for span in spans))
 
@@ -397,6 +397,76 @@ def test_rayleigh_ritz_property(problem):
     assert np.max(np.abs(basis.T @ residual)) <= bound
     assert np.max(np.abs(x.T @ op_apply(b, x) - np.eye(want))) <= 1e-8
     np.testing.assert_array_equal(x, basis @ ritz.coefficients)
+
+
+@st.composite
+def span_stacks(draw):
+    """A stack of 1-4 column spans, of one width or ragged, each 1-6 wide,
+    whose columns are random, zero or duplicates of the span's previous
+    column; no metric, a diagonal or a sparse one; A V formed or not.
+    Returns ``(stack, formed, spans, b, a, independent)`` with each span's
+    random columns, which are independent."""
+    count = draw(st.integers(1, 4))
+    widths = (draw(st.lists(st.integers(1, 6), min_size=count, max_size=count))
+              if draw(st.booleans()) else [draw(st.integers(1, 6))] * count)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = 30
+    b = draw(st.sampled_from([None, "diagonal", "sparse"]))
+    b = {None: None, "diagonal": DiagonalOperator(rng.uniform(0.5, 4.0, n)),
+         "sparse": spd_operator(rng, n)}[b]
+    columns, independent = [], []
+    for width in widths:
+        kinds = draw(st.lists(st.sampled_from(["random", "zero", "duplicate"]),
+                              min_size=width, max_size=width))
+        independent.append([])
+        for i, kind in enumerate(kinds):
+            if kind == "random" or kind == "duplicate" and i == 0:
+                independent[-1].append(i)
+                columns.append(rng.standard_normal(n) * 10.0 ** rng.integers(-3, 4))
+            else:
+                columns.append(np.zeros(n) if kind == "zero" else columns[-1].copy())
+    pair, _ = unit_pair(np.column_stack(columns), b)
+    a = DiagonalOperator(np.arange(1.0, n + 1))
+    formed = draw(st.booleans())
+    stack = stack_of(op_apply(a, pair[0]), *pair) if formed else pair
+    edges = np.cumsum([0] + widths)
+    spans = [slice(lo, hi) for lo, hi in zip(edges[:-1], edges[1:])]
+    return stack, formed, spans, b, a, independent
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(span_stacks())
+def test_orthonormalization_routine_property(problem):
+    # every surviving span is B-orthonormal on B applied afresh, keeps its
+    # independent columns, and is mapped bit for bit as it is alone: the
+    # stacking of spans is invisible
+    stack, formed, spans, b, a, independent = problem
+    out, outcomes = b_orthonormalize_full(stack, formed, spans=spans)
+    members, lo = slice(0 if formed else 1, None), 0
+    for span, outcome, columns in zip(spans, outcomes, independent):
+        alone, (alone_outcome,) = b_orthonormalize_full(stack[..., span], formed)
+        if not columns:
+            assert isinstance(outcome, ZeroRankError) and isinstance(alone_outcome, ZeroRankError)
+            assert alone is None
+            continue
+        (kept, transform), (alone_kept, alone_transform) = outcome, alone_outcome
+        assert list(kept) == list(alone_kept) == columns
+        if transform is None:  # kept as it is
+            assert alone_transform is None
+            transform = alone_transform = np.eye(len(kept))
+        v = stack[1 if formed else 0][:, span]
+        np.testing.assert_array_equal(transform, alone_transform)
+        hi = lo + len(kept)
+        np.testing.assert_array_equal(out[members, :, lo:hi], alone[members])
+        w = out[1][:, lo:hi]
+        b_w = w if b is None else op_apply(b, w)
+        assert np.max(np.abs(w.T @ b_w - np.eye(len(kept)))) <= 1e-8
+        np.testing.assert_array_equal(w, v @ transform)
+        if formed:
+            np.testing.assert_allclose(out[0][:, lo:hi], op_apply(a, w), rtol=0,
+                                       atol=1e-12 * np.abs(op_apply(a, w)).max())
+        lo = hi
+    assert (out is None and lo == 0) or out.shape[-1] == lo
 
 
 def loop_fix_signs(vectors, *companions):

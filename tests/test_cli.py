@@ -209,6 +209,19 @@ class TestReproducibility:
         document = {"flags": [text], "problem_paths": {text: text}}
         assert json.loads(cli.dumps_json(document)) == document
 
+    def test_non_utf8_matrix_path_round_trips(self, tmp_path):
+        # os.fsdecode turns the byte 0xff into a lone surrogate, which was
+        # written raw: the write raised UnicodeEncodeError and left an empty
+        # --out file
+        raw = os.fsencode(tmp_path) + b"/lap\xff.mtx"
+        write_matrix_market_symmetric(raw, laplacian_1d(50))
+        matrix, out = os.fsdecode(raw), tmp_path / "out.json"
+        assert cli.dumps_json({"matrix": matrix}).encode("utf-8")
+        assert main(["solve", "--matrix", matrix, "--nev", "2", "--out", str(out)]) == 0
+        document = json.loads(out.read_text(encoding="utf-8"))
+        assert os.fsencode(document["manifest"]["problem_paths"]["matrix"]) == raw
+        assert os.fsencode(document["manifest"]["flags"][2]) == raw
+
 
 #: The solve flag that sets each config field, and a value other than the
 #: field's default for it.

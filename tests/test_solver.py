@@ -41,8 +41,8 @@ from lobpcg_kit import (
     op_apply,
     psd_solve,
 )
-from lobpcg_kit import solver
-from lobpcg_kit.blocks import b_orthonormalize_full, b_project_out, stack_of
+from lobpcg_kit import blocks, solver
+from lobpcg_kit.blocks import b_orthonormal_stack, b_project_out, stack_of
 from lobpcg_kit.operators import lanczos_ritz_values
 from lobpcg_kit.solver import ORTHO_POST_TOL
 
@@ -576,28 +576,21 @@ class TestStepConstruction:
         # residuals at rounding level, B applied afresh to every W (and the
         # start block) and X still finds them B-orthonormal
         a, b = fe_pencil()
-        orthonormalize, w_defects, w_gaps, x_defects = solver.b_orthonormalize_full, [], [], []
-        orthonormalize_spans = solver.b_orthonormalize_spans
+        orthonormalize, w_defects, w_gaps, x_defects = blocks.b_orthonormalize_full, [], [], []
 
         def explicit(block):
             return np.max(np.abs(block.T @ op_apply(b, block) - np.eye(block.shape[1])))
 
-        def check(w, b_w):
-            w_defects.append(explicit(w))
-            w_gaps.append(np.max(np.abs(op_apply(b, w) - b_w)) / np.max(np.abs(b_w)))
-
-        def checked_orthonormalize(*args, **kwargs):
-            out = orthonormalize(*args, **kwargs)
-            check(out[0], out[3])
+        def checked_orthonormalize(stack, formed, *args, **kwargs):
+            out = orthonormalize(stack, formed, *args, **kwargs)
+            if not formed:  # the start block and each step's W, not P
+                w, b_w = out[0][1:]
+                w_defects.append(explicit(w))
+                w_gaps.append(np.max(np.abs(op_apply(b, w) - b_w)) / np.max(np.abs(b_w)))
             return out
 
-        def checked_round_orthonormalize(*args, **kwargs):  # the step's W
-            ws, kept = orthonormalize_spans(*args, **kwargs)
-            check(ws[1], ws[-1])
-            return ws, kept
-
-        monkeypatch.setattr(solver, "b_orthonormalize_full", checked_orthonormalize)
-        monkeypatch.setattr(solver, "b_orthonormalize_spans", checked_round_orthonormalize)
+        for module in (blocks, solver):
+            monkeypatch.setattr(module, "b_orthonormalize_full", checked_orthonormalize)
         engine = LobpcgEngine(a, SolverConfig(nev=4, tol=1e-300, max_iter=600, seed=seed),
                               b_op=b, precond=jacobi_precond(a))
         step = engine.step
@@ -638,9 +631,10 @@ class TestStepConstruction:
         assert not engine._explicit_grams[0] and engine.ps[0] is not None
         # a direction block as the step forms one
         directions = b_project_out(engine.precond.apply(engine.R), engine.xs[1], engine.xs[-1])
-        w, _, _, b_w = b_orthonormalize_full(directions, engine.b_op)
+        w = b_orthonormal_stack(directions, engine.b_op)[0]
+        w[0] = op_apply(a, w[1])
         parts = engine._parts(0)
-        parts.insert(1, stack_of(op_apply(a, w), w, b_w))
+        parts.insert(1, w)
         for known, explicit in zip(solver.part_grams(parts, engine.ritz_values),
                                    solver.part_grams(parts)):
             np.testing.assert_allclose(known, explicit, rtol=0, atol=1e-8)

@@ -599,18 +599,33 @@ class TestStackedRounds:
     @pytest.mark.parametrize("name", SOLVES)
     def test_w_is_its_own_b_product_on_a_standard_problem(self, monkeypatch, name):
         # without a metric no round forms or maps a B W apart from W: every
-        # W stack is (A W, W)
-        orthonormalize, aliased = solver.b_orthonormalize_spans, []
+        # W enters the routine as (W,) and leaves it as (A W, W)
+        orthonormalize, aliased = solver.b_orthonormalize_full, []
 
-        def recorded(*args, **kwargs):
-            ws, kept = orthonormalize(*args, **kwargs)
-            if ws is not None:
-                aliased.append(len(ws) == 2)
-            return ws, kept
+        def recorded(stack, formed, *args, **kwargs):
+            ws, outcomes = orthonormalize(stack, formed, *args, **kwargs)
+            if ws is not None and not formed:
+                aliased.append(len(stack) == 1 and len(ws) == 2)
+            return ws, outcomes
 
-        monkeypatch.setattr(solver, "b_orthonormalize_spans", recorded)
+        monkeypatch.setattr(solver, "b_orthonormalize_full", recorded)
         SOLVES[name](DiagonalOperator(np.arange(1.0, 201.0)))
         assert len(aliased) >= 5 and all(aliased)
+
+    @staticmethod
+    def w_input(state, moving, monkeypatch):
+        """The stack ``(W, B W)`` (``(W,)``) of phase 1 as the round hands it
+        to the B-orthonormalization routine."""
+        orthonormalize, inputs = solver.b_orthonormalize_full, []
+
+        def recorded(stack, *args, **kwargs):
+            inputs.append(stack)
+            return orthonormalize(stack, *args, **kwargs)
+
+        monkeypatch.setattr(solver, "b_orthonormalize_full", recorded)
+        state._advance_round(moving)
+        monkeypatch.setattr(solver, "b_orthonormalize_full", orthonormalize)
+        return inputs[0]
 
     @staticmethod
     def round_state(seed, rounds, sub_block, use_history_direction=True):
@@ -724,7 +739,8 @@ class TestStackedRounds:
         (2, 30, [(1, [3])], False),
         (3, 5, [(0, [0, 1]), (1, [2, 3]), (2, [4, 5])], True),
     ], ids=["all-moving", "partial", "one-column", "constrained"])
-    def test_phase_1_matches_each_sub_block(self, seed, rounds, moving, constrained):
+    def test_phase_1_matches_each_sub_block(self, seed, rounds, moving, constrained,
+                                            monkeypatch):
         # phase 1 in one path for any moving set matches, to rounding, each
         # sub-block's directions formed apart: the residuals projected off
         # the whole X through an explicit pseudo-inverse of X^T B X,
@@ -746,18 +762,20 @@ class TestStackedRounds:
             own = state.xs[..., state.slices[k]]
             directions = directions - own[1] @ (own[-1].T @ directions)
             expected.append(directions / np.linalg.norm(directions, axis=0))
-        got = state._unit_directions(moving)
+        b_x = b_x.copy()  # the round writes the new X into the state
+        got, b_got = self.w_input(state, moving, monkeypatch)
         assert got.flags.f_contiguous
         assert np.linalg.norm(got - np.hstack(expected), axis=0).max() <= 1e-12
+        np.testing.assert_array_equal(b_got, op_apply(b, got))  # B applied to W itself
         lo = 0
         for k, active in moving:  # B-orthogonal to its own sub-block's X
-            b_own = state.xs[-1][:, state.slices[k]]
+            b_own = b_x[:, state.slices[k]]
             overlap = b_own.T @ got[:, lo:lo + active.size]
             assert (np.abs(overlap) <= 1e-12 * np.linalg.norm(b_own, axis=0)[:, None]).all()
             lo += active.size
 
     @pytest.mark.parametrize("constrained", [False, True])
-    def test_one_sub_block_phase_1_is_the_plain_projection(self, constrained):
+    def test_one_sub_block_phase_1_is_the_plain_projection(self, constrained, monkeypatch):
         # lobpcg and psd take no projection off the whole X, and their
         # masked projection off their one X, whose mask is all ones, is
         # b_project_out's, bit for bit
@@ -769,9 +787,9 @@ class TestStackedRounds:
         for _ in range(6):
             state.step()
         active = np.array([0, 2, 3])
-        expected = blocks.unit_columns(blocks.b_project_out(state._deflate(
-            state.precond.apply(state.R[:, active])), state.xs[1], state.xs[-1]))[0]
-        np.testing.assert_array_equal(state._unit_directions([(0, active)]), expected)
+        expected = blocks.unit_pair(blocks.b_project_out(state._deflate(
+            state.precond.apply(state.R[:, active])), state.xs[1], state.xs[-1]), b)[0]
+        np.testing.assert_array_equal(self.w_input(state, [(0, active)], monkeypatch), expected)
 
     def test_collapsed_sub_blocks_take_the_svqb_projection(self, monkeypatch):
         # two sub-blocks holding one vector make X^T B X singular: the
@@ -793,7 +811,8 @@ class TestStackedRounds:
             return out
 
         monkeypatch.setattr(solver, "gram_transform", recorded)
-        got = state._unit_directions([(0, np.array([0])), (1, np.array([1]))])
+        got = state._directions([(0, np.array([0])), (1, np.array([1]))])
+        got /= np.linalg.norm(got, axis=0)
         assert kept == [1]
         assert np.isfinite(got).all()
         for k in range(2):
