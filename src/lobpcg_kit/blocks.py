@@ -23,6 +23,8 @@ J. Comput. Phys. 218, 2006), and so does the one B-orthonormalization,
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import accumulate
 
 import numpy as np
 
@@ -123,25 +125,20 @@ def residual_block(a_op: LinearOperator, b_op: LinearOperator, block: np.ndarray
     return op_apply(a_op, block) - op_apply(b_op, block) * ritz_values[None, :]
 
 
-def _t(gram: np.ndarray) -> np.ndarray:
-    """The transpose of a matrix, or of every matrix of a ``(k, m, m)`` stack."""
-    return gram.swapaxes(-1, -2)
-
-
 def block_mul(block: np.ndarray, coeff: np.ndarray) -> np.ndarray:
     """``block @ coeff`` as a column-major block, or for every member of a
     stack of blocks (and of coefficients) in one broadcast matmul, as a
     stack."""
-    return _t(_t(coeff) @ _t(block))
+    return (coeff.mT @ block.mT).mT
 
 
 def sym(gram: np.ndarray) -> np.ndarray:
-    return 0.5 * (gram + _t(gram))
+    return 0.5 * (gram + gram.mT)
 
 
 def empty_stack(roles: int, n: int, m: int) -> np.ndarray:
     """An uninitialized ``(roles, n, m)`` stack of column-major members."""
-    return _t(np.empty((roles, m, n)))
+    return np.empty((roles, m, n)).mT
 
 
 def stack_of(*members: np.ndarray) -> np.ndarray:
@@ -171,18 +168,28 @@ def column_norms(block: np.ndarray) -> np.ndarray:
     that no norm underflows to 0 or overflows to inf."""
     squares = np.einsum("ij,ij->j", block, block)
     norms = np.sqrt(squares)
-    unsafe = np.flatnonzero(~((squares >= _SAFE_SQUARES[0]) & (squares <= _SAFE_SQUARES[1])))
-    if unsafe.size:  # zero, inf and NaN columns keep their norms
-        peak = np.max(np.abs(block[:, unsafe]), axis=0)
-        fine = (peak > 0) & (peak < np.inf)
-        unsafe, peak = unsafe[fine], peak[fine]
-        scaled = block[:, unsafe] / peak
-        norms[unsafe] = peak * np.sqrt(np.einsum("ij,ij->j", scaled, scaled))
+    safe = (squares >= _SAFE_SQUARES[0]) & (squares <= _SAFE_SQUARES[1])
+    if safe.all():
+        return norms
+    unsafe = np.flatnonzero(~safe)
+    peak = np.max(np.abs(block[:, unsafe]), axis=0)
+    fine = (peak > 0) & (peak < np.inf)  # zero, inf and NaN columns keep their norms
+    unsafe, peak = unsafe[fine], peak[fine]
+    scaled = block[:, unsafe] / peak
+    norms[unsafe] = peak * np.sqrt(np.einsum("ij,ij->j", scaled, scaled))
     return norms
 
 
+@lru_cache(maxsize=32)
+def identity(m: int) -> np.ndarray:
+    """The ``m``-by-``m`` identity, made once per size and read-only."""
+    eye = np.eye(m)
+    eye.flags.writeable = False
+    return eye
+
+
 def ortho_defect(gram: np.ndarray) -> float:
-    return float(np.abs(gram - np.eye(gram.shape[0])).max())
+    return float(np.abs(gram - identity(gram.shape[0])).max())
 
 
 def _svqb_attribution(gram_vectors: np.ndarray, kept: np.ndarray) -> list[int]:
@@ -199,20 +206,22 @@ def _svqb_attribution(gram_vectors: np.ndarray, kept: np.ndarray) -> list[int]:
     return sorted(chosen)
 
 
-def cholesky_transforms(grams: np.ndarray, cond_limit=np.inf):
+def cholesky_transforms(grams: np.ndarray, cond_limit: np.ndarray | None = None):
     """The Cholesky rule over a symmetric Gram matrix, or a ``(k, m, m)``
     stack in one LAPACK call each for the factors and the inverses.
 
     Returns ``(transforms, ok)``: ``ok`` marks the matrices whose Cholesky
     LAPACK completes with every pivot above the floor of
-    :func:`~lobpcg_kit.dense.cholesky` and a pivot ratio squared of at most
-    ``cond_limit`` (a scalar or one per member).  Only their transforms,
+    :func:`~lobpcg_kit.dense.cholesky` and, given ``cond_limit`` (one per
+    member), a pivot ratio squared of at most that.  Only their transforms,
     upper triangular ``inv(L)^T`` with ``T^T G T = I``, are meaningful.
     """
     lower, low = cholesky(grams)
-    pivots = lower.diagonal(axis1=-2, axis2=-1)
-    ok = ~(low.any(axis=-1) | (pivots.max(axis=-1) ** 2 > cond_limit * pivots.min(axis=-1) ** 2))
-    return _t(np.linalg.solve(lower, np.eye(grams.shape[-1]))), ok
+    ok = ~low.any(axis=-1)
+    if cond_limit is not None:
+        pivots = lower.diagonal(axis1=-2, axis2=-1)
+        ok &= ~(pivots.max(axis=-1) ** 2 > cond_limit * pivots.min(axis=-1) ** 2)
+    return np.linalg.inv(lower).mT, ok
 
 
 def gram_transform(gram: np.ndarray):
@@ -252,7 +261,7 @@ def _unit_diagonal(gram_b: np.ndarray):
     """``(G, scale)``: a B-Gram matrix, or every matrix of a stack, with
     its columns scaled to unit B-norm (a zero column kept), and the column
     scale to divide a transform of G by to get one of the input."""
-    scale = np.sqrt(np.diagonal(gram_b, axis1=-2, axis2=-1))
+    scale = np.sqrt(gram_b.diagonal(axis1=-2, axis2=-1))
     scale = np.where(scale > 0, scale, 1.0)
     return gram_b / (scale[..., :, None] * scale[..., None, :]), scale[..., :, None]
 
@@ -263,6 +272,33 @@ def gram_basis(gram_b: np.ndarray) -> np.ndarray:
     scaling the columns to unit B-norm."""
     gram, scale = _unit_diagonal(gram_b)
     return gram_transform(gram)[0] / scale
+
+
+def _runs(spans, *layouts) -> list:
+    """``spans``, in order, cut into runs of spans of one width that sit
+    side by side in every layout (a dict ``span -> (lo, width)``)."""
+    runs: list = []
+    for k in spans:
+        if runs and all(layout[k] == _next_to(layout[runs[-1][-1]]) for layout in layouts):
+            runs[-1].append(k)
+        else:
+            runs.append([k])
+    return runs
+
+
+def _next_to(place: tuple) -> tuple:
+    """The place ``(lo, width)`` of a span of one width right after
+    ``place``."""
+    lo, width = place
+    return lo + width, width
+
+
+def _run_view(stack: np.ndarray, lo: int, count: int, width: int) -> np.ndarray:
+    """The transposed members of ``count`` spans of ``width`` columns side by
+    side from column ``lo`` of a stack: a ``(roles, count, width, n)``
+    view."""
+    roles, n, _ = stack.shape
+    return stack[..., lo:lo + count * width].mT.reshape(roles, count, width, n)
 
 
 def b_orthonormalize_full(stack: np.ndarray, formed: bool, counters: OpCounters | None = None,
@@ -277,7 +313,9 @@ def b_orthonormalize_full(stack: np.ndarray, formed: bool, counters: OpCounters 
     :data:`ORTHO_POST_TOL` of I is kept as it is; any other takes at most
     two passes, the next Gram matrix being the post-check.  A pass is
     :func:`cholesky_transforms`, one call per width, or :func:`_svqb`
-    where that rejects.
+    where that rejects.  Spans of one width side by side have their Gram
+    matrices, maps and post-checks formed as one matmul each, over a
+    strided view; each span still goes through the GEMM it would alone.
 
     Returns ``(out, outcomes)``: the surviving spans side by side in one
     stack ``(A V, V, B V)`` (``(A V, V)``), A V unformed unless ``formed``
@@ -289,30 +327,37 @@ def b_orthonormalize_full(stack: np.ndarray, formed: bool, counters: OpCounters 
     persists after the second pass.  NotPositiveDefiniteError is raised.
     ``counters.orthonormalizations`` counts one per span.
     """
-    spans, (roles, n, _) = spans or [slice(0, stack.shape[-1])], stack.shape
-    roles += not formed
+    spans, (live, n, _) = spans or [slice(0, stack.shape[-1])], stack.shape
+    roles = live + (not formed)  # the output's members, of which the last ``live`` are formed
     if counters is not None:
         counters.orthonormalizations += len(spans)
-    views = [stack[..., span] for span in spans]
-    outcomes = [(range(view.shape[-1]), None) for view in views]
-    out, pending = stack if formed else None, range(len(spans))
-    del stack  # a stack handed over is freed with its last view
+    layout = {k: (span.start, span.stop - span.start) for k, span in enumerate(spans)}
+    outcomes = [(range(width), None) for _, width in layout.values()]
+    out, pending = stack if formed else None, list(layout)
     for attempt in range(3):  # the check, then the post-check of each pass
-        groups: dict = {}  # per width, the Gram matrices of the spans to pass
+        groups: dict = {}  # per width, the spans to pass and their Gram matrices
         failed = {}
-        for k in pending:
-            gram = views[k][1 - roles].T @ views[k][-1]
-            if (defect := ortho_defect(gram)) <= ORTHO_POST_TOL:
-                continue
-            if attempt < 2 and defect < np.inf:
-                groups.setdefault(len(gram), {})[k] = gram
-            else:
-                failed[k] = OrthonormalizationError(
-                    "B-Gram matrix is not finite" if not defect < np.inf
-                    else f"orthonormality defect {defect:.3e} persists after retry")
+        for run in _runs(pending, layout):
+            lo, width = layout[run[0]]
+            members = _run_view(stack, lo, len(run), width)
+            grams = members[1 - roles] @ members[-1].mT
+            passing = []  # the places in the run of the spans to pass
+            for i, defect in enumerate(np.abs(grams - identity(width)).max(axis=(1, 2)).tolist()):
+                if defect <= ORTHO_POST_TOL:
+                    continue
+                if attempt < 2 and defect < np.inf:
+                    passing.append(i)
+                else:
+                    failed[run[i]] = OrthonormalizationError(
+                        "B-Gram matrix is not finite" if not defect < np.inf
+                        else f"orthonormality defect {defect:.3e} persists after retry")
+            if passing:
+                group, pieces = groups.setdefault(width, ([], []))
+                group += [run[i] for i in passing]
+                pieces.append(grams if len(passing) == len(run) else grams[passing])
         transforms = {}
-        for group in groups.values():
-            grams = sym(np.stack(list(group.values())))
+        for group, pieces in groups.values():
+            grams = sym(pieces[0] if len(pieces) == 1 else np.concatenate(pieces))
             for k, gram, cholesky, ok in zip(group, grams, *cholesky_transforms(grams)):
                 try:
                     transform, kept = (cholesky, range(len(gram))) if ok else _svqb(gram)
@@ -326,21 +371,27 @@ def b_orthonormalize_full(stack: np.ndarray, formed: bool, counters: OpCounters 
         if transforms or failed or out is None:  # join the survivors anew
             outcomes = [failed.get(k, outcome) for k, outcome in enumerate(outcomes)]
             survivors = [k for k, outcome in enumerate(outcomes) if isinstance(outcome, tuple)]
-            widths = [transforms[k].shape[1] if k in transforms else views[k].shape[-1]
-                      for k in survivors]
-            out = empty_stack(roles, n, sum(widths)) if survivors else None
-            joined, lo = [None] * len(views), 0
-            for k, width in zip(survivors, widths):
-                joined[k] = out[roles - len(views[k]):, :, lo:lo + width]
-                if k in transforms:
-                    np.matmul(_t(transforms[k]), _t(views[k]), out=_t(joined[k]))
-                else:
-                    joined[k][...] = views[k]
-                lo += width
-            views = joined
+            joined, hi = {}, 0
+            for k in survivors:
+                width = transforms[k].shape[1] if k in transforms else layout[k][1]
+                joined[k], hi = (hi, width), hi + width
+            out = empty_stack(roles, n, hi) if survivors else None
+            for mapped in (True, False):
+                for run in _runs([k for k in survivors if (k in transforms) == mapped],
+                                 layout, joined):
+                    (lo, width), (at, kept) = layout[run[0]], joined[run[0]]
+                    source = _run_view(stack, lo, len(run), width)[-live:]
+                    target = _run_view(out, at, len(run), kept)[-live:]
+                    if mapped:
+                        maps = [transforms[k] for k in run]
+                        maps = maps[0][None] if len(maps) == 1 else np.stack(maps)
+                        np.matmul(maps.mT, source, out=target)
+                    else:
+                        target[...] = source
+            stack, layout = out, joined  # a stack handed over is freed here
         if not transforms:
             return out, outcomes
-        pending = transforms
+        pending = sorted(transforms)
 
 
 def unit_pair(block: np.ndarray, b_op: LinearOperator | None):
@@ -377,7 +428,7 @@ def b_orthonormal_stack(block: np.ndarray, b_op: LinearOperator | None,
         stack[2] = op_apply(b_op, stack[1])
     if fresh and not (defect := ortho_defect(stack[1].T @ stack[-1])) <= ORTHO_POST_TOL:
         raise OrthonormalizationError(f"orthonormality defect {defect:.3e} on applying B")
-    transform = np.eye(len(kept)) if transform is None else transform
+    transform = identity(len(kept)) if transform is None else transform
     return stack, list(kept), transform / scale[:, None]
 
 
@@ -419,7 +470,7 @@ def combine_parts(parts, coeff: np.ndarray, plus: np.ndarray | None = None) -> n
     shares are added in part order, each released once added.  The
     caller's list is left as it is."""
     *parts, last = parts  # frees a list handed over: from CPython 3.11 only the callee holds it
-    edges = np.cumsum([0] + [part.shape[-1] for part in parts])
+    edges = [0, *accumulate(part.shape[-1] for part in parts)]
     last = block_mul(last, coeff[edges[-1]:])
     out = None
     for part, lo, hi in zip(parts, edges[:-1], edges[1:]):
@@ -442,40 +493,40 @@ def handed_over(parts: list, start: int = 0) -> list:
 
 
 def part_grams(parts, ritz_values: np.ndarray | None = None):
-    """Projected A- and B-Gram matrices of a basis held as part stacks,
-    formed over the upper block triangle into one array, a block pair
-    ``(U^T A V, (B U)^T V)`` as one matmul of ``(U, B U)`` by ``(A V, V)``.
+    """Projected A- and B-Gram matrices of a basis held as part stacks, as
+    one ``(2, m, m)`` array, formed over the upper block triangle, a block
+    pair ``(U^T A V, (B U)^T V)`` as one matmul of ``(U, B U)`` by
+    ``(A V, V)``.
     With ``ritz_values``, every part is taken to be B-orthonormal and the
     first to be the Ritz block of those values, so diag(ritz_values) and the
     diagonal B-blocks I are not formed.  Off-diagonal B-blocks use the
     earlier part's B-product: the carried B P of the last part, whose drift
     compounds, never enters.
     """
-    edges = np.cumsum([0] + [part.shape[-1] for part in parts])
-    grams = np.zeros((2, edges[-1], edges[-1]))  # A, then B
-    diagonal = np.arange(edges[-1])
-    grams[1][diagonal, diagonal] = 1.0
+    edges = [0, *accumulate(part.shape[-1] for part in parts)]
+    size = edges[-1]
+    grams = np.zeros((2, size, size))  # A, then B
+    grams[1].reshape(-1)[::size + 1] = 1.0  # the diagonal, through a flat view
     for i, u in enumerate(parts):
         for j in range(i, len(parts)):
             v = parts[j]
             rows, cols = slice(edges[i], edges[i + 1]), slice(edges[j], edges[j + 1])
             if i == j and ritz_values is not None:
                 if i == 0:
-                    grams[0][diagonal[rows], diagonal[rows]] = ritz_values
+                    grams[0].reshape(-1)[:edges[1] * (size + 1):size + 1] = ritz_values
                 else:
                     grams[0][rows, cols] = u[1].T @ v[0]
                 continue
-            grams[:, rows, cols] = _t(u[1:]) @ v[:2]
-            grams[:, cols, rows] = _t(grams[:, rows, cols])
-    gram_a, gram_b = sym(grams)
-    return gram_a, gram_b
+            grams[:, rows, cols] = u[1:].mT @ v[:2]
+            grams[:, cols, rows] = grams[:, rows, cols].mT
+    return sym(grams)
 
 
 def _ritz(transform: np.ndarray, gram_a: np.ndarray, want: int):
     """The smallest ``want`` Ritz values of ``gram_a`` over the basis
     transform of its pair, and their coefficients: for a matrix or a
     stack, in one ``eigh`` call."""
-    eig = sym_eig(sym(_t(transform) @ gram_a @ transform))
+    eig = sym_eig(sym(transform.mT @ gram_a @ transform))
     return eig.values[..., :want], transform @ eig.vectors[..., :want]
 
 
@@ -490,7 +541,7 @@ def ritz_coefficients(gram_a: np.ndarray, gram_b: np.ndarray, want: int):
     return values.copy(), coeff
 
 
-def _stacked_gram_basis(gram_b: np.ndarray, cond_limit=np.inf):
+def _stacked_gram_basis(gram_b: np.ndarray, cond_limit: np.ndarray | None = None):
     """:func:`gram_basis` over a ``(k, m, m)`` stack by
     :func:`cholesky_transforms`: ``(transforms, ok)``."""
     gram, scale = _unit_diagonal(gram_b)
@@ -502,37 +553,40 @@ def stacked_first_trials(pairs: list, cond_limits: list, want: int,
                          directions: bool) -> list:
     """Every sub-block's first Rayleigh-Ritz trial on the Cholesky path.
 
-    Per ``(gram_a, gram_b)`` pair of a basis ``[X, W]`` or ``[X, W, P]``
-    whose X has ``want`` columns: its :func:`ritz_coefficients` (values and
-    coefficients) and, if ``directions``, the ``combined`` coefficients of
-    :func:`next_direction`, None where those leave the Cholesky path, with
-    the pair's Cholesky held to its ``cond_limits`` entry.  The finite
-    pairs of one size make one stack for each LAPACK call, a lone pair a
-    stack of one.  None for a pair that is not finite, whose Cholesky fails
-    the rule, or whose stack's ``eigh`` does not converge: that pair goes
-    on to its next trial.
+    Per finite :func:`part_grams` pair ``[gram_a, gram_b]`` of a basis
+    ``[X, W]`` or ``[X, W, P]`` whose X has ``want`` columns: its
+    :func:`ritz_coefficients` (values and coefficients) and, if
+    ``directions``, the ``combined`` coefficients of :func:`next_direction`,
+    None where those leave the Cholesky path, with the pair's Cholesky held
+    to its ``cond_limits`` entry.  The pairs of one size make one stack for
+    each LAPACK call, a lone pair a stack of one.  None for a pair whose
+    Cholesky fails the rule, or whose stack's ``eigh`` does not converge:
+    that pair goes on to its next trial.
     """
     firsts = [None] * len(pairs)
     groups: dict = {}
-    for i, (gram_a, gram_b) in enumerate(pairs):
-        if np.isfinite(gram_a).all() and np.isfinite(gram_b).all():
-            groups.setdefault(gram_a.shape, []).append(i)
+    for i, pair in enumerate(pairs):
+        groups.setdefault(pair.shape, []).append(i)
     for group in groups.values():
-        gram_a, gram_b = (np.stack([pairs[i][j] for i in group]) for j in (0, 1))
+        grams = np.stack([pairs[i] for i in group])
+        gram_a, gram_b = grams[:, 0], grams[:, 1]
         transform, ok = _stacked_gram_basis(gram_b, np.array([cond_limits[i] for i in group]))
-        if not ok.any():
+        if not ok.all():  # only the members that pass go on
+            group = [i for i, passes in zip(group, ok.tolist()) if passes]
+            transform, gram_a, gram_b = transform[ok], gram_a[ok], gram_b[ok]
+        if not group:
             continue
         try:
-            values, coeff = _ritz(transform[ok], gram_a[ok], want)
+            values, coeff = _ritz(transform, gram_a, want)
         except NoConvergenceError:
             continue
-        combined = [None] * len(coeff)
+        combined = [None] * len(group)
         if directions:
-            overlap, gram = _tail_gram(coeff, gram_b[ok], want)
+            overlap, gram = _tail_gram(coeff, gram_b, want)
             p_transform, p_ok = _stacked_gram_basis(gram)
             combined = np.concatenate([-overlap @ p_transform, p_transform], axis=1)
-            combined = [each if kept else None for each, kept in zip(combined, p_ok)]
-        for i, first in zip(np.array(group)[ok], zip(values, coeff, combined)):
+            combined = [each if kept else None for each, kept in zip(combined, p_ok.tolist())]
+        for i, first in zip(group, zip(values, coeff, combined)):
             firsts[i] = first
     return firsts
 
@@ -577,9 +631,9 @@ def _tail_gram(coeff: np.ndarray, gram_b: np.ndarray, rows: int):
     B-Gram matrix; for a matrix or a stack."""
     tail_coeff = coeff.copy()
     tail_coeff[..., :rows, :] = 0.0
-    overlap = _t(coeff) @ gram_b @ tail_coeff
+    overlap = coeff.mT @ gram_b @ tail_coeff
     tail_coeff -= coeff @ overlap
-    return overlap, sym(_t(tail_coeff) @ gram_b @ tail_coeff)
+    return overlap, sym(tail_coeff.mT @ gram_b @ tail_coeff)
 
 
 def next_direction(basis: list, coeff: np.ndarray, gram_b: np.ndarray, rows: int,
@@ -633,4 +687,4 @@ def b_project_out(block: np.ndarray, basis: np.ndarray, b_basis: np.ndarray) -> 
     ``b_basis`` is the precomputed ``B @ basis`` of a B-orthonormal
     basis.
     """
-    return block - block_mul(basis, _t(b_basis) @ block)
+    return block - block_mul(basis, b_basis.T @ block)

@@ -57,6 +57,7 @@ from .blocks import (
     combine_parts,
     fix_signs,
     gram_transform,
+    identity,
     next_direction,
     ortho_defect,
     part_grams,
@@ -423,7 +424,7 @@ class LobpcgEngine:
         for k, p in enumerate(self.ps):
             if keep and p is not None:  # P -= X (B X)^T P, one sub-block at a time
                 p = b_orthonormalize_full(combine_parts(  # P may hold fewer than nb columns
-                    [p, xs], np.vstack([np.eye(p.shape[-1]), -(xs[-1].T @ p[1])])),
+                    [p, xs], np.vstack([identity(p.shape[-1]), -(xs[-1].T @ p[1])])),
                     True, self.counters)[0]
             self.ps[k] = p if keep else None
         self._update_residuals()
@@ -431,9 +432,9 @@ class LobpcgEngine:
     # -- state inspection ----------------------------------------------
 
     def _update_residuals(self) -> None:
-        """Residuals and their norms, and X's column norms, of a new state;
-        the old residual block is released before the new one is formed,
-        in one buffer."""
+        """Residuals and their norms, X's column norms and the scale of the
+        convergence thresholds, of a new state; the old residual block is
+        released before the new one is formed, in one buffer."""
         self.R = None
         self.R = self.xs[-1] * self.ritz_values[None, :]
         np.subtract(self.xs[0], self.R, out=self.R)
@@ -441,6 +442,7 @@ class LobpcgEngine:
             self.R = b_project_out(self.R, self.b_constraints, self.constraints)
         self.residual_norms = column_norms(self.R)
         self._x_norms = column_norms(self.xs[1])
+        self._threshold_scale = self.norm_a + np.abs(self.ritz_values) * self.norm_b
 
     def _refresh_products(self, keep: bool = True) -> None:
         """Recompute A X and B X explicitly, check that both are finite and
@@ -485,8 +487,7 @@ class LobpcgEngine:
 
     def convergence_thresholds(self, tol: float | None = None) -> np.ndarray:
         """Each column's residual threshold at ``tol``, ``cfg.tol`` by default."""
-        scale = self.norm_a + np.abs(self.ritz_values) * self.norm_b
-        return (self.cfg.tol if tol is None else tol) * scale * self._x_norms
+        return (self.cfg.tol if tol is None else tol) * self._threshold_scale * self._x_norms
 
     def converged_mask(self) -> np.ndarray:
         return self.residual_norms <= self.convergence_thresholds()
@@ -512,15 +513,15 @@ class LobpcgEngine:
         conv = self.converged_mask()
         if conv.all():
             conv[:] = False
-        explicit = self.residual_norms <= self.convergence_thresholds(EXPLICIT_GRAM_RTOL)
-        moving = []  # (sub-block, its active columns)
-        for k, cols in enumerate(self.slices):
-            if conv[cols].all():
-                continue  # a fully converged recurrence idles
-            active = cols.start + np.flatnonzero(~conv[cols])
-            if np.isfinite(self.residual_norms[active]).all():
-                self._explicit_grams[k] |= bool(explicit[cols].all())
-                moving.append((k, active))
+        # per sub-block, one row: a fully converged recurrence idles, and
+        # one with an active residual that is not finite stalls
+        rows, norms = (len(self.slices), -1), self.residual_norms
+        moves = (~conv.reshape(rows).all(axis=1)
+                 & (conv | np.isfinite(norms)).reshape(rows).all(axis=1))
+        explicit = norms <= self.convergence_thresholds(EXPLICIT_GRAM_RTOL)
+        self._explicit_grams |= moves & explicit.reshape(rows).all(axis=1)
+        moving = [(k, self.slices[k].start + np.flatnonzero(~conv[self.slices[k]]))
+                  for k in np.flatnonzero(moves).tolist()]  # (sub-block, its active columns)
         carried = any(p is not None for p in self.ps)  # a sub-block starts the round with a P
         widths = self._advance_round(moving) if moving else []
         if not widths:
@@ -594,10 +595,15 @@ class LobpcgEngine:
         """Phase 2 for the sub-blocks ``blocks``, whose part stacks are
         ``members`` (X, W and P if any): each sub-block's Gram matrices
         formed apart, its first trial's small dense work stacked with the
-        others'."""
+        others'.  A sub-block whose Gram matrices are not finite is left as
+        it is, its P kept."""
         pairs = [part_grams(parts, None if self._explicit_grams[k]
                             else self.ritz_values[self.slices[k]])
                  for k, parts in zip(blocks, members)]
+        finite = [i for i, pair in enumerate(pairs) if np.isfinite(pair).all()]
+        blocks, members, pairs = ([each[i] for i in finite] for each in (blocks, members, pairs))
+        if not pairs:
+            return []
         firsts = stacked_first_trials(
             pairs, [RESTART_COND_LIMIT if len(parts) == 3 else np.inf for parts in members],
             members[0][0].shape[-1], self.use_history_direction)  # the sub-blocks' width
@@ -606,7 +612,7 @@ class LobpcgEngine:
 
     def _update_sub_block(self, k: int, parts: list, grams, first) -> int:
         """Phase 2 for sub-block k: the Rayleigh-Ritz over ``parts``, the
-        stacks of its X, W and carried P if any, with their
+        stacks of its X, W and carried P if any, with their finite
         :func:`part_grams` ``grams``, and its next P, kept in the state.
         ``first`` is the first trial from
         :func:`~lobpcg_kit.blocks.stacked_first_trials`, None where that call
@@ -614,19 +620,16 @@ class LobpcgEngine:
         ``[X, W, P]`` is counted and skipped, a rejected ``[X, W]`` made
         again off the Cholesky path (SVQB).  A trial also fails on any error
         of this package: a rank shortfall, a failed post-check.  Returns the
-        trial's width; 0 when the Gram matrices are not finite, the state
-        untouched, or when the trial without P fails, the sub-block's X and
-        Ritz values untouched and its P, handed to the trial, dropped.  Each
-        block is freed after its last product: the trial takes ``parts``
-        over, so that P goes once its share of the tail is formed, before
-        W's; a Ritz block that passes is written with its values into the
-        state's columns at once and read back from them; the tail goes once
-        its share of the next P is formed.  A next P that cannot be formed
-        leaves the sub-block without one.
+        trial's width; 0 when the trial without P fails, the sub-block's X
+        and Ritz values untouched and its P, handed to the trial, dropped.
+        Each block is freed after its last product: the trial takes
+        ``parts`` over, so that P goes once its share of the tail is formed,
+        before W's; a Ritz block that passes is written with its values into
+        the state's columns at once and read back from them; the tail goes
+        once its share of the next P is formed.  A next P that cannot be
+        formed leaves the sub-block without one.
         """
         gram_a, gram_b = grams
-        if not (np.isfinite(gram_a).all() and np.isfinite(gram_b).all()):
-            return 0
         rows = parts[0].shape[-1]
         self.ps[k] = None  # the trial then holds the sub-block's only P
         for trial in [parts, parts[:2]] if len(parts) == 3 else [parts]:
@@ -685,16 +688,16 @@ def drive(state, nev: int, max_iter: int, record_history: bool) -> SolveResult:
     while status is None:
         try:
             conv = state.converged_mask()
-            if not state._fresh and (np.all(conv[:nev]) or state.iterations >= max_iter):
+            if not state._fresh and (conv[:nev].all() or state.iterations >= max_iter):
                 state._refresh_products()
                 conv = state.converged_mask()
-            n_locked = max(n_locked, int(np.cumprod(conv).sum()))  # leading converged
             if record_history:
+                n_locked = max(n_locked, int(np.cumprod(conv).sum()))  # leading converged
                 values, norms = state.ritz_values, state.residual_norms
                 order = np.argsort(values, kind="stable")  # lobpcg2's sub-blocks step apart
                 history.append(IterationRecord(state.iterations, values[order], norms[order],
                                                n_locked, state._last_basis_cols))
-            if np.all(conv[:nev]):
+            if conv[:nev].all():
                 state.check_metric()
                 status = STATUS_CONVERGED
             elif state.iterations >= max_iter:

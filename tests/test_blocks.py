@@ -469,6 +469,68 @@ def test_orthonormalization_routine_property(problem):
     assert (out is None and lo == 0) or out.shape[-1] == lo
 
 
+@st.composite
+def faulty_span_stacks(draw):
+    """2-4 spans of one width side by side, 1-5 wide, of random columns,
+    one of which is faulty: a NaN or an inf in its B member (V itself
+    without a metric), or columns that are zero or duplicates of its
+    first.  Returns ``(stack, formed, spans, faulty)``."""
+    count, width = draw(st.integers(2, 4)), draw(st.integers(1, 5))
+    faulty, fault = draw(st.integers(0, count - 1)), draw(st.sampled_from(["nan", "inf",
+                                                                           "dependent"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = 30
+    b = draw(st.sampled_from([None, "diagonal", "sparse"]))
+    b = {None: None, "diagonal": DiagonalOperator(rng.uniform(0.5, 4.0, n)),
+         "sparse": spd_operator(rng, n)}[b]
+    block = rng.standard_normal((n, count * width)) * 10.0 ** rng.integers(-3, 4, count * width)
+    spans = [slice(k * width, (k + 1) * width) for k in range(count)]
+    if fault == "dependent":
+        kinds = draw(st.lists(st.sampled_from(["zero", "duplicate"]), min_size=width,
+                              max_size=width))
+        first = block[:, spans[faulty].start].copy()
+        for i, kind in zip(range(spans[faulty].start, spans[faulty].stop), kinds):
+            block[:, i] = 0.0 if kind == "zero" else first
+    pair, _ = unit_pair(block, b)
+    a = DiagonalOperator(np.arange(1.0, n + 1))
+    formed = draw(st.booleans())
+    stack = stack_of(op_apply(a, pair[0]), *pair) if formed else pair
+    if fault != "dependent":
+        column = spans[faulty].start + draw(st.integers(0, width - 1))
+        stack[-1][draw(st.integers(0, n - 1)), column] = np.nan if fault == "nan" else np.inf
+    return stack, formed, spans, faulty
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(faulty_span_stacks())
+def test_orthonormalization_routine_isolates_a_faulty_span(problem):
+    # spans of one width side by side share their Gram matrices', maps' and
+    # post-checks' matmuls: a span whose B member is not finite or whose
+    # columns are dependent ends as it does alone, with the same error or
+    # the same kept columns, and every other span is its lone-span result
+    # bit for bit
+    stack, formed, spans, faulty = problem
+    out, outcomes = b_orthonormalize_full(stack, formed, spans=spans)
+    members, lo = slice(0 if formed else 1, None), 0
+    for k, (span, outcome) in enumerate(zip(spans, outcomes)):
+        alone, (alone_outcome,) = b_orthonormalize_full(stack[..., span], formed)
+        if isinstance(alone_outcome, Exception):
+            assert k == faulty and alone is None
+            assert type(outcome) is type(alone_outcome)
+            assert str(outcome) == str(alone_outcome)
+            continue
+        (kept, transform), (alone_kept, alone_transform) = outcome, alone_outcome
+        assert list(kept) == list(alone_kept)
+        assert (transform is None) == (alone_transform is None)
+        if transform is not None:
+            np.testing.assert_array_equal(transform, alone_transform)
+        hi = lo + len(kept)
+        np.testing.assert_array_equal(out[members, :, lo:hi], alone[members])
+        lo = hi
+    assert (out is None and lo == 0) or out.shape[-1] == lo
+    assert all(isinstance(outcome, tuple) for k, outcome in enumerate(outcomes) if k != faulty)
+
+
 def loop_fix_signs(vectors, *companions):
     """The column loop ``fix_signs`` replaced, kept as the reference."""
     for c in range(vectors.shape[1]):

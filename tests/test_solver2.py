@@ -851,6 +851,30 @@ class TestStackedRounds:
         assert rounds[0][1] == [(2, 2), (1, 1), (2, 2)] * 3
         assert rounds[1] == rounds[0]
 
+    def test_one_cholesky_per_stack_in_a_round(self, monkeypatch):
+        # the same two rounds as above factor stacks, never a span or a
+        # sub-block alone: X's B-Gram matrix in phase 1, one stack of the
+        # three width-2 W spans per CholeskyQR pass (one here), the
+        # first-trial stack of the three [X, W, P] pairs and the stacked
+        # transforms of their next P; each next P passes its check as it is
+        a, b = fe_pencil(12, 14)
+        state = solver.LobpcgEngine(a, Lobpcg2Config(nev=6, sub_block=2, rr_period=25, seed=1),
+                                    b_op=b, precond=jacobi_precond(a))
+        for _ in range(3):
+            state.step()
+        assert len(state.slices) == 3 and all(p is not None for p in state.ps)
+        cholesky, shapes = blocks.cholesky, []
+
+        def recorded(grams):
+            shapes.append(grams.shape)
+            return cholesky(grams)
+
+        monkeypatch.setattr(blocks, "cholesky", recorded)
+        for _ in range(2):
+            shapes.clear()
+            state.step()
+            assert shapes == [(6, 6), (3, 2, 2), (3, 6, 6), (3, 2, 2)]
+
     def test_peak_memory_stays_per_sub_block(self):
         # lobpcg2's tall work stays per sub-block: on fe_pencil_many's pencil
         # a solve peaks at 4.14 times the blocks of its state's X stack
