@@ -69,8 +69,9 @@ class OpCounters:
 
     ``a_matvecs`` and ``b_matvecs`` count the columns A and B were applied
     to; ``matvecs`` is their sum.  ``estimate_matvecs`` counts apart the
-    columns a matrix-free A or B was applied to in order to estimate its
-    spectrum: its norm estimate and, for B, the probe of its definiteness.
+    columns a matrix-free A or B was applied to by the one Lanczos run that
+    reads its spectrum while the solver is built: A's norm estimate, and
+    B's probe of its definiteness, which gives its norm too.
     ``orthonormalizations`` counts one per span per call of
     :func:`b_orthonormalize_full`, whatever its passes.
     """

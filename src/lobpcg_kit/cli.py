@@ -349,7 +349,7 @@ def main(argv: list[str] | None = None) -> int:
             return cmd_bench(args, flags)
         return cmd_partition(args, flags)
     except (LobpcgKitError, OSError) as exc:
-        sys.stderr.write(f"lobpcg-kit {args.command}: {exc}\n")
+        sys.stderr.write(f"lobpcg-kit {args.command}: {type(exc).__name__}: {exc}\n")
         return EXIT_USAGE
 
 

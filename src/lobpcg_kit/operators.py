@@ -446,9 +446,11 @@ def op_apply(op: LinearOperator, block: np.ndarray) -> np.ndarray:
 def norm_estimates(op: LinearOperator) -> float:
     """Cheap 2-norm estimate by operator class: 1 for the identity, the
     largest magnitude of a diagonal, the max row 1-norm of a sparse matrix,
-    and a short deterministic power iteration for any other operator.
+    and the largest magnitude of the :func:`lanczos_ritz_values` of any
+    other operator.
 
-    Guaranteed within a factor of the dimension of the true 2-norm.
+    The sparse estimate is at least the 2-norm and at most the dimension
+    times it; the Lanczos one is at most the 2-norm, to rounding.
     """
     if isinstance(op, IdentityOperator):
         return 1.0
@@ -456,28 +458,19 @@ def norm_estimates(op: LinearOperator) -> float:
         return float(np.max(np.abs(op.diagonal_values)))
     if isinstance(op, SparseSymMatrix):
         return op.max_row_l1()
-    rng = np.random.default_rng(1905)
-    vec = rng.standard_normal((op.dim, 1))
-    vec /= np.linalg.norm(vec)
-    estimate = 0.0
-    for _ in range(10):
-        nxt = op.apply(vec)
-        estimate = float(np.linalg.norm(nxt))
-        if estimate == 0.0:
-            return 0.0
-        vec = nxt / estimate
-    return estimate
+    return float(np.max(np.abs(lanczos_ritz_values(op)[[0, -1]])))
 
 
 def lanczos_ritz_values(op: LinearOperator) -> np.ndarray:
     """Ascending Ritz values of a symmetric operator over the Krylov space
-    of a fixed random vector, by at most 10 Lanczos steps (as many applies
-    as :func:`norm_estimates` makes), each new vector orthogonalized twice
-    against the earlier ones; fewer when the space is invariant to
-    sqrt(eps).  The pencil of the basis' Gram matrices is solved through
-    the Cholesky factor of ``V^T V``, so each value lies in the operator's
-    spectral range to rounding: a negative one shows that the operator is
-    not positive semidefinite.  NaN when the projection is not finite.
+    of a fixed random vector, by at most 10 Lanczos steps, each new vector
+    orthogonalized twice against the earlier ones; fewer when the space is
+    invariant to sqrt(eps).  The pencil of the basis' Gram matrices is
+    solved through the Cholesky factor of ``V^T V``, so each value lies in
+    the operator's spectral range to rounding: the largest magnitude is a
+    norm estimate (:func:`norm_estimates`) and a negative value shows that
+    the operator is not positive semidefinite (the solvers' probe of a
+    metric).  NaN when the projection is not finite.
     """
     vec = np.random.default_rng(1905).standard_normal((op.dim, 1))
     basis, products = [vec / np.linalg.norm(vec)], []

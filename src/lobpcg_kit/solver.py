@@ -276,11 +276,11 @@ class LobpcgEngine:
     k's previous-direction stack ``(A P, P, B P)`` (``(A P, P)``), at most
     as wide as the sub-block, or None.
 
-    A diagonal or sparse ``b_op`` with a diagonal entry <= 0 is not
-    positive definite and raises :class:`NotPositiveDefiniteError` before
-    any operator is applied; a sparse or matrix-free one is probed before
-    the first convergence claim (:meth:`check_metric`).  Once built, its
-    :meth:`run` raises nothing.
+    A ``b_op`` that is not positive definite raises
+    :class:`NotPositiveDefiniteError` before A is applied: a diagonal or
+    sparse one with a diagonal entry <= 0, or a sparse or matrix-free one
+    that its Lanczos probe proves indefinite (:meth:`_probe_metric`).
+    Once built, its :meth:`run` raises nothing.
     When A is not finite on the start block, or any error of this package
     arises in its coupling, it keeps the B-orthonormal start block with NaN
     Ritz values, and its first step reports breakdown.
@@ -337,38 +337,54 @@ class LobpcgEngine:
 
     def _setup(self, a_op: LinearOperator, b_op: LinearOperator | None,
                precond: LinearOperator | None) -> None:
-        """Check the operators, estimate their norms and wrap them to count
-        their columns into a fresh :class:`OpCounters`."""
+        """Check the operators, the metric's definiteness by
+        :meth:`_probe_metric` before A is applied, estimate their norms and
+        wrap them to count their columns into a fresh :class:`OpCounters`."""
         if b_op is not None and a_op.dim != b_op.dim:
             raise DimensionMismatchError(
                 f"operator dimensions disagree: {a_op.dim} vs {b_op.dim}"
             )
         b_op = None if isinstance(b_op, operators.IdentityOperator) else b_op  # never applied
-        if isinstance(b_op, (DiagonalOperator, SparseSymMatrix)):
-            # a positive definite B has a positive diagonal
-            bad = np.flatnonzero(b_op.diagonal() <= 0)
-            if bad.size:
-                raise NotPositiveDefiniteError(f"metric diagonal entry {bad[0]} is <= 0")
         self.dim = a_op.dim
         self.counters = OpCounters()
-        estimated = [op if op is None or not _matrix_free(op)
-                     else _CountingOperator(op, self.counters, "estimate_matvecs")
-                     for op in (a_op, b_op)]
-        self.norm_a = norm_estimates(estimated[0])
-        self.norm_b = 1.0 if b_op is None else norm_estimates(estimated[1])
         self.a_op = _CountingOperator(a_op, self.counters, "a_matvecs")
         self.b_op = None if b_op is None else _CountingOperator(b_op, self.counters, "b_matvecs")
-        # a metric that is not diagonal is probed once, before the first
-        # convergence claim: a matrix-free one's applies count apart, as its
-        # norm estimate's do, and a sparse one's as B applies
-        self._unprobed_metric = (None if b_op is None or isinstance(b_op, DiagonalOperator)
-                                 else self.b_op if estimated[1] is b_op else estimated[1])
+        self.norm_b = 1.0 if b_op is None else self._probe_metric(b_op)
+        self.norm_a = norm_estimates(_CountingOperator(a_op, self.counters, "estimate_matvecs")
+                                     if _matrix_free(a_op) else a_op)
         raw_precond = precond if precond is not None else CallableOperator(a_op.dim, np.copy)
         if raw_precond.dim != a_op.dim:
             raise DimensionMismatchError(
                 f"preconditioner dimension {raw_precond.dim} does not match {a_op.dim}"
             )
         self.precond = _CountingOperator(raw_precond, self.counters, "precond_applies")
+
+    def _probe_metric(self, b_op: LinearOperator) -> float:
+        """The norm estimate of the metric ``b_op``; raises
+        :class:`NotPositiveDefiniteError` when it is not positive definite.
+
+        A positive diagonal proves only a diagonal metric definite.  Any
+        other is probed by one Lanczos run
+        (:func:`~lobpcg_kit.operators.lanczos_ritz_values`): a Ritz value
+        below -k * RANK_DROP_RTOL times the largest of its k proves it
+        indefinite.  A sparse metric's probe applies count as B's, and its
+        norm is read off its rows; a matrix-free one's count apart, and the
+        same run gives its norm, as :func:`norm_estimates` would.
+        """
+        if isinstance(b_op, (DiagonalOperator, SparseSymMatrix)):
+            bad = np.flatnonzero(b_op.diagonal() <= 0)
+            if bad.size:
+                raise NotPositiveDefiniteError(f"metric diagonal entry {bad[0]} is <= 0")
+        if isinstance(b_op, DiagonalOperator):
+            return norm_estimates(b_op)
+        matrix_free = _matrix_free(b_op)
+        values = lanczos_ritz_values(_CountingOperator(b_op, self.counters, "estimate_matvecs")
+                                     if matrix_free else self.b_op)
+        if values[0] < -values.size * RANK_DROP_RTOL * max(values[-1], 0.0):
+            raise NotPositiveDefiniteError(
+                f"metric has a Ritz value {values[0]:.3e} against a largest of "
+                f"{values[-1]:.3e}: it is indefinite")
+        return float(np.max(np.abs(values[[0, -1]]))) if matrix_free else norm_estimates(b_op)
 
     def _deflate(self, block: np.ndarray) -> np.ndarray:
         if self.constraints is None:
@@ -469,21 +485,6 @@ class LobpcgEngine:
                 self.ps[0] = None
             self._update_residuals()
         self._fresh = True
-
-    def check_metric(self) -> None:
-        """Raise :class:`NotPositiveDefiniteError` when a sparse or
-        matrix-free metric, which the constructor cannot prove definite, has
-        a Lanczos Ritz value below -k * RANK_DROP_RTOL times the largest of
-        its k (:func:`~lobpcg_kit.operators.lanczos_ritz_values`).
-        Once per state; a no-op for any other metric."""
-        if self._unprobed_metric is None:
-            return
-        values = lanczos_ritz_values(self._unprobed_metric)
-        self._unprobed_metric = None
-        if values[0] < -values.size * RANK_DROP_RTOL * max(values[-1], 0.0):
-            raise NotPositiveDefiniteError(
-                f"metric has a Ritz value {values[0]:.3e} against a largest of "
-                f"{values[-1]:.3e}: it is indefinite")
 
     def convergence_thresholds(self, tol: float | None = None) -> np.ndarray:
         """Each column's residual threshold at ``tol``, ``cfg.tol`` by default."""
@@ -677,8 +678,7 @@ def drive(state, nev: int, max_iter: int, record_history: bool) -> SolveResult:
 
     ``state`` is a :class:`LobpcgEngine`, the state of every solver.
     Carried products are refreshed only before a convergence claim and at
-    ``max_iter``, so statuses rest on explicit products; a claim also waits
-    for the state's :meth:`~LobpcgEngine.check_metric`.  Any error of this
+    ``max_iter``, so statuses rest on explicit products.  Any error of this
     package ends the run in breakdown, after ``salvage``; the result's
     ``cause`` names that error.
     """
@@ -698,7 +698,6 @@ def drive(state, nev: int, max_iter: int, record_history: bool) -> SolveResult:
                 history.append(IterationRecord(state.iterations, values[order], norms[order],
                                                n_locked, state._last_basis_cols))
             if conv[:nev].all():
-                state.check_metric()
                 status = STATUS_CONVERGED
             elif state.iterations >= max_iter:
                 status = STATUS_MAX_ITER

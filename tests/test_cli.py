@@ -183,6 +183,22 @@ class TestSolve:
         got = np.array(json.loads(out.read_text())["eigenvalues"])
         assert np.max(np.abs(got - oracle.values[:2])) <= 1e-6
 
+    def test_indefinite_metric_file_is_rejected(self, tmp_path, lap50, capsys):
+        # B = I + 2(e37 e38^T + e38 e37^T) has a positive diagonal, so only
+        # the Lanczos probe, run while the solver is built, shows it
+        # indefinite; when the probe waited for a claim the run ended in
+        # 'breakdown'
+        from lobpcg_kit import csr_from_coo
+        metric = csr_from_coo(50, [(i, i, 1.0) for i in range(50)] + [(37, 38, 2.0)])
+        b_path = tmp_path / "indefinite.mtx"
+        write_matrix_market_symmetric(b_path, metric)
+        out = tmp_path / "x.json"
+        code = main(["solve", "--matrix", lap50, "--metric", str(b_path),
+                     "--nev", "2", "--out", str(out)])
+        assert code == 1
+        assert "NotPositiveDefiniteError" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestReproducibility:
     def test_byte_identical_eigenvalues(self, lap50, tmp_path):
@@ -398,12 +414,14 @@ class TestPartitionCommand:
 
 
 class TestUnreadableInput:
-    """A file the readers refuse is a one-line usage error, not a traceback."""
+    """A file the readers refuse is a one-line usage error, not a traceback:
+    the error's class and message, as a breakdown's ``cause`` gives them."""
 
     @pytest.mark.parametrize("content,message", [
-        (b"u,v,weight\n0,1,1\n# caf\xe9\n1,2,1\n", "line 3: not valid UTF-8"),
+        (b"u,v,weight\n0,1,1\n# caf\xe9\n1,2,1\n",
+         "MatrixMarketParseError: line 3: not valid UTF-8"),
         (b"0,1,1\n1,99999999999999999999,1\n",
-         "line 2: cannot parse row '1,99999999999999999999,1'"),
+         "MatrixMarketParseError: line 2: cannot parse row '1,99999999999999999999,1'"),
     ])
     def test_partition(self, tmp_path, capsys, content, message):
         path = tmp_path / "bad.csv"
@@ -419,7 +437,8 @@ class TestUnreadableInput:
         code = main(["solve", "--matrix", str(path), "--nev", "1",
                      "--out", str(tmp_path / "x.json")])
         assert code == 1
-        assert capsys.readouterr().err == "lobpcg-kit solve: line 2: not valid UTF-8\n"
+        assert capsys.readouterr().err == \
+            "lobpcg-kit solve: MatrixMarketParseError: line 2: not valid UTF-8\n"
 
 
 def test_partition_of_a_generated_csv_matches_the_library(tmp_path):

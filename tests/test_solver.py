@@ -51,6 +51,15 @@ def diag_operator(n):
     return csr_from_coo(n, [(i, i, float(i + 1)) for i in range(n)])
 
 
+def counted_diagonal(diagonal, applied):
+    """diag(``diagonal``) as a callable that appends the width of each
+    block it is applied to onto the list ``applied``."""
+    def apply(block):
+        applied.append(block.shape[1])
+        return diagonal[:, None] * block
+    return CallableOperator(diagonal.size, apply)
+
+
 def b_defect(vectors, b_op):
     gram = vectors.T @ op_apply(b_op, vectors)
     return np.max(np.abs(gram - np.eye(vectors.shape[1])))
@@ -228,13 +237,20 @@ class TestNormEstimates:
         assert est >= true_norm - 1e-12
         assert est <= 30 * true_norm
 
-    def test_matrix_free_power_iteration(self, rng):
-        dense = rng.standard_normal((20, 20))
-        dense = dense + dense.T
-        op = CallableOperator(20, lambda block: dense @ block)
-        true_norm = np.max(np.abs(np.linalg.eigvalsh(dense)))
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(n=st.integers(1, 30), seed=st.integers(0, 2**32 - 1),
+           exponent=st.floats(-100.0, 100.0))
+    def test_matrix_free_estimate_is_the_largest_ritz_magnitude(self, n, seed, exponent):
+        # random symmetric matrices of mixed sign over the float64 range:
+        # the estimate is the Lanczos run's largest |Ritz value|, which
+        # lies in the spectrum, so it never exceeds the 2-norm
+        dense = np.random.default_rng(seed).standard_normal((n, n))
+        dense = (dense + dense.T) * 10.0 ** exponent
+        op = CallableOperator(n, lambda block: dense @ block)
+        values = lanczos_ritz_values(op)
         est = norm_estimates(op)
-        assert true_norm / 20 <= est <= 20 * true_norm
+        assert est == max(abs(values[0]), abs(values[-1]))
+        assert est <= np.max(np.abs(np.linalg.eigvalsh(dense))) * (1 + 1e-12)
 
     def test_lanczos_ritz_values_lie_in_the_spectrum(self, rng):
         dense = rng.standard_normal((30, 30))
@@ -446,6 +462,29 @@ class TestDriver:
         np.testing.assert_array_equal(ident.values, plain.values)
         np.testing.assert_array_equal(ident.vectors, plain.vectors)
         assert LobpcgEngine(a, SolverConfig(nev=2), b_op=IdentityOperator(40)).b_op is None
+
+    @pytest.mark.parametrize("cfg,use_history_direction", [
+        (SolverConfig(nev=2, seed=1), True),
+        (SolverConfig(nev=2, seed=1), False),
+        (Lobpcg2Config(nev=2, sub_block=1, seed=1), True),
+    ], ids=["lobpcg", "psd", "lobpcg2"])
+    def test_a_claim_applies_no_operator_beyond_its_refresh(self, cfg, use_history_direction):
+        # the pass that returns 'converged' applies A and B to X alone, the
+        # refresh: the sparse metric was probed while the solver was built
+        engine = LobpcgEngine(easy_spd_problem(5, 48), cfg, b_op=random_spd_metric(2, 48),
+                              use_history_direction=use_history_direction)
+        step, after_step = engine.step, []
+
+        def counted_step():
+            step()
+            after_step.append((engine.counters.a_matvecs, engine.counters.b_matvecs))
+
+        engine.step = counted_step
+        res = engine.run()
+        assert res.status == "converged"
+        a_cols, b_cols = after_step[-1]
+        assert res.counters.a_matvecs - a_cols <= engine.block_size
+        assert res.counters.b_matvecs - b_cols <= engine.block_size
 
     def test_every_solver_runs_through_the_driver(self, monkeypatch):
         calls = []
@@ -877,18 +916,18 @@ class TestValidation:
         lambda signs: CallableOperator(40, lambda block: signs[:, None] * block),
         lambda signs: csr_from_coo(40, [(i, i, 1.0) for i in range(40)] + [(0, 1, 2.0)]),
     ], ids=["matrix-free", "sparse"])
-    def test_indefinite_metric_past_the_diagonal_check_ends_in_breakdown(self, solve, make_b):
-        # the constructor reads no diagonal of the matrix-free diag(-1, 1, ...)
-        # and a positive one of the sparse metric. No B-Gram matrix the runs
-        # form under the first is indefinite: all three reported a false
-        # 'converged' [2, 3] (the pencil's smallest eigenvalue is -1) before
-        # the metric was probed ahead of the claim. Under the second SVQB
-        # dropped the negative directions until no sub-block moved
-        b = make_b(np.concatenate([[-1.0], np.ones(39)]))
-        res = solve(DiagonalOperator(np.arange(1.0, 41.0)), b)
-        assert res.status == "breakdown"
-        assert res.cause.startswith("NotPositiveDefiniteError: ")
-        assert "indefinite" in res.cause
+    def test_indefinite_metric_past_the_diagonal_check_is_rejected(self, solve, make_b):
+        # no diagonal is read of the matrix-free diag(-1, 1, ...) and the
+        # sparse metric's is positive. No B-Gram matrix the runs form under
+        # the first is indefinite: all three reported a false 'converged'
+        # [2, 3] (the pencil's smallest eigenvalue is -1) when no probe ran,
+        # and 46, 285 and 53 steps when it ran at the first claim. The probe
+        # runs before A is applied
+        applied = []
+        a = counted_diagonal(np.arange(1.0, 41.0), applied)
+        with pytest.raises(NotPositiveDefiniteError, match="indefinite"):
+            solve(a, make_b(np.concatenate([[-1.0], np.ones(39)])))
+        assert sum(applied) == 0
 
     @pytest.mark.parametrize("solve", [lobpcg_solve, psd_solve], ids=["lobpcg", "psd"])
     def test_sparse_metric_with_a_positive_diagonal_is_probed(self, solve):
@@ -900,12 +939,11 @@ class TestValidation:
         b = csr_from_coo(n, [(i, i, 1.0) for i in range(n)] + [(37, 38, 2.0)])
         x0 = np.eye(n, 2) + 1e-3 * np.random.default_rng(0).standard_normal((n, 2))
         x0[37:39] = 0.0
-        res = solve(DiagonalOperator(np.arange(1.0, n + 1.0)), SolverConfig(nev=2),
-                    b_op=b, x0=x0)
-        assert res.status == "breakdown"
-        assert res.cause.startswith("NotPositiveDefiniteError: ")
-        assert "indefinite" in res.cause
-        assert res.counters.estimate_matvecs == 0  # its applies count as B's
+        applied = []
+        a = counted_diagonal(np.arange(1.0, n + 1.0), applied)
+        with pytest.raises(NotPositiveDefiniteError, match="indefinite"):
+            solve(a, SolverConfig(nev=2), b_op=b, x0=x0)
+        assert sum(applied) == 0
 
     @pytest.mark.parametrize("field", ["nev", "block_size", "sub_block", "rr_period",
                                        "max_iter"])
@@ -996,27 +1034,43 @@ class TestMatrixFree:
         assert np.max(np.abs(res.values - oracle.values[:3])) <= 1e-6
 
     def test_estimate_applies_are_counted_apart(self):
-        # a matrix-free A and B are applied to 10 columns each for their norm
-        # estimates, and B to 10 more by the probe of its definiteness before
-        # the claim; a_matvecs and b_matvecs count only the solve's own applies
+        # a matrix-free A and B are applied to 10 columns each by the one
+        # Lanczos run that reads each one's spectrum: A's norm estimate, and
+        # B's probe, which gives its norm too; a_matvecs and b_matvecs count
+        # only the solve's own applies, as for the same pencil of diagonals
         spectrum, metric = np.arange(1.0, 41.0), np.linspace(1.0, 2.0, 40)
-        seen = {"a": 0, "b": 0}
-
-        def counted(name, diagonal):
-            def apply(block):
-                seen[name] += block.shape[1]
-                return diagonal[:, None] * block
-            return CallableOperator(40, apply)
-
-        res = lobpcg_solve(counted("a", spectrum), SolverConfig(nev=2),
-                           b_op=counted("b", metric))
+        seen_a, seen_b = [], []
+        res = lobpcg_solve(counted_diagonal(spectrum, seen_a), SolverConfig(nev=2),
+                           b_op=counted_diagonal(metric, seen_b))
         assert res.status == "converged"
-        assert res.counters.estimate_matvecs == 30
-        assert seen["a"] == res.counters.a_matvecs + 10
-        assert seen["b"] == res.counters.b_matvecs + 20
+        assert res.counters.estimate_matvecs == 20
+        assert sum(seen_a) == res.counters.a_matvecs + 10
+        assert sum(seen_b) == res.counters.b_matvecs + 10
         plain = lobpcg_solve(DiagonalOperator(spectrum), SolverConfig(nev=2),
                              b_op=DiagonalOperator(metric))
         assert plain.counters.estimate_matvecs == 0
+        assert res.iterations == plain.iterations == 55
+        assert np.array_equal(res.values, plain.values)
+
+    def test_sparse_metric_probe_counts_as_b_applies(self):
+        # the probe runs while the solver is built, so its 10 single columns
+        # are in b_matvecs even when the run stops before any claim
+        n, seen_a, seen_b = 40, [], []
+        metric = csr_from_coo(n, [(i, i, 1.0 + i / n) for i in range(n)]
+                              + [(i, i + 1, 0.1) for i in range(n - 1)])
+        sparse_apply = metric.apply
+
+        def apply(block):
+            seen_b.append(block.shape[1])
+            return sparse_apply(block)
+
+        metric.apply = apply
+        res = lobpcg_solve(counted_diagonal(np.arange(1.0, n + 1.0), seen_a),
+                           SolverConfig(nev=2, max_iter=1), b_op=metric)
+        assert res.status == "max_iter"
+        assert seen_b[:10] == [1] * 10
+        assert res.counters.b_matvecs == sum(seen_b)
+        assert res.counters.estimate_matvecs == 10  # A's alone
 
     def test_operator_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
