@@ -406,7 +406,7 @@ def unit_pair(block: np.ndarray, b_op: LinearOperator | None):
     np.divide(block, scale, out=pair[0])
     del block
     if b_op is not None:
-        pair[1] = op_apply(b_op, pair[0])
+        b_op.apply_into(pair[0], pair[1])
     return pair, scale
 
 
@@ -426,7 +426,7 @@ def b_orthonormal_stack(block: np.ndarray, b_op: LinearOperator | None,
         raise outcome
     kept, transform = outcome
     if fresh and b_op is not None:
-        stack[2] = op_apply(b_op, stack[1])
+        b_op.apply_into(stack[1], stack[2])
     if fresh and not (defect := ortho_defect(stack[1].T @ stack[-1])) <= ORTHO_POST_TOL:
         raise OrthonormalizationError(f"orthonormality defect {defect:.3e} on applying B")
     transform = identity(len(kept)) if transform is None else transform
@@ -674,7 +674,7 @@ def rayleigh_ritz(basis: np.ndarray, a_op: LinearOperator, b_op: LinearOperator,
     if counters is not None:
         counters.rayleigh_ritz_calls += 1
     part, _, transform = b_orthonormal_stack(basis, b_op, counters, fresh=True)
-    part[0] = op_apply(a_op, part[1])
+    a_op.apply_into(part[1], part[0])
     values, _, coeff, _ = carried_rayleigh_ritz([part], want)
     coeff = transform @ coeff
     vectors = basis @ coeff  # as a caller forms it: the product is exact

@@ -75,7 +75,7 @@ class NonSymmetricDataError(LobpcgKitError):
 
 
 class MatrixMarketParseError(LobpcgKitError):
-    """Malformed Matrix Market or edge-list content.
+    """Malformed Matrix Market content.
 
     Carries the 1-based line number of the offending line.
     """
@@ -85,6 +85,11 @@ class MatrixMarketParseError(LobpcgKitError):
             message = f"line {line_no}: {message}"
         super().__init__(message)
         self.line_no = line_no
+
+
+class EdgeListParseError(MatrixMarketParseError):
+    """Malformed edge-list CSV content; a :class:`MatrixMarketParseError`,
+    so that a handler of the readers' parse errors catches it too."""
 
 
 class DisconnectedGraphError(LobpcgKitError):

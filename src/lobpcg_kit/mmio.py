@@ -17,6 +17,7 @@ import numpy as np
 
 from .errors import (
     BadHeaderError,
+    EdgeListParseError,
     MatrixMarketParseError,
     NonSymmetricDataError,
     UnsupportedFieldError,
@@ -40,14 +41,15 @@ def _fmt(x: float) -> str:
     return f"{float(x):.17g}"
 
 
-def _read_text(path: str | os.PathLike) -> str:
-    """The UTF-8 text of ``path``; an undecodable byte fails on its line."""
+def _read_text(path: str | os.PathLike, error=MatrixMarketParseError) -> str:
+    """The UTF-8 text of ``path``; an undecodable byte raises ``error`` on
+    its line."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
             return handle.read()
     except UnicodeDecodeError as exc:
         line_no = len((exc.object[:exc.start] + b".").splitlines())
-        raise MatrixMarketParseError("not valid UTF-8", line_no) from None
+        raise error("not valid UTF-8", line_no) from None
 
 
 def _number(kind, token: str):
@@ -67,10 +69,12 @@ def _data_lines(text: str, comment: str = "%"):
             yield line_no, stripped
 
 
-def _load_body(text: str, skip: int, dtype, delimiter, comment: str, valid, find_error):
+def _load_body(text: str, skip: int, dtype, delimiter, comment: str, valid, find_error,
+               error=MatrixMarketParseError):
     """The lines of ``text`` after the first ``skip``, less blank and
     comment lines, parsed by one ``np.loadtxt`` call into ``dtype``.  If it
-    fails or ``valid(records)`` does not hold, ``find_error()`` raises."""
+    fails or ``valid(records)`` does not hold, ``find_error()`` raises, an
+    ``error``."""
     body = "".join(text.split("\n", skip)[skip:])
     # loadtxt refuses a blank line when its delimiter is ",", and its
     # comments= would also cut a comment that starts mid-line
@@ -84,7 +88,7 @@ def _load_body(text: str, skip: int, dtype, delimiter, comment: str, valid, find
         records = None
     if records is None or not valid(records):
         find_error()
-        raise MatrixMarketParseError("the file body does not parse")  # not reached
+        raise error("the file body does not parse")  # not reached
     return records
 
 
@@ -239,22 +243,22 @@ def _edge_row(text: str, line_no: int) -> bool:
     a line 1 of three fields that do not parse."""
     parts = [p.strip() for p in text.split(",")]
     if len(parts) != 3:
-        raise MatrixMarketParseError("row needs 'u,v,weight'", line_no)
+        raise EdgeListParseError("row needs 'u,v,weight'", line_no)
     try:
         u, v, _ = _number(int, parts[0]), _number(int, parts[1]), _number(float, parts[2])
     except ValueError:
         if line_no == 1:
             return False
-        raise MatrixMarketParseError(f"cannot parse row {text!r}", line_no) from None
+        raise EdgeListParseError(f"cannot parse row {text!r}", line_no) from None
     if u < 0 or v < 0:
-        raise MatrixMarketParseError("vertex ids must be >= 0", line_no)
+        raise EdgeListParseError("vertex ids must be >= 0", line_no)
     return True
 
 
 def _edge_errors(text: str) -> None:
     """The per-line pass over an edge CSV: raise the first error."""
     if not sum(_edge_row(row, line_no) for line_no, row in _data_lines(text, "#")):
-        raise MatrixMarketParseError("edge file holds no edges")
+        raise EdgeListParseError("edge file holds no edges")
 
 
 def read_edge_csv(path: str | os.PathLike) -> tuple[int, np.ndarray]:
@@ -262,14 +266,15 @@ def read_edge_csv(path: str | os.PathLike) -> tuple[int, np.ndarray]:
 
     Returns ``(n, edges)`` with n inferred as max vertex id + 1 and
     ``edges`` a record array of fields ``i``, ``j`` and ``v``, whose
-    ``tolist()`` is the list of ``(u, v, weight)`` tuples.
+    ``tolist()`` is the list of ``(u, v, weight)`` tuples.  Malformed
+    content raises :class:`EdgeListParseError`.
     """
-    text = _read_text(path).removeprefix("\ufeff")
+    text = _read_text(path, EdgeListParseError).removeprefix("\ufeff")
     head = text.partition("\n")[0].strip()
     header = bool(head) and not head.startswith("#") and not _edge_row(head, 1)
     edges = _load_body(text, int(header), _TRIPLET, ",", "#",
                        lambda e: e.size and min(e["i"].min(), e["j"].min()) >= 0,
-                       lambda: _edge_errors(text))
+                       lambda: _edge_errors(text), EdgeListParseError)
     return int(max(edges["i"].max(), edges["j"].max())) + 1, edges
 
 

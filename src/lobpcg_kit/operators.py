@@ -5,8 +5,10 @@ of fixed dimension applied to an ``(n, m)`` block of column vectors.  The
 solvers hold blocks column-major (each vector contiguous), so ``apply``
 may receive an F-ordered block, and so may a :class:`CallableOperator`'s
 function.  The sparse, diagonal and identity operators accept either order
-and return an F-ordered block for F-ordered input.  Operators are
-immutable after construction and safe to share across threads.
+and return an F-ordered block for F-ordered input.  ``apply_into`` writes
+the same product into a block the caller holds, such as a member of a
+solver's stack.  Operators are immutable after construction and safe to
+share across threads.
 Preconditioners are operators too: :func:`jacobi_precond` returns a
 :class:`DiagonalOperator`, :func:`exact_inverse_precond` a
 :class:`CallableOperator`.
@@ -48,7 +50,9 @@ class LinearOperator:
     """Symmetric operator contract: ``apply`` maps (n, m) blocks to (n, m).
 
     A subclass defines ``apply``; :func:`norm_estimates` estimates the
-    identity, diagonal and sparse classes without applying them.
+    identity, diagonal and sparse classes without applying them.  A class
+    whose ``apply`` is backed by a product kernel also defines
+    ``_write_product(block, out)``, which :meth:`apply_into` then runs.
     """
 
     def __init__(self, dim: int):
@@ -59,6 +63,30 @@ class LinearOperator:
     def apply(self, block: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
+    def apply_into(self, block: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Write ``apply(block)`` into ``out`` and return ``out``, as BLOPEX
+        operators write into an output multivector the caller holds.
+
+        ``out`` is a float64 array of the block's shape, in either order,
+        that shares no memory with the block (DimensionMismatchError
+        otherwise).  The class's product kernel writes it directly when
+        the class that defines ``apply`` defines the kernel too; otherwise,
+        as for an instance whose ``apply`` was replaced or a subclass that
+        overrides it, the product goes through ``apply`` and is copied in.
+        """
+        block = np.asarray(block, dtype=float)
+        if block.shape[0] != self.dim or out.shape != block.shape or out.dtype != float:
+            raise DimensionMismatchError(
+                f"operator dimension {self.dim}: cannot write the product of a "
+                f"{block.shape} block into a {out.dtype} {out.shape} one")
+        if np.shares_memory(block, out):
+            raise DimensionMismatchError("out shares memory with the block")
+        if "apply" not in vars(self) and _writes_natively(type(self)):
+            self._write_product(block, out)
+        else:
+            out[...] = self.apply(block)
+        return out
+
     def to_dense(self) -> np.ndarray:
         """Materialize the operator by applying it to identity columns."""
         if self.dim > DENSE_CAP:
@@ -68,9 +96,18 @@ class LinearOperator:
         return self.apply(np.eye(self.dim))
 
 
+def _writes_natively(cls: type) -> bool:
+    """Whether the class that gives ``cls`` its ``apply`` defines the
+    product kernel behind it, ``_write_product``."""
+    return "_write_product" in vars(next(k for k in cls.__mro__ if "apply" in vars(k)))
+
+
 class IdentityOperator(LinearOperator):
     def apply(self, block: np.ndarray) -> np.ndarray:
         return np.array(block, dtype=float, copy=True)
+
+    def _write_product(self, block: np.ndarray, out: np.ndarray) -> None:
+        np.copyto(out, block)
 
 
 class DiagonalOperator(LinearOperator):
@@ -82,7 +119,13 @@ class DiagonalOperator(LinearOperator):
         self.diagonal_values = diagonal
 
     def apply(self, block: np.ndarray) -> np.ndarray:
-        return (self.diagonal_values[:, None] if block.ndim == 2 else self.diagonal_values) * block
+        out = np.empty_like(block, dtype=float)  # in the block's order
+        self._write_product(block, out)
+        return out
+
+    def _write_product(self, block: np.ndarray, out: np.ndarray) -> None:
+        diagonal = self.diagonal_values[:, None] if block.ndim == 2 else self.diagonal_values
+        np.multiply(diagonal, block, out=out)
 
     def diagonal(self) -> np.ndarray:
         return self.diagonal_values.copy()
@@ -117,17 +160,19 @@ class SparseSymMatrix(LinearOperator):
     at O(nnz) cost; ``diagonal()`` and ``max_row_l1()`` are computed once,
     on construction.
 
-    ``apply`` accumulates ``(m, n)``, each column contiguous, in passes
-    over one of two layouts, named by ``layout`` and chosen from the
-    pattern alone, and returns the column-major view.
+    ``apply`` and ``apply_into`` run one kernel: it accumulates the
+    product's ``(m, n)`` transpose, each column contiguous, in passes over
+    one of two layouts, named by ``layout`` and chosen from the pattern
+    alone.  ``apply`` hands it a column-major block to write.
 
     * ``"diagonal"``, for a pattern on few, nearly full diagonals (a
       stencil or finite-element matrix): one value array per offset
       k = j - i, over rows ``[max(0, -k), min(n, n - k))``, zero where a
-      row has no entry at that offset.  A pass adds ``d_k`` times the block
-      shifted by k, in ascending k, so each row is summed in column order
-      from +0.0 with plain slices.  It is taken when the offsets are no
-      more than the longest row's entries and their diagonals hold at most
+      row has no entry at that offset.  The kernel zeroes ``out`` and a
+      pass adds ``d_k`` times the block shifted by k into it, in ascending
+      k, so each row is summed in column order from +0.0 with plain
+      slices.  It is taken when the offsets are no more than the longest
+      row's entries and their diagonals hold at most
       :data:`DIAGONAL_FILL` times ``nnz`` slots.  A padded zero meets the
       block too: a NaN or infinity in the block may spread, through
       0 * inf, to rows within the band that A does not couple to it.
@@ -138,7 +183,8 @@ class SparseSymMatrix(LinearOperator):
       longer than k, a prefix of the order) of :data:`TAIL_ROWS` rows or
       more, then the thinner slots' entries as one row-sorted CSR tail,
       summed by ``np.add.reduceat`` in passes of about
-      :data:`TAIL_PASS_ENTRIES`; a final gather restores the row order.
+      :data:`TAIL_PASS_ENTRIES`, into an accumulator of its own; a final
+      gather into ``out`` restores the row order.
       It holds a value and a column per entry, the row order, and the
       tail's row starts, and no CSR array.
     """
@@ -146,31 +192,51 @@ class SparseSymMatrix(LinearOperator):
     def __init__(self, dim: int, row_offsets: np.ndarray, col_indices: np.ndarray,
                  values: np.ndarray):
         super().__init__(dim)
-        row_offsets = np.asarray(row_offsets, dtype=np.int64)
-        col_indices = np.asarray(col_indices, dtype=np.int64)
-        values = np.asarray(values, dtype=float)
+        self._build([row_offsets, col_indices, values])
+
+    @classmethod
+    def _taking(cls, dim: int, csr: list) -> SparseSymMatrix:
+        """The matrix of the CSR arrays in the list ``csr``, which it
+        empties, so that an array held nowhere else is freed at its last
+        read."""
+        matrix = cls.__new__(cls)
+        LinearOperator.__init__(matrix, dim)
+        matrix._build(csr)
+        return matrix
+
+    def _build(self, csr: list) -> None:
+        """Take the CSR arrays out of the list ``csr`` and lay them out."""
+        values = np.asarray(csr.pop(), dtype=float)
+        col_indices = np.asarray(csr.pop(), dtype=np.int64)
+        row_offsets = np.asarray(csr.pop(), dtype=np.int64)
         self._nnz = int(values.shape[0])
         lengths = np.diff(row_offsets)
+        self._max_row_l1 = 0.0 if not self._nnz else float(np.max(np.add.reduceat(
+            np.abs(values), row_offsets[:-1][np.flatnonzero(lengths)])))
         rows = np.repeat(np.arange(self.dim), lengths)
         on_diag = np.flatnonzero(rows == col_indices)
         self._diagonal = np.zeros(self.dim)
         self._diagonal[rows[on_diag]] = values[on_diag]
         del on_diag
-        self._max_row_l1 = 0.0 if not self._nnz else float(np.max(np.add.reduceat(
-            np.abs(values), row_offsets[:-1][np.flatnonzero(lengths)])))
         # a pass is (first row, end row, values, source, row starts): the
         # source is an offset to slice at or columns to gather; row starts
         # only in the jagged tail
         diagonal = self._diagonal_passes(lengths, rows, col_indices, values)
         del rows
         self.layout = "jagged" if diagonal is None else "diagonal"
-        # the CSR pattern, which the jagged layout derives from its passes
-        self._pattern = None if diagonal is None else (row_offsets, col_indices)
-        if diagonal is None:
-            self._passes, self._inverse = self._jagged_passes(lengths, row_offsets,
-                                                              col_indices, values)
-        else:
+        if diagonal is not None:
+            self._pattern = (row_offsets, col_indices)
             (self._passes, self._slots), self._inverse = diagonal, None
+            return
+        self._pattern = None  # the jagged layout derives the CSR pattern from its passes
+        self._inverse, entries, spans = self._jagged_order(lengths, row_offsets)
+        del row_offsets
+        vals = values.take(entries)
+        del values
+        cols = np.take(col_indices, entries, out=entries, mode="clip")  # the order's last use
+        del col_indices, entries
+        self._passes = [(lo, hi, vals[at:end], cols[at:end], starts)
+                        for lo, hi, at, end, starts in spans]
 
     def _diagonal_passes(self, lengths: np.ndarray, rows: np.ndarray, cols: np.ndarray,
                          values: np.ndarray) -> tuple[list, np.ndarray] | None:
@@ -196,34 +262,40 @@ class SparseSymMatrix(LinearOperator):
         return [(int(lo), int(lo + span), slots[at:at + span], int(k), None)
                 for lo, span, at, k in zip(firsts, spans, starts, offsets)], slots
 
-    def _jagged_passes(self, lengths: np.ndarray, row_offsets: np.ndarray,
-                       col_indices: np.ndarray, values: np.ndarray) -> tuple[list, np.ndarray]:
-        """The passes of the jagged layout, each gathered from the CSR
-        arrays on its own, and the gather that restores the row order."""
+    def _jagged_order(self, lengths: np.ndarray,
+                      row_offsets: np.ndarray) -> tuple[np.ndarray, np.ndarray, list]:
+        """The jagged layout's order: the gather that restores the row
+        order, the CSR index of every entry in the order its passes store
+        them, and each pass's (first row, end row, first entry, end entry,
+        row starts) in that order."""
         order = np.argsort(-lengths, kind="stable")
         inverse = np.empty_like(order)
         inverse[order] = np.arange(self.dim)
         # rows longer than k, for each slot k; non-increasing in k
         counts = self.dim - np.cumsum(np.bincount(lengths))[:-1]
         n_head = int(np.count_nonzero(counts >= TAIL_ROWS))
-        passes = []
+        entries, spans, end = np.empty(self.nnz, dtype=np.int64), [], 0
         if n_head:
             at = row_offsets[order[:counts[0]]]  # each row's next entry, in order
             for count in counts[:n_head].tolist():  # slot k: at + k over its rows
                 slot = at[:count]
-                passes.append((0, count, values.take(slot), col_indices.take(slot), None))
+                entries[end:end + count] = slot
+                spans.append((0, count, end, end + count, None))
                 slot += 1
+                end += count
             del at
         if n_head < counts.size:  # the longest rows' entries past the head slots
             rows = order[:counts[n_head]]
             tail = lengths[rows] - n_head
             starts = np.cumsum(tail) - tail
-            at = np.repeat(row_offsets[rows] + n_head - starts, tail) + np.arange(tail.sum())
-            vals, cols, ptr = values[at], col_indices[at], np.r_[starts, at.size]
+            at = entries[end:]
+            at[...] = np.repeat(row_offsets[rows] + n_head - starts, tail)
+            at += np.arange(at.size)
+            ptr = np.r_[starts, at.size] + end
             cuts = np.r_[0, np.flatnonzero(np.diff(starts // TAIL_PASS_ENTRIES)) + 1, rows.size]
-            passes += [(lo, hi, vals[ptr[lo]:ptr[hi]], cols[ptr[lo]:ptr[hi]],
-                        starts[lo:hi] - starts[lo]) for lo, hi in zip(cuts[:-1], cuts[1:])]
-        return passes, inverse
+            spans += [(lo, hi, ptr[lo], ptr[hi], starts[lo:hi] - starts[lo])
+                      for lo, hi in zip(cuts[:-1], cuts[1:])]
+        return inverse, entries, spans
 
     @property
     def nnz(self) -> int:
@@ -231,14 +303,21 @@ class SparseSymMatrix(LinearOperator):
 
     def apply(self, block: np.ndarray) -> np.ndarray:
         block = np.asarray(block, dtype=float)
+        out = np.empty(block.shape[::-1]).T  # column-major
+        self._write_product(block, out)
+        return out
+
+    def _write_product(self, block: np.ndarray, out: np.ndarray) -> None:
         by_column = block.reshape(block.shape[0], -1).T  # (m, n)
-        acc = np.zeros((by_column.shape[0], self.dim))
+        target = out.reshape(out.shape[0], -1).T
+        acc = target if self._inverse is None else np.empty_like(by_column, order="C")
+        acc[...] = 0.0
         for lo, hi, vals, source, starts in self._passes:
             # in place through a view: `acc[:, lo:hi] +=` would copy it back
             rows = acc[:, lo:hi]
             rows += _pass_terms(by_column, lo, hi, vals, source, starts)
-        out = (acc if self._inverse is None else acc.take(self._inverse, axis=1)).T
-        return out[:, 0] if block.ndim == 1 else out
+        if self._inverse is not None:  # "raise" would gather into a copy of out
+            np.take(acc, self._inverse, axis=1, out=target, mode="clip")
 
     @property
     def row_offsets(self) -> np.ndarray:
@@ -554,7 +633,7 @@ def laplacian_from_edges(n: int, edges: Iterable[tuple[int, int, float]]) -> Spa
     if not u.size:
         # Edgeless graph: the all-zero Laplacian.
         return _assemble(n, np.zeros(1, np.int64), np.zeros(1, np.int64), np.zeros(1))
-    return SparseSymMatrix(n, *_laplacian_csr(n, u, v, w))
+    return SparseSymMatrix._taking(n, _laplacian_csr(n, u, v, w))
 
 
 def _radix_order(keys: np.ndarray, top: int) -> np.ndarray:
@@ -563,13 +642,16 @@ def _radix_order(keys: np.ndarray, top: int) -> np.ndarray:
     first, which numpy runs as radix sorts, as many as ``top`` needs."""
     order = np.arange(keys.size)
     for shift in range(0, max(int(top).bit_length(), 1), 16):
-        digit = (keys >> shift).astype(np.uint16)  # the low 16 bits
-        order = order[np.argsort(digit[order], kind="stable")]
+        digit = (keys >> shift).astype(np.uint16)[order]  # the low 16 bits, in order so far
+        ranks = np.argsort(digit, kind="stable")
+        del digit
+        order = order[ranks]
     return order
 
 
 def _laplacian_csr(n: int, u: np.ndarray, v: np.ndarray, w: np.ndarray):
-    """Row offsets, columns and values of the Laplacian of valid edges.
+    """Row offsets, columns and values of the Laplacian of valid edges, in
+    a list for :meth:`SparseSymMatrix._taking` to take over.
 
     The input is symmetric by construction, so there is no mirror search:
     per edge, in input order, keys (u, v) and (v, u) hold -w, and one
@@ -613,4 +695,4 @@ def _laplacian_csr(n: int, u: np.ndarray, v: np.ndarray, w: np.ndarray):
     values = np.bincount(ids, weights=weights)
     del ids, weights
     cols %= n
-    return offsets, cols, values
+    return [offsets, cols, values]

@@ -216,9 +216,16 @@ class _CountingOperator(LinearOperator):
         self._tally = tally
 
     def apply(self, block: np.ndarray) -> np.ndarray:
+        self._count(block)
+        return self._inner.apply(block)
+
+    def _write_product(self, block: np.ndarray, out: np.ndarray) -> None:
+        self._count(block)
+        self._inner.apply_into(block, out)
+
+    def _count(self, block: np.ndarray) -> None:
         cols = block.shape[1] if block.ndim == 2 else 1
         setattr(self._counters, self._tally, getattr(self._counters, self._tally) + cols)
-        return self._inner.apply(block)
 
 
 class _Breakdown(LobpcgKitError):
@@ -321,7 +328,7 @@ class LobpcgEngine:
         else:
             start = self._rng.standard_normal((self.dim, self.block_size))
         start = self._full_rank_start(start)
-        start[0] = op_apply(self.a_op, start[1])
+        self.a_op.apply_into(start[1], start[0])
 
         # an empty state stepped as sub-blocks, none of which carries directions yet
         width, sub_block = self.block_size, cfg.sub_block or self.block_size
@@ -561,7 +568,7 @@ class LobpcgEngine:
         kept = [len(outcome[0]) if isinstance(outcome, tuple) else 0 for outcome in outcomes]
         del outcomes  # and its transforms, before A W is formed at the step's peak
         blocks = [k for (k, _), cols in zip(moving, kept) if cols]
-        ws[0] = op_apply(self.a_op, ws[1])
+        self.a_op.apply_into(ws[1], ws[0])
         w_edges = [0, *accumulate(filter(None, kept))]
         members = []
         for k, lo, hi in zip(blocks, w_edges[:-1], w_edges[1:]):

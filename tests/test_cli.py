@@ -419,9 +419,9 @@ class TestUnreadableInput:
 
     @pytest.mark.parametrize("content,message", [
         (b"u,v,weight\n0,1,1\n# caf\xe9\n1,2,1\n",
-         "MatrixMarketParseError: line 3: not valid UTF-8"),
+         "EdgeListParseError: line 3: not valid UTF-8"),
         (b"0,1,1\n1,99999999999999999999,1\n",
-         "MatrixMarketParseError: line 2: cannot parse row '1,99999999999999999999,1'"),
+         "EdgeListParseError: line 2: cannot parse row '1,99999999999999999999,1'"),
     ])
     def test_partition(self, tmp_path, capsys, content, message):
         path = tmp_path / "bad.csv"

@@ -7,6 +7,7 @@ from conftest import laplacian_1d
 
 from lobpcg_kit import (
     BadHeaderError,
+    EdgeListParseError,
     MatrixMarketParseError,
     NonSymmetricDataError,
     UnsupportedFieldError,
@@ -194,6 +195,31 @@ class TestEdgeCsv:
         path = write(tmp_path, "bad.csv", "0,1,1.0\n1,two,1.0\n")
         with pytest.raises(MatrixMarketParseError) as exc:
             read_edge_csv(path)
+        assert exc.value.line_no == 2
+
+    @pytest.mark.parametrize("content,line_no,message", [
+        (b"u,v,weight\n0,1,1\n# caf\xe9\n", 3, "not valid UTF-8"),
+        (b"0,1,1\n1,2\n", 2, "row needs 'u,v,weight'"),
+        (b"0,1,1\n1,two,1\n", 2, "cannot parse row '1,two,1'"),
+        (b"0,1,1\n1,-2,1\n", 2, "vertex ids must be >= 0"),
+        (b"u,v,weight\n# none\n", None, "edge file holds no edges"),
+    ], ids=["bytes", "fields", "number", "negative id", "empty body"])
+    def test_every_error_is_an_edge_list_error(self, tmp_path, content, line_no, message):
+        # and still a MatrixMarketParseError, for handlers of that class
+        path = tmp_path / "bad.csv"
+        path.write_bytes(content)
+        with pytest.raises(EdgeListParseError) as exc:
+            read_edge_csv(path)
+        assert isinstance(exc.value, MatrixMarketParseError)
+        assert exc.value.line_no == line_no
+        assert str(exc.value) == (message if line_no is None else f"line {line_no}: {message}")
+
+    def test_matrix_market_errors_stay_matrix_market_errors(self, tmp_path):
+        path = tmp_path / "bad.mtx"
+        path.write_bytes(b"%%MatrixMarket matrix coordinate real symmetric\n% caf\xe9\n")
+        with pytest.raises(MatrixMarketParseError) as exc:
+            parse_matrix_market(path)
+        assert type(exc.value) is MatrixMarketParseError
         assert exc.value.line_no == 2
 
     def test_round_trip(self, tmp_path):

@@ -1,6 +1,7 @@
 """Operator contracts: CSR assembly, block application, preconditioners,
 graph Laplacians."""
 
+import functools
 import gc
 import re
 import tracemalloc
@@ -27,6 +28,7 @@ from lobpcg_kit import (
     IdentityOperator,
     IndexOutOfRangeError,
     InvalidConfigError,
+    LinearOperator,
     NegativeWeightError,
     SelfLoopError,
     SparseSymMatrix,
@@ -36,6 +38,7 @@ from lobpcg_kit import (
     laplacian_from_edges,
     op_apply,
 )
+from lobpcg_kit.blocks import empty_stack
 from lobpcg_kit.operators import DIAGONAL_FILL, TAIL_PASS_ENTRIES, TAIL_ROWS
 
 
@@ -373,14 +376,138 @@ class TestApplyLayout:
         assert np.isfinite(out[:, [0, 2]]).all()
 
 
+def periodic_laplacian(block):
+    """The periodic second difference of a block's columns: symmetric."""
+    return 2.0 * block - np.roll(block, 1, axis=0) - np.roll(block, -1, axis=0)
+
+
+class OnlyApply(LinearOperator):
+    """A user operator that defines ``apply`` and nothing else."""
+
+    def apply(self, block):
+        return periodic_laplacian(block)
+
+
+class CountingDiagonal(DiagonalOperator):
+    """A subclass whose ``apply`` overrides the one its kernel belongs to."""
+
+    def apply(self, block):
+        self.calls = getattr(self, "calls", 0) + 1
+        return super().apply(block)
+
+
+@functools.cache
+def into_operator(kind, big):
+    """One operator of each kind ``apply_into`` is checked on, built once:
+    the sparse ones in both layouts, the jagged one with head slots when
+    ``big``."""
+    rng = np.random.default_rng(len(kind) + big)
+    if kind == "stencil":
+        dims = (12, 16, 21) if big else (3, 4, 5)
+        return grid_stencil(dims, lambda size: rng.uniform(-2.0, 2.0, size))
+    if kind in ("fe stiffness", "fe mass"):
+        return q1_pencil(*((30, 40) if big else (4, 6)))[kind == "fe mass"]
+    n = 1500 if big else 300
+    if kind == "heavy-tailed laplacian":
+        return laplacian_from_edges(n, heavy_tailed_edges(n, seed=int(big)))
+    return {"diagonal": lambda: DiagonalOperator(rng.uniform(-2.0, 2.0, n)),
+            "counting diagonal": lambda: CountingDiagonal(rng.uniform(-2.0, 2.0, n)),
+            "identity": lambda: IdentityOperator(n),
+            "callable": lambda: CallableOperator(n, periodic_laplacian),
+            "only apply": lambda: OnlyApply(n)}[kind]()
+
+
+INTO_KINDS = ("stencil", "fe stiffness", "fe mass", "heavy-tailed laplacian", "diagonal",
+              "counting diagonal", "identity", "callable", "only apply")
+
+
+class TestApplyInto:
+    """``apply_into`` writes ``apply``'s product into a block the caller
+    holds: a member of a column-major stack, as the solvers pass, or any
+    other float64 block of the shape."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(st.sampled_from(INTO_KINDS), st.booleans(), st.integers(1, 12),
+           st.sampled_from(["member", "F", "C"]), st.sampled_from(["member", "C"]),
+           st.integers(0, 2 ** 32 - 1))
+    def test_writes_the_bytes_apply_returns(self, kind, big, m, block_kind, out_kind, seed):
+        op = into_operator(kind, big)
+        if isinstance(op, SparseSymMatrix):  # both layouts are covered
+            assert op.layout == ("jagged" if kind == "heavy-tailed laplacian" else "diagonal")
+        n, rng = op.dim, np.random.default_rng(seed)
+        stack = empty_stack(3, n, m)
+        values = rng.uniform(-1.0, 1.0, (n, m))
+        block = {"member": stack[1], "F": np.asfortranarray(values),
+                 "C": np.ascontiguousarray(values)}[block_kind]
+        block[...] = values
+        expected = op.apply(block)
+        out = stack[2] if out_kind == "member" else np.empty((n, m))
+        out[...] = np.nan
+        assert op.apply_into(block, out) is out
+        assert np.ascontiguousarray(out).tobytes() == np.ascontiguousarray(expected).tobytes()
+        assert np.array_equal(block, values)
+
+        # an out that overlaps the block is refused before anything is written
+        shifted = np.zeros((n + 1, m), order="F")
+        with pytest.raises(DimensionMismatchError, match="shares memory"):
+            op.apply_into(shifted[1:], shifted[:-1])
+        with pytest.raises(DimensionMismatchError, match="shares memory"):
+            op.apply_into(block, block)
+
+        # an instance whose apply was replaced, as a tracer or a spy does, is
+        # applied through the replacement
+        seen, inner = [], op.apply
+
+        def spy(spied):
+            seen.append(spied.shape)
+            return inner(spied)
+
+        op.apply = spy
+        try:
+            out[...] = np.nan
+            op.apply_into(block, out)
+        finally:
+            del op.apply
+        assert seen == [(n, m)]
+        assert np.ascontiguousarray(out).tobytes() == np.ascontiguousarray(expected).tobytes()
+
+    def test_an_overriding_subclass_is_applied_through_its_apply(self):
+        op = CountingDiagonal(np.arange(1.0, 6.0))
+        out = op.apply_into(np.ones((5, 2)), np.empty((5, 2)))
+        assert op.calls == 1
+        assert np.array_equal(out, np.arange(1.0, 6.0)[:, None] * np.ones((5, 2)))
+
+    @pytest.mark.parametrize("out", [np.empty((6, 2)), np.empty((5, 3)),
+                                     np.empty((5, 2), dtype=np.float32)],
+                             ids=["rows", "columns", "dtype"])
+    def test_an_out_of_another_shape_or_type_is_refused(self, out):
+        with pytest.raises(DimensionMismatchError):
+            IdentityOperator(5).apply_into(np.ones((5, 2)), out)
+
+    def test_sparse_apply_into_holds_one_block(self, rng):
+        # lap3d_std's stencil at 10 columns, written into a stack member:
+        # one shifted product beside the out it is added into, plus one
+        # ufunc buffer of numpy's (apply holds its out as a second block)
+        dims = (12, 16, 21)
+        n = int(np.prod(dims))
+        matrix = grid_stencil(dims, lambda size: np.r_[np.full(n, 6.0), -np.ones(size - n)])
+        stack = empty_stack(2, n, 10)
+        stack[1] = rng.standard_normal((n, 10))
+        _, peak = peak_bytes(lambda: matrix.apply_into(stack[1], stack[0]))
+        assert peak <= stack[1].nbytes + 8 * np.getbufsize() + 4096
+        assert stack[0].tobytes() == matrix.apply(stack[1]).tobytes()
+
+
 def test_laplacian_assembly_peak_per_stored_entry():
-    # 39.1 bytes per stored entry; 58.4 while the assembly gathered into
-    # fresh nnz-sized arrays and the matrix copied its CSR arrays, and 162
+    # 35.5 bytes per stored entry, at the radix sort; 39.2 while the matrix
+    # read the CSR arrays with the assembly still holding them and gathered
+    # each slot apart, 58.4 while the assembly gathered into fresh
+    # nnz-sized arrays and the matrix copied its CSR arrays, and 162
     # through csr_from_coo's checked path, from four triplets per edge
     n = 4000
     edges = heavy_tailed_edges(n, seed=0)
     lap, peak = peak_bytes(lambda: laplacian_from_edges(n, edges))
-    assert peak < 43 * lap.nnz
+    assert peak < 39 * lap.nnz
 
 
 def test_jagged_matrix_holds_each_entry_once():

@@ -109,7 +109,8 @@ def test_laplacian_and_bisection_match_the_checked_path_at_scale(monkeypatch):
 
 
 def test_bisection_peak_per_stored_entry():
-    # 39.1 bytes per entry of the Laplacian, set by its assembly; 62.4 while
+    # 35.4 bytes per entry of the Laplacian, set by its assembly (39.1
+    # before the matrix took the assembly's arrays over); 62.4 while
     # the matrix kept its CSR arrays beside the jagged copy and the cut
     # weight gathered rows and labels over every stored entry
     n = 4000
@@ -117,4 +118,4 @@ def test_bisection_peak_per_stored_entry():
     partition_graph(n, edges)  # numpy's first-call set-up is not the bisection's
     part, peak = peak_bytes(lambda: partition_graph(n, edges))
     assert np.unique(part.labels).tolist() == [0, 1]
-    assert peak < 43 * laplacian_from_edges(n, edges).nnz
+    assert peak < 39 * laplacian_from_edges(n, edges).nnz

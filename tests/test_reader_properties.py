@@ -25,6 +25,7 @@ from hypothesis import strategies as st
 
 from lobpcg_kit import (
     BadHeaderError,
+    EdgeListParseError,
     LobpcgKitError,
     MatrixMarketParseError,
     NonSymmetricDataError,
@@ -160,19 +161,19 @@ def reference_edge_csv(path):
                 continue
             parts = [p.strip() for p in text.split(",")]
             if len(parts) != 3:
-                raise MatrixMarketParseError("row needs 'u,v,weight'", line_no)
+                raise EdgeListParseError("row needs 'u,v,weight'", line_no)
             try:
                 u, v, w = int(parts[0]), int(parts[1]), float(parts[2])
             except ValueError:
                 if line_no == 1:
                     continue  # optional header row
-                raise MatrixMarketParseError(f"cannot parse row {text!r}", line_no) from None
+                raise EdgeListParseError(f"cannot parse row {text!r}", line_no) from None
             if u < 0 or v < 0:
-                raise MatrixMarketParseError("vertex ids must be >= 0", line_no)
+                raise EdgeListParseError("vertex ids must be >= 0", line_no)
             edges.append((u, v, w))
             top = max(top, u, v)
     if not edges:
-        raise MatrixMarketParseError("edge file holds no edges")
+        raise EdgeListParseError("edge file holds no edges")
     return top + 1, edges
 
 

@@ -279,11 +279,13 @@ class TestStepMemory:
     """A step holds only the blocks it still needs."""
 
     def test_standard_step_holds_about_eight_blocks(self):
-        # lap3d_std's Laplacian: the step peaks in phase 1, applying A to W,
-        # with the state's X and P stacks (A V, V), the round's W stack and
-        # A W: about eight n x width blocks (8.29 measured). It held 10.17
-        # while P lived until the Ritz block was formed, and 15.15 while
-        # every block a step read lived until the step returned
+        # lap3d_std's Laplacian: the step peaks at the Ritz block's
+        # post-check, with the state's X stack (A V, V), the round's W
+        # stack, the tail and the new Ritz block: about eight n x width
+        # blocks (8.11 measured). It peaked at 8.24 in phase 1 while A W was
+        # formed apart and copied into its stack slot, at 10.17 while P
+        # lived until the Ritz block was formed, and at 15.15 while every
+        # block a step read lived until the step returned
         dims = (12, 16, 21)
         n = int(np.prod(dims))
         a = grid_stencil(dims, lambda size: np.r_[np.full(n, 6.0), -np.ones(size - n)])
@@ -292,7 +294,7 @@ class TestStepMemory:
         result, peak = peak_blocks(lambda: lobpcg_solve(a, cfg, precond=precond),
                                    n, cfg.width())
         assert result.status == "converged"
-        assert peak <= 9.1
+        assert peak <= 8.9
 
     def test_generalized_step_holds_about_twelve_blocks(self):
         # one sub-block of 12 on a Q1 FE pencil: the step peaks at the Ritz
