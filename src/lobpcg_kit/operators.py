@@ -310,7 +310,7 @@ class SparseSymMatrix(LinearOperator):
     def _write_product(self, block: np.ndarray, out: np.ndarray) -> None:
         by_column = block.reshape(block.shape[0], -1).T  # (m, n)
         target = out.reshape(out.shape[0], -1).T
-        acc = target if self._inverse is None else np.empty_like(by_column, order="C")
+        acc = target if self._inverse is None else np.empty(by_column.shape)
         acc[...] = 0.0
         for lo, hi, vals, source, starts in self._passes:
             # in place through a view: `acc[:, lo:hi] +=` would copy it back

@@ -219,9 +219,9 @@ class _CountingOperator(LinearOperator):
         self._count(block)
         return self._inner.apply(block)
 
-    def _write_product(self, block: np.ndarray, out: np.ndarray) -> None:
+    def apply_into(self, block: np.ndarray, out: np.ndarray) -> np.ndarray:
         self._count(block)
-        self._inner.apply_into(block, out)
+        return self._inner.apply_into(block, out)
 
     def _count(self, block: np.ndarray) -> None:
         cols = block.shape[1] if block.ndim == 2 else 1
