@@ -2,15 +2,30 @@
 
 Readers are liberal about blank lines, comment lines (a ``%``, or ``#`` in
 edge lists, first on a line) and CRLF endings and strict about everything
-else, reporting 1-based line numbers on failure.  One ``np.loadtxt`` call
-parses a file's body; a per-line pass runs only to name an error.  Numbers
-are written with 17 significant digits so files round-trip float64 exactly.
+else, reporting 1-based line numbers on failure.  Numbers are written with
+17 significant digits so files round-trip float64 exactly.
+
+A reader reads only the lines before a file's body (the banner, comments
+and size line, or an edge list's optional header) and passes the file's
+path to one ``np.loadtxt`` call that skips them, so that numpy's chunked C
+reader parses the body without a Python string per line.  The file's whole
+text is read as a list of lines, blank and comment lines dropped, and
+parsed by one ``np.loadtxt`` call as before where that read does not apply
+or fails: the input is not a regular file (a pipe such as
+``<(zcat g.csv.gz)``), its name ends in a suffix numpy would decompress,
+loadtxt refuses the body (a comment, whitespace-only or malformed line, a
+byte that is not UTF-8) or a check on the records fails.  A per-line pass
+over that list runs only to name an error, so both reads give the same
+records and the same errors.
 """
 
 from __future__ import annotations
 
 import io
 import os
+import stat
+import warnings
+from functools import partial
 from typing import Iterable
 
 import numpy as np
@@ -18,6 +33,7 @@ import numpy as np
 from .errors import (
     BadHeaderError,
     EdgeListParseError,
+    LobpcgKitError,
     MatrixMarketParseError,
     NonSymmetricDataError,
     UnsupportedFieldError,
@@ -35,6 +51,9 @@ _COORD_BANNER = "%%matrixmarket"
 
 #: Relative agreement required between (i, j) and (j, i) in general files.
 GENERAL_SYM_RTOL = 1e-12
+
+#: Suffixes numpy's DataSource decompresses a file by (compared lower-case).
+_COMPRESSED = (".gz", ".bz2", ".xz", ".lzma")
 
 
 def _fmt(x: float) -> str:
@@ -69,8 +88,8 @@ def _data_lines(text: str, comment: str = "%"):
             yield line_no, stripped
 
 
-def _load_body(text: str, skip: int, dtype, delimiter, comment: str, valid, find_error,
-               error=MatrixMarketParseError):
+def _load_body(text: str, skip: int, dtype, delimiter, valid, find_error,
+               comment: str = "%", error=MatrixMarketParseError):
     """The lines of ``text`` after the first ``skip``, less blank and
     comment lines, parsed by one ``np.loadtxt`` call into ``dtype``.  If it
     fails or ``valid(records)`` does not hold, ``find_error()`` raises, an
@@ -90,6 +109,70 @@ def _load_body(text: str, skip: int, dtype, delimiter, comment: str, valid, find
         find_error()
         raise error("the file body does not parse")  # not reached
     return records
+
+
+def _direct_name(path: str | os.PathLike) -> str | None:
+    """The name under which ``np.loadtxt`` reads ``path`` with numpy's
+    chunked C reader, or None where it must not: ``path`` must name a
+    regular file, not a pipe, and no suffix by which numpy's DataSource
+    would decompress it.  A relative name gains a ``./`` prefix, so that
+    DataSource cannot take it for a URL."""
+    name = os.fspath(path)
+    if not isinstance(name, str) or name.lower().endswith(_COMPRESSED):
+        return None
+    try:
+        if not stat.S_ISREG(os.stat(name).st_mode):
+            return None
+    except (OSError, ValueError):
+        return None
+    return os.path.join(os.curdir, name)
+
+
+def _direct_body(name: str, encoding: str, skip: int, dtype, delimiter, valid, find_error):
+    """``_load_body`` on the file ``name`` itself: one ``np.loadtxt`` call
+    on its path skips its first ``skip`` lines and parses the rest.  Where
+    loadtxt refuses the body or ``valid(records)`` does not hold it raises
+    ValueError, on which ``_read`` falls back to the line list, whose
+    ``find_error`` names the error."""
+    with warnings.catch_warnings():
+        # an empty body warns; the line list returns an empty array
+        warnings.simplefilter("ignore", UserWarning)
+        records = np.loadtxt(name, dtype, delimiter=delimiter, comments=None, skiprows=skip,
+                             ndmin=1, encoding=encoding)
+    if not valid(records):
+        raise ValueError("the records fail a check")
+    return records
+
+
+def _read(path: str | os.PathLike, parse, comment: str = "%", error=MatrixMarketParseError,
+          bom: bool = False):
+    """``parse(text, load_body)`` on the file at ``path``, where
+    ``load_body(skip, dtype, delimiter, valid, find_error)`` returns the
+    records of the lines after the first ``skip``.
+
+    ``parse`` runs first on the file's head, its lines up to and including
+    the first that is not blank or a comment, with ``_direct_body``.  If
+    that does not apply or raises, it runs on the file's whole text with
+    ``_load_body``, as every file was read before, so that an error is the
+    same either way.  ``bom``: a leading UTF-8 byte order mark is dropped.
+    """
+    name = _direct_name(path)
+    if name is not None:
+        encoding = "utf-8-sig" if bom else "utf-8"
+        try:
+            with open(name, encoding=encoding) as handle:
+                head = []
+                for line in handle:
+                    head.append(line)
+                    if (stripped := line.strip()) and not stripped.startswith(comment):
+                        break
+            return parse("".join(head), partial(_direct_body, name, encoding))
+        except (LobpcgKitError, ValueError, OSError):
+            pass  # the line list reads what loadtxt refused, or names the error
+    text = _read_text(path, error)
+    if bom:
+        text = text.removeprefix("\ufeff")
+    return parse(text, partial(_load_body, text, comment=comment, error=error))
 
 
 def _parse_header(path: str | os.PathLike, text: str, expected: str) -> str:
@@ -159,17 +242,19 @@ def parse_matrix_market(path: str | os.PathLike) -> SparseSymMatrix:
     Indices are converted from 1-based to 0-based, duplicates are summed,
     and symmetric files holding one triangle are mirrored.
     """
-    text = _read_text(path)
-    sym = _parse_header(path, text, "coordinate")
-    lines = _data_lines(text)
-    size_line_no, (rows, cols, nnz) = _size_line(lines, "rows cols nnz")
-    if rows != cols:
-        raise MatrixMarketParseError(f"matrix is {rows}x{cols}, not square", size_line_no)
-    entries = _load_body(
-        text, size_line_no, _TRIPLET, None, "%",
-        lambda e: e.size == nnz and np.all((1 <= e["i"]) & (e["i"] <= rows)
-                                           & (1 <= e["j"]) & (e["j"] <= rows)),
-        lambda: _entry_errors(lines, size_line_no, rows, nnz))
+    def parse(text, load_body):
+        sym = _parse_header(path, text, "coordinate")
+        lines = _data_lines(text)
+        size_line_no, (rows, cols, nnz) = _size_line(lines, "rows cols nnz")
+        if rows != cols:
+            raise MatrixMarketParseError(f"matrix is {rows}x{cols}, not square", size_line_no)
+        return sym, rows, load_body(
+            size_line_no, _TRIPLET, None,
+            lambda e: e.size == nnz and np.all((1 <= e["i"]) & (e["i"] <= rows)
+                                               & (1 <= e["j"]) & (e["j"] <= rows)),
+            lambda: _entry_errors(lines, size_line_no, rows, nnz))
+
+    sym, rows, entries = _read(path, parse)
     entries["i"] -= 1
     entries["j"] -= 1
 
@@ -212,15 +297,17 @@ def _value_errors(lines, last_line_no: int, expected: int) -> None:
 def read_dense_matrix_market(path: str | os.PathLike) -> np.ndarray:
     """Read an ``array real general`` file, one value a line, into an
     (n, m) array."""
-    text = _read_text(path)
-    if _parse_header(path, text, "array") != "general":
-        raise UnsupportedFieldError("array files must be general")
-    lines = _data_lines(text)
-    size_line_no, (rows, cols) = _size_line(lines, "rows cols")
-    # one field a record, so that a line of two numbers is refused
-    values = _load_body(text, size_line_no, [("v", float)], None, "%",
-                        lambda values: values.size == rows * cols,
-                        lambda: _value_errors(lines, size_line_no, rows * cols))
+    def parse(text, load_body):
+        if _parse_header(path, text, "array") != "general":
+            raise UnsupportedFieldError("array files must be general")
+        lines = _data_lines(text)
+        size_line_no, (rows, cols) = _size_line(lines, "rows cols")
+        # one field a record, so that a line of two numbers is refused
+        return rows, cols, load_body(size_line_no, [("v", float)], None,
+                                     lambda values: values.size == rows * cols,
+                                     lambda: _value_errors(lines, size_line_no, rows * cols))
+
+    rows, cols, values = _read(path, parse)
     # Array format stores columns contiguously.
     return values["v"].reshape((cols, rows)).T
 
@@ -269,12 +356,14 @@ def read_edge_csv(path: str | os.PathLike) -> tuple[int, np.ndarray]:
     ``tolist()`` is the list of ``(u, v, weight)`` tuples.  Malformed
     content raises :class:`EdgeListParseError`.
     """
-    text = _read_text(path, EdgeListParseError).removeprefix("\ufeff")
-    head = text.partition("\n")[0].strip()
-    header = bool(head) and not head.startswith("#") and not _edge_row(head, 1)
-    edges = _load_body(text, int(header), _TRIPLET, ",", "#",
-                       lambda e: e.size and min(e["i"].min(), e["j"].min()) >= 0,
-                       lambda: _edge_errors(text), EdgeListParseError)
+    def parse(text, load_body):
+        head = text.partition("\n")[0].strip()
+        header = bool(head) and not head.startswith("#") and not _edge_row(head, 1)
+        return load_body(int(header), _TRIPLET, ",",
+                         lambda e: e.size and min(e["i"].min(), e["j"].min()) >= 0,
+                         lambda: _edge_errors(text))
+
+    edges = _read(path, parse, "#", EdgeListParseError, bom=True)
     return int(max(edges["i"].max(), edges["j"].max())) + 1, edges
 
 

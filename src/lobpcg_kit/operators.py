@@ -416,6 +416,16 @@ _TRIPLET = np.dtype([("i", np.int64), ("j", np.int64), ("v", float)])
 _RAW_TRIPLET = np.dtype([("i", float), ("j", float), ("v", float)])
 
 
+def _raw_records(records: list) -> np.ndarray:
+    """``records`` as a ``_RAW_TRIPLET`` array, each through ``tuple()``, so
+    that a record that is not a triple raises."""
+    try:
+        return np.fromiter(map(tuple, records), _RAW_TRIPLET, len(records))
+    except OverflowError:  # an integer beyond the float range: as an index, inf
+        return np.array([(*(x if abs(x) < 2**63 else np.inf for x in r[:2]), r[2])
+                         for r in map(tuple, records)], _RAW_TRIPLET)
+
+
 def _coo_columns(records: Iterable) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Row, column and value arrays of (i, j, value) records: a ``_TRIPLET``
     array as it is, or any iterable of triples, whose indices must be
@@ -425,10 +435,16 @@ def _coo_columns(records: Iterable) -> tuple[np.ndarray, np.ndarray, np.ndarray]
         return records["i"], records["j"], records["v"]
     records = records if isinstance(records, list) else list(records)
     try:
-        raw = np.fromiter(map(tuple, records), _RAW_TRIPLET, len(records))
-    except OverflowError:  # an integer beyond the float range: as an index, inf
-        raw = np.array([(*(x if abs(x) < 2**63 else np.inf for x in r[:2]), r[2])
-                        for r in map(tuple, records)], _RAW_TRIPLET)
+        # tuples go in as they are; a list record raises, for _raw_records
+        raw = np.fromiter(records, _RAW_TRIPLET, len(records))
+        # numpy gives a scalar or a size-1 record to all three fields, so the
+        # records whose fields agree bit for bit go through tuple() as well
+        bits = raw.view(np.uint64).reshape(-1, 3)
+        same = np.flatnonzero((bits[:, 0] == bits[:, 1]) & (bits[:, 1] == bits[:, 2]))
+        if same.size:
+            raw[same] = _raw_records([records[k] for k in same])
+    except (ValueError, TypeError, OverflowError):
+        raw = _raw_records(records)
     i, j = raw["i"], raw["j"]
     bad = (np.trunc(i) != i) | (np.trunc(j) != j) | ~(np.maximum(abs(i), abs(j)) < 2.0**63)
     if bad.any():

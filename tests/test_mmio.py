@@ -1,9 +1,16 @@
 """File-format contracts: Matrix Market coordinate/array and edge CSV."""
 
+import gzip
+import os
+import subprocess
+import sys
+import urllib.parse
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from conftest import laplacian_1d
+from conftest import heavy_tailed_edges, laplacian_1d, peak_bytes
 
 from lobpcg_kit import (
     BadHeaderError,
@@ -262,3 +269,89 @@ class TestOneParsePath:
         path.write_bytes(b"%%MatrixMarket matrix array real general\r\n% comment\r\n"
                          b"2 1\r\n\r\n 1.5 \r\n% between\r\n-2\r\n")
         np.testing.assert_array_equal(read_dense_matrix_market(path), [[1.5], [-2.0]])
+
+    def test_plain_bodies_are_read_from_the_path(self, tmp_path, monkeypatch):
+        # a body of data lines only never becomes the text's list of lines
+        def refuse(*args):
+            raise AssertionError("the file's whole text was read")
+        monkeypatch.setattr(mmio, "_read_text", refuse)
+        edges = write(tmp_path, "e.csv", "\ufeffu,v,weight\r\n0,1,1.5\r\n3,2,2.5")
+        assert read_edge_csv(edges)[1].tolist() == [(0, 1, 1.5), (3, 2, 2.5)]
+        coordinate = write(tmp_path, "c.mtx", "%%MatrixMarket matrix coordinate real symmetric"
+                           "\n% comment\n\n2 2 2\n1 1 2.0\n2 2 3.0\n")
+        np.testing.assert_array_equal(parse_matrix_market(coordinate).to_dense(), np.diag([2., 3.]))
+        array = write(tmp_path, "a.mtx", "%%MatrixMarket matrix array real general\r2 1\r1.5\r-2\r")
+        np.testing.assert_array_equal(read_dense_matrix_market(array), [[1.5], [-2.0]])
+
+
+class TestNotReadDirectly:
+    """Inputs that numpy's loadtxt must not open by their path: it would
+    block on a pipe, decompress by suffix and look for ``path.gz`` when
+    ``path`` is missing.  They are read as text, as every file was before."""
+
+    EDGES = "u,v,weight\n0,1,1.5\n1,2,2.5\n"
+
+    def test_fifo(self, tmp_path):
+        # as `lobpcg-kit partition --edges <(zcat g.csv.gz)` gives the reader
+        fifo = tmp_path / "g.csv"
+        os.mkfifo(fifo)
+        script = ("import sys, threading\n"
+                  "from lobpcg_kit import read_edge_csv\n"
+                  "def feed():\n"
+                  "    with open(sys.argv[1], 'w') as handle:\n"
+                  f"        handle.write({self.EDGES!r})\n"
+                  "threading.Thread(target=feed, daemon=True).start()\n"
+                  "n, edges = read_edge_csv(sys.argv[1])\n"
+                  "print(n, edges.tolist())\n")
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        done = subprocess.run([sys.executable, "-c", script, str(fifo)], capture_output=True,
+                              text=True, timeout=60, env=dict(os.environ, PYTHONPATH=src))
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "3 [(0, 1, 1.5), (1, 2, 2.5)]\n"
+
+    def test_text_named_like_an_archive(self, tmp_path):
+        path = write(tmp_path, "graph.csv.gz", self.EDGES)
+        n, edges = read_edge_csv(path)
+        assert (n, edges.tolist()) == (3, [(0, 1, 1.5), (1, 2, 2.5)])
+
+    def test_gzip_file_is_not_utf8(self, tmp_path):
+        path = tmp_path / "g.csv.gz"
+        path.write_bytes(gzip.compress(self.EDGES.encode("utf-8")))
+        with pytest.raises(EdgeListParseError, match=r"^line 1: not valid UTF-8$"):
+            read_edge_csv(path)
+
+    @pytest.mark.parametrize("suffix", [".gz", ".bz2", ".xz", ".lzma", ".GZ"])
+    def test_archive_suffix_is_read_as_text(self, tmp_path, suffix):
+        # a compressed file seldom gets past the head's UTF-8 check, but one
+        # whose first line decodes would reach loadtxt, which decompresses
+        path = write(tmp_path, "g.csv" + suffix, self.EDGES)
+        assert mmio._direct_name(path) is None
+        assert mmio._direct_name(tmp_path / "g.csv") is None  # missing
+        assert mmio._direct_name(write(tmp_path, "g.csv", self.EDGES)) is not None
+
+    def test_missing_file_beside_its_archive(self, tmp_path):
+        (tmp_path / "g.csv.gz").write_bytes(gzip.compress(self.EDGES.encode("utf-8")))
+        with pytest.raises(FileNotFoundError):
+            read_edge_csv(tmp_path / "g.csv")
+        with pytest.raises(FileNotFoundError):
+            read_edge_csv(str(tmp_path / "g.csv"))
+
+    def test_relative_name_is_never_a_url(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "http:" / "host").mkdir(parents=True)
+        write(tmp_path / "http:" / "host", "g.csv", self.EDGES)
+        name = mmio._direct_name("http://host/g.csv")
+        assert os.path.samefile(name, tmp_path / "http:" / "host" / "g.csv")
+        parts = urllib.parse.urlparse(name)
+        assert not (parts.scheme and parts.netloc)
+
+
+def test_edge_csv_peak_is_near_its_records(tmp_path):
+    # read straight from the file, the body needs about the records' 24
+    # bytes an edge; a Python string per line took about five times that
+    path = tmp_path / "g.csv"
+    write_edge_csv(path, heavy_tailed_edges(12_000, 7).tolist())
+    read_edge_csv(path)  # first-call allocations are not the reader's
+    (_, edges), peak = peak_bytes(lambda: read_edge_csv(path))
+    assert edges.size >= 50_000
+    assert peak <= 1.3 * edges.nbytes + 256 * 1024

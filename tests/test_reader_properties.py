@@ -1,9 +1,15 @@
 """Property tests of the file readers against per-line reference readers.
 
 The references below are the readers' former line-by-line loops.  The
-readers now parse a file's body in one ``np.loadtxt`` call and run a
-per-line pass only to name an error.  Valid files must give the same values
-bit for bit, malformed ones the same error type, message and line number.
+readers read a regular file's body by one ``np.loadtxt`` call on its path
+(the direct read), and fall back on the file's text as a list of lines,
+parsed by one ``np.loadtxt`` call, where loadtxt refuses the body or a check
+on its records fails; a per-line pass runs only to name an error.  Valid
+files must give the same values bit for bit, malformed ones the same error
+type, message and line number.  About half of the generated files have
+bodies of well-formed data lines only, which the direct read takes, so that
+both reads are compared with the references about as often;
+``test_both_reads_take_a_large_share_of_the_generated_files`` counts them.
 
 Two grammar differences are intended and excluded from the comparison by
 ``intended_difference``; ``TestIntendedDifferences`` checks each of them:
@@ -236,13 +242,18 @@ FLAW = rarely(st.sampled_from(["fields", "token", "range", "comment"]))
 
 
 @st.composite
-def file_text(draw, data_line, comment, head=()):
+def file_text(draw, data_line, plain_line, comment, head=()):
     """``head`` lines, then data, blank and comment lines, with mixed line
-    endings and an optional last ending."""
+    endings and an optional last ending.  Half of the bodies are plain:
+    lines of ``plain_line`` only."""
     lines = list(head)
+    plain = draw(st.booleans())
     for _ in range(draw(st.integers(0, 8))):
-        kind = draw(st.sampled_from(["data", "data", "data", "data", "blank", "comment"]))
-        if kind == "data":
+        kind = "plain" if plain else draw(
+            st.sampled_from(["data", "data", "data", "data", "blank", "comment"]))
+        if kind == "plain":
+            lines.append(draw(plain_line))
+        elif kind == "data":
             lines.append(draw(data_line))
         elif kind == "blank":
             lines.append(draw(SPACE) + draw(SPACE))
@@ -255,11 +266,11 @@ def file_text(draw, data_line, comment, head=()):
 
 
 @st.composite
-def data_line(draw, ints, out_of_range, sep):
+def data_line(draw, ints, out_of_range, sep, flaws=FLAW):
     """Integers drawn from ``ints`` (else out of range) and a float, each
-    padded and joined by ``sep``, with at most one flaw."""
+    padded and joined by ``sep``, with at most one flaw from ``flaws``."""
     fields = [str(draw(ints)) for _ in range(0 if ints is None else 2)] + [draw(WEIGHT)]
-    flaw = draw(FLAW)
+    flaw = draw(flaws)
     if flaw == "fields":
         fields = fields[:-1] if draw(st.booleans()) else fields + ["1"]
     elif flaw == "token":
@@ -277,16 +288,18 @@ def edge_files(draw):
     head = []
     if draw(st.booleans()):
         head = [draw(st.sampled_from(["u,v,weight", " source , target , w ", "a,b", "#u,v,w"]))]
-    rows = data_line(st.integers(0, 12), st.integers(-3, -1), ",")
-    return draw(st.sampled_from(["", "\ufeff"])) + draw(file_text(rows, "#", head))
+    rows = [data_line(st.integers(0, 12), st.integers(-3, -1), ",", flaws)
+            for flaws in (FLAW, st.none())]
+    return draw(st.sampled_from(["", "\ufeff"])) + draw(file_text(*rows, "#", head))
 
 
 @st.composite
 def coordinate_files(draw):
     n = draw(st.integers(1, 4))
     sym = draw(st.sampled_from(["symmetric", "symmetric", "general"]))
-    entries = data_line(st.integers(1, n), st.sampled_from([0, n + 1, -1]), " ")
-    body = draw(file_text(entries, "%"))
+    entries = [data_line(st.integers(1, n), st.sampled_from([0, n + 1, -1]), " ", flaws)
+               for flaws in (FLAW, st.none())]
+    body = draw(file_text(*entries, "%"))
     count = len([1 for line in re.split(r"\r\n|\r|\n", body)
                  if line.strip() and not line.strip().startswith("%")])
     nnz = max(0, count + (draw(rarely(st.sampled_from([-1, 1]))) or 0))
@@ -299,10 +312,11 @@ def coordinate_files(draw):
 @st.composite
 def array_files(draw):
     rows, cols = draw(st.integers(1, 3)), draw(st.integers(1, 2))
+    plain = draw(st.booleans())  # well-formed value lines only
     lines = []
     for _ in range(rows * cols + (draw(rarely(st.sampled_from([-1, 1]))) or 0)):
-        lines.append(draw(data_line(None, None, " ")))
-        if draw(rarely(st.just(True))):
+        lines.append(draw(data_line(None, None, " ", st.none() if plain else FLAW)))
+        if not plain and draw(rarely(st.just(True))):
             lines.append(draw(st.sampled_from(["", " \t", "% note", "  %"])))
     body = "".join(line + draw(ENDING) for line in lines)
     comments = draw(st.sampled_from(["", "% a comment\r\n"]))
@@ -393,3 +407,35 @@ def test_intended_differences_are_rare_in_the_generated_files():
 
     sample()
     assert sum(dropped) <= len(dropped) // 10
+
+
+def test_both_reads_take_a_large_share_of_the_generated_files(tmp_path, monkeypatch):
+    # the comparison must exercise both reads: count, over a fixed
+    # derandomized sample, the files whose records the direct read returned
+    # and the files read as a list of lines (or refused in their head)
+    direct = []
+    direct_body = mmio._direct_body
+
+    def counted(*args):
+        records = direct_body(*args)
+        direct[-1] = True
+        return records
+
+    monkeypatch.setattr(mmio, "_direct_body", counted)
+    path = tmp_path / "file"
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(case=st.tuples(st.just(read_edge_csv), edge_files())
+           | st.tuples(st.just(parse_matrix_market), coordinate_files())
+           | st.tuples(st.just(read_dense_matrix_market), array_files()))
+    def sample(case):
+        read, text = case
+        path.write_bytes(text.encode("utf-8"))
+        direct.append(False)
+        try:
+            read(path)
+        except LobpcgKitError:
+            pass
+
+    sample()
+    assert 0.3 * len(direct) <= sum(direct) <= 0.7 * len(direct)

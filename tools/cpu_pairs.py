@@ -9,14 +9,17 @@ It starts one worker process per library tree, ``--src`` (this checkout's
 ``src`` by default) and ``OTHER_SRC``, each with one BLAS thread as in
 ``perfbench/run.py``.  Each worker sets the workload of
 ``perfbench/workloads.py`` up once, at run seed 0, and warms it with one
-untimed pass.  Then the workers run one pass of the workload's solve calls
-each in turn, ``--pairs`` times, the one that goes first alternating.  A
-pass is timed by ``time.process_time``, the worker's own CPU time, so
-that a second process on the host shows less than in wall time.
+untimed pass.  Then the workers run one pass each in turn, ``--pairs``
+times, the one that goes first alternating: one more ``setup()`` of the
+workload, whose result is dropped, then its solve calls.  Both are timed
+by ``time.process_time``, the worker's own CPU time, so that a second
+process on the host shows less than in wall time.
 
-Prints, per side, the median and quartiles of the seconds per pass, then
-the pairs ``--src`` won and the median of the pair ratios ``src/other``.
-Nothing under ``perfbench`` is changed.
+Prints, for the solve calls and then for the set-up, the median and
+quartiles of each side's seconds per pass, the pairs ``--src`` won and the
+median of the pair ratios ``src/other``.  A set-up timed in process is a
+cross-check on ``perfbench/run.py``'s ``setup_s``, which moves with the
+solve timed before it.  Nothing under ``perfbench`` is changed.
 """
 
 import argparse
@@ -36,7 +39,8 @@ THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
 
 def worker(src: Path, workload_name: str, size: str) -> None:
     """Set the workload up once, warm it, print ``ready``, then time one
-    pass per line read from standard input and print its CPU seconds."""
+    pass per line read from standard input and print the CPU seconds of its
+    set-up and of its solve calls."""
     sys.path[:0] = [str(src), str(ROOT / "perfbench")]
     from workloads import WORKLOADS
 
@@ -48,9 +52,11 @@ def worker(src: Path, workload_name: str, size: str) -> None:
         print("ready", flush=True)
         for _ in sys.stdin:
             began = time.process_time()
+            workload.setup()
+            set_up = time.process_time()
             for call in calls:
                 call()
-            print(repr(time.process_time() - began), flush=True)
+            print(repr(set_up - began), repr(time.process_time() - set_up), flush=True)
 
 
 def quartiles(times: list) -> tuple:
@@ -60,7 +66,8 @@ def quartiles(times: list) -> tuple:
 
 
 def pairs(src: Path, other: Path, workload: str, size: str, count: int) -> list:
-    """``count`` pairs ``(src seconds, other seconds)`` of one pass each."""
+    """``count`` pairs ``(src seconds, other seconds)`` of one pass each,
+    where a side's seconds are ``(set-up, solve calls)``."""
     env = dict(os.environ, **dict.fromkeys(THREAD_VARS, "1"))
     workers = [subprocess.Popen([sys.executable, __file__, "--worker", "--src", str(tree),
                                  "--workload", workload, "--size", size],
@@ -73,11 +80,11 @@ def pairs(src: Path, other: Path, workload: str, size: str, count: int) -> list:
                 raise SystemExit(f"a worker failed to set {workload} up")
         timed = []
         for k in range(count):
-            seconds = [0.0, 0.0]
+            seconds = [(), ()]
             for side in (0, 1) if k % 2 == 0 else (1, 0):
                 workers[side].stdin.write("pass\n")
                 workers[side].stdin.flush()
-                seconds[side] = float(workers[side].stdout.readline())
+                seconds[side] = tuple(map(float, workers[side].stdout.readline().split()))
             timed.append(tuple(seconds))
         return timed
     finally:
@@ -104,14 +111,17 @@ def main(argv=None) -> None:
         parser.error("--against is required, and --pairs must be at least 2")
     timed = pairs(args.src.resolve(), args.against.resolve(), args.workload, args.size,
                   args.pairs)
-    print(f"{args.workload} ({args.size}), {args.pairs} pairs, CPU seconds per pass:")
-    for name, times in (("src", [mine for mine, _ in timed]),
-                        ("other", [theirs for _, theirs in timed])):
-        q1, median, q3 = quartiles(times)
-        print(f"{name:>5}: median {median:.4f} [{q1:.4f}, {q3:.4f}]")
-    won = sum(mine < theirs for mine, theirs in timed)
-    ratio = statistics.median(mine / theirs for mine, theirs in timed)
-    print(f"src faster in {won} of {args.pairs} pairs, median pair ratio src/other {ratio:.4f}")
+    for what, part in (("pass", 1), ("set-up", 0)):
+        paired = [(mine[part], theirs[part]) for mine, theirs in timed]
+        print(f"{args.workload} ({args.size}), {args.pairs} pairs, CPU seconds per {what}:")
+        for name, times in (("src", [mine for mine, _ in paired]),
+                            ("other", [theirs for _, theirs in paired])):
+            q1, median, q3 = quartiles(times)
+            print(f"{name:>5}: median {median:.4f} [{q1:.4f}, {q3:.4f}]")
+        won = sum(mine < theirs for mine, theirs in paired)
+        ratio = statistics.median(mine / theirs for mine, theirs in paired)
+        print(f"src faster in {won} of {args.pairs} pairs, "
+              f"median pair ratio src/other {ratio:.4f}")
 
 
 if __name__ == "__main__":
